@@ -16,14 +16,13 @@ from __future__ import annotations
 
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .apk import ApkError
 from .axml import AxmlError
 from .dex import DexError
-from .report import build_fleet_matrix, render_report, serialize
+from .report import build_fleet_matrix, duplicate_app_names, render_report, serialize
 from .rules import ScanResult, Severity
 from .scanner import scan_file
 
@@ -47,7 +46,6 @@ options:
                      (default: ${FORMAT_ENV_VAR} or text)
       --fail-on SEV  exit 1 if any finding is at least SEV
                      (critical, warning, notice, info)
-      --jobs N       scan up to N APKs concurrently in batch/matrix mode
 
 exit codes: 0 ok, 1 findings at/above --fail-on, 2 usage error, 3 scan error
 """
@@ -79,7 +77,6 @@ class CliConfig:
     output_path: Path | None = None
     fmt: str | None = None
     fail_threshold: Severity | None = None
-    jobs: int = 1
 
 
 def parse_args(argv: list[str]) -> CliConfig:
@@ -91,7 +88,6 @@ def parse_args(argv: list[str]) -> CliConfig:
     output: Path | None = None
     fmt: str | None = None
     fail_on: Severity | None = None
-    jobs = 1
 
     def take_value(flag: str, it) -> str:
         try:
@@ -125,11 +121,6 @@ def parse_args(argv: list[str]) -> CliConfig:
                 raise CliUsageError(
                     f"unknown severity {value!r}, expected critical/warning/notice/info"
                 ) from None
-        elif arg == "--jobs":
-            value = take_value(arg, it)
-            if not value.isdigit() or int(value) < 1:
-                raise CliUsageError(f"--jobs needs a positive integer, got {value!r}")
-            jobs = int(value)
         elif arg.startswith("-") and arg != "-":
             raise UnknownFlagError(f"unknown flag {arg!r}")
         else:
@@ -146,7 +137,6 @@ def parse_args(argv: list[str]) -> CliConfig:
             output_path=output,
             fmt=fmt,
             fail_threshold=fail_on,
-            jobs=jobs,
         )
     if not dirs and not positionals:
         raise MissingArgumentError("no inputs: give -f APK, --dir PATH or positional apk paths")
@@ -157,7 +147,6 @@ def parse_args(argv: list[str]) -> CliConfig:
         output_path=output,
         fmt=fmt,
         fail_threshold=fail_on,
-        jobs=jobs,
     )
 
 
@@ -195,25 +184,16 @@ def _collect_inputs(config: CliConfig) -> list[Path]:
     return files
 
 
-def _scan_many(paths: list[Path], jobs: int):
-    """Scan in input order; returns (results, errors) keeping per-path slots."""
-    slots: list[ScanResult | None] = [None] * len(paths)
+def _scan_many(paths: list[Path]):
+    """Scan in input order; returns (results, errors)."""
+    results: list[ScanResult] = []
     errors: list[tuple[Path, str]] = []
-
-    def work(i: int):
+    for path in paths:
         try:
-            slots[i] = scan_file(paths[i])
+            results.append(scan_file(path))
         except (*_PARSE_ERRORS, OSError) as exc:
-            errors.append((paths[i], f"{type(exc).__name__}: {exc}"))
-
-    if jobs <= 1:
-        for i in range(len(paths)):
-            work(i)
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            list(pool.map(work, range(len(paths))))
-    errors.sort(key=lambda e: paths.index(e[0]))
-    return [s for s in slots if s is not None], errors
+            errors.append((path, f"{type(exc).__name__}: {exc}"))
+    return results, errors
 
 
 def execute(config: CliConfig) -> int:
@@ -236,7 +216,11 @@ def execute(config: CliConfig) -> int:
     if not paths:
         sys.stderr.write(f"{PROG}: no .apk files found in the given inputs\n")
         return 3
-    results, errors = _scan_many(paths, config.jobs)
+    if config.mode == "matrix":
+        clashes = duplicate_app_names(p.name for p in paths)
+        if clashes:
+            raise CliUsageError(f"matrix rows are keyed by file name; duplicate names: {clashes}")
+    results, errors = _scan_many(paths)
 
     if config.mode == "matrix":
         if results:

@@ -16,7 +16,7 @@ over- and under-approximates on reordered or obfuscated code.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 HEADER_SIZE = 0x70
 ENDIAN_CONSTANT = 0x12345678
@@ -167,7 +167,8 @@ class ClassDef:
 
 @dataclass(frozen=True)
 class InvocationSite:
-    caller: tuple[str, str]  # (class descriptor, method name)
+    body: MethodBody = field(repr=False)  # the calling method
+    index: int  # position of the invoke in body.instructions
     callee: MethodRef
     offset: int
 
@@ -459,14 +460,12 @@ def invocations_of(dex: DexImage, owner_pattern: str, method_name: str) -> list[
     """
     sites = []
     for body in dex.bodies():
-        for ins in body.instructions:
+        for i, ins in enumerate(body.instructions):
             if ins.method_index is None:
                 continue
             ref = dex.method_refs[ins.method_index]  # validated at parse time
             if ref.name == method_name and _owner_matches(owner_pattern, ref.owner):
-                sites.append(
-                    InvocationSite(caller=(body.owner, body.name), callee=ref, offset=ins.offset)
-                )
+                sites.append(InvocationSite(body=body, index=i, callee=ref, offset=ins.offset))
     return sites
 
 
@@ -487,34 +486,15 @@ def string_pool_matches(
     return hits
 
 
-def containing_body(dex: DexImage, site: InvocationSite) -> MethodBody:
-    """The method body an invocation site was found in."""
-    for body in dex.bodies():
-        if (body.owner, body.name) != site.caller:
-            continue
-        for ins in body.instructions:
-            if ins.offset == site.offset and ins.method_index is not None:
-                if dex.method_refs[ins.method_index] == site.callee:
-                    return body
-    raise ValueError(f"site {site} does not belong to {dex.source_name}")
-
-
-def literal_reaching(
-    site: InvocationSite, body: MethodBody, max_lookback: int = DEFAULT_LOOKBACK
-) -> int | None:
+def literal_reaching(site: InvocationSite, max_lookback: int = DEFAULT_LOOKBACK) -> int | None:
     """Literal of the nearest const/4, const/16 or const before the site.
 
-    Scans at most ``max_lookback`` instructions backwards; returns None when
-    no const is found in the window. Register targets are ignored on purpose.
+    Scans at most ``max_lookback`` instructions backwards in the site's own
+    body; returns None when no const is found in the window. Register
+    targets are ignored on purpose.
     """
-    index = None
-    for i, ins in enumerate(body.instructions):
-        if ins.offset == site.offset and ins.method_index is not None:
-            index = i
-            break
-    if index is None:
-        raise ValueError("invocation site does not belong to this method body")
-    for j in range(index - 1, max(-1, index - 1 - max_lookback), -1):
-        if body.instructions[j].opcode in CONST_OPS:
-            return body.instructions[j].literal
+    instructions = site.body.instructions
+    for j in range(site.index - 1, max(-1, site.index - 1 - max_lookback), -1):
+        if instructions[j].opcode in CONST_OPS:
+            return instructions[j].literal
     return None

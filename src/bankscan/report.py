@@ -20,6 +20,7 @@ import csv
 import datetime as _dt
 import io
 import json
+from collections import Counter
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 
@@ -116,14 +117,19 @@ def render_report(
     )
 
 
+def duplicate_app_names(names) -> list[str]:
+    """The names that occur more than once, sorted."""
+    return sorted(n for n, k in Counter(names).items() if k > 1)
+
+
 def build_fleet_matrix(results: list[ScanResult]) -> FleetMatrix:
     """Stack scan results into the apps-by-rules comparison matrix."""
     if not results:
         raise ReportError("fleet matrix needs at least one scan result")
     names = [r.apk_name for r in results]
-    dupes = {n for n in names if names.count(n) > 1}
+    dupes = duplicate_app_names(names)
     if dupes:
-        raise DuplicateAppNameError(f"duplicate app names: {sorted(dupes)}")
+        raise DuplicateAppNameError(f"duplicate app names: {dupes}")
 
     rules = tuple(RuleId)
     cells = tuple(tuple(r.rule_vector) for r in results)

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from .dex import (
     DexImage,
     InvocationSite,
-    containing_body,
     invocations_of,
     literal_reaching,
     string_pool_matches,
@@ -175,9 +174,8 @@ def _finding(rule: RuleId, evidence: list[str]) -> Finding:
 
 
 def _site_evidence(dex: DexImage, site: InvocationSite) -> str:
-    caller_cls, caller_name = site.caller
     return (
-        f"{dex.source_name}: {caller_cls}->{caller_name} +0x{site.offset:04x} "
+        f"{dex.source_name}: {site.body.owner}->{site.body.name} +0x{site.offset:04x} "
         f"calls {site.callee.owner}->{site.callee.name}"
     )
 
@@ -302,8 +300,7 @@ def _r11_file_delete(inp: ScanInput) -> list[Finding]:
 
 def _file_access_calls(inp: ScanInput):
     for dex, site in _all_sites(inp.dexes, "Landroid/webkit/WebSettings;", "setAllowFileAccess"):
-        lit = literal_reaching(site, containing_body(dex, site))
-        yield dex, site, lit
+        yield dex, site, literal_reaching(site)
 
 
 def _r07_file_access(inp: ScanInput) -> list[Finding]:
@@ -338,7 +335,7 @@ def _r07_file_access(inp: ScanInput) -> list[Finding]:
 def _r08_javascript(inp: ScanInput) -> list[Finding]:
     findings = []
     for dex, site in _all_sites(inp.dexes, "Landroid/webkit/WebSettings;", "setJavaScriptEnabled"):
-        lit = literal_reaching(site, containing_body(dex, site))
+        lit = literal_reaching(site)
         if lit == 1:
             findings.append(_finding(RuleId.R08, [_site_evidence(dex, site) + " with literal 1"]))
     return findings
@@ -387,7 +384,7 @@ def _r12_signature_check(inp: ScanInput) -> list[Finding]:
 def _r13_screenshot(inp: ScanInput) -> list[Finding]:
     for method_name in ("setFlags", "addFlags"):
         for dex, site in _all_sites(inp.dexes, "Landroid/view/Window;", method_name):
-            lit = literal_reaching(site, containing_body(dex, site))
+            lit = literal_reaching(site)
             if lit == FLAG_SECURE:
                 return []
     return [

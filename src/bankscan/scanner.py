@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .apk import MANIFEST_NAME, dex_entry_names, load_apk, open_apk, read_entry
+from .apk import MANIFEST_NAME, dex_entry_names, load_apk, read_entry
 from .axml import decode_axml
 from .dex import parse_dex
 from .manifest import build_manifest_model
@@ -23,11 +23,6 @@ def scan_bytes(data: bytes, apk_name: str) -> ScanResult:
 
 
 def scan_file(path: str | Path) -> ScanResult:
+    """Scan an APK on disk under its file name."""
     p = Path(path)
-    archive = open_apk(p)
-    manifest = build_manifest_model(decode_axml(read_entry(archive, MANIFEST_NAME)))
-    dexes = tuple(
-        parse_dex(read_entry(archive, name), source_name=name)
-        for name in dex_entry_names(archive)
-    )
-    return run_all_rules(ScanInput(manifest=manifest, dexes=dexes, apk_name=p.name))
+    return scan_bytes(p.read_bytes(), p.name)

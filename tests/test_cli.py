@@ -60,18 +60,17 @@ def test_parse_errors():
         parse_args(["-f", "a.apk", "--fail-on", "fatal"])
     with pytest.raises(CliUsageError):
         parse_args(["-f", "a.apk", "--format", "yaml"])
-    with pytest.raises(CliUsageError):
-        parse_args(["--jobs", "zero", "a.apk"])
+    with pytest.raises(UnknownFlagError):
+        parse_args(["--jobs", "2", "a.apk"])
 
 
 def test_parse_options():
     config = parse_args(
-        ["-f", "a.apk", "-o", "out.txt", "--format", "json", "--fail-on", "warning", "--jobs", "3"]
+        ["-f", "a.apk", "-o", "out.txt", "--format", "json", "--fail-on", "warning"]
     )
     assert config.output_path.name == "out.txt"
     assert config.fmt == "json"
     assert config.fail_threshold == Severity.WARNING
-    assert config.jobs == 3
 
 
 # --- execution ----------------------------------------------------------------
@@ -161,12 +160,18 @@ def test_matrix_over_fleet_dir(fleet_dir, capsys):
         assert rows[name].endswith(f",{total},{pct}"), rows[name]
 
 
-def test_matrix_concurrency_identical_output(fleet_dir, tmp_path):
-    seq = tmp_path / "seq.csv"
-    par = tmp_path / "par.csv"
-    assert main(["--dir", str(fleet_dir), "--matrix", "--format", "csv", "-o", str(seq)]) == 0
-    assert main(["--dir", str(fleet_dir), "--matrix", "--format", "csv", "--jobs", "4", "-o", str(par)]) == 0
-    assert seq.read_bytes() == par.read_bytes()
+def test_matrix_duplicate_file_names_usage_error(fleet_dir, tmp_path, capsys):
+    a = tmp_path / "a"
+    b = tmp_path / "b"
+    for d in (a, b):
+        d.mkdir()
+        (d / "x.apk").write_bytes((fleet_dir / "starling-like.apk").read_bytes())
+    (a / "y.apk").write_bytes((fleet_dir / "atom-like.apk").read_bytes())
+    assert main(["--dir", str(a), "--dir", str(b), "--matrix"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "duplicate names: ['x.apk']" in captured.err
+    assert "usage:" in captured.err
 
 
 def test_batch_continues_past_corrupt_file(fleet_dir, tmp_path, capsys):

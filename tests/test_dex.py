@@ -19,7 +19,6 @@ from bankscan.dex import (
     DexError,
     MalformedUleb128Error,
     SectionOutOfBoundsError,
-    containing_body,
     invocations_of,
     literal_reaching,
     parse_dex,
@@ -135,7 +134,7 @@ def test_invocations_exact_and_wildcard(addjs_artifact):
     image = parse_dex(addjs_artifact.data)
     exact = invocations_of(image, WEBVIEW, "addJavascriptInterface")
     assert len(exact) == 1
-    assert exact[0].caller == ("Lfixture/addjs/Markers;", "bindJsBridge")
+    assert (exact[0].body.owner, exact[0].body.name) == ("Lfixture/addjs/Markers;", "bindJsBridge")
     assert invocations_of(image, "Landroid/webkit/*", "addJavascriptInterface") == exact
     assert invocations_of(image, "Lcom/nothing/*", "addJavascriptInterface") == []
 
@@ -208,19 +207,19 @@ def _single_site(image):
 def test_literal_reaching_adjacent():
     image = parse_dex(emit_dex("La/A;", [_padded_invoke_sketch(0)]).data)
     site = _single_site(image)
-    assert literal_reaching(site, containing_body(image, site)) == 1
+    assert literal_reaching(site) == 1
 
 
 def test_literal_reaching_window_boundary():
     # const + 7 nops: const is the 8th instruction back, still inside the window
     image = parse_dex(emit_dex("La/A;", [_padded_invoke_sketch(7)]).data)
     site = _single_site(image)
-    assert literal_reaching(site, containing_body(image, site)) == 1
+    assert literal_reaching(site) == 1
     # const + 8 nops: one past the default window
     image = parse_dex(emit_dex("La/A;", [_padded_invoke_sketch(8)]).data)
     site = _single_site(image)
-    assert literal_reaching(site, containing_body(image, site)) is None
-    assert literal_reaching(site, containing_body(image, site), max_lookback=9) == 1
+    assert literal_reaching(site) is None
+    assert literal_reaching(site, max_lookback=9) == 1
 
 
 def test_literal_reaching_const16_and_const32():
@@ -232,7 +231,7 @@ def test_literal_reaching_const16_and_const32():
         )
         image = parse_dex(art.data)
         [site] = invocations_of(image, "Landroid/view/Window;", "addFlags")
-        assert literal_reaching(site, containing_body(image, site)) == 0x2000
+        assert literal_reaching(site) == 0x2000
 
 
 def test_literal_reaching_none_without_const():
@@ -243,21 +242,7 @@ def test_literal_reaching_none_without_const():
     )
     image = parse_dex(art.data)
     [site] = invocations_of(image, JFILE, "delete")
-    assert literal_reaching(site, containing_body(image, site)) is None
-
-
-def test_literal_reaching_rejects_foreign_site():
-    image_a = parse_dex(emit_dex("La/A;", [_padded_invoke_sketch(0)]).data)
-    image_b = parse_dex(
-        emit_dex(
-            "La/B;",
-            [MethodSketch("other", [("invoke-virtual", [0], (JFILE, "delete", ("Z", ()))), ("return-void",)])],
-        ).data
-    )
-    site = _single_site(image_a)
-    [foreign_body] = [b for b in image_b.bodies()]
-    with pytest.raises(ValueError):
-        literal_reaching(site, foreign_body)
+    assert literal_reaching(site) is None
 
 
 def test_negative_const4_literal_sign_extends():
@@ -267,7 +252,7 @@ def test_negative_const4_literal_sign_extends():
     )
     image = parse_dex(art.data)
     [site] = invocations_of(image, JFILE, "delete")
-    assert literal_reaching(site, containing_body(image, site)) == -1
+    assert literal_reaching(site) == -1
 
 
 def test_instruction_offsets_strictly_increase(addjs_artifact):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from bankscan.dex import parse_dex
+from bankscan.dex import DexImage, parse_dex
 from bankscan.fixtures import MethodSketch, emit_dex
 from bankscan.fixtures.profiles import (
     CONTEXT,
@@ -253,6 +253,45 @@ def test_r07_silent_without_webview():
 def test_r08_literal_controls_finding():
     assert len(evaluate_rule(RuleId.R08, make_input([_settings_call("setJavaScriptEnabled", 1)]))) == 1
     assert evaluate_rule(RuleId.R08, make_input([_settings_call("setJavaScriptEnabled", 0)])) == []
+
+
+def _backscan_input(site_count):
+    calls = [
+        ((WEBSETTINGS, "setJavaScriptEnabled", ("V", ("Z",))), ("const4", 1, 1)),
+        ((WEBSETTINGS, "setAllowFileAccess", ("V", ("Z",))), ("const4", 1, 1)),
+        (("Landroid/view/Window;", "addFlags", ("V", ("I",))), ("const16", 1, 0x0080)),
+    ]
+    return make_input(
+        [
+            MethodSketch(
+                f"cfg{i}_{k}",
+                [const, ("invoke-virtual", [0, 1], target), ("return-void",)],
+            )
+            for i in range(site_count)
+            for k, (target, const) in enumerate(calls)
+        ]
+    )
+
+
+def test_backscan_does_not_rescan_bodies_per_site(monkeypatch):
+    calls = 0
+    original = DexImage.bodies
+
+    def counting_bodies(self):
+        nonlocal calls
+        calls += 1
+        return original(self)
+
+    monkeypatch.setattr(DexImage, "bodies", counting_bodies)
+    counts = {}
+    for site_count in (1, 50):
+        inp = _backscan_input(site_count)
+        calls = 0
+        assert len(evaluate_rule(RuleId.R07, inp)) == site_count
+        assert len(evaluate_rule(RuleId.R08, inp)) == site_count
+        assert len(evaluate_rule(RuleId.R13, inp)) == 1  # 0x0080 is not FLAG_SECURE
+        counts[site_count] = calls
+    assert counts[50] == counts[1]
 
 
 # --- R09 / R12 / R13 / R14 (absence rules) -----------------------------------
