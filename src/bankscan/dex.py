@@ -4,9 +4,14 @@ Parses Dalvik executable files just far enough for rule queries: which
 methods are invoked where, which string constants exist, and what integer
 literal precedes a given call. The id sections (strings, types, protos,
 fields, methods) are fully decoded and bounds-checked; instruction streams
-are walked with the published opcode format table so every instruction's
-width is known, but operands are only materialized for the const and
-invoke families.
+are walked once with the published opcode format table so every
+instruction's width is known, but operands are only materialized for the
+const and invoke families.
+
+That one pass also records every invoke in a per-DEX call-site index
+(method index -> body ordinal and instruction position), so
+``invocations_of`` resolves the matching method ids and answers from the
+index instead of walking the code again.
 
 Register dataflow is deliberately not modeled: ``literal_reaching`` is a
 bounded linear back-scan that ignores which register a const targets, so it
@@ -16,7 +21,10 @@ over- and under-approximates on reordered or obfuscated code.
 from __future__ import annotations
 
 import struct
+from collections import defaultdict
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 HEADER_SIZE = 0x70
 ENDIAN_CONSTANT = 0x12345678
@@ -130,10 +138,16 @@ def _build_format_table() -> tuple[str, ...]:
 
 
 OPCODE_FORMATS: tuple[str, ...] = _build_format_table()
+# Width in code units per opcode byte, read once per instruction.
+_OP_UNITS: tuple[int, ...] = tuple(_FORMAT_UNITS[f] for f in OPCODE_FORMATS)
 
 _PACKED_SWITCH_IDENT = 0x0100
 _SPARSE_SWITCH_IDENT = 0x0200
 _FILL_ARRAY_IDENT = 0x0300
+# High byte of a nop (opcode 0x00) code unit that starts a payload.
+_PAYLOAD_HIGH_BYTES = (
+    _PACKED_SWITCH_IDENT >> 8, _SPARSE_SWITCH_IDENT >> 8, _FILL_ARRAY_IDENT >> 8
+)
 
 
 @dataclass(frozen=True)
@@ -143,8 +157,7 @@ class MethodRef:
     shorty: str  # condensed signature, e.g. VL for (ref)void
 
 
-@dataclass(frozen=True)
-class Instruction:
+class Instruction(NamedTuple):
     opcode: int
     offset: int        # byte offset inside the method's instruction stream
     units: int         # width in 16-bit code units
@@ -180,6 +193,13 @@ class DexImage:
     method_refs: tuple[MethodRef, ...]
     classes: tuple[ClassDef, ...]
     source_name: str = "classes.dex"
+    # Filled by parse_dex: every method body in bodies() order, and for each
+    # invoked method index its call sites as (body ordinal, position in
+    # body.instructions), in body order.
+    body_table: tuple[MethodBody, ...] = field(default=(), compare=False, repr=False)
+    call_sites: dict[int, list[tuple[int, int]]] = field(
+        default_factory=dict, compare=False, repr=False
+    )
 
     def bodies(self):
         for cls in self.classes:
@@ -262,6 +282,8 @@ def parse_dex(data: bytes, source_name: str = "classes.dex") -> DexImage:
         )
 
     classes = []
+    body_table: list[MethodBody] = []
+    call_sites: defaultdict[int, list[tuple[int, int]]] = defaultdict(list)
     for i in range(class_defs_size):
         class_idx, _access, _super, _ifaces, _src, _anno, class_data_off, _statics = (
             struct.unpack_from("<8I", data, class_defs_off + 32 * i)
@@ -273,7 +295,9 @@ def parse_dex(data: bytes, source_name: str = "classes.dex") -> DexImage:
         if class_data_off:
             if class_data_off >= n:
                 raise SectionOutOfBoundsError(f"class_data of {owner} at {class_data_off:#x}")
-            methods = _parse_class_data(data, class_data_off, owner, method_refs)
+            methods = _parse_class_data(
+                data, class_data_off, owner, method_refs, body_table, call_sites
+            )
         classes.append(ClassDef(type_name=owner, methods=methods))
 
     return DexImage(
@@ -282,6 +306,8 @@ def parse_dex(data: bytes, source_name: str = "classes.dex") -> DexImage:
         method_refs=tuple(method_refs),
         classes=tuple(classes),
         source_name=source_name,
+        body_table=tuple(body_table),
+        call_sites=dict(call_sites),
     )
 
 
@@ -331,7 +357,7 @@ def _validate_fields(data, off, count, type_count, string_count) -> None:
             raise SectionOutOfBoundsError(f"field_id {i} has out-of-range indices")
 
 
-def _parse_class_data(data, off, owner, method_refs) -> tuple[MethodBody, ...]:
+def _parse_class_data(data, off, owner, method_refs, body_table, call_sites) -> tuple[MethodBody, ...]:
     n = len(data)
     pos = off
     static_fields, c = _uleb128(data, pos, n); pos += c
@@ -355,21 +381,19 @@ def _parse_class_data(data, off, owner, method_refs) -> tuple[MethodBody, ...]:
                 raise SectionOutOfBoundsError(
                     f"class_data of {owner} references method {method_idx}"
                 )
-            ref = method_refs[method_idx]
+            name = method_refs[method_idx].name
             instructions: tuple[Instruction, ...] = ()
             if code_off:
-                instructions = _parse_code_item(data, code_off, owner, ref.name)
-                for ins in instructions:
-                    if ins.method_index is not None and ins.method_index >= len(method_refs):
-                        raise SectionOutOfBoundsError(
-                            f"invoke in {owner}->{ref.name} names method {ins.method_index}, "
-                            f"only {len(method_refs)} defined"
-                        )
-            bodies.append(MethodBody(owner=owner, name=ref.name, instructions=instructions))
+                instructions = _parse_code_item(
+                    data, code_off, owner, name, len(method_refs), call_sites, len(body_table)
+                )
+            body = MethodBody(owner=owner, name=name, instructions=instructions)
+            bodies.append(body)
+            body_table.append(body)
     return tuple(bodies)
 
 
-def _parse_code_item(data, off, owner, name) -> tuple[Instruction, ...]:
+def _parse_code_item(data, off, owner, name, method_count, call_sites, ordinal) -> tuple[Instruction, ...]:
     n = len(data)
     if off + 16 > n:
         raise SectionOutOfBoundsError(f"code_item of {owner}->{name} at {off:#x}")
@@ -379,7 +403,9 @@ def _parse_code_item(data, off, owner, name) -> tuple[Instruction, ...]:
         raise SectionOutOfBoundsError(
             f"instruction stream of {owner}->{name} overruns file"
         )
-    return _decode_instructions(data[start : start + 2 * insns_size], owner, name)
+    return _decode_instructions(
+        data[start : start + 2 * insns_size], owner, name, method_count, call_sites, ordinal
+    )
 
 
 def _payload_units(code: bytes, pos: int, ident: int, owner: str, name: str) -> int:
@@ -402,43 +428,53 @@ def _payload_units(code: bytes, pos: int, ident: int, owner: str, name: str) -> 
     return (width * count + 1) // 2 + 4
 
 
-def _decode_instructions(code: bytes, owner: str, name: str) -> tuple[Instruction, ...]:
+def _decode_instructions(
+    code: bytes, owner: str, name: str, method_count: int, call_sites, ordinal: int
+) -> tuple[Instruction, ...]:
+    """Decode one instruction stream, recording each invoke in ``call_sites``.
+
+    ``ordinal`` is the body's position in the DEX's ``body_table``; every
+    invoke appends (ordinal, its position in the returned tuple) under its
+    method index, after checking that index against ``method_count``.
+    """
     out = []
+    append = out.append
+    make = tuple.__new__  # skips NamedTuple.__new__'s per-field argument binding
     pos = 0
     n = len(code)
     while pos < n:
         if pos + 2 > n:
             raise SectionOutOfBoundsError(f"dangling byte in {owner}->{name}")
         op = code[pos]
-        high = code[pos + 1]
-        if op == 0x00 and (high << 8) in (
-            _PACKED_SWITCH_IDENT, _SPARSE_SWITCH_IDENT, _FILL_ARRAY_IDENT
-        ):
-            units = _payload_units(code, pos, high << 8, owner, name)
+        if op == 0x00 and code[pos + 1] in _PAYLOAD_HIGH_BYTES:
+            units = _payload_units(code, pos, code[pos + 1] << 8, owner, name)
         else:
-            units = _FORMAT_UNITS[OPCODE_FORMATS[op]]
-        width = units * 2
-        if pos + width > n:
+            units = _OP_UNITS[op]
+        end = pos + units * 2
+        if end > n:
             raise SectionOutOfBoundsError(
                 f"instruction 0x{op:02x} at +{pos:#x} overruns {owner}->{name}"
             )
 
-        literal = None
-        method_index = None
-        if op == OP_CONST_4:
-            nibble = high >> 4
-            literal = nibble - 16 if nibble >= 8 else nibble
+        if op in INVOKE_OPS:
+            method_index = code[pos + 2] | code[pos + 3] << 8
+            if method_index >= method_count:
+                raise SectionOutOfBoundsError(
+                    f"invoke in {owner}->{name} names method {method_index}, "
+                    f"only {method_count} defined"
+                )
+            call_sites[method_index].append((ordinal, len(out)))
+            append(make(Instruction, (op, pos, units, None, method_index)))
+        elif op == OP_CONST_4:
+            nibble = code[pos + 1] >> 4
+            append(make(Instruction, (op, pos, units, nibble - 16 if nibble >= 8 else nibble, None)))
         elif op == OP_CONST_16:
-            literal = struct.unpack_from("<h", code, pos + 2)[0]
+            append(make(Instruction, (op, pos, units, struct.unpack_from("<h", code, pos + 2)[0], None)))
         elif op == OP_CONST:
-            literal = struct.unpack_from("<i", code, pos + 2)[0]
-        elif op in INVOKE_OPS:
-            method_index = struct.unpack_from("<H", code, pos + 2)[0]
-
-        out.append(
-            Instruction(opcode=op, offset=pos, units=units, literal=literal, method_index=method_index)
-        )
-        pos += width
+            append(make(Instruction, (op, pos, units, struct.unpack_from("<i", code, pos + 2)[0], None)))
+        else:
+            append(make(Instruction, (op, pos, units, None, None)))
+        pos = end
     return tuple(out)
 
 
@@ -453,20 +489,48 @@ def _owner_matches(pattern: str, owner: str) -> bool:
     return owner == pattern
 
 
+def _sites_of(dex: DexImage, targets: list[int]) -> list[InvocationSite]:
+    """Call sites of the given method indices from the index: body order, then position."""
+    located = [
+        (ordinal, position, i) for i in targets for ordinal, position in dex.call_sites.get(i, ())
+    ]
+    if len(targets) > 1:
+        located.sort()  # merge the per-target runs, each already in body order
+    sites = []
+    for ordinal, position, i in located:
+        body = dex.body_table[ordinal]
+        sites.append(
+            InvocationSite(
+                body=body, index=position, callee=dex.method_refs[i],
+                offset=body.instructions[position].offset,
+            )
+        )
+    return sites
+
+
+def invocations_where(dex: DexImage, matches: Callable[[MethodRef], bool]) -> list[InvocationSite]:
+    """Every invoke instruction whose target satisfies ``matches``.
+
+    Resolves the matching ``method_refs`` entries first and reads their sites
+    from the call-site index, so no instruction is visited. Sites come in
+    body order, then by position inside the body.
+    """
+    return _sites_of(dex, [i for i, ref in enumerate(dex.method_refs) if matches(ref)])
+
+
 def invocations_of(dex: DexImage, owner_pattern: str, method_name: str) -> list[InvocationSite]:
     """Every invoke instruction whose target matches the owner pattern and name.
 
     The pattern is an exact type descriptor, or a prefix when it ends in ``*``.
+    Answered from the call-site index, like ``invocations_where``.
     """
-    sites = []
-    for body in dex.bodies():
-        for i, ins in enumerate(body.instructions):
-            if ins.method_index is None:
-                continue
-            ref = dex.method_refs[ins.method_index]  # validated at parse time
-            if ref.name == method_name and _owner_matches(owner_pattern, ref.owner):
-                sites.append(InvocationSite(body=body, index=i, callee=ref, offset=ins.offset))
-    return sites
+    return _sites_of(
+        dex,
+        [
+            i for i, ref in enumerate(dex.method_refs)
+            if ref.name == method_name and _owner_matches(owner_pattern, ref.owner)
+        ],
+    )
 
 
 def string_pool_matches(

@@ -25,7 +25,9 @@ from dataclasses import dataclass
 from .dex import (
     DexImage,
     InvocationSite,
+    MethodRef,
     invocations_of,
+    invocations_where,
     literal_reaching,
     string_pool_matches,
 )
@@ -60,10 +62,11 @@ class RuleId(enum.Enum):
 
     @property
     def index(self) -> int:
-        return _RULE_ORDER.index(self)
+        return _RULE_INDEX[self]
 
 
 _RULE_ORDER: tuple[RuleId, ...] = tuple(RuleId)
+_RULE_INDEX: dict[RuleId, int] = {rule: i for i, rule in enumerate(_RULE_ORDER)}
 RULE_COUNT = len(_RULE_ORDER)
 
 
@@ -76,12 +79,17 @@ class Severity(enum.Enum):
 
     @property
     def rank(self) -> int:
-        return {"critical": 3, "warning": 2, "notice": 1, "info": 0}[self.value]
+        return _SEVERITY_RANK[self]
 
     def __lt__(self, other: "Severity") -> bool:
         if not isinstance(other, Severity):
             return NotImplemented
         return self.rank < other.rank
+
+
+_SEVERITY_RANK: dict[Severity, int] = {
+    Severity.CRITICAL: 3, Severity.WARNING: 2, Severity.NOTICE: 1, Severity.INFO: 0,
+}
 
 
 RULE_TITLES: dict[RuleId, str] = {
@@ -242,6 +250,14 @@ def _r10_backup(inp: ScanInput) -> list[Finding]:
 # --- code presence rules ---------------------------------------------------
 
 
+def _is_action_intent_ctor(ref: MethodRef) -> bool:
+    return ref.owner == "Landroid/content/Intent;" and ref.name == "<init>" and ref.shorty == "VL"
+
+
+def _is_service_start(ref: MethodRef) -> bool:
+    return ref.name in ("startService", "bindService")
+
+
 def _r01_implicit_service(inp: ScanInput) -> list[Finding]:
     # Method-local co-occurrence of an Intent(action-string) constructor and a
     # startService/bindService call. Shorty VL means one reference argument,
@@ -249,29 +265,27 @@ def _r01_implicit_service(inp: ScanInput) -> list[Finding]:
     # copy constructor); the two-argument explicit form is VLL and never hits.
     findings = []
     for dex in inp.dexes:
-        for body in dex.bodies():
-            ctor_sites = []
-            start_sites = []
-            for ins in body.instructions:
-                if ins.method_index is None:
-                    continue
-                ref = dex.method_refs[ins.method_index]
-                if (
-                    ref.owner == "Landroid/content/Intent;"
-                    and ref.name == "<init>"
-                    and ref.shorty == "VL"
-                ):
-                    ctor_sites.append(ins.offset)
-                elif ref.name in ("startService", "bindService"):
-                    start_sites.append((ins.offset, ref))
-            if ctor_sites and start_sites:
-                evidence = [
-                    f"{dex.source_name}: {body.owner}->{body.name} +0x{off:04x} "
-                    f"calls {ref.owner}->{ref.name} with implicit Intent "
-                    f"(action-string constructor at +0x{ctor_sites[0]:04x})"
-                    for off, ref in start_sites
-                ]
-                findings.append(_finding(RuleId.R01, evidence))
+        # Sites come in body order, so the first one seen per body is its
+        # first constructor call and grouped start sites keep body order.
+        # Bodies are keyed by identity: they live as long as the image.
+        first_ctor: dict[int, int] = {}
+        for site in invocations_where(dex, _is_action_intent_ctor):
+            first_ctor.setdefault(id(site.body), site.offset)
+        if not first_ctor:
+            continue
+        starts: dict[int, list[InvocationSite]] = {}
+        for site in invocations_where(dex, _is_service_start):
+            if id(site.body) in first_ctor:
+                starts.setdefault(id(site.body), []).append(site)
+        for key, sites in starts.items():
+            body = sites[0].body
+            evidence = [
+                f"{dex.source_name}: {body.owner}->{body.name} +0x{site.offset:04x} "
+                f"calls {site.callee.owner}->{site.callee.name} with implicit Intent "
+                f"(action-string constructor at +0x{first_ctor[key]:04x})"
+                for site in sites
+            ]
+            findings.append(_finding(RuleId.R01, evidence))
     return findings
 
 
@@ -316,17 +330,20 @@ def _r07_file_access(inp: ScanInput) -> list[Finding]:
     # File access is on by default: a WebView in use without an explicit
     # setAllowFileAccess(false) anywhere leaves it enabled.
     if not explicit_off:
-        webkit_refs = [
-            f"{dex.source_name}: references type {t}"
-            for dex in inp.dexes
-            for t in dex.type_names
-            if t.startswith("Landroid/webkit/")
-        ]
-        if webkit_refs:
+        webkit_ref = next(
+            (
+                f"{dex.source_name}: references type {t}"
+                for dex in inp.dexes
+                for t in dex.type_names
+                if t.startswith("Landroid/webkit/")
+            ),
+            None,
+        )
+        if webkit_ref is not None:
             findings.append(
                 _finding(
                     RuleId.R07,
-                    [webkit_refs[0] + " and never calls setAllowFileAccess(false); file access is enabled by default"],
+                    [webkit_ref + " and never calls setAllowFileAccess(false); file access is enabled by default"],
                 )
             )
     return findings

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bankscan.apk import dex_entry_names, load_apk, read_entry
 from bankscan.dex import (
     BadEndianTagError,
     BadMagicError,
@@ -24,7 +25,15 @@ from bankscan.dex import (
     parse_dex,
     string_pool_matches,
 )
-from bankscan.fixtures import MethodSketch, emit_dex
+from bankscan.fixtures import (
+    MethodSketch,
+    build_dex,
+    build_manifest_bytes,
+    emit_dex,
+    fleet_profiles,
+    pack_apk,
+    rule_oracle_corpus,
+)
 from bankscan.fixtures.profiles import (
     JFILE,
     STRING,
@@ -189,6 +198,144 @@ def test_string_pool_matches_modes():
         string_pool_matches(image, [], "exact")
     with pytest.raises(ValueError):
         string_pool_matches(image, ["x"], "fuzzy")
+
+
+def _walked_sites(image, owner_pattern, method_name):
+    """Reference for invocations_of: a walk over every instruction of every body."""
+    sites = []
+    for body in image.bodies():
+        for i, ins in enumerate(body.instructions):
+            if ins.method_index is None:
+                continue
+            ref = image.method_refs[ins.method_index]
+            owner_hit = (
+                ref.owner.startswith(owner_pattern[:-1])
+                if owner_pattern.endswith("*")
+                else ref.owner == owner_pattern
+            )
+            if ref.name == method_name and owner_hit:
+                sites.append((id(body), i, ref, ins.offset))
+    return sites
+
+
+def _indexed_sites(image, owner_pattern, method_name):
+    return [
+        (id(site.body), site.index, site.callee, site.offset)
+        for site in invocations_of(image, owner_pattern, method_name)
+    ]
+
+
+def _assert_index_matches_walk(image):
+    names = {ref.name for ref in image.method_refs}
+    queries = {(ref.owner, ref.name) for ref in image.method_refs}
+    queries |= {(pattern, name) for pattern in ("*", "Landroid/webkit/*") for name in names}
+    for owner_pattern, name in sorted(queries):
+        assert _indexed_sites(image, owner_pattern, name) == _walked_sites(image, owner_pattern, name), (
+            image.source_name, owner_pattern, name,
+        )
+
+
+def _multidex_images():
+    second = emit_dex(
+        "Lfixture/multidex/Second;",
+        method_sketches(CodeKnobs(set_javascript_enabled=True, set_allow_file_access=False, file_delete=True)),
+    )
+    profile = fleet_profiles()[0]
+    apk = pack_apk(
+        [
+            ("AndroidManifest.xml", build_manifest_bytes(profile)),
+            ("classes.dex", build_dex(profile).data),
+            ("classes2.dex", second.data),
+        ]
+    )
+    archive = load_apk(apk)
+    return [parse_dex(read_entry(archive, name), source_name=name) for name in dex_entry_names(archive)]
+
+
+def test_call_site_index_matches_instruction_walk():
+    images = [parse_dex(build_dex(p).data) for p in rule_oracle_corpus() + fleet_profiles()]
+    multidex = _multidex_images()
+    assert [image.source_name for image in multidex] == ["classes.dex", "classes2.dex"]
+    for image in images + multidex:
+        _assert_index_matches_walk(image)
+
+
+def test_sites_of_several_targets_keep_body_then_position_order():
+    # Two refs share a name; their method indices sort opposite to the order
+    # their calls take in the code, so the merge must order by body, then
+    # position, not by target.
+    first = ("Lz/Late;", "run", ("V", ()))
+    second = ("La/Early;", "run", ("V", ()))
+    art = emit_dex(
+        "Lfixture/interleave/App;",
+        [
+            MethodSketch(
+                "alpha",
+                [
+                    ("invoke-virtual", [0], first),
+                    ("invoke-virtual", [0], second),
+                    ("nop",),
+                    ("invoke-virtual", [0], first),
+                    ("invoke-virtual", [0], second),
+                    ("return-void",),
+                ],
+            ),
+            MethodSketch("beta", [("invoke-virtual", [0], second), ("invoke-virtual", [0], first), ("return-void",)]),
+        ],
+    )
+    image = parse_dex(art.data)
+    sites = invocations_of(image, "*", "run")
+    assert [(s.body.name, s.index, s.callee.owner) for s in sites] == [
+        ("alpha", 0, "Lz/Late;"),
+        ("alpha", 1, "La/Early;"),
+        ("alpha", 3, "Lz/Late;"),
+        ("alpha", 4, "La/Early;"),
+        ("beta", 0, "La/Early;"),
+        ("beta", 1, "Lz/Late;"),
+    ]
+    _assert_index_matches_walk(image)
+
+
+def test_invoke_naming_undefined_method_rejected():
+    delete = (JFILE, "delete", ("Z", ()))
+    art = emit_dex(
+        "Lfixture/badinvoke/App;",
+        [MethodSketch("go", [("invoke-virtual", [0], delete), ("return-void",)])],
+    )
+    image = parse_dex(art.data)
+    index = next(i for i, ref in enumerate(image.method_refs) if (ref.owner, ref.name) == (JFILE, "delete"))
+    invoke = struct.pack("<BBHBB", 0x6E, 1 << 4, index, 0, 0)
+    assert art.data.count(invoke) == 1
+    method_ids_size = struct.unpack_from("<I", art.data, 0x58)[0]
+    data = bytearray(art.data)
+    struct.pack_into("<H", data, art.data.index(invoke) + 2, method_ids_size)
+    with pytest.raises(SectionOutOfBoundsError, match="names method"):
+        parse_dex(bytes(data))
+
+
+def test_parsed_counts_match_bulk_sketch():
+    # perfbench counts len(body.instructions) and ins.method_index per body and
+    # checks them against its plan; a change to the records must keep both.
+    neutral = [
+        ("nop",),
+        ("const-string", 1, "k.0a1"),
+        ("new-instance", 2, "Ljava/lang/StringBuilder;"),
+        ("invoke-virtual", [0], (JFILE, "exists", ("Z", ()))),
+        ("invoke-static", [1, 2], ("Ljava/lang/Math;", "max", ("I", ("I", "I")))),
+        ("const4", 3, -5),
+        ("const16", 4, 0x1234),
+        ("const", 5, 0x12345678),
+    ]
+    sketches = [
+        MethodSketch(f"bulk{m:03d}", [neutral[(m + k) % len(neutral)] for k in range(39)] + [("return-void",)])
+        for m in range(120)
+    ]
+    image = parse_dex(emit_dex("Lfixture/bulk/Part;", sketches).data)
+    bodies = list(image.bodies())
+    assert len(bodies) == len(sketches)
+    assert sum(len(b.instructions) for b in bodies) == sum(len(s.instructions) for s in sketches)
+    invokes = sum(1 for s in sketches for ins in s.instructions if ins[0].startswith("invoke-"))
+    assert sum(1 for b in bodies for ins in b.instructions if ins.method_index is not None) == invokes
 
 
 def _padded_invoke_sketch(pad_count: int, literal: int = 1):

@@ -10,7 +10,9 @@ from bankscan.fixtures.profiles import (
     JFILE,
     PKG_MANAGER,
     STRING,
+    TELEPHONY,
     WEBSETTINGS,
+    WEBVIEW,
     CodeKnobs,
     method_sketches,
 )
@@ -134,6 +136,63 @@ def test_r01_bind_service_counts():
         ],
     )
     assert len(evaluate_rule(RuleId.R01, make_input([sketch]))) == 1
+
+
+def _r01_by_walk(inp):
+    """Reference for R01: the per-body instruction walk the rule replaced."""
+    evidence_sets = []
+    for dex in inp.dexes:
+        for body in dex.bodies():
+            ctors, starts = [], []
+            for ins in body.instructions:
+                if ins.method_index is None:
+                    continue
+                ref = dex.method_refs[ins.method_index]
+                if (ref.owner, ref.name, ref.shorty) == (INTENT, "<init>", "VL"):
+                    ctors.append(ins.offset)
+                elif ref.name in ("startService", "bindService"):
+                    starts.append((ins.offset, ref))
+            if ctors and starts:
+                evidence_sets.append(
+                    tuple(
+                        f"{dex.source_name}: {body.owner}->{body.name} +0x{off:04x} "
+                        f"calls {ref.owner}->{ref.name} with implicit Intent "
+                        f"(action-string constructor at +0x{ctors[0]:04x})"
+                        for off, ref in starts
+                    )
+                )
+    return evidence_sets
+
+
+def test_r01_evidence_matches_instruction_walk():
+    start = (CONTEXT, "startService", ("Landroid/content/ComponentName;", (INTENT,)))
+    bind = (CONTEXT, "bindService", ("Z", (INTENT, "Landroid/content/ServiceConnection;")))
+    other_start = ("Landroid/app/Activity;", "startService", ("Landroid/content/ComponentName;", (INTENT,)))
+    ctor = (INTENT, "<init>", ("V", (STRING,)))
+    sketches = [
+        MethodSketch(
+            "many",
+            [
+                ("invoke-virtual", [2, 0, 3], bind),
+                ("const-string", 1, "test.ACTION"),
+                ("invoke-direct", [0, 1], ctor),
+                ("invoke-virtual", [2, 0], other_start),
+                ("invoke-direct", [0, 1], ctor),
+                ("invoke-virtual", [2, 0], start),
+                ("invoke-virtual", [2, 0, 3], bind),
+                ("return-void",),
+            ],
+        ),
+        MethodSketch("startOnly", [("invoke-virtual", [2, 0], start), ("return-void",)]),
+        _service_start(("V", (STRING,))),
+    ]
+    second = parse_dex(
+        emit_dex("Ltest/app/Second;", [_service_start(("V", (STRING,)))]).data, source_name="classes2.dex"
+    )
+    inp = make_input(sketches, extra_dexes=(second,))
+    findings = evaluate_rule(RuleId.R01, inp)
+    assert [f.evidence for f in findings] == _r01_by_walk(inp)
+    assert [len(f.evidence) for f in findings] == [1, 4, 1]  # launch, many; then classes2.dex
 
 
 def test_r01_cross_method_does_not_fire():
@@ -291,7 +350,46 @@ def test_backscan_does_not_rescan_bodies_per_site(monkeypatch):
         assert len(evaluate_rule(RuleId.R08, inp)) == site_count
         assert len(evaluate_rule(RuleId.R13, inp)) == 1  # 0x0080 is not FLAG_SECURE
         counts[site_count] = calls
-    assert counts[50] == counts[1]
+    assert counts == {1: 0, 50: 0}  # sites come from the call-site index
+
+
+def _lookup_rules_input(site_count):
+    calls = [
+        [
+            ("const-string", 1, "test.ACTION"),
+            ("invoke-direct", [0, 1], (INTENT, "<init>", ("V", (STRING,)))),
+            ("invoke-virtual", [2, 0], (CONTEXT, "startService", ("Landroid/content/ComponentName;", (INTENT,)))),
+        ],
+        [("invoke-virtual", [0, 2, 1], (WEBVIEW, "addJavascriptInterface", ("V", ("Ljava/lang/Object;", STRING))))],
+        [("invoke-virtual", [0], (TELEPHONY, "getDeviceId", (STRING, ())))],
+        [("invoke-virtual", [0], (JFILE, "delete", ("Z", ())))],
+    ]
+    return make_input(
+        [
+            MethodSketch(f"site{i}_{k}", [*body, ("return-void",)])
+            for i in range(site_count)
+            for k, body in enumerate(calls)
+        ]
+    )
+
+
+def test_rules_answer_from_index_without_walking_bodies(monkeypatch):
+    calls = 0
+    original = DexImage.bodies
+
+    def counting_bodies(self):
+        nonlocal calls
+        calls += 1
+        return original(self)
+
+    monkeypatch.setattr(DexImage, "bodies", counting_bodies)
+    for site_count in (1, 50):
+        inp = _lookup_rules_input(site_count)
+        for rule in (RuleId.R01, RuleId.R04, RuleId.R05, RuleId.R11):
+            assert len(evaluate_rule(rule, inp)) == site_count, rule
+        for rule in (RuleId.R09, RuleId.R12, RuleId.R14):
+            assert len(evaluate_rule(rule, inp)) == 1, rule
+        assert calls == 0, site_count
 
 
 # --- R09 / R12 / R13 / R14 (absence rules) -----------------------------------
