@@ -22,7 +22,7 @@ from pathlib import Path
 from .apk import ApkError
 from .axml import AxmlError
 from .dex import DexError
-from .report import build_fleet_matrix, duplicate_app_names, render_report, serialize
+from .report import build_fleet_matrix, duplicate_app_names, render_report, serialize, serialize_reports
 from .rules import ScanResult, Severity
 from .scanner import scan_file
 
@@ -226,14 +226,7 @@ def execute(config: CliConfig) -> int:
         if results:
             _write_output(config, serialize(build_fleet_matrix(results), fmt))
     else:
-        chunks = [serialize(render_report(r), fmt) for r in results]
-        if fmt == "text":
-            payload = b"\n".join(chunks)
-        elif fmt == "json":
-            payload = b"[\n" + b",\n".join(c.rstrip(b"\n") for c in chunks) + b"\n]\n"
-        else:
-            payload = b"".join(c if i == 0 else b"\n".join(c.split(b"\n")[1:]) for i, c in enumerate(chunks))
-        _write_output(config, payload)
+        _write_output(config, serialize_reports([render_report(r) for r in results], fmt))
 
     for path, message in errors:
         sys.stderr.write(f"{PROG}: {path}: {message}\n")

@@ -3,15 +3,18 @@
 Parses Dalvik executable files just far enough for rule queries: which
 methods are invoked where, which string constants exist, and what integer
 literal precedes a given call. The id sections (strings, types, protos,
-fields, methods) are fully decoded and bounds-checked; instruction streams
-are walked once with the published opcode format table so every
-instruction's width is known, but operands are only materialized for the
-const and invoke families.
+fields, methods) are fully decoded and bounds-checked. ``parse_dex`` walks
+each instruction stream once with the published opcode format table, so
+every instruction's width, every payload and every invoke target is checked
+at parse time, but it builds no per-instruction record.
 
-That one pass also records every invoke in a per-DEX call-site index
-(method index -> body ordinal and instruction position), so
+That one walk records every invoke in a per-DEX call-site index (method
+index -> body ordinal, instruction position and byte offset), so
 ``invocations_of`` resolves the matching method ids and answers from the
-index instead of walking the code again.
+index without touching the code again. ``Instruction`` records, with
+operands only for the const and invoke families, are decoded from a body's
+validated bytes when ``MethodBody.instructions`` is first read; a scan reads
+them only for the bodies whose sites the const back-scan inspects.
 
 Register dataflow is deliberately not modeled: ``literal_reaching`` is a
 bounded linear back-scan that ignores which register a const targets, so it
@@ -20,6 +23,7 @@ over- and under-approximates on reordered or obfuscated code.
 
 from __future__ import annotations
 
+import functools
 import struct
 from collections import defaultdict
 from collections.abc import Callable
@@ -169,7 +173,12 @@ class Instruction(NamedTuple):
 class MethodBody:
     owner: str
     name: str
-    instructions: tuple[Instruction, ...]
+    code: bytes = field(repr=False)  # instruction stream, validated by parse_dex
+
+    @functools.cached_property
+    def instructions(self) -> tuple[Instruction, ...]:
+        """The decoded instruction stream, built on first read and kept."""
+        return _decode_instructions(self.code, self.owner, self.name)
 
 
 @dataclass(frozen=True)
@@ -195,9 +204,9 @@ class DexImage:
     source_name: str = "classes.dex"
     # Filled by parse_dex: every method body in bodies() order, and for each
     # invoked method index its call sites as (body ordinal, position in
-    # body.instructions), in body order.
+    # body.instructions, byte offset in body.code), in body order.
     body_table: tuple[MethodBody, ...] = field(default=(), compare=False, repr=False)
-    call_sites: dict[int, list[tuple[int, int]]] = field(
+    call_sites: dict[int, list[tuple[int, int, int]]] = field(
         default_factory=dict, compare=False, repr=False
     )
 
@@ -283,7 +292,7 @@ def parse_dex(data: bytes, source_name: str = "classes.dex") -> DexImage:
 
     classes = []
     body_table: list[MethodBody] = []
-    call_sites: defaultdict[int, list[tuple[int, int]]] = defaultdict(list)
+    call_sites: defaultdict[int, list[tuple[int, int, int]]] = defaultdict(list)
     for i in range(class_defs_size):
         class_idx, _access, _super, _ifaces, _src, _anno, class_data_off, _statics = (
             struct.unpack_from("<8I", data, class_defs_off + 32 * i)
@@ -382,18 +391,18 @@ def _parse_class_data(data, off, owner, method_refs, body_table, call_sites) -> 
                     f"class_data of {owner} references method {method_idx}"
                 )
             name = method_refs[method_idx].name
-            instructions: tuple[Instruction, ...] = ()
+            code = b""
             if code_off:
-                instructions = _parse_code_item(
+                code = _parse_code_item(
                     data, code_off, owner, name, len(method_refs), call_sites, len(body_table)
                 )
-            body = MethodBody(owner=owner, name=name, instructions=instructions)
+            body = MethodBody(owner=owner, name=name, code=code)
             bodies.append(body)
             body_table.append(body)
     return tuple(bodies)
 
 
-def _parse_code_item(data, off, owner, name, method_count, call_sites, ordinal) -> tuple[Instruction, ...]:
+def _parse_code_item(data, off, owner, name, method_count, call_sites, ordinal) -> bytes:
     n = len(data)
     if off + 16 > n:
         raise SectionOutOfBoundsError(f"code_item of {owner}->{name} at {off:#x}")
@@ -403,9 +412,9 @@ def _parse_code_item(data, off, owner, name, method_count, call_sites, ordinal) 
         raise SectionOutOfBoundsError(
             f"instruction stream of {owner}->{name} overruns file"
         )
-    return _decode_instructions(
-        data[start : start + 2 * insns_size], owner, name, method_count, call_sites, ordinal
-    )
+    code = data[start : start + 2 * insns_size]
+    _walk_instructions(code, owner, name, method_count, call_sites, ordinal)
+    return code
 
 
 def _payload_units(code: bytes, pos: int, ident: int, owner: str, name: str) -> int:
@@ -428,19 +437,19 @@ def _payload_units(code: bytes, pos: int, ident: int, owner: str, name: str) -> 
     return (width * count + 1) // 2 + 4
 
 
-def _decode_instructions(
+def _walk_instructions(
     code: bytes, owner: str, name: str, method_count: int, call_sites, ordinal: int
-) -> tuple[Instruction, ...]:
-    """Decode one instruction stream, recording each invoke in ``call_sites``.
+) -> None:
+    """Check one instruction stream and record each invoke in ``call_sites``.
 
-    ``ordinal`` is the body's position in the DEX's ``body_table``; every
-    invoke appends (ordinal, its position in the returned tuple) under its
-    method index, after checking that index against ``method_count``.
+    Every width, payload and invoke target is checked here, so decoding the
+    same bytes later cannot fail. ``ordinal`` is the body's position in the
+    DEX's ``body_table``; every invoke appends (ordinal, its position in the
+    stream, its byte offset) under its method index, after checking that
+    index against ``method_count``. No record is built.
     """
-    out = []
-    append = out.append
-    make = tuple.__new__  # skips NamedTuple.__new__'s per-field argument binding
     pos = 0
+    position = 0
     n = len(code)
     while pos < n:
         if pos + 2 > n:
@@ -455,7 +464,6 @@ def _decode_instructions(
             raise SectionOutOfBoundsError(
                 f"instruction 0x{op:02x} at +{pos:#x} overruns {owner}->{name}"
             )
-
         if op in INVOKE_OPS:
             method_index = code[pos + 2] | code[pos + 3] << 8
             if method_index >= method_count:
@@ -463,8 +471,26 @@ def _decode_instructions(
                     f"invoke in {owner}->{name} names method {method_index}, "
                     f"only {method_count} defined"
                 )
-            call_sites[method_index].append((ordinal, len(out)))
-            append(make(Instruction, (op, pos, units, None, method_index)))
+            call_sites[method_index].append((ordinal, position, pos))
+        pos = end
+        position += 1
+
+
+def _decode_instructions(code: bytes, owner: str, name: str) -> tuple[Instruction, ...]:
+    """Decode a stream that ``_walk_instructions`` has already checked."""
+    out = []
+    append = out.append
+    make = tuple.__new__  # skips NamedTuple.__new__'s per-field argument binding
+    pos = 0
+    n = len(code)
+    while pos < n:
+        op = code[pos]
+        if op == 0x00 and code[pos + 1] in _PAYLOAD_HIGH_BYTES:
+            units = _payload_units(code, pos, code[pos + 1] << 8, owner, name)
+        else:
+            units = _OP_UNITS[op]
+        if op in INVOKE_OPS:
+            append(make(Instruction, (op, pos, units, None, code[pos + 2] | code[pos + 3] << 8)))
         elif op == OP_CONST_4:
             nibble = code[pos + 1] >> 4
             append(make(Instruction, (op, pos, units, nibble - 16 if nibble >= 8 else nibble, None)))
@@ -474,7 +500,7 @@ def _decode_instructions(
             append(make(Instruction, (op, pos, units, struct.unpack_from("<i", code, pos + 2)[0], None)))
         else:
             append(make(Instruction, (op, pos, units, None, None)))
-        pos = end
+        pos += units * 2
     return tuple(out)
 
 
@@ -492,28 +518,26 @@ def _owner_matches(pattern: str, owner: str) -> bool:
 def _sites_of(dex: DexImage, targets: list[int]) -> list[InvocationSite]:
     """Call sites of the given method indices from the index: body order, then position."""
     located = [
-        (ordinal, position, i) for i in targets for ordinal, position in dex.call_sites.get(i, ())
+        (ordinal, position, offset, i)
+        for i in targets
+        for ordinal, position, offset in dex.call_sites.get(i, ())
     ]
     if len(targets) > 1:
         located.sort()  # merge the per-target runs, each already in body order
-    sites = []
-    for ordinal, position, i in located:
-        body = dex.body_table[ordinal]
-        sites.append(
-            InvocationSite(
-                body=body, index=position, callee=dex.method_refs[i],
-                offset=body.instructions[position].offset,
-            )
+    return [
+        InvocationSite(
+            body=dex.body_table[ordinal], index=position, callee=dex.method_refs[i], offset=offset
         )
-    return sites
+        for ordinal, position, offset, i in located
+    ]
 
 
 def invocations_where(dex: DexImage, matches: Callable[[MethodRef], bool]) -> list[InvocationSite]:
     """Every invoke instruction whose target satisfies ``matches``.
 
     Resolves the matching ``method_refs`` entries first and reads their sites
-    from the call-site index, so no instruction is visited. Sites come in
-    body order, then by position inside the body.
+    from the call-site index, so no instruction is visited or decoded. Sites
+    come in body order, then by position inside the body.
     """
     return _sites_of(dex, [i for i, ref in enumerate(dex.method_refs) if matches(ref)])
 
@@ -536,15 +560,28 @@ def invocations_of(dex: DexImage, owner_pattern: str, method_name: str) -> list[
 def string_pool_matches(
     dex: DexImage, needles: list[str], mode: str = "substring"
 ) -> list[tuple[str, int]]:
-    """Pool strings matching any needle. ``mode`` is ``exact`` or ``substring``."""
+    """Pool strings matching any needle. ``mode`` is ``exact`` or ``substring``.
+
+    Returns ``(string, index)`` pairs in pool order, each pool entry at most once.
+    """
     if not needles:
         raise ValueError("needles must be non-empty")
     if mode not in ("exact", "substring"):
         raise ValueError(f"unknown match mode {mode!r}")
+    pool = dex.string_pool
+    if mode == "exact":
+        wanted = frozenset(needles)
+        if wanted.isdisjoint(pool):
+            return []
+        return [(s, i) for i, s in enumerate(pool) if s in wanted]
+    # A needle absent from the joined pool is absent from every string in it,
+    # so one C-level search per needle settles the usual no-hit case.
+    if not any(map("\x00".join(pool).__contains__, needles)):
+        return []
     hits = []
-    for i, s in enumerate(dex.string_pool):
+    for i, s in enumerate(pool):
         for needle in needles:
-            if (s == needle) if mode == "exact" else (needle in s):
+            if needle in s:
                 hits.append((s, i))
                 break
     return hits

@@ -101,9 +101,5 @@ def countermeasure_for(rule: RuleId) -> CountermeasureEntry:
     return load_knowledge_base().countermeasures[rule]
 
 
-def background_for(rule: RuleId) -> str:
-    return load_knowledge_base().backgrounds[rule]
-
-
 def user_countermeasures() -> list[UserCountermeasure]:
     return list(load_knowledge_base().user_countermeasures)

@@ -149,9 +149,13 @@ def build_fleet_matrix(results: list[ScanResult]) -> FleetMatrix:
 # ---------------------------------------------------------------------------
 
 
-def serialize(obj: Report | FleetMatrix, fmt: str = "text") -> bytes:
+def _check_format(fmt: str) -> None:
     if fmt not in _FORMATS:
         raise UnknownFormatError(f"unknown format {fmt!r}, expected one of {_FORMATS}")
+
+
+def serialize(obj: Report | FleetMatrix, fmt: str = "text") -> bytes:
+    _check_format(fmt)
     if isinstance(obj, Report):
         impl = {"text": _report_text, "json": _report_json, "csv": _report_csv}[fmt]
     elif isinstance(obj, FleetMatrix):
@@ -161,32 +165,53 @@ def serialize(obj: Report | FleetMatrix, fmt: str = "text") -> bytes:
     return impl(obj)
 
 
+def serialize_reports(reports: list[Report], fmt: str = "text") -> bytes:
+    """Several reports as one document, in the given order.
+
+    ``text`` puts one blank line between reports, ``json`` is an array of
+    report objects, and ``csv`` is one table under a single header row.
+    """
+    _check_format(fmt)
+    if fmt == "text":
+        return b"\n".join(_report_text(r) for r in reports)
+    if fmt == "json":
+        docs = ",\n".join(_json_text(_report_doc(r)) for r in reports)
+        return f"[\n{docs}\n]\n".encode("utf-8")
+    return _reports_csv(reports)
+
+
+def _json_text(payload: dict) -> str:
+    return json.dumps(payload, sort_keys=True, indent=2)
+
+
 def _dump_json(payload: dict) -> bytes:
-    return (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode("utf-8")
+    return (_json_text(payload) + "\n").encode("utf-8")
+
+
+def _report_doc(report: Report) -> dict:
+    return {
+        "schema_version": report.schema_version,
+        "kind": "report",
+        "apk_name": report.apk_name,
+        "generated_at": report.generated_at,
+        "sections": [
+            {
+                "rule": s.rule.value,
+                "title": s.title,
+                "evidence": list(s.evidence),
+                "severity": s.severity.value,
+                "category": s.category,
+                "background": s.background,
+                "recommendation": s.recommendation,
+            }
+            for s in report.sections
+        ],
+        "user_countermeasures": list(report.user_countermeasures),
+    }
 
 
 def _report_json(report: Report) -> bytes:
-    return _dump_json(
-        {
-            "schema_version": report.schema_version,
-            "kind": "report",
-            "apk_name": report.apk_name,
-            "generated_at": report.generated_at,
-            "sections": [
-                {
-                    "rule": s.rule.value,
-                    "title": s.title,
-                    "evidence": list(s.evidence),
-                    "severity": s.severity.value,
-                    "category": s.category,
-                    "background": s.background,
-                    "recommendation": s.recommendation,
-                }
-                for s in report.sections
-            ],
-            "user_countermeasures": list(report.user_countermeasures),
-        }
-    )
+    return _dump_json(_report_doc(report))
 
 
 def deserialize_report(data: bytes) -> Report:
@@ -285,13 +310,20 @@ def _report_text(report: Report) -> bytes:
 
 
 def _report_csv(report: Report) -> bytes:
+    return _reports_csv([report])
+
+
+def _reports_csv(reports: list[Report]) -> bytes:
+    if not reports:
+        return b""  # an empty batch writes no header either
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["apk", "rule", "severity", "title", "category", "evidence"])
-    for s in report.sections:
-        writer.writerow(
-            [report.apk_name, s.rule.value, s.severity.value, s.title, s.category, " | ".join(s.evidence)]
-        )
+    for report in reports:
+        for s in report.sections:
+            writer.writerow(
+                [report.apk_name, s.rule.value, s.severity.value, s.title, s.category, " | ".join(s.evidence)]
+            )
     return buf.getvalue().encode("utf-8")
 
 

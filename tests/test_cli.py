@@ -1,9 +1,13 @@
+import datetime
+import hashlib
 import json
 import subprocess
 import sys
+import types
 
 import pytest
 
+from bankscan import report as report_module
 from bankscan.cli import (
     CliUsageError,
     ConflictingModesError,
@@ -215,3 +219,52 @@ def test_module_entry_point_subprocess(fleet_dir):
     )
     assert proc.returncode == 1
     assert "Security report" in proc.stdout
+
+
+class _PinnedClock(datetime.datetime):
+    @classmethod
+    def now(cls, tz=None):
+        return datetime.datetime(2024, 1, 1, tzinfo=tz)
+
+
+# Batch output of --dir over starling-like, atom-like and revolut-like with the
+# report clock pinned: (byte length, sha256) per format. Any change to how the
+# batch joins its reports shows here; a deliberate change to what a report says
+# (evidence, knowledge text) needs new pins.
+_BATCH_PINS = {
+    "text": (12693, "0e6832f11a7fe8bee28b4acfbf74a2c94b826fb5cf010a411f5871028d317ba7"),
+    "json": (14833, "96538216ec7889eb2aa9a3c3f7776eb98ea9abb3562f25e7b537c016503fea5f"),
+    "csv": (3324, "948042722ee6793774bd13990fee8f0d4f975bb1841d78f44a9affa7bdf6a302"),
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(_BATCH_PINS))
+def test_batch_output_bytes_pinned(fleet_dir, tmp_path, monkeypatch, capsys, fmt):
+    pinned = types.SimpleNamespace(datetime=_PinnedClock, timezone=datetime.timezone)
+    monkeypatch.setattr(report_module, "_dt", pinned)
+    batch = tmp_path / "three"
+    batch.mkdir()
+    for name in ("starling-like.apk", "atom-like.apk", "revolut-like.apk"):
+        (batch / name).write_bytes((fleet_dir / name).read_bytes())
+    assert main(["--dir", str(batch), "--format", fmt]) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    names = ["atom-like.apk", "revolut-like.apk", "starling-like.apk"]  # --dir order
+    if fmt == "text":
+        assert [line.split(": ")[1] for line in out.decode().splitlines() if line.startswith("== ")] == [
+            f"{n} ==" for n in names
+        ]
+    elif fmt == "json":
+        assert [d["generated_at"] for d in json.loads(out)] == ["2024-01-01T00:00:00+00:00"] * 3
+    else:
+        assert out.count(b"apk,rule,severity,") == 1
+    assert (len(out), hashlib.sha256(out).hexdigest()) == _BATCH_PINS[fmt]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_batch_output_when_every_file_fails(tmp_path, capsys, fmt):
+    broken = tmp_path / "broken"
+    broken.mkdir()
+    (broken / "a.apk").write_bytes(b"\x00garbage\x00")
+    assert main(["--dir", str(broken), "--format", fmt]) == 3
+    expected = {"text": b"", "json": b"[\n\n]\n", "csv": b""}[fmt]  # an empty json array, no csv header
+    assert capsys.readouterr().out.encode("utf-8") == expected

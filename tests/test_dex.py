@@ -5,19 +5,24 @@ time, so it doubles as the oracle; independent struct reads of the header
 cross-check section counts.
 """
 
+import gc
 import hashlib
 import struct
 import zlib
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bankscan import dex as dex_module
+from bankscan import scanner
 from bankscan.apk import dex_entry_names, load_apk, read_entry
 from bankscan.dex import (
     BadEndianTagError,
     BadMagicError,
     DexError,
+    DexImage,
+    Instruction,
     MalformedUleb128Error,
     SectionOutOfBoundsError,
     invocations_of,
@@ -28,6 +33,7 @@ from bankscan.dex import (
 from bankscan.fixtures import (
     MethodSketch,
     build_dex,
+    build_fixture,
     build_manifest_bytes,
     emit_dex,
     fleet_profiles,
@@ -199,6 +205,52 @@ def test_string_pool_matches_modes():
     with pytest.raises(ValueError):
         string_pool_matches(image, ["x"], "fuzzy")
 
+    # A string holding two needles is reported once.
+    both = _pool_image(["a", "/system/bin/su-superuser", "b"])
+    assert string_pool_matches(both, ["superuser", "/system/bin/su"]) == [("/system/bin/su-superuser", 1)]
+    # A repeated exact string is reported at each of its pool indices, in pool order.
+    repeated = _pool_image(["su", "x", "su", "sux"])
+    assert string_pool_matches(repeated, ["su", "su"], "exact") == [("su", 0), ("su", 2)]
+    # Needles are literal text, not patterns.
+    meta = _pool_image(["axb", "a.b", "(su)|x", "s+u", "su"])
+    assert string_pool_matches(meta, ["a.b"]) == [("a.b", 1)]
+    assert string_pool_matches(meta, ["(su)|x"]) == [("(su)|x", 2)]
+    assert string_pool_matches(meta, ["s+u", "[su]"]) == [("s+u", 3)]
+    assert string_pool_matches(meta, ["a.b", "s+u"], "exact") == [("a.b", 1), ("s+u", 3)]
+
+
+def _pool_image(strings):
+    return DexImage(string_pool=tuple(strings), type_names=(), method_refs=(), classes=())
+
+
+def _pool_matches_by_loop(pool, needles, mode):
+    """Reference for string_pool_matches: every pool string against every needle."""
+    return [
+        (s, i)
+        for i, s in enumerate(pool)
+        if any((s == n) if mode == "exact" else (n in s) for n in needles)
+    ]
+
+
+_POOL_TEXT = st.text(alphabet="su/\x00.*", max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@example(pool=["s", "u"], needles=["s\x00u"], mode="substring")
+@example(pool=["", ""], needles=["\x00"], mode="substring")
+@example(pool=["su\x00", "su"], needles=["\x00su"], mode="substring")
+@example(pool=[], needles=[""], mode="substring")
+@example(pool=[""], needles=[""], mode="exact")
+@given(
+    pool=st.lists(_POOL_TEXT, max_size=8),
+    needles=st.lists(_POOL_TEXT, min_size=1, max_size=4),
+    mode=st.sampled_from(["exact", "substring"]),
+)
+def test_string_pool_matches_agrees_with_loop(pool, needles, mode):
+    # Includes empty needles, empty strings, NULs inside strings and needles
+    # that would only match across two joined strings.
+    assert string_pool_matches(_pool_image(pool), needles, mode) == _pool_matches_by_loop(pool, needles, mode)
+
 
 def _walked_sites(image, owner_pattern, method_name):
     """Reference for invocations_of: a walk over every instruction of every body."""
@@ -311,6 +363,119 @@ def test_invoke_naming_undefined_method_rejected():
     struct.pack_into("<H", data, art.data.index(invoke) + 2, method_ids_size)
     with pytest.raises(SectionOutOfBoundsError, match="names method"):
         parse_dex(bytes(data))
+
+
+def test_call_site_index_agrees_with_decoded_records():
+    images = [parse_dex(build_dex(p).data) for p in rule_oracle_corpus() + fleet_profiles()]
+    for image in images + _multidex_images():
+        assert image.call_sites
+        for method_index, sites in image.call_sites.items():
+            for ordinal, position, offset in sites:
+                ins = image.body_table[ordinal].instructions[position]
+                assert (ins.offset, ins.method_index) == (offset, method_index), (image.source_name, ordinal)
+
+
+def _patched_stream(instructions, patch):
+    """A one-method DEX whose instruction stream ``patch(data, start, size_at)`` edits in place."""
+    art = emit_dex("Lfixture/stream/App;", [MethodSketch("go", instructions)])
+    [body] = parse_dex(art.data).body_table
+    data = bytearray(art.data)
+    start = art.data.index(body.code)  # the code_item's insns_size sits in the 4 bytes before
+    patch(data, start, start - 4)
+    return bytes(data)
+
+
+def test_malformed_streams_raise_from_parse_dex(monkeypatch):
+    # Every stream check runs in parse_dex's walk, never in a later decode.
+    def refuse(*args):
+        raise AssertionError("parse_dex decoded an instruction record")
+
+    monkeypatch.setattr(dex_module, "_decode_instructions", refuse)
+    where = "Lfixture/stream/App;->go"
+    const = ("const", 5, 0x7A7B7C7D)
+
+    def cut_to_two_units(data, start, size_at):
+        struct.pack_into("<I", data, size_at, 2)
+
+    overrun = _patched_stream([const, ("return-void",)], cut_to_two_units)
+    with pytest.raises(SectionOutOfBoundsError, match=rf"^instruction 0x14 at \+0x0 overruns {where}$"):
+        parse_dex(overrun)
+
+    def nop_to_switch_ident(data, start, size_at):
+        data[start + 7] = 0x01  # the trailing nop becomes a packed-switch payload with no size
+
+    truncated = _patched_stream([const, ("nop",)], nop_to_switch_ident)
+    with pytest.raises(SectionOutOfBoundsError, match=rf"^switch/array payload truncated in {where}$"):
+        parse_dex(truncated)
+
+    def undefined_target(data, start, size_at):
+        struct.pack_into("<H", data, start + 2, struct.unpack_from("<I", data, 0x58)[0])
+
+    delete = (JFILE, "delete", ("Z", ()))
+    bad_invoke = _patched_stream([("invoke-virtual", [0], delete), ("return-void",)], undefined_target)
+    undefined = rf"^invoke in {where} names method \d+, only \d+ defined$"
+    with pytest.raises(SectionOutOfBoundsError, match=undefined):
+        parse_dex(bad_invoke)
+
+    # insns_size counts 16-bit units, so parse_dex never slices an odd-length
+    # stream; the walk still rejects one without building a record.
+    with pytest.raises(SectionOutOfBoundsError, match=r"^dangling byte in La;->m$"):
+        dex_module._walk_instructions(b"\x0e\x00\x00", "La;", "m", 0, {}, 0)
+
+
+def _live_instructions():
+    return sum(1 for o in gc.get_objects() if isinstance(o, Instruction))
+
+
+def test_parse_builds_no_instruction_records():
+    sketches = [
+        MethodSketch(f"configure{k:03d}", _padded_invoke_sketch(k % 9).instructions) for k in range(200)
+    ]
+    data = emit_dex("Lfixture/lazy/App;", sketches).data
+    before = _live_instructions()
+    image = parse_dex(data)
+    assert _live_instructions() == before
+    total = sum(len(body.instructions) for body in image.bodies())
+    assert total == sum(len(s.instructions) for s in sketches)
+    assert _live_instructions() == before + total
+
+
+_WEBSETTINGS_BACKSCAN = {
+    ("Landroid/webkit/WebSettings;", "setAllowFileAccess"),  # R07
+    ("Landroid/webkit/WebSettings;", "setJavaScriptEnabled"),  # R08
+}
+_WINDOW_BACKSCAN = {("Landroid/view/Window;", "setFlags"), ("Landroid/view/Window;", "addFlags")}  # R13
+
+
+def _site_ordinals(image, targets):
+    return {
+        ordinal
+        for i, ref in enumerate(image.method_refs)
+        if (ref.owner, ref.name) in targets
+        for ordinal, _, _ in image.call_sites.get(i, ())
+    }
+
+
+def test_scan_decodes_only_backscanned_bodies(monkeypatch):
+    images = []
+
+    def recording_parse(data, source_name="classes.dex"):
+        images.append(parse_dex(data, source_name=source_name))
+        return images[-1]
+
+    monkeypatch.setattr(scanner, "parse_dex", recording_parse)
+    decoding_scans = 0
+    for profile in rule_oracle_corpus() + fleet_profiles():
+        images.clear()
+        scanner.scan_bytes(build_fixture(profile), profile.name)
+        for image in images:
+            decoded = {k for k, body in enumerate(image.body_table) if "instructions" in body.__dict__}
+            assert decoded <= _site_ordinals(image, _WEBSETTINGS_BACKSCAN | _WINDOW_BACKSCAN), profile.name
+            # R07 and R08 read the window of every one of their sites; R13 may stop early.
+            assert _site_ordinals(image, _WEBSETTINGS_BACKSCAN) <= decoded, profile.name
+            assert len(decoded) < len(image.body_table), profile.name
+            decoding_scans += bool(decoded)
+    assert decoding_scans >= 10
 
 
 def test_parsed_counts_match_bulk_sketch():
