@@ -15,6 +15,7 @@ from .dex import (
     invocations_of,
     literal_reaching,
     parse_dex,
+    string_pool_has,
     string_pool_matches,
 )
 from .knowledge import (
@@ -82,6 +83,7 @@ __all__ = [
     "scan_bytes",
     "scan_file",
     "serialize",
+    "string_pool_has",
     "string_pool_matches",
     "threat_for",
     "user_countermeasures",

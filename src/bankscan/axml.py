@@ -7,6 +7,13 @@ tree. This decoder supports exactly that subset -- the resource map and
 cdata chunks are skipped -- and rebuilds the element tree with typed
 attribute values.
 
+Bounds are checked once per chunk or record, not per field: each header or
+element body is size-checked against its chunk, then read with one
+precompiled ``struct.Struct`` call (the pool's offset table with one
+``unpack_from``). A failed check names the first field that does not fit.
+Pool strings with one-byte length prefixes are sliced inline. The layout
+follows AOSP ``ResourceTypes.h``.
+
 Attribute lookup downstream is by name within the ``android`` namespace URI;
 resource-ID lookup is deliberately not implemented.
 """
@@ -102,44 +109,33 @@ class AxmlDocument:
     warnings: tuple[str, ...] = ()
 
 
-class _Cursor:
-    """Bounds-checked little-endian reader over a byte window."""
+# Fixed-size records, each read with one call after one bounds check of its
+# chunk. The per-field message is built only when that check fails.
+_CHUNK_HEADER = struct.Struct("<HHI")  # type, header size, chunk size
+# string and style counts, flags, strings start; styles start skipped
+_POOL_HEADER = struct.Struct("<IIII4x")
+# namespace, name, attribute start, size and count; id/class/style indexes skipped
+_ELEMENT_START = struct.Struct("<IIHHH6x")
+_ELEMENT_END = struct.Struct("<4xI")  # namespace skipped, name
+# namespace, name, value type and data; raw value, size and res0 skipped
+_ATTRIBUTE = struct.Struct("<II7xBI")
 
-    def __init__(self, data: bytes, pos: int, end: int):
-        self.data = data
-        self.pos = pos
-        self.end = end
 
-    def need(self, n: int) -> None:
-        if self.pos + n > self.end:
-            raise TruncatedChunkError(
-                f"need {n} bytes at offset {self.pos:#x}, only {self.end - self.pos} left"
-            )
-
-    def u16(self) -> int:
-        self.need(2)
-        v = struct.unpack_from("<H", self.data, self.pos)[0]
-        self.pos += 2
-        return v
-
-    def u32(self) -> int:
-        self.need(4)
-        v = struct.unpack_from("<I", self.data, self.pos)[0]
-        self.pos += 4
-        return v
-
-    def skip(self, n: int) -> None:
-        self.need(n)
-        self.pos += n
+def _truncated(pos: int, end: int, widths: tuple[int, ...]) -> TruncatedChunkError:
+    """The error for the first field (of ``widths`` bytes from ``pos``) that runs past ``end``."""
+    for n in widths:
+        if pos + n > end:
+            break
+        pos += n
+    return TruncatedChunkError(f"need {n} bytes at offset {pos:#x}, only {end - pos} left")
 
 
 def _decode_string_pool(data: bytes, chunk_start: int, chunk_size: int) -> tuple[str, ...]:
-    cur = _Cursor(data, chunk_start + 8, chunk_start + chunk_size)
-    string_count = cur.u32()
-    style_count = cur.u32()
-    flags = cur.u32()
-    strings_start = cur.u32()
-    cur.u32()  # styles_start, unused
+    pos = chunk_start + 8
+    limit = chunk_start + chunk_size
+    if pos + _POOL_HEADER.size > limit:
+        raise _truncated(pos, limit, (4, 4, 4, 4, 4))
+    string_count, style_count, flags, strings_start = _POOL_HEADER.unpack_from(data, pos)
     is_utf8 = bool(flags & _UTF8_FLAG)
 
     # Offsets array must physically fit inside the chunk.
@@ -148,16 +144,22 @@ def _decode_string_pool(data: bytes, chunk_start: int, chunk_size: int) -> tuple
     if strings_start > chunk_size:
         raise TruncatedChunkError("string data starts past end of pool chunk")
 
-    offsets = [cur.u32() for _ in range(string_count)]
+    offsets = struct.unpack_from(f"<{string_count}I", data, chunk_start + 28)
     base = chunk_start + strings_start
-    limit = chunk_start + chunk_size
 
     out: list[str] = []
     for off in offsets:
         pos = base + off
-        if pos < base or pos >= limit:
+        if pos >= limit:
             raise TruncatedChunkError(f"string offset {off:#x} outside pool data")
-        out.append(_read_string(data, pos, limit, is_utf8))
+        if is_utf8 and pos + 2 <= limit and data[pos] < 0x80 and data[pos + 1] < 0x80:
+            # The usual string: one-byte UTF-16 and UTF-8 length prefixes.
+            stop = pos + 2 + data[pos + 1]
+            if stop > limit:
+                raise TruncatedChunkError("UTF-8 string data truncated")
+            out.append(data[pos + 2 : stop].decode("utf-8", "replace"))
+        else:
+            out.append(_read_string(data, pos, limit, is_utf8))
     return tuple(out)
 
 
@@ -201,16 +203,17 @@ def _read_string(data: bytes, pos: int, limit: int, is_utf8: bool) -> str:
 
 def decode_axml(data: bytes) -> AxmlDocument:
     """Decode binary-XML bytes into a string pool plus a balanced element tree."""
-    if len(data) < 8:
+    n = len(data)
+    if n < 8:
         raise BadMagicError("input shorter than a chunk header")
-    chunk_type, header_size, declared = struct.unpack_from("<HHI", data, 0)
+    chunk_type, header_size, declared = _CHUNK_HEADER.unpack_from(data, 0)
     if chunk_type != CHUNK_XML:
         raise BadMagicError(f"expected XML chunk type 0x0003, got {chunk_type:#06x}")
-    if declared != len(data):
+    if declared != n:
         raise TruncatedChunkError(
-            f"declared document size {declared} != input length {len(data)}"
+            f"declared document size {declared} != input length {n}"
         )
-    if header_size < 8 or header_size > len(data):
+    if header_size < 8 or header_size > n:
         raise TruncatedChunkError(f"bad XML chunk header size {header_size}")
 
     pool: tuple[str, ...] | None = None
@@ -226,14 +229,16 @@ def decode_axml(data: bytes) -> AxmlDocument:
         return pool[idx]
 
     pos = header_size
-    while pos < len(data):
-        if pos + 8 > len(data):
+    while pos < n:
+        if pos + 8 > n:
             raise TruncatedChunkError(f"chunk header truncated at offset {pos:#x}")
-        ctype, chdr, csize = struct.unpack_from("<HHI", data, pos)
-        if csize < 8 or chdr < 8 or csize < chdr or pos + csize > len(data):
+        ctype, chdr, csize = _CHUNK_HEADER.unpack_from(data, pos)
+        if csize < 8 or chdr < 8 or csize < chdr or pos + csize > n:
             raise TruncatedChunkError(
                 f"chunk 0x{ctype:04x} at {pos:#x} has bad size {csize}/{chdr}"
             )
+        body = pos + chdr
+        end = pos + csize
 
         if ctype == CHUNK_STRING_POOL:
             if pool is None:
@@ -245,21 +250,32 @@ def decode_axml(data: bytes) -> AxmlDocument:
         elif ctype in (CHUNK_NS_START, CHUNK_NS_END):
             pass  # prefix/URI bookkeeping; attributes carry full URIs already
         elif ctype == CHUNK_ELEMENT_START:
-            cur = _Cursor(data, pos + chdr, pos + csize)
-            ns_idx = cur.u32()
-            name_idx = cur.u32()
-            attr_start = cur.u16()
-            attr_size = cur.u16()
-            attr_count = cur.u16()
-            cur.skip(6)  # id/class/style attribute indexes
+            if body + _ELEMENT_START.size > end:
+                raise _truncated(body, end, (4, 4, 2, 2, 2, 6))
+            ns_idx, name_idx, attr_start, attr_size, attr_count = _ELEMENT_START.unpack_from(data, body)
             if attr_size < 20:
                 raise TruncatedChunkError(f"attribute record size {attr_size} too small")
-            abase = pos + chdr + attr_start
-            if abase + attr_count * attr_size > pos + csize:
+            abase = body + attr_start
+            if abase + attr_count * attr_size > end:
                 raise TruncatedChunkError("attribute table larger than element chunk")
             attrs = []
-            for i in range(attr_count):
-                attrs.append(_decode_attribute(data, abase + i * attr_size, string_at, warnings))
+            for apos in range(abase, abase + attr_count * attr_size, attr_size):
+                a_ns, a_name, dtype, dvalue = _ATTRIBUTE.unpack_from(data, apos)
+                namespace = None if a_ns == _NO_INDEX else string_at(a_ns, "attribute namespace")
+                name = string_at(a_name, "attribute name")
+                value: AttrValue
+                if dtype == TYPE_STRING:
+                    value = string_at(dvalue, "attribute value")
+                elif dtype in (TYPE_INT_DEC, TYPE_INT_HEX):
+                    value = dvalue
+                elif dtype == TYPE_INT_BOOLEAN:
+                    value = dvalue != 0
+                elif dtype == TYPE_REFERENCE:
+                    value = ResourceRef(dvalue)
+                else:
+                    warnings.append(f"attribute {name!r}: unhandled value type 0x{dtype:02x}")
+                    value = None
+                attrs.append(AxmlAttribute(namespace=namespace, name=name, value=value))
             elem = AxmlElement(
                 namespace=None if ns_idx == _NO_INDEX else string_at(ns_idx, "element namespace"),
                 name=string_at(name_idx, "element name"),
@@ -273,9 +289,9 @@ def decode_axml(data: bytes) -> AxmlDocument:
                 raise UnbalancedTreeError("multiple root elements")
             stack.append(elem)
         elif ctype == CHUNK_ELEMENT_END:
-            cur = _Cursor(data, pos + chdr, pos + csize)
-            cur.u32()  # namespace
-            name_idx = cur.u32()
+            if body + _ELEMENT_END.size > end:
+                raise _truncated(body, end, (4, 4))
+            (name_idx,) = _ELEMENT_END.unpack_from(data, body)
             if not stack:
                 raise UnbalancedTreeError("end tag with no open element")
             open_name = stack.pop().name
@@ -286,7 +302,7 @@ def decode_axml(data: bytes) -> AxmlDocument:
                 )
         else:
             warnings.append(f"unknown chunk type 0x{ctype:04x} at offset {pos:#x} skipped")
-        pos += csize
+        pos = end
 
     if stack:
         raise UnbalancedTreeError(f"{len(stack)} element(s) left open at end of document")
@@ -295,27 +311,3 @@ def decode_axml(data: bytes) -> AxmlDocument:
     if pool is None:
         raise TruncatedChunkError("document contains no string pool")
     return AxmlDocument(string_pool=pool, root=root, warnings=tuple(warnings))
-
-
-def _decode_attribute(data, pos, string_at, warnings) -> AxmlAttribute:
-    if pos + 20 > len(data):
-        raise TruncatedChunkError("attribute record truncated")
-    ns_idx, name_idx, _raw, _size, _res0, dtype, dvalue = struct.unpack_from(
-        "<IIIHBBI", data, pos
-    )
-    namespace = None if ns_idx == _NO_INDEX else string_at(ns_idx, "attribute namespace")
-    name = string_at(name_idx, "attribute name")
-
-    value: AttrValue
-    if dtype == TYPE_STRING:
-        value = string_at(dvalue, "attribute value")
-    elif dtype in (TYPE_INT_DEC, TYPE_INT_HEX):
-        value = dvalue
-    elif dtype == TYPE_INT_BOOLEAN:
-        value = dvalue != 0
-    elif dtype == TYPE_REFERENCE:
-        value = ResourceRef(dvalue)
-    else:
-        warnings.append(f"attribute {name!r}: unhandled value type 0x{dtype:02x}")
-        value = None
-    return AxmlAttribute(namespace=namespace, name=name, value=value)

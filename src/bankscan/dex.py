@@ -3,7 +3,8 @@
 Parses Dalvik executable files just far enough for rule queries: which
 methods are invoked where, which string constants exist, and what integer
 literal precedes a given call. The id sections (strings, types, protos,
-fields, methods) are fully decoded and bounds-checked. ``parse_dex`` walks
+fields, methods) are fully decoded; each is range-checked once against the
+file and then read in bulk, not one entry at a time. ``parse_dex`` walks
 each instruction stream once with the published opcode format table, so
 every instruction's width, every payload and every invoke target is checked
 at parse time, but it builds no per-instruction record.
@@ -26,7 +27,7 @@ from __future__ import annotations
 import functools
 import struct
 from collections import defaultdict
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -216,6 +217,8 @@ class DexImage:
 
 
 def _uleb128(data: bytes, pos: int, limit: int) -> tuple[int, int]:
+    if pos < limit and data[pos] < 0x80:  # the usual one-byte value
+        return data[pos], 1
     result = 0
     shift = 0
     for i in range(5):
@@ -270,8 +273,8 @@ def parse_dex(data: bytes, source_name: str = "classes.dex") -> DexImage:
     strings = _parse_strings(data, string_ids_off, string_ids_size)
 
     type_names = []
-    for i in range(type_ids_size):
-        idx = struct.unpack_from("<I", data, type_ids_off + 4 * i)[0]
+    type_ids = data[type_ids_off : type_ids_off + 4 * type_ids_size]
+    for i, idx in enumerate(struct.unpack(f"<{type_ids_size}I", type_ids)):
         if idx >= len(strings):
             raise SectionOutOfBoundsError(f"type_id {i} names string {idx}, pool has {len(strings)}")
         type_names.append(strings[idx])
@@ -280,10 +283,8 @@ def parse_dex(data: bytes, source_name: str = "classes.dex") -> DexImage:
     _validate_fields(data, field_ids_off, field_ids_size, len(type_names), len(strings))
 
     method_refs = []
-    for i in range(method_ids_size):
-        class_idx, proto_idx, name_idx = struct.unpack_from(
-            "<HHI", data, method_ids_off + 8 * i
-        )
+    method_ids = data[method_ids_off : method_ids_off + 8 * method_ids_size]
+    for i, (class_idx, proto_idx, name_idx) in enumerate(struct.iter_unpack("<HHI", method_ids)):
         if class_idx >= len(type_names) or proto_idx >= len(proto_shorties) or name_idx >= len(strings):
             raise SectionOutOfBoundsError(f"method_id {i} has out-of-range indices")
         method_refs.append(
@@ -293,10 +294,9 @@ def parse_dex(data: bytes, source_name: str = "classes.dex") -> DexImage:
     classes = []
     body_table: list[MethodBody] = []
     call_sites: defaultdict[int, list[tuple[int, int, int]]] = defaultdict(list)
-    for i in range(class_defs_size):
-        class_idx, _access, _super, _ifaces, _src, _anno, class_data_off, _statics = (
-            struct.unpack_from("<8I", data, class_defs_off + 32 * i)
-        )
+    # class_idx and class_data_off of each 32-byte class_def
+    class_defs = data[class_defs_off : class_defs_off + 32 * class_defs_size]
+    for i, (class_idx, class_data_off) in enumerate(struct.iter_unpack("<I20xI4x", class_defs)):
         if class_idx >= len(type_names):
             raise SectionOutOfBoundsError(f"class_def {i} names type {class_idx}")
         owner = type_names[class_idx]
@@ -323,12 +323,13 @@ def parse_dex(data: bytes, source_name: str = "classes.dex") -> DexImage:
 def _parse_strings(data: bytes, off: int, count: int) -> list[str]:
     n = len(data)
     out = []
-    for i in range(count):
-        data_off = struct.unpack_from("<I", data, off + 4 * i)[0]
+    for i, data_off in enumerate(struct.unpack(f"<{count}I", data[off : off + 4 * count])):
         if data_off >= n:
             raise SectionOutOfBoundsError(f"string_data of string {i} at {data_off:#x}")
-        _utf16_len, consumed = _uleb128(data, data_off, n)
-        start = data_off + consumed
+        if data[data_off] < 0x80:  # the usual one-byte UTF-16 length, unused
+            start = data_off + 1
+        else:
+            start = data_off + _uleb128(data, data_off, n)[1]
         end = data.find(b"\x00", start)
         if end < 0:
             raise SectionOutOfBoundsError(f"string {i} is not NUL terminated")
@@ -341,8 +342,8 @@ def _parse_strings(data: bytes, off: int, count: int) -> list[str]:
 def _parse_protos(data, off, count, strings, type_count) -> list[str]:
     n = len(data)
     shorties = []
-    for i in range(count):
-        shorty_idx, return_idx, params_off = struct.unpack_from("<3I", data, off + 12 * i)
+    records = struct.iter_unpack("<3I", data[off : off + 12 * count])
+    for i, (shorty_idx, return_idx, params_off) in enumerate(records):
         if shorty_idx >= len(strings) or return_idx >= type_count:
             raise SectionOutOfBoundsError(f"proto_id {i} has out-of-range indices")
         if params_off:
@@ -360,8 +361,8 @@ def _parse_protos(data, off, count, strings, type_count) -> list[str]:
 
 
 def _validate_fields(data, off, count, type_count, string_count) -> None:
-    for i in range(count):
-        class_idx, type_idx, name_idx = struct.unpack_from("<HHI", data, off + 8 * i)
+    records = struct.iter_unpack("<HHI", data[off : off + 8 * count])
+    for i, (class_idx, type_idx, name_idx) in enumerate(records):
         if class_idx >= type_count or type_idx >= type_count or name_idx >= string_count:
             raise SectionOutOfBoundsError(f"field_id {i} has out-of-range indices")
 
@@ -557,6 +558,28 @@ def invocations_of(dex: DexImage, owner_pattern: str, method_name: str) -> list[
     )
 
 
+def string_pool_has(dex: DexImage, needles: Sequence[str], mode: str = "substring") -> bool:
+    """Whether any pool string matches any needle; ``string_pool_matches`` up to its first hit."""
+    if not needles:
+        raise ValueError("needles must be non-empty")
+    if mode not in ("exact", "substring"):
+        raise ValueError(f"unknown match mode {mode!r}")
+    pool = dex.string_pool
+    if mode == "exact":
+        return not frozenset(needles).isdisjoint(pool)
+    if not pool:
+        return False
+    # A needle absent from the joined pool is absent from every string in it,
+    # so one C-level search per needle settles the usual no-hit case; a
+    # NUL-free needle found there lies inside one string.
+    joined = "\x00".join(pool)
+    return any(
+        "\x00" not in needle or any(needle in s for s in pool)
+        for needle in needles
+        if needle in joined
+    )
+
+
 def string_pool_matches(
     dex: DexImage, needles: list[str], mode: str = "substring"
 ) -> list[tuple[str, int]]:
@@ -564,20 +587,12 @@ def string_pool_matches(
 
     Returns ``(string, index)`` pairs in pool order, each pool entry at most once.
     """
-    if not needles:
-        raise ValueError("needles must be non-empty")
-    if mode not in ("exact", "substring"):
-        raise ValueError(f"unknown match mode {mode!r}")
+    if not string_pool_has(dex, needles, mode):
+        return []
     pool = dex.string_pool
     if mode == "exact":
         wanted = frozenset(needles)
-        if wanted.isdisjoint(pool):
-            return []
         return [(s, i) for i, s in enumerate(pool) if s in wanted]
-    # A needle absent from the joined pool is absent from every string in it,
-    # so one C-level search per needle settles the usual no-hit case.
-    if not any(map("\x00".join(pool).__contains__, needles)):
-        return []
     hits = []
     for i, s in enumerate(pool):
         for needle in needles:

@@ -29,7 +29,7 @@ from .dex import (
     invocations_of,
     invocations_where,
     literal_reaching,
-    string_pool_matches,
+    string_pool_has,
 )
 from .manifest import ManifestModel
 
@@ -363,9 +363,9 @@ def _r08_javascript(inp: ScanInput) -> list[Finding]:
 
 def _r09_root_check(inp: ScanInput) -> list[Finding]:
     for dex in inp.dexes:
-        if string_pool_matches(dex, list(ROOT_MARKER_EXACT), "exact"):
+        if string_pool_has(dex, ROOT_MARKER_EXACT, "exact"):
             return []
-        if string_pool_matches(dex, list(ROOT_MARKER_SUBSTRINGS), "substring"):
+        if string_pool_has(dex, ROOT_MARKER_SUBSTRINGS, "substring"):
             return []
         if invocations_of(dex, "Ljava/lang/Runtime;", "exec"):
             return []

@@ -91,17 +91,28 @@ def _doc(*chunks: bytes) -> bytes:
     return struct.pack("<HHI", 0x0003, 8, 8 + len(payload)) + payload
 
 
-def _pool(*strings: str) -> bytes:
+def _varlen(n: int, wide: bool) -> bytes:
+    # One length unit, or two with the high bit of the first set.
+    if wide:
+        return struct.pack("<H", n) if n < 0x8000 else struct.pack("<HH", 0x8000 | n >> 16, n & 0xFFFF)
+    return bytes([n]) if n < 0x80 else bytes([0x80 | n >> 8, n & 0xFF])
+
+
+def _pool(*strings: str, utf8: bool = True) -> bytes:
     body = bytearray()
     offsets = []
     for s in strings:
-        raw = s.encode("utf-8")
         offsets.append(len(body))
-        body += bytes([len(s), len(raw)]) + raw + b"\x00"
+        if utf8:
+            raw = s.encode("utf-8")
+            body += _varlen(len(s), False) + _varlen(len(raw), False) + raw + b"\x00"
+        else:
+            body += _varlen(len(s), True) + s.encode("utf-16-le") + b"\x00\x00"
     while len(body) % 4:
         body += b"\x00"
     start = 28 + 4 * len(strings)
-    chunk = struct.pack("<HHIIIIII", 0x0001, 28, start + len(body), len(strings), 0, 0x100, start, 0)
+    flags = 0x100 if utf8 else 0
+    chunk = struct.pack("<HHIIIIII", 0x0001, 28, start + len(body), len(strings), 0, flags, start, 0)
     return chunk + b"".join(struct.pack("<I", o) for o in offsets) + bytes(body)
 
 
@@ -177,3 +188,147 @@ def test_mutations_never_crash(manifest_bytes, data):
         decode_axml(bytes(buf))
     except AxmlError:
         pass
+
+
+# --- pinned error surface ---------------------------------------------------
+# Exact messages, so a change in how the decoder bounds-checks cannot change
+# what a caller sees. _pool("manifest") is 44 bytes, so in these documents the
+# pool chunk sits at 0x8, the first element-start chunk at 0x34 (its body at
+# 0x44) and the end chunk after it at 0x58 (its body at 0x68).
+
+
+def _cut_chunk(chunk: bytes, header_size: int, body_len: int) -> bytes:
+    """``chunk`` cut to ``body_len`` bytes after a ``header_size``-byte header, sizes rewritten."""
+    ctype = struct.unpack_from("<H", chunk)[0]
+    return struct.pack("<HHI", ctype, header_size, header_size + body_len) + chunk[8 : header_size + body_len]
+
+
+def _raises(doc: bytes, exc: type, message: str) -> None:
+    with pytest.raises(exc) as info:
+        decode_axml(doc)
+    assert type(info.value) is exc
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "kept, message",
+    [
+        (0, "need 4 bytes at offset 0x10, only 0 left"),  # string_count
+        (3, "need 4 bytes at offset 0x10, only 3 left"),
+        (5, "need 4 bytes at offset 0x14, only 1 left"),  # style_count
+        (10, "need 4 bytes at offset 0x18, only 2 left"),  # flags
+        (15, "need 4 bytes at offset 0x1c, only 3 left"),  # strings_start
+        (16, "need 4 bytes at offset 0x20, only 0 left"),  # styles_start
+        (19, "need 4 bytes at offset 0x20, only 3 left"),
+    ],
+)
+def test_string_pool_header_truncation_messages(kept, message):
+    _raises(_doc(_cut_chunk(_pool("manifest"), 8, kept)), TruncatedChunkError, message)
+
+
+@pytest.mark.parametrize(
+    "kept, message",
+    [
+        (0, "need 4 bytes at offset 0x44, only 0 left"),  # namespace
+        (6, "need 4 bytes at offset 0x48, only 2 left"),  # name
+        (9, "need 2 bytes at offset 0x4c, only 1 left"),  # attribute start
+        (10, "need 2 bytes at offset 0x4e, only 0 left"),  # attribute size
+        (13, "need 2 bytes at offset 0x50, only 1 left"),  # attribute count
+        (14, "need 6 bytes at offset 0x52, only 0 left"),  # id/class/style indexes
+        (19, "need 6 bytes at offset 0x52, only 5 left"),
+    ],
+)
+def test_element_start_truncation_messages(kept, message):
+    doc = _doc(_pool("manifest"), _cut_chunk(_start(0), 0x10, kept), _end(0))
+    _raises(doc, TruncatedChunkError, message)
+
+
+@pytest.mark.parametrize(
+    "kept, message",
+    [
+        (0, "need 4 bytes at offset 0x68, only 0 left"),  # namespace
+        (3, "need 4 bytes at offset 0x68, only 3 left"),
+        (4, "need 4 bytes at offset 0x6c, only 0 left"),  # name
+        (7, "need 4 bytes at offset 0x6c, only 3 left"),
+    ],
+)
+def test_element_end_truncation_messages(kept, message):
+    doc = _doc(_pool("manifest"), _start(0), _cut_chunk(_end(0), 0x10, kept))
+    _raises(doc, TruncatedChunkError, message)
+
+
+def test_chunk_and_pool_size_messages():
+    pool = _pool("manifest")
+    _raises(_doc(pool, b"\x02\x01\x10\x00"), TruncatedChunkError, "chunk header truncated at offset 0x34")
+    _raises(_doc(pool, struct.pack("<HHI", 0x0102, 0x10, 8)), TruncatedChunkError, "chunk 0x0102 at 0x34 has bad size 8/16")
+    oversized = bytearray(_doc(pool, _start(0), _end(0)))
+    struct.pack_into("<I", oversized, 16, 0xFFFF)  # string_count
+    _raises(bytes(oversized), TruncatedChunkError, "string pool offset table larger than chunk")
+    late = bytearray(_doc(pool, _start(0), _end(0)))
+    struct.pack_into("<I", late, 28, 45)  # strings_start, one past the 44-byte chunk
+    _raises(bytes(late), TruncatedChunkError, "string data starts past end of pool chunk")
+    _raises(_doc(_start(0), _end(0)), StringIndexOutOfRangeError, "element name string index 0 out of range (pool size 0)")
+    _raises(_doc(pool), UnbalancedTreeError, "document contains no elements")
+    _raises(_doc(pool, _end(0)), UnbalancedTreeError, "end tag with no open element")
+    _raises(_doc(_pool("a", "b"), _start(0), _end(1)), UnbalancedTreeError, "end tag 'b' does not close open element 'a'")
+
+
+def test_attribute_table_messages():
+    attr = struct.pack("<IIIHBBI", 0xFFFFFFFF, 0, 0xFFFFFFFF, 8, 0, 0x10, 1)
+    small = bytearray(_start(0, attr, 1))
+    struct.pack_into("<H", small, 0x1A, 19)  # attribute record size
+    _raises(_doc(_pool("manifest"), bytes(small), _end(0)), TruncatedChunkError, "attribute record size 19 too small")
+    _raises(
+        _doc(_pool("manifest"), _start(0, attr, 2), _end(0)),
+        TruncatedChunkError,
+        "attribute table larger than element chunk",
+    )
+    missing = struct.pack("<IIIHBBI", 0xFFFFFFFF, 999, 0xFFFFFFFF, 8, 0, 0x10, 1)
+    _raises(
+        _doc(_pool("manifest"), _start(0, missing, 1), _end(0)),
+        StringIndexOutOfRangeError,
+        "attribute name string index 999 out of range (pool size 1)",
+    )
+
+
+def test_string_data_messages():
+    # The pool data of _pool("manifest") is 12 bytes at 0x28: prefixes 08 08,
+    # eight bytes of text, a NUL and one padding byte at 0x33.
+    def patched(offset: int, value: int, width: str = "B") -> bytes:
+        doc = bytearray(_doc(_pool("manifest"), _start(0), _end(0)))
+        struct.pack_into("<" + width, doc, offset, value)
+        return bytes(doc)
+
+    _raises(patched(0x24, 12, "I"), TruncatedChunkError, "string offset 0xc outside pool data")
+    _raises(patched(0x29, 0x7F), TruncatedChunkError, "UTF-8 string data truncated")
+    prefix_at_end = bytearray(patched(0x24, 11, "I"))  # string 0 starts at the padding byte
+    prefix_at_end[0x33] = 0x80  # which announces a two-byte length
+    _raises(bytes(prefix_at_end), TruncatedChunkError, "string length prefix truncated")
+    wide = bytearray(_doc(_pool("manifest", utf8=False), _start(0), _end(0)))
+    struct.pack_into("<H", wide, 0x28, 100)  # UTF-16 length in units
+    _raises(bytes(wide), TruncatedChunkError, "UTF-16 string data truncated")
+
+
+def test_unknown_chunk_and_extra_pool_warn():
+    unknown = struct.pack("<HHI", 0x0200, 8, 12) + b"\x00" * 4
+    doc = decode_axml(_doc(_pool("manifest"), unknown, _pool("other"), _start(0), _end(0)))
+    assert doc.warnings == (
+        "unknown chunk type 0x0200 at offset 0x34 skipped",
+        "extra string pool at offset 0x40 ignored",
+    )
+    assert doc.string_pool == ("manifest",)
+    assert doc.root.name == "manifest"
+
+
+@pytest.mark.parametrize("utf8", [True, False])
+def test_long_strings_round_trip(utf8):
+    # 128+ characters take the two-byte UTF-8 prefixes (0x7FFF at most);
+    # 0x8000+ UTF-16 units take the two-unit UTF-16 prefix. Short neighbours
+    # keep the one-unit form.
+    strings = ["manifest", "é" * 100, "n" * 200, "x" * (0x7FFF if utf8 else 0x8001), "tail"]
+    doc = decode_axml(_doc(_pool(*strings, utf8=utf8), _start(0), _end(0)))
+    assert doc.string_pool == tuple(strings)
+    round_trip = Elem("manifest", [(None, "label", "y" * 300), (None, "short", "ab")])
+    doc = decode_axml(encode_document(round_trip, utf8=utf8))
+    assert doc.root.attr("label", namespace=None) == "y" * 300
+    assert doc.root.attr("short", namespace=None) == "ab"

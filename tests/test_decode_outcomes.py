@@ -1,0 +1,79 @@
+"""Seeded mutation-outcome pins for the AXML decoder and the DEX parser.
+
+Each test mutates one fleet input 2,000 times from a fixed seed, records the
+outcome of every decode (exception class and message, or the repr of what was
+decoded) and compares the sha256 of that record with a pinned digest. A change
+in any exception class, message or decoded value changes the digest, so a
+rewrite of either reader must leave it as it is.
+"""
+
+import hashlib
+import random
+import struct
+
+from bankscan.axml import decode_axml
+from bankscan.dex import parse_dex
+from bankscan.fixtures import build_dex, build_manifest_bytes, fleet_profiles
+
+MUTATIONS = 2000
+
+
+def _mutants(data: bytes, seed: int, size_at: int | None):
+    """Truncations, byte flips and overwritten 16/32-bit fields of ``data``.
+
+    A truncated copy gets its new length written at ``size_at``, when given,
+    so that the cut reaches the inner chunks.
+    """
+    rng = random.Random(seed)
+    for _ in range(MUTATIONS):
+        buf = bytearray(data)
+        if rng.random() < 0.3:
+            buf = buf[: rng.randrange(len(buf) + 1)]
+            if size_at is not None and len(buf) >= size_at + 4:
+                struct.pack_into("<I", buf, size_at, len(buf))
+        for _ in range(rng.randint(1, 4)):
+            if len(buf) < 4:
+                break
+            i = rng.randrange(len(buf) - 3)
+            kind = rng.random()
+            if kind < 0.6:
+                buf[i] ^= rng.randint(1, 255)
+            elif kind < 0.8:
+                struct.pack_into("<H", buf, i & ~1, rng.choice((0, 1, 0x7F, 0x80, 0xFFFF, rng.randrange(0x10000))))
+            else:
+                struct.pack_into("<I", buf, i & ~3, rng.choice((0, 1, 0x80, len(buf), 0xFFFFFFFF, rng.randrange(1 << 32))))
+        yield bytes(buf)
+
+
+def _outcome_digest(data: bytes, seed: int, size_at: int | None, decode) -> str:
+    outcomes = []
+    for mutant in _mutants(data, seed, size_at):
+        try:
+            outcomes.append(decode(mutant))
+        except Exception as exc:  # noqa: BLE001 - any class is part of the record
+            outcomes.append(f"{type(exc).__name__}: {exc}")
+    return hashlib.sha256("\n".join(outcomes).encode("utf-8", "surrogatepass")).hexdigest()
+
+
+def _decoded_manifest(data: bytes) -> str:
+    doc = decode_axml(data)
+    return repr((doc.root, doc.warnings))
+
+
+def _parsed_dex(data: bytes) -> str:
+    image = parse_dex(data)
+    return repr((image.method_refs, image.string_pool, image.classes, image.call_sites))
+
+
+def test_axml_mutation_outcomes_pinned():
+    data = build_manifest_bytes(fleet_profiles()[-1])
+    assert _outcome_digest(data, 6, 4, _decoded_manifest) == (
+        "17c297a6cb5adce7df76d6271f61f3cf42a61b930d71599fc4cf2abd1bf57d43"
+    )
+
+
+def test_dex_mutation_outcomes_pinned():
+    data = build_dex(fleet_profiles()[-1]).data
+    assert _outcome_digest(data, 6, None, _parsed_dex) == (
+        "4c09c7e437c1395558575421807aa5a4c0ab3fb9cbeeec03f648195238418235"
+    )

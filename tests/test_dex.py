@@ -28,6 +28,7 @@ from bankscan.dex import (
     invocations_of,
     literal_reaching,
     parse_dex,
+    string_pool_has,
     string_pool_matches,
 )
 from bankscan.fixtures import (
@@ -204,6 +205,10 @@ def test_string_pool_matches_modes():
         string_pool_matches(image, [], "exact")
     with pytest.raises(ValueError):
         string_pool_matches(image, ["x"], "fuzzy")
+    with pytest.raises(ValueError, match="^needles must be non-empty$"):
+        string_pool_has(image, (), "exact")
+    with pytest.raises(ValueError, match="^unknown match mode 'fuzzy'$"):
+        string_pool_has(image, ["x"], "fuzzy")
 
     # A string holding two needles is reported once.
     both = _pool_image(["a", "/system/bin/su-superuser", "b"])
@@ -241,6 +246,8 @@ _POOL_TEXT = st.text(alphabet="su/\x00.*", max_size=6)
 @example(pool=["su\x00", "su"], needles=["\x00su"], mode="substring")
 @example(pool=[], needles=[""], mode="substring")
 @example(pool=[""], needles=[""], mode="exact")
+@example(pool=[""], needles=[""], mode="substring")
+@example(pool=["su\x00", "su"], needles=["\x00su", "u"], mode="substring")
 @given(
     pool=st.lists(_POOL_TEXT, max_size=8),
     needles=st.lists(_POOL_TEXT, min_size=1, max_size=4),
@@ -249,7 +256,10 @@ _POOL_TEXT = st.text(alphabet="su/\x00.*", max_size=6)
 def test_string_pool_matches_agrees_with_loop(pool, needles, mode):
     # Includes empty needles, empty strings, NULs inside strings and needles
     # that would only match across two joined strings.
-    assert string_pool_matches(_pool_image(pool), needles, mode) == _pool_matches_by_loop(pool, needles, mode)
+    expected = _pool_matches_by_loop(pool, needles, mode)
+    assert string_pool_matches(_pool_image(pool), needles, mode) == expected
+    # The yes/no query R09 asks is true exactly when the listing is non-empty.
+    assert string_pool_has(_pool_image(pool), tuple(needles), mode) == bool(expected)
 
 
 def _walked_sites(image, owner_pattern, method_name):
@@ -592,3 +602,170 @@ def test_mutations_never_crash(clean_artifact, data):
         parse_dex(bytes(buf))
     except DexError:
         pass
+
+
+# --- pinned id-section errors -------------------------------------------------
+# Exact messages for every id-section check, so a change in how the parser
+# reads those sections cannot change what a caller sees. Offsets come from
+# independent reads of the header: string_ids_size/off at 0x38, type_ids at
+# 0x40, proto_ids at 0x48, field_ids at 0x50, method_ids at 0x58, class_defs
+# at 0x60.
+
+
+def _u32(data, offset):
+    return struct.unpack_from("<I", data, offset)[0]
+
+
+def _dex_raises(data, exc, message):
+    with pytest.raises(exc) as info:
+        parse_dex(bytes(data))
+    assert type(info.value) is exc
+    assert str(info.value) == message
+
+
+def _with_tail(artifact, tail: bytes, *patches):
+    """``artifact.data`` plus ``tail``, with (format, offset, value) patches applied."""
+    data = bytearray(artifact.data + tail)
+    for fmt, offset, value in patches:
+        struct.pack_into(fmt, data, offset, value)
+    return data
+
+
+def test_string_section_messages(clean_artifact):
+    n = len(clean_artifact.data)
+    ids = _u32(clean_artifact.data, 0x3C)
+    count = _u32(clean_artifact.data, 0x38)
+    _dex_raises(
+        _with_tail(clean_artifact, b"", ("<I", 0x3C, n)),
+        SectionOutOfBoundsError,
+        f"string_ids section ({count} items at {n:#x}) extends past end of file",
+    )
+    _dex_raises(
+        _with_tail(clean_artifact, b"", ("<I", ids + 8, n)),
+        SectionOutOfBoundsError,
+        f"string_data of string 2 at {n:#x}",
+    )
+    _dex_raises(
+        _with_tail(clean_artifact, b"\x03abc", ("<I", ids + 4, n)),
+        SectionOutOfBoundsError,
+        "string 1 is not NUL terminated",
+    )
+    _dex_raises(
+        _with_tail(clean_artifact, b"\xff" * 5 + b"\x00", ("<I", ids, n)),
+        MalformedUleb128Error,
+        f"uleb128 longer than 5 bytes at offset {n:#x}",
+    )
+    _dex_raises(
+        _with_tail(clean_artifact, b"\x80", ("<I", ids, n)),
+        MalformedUleb128Error,
+        f"uleb128 truncated at offset {n + 1:#x}",
+    )
+
+
+def test_type_and_proto_messages(clean_artifact):
+    data = clean_artifact.data
+    n = len(data)
+    strings = _u32(data, 0x38)
+    types = _u32(data, 0x40)
+    protos = _u32(data, 0x4C)
+    _dex_raises(
+        _with_tail(clean_artifact, b"", ("<I", _u32(data, 0x44), strings)),
+        SectionOutOfBoundsError,
+        f"type_id 0 names string {strings}, pool has {strings}",
+    )
+    _dex_raises(
+        _with_tail(clean_artifact, b"", ("<I", protos, strings)),
+        SectionOutOfBoundsError,
+        "proto_id 0 has out-of-range indices",
+    )
+    _dex_raises(
+        _with_tail(clean_artifact, b"", ("<I", protos + 4, types)),
+        SectionOutOfBoundsError,
+        "proto_id 0 has out-of-range indices",
+    )
+    _dex_raises(
+        _with_tail(clean_artifact, b"\x00\x00", ("<I", protos + 8, n)),
+        SectionOutOfBoundsError,
+        f"proto_id 0 type_list at {n:#x}",
+    )
+    _dex_raises(
+        _with_tail(clean_artifact, struct.pack("<I", 100), ("<I", protos + 8, n)),
+        SectionOutOfBoundsError,
+        "proto_id 0 type_list overruns file",
+    )
+    _dex_raises(
+        _with_tail(clean_artifact, struct.pack("<IHH", 2, 0, types), ("<I", protos + 8, n)),
+        SectionOutOfBoundsError,
+        f"proto_id 0 parameter 1 names type {types}",
+    )
+
+
+def test_field_method_and_class_def_messages(clean_artifact):
+    data = clean_artifact.data
+    n = len(data)
+    strings = _u32(data, 0x38)
+    types = _u32(data, 0x40)
+    methods = _u32(data, 0x5C)
+    class_defs = _u32(data, 0x64)
+    # One field_id read from the header's first bytes: "de" is type 0x6564.
+    _dex_raises(
+        _with_tail(clean_artifact, b"", ("<I", 0x50, 1), ("<I", 0x54, 0)),
+        SectionOutOfBoundsError,
+        "field_id 0 has out-of-range indices",
+    )
+    for fmt, offset, value in (("<H", 0, types), ("<H", 2, 0xFFFF), ("<I", 4, strings)):
+        _dex_raises(
+            _with_tail(clean_artifact, b"", (fmt, methods + offset, value)),
+            SectionOutOfBoundsError,
+            "method_id 0 has out-of-range indices",
+        )
+    _dex_raises(
+        _with_tail(clean_artifact, b"", ("<I", class_defs, types)),
+        SectionOutOfBoundsError,
+        f"class_def 0 names type {types}",
+    )
+    owner = "Lfixture/clean/Markers;"
+    _dex_raises(
+        _with_tail(clean_artifact, b"", ("<I", class_defs + 24, n)),
+        SectionOutOfBoundsError,
+        f"class_data of {owner} at {n:#x}",
+    )
+    _dex_raises(
+        _with_tail(clean_artifact, b"\x00\x00\x01\x00" + b"\xff" * 5, ("<I", class_defs + 24, n)),
+        MalformedUleb128Error,
+        f"uleb128 longer than 5 bytes at offset {n + 4:#x}",
+    )
+    _dex_raises(
+        _with_tail(clean_artifact, b"\x00\x00\x01", ("<I", class_defs + 24, n)),
+        MalformedUleb128Error,
+        f"uleb128 truncated at offset {n + 3:#x}",
+    )
+    _dex_raises(
+        _with_tail(clean_artifact, b"\x00\x00\x01\x00\x80\x01\x00\x00", ("<I", class_defs + 24, n)),
+        SectionOutOfBoundsError,
+        f"class_data of {owner} references method 128",
+    )
+
+
+def test_multibyte_uleb128_method_diff_and_string_length():
+    # 130 methods of La/A; sort before Lz/Z;->go, so go's method-index diff
+    # is 130 and takes two ULEB128 bytes, as does the UTF-16 length of the
+    # 200-character string. The 100-character string keeps a one-byte
+    # length over 200 bytes of UTF-8.
+    void = ("V", ())
+    calls = [("invoke-static", [], ("La/A;", f"m{i:03d}", void)) for i in range(130)]
+    long_text, wide_text = "s" * 200, "é" * 100
+    consts = [("const-string", 0, long_text), ("const-string", 1, wide_text)]
+    art = emit_dex("Lz/Z;", [MethodSketch("go", consts + calls + [("return-void",)])])
+    class_data = _u32(art.data, _u32(art.data, 0x64) + 24)
+    assert art.data[class_data + 4 : class_data + 6] == b"\x82\x01"  # diff 130
+    image = parse_dex(art.data)
+    assert len(image.method_refs) == 131
+    assert image.method_refs[130] == dex_module.MethodRef("Lz/Z;", "go", "V")
+    assert {long_text, wide_text} <= set(image.string_pool)
+    assert image.string_pool == tuple(sorted(image.string_pool))
+    [body] = image.body_table
+    assert body.name == "go"
+    for i in (0, 127, 128, 129):
+        [site] = invocations_of(image, "La/A;", f"m{i:03d}")
+        assert site.index == 2 + i
