@@ -7,7 +7,9 @@ apps on rows and the fourteen rules on columns with YES/no cells, a per-app
 total, and the total as a percentage of 14 rounded half-up to two decimals.
 
 Three output encodings: ``text`` for humans, ``json`` for machines (the
-structured form round-trips losslessly), and ``csv`` tables. All output is
+structured form round-trips losslessly), and ``csv`` tables. The JSON
+report is written directly, one section at a time, and its bytes equal
+``json.dumps(doc, sort_keys=True, indent=2)`` of the report. All output is
 deterministic for a given input; report timestamps are injected by the
 caller or pinned by tests.
 
@@ -25,11 +27,12 @@ from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 
 from .knowledge import KnowledgeBase, load_knowledge_base
-from .rules import RULE_COUNT, RULE_TITLES, Finding, RuleId, ScanResult, Severity
+from .rules import RULE_COUNT, RULE_TITLES, RuleId, ScanResult, Severity
 
 SCHEMA_VERSION = 1
 
 _FORMATS = ("text", "json", "csv")
+_enc = json.encoder.encode_basestring_ascii  # the str encoder of json.dumps
 
 
 class ReportError(Exception):
@@ -81,11 +84,6 @@ def format_percentage(count: int, out_of: int = RULE_COUNT) -> str:
     return str(value.quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
 
 
-def _section_sort_key(indexed: tuple[int, Finding]):
-    i, finding = indexed
-    return (-finding.severity.rank, finding.rule.index, i)
-
-
 def render_report(
     result: ScanResult,
     kb: KnowledgeBase | None = None,
@@ -96,23 +94,24 @@ def render_report(
     if generated_at is None:
         generated_at = _dt.datetime.now(_dt.timezone.utc).isoformat(timespec="seconds")
 
-    sections = []
-    for _, finding in sorted(enumerate(result.findings), key=_section_sort_key):
-        sections.append(
-            ReportSection(
-                rule=finding.rule,
-                title=finding.title,
-                evidence=finding.evidence,
-                severity=finding.severity,
-                category=finding.category,
-                background=kb.backgrounds[finding.rule],
-                recommendation=kb.countermeasures[finding.rule].developer_action,
-            )
-        )
+    # Sort key (-severity rank, rule index, position). Rank, index and knowledge
+    # text are looked up once per run of findings sharing a severity or a rule.
+    keyed, rule, severity = [], None, None
+    for i, f in enumerate(result.findings):
+        if f.rule is not rule:
+            rule = f.rule
+            index, background = rule.index, kb.backgrounds[rule]
+            recommendation = kb.countermeasures[rule].developer_action
+        if f.severity is not severity:
+            severity = f.severity
+            rank = -severity.rank
+        section = ReportSection(rule, f.title, f.evidence, severity, f.category, background, recommendation)
+        keyed.append((rank, index, i, section))
+    keyed.sort()  # positions are distinct, so sections are never compared
     return Report(
         apk_name=result.apk_name,
         generated_at=generated_at,
-        sections=tuple(sections),
+        sections=tuple(section for _, _, _, section in keyed),
         user_countermeasures=tuple(u.text for u in kb.user_countermeasures),
     )
 
@@ -157,7 +156,7 @@ def _check_format(fmt: str) -> None:
 def serialize(obj: Report | FleetMatrix, fmt: str = "text") -> bytes:
     _check_format(fmt)
     if isinstance(obj, Report):
-        impl = {"text": _report_text, "json": _report_json, "csv": _report_csv}[fmt]
+        impl = {"text": _report_text, "json": _report_json, "csv": lambda r: _reports_csv([r])}[fmt]
     elif isinstance(obj, FleetMatrix):
         impl = {"text": _matrix_text, "json": _matrix_json, "csv": _matrix_csv}[fmt]
     else:
@@ -175,43 +174,48 @@ def serialize_reports(reports: list[Report], fmt: str = "text") -> bytes:
     if fmt == "text":
         return b"\n".join(_report_text(r) for r in reports)
     if fmt == "json":
-        docs = ",\n".join(_json_text(_report_doc(r)) for r in reports)
+        docs = ",\n".join("".join(_report_json_parts(r)) for r in reports)
         return f"[\n{docs}\n]\n".encode("utf-8")
     return _reports_csv(reports)
 
 
-def _json_text(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2)
-
-
 def _dump_json(payload: dict) -> bytes:
-    return (_json_text(payload) + "\n").encode("utf-8")
+    return (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode("utf-8")
 
 
-def _report_doc(report: Report) -> dict:
-    return {
-        "schema_version": report.schema_version,
-        "kind": "report",
-        "apk_name": report.apk_name,
-        "generated_at": report.generated_at,
-        "sections": [
-            {
-                "rule": s.rule.value,
-                "title": s.title,
-                "evidence": list(s.evidence),
-                "severity": s.severity.value,
-                "category": s.category,
-                "background": s.background,
-                "recommendation": s.recommendation,
-            }
-            for s in report.sections
-        ],
-        "user_countermeasures": list(report.user_countermeasures),
-    }
+def _json_array(items: list[str], indent: str) -> str:
+    """Encoded items as a JSON array, laid out as ``json.dumps(indent=2)`` does at ``indent``."""
+    if not items:
+        return "[]"
+    inner = "\n" + indent + "  "
+    return "[" + inner + ("," + inner).join(items) + "\n" + indent + "]"
+
+
+def _report_json_parts(report: Report) -> list[str]:
+    """The report as ``json.dumps(doc, sort_keys=True, indent=2)`` writes it, in pieces to join."""
+    parts = [
+        f'{{\n  "apk_name": {_enc(report.apk_name)},\n  "generated_at": {_enc(report.generated_at)},\n'
+        f'  "kind": "report",\n  "schema_version": {json.dumps(report.schema_version)},\n  "sections": ['
+    ]
+    separator, fixed = "\n    ", None
+    for s in report.sections:
+        key = (s.rule, s.severity, s.title, s.category, s.background, s.recommendation)
+        if key != fixed:  # a run of sections sharing these fields encodes them once
+            fixed = key
+            head = f'{{\n      "background": {_enc(s.background)},\n      "category": {_enc(s.category)},\n'
+            tail = (
+                f',\n      "recommendation": {_enc(s.recommendation)},\n      "rule": {_enc(s.rule.value)},\n'
+                f'      "severity": {_enc(s.severity.value)},\n      "title": {_enc(s.title)}\n    }}'
+            )
+        parts += (separator, head, '      "evidence": ', _json_array(list(map(_enc, s.evidence)), "      "), tail)
+        separator = ",\n    "
+    users = _json_array(list(map(_enc, report.user_countermeasures)), "  ")
+    parts += ("\n  ]" if report.sections else "]", ',\n  "user_countermeasures": ', users, "\n}")
+    return parts
 
 
 def _report_json(report: Report) -> bytes:
-    return _dump_json(_report_doc(report))
+    return "".join([*_report_json_parts(report), "\n"]).encode("utf-8")
 
 
 def deserialize_report(data: bytes) -> Report:
@@ -307,10 +311,6 @@ def _report_text(report: Report) -> bytes:
     for i, text in enumerate(report.user_countermeasures, 1):
         out.write(f"{i}. {text}\n")
     return out.getvalue().encode("utf-8")
-
-
-def _report_csv(report: Report) -> bytes:
-    return _reports_csv([report])
 
 
 def _reports_csv(reports: list[Report]) -> bytes:

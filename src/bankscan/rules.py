@@ -181,17 +181,28 @@ def _finding(rule: RuleId, evidence: list[str]) -> Finding:
     )
 
 
-def _site_evidence(dex: DexImage, site: InvocationSite) -> str:
-    return (
-        f"{dex.source_name}: {site.body.owner}->{site.body.name} +0x{site.offset:04x} "
-        f"calls {site.callee.owner}->{site.callee.name}"
-    )
+def _site_findings(rule: RuleId, sites: list, suffix: str = "") -> list[Finding]:
+    """One finding per ``(dex, site)``, with the rule's constants looked up once."""
+    if not sites:  # the usual case on most apps: skip the lookups
+        return []
+    severity, title, category = RULE_SEVERITIES[rule], RULE_TITLES[rule], RULE_CATEGORIES[rule]
+    return [
+        Finding(
+            rule,
+            severity,
+            title,
+            (
+                f"{dex.source_name}: {site.body.owner}->{site.body.name} +0x{site.offset:04x} "
+                f"calls {site.callee.owner}->{site.callee.name}{suffix}",
+            ),
+            category,
+        )
+        for dex, site in sites
+    ]
 
 
-def _all_sites(dexes, owner, name):
-    for dex in dexes:
-        for site in invocations_of(dex, owner, name):
-            yield dex, site
+def _all_sites(dexes, owner, name) -> list:
+    return [(dex, site) for dex in dexes for site in invocations_of(dex, owner, name)]
 
 
 # --- manifest rules --------------------------------------------------------
@@ -290,41 +301,27 @@ def _r01_implicit_service(inp: ScanInput) -> list[Finding]:
 
 
 def _r04_remote_code(inp: ScanInput) -> list[Finding]:
-    return [
-        _finding(RuleId.R04, [_site_evidence(dex, site)])
-        for dex, site in _all_sites(inp.dexes, "Landroid/webkit/WebView;", "addJavascriptInterface")
-    ]
+    return _site_findings(RuleId.R04, _all_sites(inp.dexes, "Landroid/webkit/WebView;", "addJavascriptInterface"))
 
 
 def _r05_device_id(inp: ScanInput) -> list[Finding]:
-    return [
-        _finding(RuleId.R05, [_site_evidence(dex, site)])
-        for dex, site in _all_sites(
-            inp.dexes, "Landroid/telephony/TelephonyManager;", "getDeviceId"
-        )
-    ]
+    return _site_findings(RuleId.R05, _all_sites(inp.dexes, "Landroid/telephony/TelephonyManager;", "getDeviceId"))
 
 
 def _r11_file_delete(inp: ScanInput) -> list[Finding]:
-    return [
-        _finding(RuleId.R11, [_site_evidence(dex, site)])
-        for dex, site in _all_sites(inp.dexes, "Ljava/io/File;", "delete")
-    ]
-
-
-def _file_access_calls(inp: ScanInput):
-    for dex, site in _all_sites(inp.dexes, "Landroid/webkit/WebSettings;", "setAllowFileAccess"):
-        yield dex, site, literal_reaching(site)
+    return _site_findings(RuleId.R11, _all_sites(inp.dexes, "Ljava/io/File;", "delete"))
 
 
 def _r07_file_access(inp: ScanInput) -> list[Finding]:
-    findings = []
+    fired = []
     explicit_off = False
-    for dex, site, lit in _file_access_calls(inp):
+    for dex, site in _all_sites(inp.dexes, "Landroid/webkit/WebSettings;", "setAllowFileAccess"):
+        lit = literal_reaching(site)
         if lit == 1:
-            findings.append(_finding(RuleId.R07, [_site_evidence(dex, site) + " with literal 1"]))
+            fired.append((dex, site))
         elif lit == 0:
             explicit_off = True
+    findings = _site_findings(RuleId.R07, fired, " with literal 1")
     if findings:
         return findings
     # File access is on by default: a WebView in use without an explicit
@@ -350,12 +347,8 @@ def _r07_file_access(inp: ScanInput) -> list[Finding]:
 
 
 def _r08_javascript(inp: ScanInput) -> list[Finding]:
-    findings = []
-    for dex, site in _all_sites(inp.dexes, "Landroid/webkit/WebSettings;", "setJavaScriptEnabled"):
-        lit = literal_reaching(site)
-        if lit == 1:
-            findings.append(_finding(RuleId.R08, [_site_evidence(dex, site) + " with literal 1"]))
-    return findings
+    sites = _all_sites(inp.dexes, "Landroid/webkit/WebSettings;", "setJavaScriptEnabled")
+    return _site_findings(RuleId.R08, [(d, s) for d, s in sites if literal_reaching(s) == 1], " with literal 1")
 
 
 # --- whole-app absence rules -----------------------------------------------

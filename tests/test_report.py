@@ -1,11 +1,23 @@
 """Report rendering, fleet matrix arithmetic, serialization round trips."""
 
+import datetime
+import hashlib
+import json
+import types
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bankscan import report as report_module
+from bankscan.cli import main
+from bankscan.fixtures import MethodSketch, build_manifest_bytes, clean_profile, emit_dex, pack_apk
+from bankscan.fixtures.profiles import JFILE, WEBSETTINGS
+from bankscan.knowledge import load_knowledge_base
 from bankscan.report import (
     DuplicateAppNameError,
+    Report,
+    ReportSection,
     UnknownFormatError,
     build_fleet_matrix,
     deserialize_matrix,
@@ -14,6 +26,7 @@ from bankscan.report import (
     render_report,
     scan_result_json,
     serialize,
+    serialize_reports,
 )
 from bankscan.rules import (
     RULE_CATEGORIES,
@@ -22,6 +35,7 @@ from bankscan.rules import (
     Finding,
     RuleId,
     ScanResult,
+    Severity,
 )
 from bankscan.scanner import scan_bytes
 
@@ -184,3 +198,223 @@ def test_report_text_contains_all_fields():
     assert "(warning) Webview JavaScript enabled" in text
     assert "recommendation: Disable Webview Javascript." in text
     assert "User countermeasures" in text
+
+
+# --- report JSON bytes ---------------------------------------------------------
+
+
+def _report_doc(report: Report) -> dict:
+    """The report object as the JSON document describes it, field by field."""
+    return {
+        "schema_version": report.schema_version,
+        "kind": "report",
+        "apk_name": report.apk_name,
+        "generated_at": report.generated_at,
+        "sections": [
+            {
+                "rule": s.rule.value,
+                "title": s.title,
+                "evidence": list(s.evidence),
+                "severity": s.severity.value,
+                "category": s.category,
+                "background": s.background,
+                "recommendation": s.recommendation,
+            }
+            for s in report.sections
+        ],
+        "user_countermeasures": list(report.user_countermeasures),
+    }
+
+
+def _dumps(doc: dict) -> str:
+    return json.dumps(doc, sort_keys=True, indent=2)
+
+
+# every code point, lone surrogates and control characters included
+_any_text = st.text(st.characters(blacklist_categories=()), max_size=12)
+_evidence_line = st.one_of(
+    _any_text,
+    st.lists(_any_text, min_size=2, max_size=3).map("\n".join),  # multi-line
+    st.sampled_from(['"quoted"', "back\\slash", "tab\tand\x00nul", "café \U0001f512", "\ud800"]),
+)
+_sections = st.builds(
+    ReportSection,
+    rule=st.sampled_from(list(RuleId)),
+    title=_any_text,
+    evidence=st.lists(_evidence_line, max_size=4).map(tuple),
+    severity=st.sampled_from(list(Severity)),
+    category=_any_text,
+    background=_any_text,
+    recommendation=_any_text,
+)
+_reports = st.builds(
+    Report,
+    apk_name=_any_text,
+    generated_at=_any_text,
+    sections=st.lists(_sections, max_size=5).map(tuple),
+    user_countermeasures=st.lists(_any_text, max_size=3).map(tuple),
+    schema_version=st.integers(-(2**70), 2**70),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(report=_reports)
+def test_report_json_equals_sorted_indented_dumps(report):
+    assert serialize(report, "json") == (_dumps(_report_doc(report)) + "\n").encode("utf-8")
+
+
+@settings(max_examples=150, deadline=None)
+@given(reports=st.lists(_reports, max_size=3))
+def test_reports_json_equals_joined_dumps(reports):
+    docs = ",\n".join(_dumps(_report_doc(r)) for r in reports)
+    assert serialize_reports(reports, "json") == f"[\n{docs}\n]\n".encode("utf-8")
+
+
+def test_report_json_edge_shapes():
+    bare = Report(apk_name="a", generated_at="t", sections=(), user_countermeasures=())
+    assert serialize(bare, "json") == (_dumps(_report_doc(bare)) + "\n").encode()
+    assert b'"sections": [],' in serialize(bare, "json")
+    kb = load_knowledge_base()
+    base = dict(
+        rule=RuleId.R11, title=RULE_TITLES[RuleId.R11], severity=Severity.NOTICE, category="Storage",
+        background=kb.backgrounds[RuleId.R11], recommendation=kb.countermeasures[RuleId.R11].developer_action,
+    )
+    # a run of one rule and text, broken by a changed field, another rule and a return
+    sections = [ReportSection(evidence=(f"line {i}",), **base) for i in range(3)]
+    sections.append(ReportSection(evidence=(), **{**base, "category": "Other"}))
+    sections.append(ReportSection(evidence=("a\nb", ""), **{**base, "rule": RuleId.R04}))
+    sections.append(ReportSection(evidence=("back to R11",), **base))
+    report = Report(apk_name="edge.apk", generated_at="t0", sections=tuple(sections), user_countermeasures=("u",))
+    assert serialize(report, "json") == (_dumps(_report_doc(report)) + "\n").encode()
+
+
+class _PinnedClock(datetime.datetime):
+    @classmethod
+    def now(cls, tz=None):
+        return datetime.datetime(2024, 1, 1, tzinfo=tz)
+
+
+def _cli_json_report(path, monkeypatch, capsys) -> bytes:
+    monkeypatch.setattr(report_module, "_dt", types.SimpleNamespace(datetime=_PinnedClock, timezone=datetime.timezone))
+    assert main(["-f", str(path), "--format", "json"]) == 0
+    return capsys.readouterr().out.encode("utf-8")
+
+
+# sha256 of `bankscan -f APP --format json` with the report clock pinned, for
+# every oracle and fleet fixture. A change to the report bytes shows here.
+_FIXTURE_REPORT_PINS = {
+    "r01-positive": "7ab4cc63bc34bd8059e5cfaed1610bbc9aebf82f525580827eff43598198b271",
+    "r02-positive": "36ea0cdc53133268a0de05cb62bfdff465d0c201b4971a9275e062bc7c2d28b6",
+    "r03-positive": "04e8de34e8aa1c31292afcf017ee9e920d631dc801073020e43099057dabfce0",
+    "r04-positive": "a55c02a7972f1641a86d1a0c243a982cd948edaec3d7df8f4e65616d0610df62",
+    "r05-positive": "5dcfde08b7097f9b7e8a6da10223a083a45a3c191ba1b801bd60f444d6ceb8f7",
+    "r06-positive": "7ec3f11d5dea51c2aa6628ec7737491f2c0148f03d588a35e15f74a22a00920f",
+    "r07-positive": "c08929021e8d042e331ea108478d8fb30c5e726640c76a0917eaa192db578022",
+    "r08-positive": "b27abebea145d33081ef9beb5430bf87b54216042e324d654edcbd6dc3c41e78",
+    "r09-positive": "9e9ddfd123ce67706e31cced5a8a04c55170ec29907b547370e421751630d89d",
+    "r10-positive": "0655daf3443d87621088ef14c4cff03dd48ea25020e913a2dc9bb14150931ae7",
+    "r11-positive": "280b9895e74008346db7ab5fb80b978e265b6c78e7dfbbd07d8477c0cbcf9f70",
+    "r12-positive": "687561838c16b07c1bf751012a046bdae60d49e14b1e1a8bfc0187955ed52b3b",
+    "r13-positive": "fd723e0ff3461d1e145e1258a78de48b0c390f39274fc6b5e900efcee57605c0",
+    "r14-positive": "fb35d88132956343c42e298fef239fa1e8331d3648dae4b82f4eb50805ec9318",
+    "r01-negative": "682c75af8e6d48826c4de19817014b338af8e78463158e66f9889451bcb11f04",
+    "r02-negative": "32cfa41f79bc78689138acc05c431dfccbb615ba967d23ff8548fbfdd35af76a",
+    "r03-negative": "03ac25591aaaf53c9c5b27e89a5518b8f83214829e74a484cee29ae0d716022c",
+    "r04-negative": "2d068f854667f1467415d98bb25c982dd30121847252a00046330ffba359acaf",
+    "r05-negative": "3e768d0b5e8c78d2746310150732273d4f614003708bfe511d41e8b863ebf014",
+    "r06-negative": "228a1a2e20fff36a6019788366b42c38cd8e668d9a89ff2d5f9e451840cbf703",
+    "r07-negative": "1d465f9f90fc8fa34e1ae5051fccc8e025fef37fd8b1ec45dc20239076040da0",
+    "r08-negative": "4ee346ea59b983dd622f4d052d7e12c247d9fcbdd860539d6e97ad00d77d63fa",
+    "r09-negative": "ebd353e674d11436801663103546722add2cbf3f1238ef3c0d18b27d66016e7c",
+    "r10-negative": "b121603977a1625a3062173e296aae12ce224b4b2892a8083840ffdab3c7193e",
+    "r11-negative": "82d67e68471b590e6e70749508c874741696fca81eb0c75190fb4a7741d527df",
+    "r12-negative": "269f6765253006ece4d75e0e24992bfe48e4d55d79dfe47f93d3567ecba965dd",
+    "r13-negative": "370edc64e5f713d2e5e7f9133507fb4fd48d153191ee12e25a659f2de2ef7f53",
+    "r14-negative": "9563ec7f5afd7242c71b3de0f386b86e1009156b276cc542e1c2d7b9f7465a06",
+    "starling-like": "66d6f0b68128c3f6c602250b4c72aeeab6b6d7876b9976178ebeb346976d8496",
+    "monese-like": "56ef3518987d6b950c050736e238339ec7008c101ce01f309bc3b38ffe049e7c",
+    "atom-like": "5b3d0d97019eb4d2acb8a52dda2054a1851864c5c37c7a2caffc99f9e55e76e0",
+    "transferwise-like": "b80de9209eca2a80332588dffb6181be1860914abea7b0c89b590d094950e5fc",
+    "monzo-like": "86e89147e7737886334a55d8c71b7c94f1db4ec8cfb0204edcd5b81fa4b6dc01",
+    "revolut-like": "998198ae1f9cf190d59147729ece6e0137600c5d8dbab7192ffc79f0d7046b96",
+}
+
+
+def test_fixture_json_reports_pinned(corpus, fleet, tmp_path, monkeypatch, capsys):
+    got = {}
+    for profile, data in [*corpus, *fleet]:
+        path = tmp_path / f"{profile.name}.apk"
+        path.write_bytes(data)
+        out = _cli_json_report(path, monkeypatch, capsys)
+        assert json.loads(out)["generated_at"] == "2024-01-01T00:00:00+00:00"
+        got[profile.name] = hashlib.sha256(out).hexdigest()
+    assert len(got) == 34
+    assert got == _FIXTURE_REPORT_PINS
+
+
+def _site_heavy_apk() -> bytes:
+    """520 File.delete sites over 40 methods, plus WebSettings calls with literal 1."""
+    sketches = []
+    for m in range(40):
+        ins = [("invoke-virtual", [m % 6], (JFILE, "delete", ("Z", ()))) for _ in range(13)]
+        if m % 8 == 0:
+            ins += [("const4", 1, 1), ("invoke-virtual", [0, 1], (WEBSETTINGS, "setJavaScriptEnabled", ("V", ("Z",))))]
+        if m % 10 == 3:
+            ins += [("const4", 1, 1), ("invoke-virtual", [0, 1], (WEBSETTINGS, "setAllowFileAccess", ("V", ("Z",))))]
+        sketches.append(MethodSketch(f"screen{m:02d}", ins + [("return-void",)]))
+    dex = emit_dex("Lbank/heavy/Screens;", sketches)
+    return pack_apk([("AndroidManifest.xml", build_manifest_bytes(clean_profile("heavy"))), ("classes.dex", dex.data)])
+
+
+# length and sha256 of the site-heavy app's `-f --format json` report
+_SITE_HEAVY_PIN = (276122, "ba2d673b8e25a72fe934878d6c8eb8607bd50197afc3740d133f2dd275e03346")
+
+
+def test_site_heavy_json_report_pinned(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "heavy.apk"
+    path.write_bytes(_site_heavy_apk())
+    out = _cli_json_report(path, monkeypatch, capsys)
+    rules = [s["rule"] for s in json.loads(out)["sections"]]
+    assert (rules.count("R11"), rules.count("R08"), rules.count("R07")) == (520, 5, 4)
+    report = render_report(scan_bytes(path.read_bytes(), "heavy.apk"), generated_at="2024-01-01T00:00:00+00:00")
+    assert out == (_dumps(_report_doc(report)) + "\n").encode()
+    assert (len(out), hashlib.sha256(out).hexdigest()) == _SITE_HEAVY_PIN
+
+
+# --- render_report ----------------------------------------------------------
+
+
+def test_render_report_sections_match_per_finding_oracle():
+    # Rules interleave. One R11 finding carries a severity other than its
+    # rule's default and follows an R11 finding, and an R02 finding follows
+    # it at the same severity, so a rank carried over within a rule or a
+    # background carried over within a severity would show.
+    def finding(rule, evidence, severity=None):
+        return Finding(rule, severity or RULE_SEVERITIES[rule], RULE_TITLES[rule], (evidence,), RULE_CATEGORIES[rule])
+
+    findings = (
+        finding(RuleId.R11, "a"),
+        finding(RuleId.R04, "b"),
+        finding(RuleId.R11, "c"),
+        finding(RuleId.R11, "d", Severity.CRITICAL),
+        finding(RuleId.R02, "e"),
+        finding(RuleId.R04, "f", Severity.INFO),
+    )
+    result = ScanResult("mixed.apk", findings, tuple(r in {f.rule for f in findings} for r in RuleId))
+    kb = load_knowledge_base()
+    order = sorted(range(len(findings)), key=lambda i: (-findings[i].severity.rank, findings[i].rule.index, i))
+    expected = tuple(
+        ReportSection(
+            rule=f.rule,
+            title=f.title,
+            evidence=f.evidence,
+            severity=f.severity,
+            category=f.category,
+            background=kb.backgrounds[f.rule],
+            recommendation=kb.countermeasures[f.rule].developer_action,
+        )
+        for f in (findings[i] for i in order)
+    )
+    report = render_report(result, kb, generated_at="t0")
+    assert report.sections == expected
+    assert [s.evidence[0] for s in report.sections] == ["e", "b", "d", "a", "c", "f"]

@@ -275,6 +275,28 @@ def test_r05_and_r11_presence():
     assert len(evaluate_rule(RuleId.R11, inp)) == 1
 
 
+def test_site_findings_cover_every_dex_in_order():
+    # One finding per site, the first DEX's sites first, each naming its own
+    # DEX; R08's literal suffix rides on the site that fired.
+    delete = ("invoke-virtual", [0], (JFILE, "delete", ("Z", ())))
+    second = parse_dex(
+        emit_dex(
+            "Ltest/app/Second;",
+            [MethodSketch("wipe", [delete, delete, ("return-void",)]), _settings_call("setJavaScriptEnabled", 1)],
+        ).data,
+        source_name="classes2.dex",
+    )
+    inp = make_input([MethodSketch("wipe", [delete, ("return-void",)])], extra_dexes=(second,))
+    r11 = evaluate_rule(RuleId.R11, inp)
+    assert [f.evidence[0].split(": ")[0] for f in r11] == ["classes.dex", "classes2.dex", "classes2.dex"]
+    assert {(f.severity, f.title, f.category, len(f.evidence)) for f in r11} == {
+        (Severity.NOTICE, "File unsafe deleting", "Storage", 1)
+    }
+    [r08] = evaluate_rule(RuleId.R08, inp)
+    assert r08.evidence[0].startswith("classes2.dex: Ltest/app/Second;->cfg_setJavaScriptEnabled_1 +0x")
+    assert r08.evidence[0].endswith(" calls Landroid/webkit/WebSettings;->setJavaScriptEnabled with literal 1")
+
+
 # --- R07 / R08 (WebView literals) --------------------------------------------
 
 
