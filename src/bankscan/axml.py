@@ -147,8 +147,10 @@ def _decode_string_pool(data: bytes, chunk_start: int, chunk_size: int) -> tuple
     offsets = struct.unpack_from(f"<{string_count}I", data, chunk_start + 28)
     base = chunk_start + strings_start
 
-    out: list[str] = []
-    for off in offsets:
+    # Offsets may repeat; each distinct one is decoded once, in first-use
+    # order, and its str is shared, so the pool costs no more than its data.
+    text = dict.fromkeys(offsets)
+    for off in text:
         pos = base + off
         if pos >= limit:
             raise TruncatedChunkError(f"string offset {off:#x} outside pool data")
@@ -157,10 +159,10 @@ def _decode_string_pool(data: bytes, chunk_start: int, chunk_size: int) -> tuple
             stop = pos + 2 + data[pos + 1]
             if stop > limit:
                 raise TruncatedChunkError("UTF-8 string data truncated")
-            out.append(data[pos + 2 : stop].decode("utf-8", "replace"))
+            text[off] = data[pos + 2 : stop].decode("utf-8", "replace")
         else:
-            out.append(_read_string(data, pos, limit, is_utf8))
-    return tuple(out)
+            text[off] = _read_string(data, pos, limit, is_utf8)
+    return tuple(map(text.__getitem__, offsets))
 
 
 def _read_varlen(data: bytes, pos: int, limit: int, wide: bool) -> tuple[int, int]:

@@ -4,10 +4,15 @@ Parses Dalvik executable files just far enough for rule queries: which
 methods are invoked where, which string constants exist, and what integer
 literal precedes a given call. The id sections (strings, types, protos,
 fields, methods) are fully decoded; each is range-checked once against the
-file and then read in bulk, not one entry at a time. ``parse_dex`` walks
-each instruction stream once with the published opcode format table, so
-every instruction's width, every payload and every invoke target is checked
-at parse time, but it builds no per-instruction record.
+file and then read in bulk, not one entry at a time, and each distinct
+string offset is decoded once. ``parse_dex`` walks each instruction stream
+once, so every instruction's width, every payload and every invoke target
+is checked at parse time, but it builds no per-instruction record. The walk
+maps the stream's opcode bytes through a 256-byte table, built from the
+published opcode format table, with one ``bytes.translate``; each entry is
+the opcode's width in code units, or a marker for the invoke family and for
+``nop``, which may start a payload. A plain instruction then costs one
+table read and two adds.
 
 That one walk records every invoke in a per-DEX call-site index (method
 index -> body ordinal, instruction position and byte offset), so
@@ -154,9 +159,20 @@ _PAYLOAD_HIGH_BYTES = (
     _PACKED_SWITCH_IDENT >> 8, _SPARSE_SWITCH_IDENT >> 8, _FILL_ARRAY_IDENT >> 8
 )
 
+# The walk's table: one byte per opcode, its width in code units, or a marker
+# above every width for the two opcodes whose width alone does not settle the
+# step. An invoke (width 3) needs its target checked and its site recorded; a
+# nop (width 1) starts a payload when its high byte is 1, 2 or 3.
+_MAX_UNITS = max(_OP_UNITS)
+_INVOKE_MARK = _MAX_UNITS + 1
+_NOP_MARK = _MAX_UNITS + 2
+_WALK_WIDTHS = bytes(
+    _INVOKE_MARK if op in INVOKE_OPS else _NOP_MARK if op == 0x00 else units
+    for op, units in enumerate(_OP_UNITS)
+)
 
-@dataclass(frozen=True)
-class MethodRef:
+
+class MethodRef(NamedTuple):
     owner: str   # defining type descriptor, e.g. Landroid/webkit/WebView;
     name: str
     shorty: str  # condensed signature, e.g. VL for (ref)void
@@ -188,9 +204,8 @@ class ClassDef:
     methods: tuple[MethodBody, ...]
 
 
-@dataclass(frozen=True)
-class InvocationSite:
-    body: MethodBody = field(repr=False)  # the calling method
+class InvocationSite(NamedTuple):
+    body: MethodBody  # the calling method
     index: int  # position of the invoke in body.instructions
     callee: MethodRef
     offset: int
@@ -283,12 +298,13 @@ def parse_dex(data: bytes, source_name: str = "classes.dex") -> DexImage:
     _validate_fields(data, field_ids_off, field_ids_size, len(type_names), len(strings))
 
     method_refs = []
+    make = tuple.__new__  # skips NamedTuple.__new__'s per-field argument binding
     method_ids = data[method_ids_off : method_ids_off + 8 * method_ids_size]
     for i, (class_idx, proto_idx, name_idx) in enumerate(struct.iter_unpack("<HHI", method_ids)):
         if class_idx >= len(type_names) or proto_idx >= len(proto_shorties) or name_idx >= len(strings):
             raise SectionOutOfBoundsError(f"method_id {i} has out-of-range indices")
         method_refs.append(
-            MethodRef(owner=type_names[class_idx], name=strings[name_idx], shorty=proto_shorties[proto_idx])
+            make(MethodRef, (type_names[class_idx], strings[name_idx], proto_shorties[proto_idx]))
         )
 
     classes = []
@@ -322,21 +338,25 @@ def parse_dex(data: bytes, source_name: str = "classes.dex") -> DexImage:
 
 def _parse_strings(data: bytes, off: int, count: int) -> list[str]:
     n = len(data)
-    out = []
-    for i, data_off in enumerate(struct.unpack(f"<{count}I", data[off : off + 4 * count])):
+    ids = struct.unpack(f"<{count}I", data[off : off + 4 * count])
+    # string_data offsets may repeat; each distinct one is decoded once, in
+    # first-use order, and its str is shared, so the pool costs no more than
+    # the file. An error names the first id that uses the offset.
+    text = dict.fromkeys(ids)
+    for data_off in text:
         if data_off >= n:
-            raise SectionOutOfBoundsError(f"string_data of string {i} at {data_off:#x}")
+            raise SectionOutOfBoundsError(f"string_data of string {ids.index(data_off)} at {data_off:#x}")
         if data[data_off] < 0x80:  # the usual one-byte UTF-16 length, unused
             start = data_off + 1
         else:
             start = data_off + _uleb128(data, data_off, n)[1]
         end = data.find(b"\x00", start)
         if end < 0:
-            raise SectionOutOfBoundsError(f"string {i} is not NUL terminated")
+            raise SectionOutOfBoundsError(f"string {ids.index(data_off)} is not NUL terminated")
         # MUTF-8 differs from UTF-8 only for embedded NULs and supplementary
         # characters; tolerant decoding is fine for matching purposes.
-        out.append(data[start:end].decode("utf-8", "replace"))
-    return out
+        text[data_off] = data[start:end].decode("utf-8", "replace")
+    return list(map(text.__getitem__, ids))
 
 
 def _parse_protos(data, off, count, strings, type_count) -> list[str]:
@@ -448,33 +468,40 @@ def _walk_instructions(
     DEX's ``body_table``; every invoke appends (ordinal, its position in the
     stream, its byte offset) under its method index, after checking that
     index against ``method_count``. No record is built.
+
+    An instruction that runs past the stream can only be the last one
+    reached, so the end check runs once, after the loop.
     """
-    pos = 0
-    position = 0
-    n = len(code)
-    while pos < n:
-        if pos + 2 > n:
-            raise SectionOutOfBoundsError(f"dangling byte in {owner}->{name}")
-        op = code[pos]
-        if op == 0x00 and code[pos + 1] in _PAYLOAD_HIGH_BYTES:
-            units = _payload_units(code, pos, code[pos + 1] << 8, owner, name)
-        else:
-            units = _OP_UNITS[op]
-        end = pos + units * 2
-        if end > n:
-            raise SectionOutOfBoundsError(
-                f"instruction 0x{op:02x} at +{pos:#x} overruns {owner}->{name}"
-            )
-        if op in INVOKE_OPS:
-            method_index = code[pos + 2] | code[pos + 3] << 8
-            if method_index >= method_count:
-                raise SectionOutOfBoundsError(
-                    f"invoke in {owner}->{name} names method {method_index}, "
-                    f"only {method_count} defined"
-                )
-            call_sites[method_index].append((ordinal, position, pos))
-        pos = end
+    steps = code[::2].translate(_WALK_WIDTHS)  # entry u: width or marker of code unit u's opcode
+    count = len(code) >> 1
+    unit = position = units = 0
+    while unit < count:
+        units = steps[unit]
+        if units > _MAX_UNITS:
+            if units == _INVOKE_MARK:
+                units = 3  # formats 35c and 3rc alike
+                if unit + 3 <= count:  # otherwise the overrun is raised below
+                    pos = unit * 2
+                    method_index = code[pos + 2] | code[pos + 3] << 8
+                    if method_index >= method_count:
+                        raise SectionOutOfBoundsError(
+                            f"invoke in {owner}->{name} names method {method_index}, "
+                            f"only {method_count} defined"
+                        )
+                    call_sites[method_index].append((ordinal, position, pos))
+            elif code[unit * 2 + 1] in _PAYLOAD_HIGH_BYTES:
+                units = _payload_units(code, unit * 2, code[unit * 2 + 1] << 8, owner, name)
+            else:
+                units = 1  # a plain nop
+        unit += units
         position += 1
+    if unit > count:
+        pos = (unit - units) * 2
+        raise SectionOutOfBoundsError(
+            f"instruction 0x{code[pos]:02x} at +{pos:#x} overruns {owner}->{name}"
+        )
+    if len(code) & 1:
+        raise SectionOutOfBoundsError(f"dangling byte in {owner}->{name}")
 
 
 def _decode_instructions(code: bytes, owner: str, name: str) -> tuple[Instruction, ...]:
@@ -525,10 +552,11 @@ def _sites_of(dex: DexImage, targets: list[int]) -> list[InvocationSite]:
     ]
     if len(targets) > 1:
         located.sort()  # merge the per-target runs, each already in body order
+    make = tuple.__new__
+    bodies = dex.body_table
+    refs = dex.method_refs
     return [
-        InvocationSite(
-            body=dex.body_table[ordinal], index=position, callee=dex.method_refs[i], offset=offset
-        )
+        make(InvocationSite, (bodies[ordinal], position, refs[i], offset))
         for ordinal, position, offset, i in located
     ]
 

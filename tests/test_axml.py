@@ -6,6 +6,7 @@ assertions read the chunk layout directly with struct as a second opinion.
 """
 
 import struct
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -332,3 +333,28 @@ def test_long_strings_round_trip(utf8):
     doc = decode_axml(encode_document(round_trip, utf8=utf8))
     assert doc.root.attr("label", namespace=None) == "y" * 300
     assert doc.root.attr("short", namespace=None) == "ab"
+
+
+def test_repeated_pool_offsets_share_one_decoded_string():
+    # A UTF-16 pool: "manifest", then 1,000 offsets on one 50,000-unit string.
+    long_units = 50_000
+    body = _varlen(8, True) + "manifest".encode("utf-16-le") + b"\x00\x00"
+    long_off = len(body)
+    body += _varlen(long_units, True) + "s".encode("utf-16-le") * long_units + b"\x00\x00"
+    offsets = [0] + [long_off] * 1000
+    start = 28 + 4 * len(offsets)
+    header = struct.pack("<HHIIIIII", 0x0001, 28, start + len(body), len(offsets), 0, 0, start, 0)
+    pool = header + struct.pack(f"<{len(offsets)}I", *offsets) + body
+    data = _doc(pool, _start(0), _end(0))
+    tracemalloc.start()
+    try:
+        doc = decode_axml(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert doc.root.name == "manifest"
+    shared = doc.string_pool[1:]
+    assert len(shared) == 1000 and shared[0] == "s" * long_units
+    assert all(s is shared[0] for s in shared)
+    # 1,000 separately decoded copies would take 50 MB.
+    assert peak < 2 * 1024 * 1024

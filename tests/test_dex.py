@@ -8,7 +8,9 @@ cross-check section counts.
 import gc
 import hashlib
 import struct
+import tracemalloc
 import zlib
+from collections import defaultdict
 
 import pytest
 from hypothesis import example, given, settings
@@ -769,3 +771,211 @@ def test_multibyte_uleb128_method_diff_and_string_length():
     for i in (0, 127, 128, 129):
         [site] = invocations_of(image, "La/A;", f"m{i:03d}")
         assert site.index == 2 + i
+
+
+# --- the instruction walk against its oracle ---------------------------------
+# The byte-at-a-time walker as it stood before the width-table walk, kept
+# verbatim as the reference: same call_sites, or the same exception class
+# and message, on every stream. Its width table is rebuilt here from the
+# parser's format names, so the oracle never reads the walk's own table.
+
+_OP_UNITS = tuple(dex_module._FORMAT_UNITS[f] for f in dex_module.OPCODE_FORMATS)
+INVOKE_OPS = frozenset(range(0x6E, 0x73)) | frozenset(range(0x74, 0x79))
+_PACKED_SWITCH_IDENT = 0x0100
+_SPARSE_SWITCH_IDENT = 0x0200
+_FILL_ARRAY_IDENT = 0x0300
+_PAYLOAD_HIGH_BYTES = (
+    _PACKED_SWITCH_IDENT >> 8, _SPARSE_SWITCH_IDENT >> 8, _FILL_ARRAY_IDENT >> 8
+)
+
+
+def _payload_units(code: bytes, pos: int, ident: int, owner: str, name: str) -> int:
+    def halfword(at):
+        if at + 2 > len(code):
+            raise SectionOutOfBoundsError(
+                f"switch/array payload truncated in {owner}->{name}"
+            )
+        return struct.unpack_from("<H", code, at)[0]
+
+    size = halfword(pos + 2)
+    if ident == _PACKED_SWITCH_IDENT:
+        return size * 2 + 4
+    if ident == _SPARSE_SWITCH_IDENT:
+        return size * 4 + 2
+    width = size  # element_width for fill-array-data
+    count_lo = halfword(pos + 4)
+    count_hi = halfword(pos + 6)
+    count = (count_hi << 16) | count_lo
+    return (width * count + 1) // 2 + 4
+
+
+def _oracle_walk_instructions(
+    code: bytes, owner: str, name: str, method_count: int, call_sites, ordinal: int
+) -> None:
+    pos = 0
+    position = 0
+    n = len(code)
+    while pos < n:
+        if pos + 2 > n:
+            raise SectionOutOfBoundsError(f"dangling byte in {owner}->{name}")
+        op = code[pos]
+        if op == 0x00 and code[pos + 1] in _PAYLOAD_HIGH_BYTES:
+            units = _payload_units(code, pos, code[pos + 1] << 8, owner, name)
+        else:
+            units = _OP_UNITS[op]
+        end = pos + units * 2
+        if end > n:
+            raise SectionOutOfBoundsError(
+                f"instruction 0x{op:02x} at +{pos:#x} overruns {owner}->{name}"
+            )
+        if op in INVOKE_OPS:
+            method_index = code[pos + 2] | code[pos + 3] << 8
+            if method_index >= method_count:
+                raise SectionOutOfBoundsError(
+                    f"invoke in {owner}->{name} names method {method_index}, "
+                    f"only {method_count} defined"
+                )
+            call_sites[method_index].append((ordinal, position, pos))
+        pos = end
+        position += 1
+
+
+def _walk_outcome(walk, code, method_count):
+    sites = defaultdict(list)
+    try:
+        walk(code, "Lw/W;", "m", method_count, sites, 7)
+    except Exception as exc:  # noqa: BLE001 - the class is part of the outcome
+        return type(exc), str(exc)
+    return dict(sites)
+
+
+def _assert_walk_matches_oracle(code, method_count):
+    expected = _walk_outcome(_oracle_walk_instructions, code, method_count)
+    assert _walk_outcome(dex_module._walk_instructions, code, method_count) == expected, (code.hex(), method_count)
+    return expected
+
+
+def _units(values):
+    return struct.pack(f"<{len(values)}H", *values)
+
+
+def test_walk_matches_oracle_on_every_opcode_byte():
+    # Each opcode byte with a payload-starting and a plain high byte, a full
+    # instruction plus return-void, then every cut of it, odd lengths included.
+    outcomes = set()
+    for op in range(256):
+        for high in (0x00, 0x01, 0x02, 0x03, 0x7F):
+            code = _units([op | high << 8, 1, 2, 3, 4, 0x000E])
+            for cut in range(len(code) + 1):
+                outcome = _assert_walk_matches_oracle(code[:cut], 2)
+                outcomes.add(outcome[0].__name__ if isinstance(outcome, tuple) else "ok")
+    assert outcomes == {"ok", "SectionOutOfBoundsError"}
+
+
+@st.composite
+def _instruction_streams(draw):
+    method_count = draw(st.integers(0, 40))
+    units = []
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(st.sampled_from(("op", "op", "invoke", "payload")))
+        if kind == "op":
+            op = draw(st.integers(0, 255))
+            high = draw(st.sampled_from((0, 1, 2, 3, draw(st.integers(0, 255)))))
+            units.append(op | high << 8)
+            units += draw(st.lists(st.integers(0, 0xFFFF), min_size=_OP_UNITS[op] - 1, max_size=_OP_UNITS[op] - 1))
+        elif kind == "invoke":
+            op = draw(st.sampled_from(sorted(INVOKE_OPS)))
+            target = draw(st.integers(0, method_count + 3))  # in range, or just past it
+            units += [op | draw(st.integers(0, 255)) << 8, target, draw(st.integers(0, 0xFFFF))]
+        else:
+            ident = draw(st.sampled_from((_PACKED_SWITCH_IDENT, _SPARSE_SWITCH_IDENT, _FILL_ARRAY_IDENT)))
+            size = draw(st.integers(0, 6))
+            if ident == _FILL_ARRAY_IDENT:
+                count = draw(st.sampled_from((0, 1, 5, draw(st.integers(0, 0xFFFFFFFF)))))
+                header = [ident, size, count & 0xFFFF, count >> 16]
+                total = (size * count + 1) // 2 + 4
+            else:
+                header = [ident, size]
+                total = size * 2 + 4 if ident == _PACKED_SWITCH_IDENT else size * 4 + 2
+            # Emit the declared length, or fewer units so that the payload
+            # runs into what follows or past the end of the stream.
+            body = max(0, min(total, 64) - len(header) - draw(st.integers(0, 3)))
+            units += header + draw(st.lists(st.integers(0, 0xFFFF), min_size=body, max_size=body))
+    code = _units(units)
+    cut = draw(st.one_of(st.none(), st.integers(0, len(code))))
+    return (code if cut is None else code[:cut]), method_count
+
+
+@settings(max_examples=400, deadline=None)
+@given(_instruction_streams())
+@example((_units([0x6E, 3, 0, 0x000E]), 4))  # an in-range invoke
+@example((_units([0x6E, 4, 0, 0x000E]), 4))  # a target one past the last method
+@example((_units([0x0012, 0x0100, 2, 0, 0, 0, 0, 0, 0])[:-1], 0))  # a packed switch cut mid-unit
+@example((b"\x0e\x00\x00", 0))  # a dangling byte
+def test_walk_matches_oracle(stream):
+    code, method_count = stream
+    _assert_walk_matches_oracle(code, method_count)
+
+
+# --- shared string data --------------------------------------------------------
+
+
+def _shared_string_dex(artifact, repeats: int, length: int) -> bytes:
+    """``artifact`` with ``repeats`` extra string_ids all naming one ``length``-byte string.
+
+    The string's data and a new string_ids table (the old ids, then the
+    repeats) are appended, and the header is pointed at the new table.
+    """
+    data = bytearray(artifact.data)
+    count, ids_off = _u32(data, 0x38), _u32(data, 0x3C)
+    old_ids = data[ids_off : ids_off + 4 * count]
+    shared_off = len(data)
+    data += bytes([0x80 | length & 0x7F, 0x80 | length >> 7 & 0x7F, length >> 14]) + b"s" * length + b"\x00"
+    while len(data) % 4:
+        data += b"\x00"
+    struct.pack_into("<II", data, 0x38, count + repeats, len(data))
+    data += old_ids + struct.pack("<I", shared_off) * repeats
+    return bytes(data)
+
+
+def test_repeated_string_ids_share_one_decoded_string(clean_artifact):
+    data = _shared_string_dex(clean_artifact, 1000, 50_000)
+    assert 50_000 < len(data) < 60_000
+    tracemalloc.start()
+    try:
+        image = parse_dex(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    shared = image.string_pool[-1000:]
+    assert shared[0] == "s" * 50_000
+    assert all(s is shared[0] for s in shared)
+    # 1,000 separately decoded copies would take 50 MB.
+    assert peak < 2 * 1024 * 1024
+    assert image.string_pool[:-1000] == parse_dex(clean_artifact.data).string_pool
+
+
+# --- record types --------------------------------------------------------------
+
+
+def test_method_ref_and_invocation_site_records():
+    ref = dex_module.MethodRef(owner="Landroid/webkit/WebView;", name="loadUrl", shorty="VL")
+    assert repr(ref) == "MethodRef(owner='Landroid/webkit/WebView;', name='loadUrl', shorty='VL')"
+    assert ref == ("Landroid/webkit/WebView;", "loadUrl", "VL")
+    assert dex_module.InvocationSite._fields == ("body", "index", "callee", "offset")
+    images = _multidex_images()
+    assert len(images) == 2
+    for image in images:
+        ordinal_of = {id(body): k for k, body in enumerate(image.body_table)}
+        sites = dex_module.invocations_where(image, lambda ref: True)
+        assert len(sites) == sum(len(v) for v in image.call_sites.values())
+        names = sorted({ref.name for ref in image.method_refs})
+        for found in [sites] + [invocations_of(image, "*", name) for name in names]:
+            keys = [(ordinal_of[id(site.body)], site.index) for site in found]
+            assert keys == sorted(set(keys)), image.source_name
+        for site in sites:
+            assert site.callee in image.method_refs
+            assert site.body.instructions[site.index].offset == site.offset
+            assert repr(site.callee) == (
+                f"MethodRef(owner={site.callee.owner!r}, name={site.callee.name!r}, shorty={site.callee.shorty!r})"
+            )
