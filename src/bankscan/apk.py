@@ -16,8 +16,8 @@ from __future__ import annotations
 import re
 import struct
 import zlib
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 EOCD_SIG = b"PK\x05\x06"
 CENTRAL_SIG = b"PK\x01\x02"
@@ -66,8 +66,7 @@ class UnsupportedCompressionError(ApkError):
     """Entry uses a compression method other than stored/deflate."""
 
 
-@dataclass(frozen=True)
-class ApkEntry:
+class ApkEntry(NamedTuple):
     name: str
     method: int
     crc32: int
@@ -77,8 +76,7 @@ class ApkEntry:
     flags: int
 
 
-@dataclass(frozen=True)
-class ApkArchive:
+class ApkArchive(NamedTuple):
     source_path: Path | None
     data: bytes
     entries: tuple[ApkEntry, ...]
@@ -123,6 +121,7 @@ def load_apk(data: bytes, source_path: Path | None = None) -> ApkArchive:
 
     entries: list[ApkEntry] = []
     seen: set[str] = set()
+    make = tuple.__new__  # skips NamedTuple.__new__'s per-field argument binding
     pos = cd_offset
     for _ in range(entry_count):
         if pos + 46 > eocd_pos:
@@ -149,17 +148,7 @@ def load_apk(data: bytes, source_path: Path | None = None) -> ApkArchive:
         if name in seen:
             raise TruncatedArchiveError(f"duplicate entry name {name!r}")
         seen.add(name)
-        entries.append(
-            ApkEntry(
-                name=name,
-                method=method,
-                crc32=crc,
-                compressed_size=csize,
-                uncompressed_size=usize,
-                local_header_offset=local_off + shift,
-                flags=flags,
-            )
-        )
+        entries.append(make(ApkEntry, (name, method, crc, csize, usize, local_off + shift, flags)))
         pos = name_end + extra_len + comment_len
 
     if MANIFEST_NAME not in seen:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 ANDROID_NS = "http://schemas.android.com/apk/res/android"
 
@@ -65,8 +66,7 @@ class StringIndexOutOfRangeError(AxmlError):
     """A string reference points outside the string pool."""
 
 
-@dataclass(frozen=True)
-class ResourceRef:
+class ResourceRef(NamedTuple):
     """A reference-typed attribute value (points at a resource table entry)."""
 
     resource_id: int
@@ -77,8 +77,7 @@ class ResourceRef:
 AttrValue = str | int | bool | ResourceRef | None
 
 
-@dataclass(frozen=True)
-class AxmlAttribute:
+class AxmlAttribute(NamedTuple):
     namespace: str | None
     name: str
     value: AttrValue
@@ -230,6 +229,7 @@ def decode_axml(data: bytes) -> AxmlDocument:
             )
         return pool[idx]
 
+    make = tuple.__new__  # skips NamedTuple.__new__'s per-field argument binding
     pos = header_size
     while pos < n:
         if pos + 8 > n:
@@ -273,11 +273,11 @@ def decode_axml(data: bytes) -> AxmlDocument:
                 elif dtype == TYPE_INT_BOOLEAN:
                     value = dvalue != 0
                 elif dtype == TYPE_REFERENCE:
-                    value = ResourceRef(dvalue)
+                    value = make(ResourceRef, (dvalue,))
                 else:
                     warnings.append(f"attribute {name!r}: unhandled value type 0x{dtype:02x}")
                     value = None
-                attrs.append(AxmlAttribute(namespace=namespace, name=name, value=value))
+                attrs.append(make(AxmlAttribute, (namespace, name, value)))
             elem = AxmlElement(
                 namespace=None if ns_idx == _NO_INDEX else string_at(ns_idx, "element namespace"),
                 name=string_at(name_idx, "element name"),

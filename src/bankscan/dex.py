@@ -198,8 +198,7 @@ class MethodBody:
         return _decode_instructions(self.code, self.owner, self.name)
 
 
-@dataclass(frozen=True)
-class ClassDef:
+class ClassDef(NamedTuple):
     type_name: str
     methods: tuple[MethodBody, ...]
 
@@ -599,10 +598,12 @@ def string_pool_has(dex: DexImage, needles: Sequence[str], mode: str = "substrin
         return False
     # A needle absent from the joined pool is absent from every string in it,
     # so one C-level search per needle settles the usual no-hit case; a
-    # NUL-free needle found there lies inside one string.
-    joined = "\x00".join(pool)
+    # NUL-free needle found there lies inside one string. Only distinct
+    # strings are joined, so ids sharing one string cost it once.
+    distinct = dict.fromkeys(pool)
+    joined = "\x00".join(distinct)
     return any(
-        "\x00" not in needle or any(needle in s for s in pool)
+        "\x00" not in needle or any(needle in s for s in distinct)
         for needle in needles
         if needle in joined
     )

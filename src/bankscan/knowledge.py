@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass
 from importlib import resources
+from typing import NamedTuple
 
 from .rules import RuleId
 
@@ -25,26 +25,22 @@ _DATA_PACKAGE = __package__
 _DATA_FILE = "data/knowledge.json"
 
 
-@dataclass(frozen=True)
-class ThreatEntry:
+class ThreatEntry(NamedTuple):
     rule: RuleId
     threat_name: str
     description: str
 
 
-@dataclass(frozen=True)
-class CountermeasureEntry:
+class CountermeasureEntry(NamedTuple):
     rule: RuleId
     developer_action: str
 
 
-@dataclass(frozen=True)
-class UserCountermeasure:
+class UserCountermeasure(NamedTuple):
     text: str
 
 
-@dataclass(frozen=True)
-class KnowledgeBase:
+class KnowledgeBase(NamedTuple):
     threats: dict[RuleId, ThreatEntry]
     countermeasures: dict[RuleId, CountermeasureEntry]
     backgrounds: dict[RuleId, str]

@@ -10,12 +10,9 @@ defaults depend on exactly that.
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .axml import ANDROID_NS, AxmlDocument, AxmlElement, AxmlError, ResourceRef
-
-logger = logging.getLogger(__name__)
 
 COMPONENT_KINDS = ("activity", "service", "receiver", "provider")
 
@@ -43,15 +40,13 @@ class MissingPackageNameError(ManifestError):
     """Manifest has no (or an empty) package attribute."""
 
 
-@dataclass(frozen=True)
-class IntentFilterDecl:
+class IntentFilterDecl(NamedTuple):
     actions: tuple[str, ...]
     categories: tuple[str, ...]
     data_specs: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class ComponentDecl:
+class ComponentDecl(NamedTuple):
     kind: str
     name: str
     exported: bool | None
@@ -59,20 +54,17 @@ class ComponentDecl:
     intent_filters: tuple[IntentFilterDecl, ...]
 
 
-@dataclass(frozen=True)
-class PermissionDecl:
+class PermissionDecl(NamedTuple):
     name: str
     protection_level: str  # normal | dangerous | signature | signatureOrSystem | unset
 
 
-@dataclass(frozen=True)
-class ApplicationAttrs:
+class ApplicationAttrs(NamedTuple):
     allow_backup: bool | None
     debuggable: bool | None
 
 
-@dataclass(frozen=True)
-class ManifestModel:
+class ManifestModel(NamedTuple):
     package_name: str
     min_sdk: int | None
     target_sdk: int | None
@@ -110,7 +102,9 @@ def _as_bool(value) -> bool | None:
 def _bool_attr(elem: AxmlElement, name: str) -> bool | None:
     value = elem.attr(name)
     if isinstance(value, ResourceRef):
-        logger.warning(
+        import logging  # only this fallback logs, so a scan imports logging only when it meets one
+
+        logging.getLogger(__name__).warning(
             "boolean attribute %s holds resource reference 0x%08x; treating as unset",
             name,
             value.resource_id,

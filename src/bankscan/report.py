@@ -23,8 +23,7 @@ import datetime as _dt
 import io
 import json
 from collections import Counter
-from dataclasses import dataclass
-from decimal import ROUND_HALF_UP, Decimal
+from typing import NamedTuple
 
 from .knowledge import KnowledgeBase, load_knowledge_base
 from .rules import RULE_COUNT, RULE_TITLES, RuleId, ScanResult, Severity
@@ -47,8 +46,7 @@ class UnknownFormatError(ReportError):
     """Requested serialization format is not text/json/csv."""
 
 
-@dataclass(frozen=True)
-class ReportSection:
+class ReportSection(NamedTuple):
     rule: RuleId
     title: str
     evidence: tuple[str, ...]
@@ -58,8 +56,7 @@ class ReportSection:
     recommendation: str
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     apk_name: str
     generated_at: str
     sections: tuple[ReportSection, ...]
@@ -67,8 +64,7 @@ class Report:
     schema_version: int = SCHEMA_VERSION
 
 
-@dataclass(frozen=True)
-class FleetMatrix:
+class FleetMatrix(NamedTuple):
     apps: tuple[str, ...]
     rules: tuple[RuleId, ...]
     cells: tuple[tuple[bool, ...], ...]
@@ -80,8 +76,10 @@ class FleetMatrix:
 
 def format_percentage(count: int, out_of: int = RULE_COUNT) -> str:
     """count/out_of as a percentage string, two decimals, half-up rounding."""
-    value = Decimal(100 * count) / Decimal(out_of)
-    return str(value.quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
+    hundredths, rest = divmod(10000 * count, out_of)
+    if 2 * rest >= out_of:
+        hundredths += 1
+    return f"{hundredths // 100}.{hundredths % 100:02d}"
 
 
 def render_report(
@@ -97,6 +95,7 @@ def render_report(
     # Sort key (-severity rank, rule index, position). Rank, index and knowledge
     # text are looked up once per run of findings sharing a severity or a rule.
     keyed, rule, severity = [], None, None
+    make = tuple.__new__  # skips NamedTuple.__new__'s per-field argument binding
     for i, f in enumerate(result.findings):
         if f.rule is not rule:
             rule = f.rule
@@ -105,7 +104,7 @@ def render_report(
         if f.severity is not severity:
             severity = f.severity
             rank = -severity.rank
-        section = ReportSection(rule, f.title, f.evidence, severity, f.category, background, recommendation)
+        section = make(ReportSection, (rule, f.title, f.evidence, severity, f.category, background, recommendation))
         keyed.append((rank, index, i, section))
     keyed.sort()  # positions are distinct, so sections are never compared
     return Report(

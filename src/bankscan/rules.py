@@ -21,6 +21,7 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .dex import (
     DexImage,
@@ -144,8 +145,7 @@ RULE_CATEGORIES: dict[RuleId, str] = {
 }
 
 
-@dataclass(frozen=True)
-class Finding:
+class Finding(NamedTuple):
     rule: RuleId
     severity: Severity
     title: str
@@ -164,8 +164,7 @@ class ScanInput:
             raise ValueError("scan input needs at least one DEX image")
 
 
-@dataclass(frozen=True)
-class ScanResult:
+class ScanResult(NamedTuple):
     apk_name: str
     findings: tuple[Finding, ...]
     rule_vector: tuple[bool, ...]
@@ -186,16 +185,20 @@ def _site_findings(rule: RuleId, sites: list, suffix: str = "") -> list[Finding]
     if not sites:  # the usual case on most apps: skip the lookups
         return []
     severity, title, category = RULE_SEVERITIES[rule], RULE_TITLES[rule], RULE_CATEGORIES[rule]
+    make = tuple.__new__  # skips NamedTuple.__new__'s per-field argument binding
     return [
-        Finding(
-            rule,
-            severity,
-            title,
+        make(
+            Finding,
             (
-                f"{dex.source_name}: {site.body.owner}->{site.body.name} +0x{site.offset:04x} "
-                f"calls {site.callee.owner}->{site.callee.name}{suffix}",
+                rule,
+                severity,
+                title,
+                (
+                    f"{dex.source_name}: {site.body.owner}->{site.body.name} +0x{site.offset:04x} "
+                    f"calls {site.callee.owner}->{site.callee.name}{suffix}",
+                ),
+                category,
             ),
-            category,
         )
         for dex, site in sites
     ]

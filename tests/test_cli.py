@@ -221,6 +221,28 @@ def test_module_entry_point_subprocess(fleet_dir):
     assert "Security report" in proc.stdout
 
 
+_IMPORT_PROBE = """
+import sys
+import bankscan.cli
+out = sys.argv[2]
+codes = [bankscan.cli.main(["-f", sys.argv[1], "--format", fmt, "-o", out]) for fmt in ("text", "json")]
+print(codes, sorted(m for m in ("decimal", "logging") if m in sys.modules))
+"""
+
+
+def test_fresh_scan_imports_neither_logging_nor_decimal(apk_on_disk, tmp_path):
+    # A fresh interpreter: pytest itself has imported logging in this one.
+    path = apk_on_disk("cleanapp", frozenset())
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, path, str(tmp_path / "report.out")],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.stderr == ""
+    assert proc.stdout == "[0, 0] []\n"
+    assert '"kind": "report"' in (tmp_path / "report.out").read_text()
+
+
 class _PinnedClock(datetime.datetime):
     @classmethod
     def now(cls, tz=None):

@@ -38,6 +38,7 @@ from bankscan.fixtures import (
     build_dex,
     build_fixture,
     build_manifest_bytes,
+    clean_profile,
     emit_dex,
     fleet_profiles,
     pack_apk,
@@ -953,6 +954,22 @@ def test_repeated_string_ids_share_one_decoded_string(clean_artifact):
     # 1,000 separately decoded copies would take 50 MB.
     assert peak < 2 * 1024 * 1024
     assert image.string_pool[:-1000] == parse_dex(clean_artifact.data).string_pool
+
+
+def test_repeated_string_ids_do_not_multiply_scan_memory(clean_artifact):
+    # R09's pool query joins the pool; repeated ids must not repeat the string there.
+    manifest = build_manifest_bytes(clean_profile())
+    apk = pack_apk([("AndroidManifest.xml", manifest), ("classes.dex", _shared_string_dex(clean_artifact, 1000, 50_000))])
+    tracemalloc.start()
+    try:
+        result = scanner.scan_bytes(apk, "shared.apk")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    plain = pack_apk([("AndroidManifest.xml", manifest), ("classes.dex", clean_artifact.data)])
+    assert result.findings == scanner.scan_bytes(plain, "shared.apk").findings
+    # The pool holds 50 KB of distinct strings; joining every id would take 50 MB.
+    assert peak < 2 * 1024 * 1024
 
 
 # --- record types --------------------------------------------------------------

@@ -4,9 +4,10 @@ import datetime
 import hashlib
 import json
 import types
+from decimal import ROUND_HALF_UP, Decimal
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bankscan import report as report_module
@@ -141,6 +142,25 @@ def test_percentage_matches_integer_half_up_oracle(k):
     cents = (2 * 10000 * k + 14) // 28
     expected = f"{cents // 100}.{cents % 100:02d}"
     assert format_percentage(k) == expected
+
+
+@st.composite
+def _count_out_of(draw):
+    out_of = draw(st.integers(1, 10**6))
+    return draw(st.integers(0, out_of)), out_of
+
+
+@settings(max_examples=500)
+@example(pair=(1, 800))  # exactly half a hundredth: 0.125 -> 0.13
+@example(pair=(3, 800))
+@example(pair=(1, 1600))
+@example(pair=(0, 1))
+@example(pair=(10**6, 10**6))
+@given(pair=_count_out_of())
+def test_percentage_matches_decimal_half_up(pair):
+    count, out_of = pair
+    expected = (Decimal(100 * count) / Decimal(out_of)).quantize(Decimal("0.01"), rounding=ROUND_HALF_UP)
+    assert format_percentage(count, out_of) == str(expected)
 
 
 def test_matrix_csv_exact_bytes():
