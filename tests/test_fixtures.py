@@ -5,19 +5,26 @@ import io
 import zipfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bankscan.fixtures import (
     CodeKnobs,
     FixtureProfile,
     InconsistentProfileError,
+    ManifestKnobs,
     build_fixture,
     build_manifest_bytes,
     clean_profile,
+    emit_dex,
     fleet_profiles,
     implied_rules,
+    method_sketches,
+    pack_apk,
     profile_for_rules,
     rule_oracle_corpus,
 )
+from bankscan.fixtures.profiles import PERMISSION_LEVELS, PROVIDER_EXPORT_MODES
 from bankscan.axml import decode_axml
 from bankscan.manifest import build_manifest_model
 from bankscan.rules import RuleId
@@ -48,6 +55,51 @@ def test_corpus_soundness_loop(corpus):
 def test_fleet_soundness_loop(fleet):
     for profile, data in fleet:
         assert positives_from_scan(data, profile.name) == profile.positive_rules, profile.name
+
+
+manifest_knobs = st.builds(
+    ManifestKnobs,
+    allow_backup=st.sampled_from((False, True, None)),
+    provider_export=st.sampled_from(PROVIDER_EXPORT_MODES),
+    permission_level=st.sampled_from(PERMISSION_LEVELS),
+    empty_intent_filter=st.booleans(),
+    target_sdk=st.sampled_from((None, 16, 28)),
+)
+tristate = st.sampled_from((None, False, True))
+code_knobs = st.builds(
+    CodeKnobs,
+    **{name: tristate if name.startswith("set_") else st.booleans() for name in CodeKnobs.__dataclass_fields__},
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    mk=manifest_knobs,
+    ck=code_knobs,
+    compress=st.booleans(),
+    prefix=st.sampled_from((b"", b"\xde\xad\xbe\xef" * 8)),
+    split=st.integers(min_value=0, max_value=10),
+)
+def test_scan_matches_implied_rules_over_knob_space(mk, ck, compress, prefix, split):
+    # The whole knob space, not just the 34 named profiles: whatever the
+    # knobs, the scan fires exactly the rules the builder-side model implies.
+    # ``split`` > 0 moves the methods from that one on into classes2.dex.
+    implied = implied_rules(mk, ck)
+    profile = FixtureProfile(name="knobs", positive_rules=implied, manifest_knobs=mk, code_knobs=ck)
+    sketches = method_sketches(ck)
+    if 0 < split < len(sketches):
+        apk = pack_apk(
+            [
+                ("AndroidManifest.xml", build_manifest_bytes(profile)),
+                ("classes.dex", emit_dex("Lfixture/knobs/First;", sketches[:split]).data),
+                ("classes2.dex", emit_dex("Lfixture/knobs/Second;", sketches[split:]).data),
+            ],
+            compress=compress,
+        )
+    else:
+        apk = build_fixture(profile, compress=compress)
+    result = scan_bytes(prefix + apk, "knobs.apk")
+    assert result.rule_vector == tuple(rule in implied for rule in RuleId)
 
 
 def test_clean_profile_is_all_negative(clean_apk):
