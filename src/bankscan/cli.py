@@ -180,7 +180,7 @@ def _threshold_hit(results: list[ScanResult], threshold: Severity | None) -> boo
 def _collect_inputs(config: CliConfig) -> list[Path]:
     files = list(config.inputs)
     for d in config.dirs:
-        files.extend(sorted(d.glob("*.apk")))
+        files.extend(sorted(d.glob("*.apk"), key=lambda p: p.name))  # one directory: same order as the paths
     return files
 
 

@@ -10,6 +10,15 @@ All rules are pure functions of the scan input, so results are
 deterministic and the rules could be evaluated in any order or in parallel;
 findings are always merged in rule order.
 
+The code rules' call targets are data: ``CODE_TARGETS`` maps a method name
+to an owner, a shorty and a target key. ``ScanInput.targets`` resolves the
+table once per scan, with one dict lookup per invoked method of each DEX,
+and every code rule reads that resolution instead of querying the DEX
+again. A rule that needs sites reads them from the DEX's call-site index
+for the resolved method indices; an absence rule only asks whether its key
+was resolved. The first code rule to ask, R01, pays for the resolution, so
+a per-rule trace shows it under R01.
+
 Known, accepted imprecision: rules scan bundled third-party code exactly
 like first-party code, R01 matches on method-local co-occurrence rather
 than dataflow, and the const back-scan behind R07/R08/R13 ignores register
@@ -23,15 +32,7 @@ import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .dex import (
-    DexImage,
-    InvocationSite,
-    MethodRef,
-    invocations_of,
-    invocations_where,
-    literal_reaching,
-    string_pool_has,
-)
+from .dex import DexImage, InvocationSite, _sites_of, literal_reaching, string_pool_has
 from .manifest import ManifestModel
 
 FLAG_SECURE = 0x2000
@@ -145,6 +146,28 @@ RULE_CATEGORIES: dict[RuleId, str] = {
 }
 
 
+# The code rules' call targets: method name -> (owner, shorty, target key),
+# where None matches any owner or shorty. ScanInput.targets resolves them
+# once per scan; names sharing a key have their sites merged in body order.
+CODE_TARGETS: dict[str, tuple[str | None, str | None, str]] = {
+    "<init>": ("Landroid/content/Intent;", "VL", "Intent(action)"),  # R01
+    "startService": (None, None, "service start"),  # R01
+    "bindService": (None, None, "service start"),  # R01
+    "addJavascriptInterface": ("Landroid/webkit/WebView;", None, "WebView.addJavascriptInterface"),
+    "getDeviceId": ("Landroid/telephony/TelephonyManager;", None, "TelephonyManager.getDeviceId"),
+    "setAllowFileAccess": ("Landroid/webkit/WebSettings;", None, "WebSettings.setAllowFileAccess"),
+    "setJavaScriptEnabled": ("Landroid/webkit/WebSettings;", None, "WebSettings.setJavaScriptEnabled"),
+    "exec": ("Ljava/lang/Runtime;", None, "Runtime.exec"),  # R09
+    "delete": ("Ljava/io/File;", None, "File.delete"),
+    "getPackageInfo": (None, None, "getPackageInfo"),  # R12
+    "setFlags": ("Landroid/view/Window;", None, "Window flags"),  # R13
+    "addFlags": ("Landroid/view/Window;", None, "Window flags"),  # R13
+    "getInstallerPackageName": (
+        "Landroid/content/pm/PackageManager;", None, "PackageManager.getInstallerPackageName"
+    ),
+}
+
+
 class Finding(NamedTuple):
     rule: RuleId
     severity: Severity
@@ -163,6 +186,31 @@ class ScanInput:
         if not self.dexes:
             raise ValueError("scan input needs at least one DEX image")
 
+    @functools.cached_property
+    def targets(self) -> dict[str, list[tuple[DexImage, list[int]]]]:
+        """For each ``CODE_TARGETS`` key that is called, ``(dex, method indices)`` per DEX, in DEX order."""
+        resolved: dict[str, list[tuple[DexImage, list[int]]]] = {}
+        for dex in self.dexes:
+            for key, indices in _resolve_targets(dex).items():
+                resolved.setdefault(key, []).append((dex, indices))
+        return resolved
+
+
+def _resolve_targets(dex: DexImage) -> dict[str, list[int]]:
+    """The invoked method indices of each target in ``dex``, ascending, by target key."""
+    refs = dex.method_refs
+    found: dict[str, list[int]] = {}
+    for i in dex.call_sites:
+        ref = refs[i]
+        row = CODE_TARGETS.get(ref.name)
+        if row is not None:
+            owner, shorty, key = row
+            if (owner is None or owner == ref.owner) and (shorty is None or shorty == ref.shorty):
+                found.setdefault(key, []).append(i)
+    for indices in found.values():
+        indices.sort()
+    return found
+
 
 class ScanResult(NamedTuple):
     apk_name: str
@@ -171,13 +219,7 @@ class ScanResult(NamedTuple):
 
 
 def _finding(rule: RuleId, evidence: list[str]) -> Finding:
-    return Finding(
-        rule=rule,
-        severity=RULE_SEVERITIES[rule],
-        title=RULE_TITLES[rule],
-        evidence=tuple(evidence),
-        category=RULE_CATEGORIES[rule],
-    )
+    return Finding(rule, RULE_SEVERITIES[rule], RULE_TITLES[rule], tuple(evidence), RULE_CATEGORIES[rule])
 
 
 def _site_findings(rule: RuleId, sites: list, suffix: str = "") -> list[Finding]:
@@ -204,8 +246,13 @@ def _site_findings(rule: RuleId, sites: list, suffix: str = "") -> list[Finding]
     ]
 
 
-def _all_sites(dexes, owner, name) -> list:
-    return [(dex, site) for dex in dexes for site in invocations_of(dex, owner, name)]
+def _absence(rule: RuleId, inp: ScanInput, searched: str) -> list[Finding]:
+    return [_finding(rule, [f"absence: {searched} across {len(inp.dexes)} dex file(s)"])]
+
+
+def _sites(inp: ScanInput, key: str) -> list[tuple[DexImage, InvocationSite]]:
+    """``(dex, site)`` for every call to a target: DEX order, then body, then position."""
+    return [(dex, site) for dex, indices in inp.targets.get(key, ()) for site in _sites_of(dex, indices)]
 
 
 # --- manifest rules --------------------------------------------------------
@@ -216,26 +263,17 @@ def _r02_intent_filter(inp: ScanInput) -> list[Finding]:
     for comp in inp.manifest.components:
         for i, filt in enumerate(comp.intent_filters):
             if not filt.actions:
-                findings.append(
-                    _finding(
-                        RuleId.R02,
-                        [f"manifest: application/{comp.kind}[{comp.name}]/intent-filter[{i}] has no action"],
-                    )
-                )
+                where = f"application/{comp.kind}[{comp.name}]/intent-filter[{i}]"
+                findings.append(_finding(RuleId.R02, [f"manifest: {where} has no action"]))
     return findings
 
 
 def _r03_provider(inp: ScanInput) -> list[Finding]:
     findings = []
     for comp in inp.manifest.components:
-        if comp.kind != "provider":
-            continue
-        if inp.manifest.effective_exported(comp) and comp.permission is None:
+        if comp.kind == "provider" and inp.manifest.effective_exported(comp) and comp.permission is None:
             findings.append(
-                _finding(
-                    RuleId.R03,
-                    [f"manifest: application/provider[{comp.name}] exported without permission"],
-                )
+                _finding(RuleId.R03, [f"manifest: application/provider[{comp.name}] exported without permission"])
             )
     return findings
 
@@ -244,12 +282,8 @@ def _r06_permission(inp: ScanInput) -> list[Finding]:
     findings = []
     for perm in inp.manifest.declared_permissions:
         if perm.protection_level in ("normal", "unset"):
-            findings.append(
-                _finding(
-                    RuleId.R06,
-                    [f"manifest: permission[{perm.name}] protectionLevel={perm.protection_level}"],
-                )
-            )
+            level = perm.protection_level
+            findings.append(_finding(RuleId.R06, [f"manifest: permission[{perm.name}] protectionLevel={level}"]))
     return findings
 
 
@@ -264,31 +298,24 @@ def _r10_backup(inp: ScanInput) -> list[Finding]:
 # --- code presence rules ---------------------------------------------------
 
 
-def _is_action_intent_ctor(ref: MethodRef) -> bool:
-    return ref.owner == "Landroid/content/Intent;" and ref.name == "<init>" and ref.shorty == "VL"
-
-
-def _is_service_start(ref: MethodRef) -> bool:
-    return ref.name in ("startService", "bindService")
-
-
 def _r01_implicit_service(inp: ScanInput) -> list[Finding]:
     # Method-local co-occurrence of an Intent(action-string) constructor and a
     # startService/bindService call. Shorty VL means one reference argument,
     # which covers the action-string constructor (and over-approximates the
     # copy constructor); the two-argument explicit form is VLL and never hits.
     findings = []
-    for dex in inp.dexes:
+    start_targets = {id(dex): indices for dex, indices in inp.targets.get("service start", ())}
+    for dex, ctor_targets in inp.targets.get("Intent(action)", ()):
+        if id(dex) not in start_targets:
+            continue
         # Sites come in body order, so the first one seen per body is its
         # first constructor call and grouped start sites keep body order.
         # Bodies are keyed by identity: they live as long as the image.
         first_ctor: dict[int, int] = {}
-        for site in invocations_where(dex, _is_action_intent_ctor):
+        for site in _sites_of(dex, ctor_targets):
             first_ctor.setdefault(id(site.body), site.offset)
-        if not first_ctor:
-            continue
         starts: dict[int, list[InvocationSite]] = {}
-        for site in invocations_where(dex, _is_service_start):
+        for site in _sites_of(dex, start_targets[id(dex)]):
             if id(site.body) in first_ctor:
                 starts.setdefault(id(site.body), []).append(site)
         for key, sites in starts.items():
@@ -303,22 +330,15 @@ def _r01_implicit_service(inp: ScanInput) -> list[Finding]:
     return findings
 
 
-def _r04_remote_code(inp: ScanInput) -> list[Finding]:
-    return _site_findings(RuleId.R04, _all_sites(inp.dexes, "Landroid/webkit/WebView;", "addJavascriptInterface"))
-
-
-def _r05_device_id(inp: ScanInput) -> list[Finding]:
-    return _site_findings(RuleId.R05, _all_sites(inp.dexes, "Landroid/telephony/TelephonyManager;", "getDeviceId"))
-
-
-def _r11_file_delete(inp: ScanInput) -> list[Finding]:
-    return _site_findings(RuleId.R11, _all_sites(inp.dexes, "Ljava/io/File;", "delete"))
+def _site_rule(rule: RuleId, key: str, inp: ScanInput) -> list[Finding]:
+    """A presence rule with one finding per call to its target."""
+    return _site_findings(rule, _sites(inp, key))
 
 
 def _r07_file_access(inp: ScanInput) -> list[Finding]:
     fired = []
     explicit_off = False
-    for dex, site in _all_sites(inp.dexes, "Landroid/webkit/WebSettings;", "setAllowFileAccess"):
+    for dex, site in _sites(inp, "WebSettings.setAllowFileAccess"):
         lit = literal_reaching(site)
         if lit == 1:
             fired.append((dex, site))
@@ -350,7 +370,7 @@ def _r07_file_access(inp: ScanInput) -> list[Finding]:
 
 
 def _r08_javascript(inp: ScanInput) -> list[Finding]:
-    sites = _all_sites(inp.dexes, "Landroid/webkit/WebSettings;", "setJavaScriptEnabled")
+    sites = _sites(inp, "WebSettings.setJavaScriptEnabled")
     return _site_findings(RuleId.R08, [(d, s) for d, s in sites if literal_reaching(s) == 1], " with literal 1")
 
 
@@ -358,86 +378,52 @@ def _r08_javascript(inp: ScanInput) -> list[Finding]:
 
 
 def _r09_root_check(inp: ScanInput) -> list[Finding]:
+    if "Runtime.exec" in inp.targets:
+        return []
     for dex in inp.dexes:
         if string_pool_has(dex, ROOT_MARKER_EXACT, "exact"):
             return []
         if string_pool_has(dex, ROOT_MARKER_SUBSTRINGS, "substring"):
             return []
-        if invocations_of(dex, "Ljava/lang/Runtime;", "exec"):
-            return []
     markers = ", ".join(ROOT_MARKER_EXACT + ROOT_MARKER_SUBSTRINGS)
-    return [
-        _finding(
-            RuleId.R09,
-            [
-                f"absence: no root-detection marker ({markers}) in any string pool and "
-                f"no Runtime.exec call across {len(inp.dexes)} dex file(s)"
-            ],
-        )
-    ]
+    return _absence(
+        RuleId.R09, inp, f"no root-detection marker ({markers}) in any string pool and no Runtime.exec call"
+    )
 
 
 def _r12_signature_check(inp: ScanInput) -> list[Finding]:
+    if "getPackageInfo" in inp.targets:
+        return []
     for dex in inp.dexes:
         if "Landroid/content/pm/Signature;" in dex.type_names:
             return []
-        if invocations_of(dex, "*", "getPackageInfo"):
-            return []
-    return [
-        _finding(
-            RuleId.R12,
-            [
-                "absence: no reference to Landroid/content/pm/Signature; and no "
-                f"getPackageInfo call across {len(inp.dexes)} dex file(s)"
-            ],
-        )
-    ]
+    return _absence(RuleId.R12, inp, "no reference to Landroid/content/pm/Signature; and no getPackageInfo call")
 
 
 def _r13_screenshot(inp: ScanInput) -> list[Finding]:
-    for method_name in ("setFlags", "addFlags"):
-        for dex, site in _all_sites(inp.dexes, "Landroid/view/Window;", method_name):
-            lit = literal_reaching(site)
-            if lit == FLAG_SECURE:
-                return []
-    return [
-        _finding(
-            RuleId.R13,
-            [
-                "absence: no Window.setFlags/addFlags call with FLAG_SECURE (0x2000) "
-                f"across {len(inp.dexes)} dex file(s)"
-            ],
-        )
-    ]
+    if any(literal_reaching(site) == FLAG_SECURE for _, site in _sites(inp, "Window flags")):
+        return []
+    return _absence(RuleId.R13, inp, "no Window.setFlags/addFlags call with FLAG_SECURE (0x2000)")
 
 
 def _r14_installer_check(inp: ScanInput) -> list[Finding]:
-    for dex in inp.dexes:
-        if invocations_of(dex, "Landroid/content/pm/PackageManager;", "getInstallerPackageName"):
-            return []
-    return [
-        _finding(
-            RuleId.R14,
-            [
-                "absence: no PackageManager.getInstallerPackageName call across "
-                f"{len(inp.dexes)} dex file(s)"
-            ],
-        )
-    ]
+    if "PackageManager.getInstallerPackageName" in inp.targets:
+        return []
+    return _absence(RuleId.R14, inp, "no PackageManager.getInstallerPackageName call")
 
 
 _EVALUATORS = {
     RuleId.R01: _r01_implicit_service,
     RuleId.R02: _r02_intent_filter,
     RuleId.R03: _r03_provider,
-    RuleId.R04: _r04_remote_code,
-    RuleId.R05: _r05_device_id,
+    RuleId.R04: functools.partial(_site_rule, RuleId.R04, "WebView.addJavascriptInterface"),
+    RuleId.R05: functools.partial(_site_rule, RuleId.R05, "TelephonyManager.getDeviceId"),
     RuleId.R06: _r06_permission,
     RuleId.R07: _r07_file_access,
     RuleId.R08: _r08_javascript,
     RuleId.R09: _r09_root_check,
     RuleId.R10: _r10_backup,
-    RuleId.R11: _r11_file_delete,
+    RuleId.R11: functools.partial(_site_rule, RuleId.R11, "File.delete"),
     RuleId.R12: _r12_signature_check,
     RuleId.R13: _r13_screenshot,
     RuleId.R14: _r14_installer_check,
@@ -457,8 +443,4 @@ def run_all_rules(scan_input: ScanInput) -> ScanResult:
         rule_findings = evaluate_rule(rule, scan_input)
         findings.extend(rule_findings)
         vector.append(bool(rule_findings))
-    return ScanResult(
-        apk_name=scan_input.apk_name,
-        findings=tuple(findings),
-        rule_vector=tuple(vector),
-    )
+    return ScanResult(scan_input.apk_name, tuple(findings), tuple(vector))

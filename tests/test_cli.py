@@ -198,6 +198,25 @@ def test_batch_reports_in_input_order(fleet_dir, capsys):
     assert out.index("monzo-like.apk") < out.index("atom-like.apk")
 
 
+def test_dir_inputs_keep_path_sort_order(fleet_dir, tmp_path, capsys):
+    # --dir inputs are sorted by file name; within one directory that is the
+    # order sorting the paths gives, whatever the case, digits or script.
+    d = tmp_path / "order"
+    d.mkdir()
+    names = ["b.apk", "B.apk", "a10.apk", "a9.apk", "a_1.apk", "10.apk", "9.apk", "Ä.apk", "é.apk", "e.apk", "ß.apk"]
+    data = (fleet_dir / "starling-like.apk").read_bytes()
+    for name in names:
+        (d / name).write_bytes(data)
+    (d / "notes.txt").write_bytes(b"")
+    expected = [p.name for p in sorted(d.glob("*.apk"))]
+    assert expected == sorted(names) != sorted(names, key=str.casefold)
+
+    assert main(["--dir", str(d), "--matrix", "--format", "csv"]) == 0
+    assert [line.split(",")[0] for line in capsys.readouterr().out.splitlines()[1:]] == expected
+    assert main(["--dir", str(d), "--format", "json"]) == 0
+    assert [doc["apk_name"] for doc in json.loads(capsys.readouterr().out)] == expected
+
+
 def test_batch_empty_dir_exit_three(tmp_path, capsys):
     empty = tmp_path / "empty"
     empty.mkdir()

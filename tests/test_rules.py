@@ -1,9 +1,11 @@
 """Rule-by-rule behavior at the engine level, with hand-built inputs."""
 
 import pytest
+from test_dex import _multidex_images
 
-from bankscan.dex import DexImage, parse_dex
-from bankscan.fixtures import MethodSketch, emit_dex
+from bankscan import rules as rules_module
+from bankscan.dex import DexImage, invocations_of, invocations_where, parse_dex
+from bankscan.fixtures import MethodSketch, build_dex, emit_dex, fleet_profiles, rule_oracle_corpus
 from bankscan.fixtures.profiles import (
     CONTEXT,
     INTENT,
@@ -13,6 +15,7 @@ from bankscan.fixtures.profiles import (
     TELEPHONY,
     WEBSETTINGS,
     WEBVIEW,
+    WINDOW,
     CodeKnobs,
     method_sketches,
 )
@@ -24,6 +27,7 @@ from bankscan.manifest import (
     PermissionDecl,
 )
 from bankscan.rules import (
+    CODE_TARGETS,
     Finding,
     RuleId,
     ScanInput,
@@ -412,6 +416,152 @@ def test_rules_answer_from_index_without_walking_bodies(monkeypatch):
         for rule in (RuleId.R09, RuleId.R12, RuleId.R14):
             assert len(evaluate_rule(rule, inp)) == 1, rule
         assert calls == 0, site_count
+
+
+# --- the resolved target table -----------------------------------------------
+
+
+def _is_action_intent_ctor(ref):
+    return ref.owner == "Landroid/content/Intent;" and ref.name == "<init>" and ref.shorty == "VL"
+
+
+def _is_service_start(ref):
+    return ref.name in ("startService", "bindService")
+
+
+# The per-DEX query each code rule made before the table, by target key:
+# R01's invocations_where predicates as the rule wrote them, or the
+# (owner pattern, name) pairs the other rules passed to invocations_of.
+OLD_TARGET_QUERIES = {
+    "Intent(action)": _is_action_intent_ctor,
+    "service start": _is_service_start,
+    "WebView.addJavascriptInterface": [(WEBVIEW, "addJavascriptInterface")],
+    "TelephonyManager.getDeviceId": [(TELEPHONY, "getDeviceId")],
+    "WebSettings.setAllowFileAccess": [(WEBSETTINGS, "setAllowFileAccess")],
+    "WebSettings.setJavaScriptEnabled": [(WEBSETTINGS, "setJavaScriptEnabled")],
+    "Runtime.exec": [("Ljava/lang/Runtime;", "exec")],
+    "File.delete": [(JFILE, "delete")],
+    "getPackageInfo": [("*", "getPackageInfo")],
+    "Window flags": [(WINDOW, "setFlags"), (WINDOW, "addFlags")],
+    "PackageManager.getInstallerPackageName": [(PKG_MANAGER, "getInstallerPackageName")],
+}
+
+
+def _old_sites(dex, query):
+    if callable(query):
+        return invocations_where(dex, query)
+    ordinal = {id(body): i for i, body in enumerate(dex.body_table)}
+    sites = [site for owner, name in query for site in invocations_of(dex, owner, name)]
+    return sorted(sites, key=lambda site: (ordinal[id(site.body)], site.index))
+
+
+def _near_miss_input():
+    def call(owner, name, proto):
+        return ("invoke-virtual", [0, 1], (owner, name, proto))
+
+    flags = ("V", ("I",))
+    first = [
+        MethodSketch(
+            "mixed",
+            [
+                call("Lcom/example/Store;", "delete", ("Z", ())),  # not java.io.File
+                call(JFILE, "delete", ("Z", ())),
+                ("invoke-direct", [0, 1, 2], (INTENT, "<init>", ("V", (STRING, STRING)))),  # shorty VLL
+                ("invoke-direct", [0, 1], (INTENT, "<init>", ("V", (STRING,)))),
+                call("Landroid/webkit/WebViewClient;", "addJavascriptInterface", ("V", (STRING,))),
+                call(WINDOW, "setFlags", ("V", ("I", "I"))),  # called before the lower method index
+                call(WINDOW, "addFlags", flags),
+                call(WINDOW, "setFlags", ("V", ("I", "I"))),
+                call("Lcom/example/Loader;", "getPackageInfo", ("V", ())),  # any owner counts
+                call(CONTEXT, "bindService", ("Z", (INTENT,))),
+                ("return-void",),
+            ],
+        ),
+        MethodSketch(
+            "other",
+            [
+                call("Landroid/app/Activity;", "startService", ("V", (INTENT,))),
+                call(WINDOW, "setFlags", ("V", ("I", "I"))),
+                call(WEBVIEW, "addJavascriptInterface", ("V", (STRING,))),
+                call("Ljava/lang/Runtime;", "exec", ("Ljava/lang/Process;", (STRING,))),
+                ("return-void",),
+            ],
+        ),
+    ]
+    wipe = MethodSketch("wipe", [call(JFILE, "delete", ("Z", ())), ("return-void",)])
+    second = parse_dex(emit_dex("Ltest/app/Second;", [wipe]).data, source_name="classes2.dex")
+    return make_input(first, extra_dexes=(second,))
+
+
+def _resolution_inputs():
+    images = [parse_dex(build_dex(p).data) for p in rule_oracle_corpus() + fleet_profiles()]
+    assert len(images) == 34
+    single = [ScanInput(manifest=make_manifest(), dexes=(image,), apk_name="t.apk") for image in images]
+    multidex = ScanInput(manifest=make_manifest(), dexes=tuple(_multidex_images()), apk_name="m.apk")
+    return [*single, multidex, _near_miss_input()]
+
+
+def test_resolved_targets_equal_the_old_per_rule_queries():
+    assert {key for _, _, key in CODE_TARGETS.values()} == set(OLD_TARGET_QUERIES)
+    hits = set()
+    for inp in _resolution_inputs():
+        for key, query in OLD_TARGET_QUERIES.items():
+            expected = [(dex, site) for dex in inp.dexes for site in _old_sites(dex, query)]
+            assert rules_module._sites(inp, key) == expected, (inp.dexes[0].source_name, key)
+            if expected:
+                hits.add(key)
+        for key, per_dex in inp.targets.items():
+            for dex, indices in per_dex:
+                assert indices and indices == sorted(indices), key
+    assert hits == set(OLD_TARGET_QUERIES)  # every row was exercised with sites
+
+
+def test_near_misses_resolve_as_before():
+    inp = _near_miss_input()
+    callees = {
+        key: {(site.callee.owner, site.callee.shorty) for _, site in rules_module._sites(inp, key)}
+        for key in OLD_TARGET_QUERIES
+    }
+    assert callees["File.delete"] == {(JFILE, "Z")}
+    assert callees["Intent(action)"] == {(INTENT, "VL")}
+    assert callees["WebView.addJavascriptInterface"] == {(WEBVIEW, "VL")}
+    assert callees["getPackageInfo"] == {("Lcom/example/Loader;", "V")}
+    assert callees["service start"] == {(CONTEXT, "ZL"), ("Landroid/app/Activity;", "VL")}
+    delete_dexes = [dex.source_name for dex, _ in inp.targets["File.delete"]]
+    assert delete_dexes == ["classes.dex", "classes2.dex"]
+    # Window.addFlags/setFlags sites merge in body order, then position.
+    flags = [(site.body.name, site.index) for _, site in rules_module._sites(inp, "Window flags")]
+    assert flags == [("mixed", 5), ("mixed", 6), ("mixed", 7), ("other", 1)]
+
+
+def test_targets_resolve_once_per_dex_per_scan(monkeypatch):
+    resolved = []
+    original = rules_module._resolve_targets
+
+    def counting(dex):
+        resolved.append(dex.source_name)
+        return original(dex)
+
+    monkeypatch.setattr(rules_module, "_resolve_targets", counting)
+    every_knob = CodeKnobs(
+        implicit_start_service=True, add_javascript_interface=True, get_device_id=True,
+        set_javascript_enabled=True, set_allow_file_access=False, root_check_strings=False,
+        file_delete=True, signature_check=True, flag_secure=True, installer_check=True,
+    )
+    second_dex = emit_dex("Ltest/app/Second;", method_sketches(every_knob)).data
+    second = parse_dex(second_dex, source_name="classes2.dex")
+
+    inp = make_input(method_sketches(every_knob), extra_dexes=(second,))
+    run_all_rules(inp)
+    run_all_rules(inp)
+    assert resolved == ["classes.dex", "classes2.dex"]
+
+    resolved.clear()
+    inp = make_input(method_sketches(every_knob), extra_dexes=(second,))
+    vector = [bool(evaluate_rule(rule, inp)) for rule in RuleId]
+    assert resolved == ["classes.dex", "classes2.dex"]
+    assert vector == list(run_all_rules(inp).rule_vector)
+    assert resolved == ["classes.dex", "classes2.dex"]
 
 
 # --- R09 / R12 / R13 / R14 (absence rules) -----------------------------------
