@@ -153,18 +153,18 @@ CODE_TARGETS: dict[str, tuple[str | None, str | None, str]] = {
     "<init>": ("Landroid/content/Intent;", "VL", "Intent(action)"),  # R01
     "startService": (None, None, "service start"),  # R01
     "bindService": (None, None, "service start"),  # R01
-    "addJavascriptInterface": ("Landroid/webkit/WebView;", None, "WebView.addJavascriptInterface"),
-    "getDeviceId": ("Landroid/telephony/TelephonyManager;", None, "TelephonyManager.getDeviceId"),
-    "setAllowFileAccess": ("Landroid/webkit/WebSettings;", None, "WebSettings.setAllowFileAccess"),
-    "setJavaScriptEnabled": ("Landroid/webkit/WebSettings;", None, "WebSettings.setJavaScriptEnabled"),
+    "addJavascriptInterface": ("Landroid/webkit/WebView;", None, "WebView.addJavascriptInterface"),  # R04
+    "getDeviceId": ("Landroid/telephony/TelephonyManager;", None, "TelephonyManager.getDeviceId"),  # R05
+    "setAllowFileAccess": ("Landroid/webkit/WebSettings;", None, "WebSettings.setAllowFileAccess"),  # R07
+    "setJavaScriptEnabled": ("Landroid/webkit/WebSettings;", None, "WebSettings.setJavaScriptEnabled"),  # R08
     "exec": ("Ljava/lang/Runtime;", None, "Runtime.exec"),  # R09
-    "delete": ("Ljava/io/File;", None, "File.delete"),
+    "delete": ("Ljava/io/File;", None, "File.delete"),  # R11
     "getPackageInfo": (None, None, "getPackageInfo"),  # R12
     "setFlags": ("Landroid/view/Window;", None, "Window flags"),  # R13
     "addFlags": ("Landroid/view/Window;", None, "Window flags"),  # R13
     "getInstallerPackageName": (
         "Landroid/content/pm/PackageManager;", None, "PackageManager.getInstallerPackageName"
-    ),
+    ),  # R14
 }
 
 
@@ -263,17 +263,26 @@ def _r02_intent_filter(inp: ScanInput) -> list[Finding]:
     for comp in inp.manifest.components:
         for i, filt in enumerate(comp.intent_filters):
             if not filt.actions:
-                where = f"application/{comp.kind}[{comp.name}]/intent-filter[{i}]"
-                findings.append(_finding(RuleId.R02, [f"manifest: {where} has no action"]))
+                findings.append(
+                    _finding(
+                        RuleId.R02,
+                        [f"manifest: application/{comp.kind}[{comp.name}]/intent-filter[{i}] has no action"],
+                    )
+                )
     return findings
 
 
 def _r03_provider(inp: ScanInput) -> list[Finding]:
     findings = []
     for comp in inp.manifest.components:
-        if comp.kind == "provider" and inp.manifest.effective_exported(comp) and comp.permission is None:
+        if comp.kind != "provider":
+            continue
+        if inp.manifest.effective_exported(comp) and comp.permission is None:
             findings.append(
-                _finding(RuleId.R03, [f"manifest: application/provider[{comp.name}] exported without permission"])
+                _finding(
+                    RuleId.R03,
+                    [f"manifest: application/provider[{comp.name}] exported without permission"],
+                )
             )
     return findings
 
@@ -282,8 +291,12 @@ def _r06_permission(inp: ScanInput) -> list[Finding]:
     findings = []
     for perm in inp.manifest.declared_permissions:
         if perm.protection_level in ("normal", "unset"):
-            level = perm.protection_level
-            findings.append(_finding(RuleId.R06, [f"manifest: permission[{perm.name}] protectionLevel={level}"]))
+            findings.append(
+                _finding(
+                    RuleId.R06,
+                    [f"manifest: permission[{perm.name}] protectionLevel={perm.protection_level}"],
+                )
+            )
     return findings
 
 
