@@ -436,6 +436,156 @@ def test_malformed_streams_raise_from_parse_dex(monkeypatch):
         dex_module._walk_instructions(b"\x0e\x00\x00", "La;", "m", 0, {}, 0)
 
 
+# --- error precedence and odd-aligned streams ---------------------------------
+# The walk records invokes and checks their targets after the class_data
+# loop, or when another error stops it; either way the first invoke that
+# names an undefined method must win over every error found after it.
+
+_DELETE = (JFILE, "delete", ("Z", ()))
+_ORDER_OWNER = "Lfixture/order/App;"
+# a: invoke at unit 0, const at 3, nop at 6, return-void at 7.
+# b: const at unit 0, invoke at 3, return-void at 6.
+_ORDER_METHODS = [
+    MethodSketch("a", [("invoke-virtual", [0], _DELETE), ("const", 5, 0x7A7B7C7D), ("nop",), ("return-void",)]),
+    MethodSketch("b", [("const", 5, 0x71727374), ("invoke-virtual", [1], _DELETE), ("return-void",)]),
+]
+
+
+def _code_starts(data):
+    """Byte offset of each body's instruction stream, by body name."""
+    starts = {}
+    for body in parse_dex(data).body_table:
+        assert data.count(body.code) == 1
+        starts[body.name] = data.index(body.code)
+    return starts
+
+
+def _second_method_diff_at(data):
+    """Offset of the method_idx_diff of the second direct method in the first class_data."""
+    pos = _u32(data, _u32(data, 0x64) + 24)
+    for _ in range(4 + 3):  # four counts, then diff, access_flags and code_off of the first method
+        pos += dex_module._uleb128(data, pos, len(data))[1]
+    return pos
+
+
+def _bad_invoke_in_a(data, starts):
+    struct.pack_into("<H", data, starts["a"] + 2, _u32(data, 0x58))
+
+
+def _overrun_in_a(data, starts):
+    struct.pack_into("<I", data, starts["a"] - 4, 5)  # the const at unit 3 now runs past unit 5
+
+
+def _truncated_payload_in_a(data, starts):
+    struct.pack_into("<I", data, starts["a"] - 4, 7)  # drop return-void: the nop is the last unit
+    data[starts["a"] + 13] = 0x01  # and starts a packed-switch payload with no size
+
+
+def _bad_class_data_after_a(data, starts):
+    data[_second_method_diff_at(data)] = 0x7F
+
+
+def _second_bad_invoke_in_b(data, starts):
+    struct.pack_into("<H", data, starts["b"] + 8, _u32(data, 0x58) + 1)
+
+
+def _order_dex(*patches):
+    """The two-method DEX of ``_ORDER_METHODS`` with each ``patch(data, code starts)`` applied."""
+    art = emit_dex(_ORDER_OWNER, _ORDER_METHODS)
+    starts = _code_starts(art.data)
+    data = bytearray(art.data)
+    for patch in patches:
+        patch(data, starts)
+    return bytes(data)
+
+
+def test_first_bad_invoke_outranks_every_later_error():
+    methods = _u32(_order_dex(), 0x58)
+    a_index = next(i for i, ref in enumerate(parse_dex(_order_dex()).method_refs) if ref.name == "a")
+    later = {
+        _overrun_in_a: f"instruction 0x14 at +0x6 overruns {_ORDER_OWNER}->a",
+        _truncated_payload_in_a: f"switch/array payload truncated in {_ORDER_OWNER}->a",
+        _bad_class_data_after_a: f"class_data of {_ORDER_OWNER} references method {a_index + 0x7F}",
+        _second_bad_invoke_in_b: f"invoke in {_ORDER_OWNER}->b names method {methods + 1}, only {methods} defined",
+    }
+    first = f"invoke in {_ORDER_OWNER}->a names method {methods}, only {methods} defined"
+    _dex_raises(_order_dex(_bad_invoke_in_a), SectionOutOfBoundsError, first)
+    for patch, message in later.items():
+        _dex_raises(_order_dex(patch), SectionOutOfBoundsError, message)  # each error is real on its own
+        _dex_raises(_order_dex(_bad_invoke_in_a, patch), SectionOutOfBoundsError, first)
+
+
+def _uleb(value):
+    out = bytearray()
+    while True:
+        byte, value = value & 0x7F, value >> 7
+        out.append(byte | (0x80 if value else 0))
+        if not value:
+            return bytes(out)
+
+
+def _odd_code_items(data, names):
+    """``data`` with the code_items of the methods ``names`` copied to odd offsets at its end.
+
+    A new class_data pointing at the copies is appended too, and the
+    class_def is pointed at it; nothing else changes.
+    """
+    refs = parse_dex(data).method_refs
+    class_def = _u32(data, 0x64)
+    pos = _u32(data, class_def + 24)
+    counts = []
+    for _ in range(4):
+        value, size = dex_module._uleb128(data, pos, len(data))
+        counts.append(value)
+        pos += size
+    assert counts[0] == counts[1] == counts[3] == 0  # direct methods only, as emit_dex writes them
+    out = bytearray(data)
+    entries = []
+    method_idx = 0
+    for _ in range(counts[2]):
+        fields = []
+        for _ in range(3):
+            value, size = dex_module._uleb128(data, pos, len(data))
+            fields.append(value)
+            pos += size
+        diff, access, code_off = fields
+        method_idx += diff
+        if refs[method_idx].name in names:
+            if len(out) % 2 == 0:
+                out += b"\x00"
+            insns_size = _u32(data, code_off + 12)
+            out, code_off = out + data[code_off : code_off + 16 + 2 * insns_size], len(out)
+        entries.append(_uleb(diff) + _uleb(access) + _uleb(code_off))
+    class_data = len(out)
+    out += _uleb(0) + _uleb(0) + _uleb(counts[2]) + _uleb(0) + b"".join(entries)
+    struct.pack_into("<I", out, class_def + 24, class_data)
+    return bytes(out)
+
+
+def test_odd_aligned_code_items_give_the_same_sites_and_errors():
+    data = emit_dex(_ORDER_OWNER, _ORDER_METHODS).data
+    even = parse_dex(data)
+    even_sites = invocations_of(even, JFILE, "delete")
+    assert [(site.body.name, site.index, site.offset) for site in even_sites] == [("a", 0, 0), ("b", 1, 6)]
+    methods = _u32(data, 0x58)
+    for names in ({"a"}, {"b"}, {"a", "b"}):
+        moved = _odd_code_items(data, names)
+        odd = parse_dex(moved)
+        assert [body.code for body in odd.body_table] == [body.code for body in even.body_table]
+        assert list(odd.call_sites.items()) == list(even.call_sites.items())
+        assert invocations_of(odd, JFILE, "delete") == even_sites
+        for name in names:
+            start = moved.rindex(next(body.code for body in even.body_table if body.name == name))
+            assert start % 2 == 1
+            bad = bytearray(moved)
+            struct.pack_into("<H", bad, start + (2 if name == "a" else 8), methods)
+            _dex_raises(bad, SectionOutOfBoundsError, f"invoke in {_ORDER_OWNER}->{name} names method {methods}, only {methods} defined")
+            cut = bytearray(moved)
+            struct.pack_into("<I", cut, start - 4, 5)
+            opcode, at = (0x14, 6) if name == "a" else (0x6E, 6)
+            _dex_raises(cut, SectionOutOfBoundsError, f"instruction 0x{opcode:02x} at +{at:#x} overruns {_ORDER_OWNER}->{name}")
+
+
 def _live_instructions():
     return sum(1 for o in gc.get_objects() if isinstance(o, Instruction))
 
