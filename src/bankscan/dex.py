@@ -8,16 +8,23 @@ file and then read in bulk, not one entry at a time, and each distinct
 string offset is decoded once. ``parse_dex`` walks each instruction stream
 once, so every instruction's width, every payload and every invoke target
 is checked at parse time, but it builds no per-instruction record. The walk
-maps the stream's opcode bytes through a 256-byte table, built from the
-published opcode format table, with one ``bytes.translate``; each entry is
-the opcode's width in code units, or a marker for the invoke family and for
-``nop``, which may start a payload. A plain instruction then costs one
-table read and two adds.
+maps the file's opcode bytes through a 256-byte table, built from the
+published opcode format table, with one ``bytes.translate`` per DEX; each
+entry is the opcode's width in code units, or a marker for the invoke family
+and for ``nop``, which may start a payload. A plain instruction then costs
+one table read and two adds.
 
-That one walk records every invoke in a per-DEX call-site index (method
-index -> body ordinal, instruction position and byte offset), so
-``invocations_of`` resolves the matching method ids and answers from the
-index without touching the code again. ``Instruction`` records, with
+An invoke costs two list appends: the code unit it starts at, and its body
+ordinal and position packed in one int. After the last body, the method
+index of every invoke is read in one pass over a 16-bit view of the file and
+checked with one ``max``; if another error stops the parse first, the
+invokes recorded so far are checked before it is raised, so the first
+invoke that names no method still wins. The indices are kept as a string,
+one character per invoke, so ``invocations_of`` resolves the matching
+method ids and finds their invokes with ``str.find``, without touching the
+code again. ``DexImage.call_sites`` (method index -> body ordinal,
+instruction position and byte offset) is built from these columns when it
+is first read; a scan does not read it. ``Instruction`` records, with
 operands only for the const and invoke families, are decoded from a body's
 validated bytes when ``MethodBody.instructions`` is first read; a scan reads
 them only for the bodies whose sites the const back-scan inspects.
@@ -31,9 +38,10 @@ from __future__ import annotations
 
 import functools
 import struct
-from collections import defaultdict
+import sys
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import NamedTuple
 
 HEADER_SIZE = 0x70
@@ -210,6 +218,19 @@ class InvocationSite(NamedTuple):
     offset: int
 
 
+class _Invokes(NamedTuple):
+    """Every invoke of one DEX as columns, one row per invoke in body order, then stream order."""
+
+    methods: str        # character r is chr(the method index row r names), for str.find
+    places: list[int]   # its body's ordinal << shift | its position in body.instructions
+    units: list[int]    # the code unit it starts at, numbered across the DEX
+    starts: list[int]   # per body ordinal: the code unit its stream starts at
+    shift: int          # above every position in the DEX
+
+
+_NO_INVOKES = _Invokes("", [], [], [], 0)
+
+
 @dataclass(frozen=True)
 class DexImage:
     string_pool: tuple[str, ...]
@@ -217,17 +238,30 @@ class DexImage:
     method_refs: tuple[MethodRef, ...]
     classes: tuple[ClassDef, ...]
     source_name: str = "classes.dex"
-    # Filled by parse_dex: every method body in bodies() order, and for each
-    # invoked method index its call sites as (body ordinal, position in
-    # body.instructions, byte offset in body.code), in body order.
+    # Filled by parse_dex: every method body in bodies() order, and the
+    # columns of every invoke in those bodies.
     body_table: tuple[MethodBody, ...] = field(default=(), compare=False, repr=False)
-    call_sites: dict[int, list[tuple[int, int, int]]] = field(
-        default_factory=dict, compare=False, repr=False
-    )
+    invokes: _Invokes = field(default=_NO_INVOKES, compare=False, repr=False)
 
     def bodies(self):
         for cls in self.classes:
             yield from cls.methods
+
+    @functools.cached_property
+    def call_sites(self) -> dict[int, list[tuple[int, int, int]]]:
+        """Each invoked method index, in first-call order, with its call sites.
+
+        A site is (body ordinal, position in body.instructions, byte offset in
+        body.code), in body order. Built from the invoke columns on first read;
+        a scan never reads it.
+        """
+        methods, places, units, starts, shift = self.invokes
+        mask = (1 << shift) - 1
+        sites: dict[int, list[tuple[int, int, int]]] = {}
+        for char, place, unit in zip(methods, places, units):
+            ordinal = place >> shift
+            sites.setdefault(ord(char), []).append((ordinal, place & mask, 2 * (unit - starts[ordinal])))
+        return sites
 
 
 def _uleb128(data: bytes, pos: int, limit: int) -> tuple[int, int]:
@@ -307,22 +341,23 @@ def parse_dex(data: bytes, source_name: str = "classes.dex") -> DexImage:
         )
 
     classes = []
-    body_table: list[MethodBody] = []
-    call_sites: defaultdict[int, list[tuple[int, int, int]]] = defaultdict(list)
+    walk = _Walk(data)
     # class_idx and class_data_off of each 32-byte class_def
     class_defs = data[class_defs_off : class_defs_off + 32 * class_defs_size]
-    for i, (class_idx, class_data_off) in enumerate(struct.iter_unpack("<I20xI4x", class_defs)):
-        if class_idx >= len(type_names):
-            raise SectionOutOfBoundsError(f"class_def {i} names type {class_idx}")
-        owner = type_names[class_idx]
-        methods = ()
-        if class_data_off:
-            if class_data_off >= n:
-                raise SectionOutOfBoundsError(f"class_data of {owner} at {class_data_off:#x}")
-            methods = _parse_class_data(
-                data, class_data_off, owner, method_refs, body_table, call_sites
-            )
-        classes.append(ClassDef(type_name=owner, methods=methods))
+    try:
+        for i, (class_idx, class_data_off) in enumerate(struct.iter_unpack("<I20xI4x", class_defs)):
+            if class_idx >= len(type_names):
+                raise SectionOutOfBoundsError(f"class_def {i} names type {class_idx}")
+            owner = type_names[class_idx]
+            methods = ()
+            if class_data_off:
+                if class_data_off >= n:
+                    raise SectionOutOfBoundsError(f"class_data of {owner} at {class_data_off:#x}")
+                methods = _parse_class_data(data, class_data_off, owner, method_refs, walk)
+            classes.append(ClassDef(type_name=owner, methods=methods))
+    except DexError:
+        walk.methods(len(method_refs))  # an undefined invoke recorded before the failure comes first
+        raise
 
     return DexImage(
         string_pool=tuple(strings),
@@ -330,8 +365,10 @@ def parse_dex(data: bytes, source_name: str = "classes.dex") -> DexImage:
         method_refs=tuple(method_refs),
         classes=tuple(classes),
         source_name=source_name,
-        body_table=tuple(body_table),
-        call_sites=dict(call_sites),
+        body_table=tuple(walk.bodies),
+        invokes=tuple.__new__(
+            _Invokes, (walk.methods(len(method_refs)), walk.places, walk.units, walk.starts, walk.shift)
+        ),
     )
 
 
@@ -386,7 +423,7 @@ def _validate_fields(data, off, count, type_count, string_count) -> None:
             raise SectionOutOfBoundsError(f"field_id {i} has out-of-range indices")
 
 
-def _parse_class_data(data, off, owner, method_refs, body_table, call_sites) -> tuple[MethodBody, ...]:
+def _parse_class_data(data, off, owner, method_refs, walk) -> tuple[MethodBody, ...]:
     n = len(data)
     pos = off
     static_fields, c = _uleb128(data, pos, n); pos += c
@@ -410,31 +447,8 @@ def _parse_class_data(data, off, owner, method_refs, body_table, call_sites) -> 
                 raise SectionOutOfBoundsError(
                     f"class_data of {owner} references method {method_idx}"
                 )
-            name = method_refs[method_idx].name
-            code = b""
-            if code_off:
-                code = _parse_code_item(
-                    data, code_off, owner, name, len(method_refs), call_sites, len(body_table)
-                )
-            body = MethodBody(owner=owner, name=name, code=code)
-            bodies.append(body)
-            body_table.append(body)
+            bodies.append(walk.body(owner, method_refs[method_idx].name, code_off))
     return tuple(bodies)
-
-
-def _parse_code_item(data, off, owner, name, method_count, call_sites, ordinal) -> bytes:
-    n = len(data)
-    if off + 16 > n:
-        raise SectionOutOfBoundsError(f"code_item of {owner}->{name} at {off:#x}")
-    insns_size = struct.unpack_from("<I", data, off + 12)[0]
-    start = off + 16
-    if start + 2 * insns_size > n:
-        raise SectionOutOfBoundsError(
-            f"instruction stream of {owner}->{name} overruns file"
-        )
-    code = data[start : start + 2 * insns_size]
-    _walk_instructions(code, owner, name, method_count, call_sites, ordinal)
-    return code
 
 
 def _payload_units(code: bytes, pos: int, ident: int, owner: str, name: str) -> int:
@@ -457,54 +471,138 @@ def _payload_units(code: bytes, pos: int, ident: int, owner: str, name: str) -> 
     return (width * count + 1) // 2 + 4
 
 
-def _walk_instructions(
-    code: bytes, owner: str, name: str, method_count: int, call_sites, ordinal: int
-) -> None:
-    """Check one instruction stream and record each invoke in ``call_sites``.
+_LITTLE_ENDIAN = sys.byteorder == "little"  # memoryview.cast reads native order
 
-    Every width, payload and invoke target is checked here, so decoding the
-    same bytes later cannot fail. ``ordinal`` is the body's position in the
-    DEX's ``body_table``; every invoke appends (ordinal, its position in the
-    stream, its byte offset) under its method index, after checking that
-    index against ``method_count``. No record is built.
 
-    An instruction that runs past the stream can only be the last one
-    reached, so the end check runs once, after the loop.
+class _Walk:
+    """The instruction walk over one DEX: its width table, its bodies and its invoke columns.
+
+    Code units are numbered across the whole file, unit u being bytes 2u and
+    2u + 1, and ``steps[u]`` is the ``_WALK_WIDTHS`` entry of unit u's low
+    byte, built with one ``bytes.translate`` per DEX. A stream that starts at
+    an odd byte is numbered in a copy of the file shifted by one byte, put
+    after the even units, so every stream is walked the same way.
+
+    ``stream`` checks one instruction stream and records each invoke as two
+    appends, its unit and its place; ``methods`` then reads every invoke's
+    method index in one pass and checks them all at once. A place is the
+    body's ordinal shifted above every possible position, plus the position:
+    the walk's position counter simply starts at the body's ordinal there.
     """
-    steps = code[::2].translate(_WALK_WIDTHS)  # entry u: width or marker of code unit u's opcode
-    count = len(code) >> 1
-    unit = position = units = 0
-    while unit < count:
-        units = steps[unit]
-        if units > _MAX_UNITS:
-            if units == _INVOKE_MARK:
-                units = 3  # formats 35c and 3rc alike
-                if unit + 3 <= count:  # otherwise the overrun is raised below
-                    pos = unit * 2
-                    method_index = code[pos + 2] | code[pos + 3] << 8
-                    if method_index >= method_count:
-                        raise SectionOutOfBoundsError(
-                            f"invoke in {owner}->{name} names method {method_index}, "
-                            f"only {method_count} defined"
-                        )
-                    call_sites[method_index].append((ordinal, position, pos))
-            elif code[unit * 2 + 1] in _PAYLOAD_HIGH_BYTES:
-                units = _payload_units(code, unit * 2, code[unit * 2 + 1] << 8, owner, name)
-            else:
-                units = 1  # a plain nop
-        unit += units
-        position += 1
-    if unit > count:
-        pos = (unit - units) * 2
-        raise SectionOutOfBoundsError(
-            f"instruction 0x{code[pos]:02x} at +{pos:#x} overruns {owner}->{name}"
-        )
-    if len(code) & 1:
-        raise SectionOutOfBoundsError(f"dangling byte in {owner}->{name}")
+
+    __slots__ = ("data", "buf", "steps", "odd_base", "shift", "bodies", "units", "places", "starts")
+
+    def __init__(self, data: bytes):
+        self.data = self.buf = data
+        self.steps = data[: len(data) & ~1 : 2].translate(_WALK_WIDTHS)
+        self.odd_base = -1  # the unit number of byte 1 once the shifted copy is made
+        self.shift = (len(data) >> 1).bit_length()  # a stream has fewer instructions than units
+        self.bodies: list[MethodBody] = []
+        self.units: list[int] = []
+        self.places: list[int] = []
+        self.starts: list[int] = []
+
+    def body(self, owner: str, name: str, code_off: int) -> MethodBody:
+        """The body whose code_item is at ``code_off`` (0: none), added to ``bodies`` and walked."""
+        code = b""
+        start = 0
+        if code_off:
+            data = self.data
+            if code_off + 16 > len(data):
+                raise SectionOutOfBoundsError(f"code_item of {owner}->{name} at {code_off:#x}")
+            start = code_off + 16
+            end = start + 2 * struct.unpack_from("<I", data, code_off + 12)[0]
+            if end > len(data):
+                raise SectionOutOfBoundsError(f"instruction stream of {owner}->{name} overruns file")
+            code = data[start:end]
+        body = MethodBody(owner=owner, name=name, code=code)
+        self.bodies.append(body)
+        self.stream(code, start, owner, name)
+        return body
+
+    def _odd_start(self, start: int) -> int:
+        if self.odd_base < 0:
+            data = self.data
+            shifted = data[1 : 1 + ((len(data) - 1) & ~1)]
+            self.odd_base = len(data) >> 1
+            self.buf = data[: len(data) & ~1] + shifted
+            self.steps += shifted[::2].translate(_WALK_WIDTHS)
+        return self.odd_base + (start >> 1)
+
+    def stream(self, code: bytes, start: int, owner: str, name: str) -> None:
+        """Check the stream ``code``, found at byte ``start`` of the file, and record its invokes.
+
+        Every width and payload is checked here, so decoding the same bytes
+        later cannot fail; the invoke targets are checked by ``methods``. An
+        instruction that runs past the stream can only be the last one
+        reached, so the end check runs once, after the loop.
+        """
+        first = self._odd_start(start) if start & 1 else start >> 1
+        starts = self.starts
+        place = len(starts) << self.shift
+        starts.append(first)
+        steps = self.steps
+        buf = self.buf
+        append_unit = self.units.append
+        append_place = self.places.append
+        end = first + (len(code) >> 1)
+        unit = first
+        units = 0
+        while unit < end:
+            units = steps[unit]
+            if units > _MAX_UNITS:
+                if units == _INVOKE_MARK:
+                    units = 3  # formats 35c and 3rc alike
+                    append_unit(unit)
+                    append_place(place)
+                elif buf[unit * 2 + 1] in _PAYLOAD_HIGH_BYTES:
+                    pos = (unit - first) * 2
+                    units = _payload_units(code, pos, code[pos + 1] << 8, owner, name)
+                else:
+                    units = 1  # a plain nop
+            unit += units
+            place += 1
+        if unit > end:
+            unit -= units
+            if steps[unit] == _INVOKE_MARK:  # an overrunning invoke names nothing to check
+                self.units.pop()
+                self.places.pop()
+            pos = (unit - first) * 2
+            raise SectionOutOfBoundsError(
+                f"instruction 0x{code[pos]:02x} at +{pos:#x} overruns {owner}->{name}"
+            )
+        if len(code) & 1:
+            raise SectionOutOfBoundsError(f"dangling byte in {owner}->{name}")
+
+    def methods(self, method_count: int) -> str:
+        """``_Invokes.methods``: the method index each recorded invoke names, all checked at once.
+
+        The first invoke that names a method past ``method_count`` raises,
+        with its body's owner and name.
+        """
+        buf = self.buf
+        if _LITTLE_ENDIAN:
+            words = memoryview(buf)[2 : len(buf) & ~1].cast("H")  # words[u]: code unit u + 1
+        else:
+            words = struct.unpack(f"<{max(0, len(buf) // 2 - 1)}H", buf[2 : len(buf) & ~1])
+        units = self.units
+        # itemgetter gathers in one call, but returns a bare item for a single unit.
+        methods = itemgetter(*units)(words) if len(units) > 1 else [words[u] for u in units]
+        if methods and max(methods) >= method_count:
+            row = next(row for row, index in enumerate(methods) if index >= method_count)
+            body = self.bodies[self.places[row] >> self.shift]
+            raise SectionOutOfBoundsError(
+                f"invoke in {body.owner}->{body.name} names method {methods[row]}, "
+                f"only {method_count} defined"
+            )
+        if len(methods) < 16:  # a few chr calls cost less than packing
+            return "".join(map(chr, methods))
+        # UTF-32 keeps one character per index; surrogatepass lets 0xD800-0xDFFF through.
+        return struct.pack(f"<{len(methods)}I", *methods).decode("utf-32-le", "surrogatepass")
 
 
 def _decode_instructions(code: bytes, owner: str, name: str) -> tuple[Instruction, ...]:
-    """Decode a stream that ``_walk_instructions`` has already checked."""
+    """Decode a stream that ``_Walk.stream`` has already checked."""
     out = []
     append = out.append
     make = tuple.__new__  # skips NamedTuple.__new__'s per-field argument binding
@@ -543,21 +641,35 @@ def _owner_matches(pattern: str, owner: str) -> bool:
 
 
 def _sites_of(dex: DexImage, targets: list[int]) -> list[InvocationSite]:
-    """Call sites of the given method indices from the index: body order, then position."""
-    located = [
-        (ordinal, position, offset, i)
-        for i in targets
-        for ordinal, position, offset in dex.call_sites.get(i, ())
-    ]
+    """Call sites of the given method indices from the invoke columns: body order, then position."""
+    methods, places, units, starts, shift = dex.invokes
+    mask = (1 << shift) - 1
+    rows = []
+    for i in targets:
+        char = chr(i)
+        row = methods.find(char)
+        while row >= 0:
+            rows.append(row)
+            row = methods.find(char, row + 1)
     if len(targets) > 1:
-        located.sort()  # merge the per-target runs, each already in body order
+        rows.sort()  # merge the per-target runs, each already in row order
     make = tuple.__new__
     bodies = dex.body_table
     refs = dex.method_refs
     return [
-        make(InvocationSite, (bodies[ordinal], position, refs[i], offset))
-        for ordinal, position, offset, i in located
+        make(
+            InvocationSite,
+            (bodies[ordinal], place & mask, refs[ord(methods[row])], 2 * (units[row] - starts[ordinal])),
+        )
+        for row in rows
+        for place in (places[row],)
+        for ordinal in (place >> shift,)
     ]
+
+
+def _invoked(dex: DexImage, index: int) -> bool:
+    """Whether some invoke in ``dex`` names method ``index``."""
+    return chr(index) in dex.invokes.methods
 
 
 def invocations_where(dex: DexImage, matches: Callable[[MethodRef], bool]) -> list[InvocationSite]:

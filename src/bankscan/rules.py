@@ -12,9 +12,10 @@ findings are always merged in rule order.
 
 The code rules' call targets are data: ``CODE_TARGETS`` maps a method name
 to an owner, a shorty and a target key. ``ScanInput.targets`` resolves the
-table once per scan, with one dict lookup per invoked method of each DEX,
-and every code rule reads that resolution instead of querying the DEX
-again. A rule that needs sites reads them from the DEX's call-site index
+table once per scan: one C-level pass over each DEX's method refs picks
+the ones named in the table, and each of those that matches and is invoked
+is kept. Every code rule reads that resolution instead of querying the DEX
+again. A rule that needs sites reads them from the DEX's invoke columns
 for the resolved method indices; an absence rule only asks whether its key
 was resolved. The first code rule to ask, R01, pays for the resolution, so
 a per-rule trace shows it under R01.
@@ -30,9 +31,11 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass
+from itertools import compress, count
+from operator import itemgetter
 from typing import NamedTuple
 
-from .dex import DexImage, InvocationSite, _sites_of, literal_reaching, string_pool_has
+from .dex import DexImage, InvocationSite, _invoked, _sites_of, literal_reaching, string_pool_has
 from .manifest import ManifestModel
 
 FLAG_SECURE = 0x2000
@@ -166,6 +169,7 @@ CODE_TARGETS: dict[str, tuple[str | None, str | None, str]] = {
         "Landroid/content/pm/PackageManager;", None, "PackageManager.getInstallerPackageName"
     ),  # R14
 }
+_NAME = itemgetter(1)  # MethodRef.name
 
 
 class Finding(NamedTuple):
@@ -200,15 +204,11 @@ def _resolve_targets(dex: DexImage) -> dict[str, list[int]]:
     """The invoked method indices of each target in ``dex``, ascending, by target key."""
     refs = dex.method_refs
     found: dict[str, list[int]] = {}
-    for i in dex.call_sites:
+    for i in compress(count(), map(CODE_TARGETS.__contains__, map(_NAME, refs))):
         ref = refs[i]
-        row = CODE_TARGETS.get(ref.name)
-        if row is not None:
-            owner, shorty, key = row
-            if (owner is None or owner == ref.owner) and (shorty is None or shorty == ref.shorty):
-                found.setdefault(key, []).append(i)
-    for indices in found.values():
-        indices.sort()
+        owner, shorty, key = CODE_TARGETS[ref.name]
+        if (owner is None or owner == ref.owner) and (shorty is None or shorty == ref.shorty) and _invoked(dex, i):
+            found.setdefault(key, []).append(i)
     return found
 
 

@@ -433,7 +433,7 @@ def test_malformed_streams_raise_from_parse_dex(monkeypatch):
     # insns_size counts 16-bit units, so parse_dex never slices an odd-length
     # stream; the walk still rejects one without building a record.
     with pytest.raises(SectionOutOfBoundsError, match=r"^dangling byte in La;->m$"):
-        dex_module._walk_instructions(b"\x0e\x00\x00", "La;", "m", 0, {}, 0)
+        _parse_dex_walk(b"\x0e\x00\x00", "La;", "m", 0, defaultdict(list), 0)
 
 
 # --- error precedence and odd-aligned streams ---------------------------------
@@ -601,6 +601,49 @@ def test_parse_builds_no_instruction_records():
     total = sum(len(body.instructions) for body in image.bodies())
     assert total == sum(len(s.instructions) for s in sketches)
     assert _live_instructions() == before + total
+
+
+def _live_tuples():
+    return sum(1 for o in gc.get_objects() if type(o) is tuple)
+
+
+def test_parse_builds_no_record_per_invoke():
+    # 60 methods of 90 invokes: the call sites live in int columns, not tuples.
+    calls = [("invoke-virtual", [k % 6], _DELETE) for k in range(90)]
+    sketches = [MethodSketch(f"purge{k:02d}", calls + [("return-void",)]) for k in range(60)]
+    data = emit_dex("Lfixture/columns/App;", sketches).data
+    gc.collect()
+    gc.disable()  # a collection would untrack tuples of ints and hide them
+    try:
+        before = _live_tuples()
+        image = parse_dex(data)
+        grown = _live_tuples() - before
+    finally:
+        gc.enable()
+    invokes = len(image.invokes.methods)
+    assert invokes == 60 * 90
+    assert grown < invokes // 20, grown
+    assert "call_sites" not in image.__dict__
+    assert sum(map(len, image.call_sites.values())) == invokes
+
+
+def test_scan_leaves_call_sites_unbuilt(monkeypatch):
+    images = []
+
+    def recording_parse(data, source_name="classes.dex"):
+        images.append(parse_dex(data, source_name=source_name))
+        return images[-1]
+
+    monkeypatch.setattr(scanner, "parse_dex", recording_parse)
+    for profile in rule_oracle_corpus() + fleet_profiles():
+        scanner.scan_bytes(build_fixture(profile), profile.name)
+    assert len(images) == 34
+    for image in images:
+        assert "call_sites" not in image.__dict__, image.source_name
+        walked = defaultdict(list)
+        for ordinal, body in enumerate(image.body_table):
+            _oracle_walk_instructions(body.code, body.owner, body.name, len(image.method_refs), walked, ordinal)
+        assert list(image.call_sites.items()) == list(walked.items())
 
 
 _WEBSETTINGS_BACKSCAN = {
@@ -929,6 +972,8 @@ def test_multibyte_uleb128_method_diff_and_string_length():
 # verbatim as the reference: same call_sites, or the same exception class
 # and message, on every stream. Its width table is rebuilt here from the
 # parser's format names, so the oracle never reads the walk's own table.
+# The walk it is compared with is the one parse_dex runs, through
+# _parse_dex_walk, which turns its columns back into call_sites.
 
 _OP_UNITS = tuple(dex_module._FORMAT_UNITS[f] for f in dex_module.OPCODE_FORMATS)
 INVOKE_OPS = frozenset(range(0x6E, 0x73)) | frozenset(range(0x74, 0x79))
@@ -991,6 +1036,23 @@ def _oracle_walk_instructions(
         position += 1
 
 
+def _parse_dex_walk(code, owner, name, method_count, call_sites, ordinal):
+    """The walk ``parse_dex`` runs, over one stream, with the oracle's signature.
+
+    Its invoke columns are put into ``call_sites`` as the oracle records them,
+    and a failure checks the invokes recorded before it, as ``parse_dex`` does.
+    """
+    walk = dex_module._Walk(code)
+    walk.bodies.append(dex_module.MethodBody(owner, name, code))
+    try:
+        walk.stream(code, 0, owner, name)
+    except DexError:
+        walk.methods(method_count)
+        raise
+    for char, place, unit in zip(walk.methods(method_count), walk.places, walk.units):
+        call_sites[ord(char)].append((ordinal, place, 2 * unit))  # one body, ordinal 0: the place is the position
+
+
 def _walk_outcome(walk, code, method_count):
     sites = defaultdict(list)
     try:
@@ -1002,7 +1064,7 @@ def _walk_outcome(walk, code, method_count):
 
 def _assert_walk_matches_oracle(code, method_count):
     expected = _walk_outcome(_oracle_walk_instructions, code, method_count)
-    assert _walk_outcome(dex_module._walk_instructions, code, method_count) == expected, (code.hex(), method_count)
+    assert _walk_outcome(_parse_dex_walk, code, method_count) == expected, (code.hex(), method_count)
     return expected
 
 
