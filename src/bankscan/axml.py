@@ -129,7 +129,7 @@ def _truncated(pos: int, end: int, widths: tuple[int, ...]) -> TruncatedChunkErr
     return TruncatedChunkError(f"need {n} bytes at offset {pos:#x}, only {end - pos} left")
 
 
-def _decode_string_pool(data: bytes, chunk_start: int, chunk_size: int) -> tuple[str, ...]:
+def _decode_string_pool(data: bytes, chunk_start: int, header_size: int, chunk_size: int) -> tuple[str, ...]:
     pos = chunk_start + 8
     limit = chunk_start + chunk_size
     if pos + _POOL_HEADER.size > limit:
@@ -137,13 +137,16 @@ def _decode_string_pool(data: bytes, chunk_start: int, chunk_size: int) -> tuple
     string_count, style_count, flags, strings_start = _POOL_HEADER.unpack_from(data, pos)
     is_utf8 = bool(flags & _UTF8_FLAG)
 
-    # Offsets array must physically fit inside the chunk.
-    if 28 + 4 * (string_count + style_count) > chunk_size:
+    # The offset table follows the declared header, as in AOSP's
+    # ResStringPool::setTo, and must physically fit inside the chunk.
+    if header_size < 28:  # the chunk header and the five pool header fields
+        raise TruncatedChunkError(f"string pool header size {header_size} below 28")
+    if header_size + 4 * (string_count + style_count) > chunk_size:
         raise TruncatedChunkError("string pool offset table larger than chunk")
     if strings_start > chunk_size:
         raise TruncatedChunkError("string data starts past end of pool chunk")
 
-    offsets = struct.unpack_from(f"<{string_count}I", data, chunk_start + 28)
+    offsets = struct.unpack_from(f"<{string_count}I", data, chunk_start + header_size)
     base = chunk_start + strings_start
 
     # Offsets may repeat; each distinct one is decoded once, in first-use
@@ -244,7 +247,7 @@ def decode_axml(data: bytes) -> AxmlDocument:
 
         if ctype == CHUNK_STRING_POOL:
             if pool is None:
-                pool = _decode_string_pool(data, pos, csize)
+                pool = _decode_string_pool(data, pos, chdr, csize)
             else:
                 warnings.append(f"extra string pool at offset {pos:#x} ignored")
         elif ctype in (CHUNK_RESOURCE_MAP, CHUNK_CDATA):

@@ -99,7 +99,8 @@ def _varlen(n: int, wide: bool) -> bytes:
     return bytes([n]) if n < 0x80 else bytes([0x80 | n >> 8, n & 0xFF])
 
 
-def _pool(*strings: str, utf8: bool = True) -> bytes:
+def _pool(*strings: str, utf8: bool = True, header_size: int = 28) -> bytes:
+    """A string pool chunk; a ``header_size`` above 28 pads the header with zero bytes."""
     body = bytearray()
     offsets = []
     for s in strings:
@@ -111,9 +112,10 @@ def _pool(*strings: str, utf8: bool = True) -> bytes:
             body += _varlen(len(s), True) + s.encode("utf-16-le") + b"\x00\x00"
     while len(body) % 4:
         body += b"\x00"
-    start = 28 + 4 * len(strings)
+    start = header_size + 4 * len(strings)
     flags = 0x100 if utf8 else 0
-    chunk = struct.pack("<HHIIIIII", 0x0001, 28, start + len(body), len(strings), 0, flags, start, 0)
+    chunk = struct.pack("<HHIIIIII", 0x0001, header_size, start + len(body), len(strings), 0, flags, start, 0)
+    chunk += bytes(header_size - 28)
     return chunk + b"".join(struct.pack("<I", o) for o in offsets) + bytes(body)
 
 
@@ -256,6 +258,17 @@ def test_element_start_truncation_messages(kept, message):
 def test_element_end_truncation_messages(kept, message):
     doc = _doc(_pool("manifest"), _start(0), _cut_chunk(_end(0), 0x10, kept))
     _raises(doc, TruncatedChunkError, message)
+
+
+def test_string_pool_offsets_follow_the_declared_header_size():
+    # A 32-byte pool header (4 spare bytes): the offset table starts at 32, not 28.
+    for utf8 in (True, False):
+        pool = _pool("manifest", "other", utf8=utf8, header_size=32)
+        doc = decode_axml(_doc(pool, _start(0), _end(0)))
+        assert doc.string_pool == ("manifest", "other")
+    short = bytearray(_pool("manifest"))
+    struct.pack_into("<H", short, 2, 24)
+    _raises(_doc(bytes(short), _start(0), _end(0)), TruncatedChunkError, "string pool header size 24 below 28")
 
 
 def test_chunk_and_pool_size_messages():
