@@ -667,16 +667,11 @@ def _sites_of(dex: DexImage, targets: list[int]) -> list[InvocationSite]:
     ]
 
 
-def _invoked(dex: DexImage, index: int) -> bool:
-    """Whether some invoke in ``dex`` names method ``index``."""
-    return chr(index) in dex.invokes.methods
-
-
 def invocations_where(dex: DexImage, matches: Callable[[MethodRef], bool]) -> list[InvocationSite]:
     """Every invoke instruction whose target satisfies ``matches``.
 
     Resolves the matching ``method_refs`` entries first and reads their sites
-    from the call-site index, so no instruction is visited or decoded. Sites
+    from the invoke columns, so no instruction is visited or decoded. Sites
     come in body order, then by position inside the body.
     """
     return _sites_of(dex, [i for i, ref in enumerate(dex.method_refs) if matches(ref)])
@@ -686,7 +681,7 @@ def invocations_of(dex: DexImage, owner_pattern: str, method_name: str) -> list[
     """Every invoke instruction whose target matches the owner pattern and name.
 
     The pattern is an exact type descriptor, or a prefix when it ends in ``*``.
-    Answered from the call-site index, like ``invocations_where``.
+    Answered from the invoke columns, like ``invocations_where``.
     """
     return _sites_of(
         dex,

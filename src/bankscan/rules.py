@@ -35,7 +35,7 @@ from itertools import compress, count
 from operator import itemgetter
 from typing import NamedTuple
 
-from .dex import DexImage, InvocationSite, _invoked, _sites_of, literal_reaching, string_pool_has
+from .dex import DexImage, InvocationSite, _sites_of, literal_reaching, string_pool_has
 from .manifest import ManifestModel
 
 FLAG_SECURE = 0x2000
@@ -203,11 +203,12 @@ class ScanInput:
 def _resolve_targets(dex: DexImage) -> dict[str, list[int]]:
     """The invoked method indices of each target in ``dex``, ascending, by target key."""
     refs = dex.method_refs
+    invoked = dex.invokes.methods  # one character per invoke: chr of the method index it names
     found: dict[str, list[int]] = {}
     for i in compress(count(), map(CODE_TARGETS.__contains__, map(_NAME, refs))):
         ref = refs[i]
         owner, shorty, key = CODE_TARGETS[ref.name]
-        if (owner is None or owner == ref.owner) and (shorty is None or shorty == ref.shorty) and _invoked(dex, i):
+        if (owner is None or owner == ref.owner) and (shorty is None or shorty == ref.shorty) and chr(i) in invoked:
             found.setdefault(key, []).append(i)
     return found
 
