@@ -376,7 +376,7 @@ def test_backscan_does_not_rescan_bodies_per_site(monkeypatch):
         assert len(evaluate_rule(RuleId.R08, inp)) == site_count
         assert len(evaluate_rule(RuleId.R13, inp)) == 1  # 0x0080 is not FLAG_SECURE
         counts[site_count] = calls
-    assert counts == {1: 0, 50: 0}  # sites come from the call-site index
+    assert counts == {1: 0, 50: 0}  # sites come from the invoke columns
 
 
 def _lookup_rules_input(site_count):
