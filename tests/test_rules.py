@@ -335,6 +335,26 @@ def test_r07_silent_without_webview():
     assert evaluate_rule(RuleId.R07, make_input()) == []
 
 
+def _type_refs(*types):
+    return MethodSketch("refs", [*(("const-class", i, t) for i, t in enumerate(types)), ("return-void",)])
+
+
+def test_r07_default_on_evidence_quotes_the_first_webkit_type():
+    # The first DEX that references a webkit type, then its first such type in
+    # type order (CookieManager sorts before WebView, whatever the code order).
+    default_on = " and never calls setAllowFileAccess(false); file access is enabled by default"
+    second = parse_dex(
+        emit_dex("Ltest/app/Second;", [_type_refs(WEBVIEW, "Landroid/webkit/CookieManager;")]).data,
+        source_name="classes2.dex",
+    )
+    assert not any(t.startswith("Landroid/webkit/") for t in make_input().dexes[0].type_names)
+    [finding] = evaluate_rule(RuleId.R07, make_input(extra_dexes=(second,)))
+    assert finding.evidence == ("classes2.dex: references type Landroid/webkit/CookieManager;" + default_on,)
+
+    [finding] = evaluate_rule(RuleId.R07, make_input([_type_refs(WEBVIEW)], extra_dexes=(second,)))
+    assert finding.evidence == (f"classes.dex: references type {WEBVIEW}" + default_on,)
+
+
 def test_r08_literal_controls_finding():
     assert len(evaluate_rule(RuleId.R08, make_input([_settings_call("setJavaScriptEnabled", 1)]))) == 1
     assert evaluate_rule(RuleId.R08, make_input([_settings_call("setJavaScriptEnabled", 0)])) == []
