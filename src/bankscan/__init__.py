@@ -8,16 +8,7 @@ comparison matrix.
 
 from .apk import ApkArchive, ApkError, dex_entry_names, load_apk, open_apk, read_entry
 from .axml import AxmlDocument, AxmlError, decode_axml
-from .dex import (
-    DexError,
-    DexImage,
-    InvocationSite,
-    invocations_of,
-    literal_reaching,
-    parse_dex,
-    string_pool_has,
-    string_pool_matches,
-)
+from .dex import DexError, DexImage, InvocationSite, literal_reaching, parse_dex
 from .knowledge import (
     countermeasure_for,
     load_knowledge_base,
@@ -43,7 +34,7 @@ from .rules import (
     evaluate_rule,
     run_all_rules,
 )
-from .scanner import scan_bytes, scan_file
+from .scanner import scan_bytes
 
 __version__ = "0.1.0"
 
@@ -71,7 +62,6 @@ __all__ = [
     "deserialize_report",
     "dex_entry_names",
     "evaluate_rule",
-    "invocations_of",
     "literal_reaching",
     "load_apk",
     "load_knowledge_base",
@@ -81,10 +71,7 @@ __all__ = [
     "render_report",
     "run_all_rules",
     "scan_bytes",
-    "scan_file",
     "serialize",
-    "string_pool_has",
-    "string_pool_matches",
     "threat_for",
     "user_countermeasures",
 ]

@@ -24,7 +24,7 @@ from .axml import AxmlError
 from .dex import DexError
 from .report import build_fleet_matrix, duplicate_app_names, render_report, serialize, serialize_reports
 from .rules import ScanResult, Severity
-from .scanner import scan_file
+from .scanner import scan_bytes
 
 PROG = "bankscan"
 FORMAT_ENV_VAR = "BANKSCAN_FORMAT"
@@ -190,7 +190,7 @@ def _scan_many(paths: list[Path]):
     errors: list[tuple[Path, str]] = []
     for path in paths:
         try:
-            results.append(scan_file(path))
+            results.append(scan_bytes(path.read_bytes(), path.name))
         except (*_PARSE_ERRORS, OSError) as exc:
             errors.append((path, f"{type(exc).__name__}: {exc}"))
     return results, errors
@@ -205,7 +205,7 @@ def execute(config: CliConfig) -> int:
     if config.mode == "scan":
         path = config.inputs[0]
         try:
-            result = scan_file(path)
+            result = scan_bytes(path.read_bytes(), path.name)
         except (*_PARSE_ERRORS, OSError) as exc:
             sys.stderr.write(f"{PROG}: {path}: {type(exc).__name__}: {exc}\n")
             return 3

@@ -20,14 +20,12 @@ index of every invoke is read in one pass over a 16-bit view of the file and
 checked with one ``max``; if another error stops the parse first, the
 invokes recorded so far are checked before it is raised, so the first
 invoke that names no method still wins. The indices are kept as a string,
-one character per invoke, so ``invocations_of`` resolves the matching
-method ids and finds their invokes with ``str.find``, without touching the
-code again. ``DexImage.call_sites`` (method index -> body ordinal,
-instruction position and byte offset) is built from these columns when it
-is first read; a scan does not read it. ``Instruction`` records, with
-operands only for the const and invoke families, are decoded from a body's
-validated bytes when ``MethodBody.instructions`` is first read; a scan reads
-them only for the bodies whose sites the const back-scan inspects.
+one character per invoke, so the rules resolve the method ids they want and
+find their invokes with ``str.find``, without touching the code again.
+``Instruction`` records, with operands only for the const and invoke
+families, are decoded from a body's validated bytes when
+``MethodBody.instructions`` is first read; a scan reads them only for the
+bodies whose sites the const back-scan inspects.
 
 Register dataflow is deliberately not modeled: ``literal_reaching`` is a
 bounded linear back-scan that ignores which register a const targets, so it
@@ -39,7 +37,6 @@ from __future__ import annotations
 import functools
 import struct
 import sys
-from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import NamedTuple
@@ -246,22 +243,6 @@ class DexImage:
     def bodies(self):
         for cls in self.classes:
             yield from cls.methods
-
-    @functools.cached_property
-    def call_sites(self) -> dict[int, list[tuple[int, int, int]]]:
-        """Each invoked method index, in first-call order, with its call sites.
-
-        A site is (body ordinal, position in body.instructions, byte offset in
-        body.code), in body order. Built from the invoke columns on first read;
-        a scan never reads it.
-        """
-        methods, places, units, starts, shift = self.invokes
-        mask = (1 << shift) - 1
-        sites: dict[int, list[tuple[int, int, int]]] = {}
-        for char, place, unit in zip(methods, places, units):
-            ordinal = place >> shift
-            sites.setdefault(ord(char), []).append((ordinal, place & mask, 2 * (unit - starts[ordinal])))
-        return sites
 
 
 def _uleb128(data: bytes, pos: int, limit: int) -> tuple[int, int]:
@@ -634,12 +615,6 @@ def _decode_instructions(code: bytes, owner: str, name: str) -> tuple[Instructio
 # ---------------------------------------------------------------------------
 
 
-def _owner_matches(pattern: str, owner: str) -> bool:
-    if pattern.endswith("*"):
-        return owner.startswith(pattern[:-1])
-    return owner == pattern
-
-
 def _sites_of(dex: DexImage, targets: list[int]) -> list[InvocationSite]:
     """Call sites of the given method indices from the invoke columns: body order, then position."""
     methods, places, units, starts, shift = dex.invokes
@@ -665,77 +640,6 @@ def _sites_of(dex: DexImage, targets: list[int]) -> list[InvocationSite]:
         for place in (places[row],)
         for ordinal in (place >> shift,)
     ]
-
-
-def invocations_where(dex: DexImage, matches: Callable[[MethodRef], bool]) -> list[InvocationSite]:
-    """Every invoke instruction whose target satisfies ``matches``.
-
-    Resolves the matching ``method_refs`` entries first and reads their sites
-    from the invoke columns, so no instruction is visited or decoded. Sites
-    come in body order, then by position inside the body.
-    """
-    return _sites_of(dex, [i for i, ref in enumerate(dex.method_refs) if matches(ref)])
-
-
-def invocations_of(dex: DexImage, owner_pattern: str, method_name: str) -> list[InvocationSite]:
-    """Every invoke instruction whose target matches the owner pattern and name.
-
-    The pattern is an exact type descriptor, or a prefix when it ends in ``*``.
-    Answered from the invoke columns, like ``invocations_where``.
-    """
-    return _sites_of(
-        dex,
-        [
-            i for i, ref in enumerate(dex.method_refs)
-            if ref.name == method_name and _owner_matches(owner_pattern, ref.owner)
-        ],
-    )
-
-
-def string_pool_has(dex: DexImage, needles: Sequence[str], mode: str = "substring") -> bool:
-    """Whether any pool string matches any needle; ``string_pool_matches`` up to its first hit."""
-    if not needles:
-        raise ValueError("needles must be non-empty")
-    if mode not in ("exact", "substring"):
-        raise ValueError(f"unknown match mode {mode!r}")
-    pool = dex.string_pool
-    if mode == "exact":
-        return not frozenset(needles).isdisjoint(pool)
-    if not pool:
-        return False
-    # A needle absent from the joined pool is absent from every string in it,
-    # so one C-level search per needle settles the usual no-hit case; a
-    # NUL-free needle found there lies inside one string. Only distinct
-    # strings are joined, so ids sharing one string cost it once.
-    distinct = dict.fromkeys(pool)
-    joined = "\x00".join(distinct)
-    return any(
-        "\x00" not in needle or any(needle in s for s in distinct)
-        for needle in needles
-        if needle in joined
-    )
-
-
-def string_pool_matches(
-    dex: DexImage, needles: list[str], mode: str = "substring"
-) -> list[tuple[str, int]]:
-    """Pool strings matching any needle. ``mode`` is ``exact`` or ``substring``.
-
-    Returns ``(string, index)`` pairs in pool order, each pool entry at most once.
-    """
-    if not string_pool_has(dex, needles, mode):
-        return []
-    pool = dex.string_pool
-    if mode == "exact":
-        wanted = frozenset(needles)
-        return [(s, i) for i, s in enumerate(pool) if s in wanted]
-    hits = []
-    for i, s in enumerate(pool):
-        for needle in needles:
-            if needle in s:
-                hits.append((s, i))
-                break
-    return hits
 
 
 def literal_reaching(site: InvocationSite, max_lookback: int = DEFAULT_LOOKBACK) -> int | None:

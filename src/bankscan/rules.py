@@ -10,15 +10,18 @@ All rules are pure functions of the scan input, so results are
 deterministic and the rules could be evaluated in any order or in parallel;
 findings are always merged in rule order.
 
-The code rules' call targets are data: ``CODE_TARGETS`` maps a method name
-to an owner, a shorty and a target key. ``ScanInput.targets`` resolves the
-table once per scan: one C-level pass over each DEX's method refs picks
-the ones named in the table, and each of those that matches and is invoked
-is kept. Every code rule reads that resolution instead of querying the DEX
-again. A rule that needs sites reads them from the DEX's invoke columns
-for the resolved method indices; an absence rule only asks whether its key
-was resolved. The first code rule to ask, R01, pays for the resolution, so
-a per-rule trace shows it under R01.
+Every code rule reads one per-scan fact table, ``ScanInput.facts``, and
+queries the DEX no further. ``CODE_TARGETS`` maps a method name to an owner,
+a shorty and a target key, and ``_resolve_facts`` resolves it once per DEX:
+one C-level pass over the method refs picks the ones named in the table, and
+each of those that matches and is invoked is kept. The same pass settles the
+DEX-level facts: a root marker in the string pool, the package Signature
+type, the first WebView type and a ``FLAG_SECURE`` window flag. A rule that
+needs sites reads them from the DEX's invoke columns for the resolved method
+indices. The absence rules are rows of ``ABSENCE_ROWS``: the fact keys that
+clear the rule, and the search that came up empty. The first code rule to
+ask, R01, pays for the table, so a per-rule trace shows it under R01, R09's
+pool search and R13's const back-scan included.
 
 Known, accepted imprecision: rules scan bundled third-party code exactly
 like first-party code, R01 matches on method-local co-occurrence rather
@@ -33,9 +36,9 @@ import functools
 from dataclasses import dataclass
 from itertools import compress, count
 from operator import itemgetter
-from typing import NamedTuple
+from typing import Any, NamedTuple
 
-from .dex import DexImage, InvocationSite, _sites_of, literal_reaching, string_pool_has
+from .dex import DexImage, InvocationSite, _sites_of, literal_reaching
 from .manifest import ManifestModel
 
 FLAG_SECURE = 0x2000
@@ -150,8 +153,8 @@ RULE_CATEGORIES: dict[RuleId, str] = {
 
 
 # The code rules' call targets: method name -> (owner, shorty, target key),
-# where None matches any owner or shorty. ScanInput.targets resolves them
-# once per scan; names sharing a key have their sites merged in body order.
+# where None matches any owner or shorty. _resolve_facts resolves them once
+# per DEX; names sharing a key have their sites merged in body order.
 CODE_TARGETS: dict[str, tuple[str | None, str | None, str]] = {
     "<init>": ("Landroid/content/Intent;", "VL", "Intent(action)"),  # R01
     "startService": (None, None, "service start"),  # R01
@@ -170,6 +173,29 @@ CODE_TARGETS: dict[str, tuple[str | None, str | None, str]] = {
     ),  # R14
 }
 _NAME = itemgetter(1)  # MethodRef.name
+
+# The DEX-level facts _resolve_facts adds to the call targets, by key, each
+# with the value that set it. "root marker": a ROOT_MARKER_EXACT string in the
+# pool, else a ROOT_MARKER_SUBSTRINGS one inside a pool string. "Signature
+# type": the type Landroid/content/pm/Signature;. "webkit type": the first
+# Landroid/webkit/ type, which R07 quotes. "FLAG_SECURE": the first "Window
+# flags" site whose reaching literal is FLAG_SECURE.
+#
+# The absence rules: rule -> (the fact keys any one of which clears it, the
+# search that came up empty when none is held).
+ABSENCE_ROWS: dict[RuleId, tuple[tuple[str, ...], str]] = {
+    RuleId.R09: (
+        ("Runtime.exec", "root marker"),
+        f"no root-detection marker ({', '.join(ROOT_MARKER_EXACT + ROOT_MARKER_SUBSTRINGS)}) "
+        "in any string pool and no Runtime.exec call",
+    ),
+    RuleId.R12: (
+        ("getPackageInfo", "Signature type"),
+        "no reference to Landroid/content/pm/Signature; and no getPackageInfo call",
+    ),
+    RuleId.R13: (("FLAG_SECURE",), "no Window.setFlags/addFlags call with FLAG_SECURE (0x2000)"),
+    RuleId.R14: (("PackageManager.getInstallerPackageName",), "no PackageManager.getInstallerPackageName call"),
+}
 
 
 class Finding(NamedTuple):
@@ -191,25 +217,48 @@ class ScanInput:
             raise ValueError("scan input needs at least one DEX image")
 
     @functools.cached_property
-    def targets(self) -> dict[str, list[tuple[DexImage, list[int]]]]:
-        """For each ``CODE_TARGETS`` key that is called, ``(dex, method indices)`` per DEX, in DEX order."""
-        resolved: dict[str, list[tuple[DexImage, list[int]]]] = {}
+    def facts(self) -> dict[str, list[tuple[DexImage, Any]]]:
+        """For each fact some DEX holds, ``(dex, value)`` per DEX that holds it, in DEX order.
+
+        A call target's value is its invoked method indices; see ``_resolve_facts``.
+        """
+        resolved: dict[str, list[tuple[DexImage, Any]]] = {}
         for dex in self.dexes:
-            for key, indices in _resolve_targets(dex).items():
-                resolved.setdefault(key, []).append((dex, indices))
+            for key, value in _resolve_facts(dex).items():
+                resolved.setdefault(key, []).append((dex, value))
         return resolved
 
 
-def _resolve_targets(dex: DexImage) -> dict[str, list[int]]:
-    """The invoked method indices of each target in ``dex``, ascending, by target key."""
+def _resolve_facts(dex: DexImage) -> dict[str, Any]:
+    """The facts ``dex`` holds: each invoked target's method indices, ascending, then the DEX-level facts."""
     refs = dex.method_refs
     invoked = dex.invokes.methods  # one character per invoke: chr of the method index it names
-    found: dict[str, list[int]] = {}
+    found: dict[str, Any] = {}
     for i in compress(count(), map(CODE_TARGETS.__contains__, map(_NAME, refs))):
         ref = refs[i]
         owner, shorty, key = CODE_TARGETS[ref.name]
         if (owner is None or owner == ref.owner) and (shorty is None or shorty == ref.shorty) and chr(i) in invoked:
             found.setdefault(key, []).append(i)
+
+    pool = dex.string_pool
+    marker = next((m for m in ROOT_MARKER_EXACT if m in pool), None)
+    if marker is None:
+        # The markers hold no NUL, so one found in the joined pool lies inside
+        # one string; joining only distinct strings bounds it by the file size.
+        joined = "\x00".join(dict.fromkeys(pool))
+        marker = next((m for m in ROOT_MARKER_SUBSTRINGS if m in joined), None)
+    if marker is not None:
+        found["root marker"] = marker
+    types = dex.type_names
+    if "Landroid/content/pm/Signature;" in types:
+        found["Signature type"] = "Landroid/content/pm/Signature;"
+    webkit = next((t for t in types if t.startswith("Landroid/webkit/")), None)
+    if webkit is not None:
+        found["webkit type"] = webkit
+    window_flags = _sites_of(dex, found.get("Window flags", ()))
+    secure = next((site for site in window_flags if literal_reaching(site) == FLAG_SECURE), None)
+    if secure is not None:
+        found["FLAG_SECURE"] = secure
     return found
 
 
@@ -247,13 +296,17 @@ def _site_findings(rule: RuleId, sites: list, suffix: str = "") -> list[Finding]
     ]
 
 
-def _absence(rule: RuleId, inp: ScanInput, searched: str) -> list[Finding]:
+def _absence(rule: RuleId, inp: ScanInput) -> list[Finding]:
+    """An absence rule: no finding when any fact of its row is held, else one naming the search."""
+    keys, searched = ABSENCE_ROWS[rule]
+    if not inp.facts.keys().isdisjoint(keys):
+        return []
     return [_finding(rule, [f"absence: {searched} across {len(inp.dexes)} dex file(s)"])]
 
 
 def _sites(inp: ScanInput, key: str) -> list[tuple[DexImage, InvocationSite]]:
     """``(dex, site)`` for every call to a target: DEX order, then body, then position."""
-    return [(dex, site) for dex, indices in inp.targets.get(key, ()) for site in _sites_of(dex, indices)]
+    return [(dex, site) for dex, indices in inp.facts.get(key, ()) for site in _sites_of(dex, indices)]
 
 
 # --- manifest rules --------------------------------------------------------
@@ -318,8 +371,8 @@ def _r01_implicit_service(inp: ScanInput) -> list[Finding]:
     # which covers the action-string constructor (and over-approximates the
     # copy constructor); the two-argument explicit form is VLL and never hits.
     findings = []
-    start_targets = {id(dex): indices for dex, indices in inp.targets.get("service start", ())}
-    for dex, ctor_targets in inp.targets.get("Intent(action)", ()):
+    start_targets = {id(dex): indices for dex, indices in inp.facts.get("service start", ())}
+    for dex, ctor_targets in inp.facts.get("Intent(action)", ()):
         if id(dex) not in start_targets:
             continue
         # Sites come in body order, so the first one seen per body is its
@@ -363,67 +416,16 @@ def _r07_file_access(inp: ScanInput) -> list[Finding]:
         return findings
     # File access is on by default: a WebView in use without an explicit
     # setAllowFileAccess(false) anywhere leaves it enabled.
-    if not explicit_off:
-        webkit_ref = next(
-            (
-                f"{dex.source_name}: references type {t}"
-                for dex in inp.dexes
-                for t in dex.type_names
-                if t.startswith("Landroid/webkit/")
-            ),
-            None,
-        )
-        if webkit_ref is not None:
-            findings.append(
-                _finding(
-                    RuleId.R07,
-                    [webkit_ref + " and never calls setAllowFileAccess(false); file access is enabled by default"],
-                )
-            )
+    if not explicit_off and "webkit type" in inp.facts:
+        dex, webkit = inp.facts["webkit type"][0]
+        default_on = "never calls setAllowFileAccess(false); file access is enabled by default"
+        findings.append(_finding(RuleId.R07, [f"{dex.source_name}: references type {webkit} and {default_on}"]))
     return findings
 
 
 def _r08_javascript(inp: ScanInput) -> list[Finding]:
     sites = _sites(inp, "WebSettings.setJavaScriptEnabled")
     return _site_findings(RuleId.R08, [(d, s) for d, s in sites if literal_reaching(s) == 1], " with literal 1")
-
-
-# --- whole-app absence rules -----------------------------------------------
-
-
-def _r09_root_check(inp: ScanInput) -> list[Finding]:
-    if "Runtime.exec" in inp.targets:
-        return []
-    for dex in inp.dexes:
-        if string_pool_has(dex, ROOT_MARKER_EXACT, "exact"):
-            return []
-        if string_pool_has(dex, ROOT_MARKER_SUBSTRINGS, "substring"):
-            return []
-    markers = ", ".join(ROOT_MARKER_EXACT + ROOT_MARKER_SUBSTRINGS)
-    return _absence(
-        RuleId.R09, inp, f"no root-detection marker ({markers}) in any string pool and no Runtime.exec call"
-    )
-
-
-def _r12_signature_check(inp: ScanInput) -> list[Finding]:
-    if "getPackageInfo" in inp.targets:
-        return []
-    for dex in inp.dexes:
-        if "Landroid/content/pm/Signature;" in dex.type_names:
-            return []
-    return _absence(RuleId.R12, inp, "no reference to Landroid/content/pm/Signature; and no getPackageInfo call")
-
-
-def _r13_screenshot(inp: ScanInput) -> list[Finding]:
-    if any(literal_reaching(site) == FLAG_SECURE for _, site in _sites(inp, "Window flags")):
-        return []
-    return _absence(RuleId.R13, inp, "no Window.setFlags/addFlags call with FLAG_SECURE (0x2000)")
-
-
-def _r14_installer_check(inp: ScanInput) -> list[Finding]:
-    if "PackageManager.getInstallerPackageName" in inp.targets:
-        return []
-    return _absence(RuleId.R14, inp, "no PackageManager.getInstallerPackageName call")
 
 
 _EVALUATORS = {
@@ -435,12 +437,12 @@ _EVALUATORS = {
     RuleId.R06: _r06_permission,
     RuleId.R07: _r07_file_access,
     RuleId.R08: _r08_javascript,
-    RuleId.R09: _r09_root_check,
+    RuleId.R09: functools.partial(_absence, RuleId.R09),
     RuleId.R10: _r10_backup,
     RuleId.R11: functools.partial(_site_rule, RuleId.R11, "File.delete"),
-    RuleId.R12: _r12_signature_check,
-    RuleId.R13: _r13_screenshot,
-    RuleId.R14: _r14_installer_check,
+    RuleId.R12: functools.partial(_absence, RuleId.R12),
+    RuleId.R13: functools.partial(_absence, RuleId.R13),
+    RuleId.R14: functools.partial(_absence, RuleId.R14),
 }
 
 

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from pathlib import Path
-
 from .apk import MANIFEST_NAME, dex_entry_names, load_apk, read_entry
 from .axml import decode_axml
 from .dex import parse_dex
@@ -21,8 +19,3 @@ def scan_bytes(data: bytes, apk_name: str) -> ScanResult:
     )
     return run_all_rules(ScanInput(manifest=manifest, dexes=dexes, apk_name=apk_name))
 
-
-def scan_file(path: str | Path) -> ScanResult:
-    """Scan an APK on disk under its file name."""
-    p = Path(path)
-    return scan_bytes(p.read_bytes(), p.name)

@@ -11,6 +11,8 @@ import hashlib
 import random
 import struct
 
+from test_dex import call_sites
+
 from bankscan.axml import decode_axml
 from bankscan.dex import parse_dex
 from bankscan.fixtures import build_dex, build_manifest_bytes, fleet_profiles
@@ -62,7 +64,7 @@ def _decoded_manifest(data: bytes) -> str:
 
 def _parsed_dex(data: bytes) -> str:
     image = parse_dex(data)
-    return repr((image.method_refs, image.string_pool, image.classes, image.call_sites))
+    return repr((image.method_refs, image.string_pool, image.classes, call_sites(image)))
 
 
 def test_axml_mutation_outcomes_pinned():

@@ -27,11 +27,9 @@ from bankscan.dex import (
     Instruction,
     MalformedUleb128Error,
     SectionOutOfBoundsError,
-    invocations_of,
+    _sites_of,
     literal_reaching,
     parse_dex,
-    string_pool_has,
-    string_pool_matches,
 )
 from bankscan.fixtures import (
     MethodSketch,
@@ -53,6 +51,42 @@ from bankscan.fixtures.profiles import (
 )
 
 OBJECT = "Ljava/lang/Object;"
+
+
+# --- call-site queries over the invoke columns ----------------------------------
+# The generic queries the scan no longer calls, kept as the tests' way in to
+# the invoke columns: the rules resolve their targets in rules._resolve_facts.
+
+
+def _owner_matches(pattern: str, owner: str) -> bool:
+    if pattern.endswith("*"):
+        return owner.startswith(pattern[:-1])
+    return owner == pattern
+
+
+def invocations_where(dex, matches):
+    """Every invoke whose target satisfies ``matches``: body order, then position."""
+    return _sites_of(dex, [i for i, ref in enumerate(dex.method_refs) if matches(ref)])
+
+
+def invocations_of(dex, owner_pattern, method_name):
+    """Every invoke whose target has the name and an owner matching the pattern (a ``*`` suffix is a prefix)."""
+    return invocations_where(dex, lambda ref: ref.name == method_name and _owner_matches(owner_pattern, ref.owner))
+
+
+def call_sites(image):
+    """Each invoked method index, in first-call order, with its sites in body order.
+
+    A site is (body ordinal, position in body.instructions, byte offset in
+    body.code), read back from the invoke columns.
+    """
+    methods, places, units, starts, shift = image.invokes
+    mask = (1 << shift) - 1
+    sites = {}
+    for char, place, unit in zip(methods, places, units):
+        ordinal = place >> shift
+        sites.setdefault(ord(char), []).append((ordinal, place & mask, 2 * (unit - starts[ordinal])))
+    return sites
 
 
 @pytest.fixture(scope="module")
@@ -184,87 +218,6 @@ def test_two_call_sites_have_distinct_offsets():
     assert sites[0].offset != sites[1].offset
 
 
-def test_string_pool_matches_modes():
-    art = emit_dex(
-        "Lfixture/strings/App;",
-        [
-            MethodSketch(
-                "markers",
-                [
-                    ("const-string", 0, "/system/xbin/su"),
-                    ("const-string", 1, "sushi"),
-                    ("return-void",),
-                ],
-            )
-        ],
-    )
-    image = parse_dex(art.data)
-    assert [s for s, _ in string_pool_matches(image, ["su"], "exact")] == []
-    hits = [s for s, _ in string_pool_matches(image, ["su"], "substring")]
-    assert set(hits) >= {"/system/xbin/su", "sushi"}
-    exact = string_pool_matches(image, ["/system/xbin/su"], "exact")
-    assert [s for s, _ in exact] == ["/system/xbin/su"]
-    with pytest.raises(ValueError):
-        string_pool_matches(image, [], "exact")
-    with pytest.raises(ValueError):
-        string_pool_matches(image, ["x"], "fuzzy")
-    with pytest.raises(ValueError, match="^needles must be non-empty$"):
-        string_pool_has(image, (), "exact")
-    with pytest.raises(ValueError, match="^unknown match mode 'fuzzy'$"):
-        string_pool_has(image, ["x"], "fuzzy")
-
-    # A string holding two needles is reported once.
-    both = _pool_image(["a", "/system/bin/su-superuser", "b"])
-    assert string_pool_matches(both, ["superuser", "/system/bin/su"]) == [("/system/bin/su-superuser", 1)]
-    # A repeated exact string is reported at each of its pool indices, in pool order.
-    repeated = _pool_image(["su", "x", "su", "sux"])
-    assert string_pool_matches(repeated, ["su", "su"], "exact") == [("su", 0), ("su", 2)]
-    # Needles are literal text, not patterns.
-    meta = _pool_image(["axb", "a.b", "(su)|x", "s+u", "su"])
-    assert string_pool_matches(meta, ["a.b"]) == [("a.b", 1)]
-    assert string_pool_matches(meta, ["(su)|x"]) == [("(su)|x", 2)]
-    assert string_pool_matches(meta, ["s+u", "[su]"]) == [("s+u", 3)]
-    assert string_pool_matches(meta, ["a.b", "s+u"], "exact") == [("a.b", 1), ("s+u", 3)]
-
-
-def _pool_image(strings):
-    return DexImage(string_pool=tuple(strings), type_names=(), method_refs=(), classes=())
-
-
-def _pool_matches_by_loop(pool, needles, mode):
-    """Reference for string_pool_matches: every pool string against every needle."""
-    return [
-        (s, i)
-        for i, s in enumerate(pool)
-        if any((s == n) if mode == "exact" else (n in s) for n in needles)
-    ]
-
-
-_POOL_TEXT = st.text(alphabet="su/\x00.*", max_size=6)
-
-
-@settings(max_examples=300, deadline=None)
-@example(pool=["s", "u"], needles=["s\x00u"], mode="substring")
-@example(pool=["", ""], needles=["\x00"], mode="substring")
-@example(pool=["su\x00", "su"], needles=["\x00su"], mode="substring")
-@example(pool=[], needles=[""], mode="substring")
-@example(pool=[""], needles=[""], mode="exact")
-@example(pool=[""], needles=[""], mode="substring")
-@example(pool=["su\x00", "su"], needles=["\x00su", "u"], mode="substring")
-@given(
-    pool=st.lists(_POOL_TEXT, max_size=8),
-    needles=st.lists(_POOL_TEXT, min_size=1, max_size=4),
-    mode=st.sampled_from(["exact", "substring"]),
-)
-def test_string_pool_matches_agrees_with_loop(pool, needles, mode):
-    # Includes empty needles, empty strings, NULs inside strings and needles
-    # that would only match across two joined strings.
-    expected = _pool_matches_by_loop(pool, needles, mode)
-    assert string_pool_matches(_pool_image(pool), needles, mode) == expected
-    # The yes/no query R09 asks is true exactly when the listing is non-empty.
-    assert string_pool_has(_pool_image(pool), tuple(needles), mode) == bool(expected)
-
-
 def _walked_sites(image, owner_pattern, method_name):
     """Reference for invocations_of: a walk over every instruction of every body."""
     sites = []
@@ -381,8 +334,8 @@ def test_invoke_naming_undefined_method_rejected():
 def test_call_site_index_agrees_with_decoded_records():
     images = [parse_dex(build_dex(p).data) for p in rule_oracle_corpus() + fleet_profiles()]
     for image in images + _multidex_images():
-        assert image.call_sites
-        for method_index, sites in image.call_sites.items():
+        assert call_sites(image)
+        for method_index, sites in call_sites(image).items():
             for ordinal, position, offset in sites:
                 ins = image.body_table[ordinal].instructions[position]
                 assert (ins.offset, ins.method_index) == (offset, method_index), (image.source_name, ordinal)
@@ -572,7 +525,7 @@ def test_odd_aligned_code_items_give_the_same_sites_and_errors():
         moved = _odd_code_items(data, names)
         odd = parse_dex(moved)
         assert [body.code for body in odd.body_table] == [body.code for body in even.body_table]
-        assert list(odd.call_sites.items()) == list(even.call_sites.items())
+        assert list(call_sites(odd).items()) == list(call_sites(even).items())
         assert invocations_of(odd, JFILE, "delete") == even_sites
         for name in names:
             start = moved.rindex(next(body.code for body in even.body_table if body.name == name))
@@ -623,11 +576,10 @@ def test_parse_builds_no_record_per_invoke():
     invokes = len(image.invokes.methods)
     assert invokes == 60 * 90
     assert grown < invokes // 20, grown
-    assert "call_sites" not in image.__dict__
-    assert sum(map(len, image.call_sites.values())) == invokes
+    assert sum(map(len, call_sites(image).values())) == invokes
 
 
-def test_scan_leaves_call_sites_unbuilt(monkeypatch):
+def test_invoke_columns_after_a_scan_match_the_oracle_walk(monkeypatch):
     images = []
 
     def recording_parse(data, source_name="classes.dex"):
@@ -639,11 +591,10 @@ def test_scan_leaves_call_sites_unbuilt(monkeypatch):
         scanner.scan_bytes(build_fixture(profile), profile.name)
     assert len(images) == 34
     for image in images:
-        assert "call_sites" not in image.__dict__, image.source_name
         walked = defaultdict(list)
         for ordinal, body in enumerate(image.body_table):
             _oracle_walk_instructions(body.code, body.owner, body.name, len(image.method_refs), walked, ordinal)
-        assert list(image.call_sites.items()) == list(walked.items())
+        assert list(call_sites(image).items()) == list(walked.items())
 
 
 _WEBSETTINGS_BACKSCAN = {
@@ -658,7 +609,7 @@ def _site_ordinals(image, targets):
         ordinal
         for i, ref in enumerate(image.method_refs)
         if (ref.owner, ref.name) in targets
-        for ordinal, _, _ in image.call_sites.get(i, ())
+        for ordinal, _, _ in call_sites(image).get(i, ())
     }
 
 
@@ -1196,8 +1147,8 @@ def test_method_ref_and_invocation_site_records():
     assert len(images) == 2
     for image in images:
         ordinal_of = {id(body): k for k, body in enumerate(image.body_table)}
-        sites = dex_module.invocations_where(image, lambda ref: True)
-        assert len(sites) == sum(len(v) for v in image.call_sites.values())
+        sites = invocations_where(image, lambda ref: True)
+        assert len(sites) == sum(len(v) for v in call_sites(image).values())
         names = sorted({ref.name for ref in image.method_refs})
         for found in [sites] + [invocations_of(image, "*", name) for name in names]:
             keys = [(ordinal_of[id(site.body)], site.index) for site in found]

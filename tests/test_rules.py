@@ -1,10 +1,12 @@
 """Rule-by-rule behavior at the engine level, with hand-built inputs."""
 
 import pytest
-from test_dex import _multidex_images
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from test_dex import _multidex_images, invocations_of, invocations_where
 
 from bankscan import rules as rules_module
-from bankscan.dex import DexImage, invocations_of, invocations_where, parse_dex
+from bankscan.dex import DexImage, parse_dex
 from bankscan.fixtures import MethodSketch, build_dex, emit_dex, fleet_profiles, rule_oracle_corpus
 from bankscan.fixtures.profiles import (
     CONTEXT,
@@ -530,8 +532,8 @@ def test_resolved_targets_equal_the_old_per_rule_queries():
             assert rules_module._sites(inp, key) == expected, (inp.dexes[0].source_name, key)
             if expected:
                 hits.add(key)
-        for key, per_dex in inp.targets.items():
-            for dex, indices in per_dex:
+        for key in OLD_TARGET_QUERIES.keys() & inp.facts.keys():
+            for dex, indices in inp.facts[key]:
                 assert indices and indices == sorted(indices), key
     assert hits == set(OLD_TARGET_QUERIES)  # every row was exercised with sites
 
@@ -547,7 +549,7 @@ def test_near_misses_resolve_as_before():
     assert callees["WebView.addJavascriptInterface"] == {(WEBVIEW, "VL")}
     assert callees["getPackageInfo"] == {("Lcom/example/Loader;", "V")}
     assert callees["service start"] == {(CONTEXT, "ZL"), ("Landroid/app/Activity;", "VL")}
-    delete_dexes = [dex.source_name for dex, _ in inp.targets["File.delete"]]
+    delete_dexes = [dex.source_name for dex, _ in inp.facts["File.delete"]]
     assert delete_dexes == ["classes.dex", "classes2.dex"]
     # Window.addFlags/setFlags sites merge in body order, then position.
     flags = [(site.body.name, site.index) for _, site in rules_module._sites(inp, "Window flags")]
@@ -556,13 +558,13 @@ def test_near_misses_resolve_as_before():
 
 def test_targets_resolve_once_per_dex_per_scan(monkeypatch):
     resolved = []
-    original = rules_module._resolve_targets
+    original = rules_module._resolve_facts
 
     def counting(dex):
         resolved.append(dex.source_name)
         return original(dex)
 
-    monkeypatch.setattr(rules_module, "_resolve_targets", counting)
+    monkeypatch.setattr(rules_module, "_resolve_facts", counting)
     every_knob = CodeKnobs(
         implicit_start_service=True, add_javascript_interface=True, get_device_id=True,
         set_javascript_enabled=True, set_allow_file_access=False, root_check_strings=False,
@@ -675,11 +677,60 @@ def test_r14_installer_check():
 
 
 def test_absence_rules_search_union_of_all_dexes():
-    marker_dex = parse_dex(
-        emit_dex("Ltest/app/Second;", [_string_sketch("/system/xbin/su")]).data, source_name="classes2.dex"
-    )
-    inp = make_input(extra_dexes=(marker_dex,))
-    assert evaluate_rule(RuleId.R09, inp) == []
+    # Each rule's clearing fact is only in classes2.dex; classes.dex holds none.
+    clearing = {
+        RuleId.R09: _string_sketch("/system/xbin/su"),
+        RuleId.R12: MethodSketch("sig", [("const-class", 0, "Landroid/content/pm/Signature;"), ("return-void",)]),
+        RuleId.R13: MethodSketch(
+            "lock",
+            [("const16", 1, 0x2000), ("invoke-virtual", [0, 1], (WINDOW, "addFlags", ("V", ("I",)))), ("return-void",)],
+        ),
+        RuleId.R14: MethodSketch(
+            "verify",
+            [("invoke-virtual", [0, 1], (PKG_MANAGER, "getInstallerPackageName", (STRING, (STRING,)))), ("return-void",)],
+        ),
+    }
+    assert set(clearing) == ABSENCE_RULES
+    for rule, sketch in clearing.items():
+        second = parse_dex(emit_dex("Ltest/app/Second;", [sketch]).data, source_name="classes2.dex")
+        assert len(evaluate_rule(rule, make_input())) == 1, rule
+        assert evaluate_rule(rule, make_input(extra_dexes=(second,))) == [], rule
+
+
+def _pool_image(strings):
+    return DexImage(string_pool=tuple(strings), type_names=(), method_refs=(), classes=())
+
+
+def _root_marker_by_loop(pool):
+    """Reference for the root-marker fact: every marker against every pool string, exact markers first."""
+    exact = [m for m in rules_module.ROOT_MARKER_EXACT if any(s == m for s in pool)]
+    inside = [m for m in rules_module.ROOT_MARKER_SUBSTRINGS if any(m in s for s in pool)]
+    return (exact + inside + [None])[0]
+
+
+# Pool strings built from pieces of the markers, so that a marker appears
+# whole, split over two strings, or cut by a NUL inside one string.
+_MARKER_PIECES = ["su", "s", "u", "/system/", "xbin/", "bin/", "test-", "keys", "super", "user", "\x00", "x"]
+_POOL_STRING = st.lists(st.sampled_from(_MARKER_PIECES), max_size=4).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@example(pool=[])
+@example(pool=[""])
+@example(pool=["", ""])
+@example(pool=["s", "u"])
+@example(pool=["su\x00", "\x00su"])
+@example(pool=["/system/xbin/", "su"])
+@example(pool=["test-\x00keys", "super\x00user"])
+@example(pool=["sushi", "(su)|x", "s+u"])
+@example(pool=["su", "x", "su", "sux"])
+@example(pool=["a", "/system/bin/su-superuser", "b"])
+@given(pool=st.lists(_POOL_STRING, max_size=8))
+def test_root_marker_fact_agrees_with_loop(pool):
+    # Empty pools and strings, NULs inside strings, repeated strings and
+    # markers that would only match across two joined strings.
+    facts = rules_module._resolve_facts(_pool_image(pool))
+    assert facts.get("root marker") == _root_marker_by_loop(pool)
 
 
 # --- engine-wide properties ---------------------------------------------------
