@@ -894,6 +894,53 @@ def test_field_method_and_class_def_messages(clean_artifact):
     )
 
 
+def test_method_entry_and_code_item_messages(clean_artifact):
+    # One direct method in a class_data appended at the end of the file: its
+    # three ULEB128s (method_idx_diff, access_flags, code_off) cut or overlong,
+    # then a code_off whose code_item or instruction stream does not fit.
+    data = clean_artifact.data
+    n = len(data)
+    class_defs = _u32(data, 0x64)
+    where = f"Lfixture/clean/Markers;->{parse_dex(data).method_refs[0].name}"
+    one_method = b"\x00\x00\x01\x00"
+    uleb_cases = [
+        (b"", f"uleb128 truncated at offset {n + 4:#x}"),  # no method_idx_diff
+        (b"\x00", f"uleb128 truncated at offset {n + 5:#x}"),  # no access_flags
+        (b"\x00\x81", f"uleb128 truncated at offset {n + 6:#x}"),
+        (b"\x00" + b"\xff" * 5, f"uleb128 longer than 5 bytes at offset {n + 5:#x}"),
+        (b"\x00\x09", f"uleb128 truncated at offset {n + 6:#x}"),  # no code_off
+        (b"\x00\x09\x80\x80", f"uleb128 truncated at offset {n + 8:#x}"),
+        (b"\x00\x09" + b"\x80" * 5, f"uleb128 longer than 5 bytes at offset {n + 6:#x}"),
+    ]
+    for entry, message in uleb_cases:
+        _dex_raises(
+            _with_tail(clean_artifact, one_method + entry, ("<I", class_defs + 24, n)),
+            MalformedUleb128Error,
+            message,
+        )
+    # A code_off 15 or 14 bytes before the end of the file: its 16-byte
+    # code_item header does not fit, at an odd and at an even offset.
+    for short in (15, 14):
+        code_off = n + 8 - short
+        entry = b"\x00\x09" + _uleb(code_off)
+        assert len(entry) == 4
+        _dex_raises(
+            _with_tail(clean_artifact, one_method + entry, ("<I", class_defs + 24, n)),
+            SectionOutOfBoundsError,
+            f"code_item of {where} at {code_off:#x}",
+        )
+    # A whole code_item header at the end of the file, at an even and at an
+    # odd offset, whose insns_size of 100 units runs past the file.
+    for pad in (b"", b"\x00"):
+        code_item = pad + struct.pack("<4H2I", 1, 0, 0, 0, 0, 100)
+        tail = code_item + one_method + b"\x00\x09" + _uleb(n + len(pad))
+        _dex_raises(
+            _with_tail(clean_artifact, tail, ("<I", class_defs + 24, n + len(code_item))),
+            SectionOutOfBoundsError,
+            f"instruction stream of {where} overruns file",
+        )
+
+
 def test_multibyte_uleb128_method_diff_and_string_length():
     # 130 methods of La/A; sort before Lz/Z;->go, so go's method-index diff
     # is 130 and takes two ULEB128 bytes, as does the UTF-16 length of the
