@@ -5,25 +5,32 @@ methods are invoked where, which string constants exist, and what integer
 literal precedes a given call. The id sections (strings, types, protos,
 fields, methods) are fully decoded; each is range-checked once against the
 file and then read in bulk, not one entry at a time, and each distinct
-string offset is decoded once. ``parse_dex`` walks each instruction stream
-once, so every instruction's width, every payload and every invoke target
-is checked at parse time, but it builds no per-instruction record. The walk
-maps the file's opcode bytes through a 256-byte table, built from the
-published opcode format table, with one ``bytes.translate`` per DEX; each
-entry is the opcode's width in code units, or a marker for the invoke family
-and for ``nop``, which may start a payload. A plain instruction then costs
-one table read and two adds.
+string offset is decoded once. ``parse_dex`` then reads every class_data,
+method entry and instruction stream of the DEX in one loop, its locals bound
+once per DEX, so every instruction's width, every payload and every invoke
+target is checked at parse time, but it builds no per-instruction record.
+The walk maps the file's opcode bytes through a 256-byte table, built from
+the published opcode format table, with one ``bytes.translate`` per DEX;
+each entry is the opcode's width in code units, or a marker for the invoke
+family and for ``nop``, which may start a payload. A plain instruction then
+costs one table read and one add. The loop reads a one-byte ULEB128 inline
+and builds each ``MethodBody`` without its dataclass ``__init__``. A body it
+does not settle on its own (an odd-aligned code_item, a stream that does not
+fit the file or does not end on an instruction boundary, or one that holds a
+payload) goes through the per-body path, so every error keeps its class and
+message.
 
-An invoke costs two list appends: the code unit it starts at, and its body
-ordinal and position packed in one int. After the last body, the method
-index of every invoke is read in one pass over a 16-bit view of the file and
-checked with one ``max``; if another error stops the parse first, the
-invokes recorded so far are checked before it is raised, so the first
-invoke that names no method still wins. The indices are kept as a string,
-one character per invoke, so the rules resolve the method ids they want and
-find their invokes with ``str.find``, without touching the code again.
-``Instruction`` records, with operands only for the const and invoke
-families, are decoded from a body's validated bytes when
+An invoke costs two list appends: the code unit it starts at and its body's
+ordinal. The walk counts no positions; ``_sites_of`` counts the position of
+each site it returns by stepping the site's body up to it. After the last
+body, the method index of every invoke is read in one pass over a 16-bit
+view of the file and checked with one ``max``; if another error stops the
+parse first, the invokes recorded so far are checked before it is raised,
+so the first invoke that names no method still wins. The indices are kept
+as a string, one character per invoke, so the rules resolve the method ids
+they want and find their invokes with ``str.find``, without touching the
+code again. ``Instruction`` records, with operands only for the const and
+invoke families, are decoded from a body's validated bytes when
 ``MethodBody.instructions`` is first read; a scan reads them only for the
 bodies whose sites the const back-scan inspects.
 
@@ -175,6 +182,9 @@ _WALK_WIDTHS = bytes(
     _INVOKE_MARK if op in INVOKE_OPS else _NOP_MARK if op == 0x00 else units
     for op, units in enumerate(_OP_UNITS)
 )
+# Width in bytes per opcode byte, for stepping a stream parse_dex has checked
+# and found no payload in.
+_BYTE_WIDTHS = bytes(2 * units for units in _OP_UNITS)
 
 
 class MethodRef(NamedTuple):
@@ -216,16 +226,19 @@ class InvocationSite(NamedTuple):
 
 
 class _Invokes(NamedTuple):
-    """Every invoke of one DEX as columns, one row per invoke in body order, then stream order."""
+    """Every invoke of one DEX as columns, one row per invoke in body order, then stream order.
+
+    No position is kept: ``_sites_of`` counts it for each site it returns.
+    """
 
     methods: str        # character r is chr(the method index row r names), for str.find
-    places: list[int]   # its body's ordinal << shift | its position in body.instructions
+    places: list[int]   # its body's ordinal
     units: list[int]    # the code unit it starts at, numbered across the DEX
     starts: list[int]   # per body ordinal: the code unit its stream starts at
-    shift: int          # above every position in the DEX
+    payloads: set[int]  # the ordinals of the bodies whose streams hold a switch or array payload
 
 
-_NO_INVOKES = _Invokes("", [], [], [], 0)
+_NO_INVOKES = _Invokes("", [], [], [], set())
 
 
 @dataclass(frozen=True)
@@ -321,21 +334,9 @@ def parse_dex(data: bytes, source_name: str = "classes.dex") -> DexImage:
             make(MethodRef, (type_names[class_idx], strings[name_idx], proto_shorties[proto_idx]))
         )
 
-    classes = []
     walk = _Walk(data)
-    # class_idx and class_data_off of each 32-byte class_def
-    class_defs = data[class_defs_off : class_defs_off + 32 * class_defs_size]
     try:
-        for i, (class_idx, class_data_off) in enumerate(struct.iter_unpack("<I20xI4x", class_defs)):
-            if class_idx >= len(type_names):
-                raise SectionOutOfBoundsError(f"class_def {i} names type {class_idx}")
-            owner = type_names[class_idx]
-            methods = ()
-            if class_data_off:
-                if class_data_off >= n:
-                    raise SectionOutOfBoundsError(f"class_data of {owner} at {class_data_off:#x}")
-                methods = _parse_class_data(data, class_data_off, owner, method_refs, walk)
-            classes.append(ClassDef(type_name=owner, methods=methods))
+        classes = walk.classes(data[class_defs_off : class_defs_off + 32 * class_defs_size], type_names, method_refs)
     except DexError:
         walk.methods(len(method_refs))  # an undefined invoke recorded before the failure comes first
         raise
@@ -348,7 +349,7 @@ def parse_dex(data: bytes, source_name: str = "classes.dex") -> DexImage:
         source_name=source_name,
         body_table=tuple(walk.bodies),
         invokes=tuple.__new__(
-            _Invokes, (walk.methods(len(method_refs)), walk.places, walk.units, walk.starts, walk.shift)
+            _Invokes, (walk.methods(len(method_refs)), walk.places, walk.units, walk.starts, walk.payloads)
         ),
     )
 
@@ -404,34 +405,6 @@ def _validate_fields(data, off, count, type_count, string_count) -> None:
             raise SectionOutOfBoundsError(f"field_id {i} has out-of-range indices")
 
 
-def _parse_class_data(data, off, owner, method_refs, walk) -> tuple[MethodBody, ...]:
-    n = len(data)
-    pos = off
-    static_fields, c = _uleb128(data, pos, n); pos += c
-    instance_fields, c = _uleb128(data, pos, n); pos += c
-    direct_methods, c = _uleb128(data, pos, n); pos += c
-    virtual_methods, c = _uleb128(data, pos, n); pos += c
-
-    for _ in range(static_fields + instance_fields):
-        _, c = _uleb128(data, pos, n); pos += c  # field_idx_diff
-        _, c = _uleb128(data, pos, n); pos += c  # access_flags
-
-    bodies = []
-    for group_size in (direct_methods, virtual_methods):
-        method_idx = 0
-        for i in range(group_size):
-            diff, c = _uleb128(data, pos, n); pos += c
-            _, c = _uleb128(data, pos, n); pos += c  # access_flags
-            code_off, c = _uleb128(data, pos, n); pos += c
-            method_idx = diff if i == 0 else method_idx + diff
-            if method_idx >= len(method_refs):
-                raise SectionOutOfBoundsError(
-                    f"class_data of {owner} references method {method_idx}"
-                )
-            bodies.append(walk.body(owner, method_refs[method_idx].name, code_off))
-    return tuple(bodies)
-
-
 def _payload_units(code: bytes, pos: int, ident: int, owner: str, name: str) -> int:
     def halfword(at):
         if at + 2 > len(code):
@@ -453,10 +426,11 @@ def _payload_units(code: bytes, pos: int, ident: int, owner: str, name: str) -> 
 
 
 _LITTLE_ENDIAN = sys.byteorder == "little"  # memoryview.cast reads native order
+_U32 = struct.Struct("<I")
 
 
 class _Walk:
-    """The instruction walk over one DEX: its width table, its bodies and its invoke columns.
+    """The walk over one DEX's class data and code: its width table, its bodies and its invoke columns.
 
     Code units are numbered across the whole file, unit u being bytes 2u and
     2u + 1, and ``steps[u]`` is the ``_WALK_WIDTHS`` entry of unit u's low
@@ -464,24 +438,134 @@ class _Walk:
     an odd byte is numbered in a copy of the file shifted by one byte, put
     after the even units, so every stream is walked the same way.
 
-    ``stream`` checks one instruction stream and records each invoke as two
-    appends, its unit and its place; ``methods`` then reads every invoke's
-    method index in one pass and checks them all at once. A place is the
-    body's ordinal shifted above every possible position, plus the position:
-    the walk's position counter simply starts at the body's ordinal there.
+    ``classes`` reads every class_data, method entry and instruction stream
+    in one loop. An invoke costs two appends, its unit and its body's
+    ordinal; no position is counted (``_sites_of`` counts it for the sites
+    it returns). Whatever that loop does not settle on its own goes through
+    ``body`` and ``stream``, which check and record one body with every
+    message; ``methods`` then reads every invoke's method index in one pass
+    and checks them all at once.
     """
 
-    __slots__ = ("data", "buf", "steps", "odd_base", "shift", "bodies", "units", "places", "starts")
+    __slots__ = ("data", "buf", "steps", "odd_base", "bodies", "units", "places", "starts", "payloads")
 
     def __init__(self, data: bytes):
         self.data = self.buf = data
         self.steps = data[: len(data) & ~1 : 2].translate(_WALK_WIDTHS)
         self.odd_base = -1  # the unit number of byte 1 once the shifted copy is made
-        self.shift = (len(data) >> 1).bit_length()  # a stream has fewer instructions than units
         self.bodies: list[MethodBody] = []
         self.units: list[int] = []
         self.places: list[int] = []
         self.starts: list[int] = []
+        self.payloads: set[int] = set()
+
+    def classes(self, class_defs: bytes, type_names: list[str], method_refs: list[MethodRef]) -> list[ClassDef]:
+        """A ``ClassDef`` per 32-byte class_def, each method body added to ``bodies`` and walked.
+
+        The usual method entry (one-byte ULEB128s, or longer ones through
+        ``_uleb128``) and the usual body (an even code_item whose stream fits
+        the file and holds no payload) are read and walked inline. Any other
+        body, and any body whose stream does not end on an instruction
+        boundary, drops the invoke rows the loop appended for it and goes
+        through ``body``, so every error keeps its class and message.
+        """
+        data = self.data
+        n = len(data)
+        steps = self.steps
+        bodies = self.bodies
+        starts = self.starts
+        units = self.units
+        places = self.places
+        append_unit = units.append
+        append_place = places.append
+        u32 = _U32.unpack_from
+        new = object.__new__
+        put = object.__setattr__  # MethodBody is frozen; this skips its __init__ and keeps no __dict__
+        ref_count = len(method_refs)
+        classes = []
+        # class_idx and class_data_off of each 32-byte class_def
+        for i, (class_idx, class_data_off) in enumerate(struct.iter_unpack("<I20xI4x", class_defs)):
+            if class_idx >= len(type_names):
+                raise SectionOutOfBoundsError(f"class_def {i} names type {class_idx}")
+            owner = type_names[class_idx]
+            if not class_data_off:
+                classes.append(ClassDef(owner, ()))
+                continue
+            if class_data_off >= n:
+                raise SectionOutOfBoundsError(f"class_data of {owner} at {class_data_off:#x}")
+            pos = class_data_off
+            static_fields, c = _uleb128(data, pos, n); pos += c
+            instance_fields, c = _uleb128(data, pos, n); pos += c
+            direct_methods, c = _uleb128(data, pos, n); pos += c
+            virtual_methods, c = _uleb128(data, pos, n); pos += c
+            for _ in range(static_fields + instance_fields):
+                _, c = _uleb128(data, pos, n); pos += c  # field_idx_diff
+                _, c = _uleb128(data, pos, n); pos += c  # access_flags
+
+            methods = []
+            for group_size in (direct_methods, virtual_methods):
+                method_idx = 0  # the first diff of each group is the index itself
+                for _ in range(group_size):
+                    try:
+                        diff = data[pos]
+                        if diff < 0x80:
+                            pos += 1
+                        else:
+                            diff, c = _uleb128(data, pos, n); pos += c
+                        if data[pos] < 0x80:  # access_flags
+                            pos += 1
+                        else:
+                            pos += _uleb128(data, pos, n)[1]
+                        code_off = data[pos]
+                        if code_off < 0x80:
+                            pos += 1
+                        else:
+                            code_off, c = _uleb128(data, pos, n); pos += c
+                    except IndexError:  # a ULEB128 that starts past the end of the file
+                        raise MalformedUleb128Error(f"uleb128 truncated at offset {pos:#x}") from None
+                    method_idx += diff
+                    if method_idx >= ref_count:
+                        raise SectionOutOfBoundsError(f"class_data of {owner} references method {method_idx}")
+                    name = method_refs[method_idx].name
+                    ordinal = len(bodies)
+                    code = None
+                    if not code_off:
+                        code = b""
+                        first = 0
+                    elif not code_off & 1 and code_off + 16 <= n:
+                        first = (code_off + 16) >> 1
+                        end = first + u32(data, code_off + 12)[0]
+                        if 2 * end <= n:
+                            unit = first
+                            while unit < end:
+                                step = steps[unit]
+                                if step > _MAX_UNITS:
+                                    if step == _INVOKE_MARK:
+                                        step = 3  # formats 35c and 3rc alike
+                                        append_unit(unit)
+                                        append_place(ordinal)
+                                    elif data[2 * unit + 1] in _PAYLOAD_HIGH_BYTES:
+                                        break
+                                    else:
+                                        step = 1  # a plain nop
+                                unit += step
+                            if unit == end:
+                                code = data[2 * first : 2 * end]
+                    if code is None:
+                        while places and places[-1] == ordinal:
+                            units.pop()
+                            places.pop()
+                        methods.append(self.body(owner, name, code_off))
+                        continue
+                    body = new(MethodBody)
+                    put(body, "owner", owner)
+                    put(body, "name", name)
+                    put(body, "code", code)
+                    bodies.append(body)
+                    starts.append(first)
+                    methods.append(body)
+            classes.append(ClassDef(owner, tuple(methods)))
+        return classes
 
     def body(self, owner: str, name: str, code_off: int) -> MethodBody:
         """The body whose code_item is at ``code_off`` (0: none), added to ``bodies`` and walked."""
@@ -520,7 +604,7 @@ class _Walk:
         """
         first = self._odd_start(start) if start & 1 else start >> 1
         starts = self.starts
-        place = len(starts) << self.shift
+        ordinal = len(starts)
         starts.append(first)
         steps = self.steps
         buf = self.buf
@@ -535,14 +619,14 @@ class _Walk:
                 if units == _INVOKE_MARK:
                     units = 3  # formats 35c and 3rc alike
                     append_unit(unit)
-                    append_place(place)
+                    append_place(ordinal)
                 elif buf[unit * 2 + 1] in _PAYLOAD_HIGH_BYTES:
+                    self.payloads.add(ordinal)
                     pos = (unit - first) * 2
                     units = _payload_units(code, pos, code[pos + 1] << 8, owner, name)
                 else:
                     units = 1  # a plain nop
             unit += units
-            place += 1
         if unit > end:
             unit -= units
             if steps[unit] == _INVOKE_MARK:  # an overrunning invoke names nothing to check
@@ -571,7 +655,7 @@ class _Walk:
         methods = itemgetter(*units)(words) if len(units) > 1 else [words[u] for u in units]
         if methods and max(methods) >= method_count:
             row = next(row for row, index in enumerate(methods) if index >= method_count)
-            body = self.bodies[self.places[row] >> self.shift]
+            body = self.bodies[self.places[row]]
             raise SectionOutOfBoundsError(
                 f"invoke in {body.owner}->{body.name} names method {methods[row]}, "
                 f"only {method_count} defined"
@@ -583,7 +667,7 @@ class _Walk:
 
 
 def _decode_instructions(code: bytes, owner: str, name: str) -> tuple[Instruction, ...]:
-    """Decode a stream that ``_Walk.stream`` has already checked."""
+    """Decode a stream that ``parse_dex`` has already checked."""
     out = []
     append = out.append
     make = tuple.__new__  # skips NamedTuple.__new__'s per-field argument binding
@@ -616,9 +700,14 @@ def _decode_instructions(code: bytes, owner: str, name: str) -> tuple[Instructio
 
 
 def _sites_of(dex: DexImage, targets: list[int]) -> list[InvocationSite]:
-    """Call sites of the given method indices from the invoke columns: body order, then position."""
-    methods, places, units, starts, shift = dex.invokes
-    mask = (1 << shift) - 1
+    """Call sites of the given method indices from the invoke columns: body order, then position.
+
+    A site's position is counted by stepping its body's stream up to the
+    invoke through a width table, without building an ``Instruction``. The
+    rows of one body come together and in stream order, so each body is
+    stepped once per call, up to its last site.
+    """
+    methods, places, units, starts, payloads = dex.invokes
     rows = []
     for i in targets:
         char = chr(i)
@@ -631,15 +720,32 @@ def _sites_of(dex: DexImage, targets: list[int]) -> list[InvocationSite]:
     make = tuple.__new__
     bodies = dex.body_table
     refs = dex.method_refs
-    return [
-        make(
-            InvocationSite,
-            (bodies[ordinal], place & mask, refs[ord(methods[row])], 2 * (units[row] - starts[ordinal])),
-        )
-        for row in rows
-        for place in (places[row],)
-        for ordinal in (place >> shift,)
-    ]
+    sites = []
+    ordinal = -1
+    for row in rows:
+        if places[row] != ordinal:
+            ordinal = places[row]
+            body = bodies[ordinal]
+            code = body.code
+            first = starts[ordinal]
+            steps = code.translate(_BYTE_WIDTHS)
+            plain = ordinal not in payloads
+            pos = index = 0
+        at = 2 * (units[row] - first)
+        # parse_dex checked the stream, so every step lands inside it.
+        if plain:
+            while pos < at:
+                pos += steps[pos]
+                index += 1
+        else:
+            while pos < at:
+                if code[pos] or code[pos + 1] not in _PAYLOAD_HIGH_BYTES:
+                    pos += steps[pos]
+                else:
+                    pos += 2 * _payload_units(code, pos, code[pos + 1] << 8, body.owner, body.name)
+                index += 1
+        sites.append(make(InvocationSite, (body, index, refs[ord(methods[row])], at)))
+    return sites
 
 
 def literal_reaching(site: InvocationSite, max_lookback: int = DEFAULT_LOOKBACK) -> int | None:

@@ -5,6 +5,7 @@ time, so it doubles as the oracle; independent struct reads of the header
 cross-check section counts.
 """
 
+import functools
 import gc
 import hashlib
 import struct
@@ -78,14 +79,14 @@ def call_sites(image):
     """Each invoked method index, in first-call order, with its sites in body order.
 
     A site is (body ordinal, position in body.instructions, byte offset in
-    body.code), read back from the invoke columns.
+    body.code): the ordinal is read from the invoke columns, and the position
+    and offset are what ``_sites_of`` derives from them.
     """
-    methods, places, units, starts, shift = image.invokes
-    mask = (1 << shift) - 1
+    methods, places = image.invokes.methods, image.invokes.places
     sites = {}
-    for char, place, unit in zip(methods, places, units):
-        ordinal = place >> shift
-        sites.setdefault(ord(char), []).append((ordinal, place & mask, 2 * (unit - starts[ordinal])))
+    every = _sites_of(image, sorted(set(map(ord, methods))))  # one site per row, in row order
+    for char, ordinal, site in zip(methods, places, every, strict=True):
+        sites.setdefault(ord(char), []).append((ordinal, site.index, site.offset))
     return sites
 
 
@@ -971,7 +972,8 @@ def test_multibyte_uleb128_method_diff_and_string_length():
 # and message, on every stream. Its width table is rebuilt here from the
 # parser's format names, so the oracle never reads the walk's own table.
 # The walk it is compared with is the one parse_dex runs, through
-# _parse_dex_walk, which turns its columns back into call_sites.
+# _parse_dex_walk, which reads its columns back through call_sites, the
+# positions derived by _sites_of.
 
 _OP_UNITS = tuple(dex_module._FORMAT_UNITS[f] for f in dex_module.OPCODE_FORMATS)
 INVOKE_OPS = frozenset(range(0x6E, 0x73)) | frozenset(range(0x74, 0x79))
@@ -1034,21 +1036,46 @@ def _oracle_walk_instructions(
         position += 1
 
 
-def _parse_dex_walk(code, owner, name, method_count, call_sites, ordinal):
+@functools.cache
+def _stream_dex(owner, name, method_count, units):
+    """A DEX of ``method_count`` methods of ``owner``, the first ``name`` with ``units`` nops, and where they start.
+
+    The others are ``name0000``, ``name0001``, ..., each a bare return-void,
+    so ``name`` is method 0 and body 0.
+    """
+    others = [MethodSketch(f"{name}{k:04d}", [("return-void",)]) for k in range(method_count - 1)]
+    data = emit_dex(owner, [MethodSketch(name, [("nop",)] * units)] + others).data
+    image = parse_dex(data)
+    assert len(image.method_refs) == method_count and image.body_table[0].name == name
+    return data, 2 * image.invokes.starts[0]
+
+
+def _parse_dex_walk(code, owner, name, method_count, found, ordinal):
     """The walk ``parse_dex`` runs, over one stream, with the oracle's signature.
 
-    Its invoke columns are put into ``call_sites`` as the oracle records them,
-    and a failure checks the invokes recorded before it, as ``parse_dex`` does.
+    A stream that a DEX can hold (an even length, and a method to hold it) is
+    put in one as body 0 and parsed. Any other is checked by ``_Walk.stream``,
+    the path ``parse_dex`` takes for a body its inline loop does not settle,
+    and a failure checks the invokes recorded before it, as ``parse_dex``
+    does. Either way the sites are read back through ``call_sites``, so each
+    position is the one ``_sites_of`` derives.
     """
-    walk = dex_module._Walk(code)
-    walk.bodies.append(dex_module.MethodBody(owner, name, code))
-    try:
-        walk.stream(code, 0, owner, name)
-    except DexError:
-        walk.methods(method_count)
-        raise
-    for char, place, unit in zip(walk.methods(method_count), walk.places, walk.units):
-        call_sites[ord(char)].append((ordinal, place, 2 * unit))  # one body, ordinal 0: the place is the position
+    if method_count and not len(code) & 1:
+        data, start = _stream_dex(owner, name, method_count, len(code) // 2)
+        image = parse_dex(data[:start] + code + data[start + len(code) :])
+    else:
+        walk = dex_module._Walk(code)
+        walk.bodies.append(dex_module.MethodBody(owner, name, code))
+        try:
+            walk.stream(code, 0, owner, name)
+        except DexError:
+            walk.methods(method_count)
+            raise
+        invokes = dex_module._Invokes(walk.methods(method_count), walk.places, walk.units, walk.starts, walk.payloads)
+        refs = (dex_module.MethodRef(owner, name, "V"),) * method_count
+        image = DexImage((), (), refs, (), body_table=tuple(walk.bodies), invokes=invokes)
+    for method_index, sites in call_sites(image).items():
+        found[method_index] += [(ordinal, position, offset) for _, position, offset in sites]
 
 
 def _walk_outcome(walk, code, method_count):
@@ -1126,6 +1153,76 @@ def _instruction_streams(draw):
 def test_walk_matches_oracle(stream):
     code, method_count = stream
     _assert_walk_matches_oracle(code, method_count)
+
+
+_WORD = st.integers(0, 0xFFFF)
+_PLAIN_OPS = [op for op in range(256) if op not in INVOKE_OPS]
+
+
+@st.composite
+def _whole_streams(draw):
+    """Streams of 1-4 methods that parse, and which of them to move to an odd offset.
+
+    Each stream is code units: plain instructions (nops that start no
+    payload included), 35c and 3rc invokes of one of the methods, and
+    switch and array payloads of their full declared length.
+    """
+    count = draw(st.integers(1, 4))
+    streams = []
+    for _ in range(count):
+        units = []
+        for _ in range(draw(st.integers(0, 8))):
+            kind = draw(st.sampled_from(("op", "invoke", "invoke", "payload")))
+            if kind == "op":
+                op = draw(st.sampled_from(_PLAIN_OPS))
+                high = draw(st.integers(0, 255).filter(lambda high: op or high not in _PAYLOAD_HIGH_BYTES))
+                units += [op | high << 8] + draw(st.lists(_WORD, min_size=_OP_UNITS[op] - 1, max_size=_OP_UNITS[op] - 1))
+            elif kind == "invoke":
+                op = draw(st.sampled_from(sorted(INVOKE_OPS)))
+                units += [op | draw(st.integers(0, 255)) << 8, draw(st.integers(0, count - 1)), draw(_WORD)]
+            else:
+                ident = draw(st.sampled_from((_PACKED_SWITCH_IDENT, _SPARSE_SWITCH_IDENT, _FILL_ARRAY_IDENT)))
+                size = draw(st.integers(0, 5))
+                if ident == _FILL_ARRAY_IDENT:
+                    width, elements = draw(st.sampled_from((1, 2, 4, 8))), draw(st.integers(0, 5))
+                    header = [ident, width, elements, 0]
+                    total = (width * elements + 1) // 2 + 4
+                else:
+                    header = [ident, size]
+                    total = size * 2 + 4 if ident == _PACKED_SWITCH_IDENT else size * 4 + 2
+                units += header + draw(st.lists(_WORD, min_size=total - len(header), max_size=total - len(header)))
+        streams.append(_units(units))
+    return streams, draw(st.sets(st.integers(0, count - 1)))
+
+
+_INVOKE_THEN_PAYLOAD = _units([0x6E, 0, 0, 0x0100, 1, 0, 0, 0, 0, 0x000E])
+_RANGE_INVOKE = _units([0x0312, 0x2074, 1, 3, 0x000E])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_whole_streams())
+@example(([_INVOKE_THEN_PAYLOAD, _RANGE_INVOKE], set()))  # an invoke the loop records before a payload
+@example(([_INVOKE_THEN_PAYLOAD, _RANGE_INVOKE], {0, 1}))
+def test_site_positions_match_the_oracle_walk(case):
+    streams, odd = case
+    names = [f"b{k}" for k in range(len(streams))]
+    template = emit_dex("Lp/P;", [MethodSketch(name, [("nop",)] * (len(code) // 2)) for name, code in zip(names, streams)])
+    data = bytearray(template.data)
+    for start, code in zip(parse_dex(template.data).invokes.starts, streams):
+        data[2 * start : 2 * start + len(code)] = code
+    data = bytes(data)
+    if odd:
+        data = _odd_code_items(data, {names[k] for k in odd})
+    image = parse_dex(data)
+    assert [body.code for body in image.body_table] == streams
+    walked = defaultdict(list)
+    for ordinal, body in enumerate(image.body_table):
+        _oracle_walk_instructions(body.code, body.owner, body.name, len(image.method_refs), walked, ordinal)
+    assert list(call_sites(image).items()) == list(walked.items())
+    for index in range(len(image.method_refs)):
+        sites = [(site.body.name, site.index, site.offset) for site in _sites_of(image, [index])]
+        assert sites == [(names[ordinal], position, offset) for ordinal, position, offset in walked.get(index, [])]
+    assert not any("instructions" in body.__dict__ for body in image.body_table)  # nothing was decoded
 
 
 # --- shared string data --------------------------------------------------------
