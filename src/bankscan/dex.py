@@ -52,8 +52,6 @@ HEADER_SIZE = 0x70
 ENDIAN_CONSTANT = 0x12345678
 _MAGIC_VERSIONS = (b"035\x00", b"037\x00", b"038\x00", b"039\x00")
 
-NO_INDEX = 0xFFFFFFFF
-
 OP_CONST_4 = 0x12
 OP_CONST_16 = 0x13
 OP_CONST = 0x14
