@@ -478,7 +478,7 @@ class _Walk:
         append_place = places.append
         u32 = _U32.unpack_from
         new = object.__new__
-        put = object.__setattr__  # MethodBody is frozen; this skips its __init__ and keeps no __dict__
+        put = object.__setattr__  # MethodBody is frozen; set through body.__dict__, each body would build a dict
         ref_count = len(method_refs)
         classes = []
         # class_idx and class_data_off of each 32-byte class_def
