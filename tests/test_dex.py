@@ -1160,6 +1160,36 @@ _PLAIN_OPS = [op for op in range(256) if op not in INVOKE_OPS]
 
 
 @st.composite
+def _payload(draw):
+    """A switch or array payload of its full declared length, as code units."""
+    ident = draw(st.sampled_from((_PACKED_SWITCH_IDENT, _SPARSE_SWITCH_IDENT, _FILL_ARRAY_IDENT)))
+    size = draw(st.integers(0, 5))
+    if ident == _FILL_ARRAY_IDENT:
+        width, elements = draw(st.sampled_from((1, 2, 4, 8))), draw(st.integers(0, 5))
+        header = [ident, width, elements, 0]
+        total = (width * elements + 1) // 2 + 4
+    else:
+        header = [ident, size]
+        total = size * 2 + 4 if ident == _PACKED_SWITCH_IDENT else size * 4 + 2
+    return header + draw(st.lists(_WORD, min_size=total - len(header), max_size=total - len(header)))
+
+
+@st.composite
+def _plain_op(draw, ops=_PLAIN_OPS):
+    """One instruction of an opcode in ``ops``, with random operands; a nop never starts a payload."""
+    op = draw(st.sampled_from(ops))
+    high = draw(st.integers(0, 255).filter(lambda high: op or high not in _PAYLOAD_HIGH_BYTES))
+    return [op | high << 8] + draw(st.lists(_WORD, min_size=_OP_UNITS[op] - 1, max_size=_OP_UNITS[op] - 1))
+
+
+@st.composite
+def _invoke(draw, method_count):
+    """A 35c or 3rc invoke of one of ``method_count`` methods."""
+    op = draw(st.sampled_from(sorted(INVOKE_OPS)))
+    return [op | draw(st.integers(0, 255)) << 8, draw(st.integers(0, method_count - 1)), draw(_WORD)]
+
+
+@st.composite
 def _whole_streams(draw):
     """Streams of 1-4 methods that parse, and which of them to move to an odd offset.
 
@@ -1174,25 +1204,28 @@ def _whole_streams(draw):
         for _ in range(draw(st.integers(0, 8))):
             kind = draw(st.sampled_from(("op", "invoke", "invoke", "payload")))
             if kind == "op":
-                op = draw(st.sampled_from(_PLAIN_OPS))
-                high = draw(st.integers(0, 255).filter(lambda high: op or high not in _PAYLOAD_HIGH_BYTES))
-                units += [op | high << 8] + draw(st.lists(_WORD, min_size=_OP_UNITS[op] - 1, max_size=_OP_UNITS[op] - 1))
+                units += draw(_plain_op())
             elif kind == "invoke":
-                op = draw(st.sampled_from(sorted(INVOKE_OPS)))
-                units += [op | draw(st.integers(0, 255)) << 8, draw(st.integers(0, count - 1)), draw(_WORD)]
+                units += draw(_invoke(count))
             else:
-                ident = draw(st.sampled_from((_PACKED_SWITCH_IDENT, _SPARSE_SWITCH_IDENT, _FILL_ARRAY_IDENT)))
-                size = draw(st.integers(0, 5))
-                if ident == _FILL_ARRAY_IDENT:
-                    width, elements = draw(st.sampled_from((1, 2, 4, 8))), draw(st.integers(0, 5))
-                    header = [ident, width, elements, 0]
-                    total = (width * elements + 1) // 2 + 4
-                else:
-                    header = [ident, size]
-                    total = size * 2 + 4 if ident == _PACKED_SWITCH_IDENT else size * 4 + 2
-                units += header + draw(st.lists(_WORD, min_size=total - len(header), max_size=total - len(header)))
+                units += draw(_payload())
         streams.append(_units(units))
     return streams, draw(st.sets(st.integers(0, count - 1)))
+
+
+def _streams_image(streams, odd):
+    """A parsed DEX whose method ``b<k>`` has stream ``streams[k]``, its code_item at an odd offset when k is in ``odd``."""
+    names = [f"b{k}" for k in range(len(streams))]
+    template = emit_dex("Lp/P;", [MethodSketch(name, [("nop",)] * (len(code) // 2)) for name, code in zip(names, streams)])
+    data = bytearray(template.data)
+    for start, code in zip(parse_dex(template.data).invokes.starts, streams):
+        data[2 * start : 2 * start + len(code)] = code
+    data = bytes(data)
+    if odd:
+        data = _odd_code_items(data, {names[k] for k in odd})
+    image = parse_dex(data)
+    assert [body.code for body in image.body_table] == streams
+    return image
 
 
 _INVOKE_THEN_PAYLOAD = _units([0x6E, 0, 0, 0x0100, 1, 0, 0, 0, 0, 0x000E])
@@ -1206,15 +1239,7 @@ _RANGE_INVOKE = _units([0x0312, 0x2074, 1, 3, 0x000E])
 def test_site_positions_match_the_oracle_walk(case):
     streams, odd = case
     names = [f"b{k}" for k in range(len(streams))]
-    template = emit_dex("Lp/P;", [MethodSketch(name, [("nop",)] * (len(code) // 2)) for name, code in zip(names, streams)])
-    data = bytearray(template.data)
-    for start, code in zip(parse_dex(template.data).invokes.starts, streams):
-        data[2 * start : 2 * start + len(code)] = code
-    data = bytes(data)
-    if odd:
-        data = _odd_code_items(data, {names[k] for k in odd})
-    image = parse_dex(data)
-    assert [body.code for body in image.body_table] == streams
+    image = _streams_image(streams, odd)
     walked = defaultdict(list)
     for ordinal, body in enumerate(image.body_table):
         _oracle_walk_instructions(body.code, body.owner, body.name, len(image.method_refs), walked, ordinal)
@@ -1223,6 +1248,77 @@ def test_site_positions_match_the_oracle_walk(case):
         sites = [(site.body.name, site.index, site.offset) for site in _sites_of(image, [index])]
         assert sites == [(names[ordinal], position, offset) for ordinal, position, offset in walked.get(index, [])]
     assert not any("instructions" in body.__dict__ for body in image.body_table)  # nothing was decoded
+
+
+# --- the const back-scan against its oracle ------------------------------------
+# literal_reaching as it stood when it read the decoded Instruction window,
+# kept verbatim as the reference for the back-scan over a body's bytes.
+
+CONST_OPS = (0x12, 0x13, 0x14)  # const/4, const/16, const
+# const/high16, const-wide/16, const-wide/32 and const-wide: never a reaching literal.
+_LOOKALIKE_OPS = [0x15, 0x16, 0x17, 0x18]
+
+
+def _oracle_literal_reaching(site, max_lookback=dex_module.DEFAULT_LOOKBACK):
+    """Literal of the nearest const/4, const/16 or const before the site.
+
+    Scans at most ``max_lookback`` instructions backwards in the site's own
+    body; returns None when no const is found in the window. Register
+    targets are ignored on purpose.
+    """
+    instructions = site.body.instructions
+    for j in range(site.index - 1, max(-1, site.index - 1 - max_lookback), -1):
+        if instructions[j].opcode in CONST_OPS:
+            return instructions[j].literal
+    return None
+
+
+@st.composite
+def _backscan_streams(draw):
+    """Streams of 1-3 methods with invokes among consts, look-alikes and payloads, and which to move to an odd offset.
+
+    Each stream mixes const/4, const/16 and const with every operand, the
+    const look-alikes, other plain instructions, 35c and 3rc invokes of one
+    of the methods (several per stream, so several sites share a body) and
+    switch and array payloads.
+    """
+    count = draw(st.integers(1, 3))
+    kinds = ("const", "const", "lookalike", "op", "invoke", "invoke", "payload")
+    streams = []
+    for _ in range(count):
+        units = []
+        for _ in range(draw(st.integers(0, 16))):
+            kind = draw(st.sampled_from(kinds))
+            if kind == "const":
+                units += draw(_plain_op(list(CONST_OPS)))
+            elif kind == "lookalike":
+                units += draw(_plain_op(_LOOKALIKE_OPS))
+            elif kind == "op":
+                units += draw(_plain_op())
+            elif kind == "invoke":
+                units += draw(_invoke(count))
+            else:
+                units += draw(_payload())
+        streams.append(_units(units))
+    return streams, draw(st.sets(st.integers(0, count - 1)))
+
+
+_CONST_PAYLOAD_INVOKE = _units([0xF012, 0x0100, 1, 0, 0, 0, 0, 0x006E, 0, 0, 0x6E, 0, 0])
+_LOOKALIKES_THEN_RANGE_INVOKE = _units([0x7013, 0xFFFE, 0x0115, 1, 0x0218, 1, 2, 3, 4, 0x2074, 1, 3, 0x000E])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_backscan_streams())
+@example(([_CONST_PAYLOAD_INVOKE, _LOOKALIKES_THEN_RANGE_INVOKE], set()))  # a payload and look-alikes in the window
+@example(([_CONST_PAYLOAD_INVOKE, _LOOKALIKES_THEN_RANGE_INVOKE], {0, 1}))
+def test_backscan_matches_the_instruction_window_oracle(case):
+    image = _streams_image(*case)
+    sites = _sites_of(image, list(range(len(image.method_refs))))
+    for site in sites:
+        assert site.body.instructions[site.index].offset == site.offset
+    for max_lookback in range(13):
+        expected = [_oracle_literal_reaching(site, max_lookback) for site in sites]
+        assert [literal_reaching(site, max_lookback) for site in sites] == expected, max_lookback
 
 
 # --- shared string data --------------------------------------------------------
