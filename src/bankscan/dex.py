@@ -13,26 +13,29 @@ The walk maps the file's opcode bytes through a 256-byte table, built from
 the published opcode format table, with one ``bytes.translate`` per DEX;
 each entry is the opcode's width in code units, or a marker for the invoke
 family and for ``nop``, which may start a payload. A plain instruction then
-costs one table read and one add. The loop reads a one-byte ULEB128 inline
-and builds each ``MethodBody`` without its dataclass ``__init__``. A body it
-does not settle on its own (an odd-aligned code_item, a stream that does not
-fit the file or does not end on an instruction boundary, or one that holds a
-payload) goes through the per-body path, so every error keeps its class and
-message.
+costs one table read and one add. The loop reads a one-byte ULEB128, and a
+code_off of up to three bytes, inline, and builds each ``MethodBody``
+without its dataclass ``__init__``. A body it does not settle on its own (an
+odd-aligned code_item, a stream that does not fit the file or does not end
+on an instruction boundary, or one that holds a payload) goes through the
+per-body path, so every error keeps its class and message.
 
 An invoke costs two list appends: the code unit it starts at and its body's
-ordinal. The walk counts no positions; ``_sites_of`` counts the position of
-each site it returns by stepping the site's body up to it. After the last
-body, the method index of every invoke is read in one pass over a 16-bit
-view of the file and checked with one ``max``; if another error stops the
-parse first, the invokes recorded so far are checked before it is raised,
-so the first invoke that names no method still wins. The indices are kept
+ordinal. Neither the walk nor ``_sites_of`` counts positions: a site is its
+body, its callee and its byte offset, and ``InvocationSite.index`` counts the
+position from the body's bytes only when it is read. After the last body,
+the method index of every invoke is read in one pass over a 16-bit view of
+the file and checked with one ``max``; if another error stops the parse
+first, the invokes recorded so far are checked before it is raised, so the
+first invoke that names no method still wins. The indices are kept
 as a string, one character per invoke, so the rules resolve the method ids
 they want and find their invokes with ``str.find``, without touching the
 code again. ``Instruction`` records, with operands only for the const and
 invoke families, are decoded from a body's validated bytes when
-``MethodBody.instructions`` is first read; a scan reads them only for the
-bodies whose sites the const back-scan inspects.
+``MethodBody.instructions`` is first read; a scan never reads them. The const
+back-scan steps a body's bytes forward through a width table instead, and
+reads a literal straight from them; given a list of sites in body order, it
+steps each body once, however many of its sites it is asked about.
 
 Register dataflow is deliberately not modeled: ``literal_reaching`` is a
 bounded linear back-scan that ignores which register a const targets, so it
@@ -44,6 +47,7 @@ from __future__ import annotations
 import functools
 import struct
 import sys
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import NamedTuple
@@ -180,9 +184,14 @@ _WALK_WIDTHS = bytes(
     _INVOKE_MARK if op in INVOKE_OPS else _NOP_MARK if op == 0x00 else units
     for op, units in enumerate(_OP_UNITS)
 )
-# Width in bytes per opcode byte, for stepping a stream parse_dex has checked
-# and found no payload in.
+# Width in bytes per opcode byte, for stepping a stream parse_dex has checked.
 _BYTE_WIDTHS = bytes(2 * units for units in _OP_UNITS)
+# The back-scan's table: the width in bytes, plus _SCAN_MARK for the opcodes
+# the scan looks at, the three consts and nop, which may start a payload.
+_SCAN_MARK = 0x80
+_SCAN_WIDTHS = bytes(
+    width + _SCAN_MARK if op in CONST_OPS or op == 0x00 else width for op, width in enumerate(_BYTE_WIDTHS)
+)
 
 
 class MethodRef(NamedTuple):
@@ -218,25 +227,38 @@ class ClassDef(NamedTuple):
 
 class InvocationSite(NamedTuple):
     body: MethodBody  # the calling method
-    index: int  # position of the invoke in body.instructions
     callee: MethodRef
-    offset: int
+    offset: int  # byte offset of the invoke in body.code
+
+    @property
+    def index(self) -> int:
+        """Position of the invoke in ``body.instructions``, counted from ``body.code`` on each read."""
+        code = self.body.code
+        steps = code.translate(_BYTE_WIDTHS)
+        pos = index = 0
+        # parse_dex checked the stream, so every step lands inside it.
+        while pos < self.offset:
+            if code[pos] or code[pos + 1] not in _PAYLOAD_HIGH_BYTES:
+                pos += steps[pos]
+            else:
+                pos += 2 * _payload_units(code, pos, code[pos + 1] << 8, self.body.owner, self.body.name)
+            index += 1
+        return index
 
 
 class _Invokes(NamedTuple):
     """Every invoke of one DEX as columns, one row per invoke in body order, then stream order.
 
-    No position is kept: ``_sites_of`` counts it for each site it returns.
+    No position is kept: a site's byte offset is its unit less its body's start.
     """
 
     methods: str        # character r is chr(the method index row r names), for str.find
     places: list[int]   # its body's ordinal
     units: list[int]    # the code unit it starts at, numbered across the DEX
     starts: list[int]   # per body ordinal: the code unit its stream starts at
-    payloads: set[int]  # the ordinals of the bodies whose streams hold a switch or array payload
 
 
-_NO_INVOKES = _Invokes("", [], [], [], set())
+_NO_INVOKES = _Invokes("", [], [], [])
 
 
 @dataclass(frozen=True)
@@ -347,7 +369,7 @@ def parse_dex(data: bytes, source_name: str = "classes.dex") -> DexImage:
         source_name=source_name,
         body_table=tuple(walk.bodies),
         invokes=tuple.__new__(
-            _Invokes, (walk.methods(len(method_refs)), walk.places, walk.units, walk.starts, walk.payloads)
+            _Invokes, (walk.methods(len(method_refs)), walk.places, walk.units, walk.starts)
         ),
     )
 
@@ -438,14 +460,13 @@ class _Walk:
 
     ``classes`` reads every class_data, method entry and instruction stream
     in one loop. An invoke costs two appends, its unit and its body's
-    ordinal; no position is counted (``_sites_of`` counts it for the sites
-    it returns). Whatever that loop does not settle on its own goes through
-    ``body`` and ``stream``, which check and record one body with every
-    message; ``methods`` then reads every invoke's method index in one pass
-    and checks them all at once.
+    ordinal; no position is counted. Whatever that loop does not settle on
+    its own goes through ``body`` and ``stream``, which check and record one
+    body with every message; ``methods`` then reads every invoke's method
+    index in one pass and checks them all at once.
     """
 
-    __slots__ = ("data", "buf", "steps", "odd_base", "bodies", "units", "places", "starts", "payloads")
+    __slots__ = ("data", "buf", "steps", "odd_base", "bodies", "units", "places", "starts")
 
     def __init__(self, data: bytes):
         self.data = self.buf = data
@@ -455,17 +476,17 @@ class _Walk:
         self.units: list[int] = []
         self.places: list[int] = []
         self.starts: list[int] = []
-        self.payloads: set[int] = set()
 
     def classes(self, class_defs: bytes, type_names: list[str], method_refs: list[MethodRef]) -> list[ClassDef]:
         """A ``ClassDef`` per 32-byte class_def, each method body added to ``bodies`` and walked.
 
-        The usual method entry (one-byte ULEB128s, or longer ones through
-        ``_uleb128``) and the usual body (an even code_item whose stream fits
-        the file and holds no payload) are read and walked inline. Any other
-        body, and any body whose stream does not end on an instruction
-        boundary, drops the invoke rows the loop appended for it and goes
-        through ``body``, so every error keeps its class and message.
+        The usual method entry (one-byte ULEB128s and a code_off of up to
+        three bytes, or longer ones through ``_uleb128``) and the usual body
+        (an even code_item whose stream fits the file and holds no payload)
+        are read and walked inline. Any other body, and any body whose stream
+        does not end on an instruction boundary, drops the invoke rows the
+        loop appended for it and goes through ``body``, so every error keeps
+        its class and message.
         """
         data = self.data
         n = len(data)
@@ -517,6 +538,12 @@ class _Walk:
                         code_off = data[pos]
                         if code_off < 0x80:
                             pos += 1
+                        elif pos + 2 < n and data[pos + 1] < 0x80:  # offsets below 16 KB
+                            code_off = code_off & 0x7F | data[pos + 1] << 7
+                            pos += 2
+                        elif pos + 2 < n and data[pos + 2] < 0x80:  # offsets below 2 MB
+                            code_off = code_off & 0x7F | (data[pos + 1] & 0x7F) << 7 | data[pos + 2] << 14
+                            pos += 3
                         else:
                             code_off, c = _uleb128(data, pos, n); pos += c
                     except IndexError:  # a ULEB128 that starts past the end of the file
@@ -619,7 +646,6 @@ class _Walk:
                     append_unit(unit)
                     append_place(ordinal)
                 elif buf[unit * 2 + 1] in _PAYLOAD_HIGH_BYTES:
-                    self.payloads.add(ordinal)
                     pos = (unit - first) * 2
                     units = _payload_units(code, pos, code[pos + 1] << 8, owner, name)
                 else:
@@ -698,14 +724,8 @@ def _decode_instructions(code: bytes, owner: str, name: str) -> tuple[Instructio
 
 
 def _sites_of(dex: DexImage, targets: list[int]) -> list[InvocationSite]:
-    """Call sites of the given method indices from the invoke columns: body order, then position.
-
-    A site's position is counted by stepping its body's stream up to the
-    invoke through a width table, without building an ``Instruction``. The
-    rows of one body come together and in stream order, so each body is
-    stepped once per call, up to its last site.
-    """
-    methods, places, units, starts, payloads = dex.invokes
+    """Call sites of the given method indices from the invoke columns: body order, then offset."""
+    methods, places, units, starts = dex.invokes
     rows = []
     for i in targets:
         char = chr(i)
@@ -719,31 +739,62 @@ def _sites_of(dex: DexImage, targets: list[int]) -> list[InvocationSite]:
     bodies = dex.body_table
     refs = dex.method_refs
     sites = []
-    ordinal = -1
     for row in rows:
-        if places[row] != ordinal:
-            ordinal = places[row]
-            body = bodies[ordinal]
-            code = body.code
-            first = starts[ordinal]
-            steps = code.translate(_BYTE_WIDTHS)
-            plain = ordinal not in payloads
-            pos = index = 0
-        at = 2 * (units[row] - first)
-        # parse_dex checked the stream, so every step lands inside it.
-        if plain:
-            while pos < at:
-                pos += steps[pos]
-                index += 1
-        else:
-            while pos < at:
-                if code[pos] or code[pos + 1] not in _PAYLOAD_HIGH_BYTES:
-                    pos += steps[pos]
-                else:
-                    pos += 2 * _payload_units(code, pos, code[pos + 1] << 8, body.owner, body.name)
-                index += 1
-        sites.append(make(InvocationSite, (body, index, refs[ord(methods[row])], at)))
+        place = places[row]
+        sites.append(make(InvocationSite, (bodies[place], refs[ord(methods[row])], 2 * (units[row] - starts[place]))))
     return sites
+
+
+def _scan_steps(code: bytes) -> bytes:
+    """The back-scan's step table of one body: the ``_SCAN_WIDTHS`` entry of each byte of ``code``."""
+    return code.translate(_SCAN_WIDTHS)
+
+
+def _literal_at(code: bytes, pos: int) -> int:
+    """The sign-extended literal of the const/4, const/16 or const at byte ``pos`` of ``code``."""
+    op = code[pos]
+    if op == OP_CONST_4:
+        nibble = code[pos + 1] >> 4
+        return nibble - 16 if nibble >= 8 else nibble
+    width = 2 if op == OP_CONST_16 else 4
+    return int.from_bytes(code[pos + 2 : pos + 2 + width], "little", signed=True)
+
+
+def _literals_reaching(sites: Iterable[InvocationSite], max_lookback: int = DEFAULT_LOOKBACK) -> list[int | None]:
+    """``literal_reaching(site, max_lookback)`` for each of ``sites``, given in body order, then offset order.
+
+    Each body's bytes are stepped forward once per call: a site resumes the
+    walk where the previous site in the same body left it, so the cost is
+    linear in instructions plus sites. The walk keeps the position and byte
+    offset of the last const/4, const/16 or const it passes, and reads that
+    const's literal from the bytes when it lies within ``max_lookback``
+    instructions of the site. A site out of that order restarts its body.
+    """
+    literals = []
+    body = None
+    pos = 0
+    for site in sites:
+        at = site.offset
+        if site.body is not body or at < pos:
+            body = site.body
+            code = body.code
+            steps = _scan_steps(code)
+            pos = index = 0
+            last = last_pos = -1  # the position and offset of the last const passed
+        # parse_dex checked the stream, so every step lands inside it.
+        while pos < at:
+            step = steps[pos]
+            if step > _SCAN_MARK:
+                step -= _SCAN_MARK
+                if code[pos]:
+                    last = index
+                    last_pos = pos
+                elif code[pos + 1] in _PAYLOAD_HIGH_BYTES:
+                    step = 2 * _payload_units(code, pos, code[pos + 1] << 8, body.owner, body.name)
+            pos += step
+            index += 1
+        literals.append(_literal_at(code, last_pos) if last >= 0 and index - last <= max_lookback else None)
+    return literals
 
 
 def literal_reaching(site: InvocationSite, max_lookback: int = DEFAULT_LOOKBACK) -> int | None:
@@ -753,8 +804,4 @@ def literal_reaching(site: InvocationSite, max_lookback: int = DEFAULT_LOOKBACK)
     body; returns None when no const is found in the window. Register
     targets are ignored on purpose.
     """
-    instructions = site.body.instructions
-    for j in range(site.index - 1, max(-1, site.index - 1 - max_lookback), -1):
-        if instructions[j].opcode in CONST_OPS:
-            return instructions[j].literal
-    return None
+    return _literals_reaching((site,), max_lookback)[0]

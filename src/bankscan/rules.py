@@ -21,7 +21,10 @@ needs sites reads them from the DEX's invoke columns for the resolved method
 indices. The absence rules are rows of ``ABSENCE_ROWS``: the fact keys that
 clear the rule, and the search that came up empty. The first code rule to
 ask, R01, pays for the table, so a per-rule trace shows it under R01, R09's
-pool search and R13's const back-scan included.
+pool search and R13's const back-scan included. The const back-scan is one
+batch call for all of R07's or R08's sites, and one per DEX for R13's: it
+steps the bytes of each calling body once, however many sites the body
+holds, and builds no instruction record.
 
 Known, accepted imprecision: rules scan bundled third-party code exactly
 like first-party code, R01 matches on method-local co-occurrence rather
@@ -38,7 +41,7 @@ from itertools import compress, count
 from operator import itemgetter
 from typing import Any, NamedTuple
 
-from .dex import DexImage, InvocationSite, _sites_of, literal_reaching
+from .dex import DexImage, InvocationSite, _literals_reaching, _sites_of
 from .manifest import ManifestModel
 
 FLAG_SECURE = 0x2000
@@ -256,7 +259,8 @@ def _resolve_facts(dex: DexImage) -> dict[str, Any]:
     if webkit is not None:
         found["webkit type"] = webkit
     window_flags = _sites_of(dex, found.get("Window flags", ()))
-    secure = next((site for site in window_flags if literal_reaching(site) == FLAG_SECURE), None)
+    literals = _literals_reaching(window_flags)
+    secure = next((site for site, literal in zip(window_flags, literals) if literal == FLAG_SECURE), None)
     if secure is not None:
         found["FLAG_SECURE"] = secure
     return found
@@ -402,13 +406,18 @@ def _site_rule(rule: RuleId, key: str, inp: ScanInput) -> list[Finding]:
     return _site_findings(rule, _sites(inp, key))
 
 
+def _site_literals(inp: ScanInput, key: str) -> list[tuple[tuple[DexImage, InvocationSite], int | None]]:
+    """``((dex, site), literal reaching it)`` for every call to a target, in ``_sites`` order."""
+    sites = _sites(inp, key)
+    return list(zip(sites, _literals_reaching([site for _, site in sites])))
+
+
 def _r07_file_access(inp: ScanInput) -> list[Finding]:
     fired = []
     explicit_off = False
-    for dex, site in _sites(inp, "WebSettings.setAllowFileAccess"):
-        lit = literal_reaching(site)
+    for pair, lit in _site_literals(inp, "WebSettings.setAllowFileAccess"):
         if lit == 1:
-            fired.append((dex, site))
+            fired.append(pair)
         elif lit == 0:
             explicit_off = True
     findings = _site_findings(RuleId.R07, fired, " with literal 1")
@@ -424,8 +433,8 @@ def _r07_file_access(inp: ScanInput) -> list[Finding]:
 
 
 def _r08_javascript(inp: ScanInput) -> list[Finding]:
-    sites = _sites(inp, "WebSettings.setJavaScriptEnabled")
-    return _site_findings(RuleId.R08, [(d, s) for d, s in sites if literal_reaching(s) == 1], " with literal 1")
+    sites = _site_literals(inp, "WebSettings.setJavaScriptEnabled")
+    return _site_findings(RuleId.R08, [pair for pair, lit in sites if lit == 1], " with literal 1")
 
 
 _EVALUATORS = {

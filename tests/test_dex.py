@@ -598,23 +598,31 @@ def test_invoke_columns_after_a_scan_match_the_oracle_walk(monkeypatch):
         assert list(call_sites(image).items()) == list(walked.items())
 
 
-_WEBSETTINGS_BACKSCAN = {
-    ("Landroid/webkit/WebSettings;", "setAllowFileAccess"),  # R07
-    ("Landroid/webkit/WebSettings;", "setJavaScriptEnabled"),  # R08
-}
-_WINDOW_BACKSCAN = {("Landroid/view/Window;", "setFlags"), ("Landroid/view/Window;", "addFlags")}  # R13
+_JS_ENABLED = ("Landroid/webkit/WebSettings;", "setJavaScriptEnabled", ("V", ("Z",)))  # R08
+_FILE_ACCESS = ("Landroid/webkit/WebSettings;", "setAllowFileAccess", ("V", ("Z",)))  # R07
+_ADD_FLAGS = ("Landroid/view/Window;", "addFlags", ("V", ("I",)))  # R13
 
 
-def _site_ordinals(image, targets):
-    return {
-        ordinal
-        for i, ref in enumerate(image.method_refs)
-        if (ref.owner, ref.name) in targets
-        for ordinal, _, _ in call_sites(image).get(i, ())
-    }
+def _webview_apk(methods: int) -> bytes:
+    """An app shaped like a WebView-heavy one: each method has a back-scanned site, some after a switch payload."""
+    calls = [(_JS_ENABLED, ("const4", 1, 1)), (_FILE_ACCESS, ("const4", 1, 0)), (_ADD_FLAGS, ("const16", 1, 0x400))]
+    sketches = []
+    for k in range(methods):
+        target, const = calls[k % 3]
+        lead = [("nop",)] * (6 if k % 4 == 3 else k % 4) + [const] + [("nop",)] * (k % 3)
+        tail = [("invoke-virtual", [0], _DELETE), ("return-void",)]
+        sketches.append(MethodSketch(f"screen{k:03d}", lead + [("invoke-virtual", [0, 1], target)] + tail))
+    data = bytearray(emit_dex("Lfixture/webview/Screens;", sketches).data)
+    # Turn the six lead-in nops of every fourth method into a packed-switch payload of
+    # one target, so the back-scan steps a payload on its way to the site.
+    starts = parse_dex(bytes(data)).invokes.starts
+    for k in range(3, methods, 4):
+        struct.pack_into("<6H", data, 2 * starts[k], 0x0100, 1, 0, 0, 0, 0)
+    manifest = build_manifest_bytes(clean_profile())
+    return pack_apk([("AndroidManifest.xml", manifest), ("classes.dex", bytes(data))])
 
 
-def test_scan_decodes_only_backscanned_bodies(monkeypatch):
+def test_scan_decodes_no_body(monkeypatch):
     images = []
 
     def recording_parse(data, source_name="classes.dex"):
@@ -622,18 +630,20 @@ def test_scan_decodes_only_backscanned_bodies(monkeypatch):
         return images[-1]
 
     monkeypatch.setattr(scanner, "parse_dex", recording_parse)
-    decoding_scans = 0
-    for profile in rule_oracle_corpus() + fleet_profiles():
+    apps = [(profile.name, build_fixture(profile)) for profile in rule_oracle_corpus() + fleet_profiles()]
+    apps.append(("webview.apk", _webview_apk(60)))
+    backscanned = 0
+    for name, apk in apps:
         images.clear()
-        scanner.scan_bytes(build_fixture(profile), profile.name)
+        result = scanner.scan_bytes(apk, name)
         for image in images:
-            decoded = {k for k, body in enumerate(image.body_table) if "instructions" in body.__dict__}
-            assert decoded <= _site_ordinals(image, _WEBSETTINGS_BACKSCAN | _WINDOW_BACKSCAN), profile.name
-            # R07 and R08 read the window of every one of their sites; R13 may stop early.
-            assert _site_ordinals(image, _WEBSETTINGS_BACKSCAN) <= decoded, profile.name
-            assert len(decoded) < len(image.body_table), profile.name
-            decoding_scans += bool(decoded)
-    assert decoding_scans >= 10
+            assert not any("instructions" in body.__dict__ for body in image.body_table), name
+            backscanned += any(
+                (ref.owner, ref.name) in {_JS_ENABLED[:2], _FILE_ACCESS[:2], _ADD_FLAGS[:2]} for ref in image.method_refs
+            )
+    assert backscanned >= 10
+    assert sum(len(f.evidence) for f in result.findings if f.rule.value == "R08") == 20  # the webview app's
+    assert sum(len(f.evidence) for f in result.findings if f.rule.value == "R11") == 60
 
 
 def test_parsed_counts_match_bulk_sketch():
@@ -910,7 +920,9 @@ def test_method_entry_and_code_item_messages(clean_artifact):
         (b"\x00\x81", f"uleb128 truncated at offset {n + 6:#x}"),
         (b"\x00" + b"\xff" * 5, f"uleb128 longer than 5 bytes at offset {n + 5:#x}"),
         (b"\x00\x09", f"uleb128 truncated at offset {n + 6:#x}"),  # no code_off
+        (b"\x00\x09\x80", f"uleb128 truncated at offset {n + 7:#x}"),
         (b"\x00\x09\x80\x80", f"uleb128 truncated at offset {n + 8:#x}"),
+        (b"\x00\x09\x80\x80\x80", f"uleb128 truncated at offset {n + 9:#x}"),
         (b"\x00\x09" + b"\x80" * 5, f"uleb128 longer than 5 bytes at offset {n + 6:#x}"),
     ]
     for entry, message in uleb_cases:
@@ -925,6 +937,15 @@ def test_method_entry_and_code_item_messages(clean_artifact):
         code_off = n + 8 - short
         entry = b"\x00\x09" + _uleb(code_off)
         assert len(entry) == 4
+        _dex_raises(
+            _with_tail(clean_artifact, one_method + entry, ("<I", class_defs + 24, n)),
+            SectionOutOfBoundsError,
+            f"code_item of {where} at {code_off:#x}",
+        )
+    # A code_off of three and of four ULEB128 bytes past the end of the file.
+    for code_off, size in (((1 << 14) + n, 3), ((1 << 21) + n, 4)):
+        entry = b"\x00\x09" + _uleb(code_off)
+        assert len(entry) == 2 + size
         _dex_raises(
             _with_tail(clean_artifact, one_method + entry, ("<I", class_defs + 24, n)),
             SectionOutOfBoundsError,
@@ -1071,7 +1092,7 @@ def _parse_dex_walk(code, owner, name, method_count, found, ordinal):
         except DexError:
             walk.methods(method_count)
             raise
-        invokes = dex_module._Invokes(walk.methods(method_count), walk.places, walk.units, walk.starts, walk.payloads)
+        invokes = dex_module._Invokes(walk.methods(method_count), walk.places, walk.units, walk.starts)
         refs = (dex_module.MethodRef(owner, name, "V"),) * method_count
         image = DexImage((), (), refs, (), body_table=tuple(walk.bodies), invokes=invokes)
     for method_index, sites in call_sites(image).items():
@@ -1319,6 +1340,7 @@ def test_backscan_matches_the_instruction_window_oracle(case):
     for max_lookback in range(13):
         expected = [_oracle_literal_reaching(site, max_lookback) for site in sites]
         assert [literal_reaching(site, max_lookback) for site in sites] == expected, max_lookback
+        assert dex_module._literals_reaching(sites, max_lookback) == expected, max_lookback
 
 
 # --- shared string data --------------------------------------------------------
@@ -1382,7 +1404,7 @@ def test_method_ref_and_invocation_site_records():
     ref = dex_module.MethodRef(owner="Landroid/webkit/WebView;", name="loadUrl", shorty="VL")
     assert repr(ref) == "MethodRef(owner='Landroid/webkit/WebView;', name='loadUrl', shorty='VL')"
     assert ref == ("Landroid/webkit/WebView;", "loadUrl", "VL")
-    assert dex_module.InvocationSite._fields == ("body", "index", "callee", "offset")
+    assert dex_module.InvocationSite._fields == ("body", "callee", "offset")
     images = _multidex_images()
     assert len(images) == 2
     for image in images:

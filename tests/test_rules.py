@@ -5,6 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_dex import _multidex_images, invocations_of, invocations_where
 
+from bankscan import dex as dex_module
 from bankscan import rules as rules_module
 from bankscan.dex import DexImage, parse_dex
 from bankscan.fixtures import MethodSketch, build_dex, emit_dex, fleet_profiles, rule_oracle_corpus
@@ -399,6 +400,36 @@ def test_backscan_does_not_rescan_bodies_per_site(monkeypatch):
         assert len(evaluate_rule(RuleId.R13, inp)) == 1  # 0x0080 is not FLAG_SECURE
         counts[site_count] = calls
     assert counts == {1: 0, 50: 0}  # sites come from the invoke columns
+
+
+def test_backscan_steps_each_body_once_per_call(monkeypatch):
+    # One method with 2,000 setJavaScriptEnabled sites, every other one after
+    # const/4 1, and one with 2,000 Window.addFlags sites, the last after
+    # FLAG_SECURE. Stepping each body from its start per site would take
+    # 2,000 body starts per rule; the back-scan resumes from the previous site.
+    js = ("invoke-virtual", [0, 1], (WEBSETTINGS, "setJavaScriptEnabled", ("V", ("Z",))))
+    flags = ("invoke-virtual", [0, 1], (WINDOW, "addFlags", ("V", ("I",))))
+    configure = [ins for k in range(2000) for ins in (("const4", 1, k % 2), js)]
+    lock = [ins for k in range(2000) for ins in (("const16", 1, 0x2000 if k == 1999 else 0x80), flags)]
+    inp = make_input(
+        [MethodSketch("configure", configure + [("return-void",)]), MethodSketch("lock", lock + [("return-void",)])]
+    )
+    starts = []
+    original = dex_module._scan_steps
+
+    def counting_steps(code):
+        starts.append(len(code))
+        return original(code)
+
+    monkeypatch.setattr(dex_module, "_scan_steps", counting_steps)
+    assert "FLAG_SECURE" in inp.facts  # R13's back-scan runs as the facts resolve
+    assert starts == [2000 * 10 + 2]  # lock: const/16 and invoke, 10 bytes a pair
+    starts.clear()
+    findings = evaluate_rule(RuleId.R08, inp)
+    assert sum(len(f.evidence) for f in findings) == 1000
+    assert findings[-1].evidence[0].endswith(f"+0x{1999 * 8 + 2:04x} calls {WEBSETTINGS}->setJavaScriptEnabled with literal 1")
+    assert starts == [2000 * 8 + 2]  # configure: const/4 and invoke, 8 bytes a pair
+    assert evaluate_rule(RuleId.R13, inp) == []
 
 
 def _lookup_rules_input(site_count):
