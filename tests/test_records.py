@@ -1,19 +1,26 @@
-"""Behaviour of the immutable records a scan builds and returns.
+"""Behaviour of the records a scan builds and returns.
 
 Each record prints as ``Name(field=value, ...)``, builds by keyword or by
 position with the same field order and defaults, hashes like the tuple of
-its fields and compares equal to an instance with equal fields.
+its fields and compares equal to an instance with equal fields. The named
+tuples are pinned by ``CASES``; the six records that are not tuples, by
+``CLASS_CASES``.
 """
+
+import copy
+import pickle
+from pathlib import Path
 
 import pytest
 
 from bankscan.apk import ApkArchive, ApkEntry
-from bankscan.axml import ANDROID_NS, AxmlAttribute, ResourceRef
-from bankscan.dex import ClassDef, MethodBody
+from bankscan.axml import ANDROID_NS, AxmlAttribute, AxmlDocument, AxmlElement, ResourceRef
+from bankscan.cli import CliConfig
+from bankscan.dex import ClassDef, DexImage, Instruction, MethodBody, MethodRef, _Invokes
 from bankscan.knowledge import CountermeasureEntry, KnowledgeBase, ThreatEntry, UserCountermeasure
 from bankscan.manifest import ApplicationAttrs, ComponentDecl, IntentFilterDecl, ManifestModel, PermissionDecl
 from bankscan.report import FleetMatrix, Report, ReportSection
-from bankscan.rules import Finding, RuleId, ScanResult, Severity
+from bankscan.rules import Finding, RuleId, ScanInput, ScanResult, Severity
 
 _ENTRY = dict(
     name="classes.dex", method=8, crc32=0x1234, compressed_size=10,
@@ -183,3 +190,158 @@ def test_findings_in_a_set():
     assert len({first, again, other}) == 2
     assert again in {first}
     assert other not in {first}
+
+
+# --- the six records that are classes, not tuples ----------------------------
+
+_BODY = dict(owner="LMain;", name="run", code=b"\x12\x01\x0e\x00")  # const/4 v1, 0; return-void
+_MANIFEST = ManifestModel("com.example", 21, None, ApplicationAttrs(None, None), (), ())
+_PATHS = {name: Path(name) for name in ("a.apk", "d", "o.txt")}
+
+# (record type, its fields in declaration order, repr of that instance,
+#  the fields == and hash compare, whether it is frozen)
+CLASS_CASES = [
+    (
+        AxmlElement,
+        dict(
+            namespace=None, name="manifest", attributes=(AxmlAttribute(ANDROID_NS, "versionCode", 1),),
+            children=[AxmlElement(None, "application", ())],
+        ),
+        "AxmlElement(namespace=None, name='manifest', attributes=(AxmlAttribute("
+        "namespace='http://schemas.android.com/apk/res/android', name='versionCode', value=1),), "
+        "children=[AxmlElement(namespace=None, name='application', attributes=(), children=[])])",
+        ("namespace", "name", "attributes", "children"), False,
+    ),
+    (
+        AxmlDocument,
+        dict(string_pool=("manifest",), root=AxmlElement(None, "manifest", ()), warnings=("w",)),
+        "AxmlDocument(string_pool=('manifest',), root=AxmlElement(namespace=None, name='manifest', "
+        "attributes=(), children=[]), warnings=('w',))",
+        ("string_pool", "root", "warnings"), False,
+    ),
+    (
+        CliConfig,
+        dict(
+            mode="batch", inputs=[_PATHS["a.apk"]], dirs=[_PATHS["d"]], output_path=_PATHS["o.txt"],
+            fmt="json", fail_threshold=Severity.WARNING,
+        ),
+        f"CliConfig(mode='batch', inputs=[{_PATHS['a.apk']!r}], dirs=[{_PATHS['d']!r}], "
+        f"output_path={_PATHS['o.txt']!r}, fmt='json', fail_threshold=<Severity.WARNING: 'warning'>)",
+        ("mode", "inputs", "dirs", "output_path", "fmt", "fail_threshold"), False,
+    ),
+    (
+        MethodBody, _BODY, "MethodBody(owner='LMain;', name='run')", ("owner", "name", "code"), True,
+    ),
+    (
+        DexImage,
+        dict(
+            string_pool=("s",), type_names=("LMain;",), method_refs=(MethodRef("LMain;", "run", "V"),),
+            classes=(ClassDef("LMain;", (MethodBody(**_BODY),)),), source_name="classes2.dex",
+            body_table=(MethodBody(**_BODY),), invokes=_Invokes("\x00", [0], [8], [8]),
+        ),
+        "DexImage(string_pool=('s',), type_names=('LMain;',), method_refs=(MethodRef(owner='LMain;', "
+        "name='run', shorty='V'),), classes=(ClassDef(type_name='LMain;', methods=(MethodBody("
+        "owner='LMain;', name='run'),)),), source_name='classes2.dex')",
+        ("string_pool", "type_names", "method_refs", "classes", "source_name"), True,
+    ),
+    (
+        ScanInput,
+        dict(manifest=_MANIFEST, dexes=(DexImage(("s",), (), (), ()),), apk_name="a.apk"),
+        "ScanInput(manifest=ManifestModel(package_name='com.example', min_sdk=21, target_sdk=None, "
+        "application=ApplicationAttrs(allow_backup=None, debuggable=None), components=(), "
+        "declared_permissions=()), dexes=(DexImage(string_pool=('s',), type_names=(), method_refs=(), "
+        "classes=(), source_name='classes.dex'),), apk_name='a.apk')",
+        ("manifest", "dexes", "apk_name"), True,
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, fields, expected, compared, frozen", CLASS_CASES, ids=[c[0].__name__ for c in CLASS_CASES]
+)
+def test_class_record_behaviour(cls, fields, expected, compared, frozen):
+    by_keyword = cls(**fields)
+    by_position = cls(*fields.values())
+    assert repr(by_keyword) == expected
+    assert repr(by_position) == expected
+    for name, value in fields.items():
+        assert getattr(by_keyword, name) is value
+        assert getattr(by_position, name) is value
+    assert by_keyword == by_position
+    assert not by_keyword != by_position
+
+    key = tuple(fields[name] for name in compared)
+    assert by_keyword != key  # only an instance of the same class compares equal
+    assert cls.__eq__(by_keyword, key) is NotImplemented
+    for name in fields:
+        other = cls(**{**fields, name: object()})
+        if name in compared:
+            assert other != by_keyword and not other == by_keyword
+        else:
+            assert other == by_keyword
+
+    if frozen:
+        assert hash(by_keyword) == hash(by_position) == hash(key)
+        for name in fields:
+            with pytest.raises(AttributeError):
+                setattr(by_keyword, name, fields[name])
+        assert by_keyword == by_position
+    else:
+        with pytest.raises(TypeError):
+            hash(by_keyword)
+        for name, value in fields.items():
+            setattr(by_position, name, value)
+            assert getattr(by_position, name) is value
+
+
+@pytest.mark.parametrize("cls, fields", [c[:2] for c in CLASS_CASES], ids=[c[0].__name__ for c in CLASS_CASES])
+def test_class_records_copy_and_pickle(cls, fields):
+    record = cls(**fields)
+    for clone in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert type(clone) is cls and clone is not record
+        assert clone == record and repr(clone) == repr(record)
+
+
+def test_every_class_record_type_is_pinned():
+    assert len({cls for cls, *_ in CLASS_CASES}) == 6
+
+
+def test_class_record_defaults():
+    element = AxmlElement(None, "manifest", ())
+    assert element.children == [] and element.children is not AxmlElement(None, "manifest", ()).children
+    assert AxmlDocument(("m",), element).warnings == ()
+
+    config, again = CliConfig("help"), CliConfig(mode="help")
+    assert (config.inputs, config.dirs, config.output_path, config.fmt, config.fail_threshold) == ([], [], None, None, None)
+    assert config.inputs is not again.inputs and config.dirs is not again.dirs and config.inputs is not config.dirs
+    config.inputs.append(Path("a.apk"))
+    assert again.inputs == [] and config.dirs == []
+
+    image = DexImage(("s",), (), (), ())
+    assert image.source_name == "classes.dex"
+    assert image.body_table == ()
+    assert image.invokes == ("", [], [], [])
+
+
+def test_scan_input_needs_a_dex():
+    with pytest.raises(ValueError, match=r"^scan input needs at least one DEX image$"):
+        ScanInput(_MANIFEST, (), "a.apk")
+    with pytest.raises(ValueError, match=r"^scan input needs at least one DEX image$"):
+        ScanInput(manifest=_MANIFEST, dexes=(), apk_name="a.apk")
+
+
+def test_cached_properties_are_cached():
+    body = MethodBody(**_BODY)
+    assert "instructions" not in body.__dict__
+    decoded = body.instructions
+    assert decoded == (Instruction(0x12, 0, 1, literal=0), Instruction(0x0E, 2, 1))
+    assert body.instructions is decoded
+    assert body.__dict__["instructions"] is decoded
+    assert body == MethodBody(**_BODY) and hash(body) == hash(tuple(_BODY.values()))
+
+    scan = ScanInput(_MANIFEST, (DexImage(("su",), (), (), ()),), "a.apk")
+    facts = scan.facts
+    assert facts == {"root marker": [(scan.dexes[0], "su")]}
+    assert scan.facts is facts
+    assert scan.__dict__["facts"] is facts
+    assert scan == ScanInput(_MANIFEST, scan.dexes, "a.apk")
