@@ -21,7 +21,6 @@ resource-ID lookup is deliberately not implemented.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 ANDROID_NS = "http://schemas.android.com/apk/res/android"
@@ -83,12 +82,35 @@ class AxmlAttribute(NamedTuple):
     value: AttrValue
 
 
-@dataclass
 class AxmlElement:
-    namespace: str | None
-    name: str
-    attributes: tuple[AxmlAttribute, ...]
-    children: list["AxmlElement"] = field(default_factory=list)
+    """One element. The decoder appends its children as it reads them, so it is mutable and unhashable."""
+
+    __slots__ = ("namespace", "name", "attributes", "children")
+
+    def __init__(
+        self,
+        namespace: str | None,
+        name: str,
+        attributes: tuple[AxmlAttribute, ...],
+        children: list[AxmlElement] | None = None,
+    ) -> None:
+        self.namespace = namespace
+        self.name = name
+        self.attributes = attributes
+        self.children = [] if children is None else children
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__qualname__}(namespace={self.namespace!r}, name={self.name!r}, "
+            f"attributes={self.attributes!r}, children={self.children!r})"
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.namespace, self.name, self.attributes, self.children) == (
+            other.namespace, other.name, other.attributes, other.children
+        )
 
     def attr(self, name: str, namespace: str | None = ANDROID_NS) -> AttrValue:
         """Value of the first attribute matching (namespace, name), else None."""
@@ -101,11 +123,26 @@ class AxmlElement:
         return [c for c in self.children if c.name == name]
 
 
-@dataclass
 class AxmlDocument:
-    string_pool: tuple[str, ...]
-    root: AxmlElement
-    warnings: tuple[str, ...] = ()
+    """The decoded document; like its elements, mutable and unhashable."""
+
+    __slots__ = ("string_pool", "root", "warnings")
+
+    def __init__(self, string_pool: tuple[str, ...], root: AxmlElement, warnings: tuple[str, ...] = ()) -> None:
+        self.string_pool = string_pool
+        self.root = root
+        self.warnings = warnings
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__qualname__}(string_pool={self.string_pool!r}, root={self.root!r}, "
+            f"warnings={self.warnings!r})"
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.string_pool, self.root, self.warnings) == (other.string_pool, other.root, other.warnings)
 
 
 # Fixed-size records, each read with one call after one bounds check of its

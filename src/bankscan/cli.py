@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import os
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .apk import ApkError
@@ -69,14 +68,39 @@ class ConflictingModesError(CliUsageError):
     pass
 
 
-@dataclass
 class CliConfig:
-    mode: str  # scan | batch | matrix | help
-    inputs: list[Path] = field(default_factory=list)
-    dirs: list[Path] = field(default_factory=list)
-    output_path: Path | None = None
-    fmt: str | None = None
-    fail_threshold: Severity | None = None
+    """The parsed command line; mutable and unhashable."""
+
+    __slots__ = ("mode", "inputs", "dirs", "output_path", "fmt", "fail_threshold")
+
+    def __init__(
+        self,
+        mode: str,  # scan | batch | matrix | help
+        inputs: list[Path] | None = None,
+        dirs: list[Path] | None = None,
+        output_path: Path | None = None,
+        fmt: str | None = None,
+        fail_threshold: Severity | None = None,
+    ) -> None:
+        self.mode = mode
+        self.inputs = [] if inputs is None else inputs
+        self.dirs = [] if dirs is None else dirs
+        self.output_path = output_path
+        self.fmt = fmt
+        self.fail_threshold = fail_threshold
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__qualname__}(mode={self.mode!r}, inputs={self.inputs!r}, dirs={self.dirs!r}, "
+            f"output_path={self.output_path!r}, fmt={self.fmt!r}, fail_threshold={self.fail_threshold!r})"
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.mode, self.inputs, self.dirs, self.output_path, self.fmt, self.fail_threshold) == (
+            other.mode, other.inputs, other.dirs, other.output_path, other.fmt, other.fail_threshold
+        )
 
 
 def parse_args(argv: list[str]) -> CliConfig:

@@ -14,8 +14,8 @@ the published opcode format table, with one ``bytes.translate`` per DEX;
 each entry is the opcode's width in code units, or a marker for the invoke
 family and for ``nop``, which may start a payload. A plain instruction then
 costs one table read and one add. The loop reads a one-byte ULEB128, and a
-code_off of up to three bytes, inline, and builds each ``MethodBody``
-without its dataclass ``__init__``. A body it does not settle on its own (an
+code_off of up to three bytes, inline, and fills each ``MethodBody``'s
+slots without calling its ``__init__``. A body it does not settle on its own (an
 odd-aligned code_item, a stream that does not fit the file or does not end
 on an instruction boundary, or one that holds a payload) goes through the
 per-body path, so every error keeps its class and message.
@@ -48,7 +48,6 @@ import functools
 import struct
 import sys
 from collections.abc import Iterable
-from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -208,11 +207,47 @@ class Instruction(NamedTuple):
     method_index: int | None = None  # invoke family
 
 
-@dataclass(frozen=True)
-class MethodBody:
-    owner: str
-    name: str
-    code: bytes = field(repr=False)  # instruction stream, validated by parse_dex
+class _Frozen:
+    """Base of the frozen records.
+
+    Their ``__init__`` sets each field with ``object.__setattr__``, and their
+    ``__reduce__`` rebuilds them through ``__init__`` for copy and pickle.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class MethodBody(_Frozen):
+    """One method's instruction stream; ``repr`` leaves the code out."""
+
+    # __dict__ holds what cached_property caches
+    __slots__ = ("owner", "name", "code", "__dict__")
+
+    def __init__(self, owner: str, name: str, code: bytes) -> None:
+        put = object.__setattr__
+        put(self, "owner", owner)
+        put(self, "name", name)
+        put(self, "code", code)  # instruction stream, validated by parse_dex
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(owner={self.owner!r}, name={self.name!r})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.owner, self.name, self.code) == (other.owner, other.name, other.code)
+
+    def __hash__(self) -> int:
+        return hash((self.owner, self.name, self.code))
+
+    def __reduce__(self):
+        return type(self), (self.owner, self.name, self.code)
 
     @functools.cached_property
     def instructions(self) -> tuple[Instruction, ...]:
@@ -261,17 +296,51 @@ class _Invokes(NamedTuple):
 _NO_INVOKES = _Invokes("", [], [], [])
 
 
-@dataclass(frozen=True)
-class DexImage:
-    string_pool: tuple[str, ...]
-    type_names: tuple[str, ...]
-    method_refs: tuple[MethodRef, ...]
-    classes: tuple[ClassDef, ...]
-    source_name: str = "classes.dex"
-    # Filled by parse_dex: every method body in bodies() order, and the
-    # columns of every invoke in those bodies.
-    body_table: tuple[MethodBody, ...] = field(default=(), compare=False, repr=False)
-    invokes: _Invokes = field(default=_NO_INVOKES, compare=False, repr=False)
+class DexImage(_Frozen):
+    """One parsed DEX. ``repr``, ``==`` and ``hash`` leave out ``body_table`` and ``invokes``."""
+
+    __slots__ = ("string_pool", "type_names", "method_refs", "classes", "source_name", "body_table", "invokes")
+
+    def __init__(
+        self,
+        string_pool: tuple[str, ...],
+        type_names: tuple[str, ...],
+        method_refs: tuple[MethodRef, ...],
+        classes: tuple[ClassDef, ...],
+        source_name: str = "classes.dex",
+        # Filled by parse_dex: every method body in bodies() order, and the
+        # columns of every invoke in those bodies.
+        body_table: tuple[MethodBody, ...] = (),
+        invokes: _Invokes = _NO_INVOKES,
+    ) -> None:
+        put = object.__setattr__
+        put(self, "string_pool", string_pool)
+        put(self, "type_names", type_names)
+        put(self, "method_refs", method_refs)
+        put(self, "classes", classes)
+        put(self, "source_name", source_name)
+        put(self, "body_table", body_table)
+        put(self, "invokes", invokes)
+
+    def _key(self) -> tuple:
+        return self.string_pool, self.type_names, self.method_refs, self.classes, self.source_name
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__qualname__}(string_pool={self.string_pool!r}, type_names={self.type_names!r}, "
+            f"method_refs={self.method_refs!r}, classes={self.classes!r}, source_name={self.source_name!r})"
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __reduce__(self):
+        return type(self), (*self._key(), self.body_table, self.invokes)
 
     def bodies(self):
         for cls in self.classes:
@@ -499,7 +568,7 @@ class _Walk:
         append_place = places.append
         u32 = _U32.unpack_from
         new = object.__new__
-        put = object.__setattr__  # MethodBody is frozen; set through body.__dict__, each body would build a dict
+        put = object.__setattr__  # MethodBody is frozen: fill its slots as its __init__ does, without the call
         ref_count = len(method_refs)
         classes = []
         # class_idx and class_data_off of each 32-byte class_def

@@ -18,7 +18,6 @@ Both structured formats are versioned via ``schema_version``.
 
 from __future__ import annotations
 
-import csv
 import datetime as _dt
 import io
 import json
@@ -315,6 +314,8 @@ def _report_text(report: Report) -> bytes:
 def _reports_csv(reports: list[Report]) -> bytes:
     if not reports:
         return b""  # an empty batch writes no header either
+    import csv  # only the two CSV writers need it; a text or json scan does not load it
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["apk", "rule", "severity", "title", "category", "evidence"])
@@ -346,6 +347,8 @@ def _matrix_text(matrix: FleetMatrix) -> bytes:
 
 
 def _matrix_csv(matrix: FleetMatrix) -> bytes:
+    import csv  # see _reports_csv
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["app", *matrix.rule_titles, "Total", "Percentage"])

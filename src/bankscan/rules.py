@@ -36,12 +36,11 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass
 from itertools import compress, count
 from operator import itemgetter
 from typing import Any, NamedTuple
 
-from .dex import DexImage, InvocationSite, _literals_reaching, _sites_of
+from .dex import DexImage, InvocationSite, _Frozen, _literals_reaching, _sites_of
 from .manifest import ManifestModel
 
 FLAG_SECURE = 0x2000
@@ -209,15 +208,33 @@ class Finding(NamedTuple):
     category: str
 
 
-@dataclass(frozen=True)
-class ScanInput:
-    manifest: ManifestModel
-    dexes: tuple[DexImage, ...]
-    apk_name: str
+class ScanInput(_Frozen):
+    """What the rules read: the manifest model and at least one parsed DEX."""
 
-    def __post_init__(self):
-        if not self.dexes:
+    # __dict__ holds what cached_property caches
+    __slots__ = ("manifest", "dexes", "apk_name", "__dict__")
+
+    def __init__(self, manifest: ManifestModel, dexes: tuple[DexImage, ...], apk_name: str) -> None:
+        if not dexes:
             raise ValueError("scan input needs at least one DEX image")
+        put = object.__setattr__
+        put(self, "manifest", manifest)
+        put(self, "dexes", dexes)
+        put(self, "apk_name", apk_name)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(manifest={self.manifest!r}, dexes={self.dexes!r}, apk_name={self.apk_name!r})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.manifest, self.dexes, self.apk_name) == (other.manifest, other.dexes, other.apk_name)
+
+    def __hash__(self) -> int:
+        return hash((self.manifest, self.dexes, self.apk_name))
+
+    def __reduce__(self):
+        return type(self), (self.manifest, self.dexes, self.apk_name)
 
     @functools.cached_property
     def facts(self) -> dict[str, list[tuple[DexImage, Any]]]:

@@ -262,6 +262,29 @@ def test_fresh_scan_imports_neither_logging_nor_decimal(apk_on_disk, tmp_path):
     assert '"kind": "report"' in (tmp_path / "report.out").read_text()
 
 
+_COLD_IMPORT_PROBE = """
+import sys
+import bankscan.cli
+out = sys.argv[2]
+codes = [bankscan.cli.main(["-f", sys.argv[1], "--format", fmt, "-o", out]) for fmt in ("text", "json")]
+print(codes, sorted(m for m in ("csv", "dataclasses", "inspect") if m in sys.modules))
+"""
+
+
+def test_fresh_scan_imports_neither_dataclasses_nor_inspect_nor_csv(apk_on_disk, tmp_path):
+    # The scan path's records are hand-written classes and named tuples, and
+    # only the CSV writers import csv.
+    path = apk_on_disk("cleanapp", frozenset())
+    proc = subprocess.run(
+        [sys.executable, "-c", _COLD_IMPORT_PROBE, path, str(tmp_path / "report.out")],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.stderr == ""
+    assert proc.stdout == "[0, 0] []\n"
+    assert '"kind": "report"' in (tmp_path / "report.out").read_text()
+
+
 class _PinnedClock(datetime.datetime):
     @classmethod
     def now(cls, tz=None):
