@@ -778,6 +778,26 @@ def test_run_all_rules_vector_consistency(corpus):
             assert result.rule_vector[i] == (rule in rules_with_findings)
 
 
+def _scan_input(data, apk_name):
+    """The ``ScanInput`` that ``scan_bytes`` hands to ``run_all_rules``."""
+    from bankscan.apk import MANIFEST_NAME, dex_entry_names, load_apk, read_entry
+    from bankscan.axml import decode_axml
+    from bankscan.manifest import build_manifest_model
+
+    archive = load_apk(data)
+    manifest = build_manifest_model(decode_axml(read_entry(archive, MANIFEST_NAME)))
+    dexes = tuple(parse_dex(read_entry(archive, name), source_name=name) for name in dex_entry_names(archive))
+    return ScanInput(manifest=manifest, dexes=dexes, apk_name=apk_name)
+
+
+def test_run_all_rules_agrees_with_evaluate_rule_in_rule_order(corpus, fleet):
+    inputs = [_scan_input(data, profile.name) for profile, data in corpus + fleet]
+    assert len(inputs) == 34
+    for inp in [*inputs, _lookup_rules_input(50)]:
+        expected = tuple(finding for rule in RuleId for finding in evaluate_rule(rule, inp))
+        assert run_all_rules(inp).findings == expected, inp.apk_name
+
+
 def test_run_all_rules_deterministic():
     inp = make_input(method_sketches(CodeKnobs(file_delete=True)))
     assert run_all_rules(inp) == run_all_rules(inp)
