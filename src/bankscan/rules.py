@@ -1,14 +1,18 @@
 """The fourteen banking-app detection rules.
 
-Rules come in two flavors. Presence rules flag a dangerous construct that
-was actually found (an API call, a manifest declaration) and carry concrete
-evidence locations. Absence rules (R09, R12, R13, R14) flag a missing
-defensive construct and carry a single evidence line describing the search
-that came up empty; one positive marker anywhere in any DEX suppresses them.
+Every rule is one row of ``RULES``: title, severity, category and an
+evidence function of the scan input. ``evaluate_rule`` alone turns evidence
+into ``Finding`` records. Rules of one kind share a factory: ``_calls``
+(R04, R05, R11), ``_calls_with_one`` (R08) and ``_absent`` (R09, R12, R13,
+R14); the others are plain functions.
 
-All rules are pure functions of the scan input, so results are
-deterministic and the rules could be evaluated in any order or in parallel;
-findings are always merged in rule order.
+Presence rules flag a dangerous construct that was actually found (an API
+call, a manifest declaration) and carry concrete evidence locations.
+Absence rules (R09, R12, R13, R14) flag a missing defensive construct and
+carry a single evidence line describing the search that came up empty; one
+positive marker anywhere in any DEX suppresses them. All rules are pure
+functions of the scan input, so results are deterministic; findings are
+always merged in rule order.
 
 Every code rule reads one per-scan fact table, ``ScanInput.facts``, and
 queries the DEX no further. ``CODE_TARGETS`` maps a method name to an owner,
@@ -18,13 +22,11 @@ each of those that matches and is invoked is kept. The same pass settles the
 DEX-level facts: a root marker in the string pool, the package Signature
 type, the first WebView type and a ``FLAG_SECURE`` window flag. A rule that
 needs sites reads them from the DEX's invoke columns for the resolved method
-indices. The absence rules are rows of ``ABSENCE_ROWS``: the fact keys that
-clear the rule, and the search that came up empty. The first code rule to
-ask, R01, pays for the table, so a per-rule trace shows it under R01, R09's
-pool search and R13's const back-scan included. The const back-scan is one
-batch call for all of R07's or R08's sites, and one per DEX for R13's: it
-steps the bytes of each calling body once, however many sites the body
-holds, and builds no instruction record.
+indices. The first code rule to ask, R01, pays for the table, so a per-rule
+trace shows it under R01, R09's pool search and R13's const back-scan
+included. The const back-scan is one batch call for all of R07's or R08's
+sites, and one per DEX for R13's: it steps the bytes of each calling body
+once, however many sites the body holds, and builds no instruction record.
 
 Known, accepted imprecision: rules scan bundled third-party code exactly
 like first-party code, R01 matches on method-local co-occurrence rather
@@ -38,7 +40,7 @@ import enum
 import functools
 from itertools import compress, count
 from operator import itemgetter
-from typing import Any, NamedTuple
+from typing import Any, Callable, NamedTuple
 
 from .dex import DexImage, InvocationSite, _Frozen, _literals_reaching, _sites_of
 from .manifest import ManifestModel
@@ -102,56 +104,13 @@ _SEVERITY_RANK: dict[Severity, int] = {
 }
 
 
-RULE_TITLES: dict[RuleId, str] = {
-    RuleId.R01: "Implicit intent for service",
-    RuleId.R02: "Misconfiguration of intent-filters",
-    RuleId.R03: "Content Provider access from other apps on the device",
-    RuleId.R04: "Remote code execution",
-    RuleId.R05: "Getting IMEI and Device ID",
-    RuleId.R06: "Normal protection-level of permission",
-    RuleId.R07: "Local file system access",
-    RuleId.R08: "Webview JavaScript enabled",
-    RuleId.R09: "Not executing 'root' or system privilege checks",
-    RuleId.R10: "ADB backup",
-    RuleId.R11: "File unsafe deleting",
-    RuleId.R12: "Not checking Package signature code",
-    RuleId.R13: "Allowing screenshot capturing",
-    RuleId.R14: "Not checking APK installer sources",
-}
+class Rule(NamedTuple):
+    """One rule's row in ``RULES``. ``evidence`` gives one tuple of lines per finding, ``[]`` if the rule holds."""
 
-RULE_SEVERITIES: dict[RuleId, Severity] = {
-    RuleId.R01: Severity.CRITICAL,
-    RuleId.R02: Severity.CRITICAL,
-    RuleId.R03: Severity.CRITICAL,
-    RuleId.R04: Severity.CRITICAL,
-    RuleId.R05: Severity.WARNING,
-    RuleId.R06: Severity.CRITICAL,
-    RuleId.R07: Severity.WARNING,
-    RuleId.R08: Severity.WARNING,
-    RuleId.R09: Severity.NOTICE,
-    RuleId.R10: Severity.WARNING,
-    RuleId.R11: Severity.NOTICE,
-    RuleId.R12: Severity.NOTICE,
-    RuleId.R13: Severity.NOTICE,
-    RuleId.R14: Severity.NOTICE,
-}
-
-RULE_CATEGORIES: dict[RuleId, str] = {
-    RuleId.R01: "Intent",
-    RuleId.R02: "Manifest",
-    RuleId.R03: "Manifest",
-    RuleId.R04: "WebView",
-    RuleId.R05: "Privacy",
-    RuleId.R06: "Manifest",
-    RuleId.R07: "WebView",
-    RuleId.R08: "WebView",
-    RuleId.R09: "Platform integrity",
-    RuleId.R10: "Storage",
-    RuleId.R11: "Storage",
-    RuleId.R12: "Tamper detection",
-    RuleId.R13: "Screen capture",
-    RuleId.R14: "Install source",
-}
+    title: str
+    severity: Severity
+    category: str
+    evidence: Callable[[ScanInput], list[tuple[str, ...]]]
 
 
 # The code rules' call targets: method name -> (owner, shorty, target key),
@@ -182,22 +141,6 @@ _NAME = itemgetter(1)  # MethodRef.name
 # type": the type Landroid/content/pm/Signature;. "webkit type": the first
 # Landroid/webkit/ type, which R07 quotes. "FLAG_SECURE": the first "Window
 # flags" site whose reaching literal is FLAG_SECURE.
-#
-# The absence rules: rule -> (the fact keys any one of which clears it, the
-# search that came up empty when none is held).
-ABSENCE_ROWS: dict[RuleId, tuple[tuple[str, ...], str]] = {
-    RuleId.R09: (
-        ("Runtime.exec", "root marker"),
-        f"no root-detection marker ({', '.join(ROOT_MARKER_EXACT + ROOT_MARKER_SUBSTRINGS)}) "
-        "in any string pool and no Runtime.exec call",
-    ),
-    RuleId.R12: (
-        ("getPackageInfo", "Signature type"),
-        "no reference to Landroid/content/pm/Signature; and no getPackageInfo call",
-    ),
-    RuleId.R13: (("FLAG_SECURE",), "no Window.setFlags/addFlags call with FLAG_SECURE (0x2000)"),
-    RuleId.R14: (("PackageManager.getInstallerPackageName",), "no PackageManager.getInstallerPackageName call"),
-}
 
 
 class Finding(NamedTuple):
@@ -289,109 +232,88 @@ class ScanResult(NamedTuple):
     rule_vector: tuple[bool, ...]
 
 
-def _finding(rule: RuleId, evidence: list[str]) -> Finding:
-    return Finding(rule, RULE_SEVERITIES[rule], RULE_TITLES[rule], tuple(evidence), RULE_CATEGORIES[rule])
-
-
-def _site_findings(rule: RuleId, sites: list, suffix: str = "") -> list[Finding]:
-    """One finding per ``(dex, site)``, with the rule's constants looked up once."""
-    if not sites:  # the usual case on most apps: skip the lookups
-        return []
-    severity, title, category = RULE_SEVERITIES[rule], RULE_TITLES[rule], RULE_CATEGORIES[rule]
-    make = tuple.__new__  # skips NamedTuple.__new__'s per-field argument binding
-    return [
-        make(
-            Finding,
-            (
-                rule,
-                severity,
-                title,
-                (
-                    f"{dex.source_name}: {site.body.owner}->{site.body.name} +0x{site.offset:04x} "
-                    f"calls {site.callee.owner}->{site.callee.name}{suffix}",
-                ),
-                category,
-            ),
-        )
-        for dex, site in sites
-    ]
-
-
-def _absence(rule: RuleId, inp: ScanInput) -> list[Finding]:
-    """An absence rule: no finding when any fact of its row is held, else one naming the search."""
-    keys, searched = ABSENCE_ROWS[rule]
-    if not inp.facts.keys().isdisjoint(keys):
-        return []
-    return [_finding(rule, [f"absence: {searched} across {len(inp.dexes)} dex file(s)"])]
-
-
 def _sites(inp: ScanInput, key: str) -> list[tuple[DexImage, InvocationSite]]:
     """``(dex, site)`` for every call to a target: DEX order, then body, then position."""
     return [(dex, site) for dex, indices in inp.facts.get(key, ()) for site in _sites_of(dex, indices)]
 
 
+def _site_literals(inp: ScanInput, key: str) -> list[tuple[tuple[DexImage, InvocationSite], int | None]]:
+    """``((dex, site), literal reaching it)`` for every call to a target, in ``_sites`` order."""
+    sites = _sites(inp, key)
+    return list(zip(sites, _literals_reaching([site for _, site in sites])))
+
+
+def _call_lines(sites: list[tuple[DexImage, InvocationSite]], suffix: str = "") -> list[tuple[str, ...]]:
+    """One finding's evidence per ``(dex, site)``: the one line that names the call."""
+    return [
+        (f"{dex.source_name}: {site.body.owner}->{site.body.name} +0x{site.offset:04x} "
+         f"calls {site.callee.owner}->{site.callee.name}{suffix}",)
+        for dex, site in sites
+    ]
+
+
+def _calls(key: str) -> Callable[[ScanInput], list[tuple[str, ...]]]:
+    """A presence rule with one finding per call to the target ``key``."""
+    return lambda inp: _call_lines(_sites(inp, key))
+
+
+def _calls_with_one(key: str) -> Callable[[ScanInput], list[tuple[str, ...]]]:
+    """A presence rule with one finding per call to the target ``key`` that the literal 1 reaches."""
+    return lambda inp: _call_lines([pair for pair, lit in _site_literals(inp, key) if lit == 1], " with literal 1")
+
+
+def _absent(keys: tuple[str, ...], searched: str) -> Callable[[ScanInput], list[tuple[str, ...]]]:
+    """An absence rule: no finding when any fact in ``keys`` is held, else one naming the search."""
+    def evidence(inp: ScanInput) -> list[tuple[str, ...]]:
+        if not inp.facts.keys().isdisjoint(keys):
+            return []
+        return [(f"absence: {searched} across {len(inp.dexes)} dex file(s)",)]
+    return evidence
+
+
 # --- manifest rules --------------------------------------------------------
 
 
-def _r02_intent_filter(inp: ScanInput) -> list[Finding]:
-    findings = []
+def _r02_intent_filter(inp: ScanInput) -> list[tuple[str, ...]]:
+    evidence = []
     for comp in inp.manifest.components:
         for i, filt in enumerate(comp.intent_filters):
             if not filt.actions:
-                findings.append(
-                    _finding(
-                        RuleId.R02,
-                        [f"manifest: application/{comp.kind}[{comp.name}]/intent-filter[{i}] has no action"],
-                    )
-                )
-    return findings
+                evidence.append((f"manifest: application/{comp.kind}[{comp.name}]/intent-filter[{i}] has no action",))
+    return evidence
 
 
-def _r03_provider(inp: ScanInput) -> list[Finding]:
-    findings = []
+def _r03_provider(inp: ScanInput) -> list[tuple[str, ...]]:
+    evidence = []
     for comp in inp.manifest.components:
-        if comp.kind != "provider":
-            continue
-        if inp.manifest.effective_exported(comp) and comp.permission is None:
-            findings.append(
-                _finding(
-                    RuleId.R03,
-                    [f"manifest: application/provider[{comp.name}] exported without permission"],
-                )
-            )
-    return findings
+        if comp.kind == "provider" and inp.manifest.effective_exported(comp) and comp.permission is None:
+            evidence.append((f"manifest: application/provider[{comp.name}] exported without permission",))
+    return evidence
 
 
-def _r06_permission(inp: ScanInput) -> list[Finding]:
-    findings = []
+def _r06_permission(inp: ScanInput) -> list[tuple[str, ...]]:
+    evidence = []
     for perm in inp.manifest.declared_permissions:
         if perm.protection_level in ("normal", "unset"):
-            findings.append(
-                _finding(
-                    RuleId.R06,
-                    [f"manifest: permission[{perm.name}] protectionLevel={perm.protection_level}"],
-                )
-            )
-    return findings
+            evidence.append((f"manifest: permission[{perm.name}] protectionLevel={perm.protection_level}",))
+    return evidence
 
 
-def _r10_backup(inp: ScanInput) -> list[Finding]:
+def _r10_backup(inp: ScanInput) -> list[tuple[str, ...]]:
     allow = inp.manifest.application.allow_backup
-    if allow is False:
-        return []
     state = "true" if allow else "unset (defaults to true)"
-    return [_finding(RuleId.R10, [f"manifest: application allowBackup={state}"])]
+    return [] if allow is False else [(f"manifest: application allowBackup={state}",)]
 
 
 # --- code presence rules ---------------------------------------------------
 
 
-def _r01_implicit_service(inp: ScanInput) -> list[Finding]:
+def _r01_implicit_service(inp: ScanInput) -> list[tuple[str, ...]]:
     # Method-local co-occurrence of an Intent(action-string) constructor and a
     # startService/bindService call. Shorty VL means one reference argument,
     # which covers the action-string constructor (and over-approximates the
     # copy constructor); the two-argument explicit form is VLL and never hits.
-    findings = []
+    evidence = []
     start_targets = {id(dex): indices for dex, indices in inp.facts.get("service start", ())}
     for dex, ctor_targets in inp.facts.get("Intent(action)", ()):
         if id(dex) not in start_targets:
@@ -408,28 +330,16 @@ def _r01_implicit_service(inp: ScanInput) -> list[Finding]:
                 starts.setdefault(id(site.body), []).append(site)
         for key, sites in starts.items():
             body = sites[0].body
-            evidence = [
+            evidence.append(tuple(
                 f"{dex.source_name}: {body.owner}->{body.name} +0x{site.offset:04x} "
                 f"calls {site.callee.owner}->{site.callee.name} with implicit Intent "
                 f"(action-string constructor at +0x{first_ctor[key]:04x})"
                 for site in sites
-            ]
-            findings.append(_finding(RuleId.R01, evidence))
-    return findings
+            ))
+    return evidence
 
 
-def _site_rule(rule: RuleId, key: str, inp: ScanInput) -> list[Finding]:
-    """A presence rule with one finding per call to its target."""
-    return _site_findings(rule, _sites(inp, key))
-
-
-def _site_literals(inp: ScanInput, key: str) -> list[tuple[tuple[DexImage, InvocationSite], int | None]]:
-    """``((dex, site), literal reaching it)`` for every call to a target, in ``_sites`` order."""
-    sites = _sites(inp, key)
-    return list(zip(sites, _literals_reaching([site for _, site in sites])))
-
-
-def _r07_file_access(inp: ScanInput) -> list[Finding]:
+def _r07_file_access(inp: ScanInput) -> list[tuple[str, ...]]:
     fired = []
     explicit_off = False
     for pair, lit in _site_literals(inp, "WebSettings.setAllowFileAccess"):
@@ -437,44 +347,71 @@ def _r07_file_access(inp: ScanInput) -> list[Finding]:
             fired.append(pair)
         elif lit == 0:
             explicit_off = True
-    findings = _site_findings(RuleId.R07, fired, " with literal 1")
-    if findings:
-        return findings
+    if fired:
+        return _call_lines(fired, " with literal 1")
     # File access is on by default: a WebView in use without an explicit
     # setAllowFileAccess(false) anywhere leaves it enabled.
-    if not explicit_off and "webkit type" in inp.facts:
-        dex, webkit = inp.facts["webkit type"][0]
-        default_on = "never calls setAllowFileAccess(false); file access is enabled by default"
-        findings.append(_finding(RuleId.R07, [f"{dex.source_name}: references type {webkit} and {default_on}"]))
-    return findings
+    if explicit_off or "webkit type" not in inp.facts:
+        return []
+    dex, webkit = inp.facts["webkit type"][0]
+    default_on = "never calls setAllowFileAccess(false); file access is enabled by default"
+    return [(f"{dex.source_name}: references type {webkit} and {default_on}",)]
 
 
-def _r08_javascript(inp: ScanInput) -> list[Finding]:
-    sites = _site_literals(inp, "WebSettings.setJavaScriptEnabled")
-    return _site_findings(RuleId.R08, [pair for pair, lit in sites if lit == 1], " with literal 1")
-
-
-_EVALUATORS = {
-    RuleId.R01: _r01_implicit_service,
-    RuleId.R02: _r02_intent_filter,
-    RuleId.R03: _r03_provider,
-    RuleId.R04: functools.partial(_site_rule, RuleId.R04, "WebView.addJavascriptInterface"),
-    RuleId.R05: functools.partial(_site_rule, RuleId.R05, "TelephonyManager.getDeviceId"),
-    RuleId.R06: _r06_permission,
-    RuleId.R07: _r07_file_access,
-    RuleId.R08: _r08_javascript,
-    RuleId.R09: functools.partial(_absence, RuleId.R09),
-    RuleId.R10: _r10_backup,
-    RuleId.R11: functools.partial(_site_rule, RuleId.R11, "File.delete"),
-    RuleId.R12: functools.partial(_absence, RuleId.R12),
-    RuleId.R13: functools.partial(_absence, RuleId.R13),
-    RuleId.R14: functools.partial(_absence, RuleId.R14),
+RULES: dict[RuleId, Rule] = {
+    RuleId.R01: Rule("Implicit intent for service", Severity.CRITICAL, "Intent", _r01_implicit_service),
+    RuleId.R02: Rule("Misconfiguration of intent-filters", Severity.CRITICAL, "Manifest", _r02_intent_filter),
+    RuleId.R03: Rule(
+        "Content Provider access from other apps on the device", Severity.CRITICAL, "Manifest", _r03_provider
+    ),
+    RuleId.R04: Rule("Remote code execution", Severity.CRITICAL, "WebView", _calls("WebView.addJavascriptInterface")),
+    RuleId.R05: Rule("Getting IMEI and Device ID", Severity.WARNING, "Privacy", _calls("TelephonyManager.getDeviceId")),
+    RuleId.R06: Rule("Normal protection-level of permission", Severity.CRITICAL, "Manifest", _r06_permission),
+    RuleId.R07: Rule("Local file system access", Severity.WARNING, "WebView", _r07_file_access),
+    RuleId.R08: Rule(
+        "Webview JavaScript enabled", Severity.WARNING, "WebView", _calls_with_one("WebSettings.setJavaScriptEnabled")
+    ),
+    RuleId.R09: Rule(
+        "Not executing 'root' or system privilege checks", Severity.NOTICE, "Platform integrity",
+        _absent(
+            ("Runtime.exec", "root marker"),
+            f"no root-detection marker ({', '.join(ROOT_MARKER_EXACT + ROOT_MARKER_SUBSTRINGS)}) "
+            "in any string pool and no Runtime.exec call",
+        ),
+    ),
+    RuleId.R10: Rule("ADB backup", Severity.WARNING, "Storage", _r10_backup),
+    RuleId.R11: Rule("File unsafe deleting", Severity.NOTICE, "Storage", _calls("File.delete")),
+    RuleId.R12: Rule(
+        "Not checking Package signature code", Severity.NOTICE, "Tamper detection",
+        _absent(
+            ("getPackageInfo", "Signature type"),
+            "no reference to Landroid/content/pm/Signature; and no getPackageInfo call",
+        ),
+    ),
+    RuleId.R13: Rule(
+        "Allowing screenshot capturing", Severity.NOTICE, "Screen capture",
+        _absent(("FLAG_SECURE",), "no Window.setFlags/addFlags call with FLAG_SECURE (0x2000)"),
+    ),
+    RuleId.R14: Rule(
+        "Not checking APK installer sources", Severity.NOTICE, "Install source",
+        _absent(("PackageManager.getInstallerPackageName",), "no PackageManager.getInstallerPackageName call"),
+    ),
 }
+
+# Kept by name: report.build_fleet_matrix reads it, and so does the benchmark's
+# output check (perfbench/workloads.py), to map printed titles back to rules.
+RULE_TITLES: dict[RuleId, str] = {rule: row.title for rule, row in RULES.items()}
 
 
 def evaluate_rule(rule: RuleId, scan_input: ScanInput) -> list[Finding]:
     """Run one rule; empty list means not vulnerable."""
-    return _EVALUATORS[rule](scan_input)
+    row = RULES[rule]
+    evidence = row.evidence(scan_input)
+    if not evidence:  # the usual case on most apps: build nothing
+        return evidence
+    title, severity, category, _ = row
+    make = tuple.__new__  # skips NamedTuple.__new__'s per-field argument binding
+    return [make(Finding, (rule, severity, title, lines, category)) for lines in evidence]
 
 
 def run_all_rules(scan_input: ScanInput) -> ScanResult:
@@ -482,6 +419,7 @@ def run_all_rules(scan_input: ScanInput) -> ScanResult:
     findings: list[Finding] = []
     vector = []
     for rule in _RULE_ORDER:
+        # Through the module global: perfbench's tracer rebinds it to time each rule.
         rule_findings = evaluate_rule(rule, scan_input)
         findings.extend(rule_findings)
         vector.append(bool(rule_findings))

@@ -23,7 +23,7 @@ from bankscan.fixtures import (
 from bankscan.knowledge import countermeasure_for, load_knowledge_base, threat_for
 from bankscan.manifest import build_manifest_model
 from bankscan.report import build_fleet_matrix, render_report, scan_result_json, serialize
-from bankscan.rules import RULE_SEVERITIES, RuleId, Severity
+from bankscan.rules import RULES, RuleId, Severity
 from bankscan.scanner import scan_bytes
 
 STRUCTURED_ERRORS = (ApkError, AxmlError, DexError)
@@ -179,7 +179,7 @@ def test_criterion_7_cli_exit_code_contract(corpus, fleet_dir, tmp_path, capsys)
     for name, (profile, path) in paths.items():
         for threshold in thresholds:
             expected = int(
-                any(RULE_SEVERITIES[r].rank >= threshold.rank for r in profile.positive_rules)
+                any(RULES[r].severity.rank >= threshold.rank for r in profile.positive_rules)
             )
             got = main(["-f", str(path), "--fail-on", threshold.value, "-o", str(sink)])
             assert got == expected, (name, threshold.value, got, expected)

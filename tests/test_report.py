@@ -30,9 +30,8 @@ from bankscan.report import (
     serialize_reports,
 )
 from bankscan.rules import (
-    RULE_CATEGORIES,
-    RULE_SEVERITIES,
     RULE_TITLES,
+    RULES,
     Finding,
     RuleId,
     ScanResult,
@@ -53,10 +52,10 @@ EXPECTED_PERCENT_TABLE = [
 def make_finding(rule: RuleId, evidence=("manifest: application",)) -> Finding:
     return Finding(
         rule=rule,
-        severity=RULE_SEVERITIES[rule],
+        severity=RULES[rule].severity,
         title=RULE_TITLES[rule],
         evidence=tuple(evidence),
-        category=RULE_CATEGORIES[rule],
+        category=RULES[rule].category,
     )
 
 
@@ -410,7 +409,8 @@ def test_render_report_sections_match_per_finding_oracle():
     # it at the same severity, so a rank carried over within a rule or a
     # background carried over within a severity would show.
     def finding(rule, evidence, severity=None):
-        return Finding(rule, severity or RULE_SEVERITIES[rule], RULE_TITLES[rule], (evidence,), RULE_CATEGORIES[rule])
+        row = RULES[rule]
+        return Finding(rule, severity or row.severity, RULE_TITLES[rule], (evidence,), row.category)
 
     findings = (
         finding(RuleId.R11, "a"),

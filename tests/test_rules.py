@@ -31,6 +31,7 @@ from bankscan.manifest import (
 )
 from bankscan.rules import (
     CODE_TARGETS,
+    RULES,
     Finding,
     RuleId,
     ScanInput,
@@ -791,6 +792,7 @@ def _scan_input(data, apk_name):
 
 
 def test_run_all_rules_agrees_with_evaluate_rule_in_rule_order(corpus, fleet):
+    assert tuple(RULES) == tuple(RuleId)
     inputs = [_scan_input(data, profile.name) for profile, data in corpus + fleet]
     assert len(inputs) == 34
     for inp in [*inputs, _lookup_rules_input(50)]:
