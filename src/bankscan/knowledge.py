@@ -59,19 +59,21 @@ def load_knowledge_base() -> KnowledgeBase:
     threats: dict[RuleId, ThreatEntry] = {}
     countermeasures: dict[RuleId, CountermeasureEntry] = {}
     backgrounds: dict[RuleId, str] = {}
-    for record in doc["rules"]:
-        rule = RuleId(record["rule_id"])
+    for i, record in enumerate(doc["rules"]):
+        try:
+            rule = RuleId(record["rule_id"])
+            threat = ThreatEntry(rule, record["threat_name"], record["threat_description"])
+            countermeasure = CountermeasureEntry(rule, record["developer_countermeasure"])
+            background = record["background"]
+        except KeyError as exc:
+            raise KnowledgeBaseError(f"knowledge record {i} lacks field {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise KnowledgeBaseError(f"knowledge record {i} is malformed: {exc}") from exc
         if rule in threats:
             raise KnowledgeBaseError(f"duplicate knowledge record for {rule.value}")
-        threats[rule] = ThreatEntry(
-            rule=rule,
-            threat_name=record["threat_name"],
-            description=record["threat_description"],
-        )
-        countermeasures[rule] = CountermeasureEntry(
-            rule=rule, developer_action=record["developer_countermeasure"]
-        )
-        backgrounds[rule] = record["background"]
+        threats[rule] = threat
+        countermeasures[rule] = countermeasure
+        backgrounds[rule] = background
 
     missing = [r.value for r in RuleId if r not in threats]
     if missing:

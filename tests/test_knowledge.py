@@ -1,7 +1,12 @@
 import json
+import types
 from importlib import resources
 
+import pytest
+
+from bankscan import knowledge
 from bankscan.knowledge import (
+    KnowledgeBaseError,
     countermeasure_for,
     load_knowledge_base,
     threat_for,
@@ -65,3 +70,25 @@ def test_loaded_content_matches_data_file():
         assert kb.countermeasures[rule].developer_action == record["developer_countermeasure"]
         assert kb.backgrounds[rule] == record["background"]
     assert [u.text for u in kb.user_countermeasures] == doc["user_countermeasures"]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda record: record.update(rule_id="R99"), "knowledge record 3 is malformed: 'R99' is not a valid RuleId"),
+        (lambda record: record.pop("background"), "knowledge record 3 lacks field 'background'"),
+    ],
+)
+def test_malformed_record_raises_knowledge_base_error_naming_its_index(tmp_path, monkeypatch, edit, message):
+    doc = json.loads(resources.files("bankscan").joinpath("data/knowledge.json").read_text("utf-8"))
+    edit(doc["rules"][3])
+    (tmp_path / "data").mkdir()
+    (tmp_path / "data" / "knowledge.json").write_text(json.dumps(doc), "utf-8")
+    monkeypatch.setattr(knowledge, "resources", types.SimpleNamespace(files=lambda package: tmp_path))
+    load_knowledge_base.cache_clear()
+    try:
+        with pytest.raises(KnowledgeBaseError) as info:
+            load_knowledge_base()
+    finally:
+        load_knowledge_base.cache_clear()
+    assert str(info.value) == message
