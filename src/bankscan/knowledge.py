@@ -67,7 +67,7 @@ def load_knowledge_base() -> KnowledgeBase:
             background = record["background"]
         except KeyError as exc:
             raise KnowledgeBaseError(f"knowledge record {i} lacks field {exc}") from exc
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise KnowledgeBaseError(f"knowledge record {i} is malformed: {exc}") from exc
         if rule in threats:
             raise KnowledgeBaseError(f"duplicate knowledge record for {rule.value}")
