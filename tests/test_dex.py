@@ -406,12 +406,12 @@ _ORDER_METHODS = [
 
 
 def _code_starts(data):
-    """Byte offset of each body's instruction stream, by body name."""
-    starts = {}
-    for body in parse_dex(data).body_table:
-        assert data.count(body.code) == 1
-        starts[body.name] = data.index(body.code)
-    return starts
+    """Byte offset of each body's instruction stream, by body name.
+
+    ``_odd_code_items`` appends a moved code_item after the original, so the
+    stream a body reads is the last copy in the file.
+    """
+    return {body.name: data.rindex(body.code) for body in parse_dex(data).body_table}
 
 
 def _second_method_diff_at(data):
@@ -443,11 +443,14 @@ def _second_bad_invoke_in_b(data, starts):
     struct.pack_into("<H", data, starts["b"] + 8, _u32(data, 0x58) + 1)
 
 
-def _order_dex(*patches):
-    """The two-method DEX of ``_ORDER_METHODS`` with each ``patch(data, code starts)`` applied."""
-    art = emit_dex(_ORDER_OWNER, _ORDER_METHODS)
-    starts = _code_starts(art.data)
-    data = bytearray(art.data)
+def _order_dex(*patches, odd=()):
+    """The two-method DEX of ``_ORDER_METHODS``, the code_items of ``odd`` moved to odd offsets, each ``patch(data, code starts)`` applied."""
+    data = emit_dex(_ORDER_OWNER, _ORDER_METHODS).data
+    if odd:
+        data = _odd_code_items(data, set(odd))
+    starts = _code_starts(data)
+    assert all(start % 2 == (name in odd) for name, start in starts.items())
+    data = bytearray(data)
     for patch in patches:
         patch(data, starts)
     return bytes(data)
@@ -463,10 +466,11 @@ def test_first_bad_invoke_outranks_every_later_error():
         _second_bad_invoke_in_b: f"invoke in {_ORDER_OWNER}->b names method {methods + 1}, only {methods} defined",
     }
     first = f"invoke in {_ORDER_OWNER}->a names method {methods}, only {methods} defined"
-    _dex_raises(_order_dex(_bad_invoke_in_a), SectionOutOfBoundsError, first)
-    for patch, message in later.items():
-        _dex_raises(_order_dex(patch), SectionOutOfBoundsError, message)  # each error is real on its own
-        _dex_raises(_order_dex(_bad_invoke_in_a, patch), SectionOutOfBoundsError, first)
+    for odd in ((), ("a",)):  # a's code_item at an even, then at an odd offset
+        _dex_raises(_order_dex(_bad_invoke_in_a, odd=odd), SectionOutOfBoundsError, first)
+        for patch, message in later.items():
+            _dex_raises(_order_dex(patch, odd=odd), SectionOutOfBoundsError, message)  # each error is real on its own
+            _dex_raises(_order_dex(_bad_invoke_in_a, patch, odd=odd), SectionOutOfBoundsError, first)
 
 
 def _uleb(value):
