@@ -15,23 +15,20 @@ each entry is the opcode's width in code units, or a marker for the invoke
 family and for ``nop``, which may start a payload. A plain instruction then
 costs one table read and one add. The loop reads a one-byte ULEB128, and a
 code_off of up to three bytes, inline, and fills each ``MethodBody``'s
-slots without calling its ``__init__``. A body it does not settle on its own (an
-odd-aligned code_item, a stream that does not fit the file or does not end
-on an instruction boundary, or one that holds a payload) goes through the
-per-body path, so every error keeps its class and message.
+slots without calling its ``__init__``. Every body, odd-aligned or holding
+a payload, takes that one path, and every error keeps its class and message.
 
 An invoke costs two list appends: the code unit it starts at and its body's
 ordinal. Neither the walk nor ``_sites_of`` counts positions: a site is its
-body, its callee and its byte offset, and ``InvocationSite.index`` counts the
-position from the body's bytes only when it is read. After the last body,
-the method index of every invoke is read in one pass over a 16-bit view of
-the file and checked with one ``max``; if another error stops the parse
-first, the invokes recorded so far are checked before it is raised, so the
-first invoke that names no method still wins. The indices are kept
-as a string, one character per invoke, so the rules resolve the method ids
-they want and find their invokes with ``str.find``, without touching the
-code again. ``Instruction`` records, with operands only for the const and
-invoke families, are decoded from a body's validated bytes when
+body, its callee and its byte offset. After the last body, the method index
+of every invoke is read in one pass over a 16-bit view of the file and
+checked with one ``max``; if another error stops the parse first, the
+invokes recorded so far are checked before it is raised, so the first
+invoke that names no method still wins. The indices are kept as a string,
+one character per invoke, so the rules resolve the method ids they want and
+find their invokes with ``str.find``, without touching the code again.
+``Instruction`` records, with operands only for the const and invoke
+families, are decoded from a body's validated bytes when
 ``MethodBody.instructions`` is first read; a scan never reads them. The const
 back-scan steps a body's bytes forward through a width table instead, and
 reads a literal straight from them; given a list of sites in body order, it
@@ -183,13 +180,11 @@ _WALK_WIDTHS = bytes(
     _INVOKE_MARK if op in INVOKE_OPS else _NOP_MARK if op == 0x00 else units
     for op, units in enumerate(_OP_UNITS)
 )
-# Width in bytes per opcode byte, for stepping a stream parse_dex has checked.
-_BYTE_WIDTHS = bytes(2 * units for units in _OP_UNITS)
 # The back-scan's table: the width in bytes, plus _SCAN_MARK for the opcodes
 # the scan looks at, the three consts and nop, which may start a payload.
 _SCAN_MARK = 0x80
 _SCAN_WIDTHS = bytes(
-    width + _SCAN_MARK if op in CONST_OPS or op == 0x00 else width for op, width in enumerate(_BYTE_WIDTHS)
+    2 * units + _SCAN_MARK if op in CONST_OPS or op == 0x00 else 2 * units for op, units in enumerate(_OP_UNITS)
 )
 
 
@@ -264,21 +259,6 @@ class InvocationSite(NamedTuple):
     body: MethodBody  # the calling method
     callee: MethodRef
     offset: int  # byte offset of the invoke in body.code
-
-    @property
-    def index(self) -> int:
-        """Position of the invoke in ``body.instructions``, counted from ``body.code`` on each read."""
-        code = self.body.code
-        steps = code.translate(_BYTE_WIDTHS)
-        pos = index = 0
-        # parse_dex checked the stream, so every step lands inside it.
-        while pos < self.offset:
-            if code[pos] or code[pos + 1] not in _PAYLOAD_HIGH_BYTES:
-                pos += steps[pos]
-            else:
-                pos += 2 * _payload_units(code, pos, code[pos + 1] << 8, self.body.owner, self.body.name)
-            index += 1
-        return index
 
 
 class _Invokes(NamedTuple):
@@ -528,11 +508,10 @@ class _Walk:
     after the even units, so every stream is walked the same way.
 
     ``classes`` reads every class_data, method entry and instruction stream
-    in one loop. An invoke costs two appends, its unit and its body's
-    ordinal; no position is counted. Whatever that loop does not settle on
-    its own goes through ``body`` and ``stream``, which check and record one
-    body with every message; ``methods`` then reads every invoke's method
-    index in one pass and checks them all at once.
+    in one loop, the only one that steps instructions. An invoke costs two
+    appends, its unit and its body's ordinal; no position is counted.
+    ``methods`` then reads every invoke's method index in one pass and checks
+    them all at once.
     """
 
     __slots__ = ("data", "buf", "steps", "odd_base", "bodies", "units", "places", "starts")
@@ -550,16 +529,17 @@ class _Walk:
         """A ``ClassDef`` per 32-byte class_def, each method body added to ``bodies`` and walked.
 
         The usual method entry (one-byte ULEB128s and a code_off of up to
-        three bytes, or longer ones through ``_uleb128``) and the usual body
-        (an even code_item whose stream fits the file and holds no payload)
-        are read and walked inline. Any other body, and any body whose stream
-        does not end on an instruction boundary, drops the invoke rows the
-        loop appended for it and goes through ``body``, so every error keeps
-        its class and message.
+        three bytes) is read inline, and longer ones through ``_uleb128``.
+        Every body takes one path: its code_item and stream are checked
+        against the file, a stream at an odd byte gets its units in the
+        shifted copy, and the body is recorded, then walked. Every width and
+        payload is checked here, so decoding the same bytes later cannot
+        fail; the invoke targets are checked by ``methods``.
         """
         data = self.data
         n = len(data)
         steps = self.steps
+        buf = self.buf
         bodies = self.bodies
         starts = self.starts
         units = self.units
@@ -621,63 +601,57 @@ class _Walk:
                     if method_idx >= ref_count:
                         raise SectionOutOfBoundsError(f"class_data of {owner} references method {method_idx}")
                     name = method_refs[method_idx].name
-                    ordinal = len(bodies)
-                    code = None
-                    if not code_off:
+                    if code_off:
+                        if code_off + 16 > n:
+                            raise SectionOutOfBoundsError(f"code_item of {owner}->{name} at {code_off:#x}")
+                        start = code_off + 16
+                        stop = start + 2 * u32(data, code_off + 12)[0]
+                        if stop > n:
+                            raise SectionOutOfBoundsError(f"instruction stream of {owner}->{name} overruns file")
+                        code = data[start:stop]
+                        if start & 1:
+                            first = self._odd_start(start)
+                            steps = self.steps
+                            buf = self.buf
+                        else:
+                            first = start >> 1
+                    else:
                         code = b""
                         first = 0
-                    elif not code_off & 1 and code_off + 16 <= n:
-                        first = (code_off + 16) >> 1
-                        end = first + u32(data, code_off + 12)[0]
-                        if 2 * end <= n:
-                            unit = first
-                            while unit < end:
-                                step = steps[unit]
-                                if step > _MAX_UNITS:
-                                    if step == _INVOKE_MARK:
-                                        step = 3  # formats 35c and 3rc alike
-                                        append_unit(unit)
-                                        append_place(ordinal)
-                                    elif data[2 * unit + 1] in _PAYLOAD_HIGH_BYTES:
-                                        break
-                                    else:
-                                        step = 1  # a plain nop
-                                unit += step
-                            if unit == end:
-                                code = data[2 * first : 2 * end]
-                    if code is None:
-                        while places and places[-1] == ordinal:
-                            units.pop()
-                            places.pop()
-                        methods.append(self.body(owner, name, code_off))
-                        continue
+                    ordinal = len(bodies)
                     body = new(MethodBody)
                     put(body, "owner", owner)
                     put(body, "name", name)
                     put(body, "code", code)
-                    bodies.append(body)
+                    bodies.append(body)  # before the walk, so a failure can name an earlier invoke's body
                     starts.append(first)
                     methods.append(body)
+                    end = first + (len(code) >> 1)
+                    unit = first
+                    while unit < end:
+                        step = steps[unit]
+                        if step > _MAX_UNITS:
+                            if step == _INVOKE_MARK:
+                                step = 3  # formats 35c and 3rc alike
+                                append_unit(unit)
+                                append_place(ordinal)
+                            elif buf[2 * unit + 1] in _PAYLOAD_HIGH_BYTES:
+                                at = 2 * (unit - first)
+                                step = _payload_units(code, at, code[at + 1] << 8, owner, name)
+                            else:
+                                step = 1  # a plain nop
+                        unit += step
+                    if unit > end:  # only the last instruction reached can run past the stream
+                        unit -= step
+                        if steps[unit] == _INVOKE_MARK:  # an overrunning invoke names nothing to check
+                            units.pop()
+                            places.pop()
+                        at = 2 * (unit - first)
+                        raise SectionOutOfBoundsError(
+                            f"instruction 0x{code[at]:02x} at +{at:#x} overruns {owner}->{name}"
+                        )
             classes.append(ClassDef(owner, tuple(methods)))
         return classes
-
-    def body(self, owner: str, name: str, code_off: int) -> MethodBody:
-        """The body whose code_item is at ``code_off`` (0: none), added to ``bodies`` and walked."""
-        code = b""
-        start = 0
-        if code_off:
-            data = self.data
-            if code_off + 16 > len(data):
-                raise SectionOutOfBoundsError(f"code_item of {owner}->{name} at {code_off:#x}")
-            start = code_off + 16
-            end = start + 2 * struct.unpack_from("<I", data, code_off + 12)[0]
-            if end > len(data):
-                raise SectionOutOfBoundsError(f"instruction stream of {owner}->{name} overruns file")
-            code = data[start:end]
-        body = MethodBody(owner=owner, name=name, code=code)
-        self.bodies.append(body)
-        self.stream(code, start, owner, name)
-        return body
 
     def _odd_start(self, start: int) -> int:
         if self.odd_base < 0:
@@ -687,50 +661,6 @@ class _Walk:
             self.buf = data[: len(data) & ~1] + shifted
             self.steps += shifted[::2].translate(_WALK_WIDTHS)
         return self.odd_base + (start >> 1)
-
-    def stream(self, code: bytes, start: int, owner: str, name: str) -> None:
-        """Check the stream ``code``, found at byte ``start`` of the file, and record its invokes.
-
-        Every width and payload is checked here, so decoding the same bytes
-        later cannot fail; the invoke targets are checked by ``methods``. An
-        instruction that runs past the stream can only be the last one
-        reached, so the end check runs once, after the loop.
-        """
-        first = self._odd_start(start) if start & 1 else start >> 1
-        starts = self.starts
-        ordinal = len(starts)
-        starts.append(first)
-        steps = self.steps
-        buf = self.buf
-        append_unit = self.units.append
-        append_place = self.places.append
-        end = first + (len(code) >> 1)
-        unit = first
-        units = 0
-        while unit < end:
-            units = steps[unit]
-            if units > _MAX_UNITS:
-                if units == _INVOKE_MARK:
-                    units = 3  # formats 35c and 3rc alike
-                    append_unit(unit)
-                    append_place(ordinal)
-                elif buf[unit * 2 + 1] in _PAYLOAD_HIGH_BYTES:
-                    pos = (unit - first) * 2
-                    units = _payload_units(code, pos, code[pos + 1] << 8, owner, name)
-                else:
-                    units = 1  # a plain nop
-            unit += units
-        if unit > end:
-            unit -= units
-            if steps[unit] == _INVOKE_MARK:  # an overrunning invoke names nothing to check
-                self.units.pop()
-                self.places.pop()
-            pos = (unit - first) * 2
-            raise SectionOutOfBoundsError(
-                f"instruction 0x{code[pos]:02x} at +{pos:#x} overruns {owner}->{name}"
-            )
-        if len(code) & 1:
-            raise SectionOutOfBoundsError(f"dangling byte in {owner}->{name}")
 
     def methods(self, method_count: int) -> str:
         """``_Invokes.methods``: the method index each recorded invoke names, all checked at once.

@@ -24,7 +24,6 @@ from bankscan.dex import (
     BadEndianTagError,
     BadMagicError,
     DexError,
-    DexImage,
     Instruction,
     MalformedUleb128Error,
     SectionOutOfBoundsError,
@@ -75,6 +74,15 @@ def invocations_of(dex, owner_pattern, method_name):
     return invocations_where(dex, lambda ref: ref.name == method_name and _owner_matches(owner_pattern, ref.owner))
 
 
+def position(site):
+    """The index in ``site.body.instructions`` of the instruction that starts at ``site.offset``.
+
+    Decodes the body; fails unless exactly one instruction starts there.
+    """
+    [index] = [i for i, ins in enumerate(site.body.instructions) if ins.offset == site.offset]
+    return index
+
+
 def call_sites(image):
     """Each invoked method index, in first-call order, with its sites in body order.
 
@@ -86,7 +94,7 @@ def call_sites(image):
     sites = {}
     every = _sites_of(image, sorted(set(map(ord, methods))))  # one site per row, in row order
     for char, ordinal, site in zip(methods, places, every, strict=True):
-        sites.setdefault(ord(char), []).append((ordinal, site.index, site.offset))
+        sites.setdefault(ord(char), []).append((ordinal, position(site), site.offset))
     return sites
 
 
@@ -239,7 +247,7 @@ def _walked_sites(image, owner_pattern, method_name):
 
 def _indexed_sites(image, owner_pattern, method_name):
     return [
-        (id(site.body), site.index, site.callee, site.offset)
+        (id(site.body), position(site), site.callee, site.offset)
         for site in invocations_of(image, owner_pattern, method_name)
     ]
 
@@ -304,7 +312,7 @@ def test_sites_of_several_targets_keep_body_then_position_order():
     )
     image = parse_dex(art.data)
     sites = invocations_of(image, "*", "run")
-    assert [(s.body.name, s.index, s.callee.owner) for s in sites] == [
+    assert [(s.body.name, position(s), s.callee.owner) for s in sites] == [
         ("alpha", 0, "Lz/Late;"),
         ("alpha", 1, "La/Early;"),
         ("alpha", 3, "Lz/Late;"),
@@ -337,8 +345,8 @@ def test_call_site_index_agrees_with_decoded_records():
     for image in images + _multidex_images():
         assert call_sites(image)
         for method_index, sites in call_sites(image).items():
-            for ordinal, position, offset in sites:
-                ins = image.body_table[ordinal].instructions[position]
+            for ordinal, at, offset in sites:
+                ins = image.body_table[ordinal].instructions[at]
                 assert (ins.offset, ins.method_index) == (offset, method_index), (image.source_name, ordinal)
 
 
@@ -383,11 +391,6 @@ def test_malformed_streams_raise_from_parse_dex(monkeypatch):
     undefined = rf"^invoke in {where} names method \d+, only \d+ defined$"
     with pytest.raises(SectionOutOfBoundsError, match=undefined):
         parse_dex(bad_invoke)
-
-    # insns_size counts 16-bit units, so parse_dex never slices an odd-length
-    # stream; the walk still rejects one without building a record.
-    with pytest.raises(SectionOutOfBoundsError, match=r"^dangling byte in La;->m$"):
-        _parse_dex_walk(b"\x0e\x00\x00", "La;", "m", 0, defaultdict(list), 0)
 
 
 # --- error precedence and odd-aligned streams ---------------------------------
@@ -524,7 +527,7 @@ def test_odd_aligned_code_items_give_the_same_sites_and_errors():
     data = emit_dex(_ORDER_OWNER, _ORDER_METHODS).data
     even = parse_dex(data)
     even_sites = invocations_of(even, JFILE, "delete")
-    assert [(site.body.name, site.index, site.offset) for site in even_sites] == [("a", 0, 0), ("b", 1, 6)]
+    assert [(site.body.name, position(site), site.offset) for site in even_sites] == [("a", 0, 0), ("b", 1, 6)]
     methods = _u32(data, 0x58)
     for names in ({"a"}, {"b"}, {"a", "b"}):
         moved = _odd_code_items(data, names)
@@ -967,6 +970,29 @@ def test_method_entry_and_code_item_messages(clean_artifact):
         )
 
 
+def test_instruction_stream_may_end_at_the_last_byte_of_the_file(clean_artifact):
+    # A one-method class_data, then a code_item at an even and at an odd
+    # offset whose stream ends at the file's last byte, or one unit past it.
+    data = clean_artifact.data
+    n = len(data)
+    class_defs = _u32(data, 0x64)
+    where = f"Lfixture/clean/Markers;->{parse_dex(data).method_refs[0].name}"
+    class_data = b"\x00\x00\x01\x00" + b"\x00\x09"
+    for pad in (b"", b"\x00"):
+        code_off = n + len(class_data) + 2 + len(pad)
+        assert len(_uleb(code_off)) == 2
+        for insns_size in (1, 2):
+            code_item = struct.pack("<4H2I", 1, 0, 0, 0, 0, insns_size) + b"\x0e\x00"  # return-void
+            tail = class_data + _uleb(code_off) + pad + code_item
+            patched = _with_tail(clean_artifact, tail, ("<I", class_defs + 24, n))
+            assert code_off + len(code_item) == len(patched)
+            if insns_size == 1:
+                [body] = parse_dex(bytes(patched)).body_table
+                assert (f"{body.owner}->{body.name}", body.code) == (where, b"\x0e\x00")
+            else:
+                _dex_raises(patched, SectionOutOfBoundsError, f"instruction stream of {where} overruns file")
+
+
 def test_multibyte_uleb128_method_diff_and_string_length():
     # 130 methods of La/A; sort before Lz/Z;->go, so go's method-index diff
     # is 130 and takes two ULEB128 bytes, as does the UTF-16 length of the
@@ -988,7 +1014,7 @@ def test_multibyte_uleb128_method_diff_and_string_length():
     assert body.name == "go"
     for i in (0, 127, 128, 129):
         [site] = invocations_of(image, "La/A;", f"m{i:03d}")
-        assert site.index == 2 + i
+        assert position(site) == 2 + i
 
 
 # --- the instruction walk against its oracle ---------------------------------
@@ -1076,31 +1102,19 @@ def _stream_dex(owner, name, method_count, units):
 
 
 def _parse_dex_walk(code, owner, name, method_count, found, ordinal):
-    """The walk ``parse_dex`` runs, over one stream, with the oracle's signature.
+    """The walk ``parse_dex`` runs, over one stream a DEX can hold, with the oracle's signature.
 
-    A stream that a DEX can hold (an even length, and a method to hold it) is
-    put in one as body 0 and parsed. Any other is checked by ``_Walk.stream``,
-    the path ``parse_dex`` takes for a body its inline loop does not settle,
-    and a failure checks the invokes recorded before it, as ``parse_dex``
-    does. Either way the sites are read back through ``call_sites``, so each
-    position is the one ``_sites_of`` derives.
+    The stream is put in a DEX of ``method_count`` methods as body 0 and
+    parsed. ``parse_dex`` slices whole code units, and a stream needs a
+    method to hold it, so an odd length or no method is not such a stream.
+    The sites are read back through ``call_sites``, so each position is the
+    one the decoder gives the offset ``_sites_of`` derives.
     """
-    if method_count and not len(code) & 1:
-        data, start = _stream_dex(owner, name, method_count, len(code) // 2)
-        image = parse_dex(data[:start] + code + data[start + len(code) :])
-    else:
-        walk = dex_module._Walk(code)
-        walk.bodies.append(dex_module.MethodBody(owner, name, code))
-        try:
-            walk.stream(code, 0, owner, name)
-        except DexError:
-            walk.methods(method_count)
-            raise
-        invokes = dex_module._Invokes(walk.methods(method_count), walk.places, walk.units, walk.starts)
-        refs = (dex_module.MethodRef(owner, name, "V"),) * method_count
-        image = DexImage((), (), refs, (), body_table=tuple(walk.bodies), invokes=invokes)
+    assert not len(code) & 1 and method_count >= 1, (code.hex(), method_count)
+    data, start = _stream_dex(owner, name, method_count, len(code) // 2)
+    image = parse_dex(data[:start] + code + data[start + len(code) :])
     for method_index, sites in call_sites(image).items():
-        found[method_index] += [(ordinal, position, offset) for _, position, offset in sites]
+        found[method_index] += [(ordinal, at, offset) for _, at, offset in sites]
 
 
 def _walk_outcome(walk, code, method_count):
@@ -1124,12 +1138,12 @@ def _units(values):
 
 def test_walk_matches_oracle_on_every_opcode_byte():
     # Each opcode byte with a payload-starting and a plain high byte, a full
-    # instruction plus return-void, then every cut of it, odd lengths included.
+    # instruction plus return-void, then every cut of it at a code unit.
     outcomes = set()
     for op in range(256):
         for high in (0x00, 0x01, 0x02, 0x03, 0x7F):
             code = _units([op | high << 8, 1, 2, 3, 4, 0x000E])
-            for cut in range(len(code) + 1):
+            for cut in range(0, len(code) + 1, 2):
                 outcome = _assert_walk_matches_oracle(code[:cut], 2)
                 outcomes.add(outcome[0].__name__ if isinstance(outcome, tuple) else "ok")
     assert outcomes == {"ok", "SectionOutOfBoundsError"}
@@ -1137,7 +1151,7 @@ def test_walk_matches_oracle_on_every_opcode_byte():
 
 @st.composite
 def _instruction_streams(draw):
-    method_count = draw(st.integers(0, 40))
+    method_count = draw(st.integers(1, 40))
     units = []
     for _ in range(draw(st.integers(0, 10))):
         kind = draw(st.sampled_from(("op", "op", "invoke", "payload")))
@@ -1164,17 +1178,15 @@ def _instruction_streams(draw):
             # runs into what follows or past the end of the stream.
             body = max(0, min(total, 64) - len(header) - draw(st.integers(0, 3)))
             units += header + draw(st.lists(st.integers(0, 0xFFFF), min_size=body, max_size=body))
-    code = _units(units)
-    cut = draw(st.one_of(st.none(), st.integers(0, len(code))))
-    return (code if cut is None else code[:cut]), method_count
+    cut = draw(st.one_of(st.none(), st.integers(0, len(units))))
+    return _units(units if cut is None else units[:cut]), method_count
 
 
 @settings(max_examples=400, deadline=None)
 @given(_instruction_streams())
 @example((_units([0x6E, 3, 0, 0x000E]), 4))  # an in-range invoke
 @example((_units([0x6E, 4, 0, 0x000E]), 4))  # a target one past the last method
-@example((_units([0x0012, 0x0100, 2, 0, 0, 0, 0, 0, 0])[:-1], 0))  # a packed switch cut mid-unit
-@example((b"\x0e\x00\x00", 0))  # a dangling byte
+@example((_units([0x0012, 0x0100, 2, 0, 0, 0, 0, 0, 0])[:-2], 1))  # a packed switch cut a unit short
 def test_walk_matches_oracle(stream):
     code, method_count = stream
     _assert_walk_matches_oracle(code, method_count)
@@ -1265,14 +1277,14 @@ def test_site_positions_match_the_oracle_walk(case):
     streams, odd = case
     names = [f"b{k}" for k in range(len(streams))]
     image = _streams_image(streams, odd)
+    assert not any("instructions" in body.__dict__ for body in image.body_table)  # nothing was decoded
     walked = defaultdict(list)
     for ordinal, body in enumerate(image.body_table):
         _oracle_walk_instructions(body.code, body.owner, body.name, len(image.method_refs), walked, ordinal)
     assert list(call_sites(image).items()) == list(walked.items())
     for index in range(len(image.method_refs)):
-        sites = [(site.body.name, site.index, site.offset) for site in _sites_of(image, [index])]
-        assert sites == [(names[ordinal], position, offset) for ordinal, position, offset in walked.get(index, [])]
-    assert not any("instructions" in body.__dict__ for body in image.body_table)  # nothing was decoded
+        sites = [(site.body.name, position(site), site.offset) for site in _sites_of(image, [index])]
+        assert sites == [(names[ordinal], at, offset) for ordinal, at, offset in walked.get(index, [])]
 
 
 # --- the const back-scan against its oracle ------------------------------------
@@ -1292,7 +1304,8 @@ def _oracle_literal_reaching(site, max_lookback=dex_module.DEFAULT_LOOKBACK):
     targets are ignored on purpose.
     """
     instructions = site.body.instructions
-    for j in range(site.index - 1, max(-1, site.index - 1 - max_lookback), -1):
+    index = position(site)
+    for j in range(index - 1, max(-1, index - 1 - max_lookback), -1):
         if instructions[j].opcode in CONST_OPS:
             return instructions[j].literal
     return None
@@ -1340,7 +1353,7 @@ def test_backscan_matches_the_instruction_window_oracle(case):
     image = _streams_image(*case)
     sites = _sites_of(image, list(range(len(image.method_refs))))
     for site in sites:
-        assert site.body.instructions[site.index].offset == site.offset
+        assert site.body.instructions[position(site)].opcode in INVOKE_OPS
     for max_lookback in range(13):
         expected = [_oracle_literal_reaching(site, max_lookback) for site in sites]
         assert [literal_reaching(site, max_lookback) for site in sites] == expected, max_lookback
@@ -1417,11 +1430,11 @@ def test_method_ref_and_invocation_site_records():
         assert len(sites) == sum(len(v) for v in call_sites(image).values())
         names = sorted({ref.name for ref in image.method_refs})
         for found in [sites] + [invocations_of(image, "*", name) for name in names]:
-            keys = [(ordinal_of[id(site.body)], site.index) for site in found]
+            keys = [(ordinal_of[id(site.body)], position(site)) for site in found]
             assert keys == sorted(set(keys)), image.source_name
         for site in sites:
             assert site.callee in image.method_refs
-            assert site.body.instructions[site.index].offset == site.offset
+            assert site.body.instructions[position(site)].opcode in INVOKE_OPS
             assert repr(site.callee) == (
                 f"MethodRef(owner={site.callee.owner!r}, name={site.callee.name!r}, shorty={site.callee.shorty!r})"
             )

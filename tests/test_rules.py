@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from test_dex import _multidex_images, invocations_of, invocations_where
+from test_dex import _multidex_images, invocations_of, invocations_where, position
 
 from bankscan import dex as dex_module
 from bankscan import rules as rules_module
@@ -506,7 +506,7 @@ def _old_sites(dex, query):
         return invocations_where(dex, query)
     ordinal = {id(body): i for i, body in enumerate(dex.body_table)}
     sites = [site for owner, name in query for site in invocations_of(dex, owner, name)]
-    return sorted(sites, key=lambda site: (ordinal[id(site.body)], site.index))
+    return sorted(sites, key=lambda site: (ordinal[id(site.body)], position(site)))
 
 
 def _near_miss_input():
@@ -584,7 +584,7 @@ def test_near_misses_resolve_as_before():
     delete_dexes = [dex.source_name for dex, _ in inp.facts["File.delete"]]
     assert delete_dexes == ["classes.dex", "classes2.dex"]
     # Window.addFlags/setFlags sites merge in body order, then position.
-    flags = [(site.body.name, site.index) for _, site in rules_module._sites(inp, "Window flags")]
+    flags = [(site.body.name, position(site)) for _, site in rules_module._sites(inp, "Window flags")]
     assert flags == [("mixed", 5), ("mixed", 6), ("mixed", 7), ("other", 1)]
 
 
