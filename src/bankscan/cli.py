@@ -6,10 +6,11 @@ offline. Exit codes are a stable contract for CI use:
     0   scan finished, no finding at or above the --fail-on threshold
     1   at least one finding at or above the threshold
     2   usage error
-    3   a file could not be read or parsed
+    3   a file could not be read, parsed or written
 
 Batch mode keeps scanning past broken files and summarizes the failures at
-the end; exit code 3 then takes precedence over 1.
+the end; exit code 3 then takes precedence over 1. An output file that
+cannot be written is named on stderr and also gives 3.
 """
 
 from __future__ import annotations
@@ -46,7 +47,8 @@ options:
       --fail-on SEV  exit 1 if any finding is at least SEV
                      (critical, warning, notice, info)
 
-exit codes: 0 ok, 1 findings at/above --fail-on, 2 usage error, 3 scan error
+exit codes: 0 ok, 1 findings at/above --fail-on, 2 usage error,
+            3 a file could not be read, parsed or written
 """
 
 _PARSE_ERRORS = (ApkError, AxmlError, DexError)
@@ -183,12 +185,18 @@ def _resolve_format(config: CliConfig) -> str:
     return fmt
 
 
-def _write_output(config: CliConfig, payload: bytes) -> None:
+def _write_output(config: CliConfig, payload: bytes) -> bool:
+    """Write ``payload`` to ``-o`` or stdout; False, after one stderr line, if the ``-o`` file cannot be written."""
     if config.output_path is not None:
-        config.output_path.write_bytes(payload)
+        try:
+            config.output_path.write_bytes(payload)
+        except OSError as exc:
+            sys.stderr.write(f"{PROG}: {config.output_path}: {type(exc).__name__}: {exc}\n")
+            return False
     else:
         sys.stdout.buffer.write(payload)
         sys.stdout.buffer.flush()
+    return True
 
 
 def _threshold_hit(results: list[ScanResult], threshold: Severity | None) -> bool:
@@ -233,7 +241,8 @@ def execute(config: CliConfig) -> int:
         except (*_PARSE_ERRORS, OSError) as exc:
             sys.stderr.write(f"{PROG}: {path}: {type(exc).__name__}: {exc}\n")
             return 3
-        _write_output(config, serialize(render_report(result), fmt))
+        if not _write_output(config, serialize(render_report(result), fmt)):
+            return 3
         return 1 if _threshold_hit([result], config.fail_threshold) else 0
 
     paths = _collect_inputs(config)
@@ -247,15 +256,15 @@ def execute(config: CliConfig) -> int:
     results, errors = _scan_many(paths)
 
     if config.mode == "matrix":
-        if results:
-            _write_output(config, serialize(build_fleet_matrix(results), fmt))
+        written = not results or _write_output(config, serialize(build_fleet_matrix(results), fmt))
     else:
-        _write_output(config, serialize_reports([render_report(r) for r in results], fmt))
+        written = _write_output(config, serialize_reports([render_report(r) for r in results], fmt))
 
     for path, message in errors:
         sys.stderr.write(f"{PROG}: {path}: {message}\n")
     if errors:
         sys.stderr.write(f"{PROG}: {len(errors)} of {len(paths)} file(s) failed to scan\n")
+    if errors or not written:
         return 3
     return 1 if _threshold_hit(results, config.fail_threshold) else 0
 

@@ -137,6 +137,36 @@ def test_output_file_and_json_format(apk_on_disk, tmp_path):
     assert [s["rule"] for s in doc["sections"]] == ["R11"]
 
 
+def test_unwritable_output_file_exit_three(apk_on_disk, tmp_path, capsys):
+    # Exit 1 means findings at or above --fail-on, so a failed write must not read as 1.
+    path = apk_on_disk("hasrce", frozenset({RuleId.R04}))
+    out = tmp_path / "no" / "such" / "dir" / "report.txt"
+    assert main(["-f", path, "--fail-on", "critical", "-o", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    missing = f"bankscan: {out}: FileNotFoundError: [Errno 2] No such file or directory: '{out}'"
+    assert captured.err.splitlines() == [missing]
+
+
+def test_unwritable_matrix_output_still_reports_file_errors(fleet_dir, tmp_path, capsys):
+    inputs = tmp_path / "mixed"
+    inputs.mkdir()
+    (inputs / "good.apk").write_bytes((fleet_dir / "revolut-like.apk").read_bytes())
+    (inputs / "broken.apk").write_bytes(b"\x00garbage\x00")
+    out = tmp_path / "no-such-dir" / "matrix.csv"
+    assert main(["--dir", str(inputs), "--matrix", "--format", "csv", "-o", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert lines[0] == f"bankscan: {out}: FileNotFoundError: [Errno 2] No such file or directory: '{out}'"
+    assert lines[1].startswith(f"bankscan: {inputs / 'broken.apk'}: ")
+    assert lines[2:] == ["bankscan: 1 of 2 file(s) failed to scan"]
+    # with every input scanned, the failed write alone still gives 3, not the threshold's 1
+    (inputs / "broken.apk").unlink()
+    assert main(["--dir", str(inputs), "--matrix", "--fail-on", "info", "-o", str(out)]) == 3
+    assert capsys.readouterr().err.splitlines() == [lines[0]]
+
+
 def test_format_env_var_default(apk_on_disk, tmp_path, monkeypatch):
     path = apk_on_disk("envfmt", frozenset())
     out = tmp_path / "r.json"
