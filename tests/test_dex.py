@@ -1023,8 +1023,8 @@ def test_multibyte_uleb128_method_diff_and_string_length():
 # and message, on every stream. Its width table is rebuilt here from the
 # parser's format names, so the oracle never reads the walk's own table.
 # The walk it is compared with is the one parse_dex runs, through
-# _parse_dex_walk, which reads its columns back through call_sites, the
-# positions derived by _sites_of.
+# _parse_dex_walk, which reads its columns back through call_sites: each
+# position is the decoded instruction at the offset _sites_of derives.
 
 _OP_UNITS = tuple(dex_module._FORMAT_UNITS[f] for f in dex_module.OPCODE_FORMATS)
 INVOKE_OPS = frozenset(range(0x6E, 0x73)) | frozenset(range(0x74, 0x79))
