@@ -14,9 +14,14 @@ the published opcode format table, with one ``bytes.translate`` per DEX;
 each entry is the opcode's width in code units, or a marker for the invoke
 family and for ``nop``, which may start a payload. A plain instruction then
 costs one table read and one add. The loop reads a one-byte ULEB128, and a
-code_off of up to three bytes, inline, and fills each ``MethodBody``'s
-slots without calling its ``__init__``. Every body, odd-aligned or holding
-a payload, takes that one path, and every error keeps its class and message.
+code_off of up to three bytes, inline. Every body, odd-aligned or holding a
+payload, takes that one path, and every error keeps its class and message.
+The walk builds no ``MethodBody``: each method is a row of per-DEX columns
+(its method index and where its stream starts) and each class a row of its
+owner and last method. ``DexImage`` builds a body from its row on first
+read, slicing the code from the DEX bytes, so a scan builds only the bodies
+that hold a call site it asked for. Two threads racing a first read may
+build two equal bodies for one method.
 
 An invoke costs two list appends: the code unit it starts at and its body's
 ordinal. Neither the walk nor ``_sites_of`` counts positions: a site is its
@@ -44,6 +49,7 @@ from __future__ import annotations
 import functools
 import struct
 import sys
+from bisect import bisect_right
 from collections.abc import Iterable
 from operator import itemgetter
 from typing import NamedTuple
@@ -276,10 +282,50 @@ class _Invokes(NamedTuple):
 _NO_INVOKES = _Invokes("", [], [], [])
 
 
-class DexImage(_Frozen):
-    """One parsed DEX. ``repr``, ``==`` and ``hash`` leave out ``body_table`` and ``invokes``."""
+class _Rows(NamedTuple):
+    """A parsed DEX's method bodies as rows, in ``bodies()`` order, and its classes as rows, in class_def order.
 
-    __slots__ = ("string_pool", "type_names", "method_refs", "classes", "source_name", "body_table", "invokes")
+    ``built`` holds each body once it is built, None before.
+    """
+
+    data: bytes              # the DEX file; a body's code is sliced from it
+    refs: list[int]          # per body: its method index
+    code_starts: list[int]   # per body: the byte its stream starts at, 0 for no code
+    owners: list[str]        # per class: its type
+    class_ends: list[int]    # per class: the ordinal after its last body
+    built: list[MethodBody | None]
+
+
+def _build_bodies(rows: _Rows, method_refs: tuple[MethodRef, ...], places: Iterable[int]) -> list:
+    """``rows.built``, with the body at each of ``places`` built from its rows if it was not yet."""
+    data, refs, code_starts, owners, class_ends, built = rows
+    new = object.__new__
+    put = object.__setattr__  # MethodBody is frozen: fill its slots as its __init__ does, without the call
+    u32 = _U32.unpack_from
+    for place in places:
+        if built[place] is None:
+            start = code_starts[place]  # the stream's insns_size is the u32 before it
+            body = new(MethodBody)
+            put(body, "owner", owners[bisect_right(class_ends, place)])
+            put(body, "name", method_refs[refs[place]].name)
+            put(body, "code", data[start : start + 2 * u32(data, start - 4)[0]] if start else b"")
+            built[place] = body  # only once filled, so another thread never reads an empty body
+    return built
+
+
+class DexImage(_Frozen):
+    """One parsed DEX. ``repr``, ``==`` and ``hash`` leave out ``body_table`` and ``invokes``.
+
+    An image from ``parse_dex`` holds its methods as ``_Rows`` and builds each
+    ``MethodBody`` on first read: ``_sites_of`` builds only the bodies of the
+    sites it returns, and ``classes``, ``body_table`` or ``bodies()`` build
+    the rest. All of them share one table per image, so a method always gives
+    the same body, except that two threads racing a first read may build two
+    equal bodies for one method. An image constructed with explicit
+    ``classes`` and ``body_table`` keeps exactly what it was given.
+    """
+
+    __slots__ = ("string_pool", "type_names", "method_refs", "_classes", "source_name", "_body_table", "invokes", "_rows")
 
     def __init__(
         self,
@@ -288,8 +334,8 @@ class DexImage(_Frozen):
         method_refs: tuple[MethodRef, ...],
         classes: tuple[ClassDef, ...],
         source_name: str = "classes.dex",
-        # Filled by parse_dex: every method body in bodies() order, and the
-        # columns of every invoke in those bodies.
+        # Every method body in bodies() order, and the columns of every
+        # invoke in those bodies; parse_dex builds the bodies from its rows.
         body_table: tuple[MethodBody, ...] = (),
         invokes: _Invokes = _NO_INVOKES,
     ) -> None:
@@ -297,10 +343,37 @@ class DexImage(_Frozen):
         put(self, "string_pool", string_pool)
         put(self, "type_names", type_names)
         put(self, "method_refs", method_refs)
-        put(self, "classes", classes)
+        put(self, "_classes", classes)
         put(self, "source_name", source_name)
-        put(self, "body_table", body_table)
+        put(self, "_body_table", body_table)
         put(self, "invokes", invokes)
+        put(self, "_rows", None)  # parse_dex sets the rows the bodies are built from
+
+    @property
+    def classes(self) -> tuple[ClassDef, ...]:
+        if self._rows is not None:
+            self._build_all()
+        return self._classes
+
+    @property
+    def body_table(self) -> tuple[MethodBody, ...]:
+        """Every method body in ``bodies()`` order."""
+        if self._rows is not None:
+            self._build_all()
+        return self._body_table
+
+    def _build_all(self) -> None:
+        """Build every body not built yet, then keep ``classes`` and ``body_table`` in place of the rows."""
+        rows = self._rows
+        if rows is None:  # another thread built them meanwhile
+            return
+        table = tuple(_build_bodies(rows, self.method_refs, range(len(rows.built))))
+        ends = rows.class_ends
+        classes = tuple(ClassDef(owner, table[begin:end]) for owner, begin, end in zip(rows.owners, [0, *ends], ends))
+        put = object.__setattr__
+        put(self, "_classes", classes)
+        put(self, "_body_table", table)
+        put(self, "_rows", None)
 
     def _key(self) -> tuple:
         return self.string_pool, self.type_names, self.method_refs, self.classes, self.source_name
@@ -405,22 +478,23 @@ def parse_dex(data: bytes, source_name: str = "classes.dex") -> DexImage:
 
     walk = _Walk(data)
     try:
-        classes = walk.classes(data[class_defs_off : class_defs_off + 32 * class_defs_size], type_names, method_refs)
+        walk.classes(data[class_defs_off : class_defs_off + 32 * class_defs_size], type_names, method_refs)
     except DexError:
-        walk.methods(len(method_refs))  # an undefined invoke recorded before the failure comes first
+        walk.methods(method_refs)  # an undefined invoke recorded before the failure comes first
         raise
 
-    return DexImage(
+    image = DexImage(
         string_pool=tuple(strings),
         type_names=tuple(type_names),
         method_refs=tuple(method_refs),
-        classes=tuple(classes),
+        classes=None,
         source_name=source_name,
-        body_table=tuple(walk.bodies),
-        invokes=tuple.__new__(
-            _Invokes, (walk.methods(len(method_refs)), walk.places, walk.units, walk.starts)
-        ),
+        body_table=None,
+        invokes=tuple.__new__(_Invokes, (walk.methods(method_refs), walk.places, walk.units, walk.starts)),
     )
+    rows = (data, walk.refs, walk.code_starts, walk.owners, walk.class_ends, [None] * len(walk.refs))
+    object.__setattr__(image, "_rows", tuple.__new__(_Rows, rows))
+    return image
 
 
 def _parse_strings(data: bytes, off: int, count: int) -> list[str]:
@@ -474,14 +548,15 @@ def _validate_fields(data, off, count, type_count, string_count) -> None:
             raise SectionOutOfBoundsError(f"field_id {i} has out-of-range indices")
 
 
-def _payload_units(code: bytes, pos: int, ident: int, owner: str, name: str) -> int:
+def _payload_units(code: bytes, pos: int, end: int, owner: str, name: str) -> int:
     def halfword(at):
-        if at + 2 > len(code):
+        if at + 2 > end:
             raise SectionOutOfBoundsError(
                 f"switch/array payload truncated in {owner}->{name}"
             )
         return struct.unpack_from("<H", code, at)[0]
 
+    ident = code[pos + 1] << 8
     size = halfword(pos + 2)
     if ident == _PACKED_SWITCH_IDENT:
         return size * 2 + 4
@@ -499,7 +574,7 @@ _U32 = struct.Struct("<I")
 
 
 class _Walk:
-    """The walk over one DEX's class data and code: its width table, its bodies and its invoke columns.
+    """The walk over one DEX's class data and code: its width table, its method and class rows and its invoke columns.
 
     Code units are numbered across the whole file, unit u being bytes 2u and
     2u + 1, and ``steps[u]`` is the ``_WALK_WIDTHS`` entry of unit u's low
@@ -508,25 +583,34 @@ class _Walk:
     after the even units, so every stream is walked the same way.
 
     ``classes`` reads every class_data, method entry and instruction stream
-    in one loop, the only one that steps instructions. An invoke costs two
-    appends, its unit and its body's ordinal; no position is counted.
-    ``methods`` then reads every invoke's method index in one pass and checks
-    them all at once.
+    in one loop, the only one that steps instructions. It builds no
+    ``MethodBody``: a method is one row of ``refs``, ``code_starts`` and
+    ``starts``, and a class one row of ``owners`` and ``class_ends``, which
+    ``DexImage`` builds the bodies from. An invoke costs two appends, its
+    unit and its body's ordinal; no position is counted. ``methods`` then
+    reads every invoke's method index in one pass and checks them all at
+    once.
     """
 
-    __slots__ = ("data", "buf", "steps", "odd_base", "bodies", "units", "places", "starts")
+    __slots__ = (
+        "data", "buf", "steps", "odd_base", "units", "places", "starts",
+        "refs", "code_starts", "owners", "class_ends",
+    )
 
     def __init__(self, data: bytes):
         self.data = self.buf = data
         self.steps = data[: len(data) & ~1 : 2].translate(_WALK_WIDTHS)
         self.odd_base = -1  # the unit number of byte 1 once the shifted copy is made
-        self.bodies: list[MethodBody] = []
         self.units: list[int] = []
         self.places: list[int] = []
         self.starts: list[int] = []
+        self.refs: list[int] = []
+        self.code_starts: list[int] = []
+        self.owners: list[str] = []
+        self.class_ends: list[int] = []
 
-    def classes(self, class_defs: bytes, type_names: list[str], method_refs: list[MethodRef]) -> list[ClassDef]:
-        """A ``ClassDef`` per 32-byte class_def, each method body added to ``bodies`` and walked.
+    def classes(self, class_defs: bytes, type_names: list[str], method_refs: list[MethodRef]) -> None:
+        """One class row per 32-byte class_def, and one method row per method entry, whose body is then walked.
 
         The usual method entry (one-byte ULEB128s and a code_off of up to
         three bytes) is read inline, and longer ones through ``_uleb128``.
@@ -540,24 +624,26 @@ class _Walk:
         n = len(data)
         steps = self.steps
         buf = self.buf
-        bodies = self.bodies
         starts = self.starts
         units = self.units
         places = self.places
+        refs = self.refs
         append_unit = units.append
         append_place = places.append
+        append_start = starts.append
+        append_ref = refs.append
+        append_code_start = self.code_starts.append
+        class_ends = self.class_ends
         u32 = _U32.unpack_from
-        new = object.__new__
-        put = object.__setattr__  # MethodBody is frozen: fill its slots as its __init__ does, without the call
         ref_count = len(method_refs)
-        classes = []
         # class_idx and class_data_off of each 32-byte class_def
         for i, (class_idx, class_data_off) in enumerate(struct.iter_unpack("<I20xI4x", class_defs)):
             if class_idx >= len(type_names):
                 raise SectionOutOfBoundsError(f"class_def {i} names type {class_idx}")
             owner = type_names[class_idx]
+            self.owners.append(owner)  # before the walk, so a failure can name an earlier invoke's owner
             if not class_data_off:
-                classes.append(ClassDef(owner, ()))
+                class_ends.append(len(refs))
                 continue
             if class_data_off >= n:
                 raise SectionOutOfBoundsError(f"class_data of {owner} at {class_data_off:#x}")
@@ -570,7 +656,6 @@ class _Walk:
                 _, c = _uleb128(data, pos, n); pos += c  # field_idx_diff
                 _, c = _uleb128(data, pos, n); pos += c  # access_flags
 
-            methods = []
             for group_size in (direct_methods, virtual_methods):
                 method_idx = 0  # the first diff of each group is the index itself
                 for _ in range(group_size):
@@ -600,15 +685,15 @@ class _Walk:
                     method_idx += diff
                     if method_idx >= ref_count:
                         raise SectionOutOfBoundsError(f"class_data of {owner} references method {method_idx}")
-                    name = method_refs[method_idx].name
                     if code_off:
                         if code_off + 16 > n:
+                            name = method_refs[method_idx].name
                             raise SectionOutOfBoundsError(f"code_item of {owner}->{name} at {code_off:#x}")
                         start = code_off + 16
                         stop = start + 2 * u32(data, code_off + 12)[0]
                         if stop > n:
+                            name = method_refs[method_idx].name
                             raise SectionOutOfBoundsError(f"instruction stream of {owner}->{name} overruns file")
-                        code = data[start:stop]
                         if start & 1:
                             first = self._odd_start(start)
                             steps = self.steps
@@ -616,17 +701,13 @@ class _Walk:
                         else:
                             first = start >> 1
                     else:
-                        code = b""
-                        first = 0
-                    ordinal = len(bodies)
-                    body = new(MethodBody)
-                    put(body, "owner", owner)
-                    put(body, "name", name)
-                    put(body, "code", code)
-                    bodies.append(body)  # before the walk, so a failure can name an earlier invoke's body
-                    starts.append(first)
-                    methods.append(body)
-                    end = first + (len(code) >> 1)
+                        start = stop = first = 0  # no code
+                    ordinal = len(refs)
+                    # recorded before the walk, so a failure can name an earlier invoke's body
+                    append_ref(method_idx)
+                    append_code_start(start)
+                    append_start(first)
+                    end = first + ((stop - start) >> 1)
                     unit = first
                     while unit < end:
                         step = steps[unit]
@@ -636,8 +717,7 @@ class _Walk:
                                 append_unit(unit)
                                 append_place(ordinal)
                             elif buf[2 * unit + 1] in _PAYLOAD_HIGH_BYTES:
-                                at = 2 * (unit - first)
-                                step = _payload_units(code, at, code[at + 1] << 8, owner, name)
+                                step = _payload_units(buf, 2 * unit, 2 * end, owner, method_refs[method_idx].name)
                             else:
                                 step = 1  # a plain nop
                         unit += step
@@ -646,12 +726,11 @@ class _Walk:
                         if steps[unit] == _INVOKE_MARK:  # an overrunning invoke names nothing to check
                             units.pop()
                             places.pop()
-                        at = 2 * (unit - first)
+                        name = method_refs[method_idx].name
                         raise SectionOutOfBoundsError(
-                            f"instruction 0x{code[at]:02x} at +{at:#x} overruns {owner}->{name}"
+                            f"instruction 0x{buf[2 * unit]:02x} at +{2 * (unit - first):#x} overruns {owner}->{name}"
                         )
-            classes.append(ClassDef(owner, tuple(methods)))
-        return classes
+            class_ends.append(len(refs))
 
     def _odd_start(self, start: int) -> int:
         if self.odd_base < 0:
@@ -662,11 +741,11 @@ class _Walk:
             self.steps += shifted[::2].translate(_WALK_WIDTHS)
         return self.odd_base + (start >> 1)
 
-    def methods(self, method_count: int) -> str:
+    def methods(self, method_refs: list[MethodRef]) -> str:
         """``_Invokes.methods``: the method index each recorded invoke names, all checked at once.
 
-        The first invoke that names a method past ``method_count`` raises,
-        with its body's owner and name.
+        The first invoke that names a method past ``method_refs`` raises,
+        with the owner and name of its body, read from the rows.
         """
         buf = self.buf
         if _LITTLE_ENDIAN:
@@ -676,11 +755,13 @@ class _Walk:
         units = self.units
         # itemgetter gathers in one call, but returns a bare item for a single unit.
         methods = itemgetter(*units)(words) if len(units) > 1 else [words[u] for u in units]
+        method_count = len(method_refs)
         if methods and max(methods) >= method_count:
             row = next(row for row, index in enumerate(methods) if index >= method_count)
-            body = self.bodies[self.places[row]]
+            place = self.places[row]
+            owner = self.owners[bisect_right(self.class_ends, place)]
             raise SectionOutOfBoundsError(
-                f"invoke in {body.owner}->{body.name} names method {methods[row]}, "
+                f"invoke in {owner}->{method_refs[self.refs[place]].name} names method {methods[row]}, "
                 f"only {method_count} defined"
             )
         if len(methods) < 16:  # a few chr calls cost less than packing
@@ -699,7 +780,7 @@ def _decode_instructions(code: bytes, owner: str, name: str) -> tuple[Instructio
     while pos < n:
         op = code[pos]
         if op == 0x00 and code[pos + 1] in _PAYLOAD_HIGH_BYTES:
-            units = _payload_units(code, pos, code[pos + 1] << 8, owner, name)
+            units = _payload_units(code, pos, n, owner, name)
         else:
             units = _OP_UNITS[op]
         if op in INVOKE_OPS:
@@ -735,8 +816,9 @@ def _sites_of(dex: DexImage, targets: list[int]) -> list[InvocationSite]:
     if len(targets) > 1:
         rows.sort()  # merge the per-target runs, each already in row order
     make = tuple.__new__
-    bodies = dex.body_table
     refs = dex.method_refs
+    parsed = dex._rows
+    bodies = dex._body_table if parsed is None else _build_bodies(parsed, refs, map(places.__getitem__, rows))
     sites = []
     for row in rows:
         place = places[row]
@@ -789,7 +871,7 @@ def _literals_reaching(sites: Iterable[InvocationSite], max_lookback: int = DEFA
                     last = index
                     last_pos = pos
                 elif code[pos + 1] in _PAYLOAD_HIGH_BYTES:
-                    step = 2 * _payload_units(code, pos, code[pos + 1] << 8, body.owner, body.name)
+                    step = 2 * _payload_units(code, pos, len(code), body.owner, body.name)
             pos += step
             index += 1
         literals.append(_literal_at(code, last_pos) if last >= 0 and index - last <= max_lookback else None)

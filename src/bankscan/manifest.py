@@ -118,8 +118,11 @@ def _as_int(value) -> int | None:
         return None
     if isinstance(value, int):
         return value
-    if isinstance(value, str) and value.isdigit():
-        return int(value)
+    if isinstance(value, str) and value.isdecimal():  # "²" is a digit, but int() cannot read it
+        try:
+            return int(value)
+        except ValueError:  # more digits than sys.get_int_max_str_digits() allows
+            return None
     return None
 
 

@@ -82,3 +82,26 @@ def test_perfbench_modules_import_and_read_the_printed_titles(monkeypatch, corpu
         printed.update(zip((s.rule for s in report.sections), titles))
     assert set(printed) == set(RuleId)
     assert workloads.RULE_TITLES == printed
+
+
+def test_perfbench_parsed_counts_match_each_plan(monkeypatch, tmp_path):
+    # The untraced benchmark checks the DEX files, methods and instructions
+    # its parser reads, through every body of DexImage.bodies(), against the
+    # workload's plan; a parsed image that builds its bodies on first read
+    # must still yield them all.
+    monkeypatch.syspath_prepend(str(TRACER_PATH.parent))
+    try:
+        import child
+        import workloads
+    finally:
+        for name in ("workloads", "child", "tracer", "reference"):
+            sys.modules.pop(name, None)
+
+    for name in ("bytecode-bulk", "webview-backscan"):
+        workload = workloads.build(name, 7, scale=0.02)
+        inputs = tmp_path / name
+        inputs.mkdir()
+        for file_name, data in workload.files.items():
+            (inputs / file_name).write_bytes(data)
+        plan = {"dex_files": workload.dex_files, "methods": workload.methods, "insns": workload.insns}
+        assert child.parsed_counts(inputs) == plan, name

@@ -17,7 +17,9 @@ from bankscan.cli import (
     main,
     parse_args,
 )
-from bankscan.fixtures import build_fixture, profile_for_rules
+from bankscan.axml import ANDROID_NS
+from bankscan.fixtures import build_dex, build_fixture, encode_document, pack_apk, profile_for_rules
+from bankscan.fixtures.profiles import manifest_element
 from bankscan.rules import RuleId, Severity
 
 
@@ -218,6 +220,24 @@ def test_batch_continues_past_corrupt_file(fleet_dir, tmp_path, capsys):
     assert "Security report: good.apk" in captured.out
     assert "broken.apk" in captured.err
     assert "1 of 2 file(s) failed" in captured.err
+
+
+def test_matrix_scans_past_a_superscript_sdk_version(fleet_dir, tmp_path, capsys):
+    # A string-typed minSdkVersion="²" passes str.isdigit() but not int(); it
+    # must read as unset rather than end the batch with a traceback.
+    profile = profile_for_rules("odd-sdk", frozenset())
+    root = manifest_element("fixture.odd", profile.manifest_knobs)
+    [sdk] = [child for child in root.children if child.name == "uses-sdk"]
+    sdk.attrs[0] = (ANDROID_NS, "minSdkVersion", "²")
+    workdir = tmp_path / "sdk"
+    workdir.mkdir()
+    (workdir / "a-good.apk").write_bytes((fleet_dir / "starling-like.apk").read_bytes())
+    entries = [("AndroidManifest.xml", encode_document(root)), ("classes.dex", build_dex(profile).data)]
+    (workdir / "b-odd.apk").write_bytes(pack_apk(entries))
+    assert main(["--dir", str(workdir), "--matrix", "--format", "csv"]) == 0
+    captured = capsys.readouterr()
+    assert [line.split(",")[0] for line in captured.out.splitlines()[1:]] == ["a-good.apk", "b-odd.apk"]
+    assert captured.err == ""
 
 
 def test_batch_reports_in_input_order(fleet_dir, capsys):

@@ -5,9 +5,11 @@ time, so it doubles as the oracle; independent struct reads of the header
 cross-check section counts.
 """
 
+import copy
 import functools
 import gc
 import hashlib
+import pickle
 import struct
 import tracemalloc
 import zlib
@@ -18,14 +20,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bankscan import dex as dex_module
+from bankscan import rules as rules_module
 from bankscan import scanner
 from bankscan.apk import dex_entry_names, load_apk, read_entry
 from bankscan.dex import (
     BadEndianTagError,
     BadMagicError,
     DexError,
+    DexImage,
     Instruction,
     MalformedUleb128Error,
+    MethodBody,
     SectionOutOfBoundsError,
     _sites_of,
     literal_reaching,
@@ -653,9 +658,8 @@ def test_scan_decodes_no_body(monkeypatch):
     assert sum(len(f.evidence) for f in result.findings if f.rule.value == "R11") == 60
 
 
-def test_parsed_counts_match_bulk_sketch():
-    # perfbench counts len(body.instructions) and ins.method_index per body and
-    # checks them against its plan; a change to the records must keep both.
+def _bulk_sketches(count: int) -> list[MethodSketch]:
+    """Filler methods shaped like the bulk benchmark's: 40 instructions, invokes no rule asks about."""
     neutral = [
         ("nop",),
         ("const-string", 1, "k.0a1"),
@@ -666,16 +670,139 @@ def test_parsed_counts_match_bulk_sketch():
         ("const16", 4, 0x1234),
         ("const", 5, 0x12345678),
     ]
-    sketches = [
+    return [
         MethodSketch(f"bulk{m:03d}", [neutral[(m + k) % len(neutral)] for k in range(39)] + [("return-void",)])
-        for m in range(120)
+        for m in range(count)
     ]
+
+
+def test_parsed_counts_match_bulk_sketch():
+    # perfbench counts len(body.instructions) and ins.method_index per body and
+    # checks them against its plan; a change to the records must keep both.
+    sketches = _bulk_sketches(120)
     image = parse_dex(emit_dex("Lfixture/bulk/Part;", sketches).data)
     bodies = list(image.bodies())
     assert len(bodies) == len(sketches)
     assert sum(len(b.instructions) for b in bodies) == sum(len(s.instructions) for s in sketches)
     invokes = sum(1 for s in sketches for ins in s.instructions if ins[0].startswith("invoke-"))
     assert sum(1 for b in bodies for ins in b.instructions if ins.method_index is not None) == invokes
+
+
+# --- bodies built on first read -----------------------------------------------
+# parse_dex builds no MethodBody: each method is a row, and the image builds a
+# body from its row when _sites_of, body_table, classes or bodies() first
+# reads it, through one table, so a method always gives the same body.
+
+
+def _live_method_bodies() -> int:
+    gc.collect()
+    return sum(type(o) is MethodBody for o in gc.get_objects())
+
+
+def test_scan_builds_only_the_bodies_of_returned_sites(monkeypatch):
+    images, returned = [], []
+
+    def recording_parse(data, source_name="classes.dex"):
+        images.append(parse_dex(data, source_name=source_name))  # kept, so every body it builds stays alive
+        return images[-1]
+
+    def recording_sites_of(dex, targets):
+        sites = _sites_of(dex, targets)
+        returned.extend(sites)
+        return sites
+
+    monkeypatch.setattr(scanner, "parse_dex", recording_parse)
+    monkeypatch.setattr(rules_module, "_sites_of", recording_sites_of)
+    core = next(p for p in fleet_profiles() if p.name == "revolut-like")
+    data = emit_dex("Lfixture/bulk/App;", method_sketches(core.code_knobs) + _bulk_sketches(300)).data
+    before = _live_method_bodies()
+    image = parse_dex(data)
+    assert _live_method_bodies() == before
+    assert len(image.invokes.methods) > 300  # the filler's invokes are recorded, but no body is built
+    apk = pack_apk([("AndroidManifest.xml", build_manifest_bytes(core)), ("classes.dex", data)])
+    assert scanner.scan_bytes(apk, "bulk.apk").findings
+    assert _live_method_bodies() - before == len({id(site.body) for site in returned}) == 4  # of 304 bodies
+
+
+def _three_class_dex(artifact):
+    """``artifact.data`` with a new class_defs table at its end: its one class after an empty class, then again.
+
+    Returns the class's type, the types the empty class and the copy name,
+    and the file. The copy's class_data is the original's, so its methods
+    are walked a second time under the third type.
+    """
+    data = artifact.data
+    defs = _u32(data, 0x64)
+    first = data[defs : defs + 32]
+    types = parse_dex(data).type_names
+    owner = types[_u32(first, 0)]
+    others = [t for t in types if t.startswith("L") and t != owner]
+    empty = struct.pack("<I", types.index(others[0])) + first[4:24] + struct.pack("<I", 0) + first[28:]
+    copy_ = struct.pack("<I", types.index(others[1])) + first[4:]
+    tail = empty + first + copy_
+    return owner, others[:2], _with_tail(artifact, tail, ("<I", 0x60, 3), ("<I", 0x64, len(data)))
+
+
+@pytest.fixture(scope="module")
+def rows_artifact():
+    calls = [("const4", 1, 1), ("invoke-virtual", [0, 1], _JS_ENABLED), ("invoke-virtual", [0], _DELETE)]
+    sketches = [MethodSketch(f"m{k}", calls[: 1 + k % 3] + [("return-void",)]) for k in range(6)]
+    return emit_dex("Lfixture/rows/Screens;", sketches)
+
+
+def test_bodies_of_every_class_are_built_from_their_rows(rows_artifact):
+    owner, (empty, other), data = _three_class_dex(rows_artifact)
+    image = parse_dex(bytes(data))
+    assert [(c.type_name, [b.name for b in c.methods]) for c in image.classes] == [
+        (empty, []), (owner, [f"m{k}" for k in range(6)]), (other, [f"m{k}" for k in range(6)])
+    ]
+    assert all(body.owner == cls.type_name for cls in image.classes for body in cls.methods)
+    plain = parse_dex(rows_artifact.data)
+    assert [b.code for c in image.classes for b in c.methods] == [b.code for b in plain.body_table] * 2
+    sites = _sites_of(parse_dex(bytes(data)), sorted(set(map(ord, image.invokes.methods))))
+    assert [site.body.owner for site in sites] == [owner] * (len(sites) // 2) + [other] * (len(sites) // 2)
+
+
+def test_undefined_invoke_names_its_owner_past_an_empty_class(rows_artifact):
+    owner, _, data = _three_class_dex(rows_artifact)
+    units = parse_dex(bytes(data)).invokes.units
+    method_count = _u32(data, 0x58)
+    struct.pack_into("<H", data, 2 * units[0] + 2, method_count)  # the first invoke, in m1
+    _dex_raises(
+        data, SectionOutOfBoundsError, f"invoke in {owner}->m1 names method {method_count}, only {method_count} defined"
+    )
+
+
+@pytest.mark.parametrize("first", ["sites", "body_table", "classes", "bodies"])
+def test_a_method_gives_one_body_whichever_read_comes_first(rows_artifact, first):
+    image = parse_dex(bytes(_three_class_dex(rows_artifact)[2]))
+    methods, places = image.invokes.methods, image.invokes.places
+    reads = {
+        "sites": lambda: [site.body for site in _sites_of(image, sorted(set(map(ord, methods))))],
+        "body_table": lambda: list(image.body_table),
+        "classes": lambda: [body for cls in image.classes for body in cls.methods],
+        "bodies": lambda: list(image.bodies()),
+    }
+    seen = {first: reads.pop(first)()}
+    seen.update((name, read()) for name, read in reads.items())
+    table = seen["body_table"]
+    assert len(table) == 12 and len(set(map(id, table))) == 12
+    assert all(a is b for a, b in zip(seen["classes"], table, strict=True))
+    assert all(a is b for a, b in zip(seen["bodies"], table, strict=True))
+    assert all(body is table[place] for body, place in zip(seen["sites"], places, strict=True))
+
+
+@pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, lambda image: pickle.loads(pickle.dumps(image))])
+def test_a_parsed_image_copies_and_pickles_like_one_built_by_hand(rows_artifact, clone):
+    data = bytes(_three_class_dex(rows_artifact)[2])
+    image = parse_dex(data, source_name="classes2.dex")
+    clone = clone(image)  # before anything has read a body
+    fields = parse_dex(data, source_name="classes2.dex")
+    eager = DexImage(fields.string_pool, fields.type_names, fields.method_refs, fields.classes, fields.source_name)
+    assert clone == image == eager
+    assert repr(clone) == repr(image) == repr(eager)
+    assert hash(clone) == hash(image) == hash(eager)
+    assert clone.body_table == image.body_table == fields.body_table
 
 
 def _padded_invoke_sketch(pad_count: int, literal: int = 1):

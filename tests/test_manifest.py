@@ -101,6 +101,20 @@ def test_no_application_children_gives_empty_components():
     assert model.min_sdk is None and model.target_sdk is None
 
 
+def test_string_sdk_versions_parse_only_as_int_would():
+    # "²" is a digit to str.isdigit() but not to int(), and int() refuses a
+    # string of more than 4,300 digits; each must read as unset, not raise.
+    def sdk_root(min_sdk, target_sdk):
+        sdk = [(ANDROID_NS, "minSdkVersion", min_sdk), (ANDROID_NS, "targetSdkVersion", target_sdk)]
+        return Elem("manifest", [(None, "package", "a.b")], [Elem("uses-sdk", sdk)])
+
+    model = model_from(sdk_root("²", "21"))
+    assert model.min_sdk is None and model.target_sdk == 21
+    arabic = model_from(sdk_root("\u0662\u0661", "x1"))  # int() reads Arabic-Indic digits, so they still parse
+    assert arabic.min_sdk == 21 and arabic.target_sdk is None
+    assert model_from(sdk_root("9" * 5000, "0")).min_sdk is None
+
+
 def test_not_a_manifest():
     with pytest.raises(NotAManifestError):
         model_from(Elem("resources"))
