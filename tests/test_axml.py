@@ -371,3 +371,59 @@ def test_repeated_pool_offsets_share_one_decoded_string():
     assert all(s is shared[0] for s in shared)
     # 1,000 separately decoded copies would take 50 MB.
     assert peak < 2 * 1024 * 1024
+
+
+def _attr(ns_idx: int, name_idx: int, dtype: int, data: int) -> bytes:
+    return struct.pack("<IIIHBBI", ns_idx, name_idx, 0xFFFFFFFF, 8, 0, dtype, data)
+
+
+def _with_element_namespace(start: bytes, ns_idx: int) -> bytes:
+    chunk = bytearray(start)
+    struct.pack_into("<I", chunk, 0x10, ns_idx)
+    return bytes(chunk)
+
+
+def test_string_index_messages():
+    pool = _pool("manifest")
+    cases = [
+        (_start(0, _attr(7, 0, 0x10, 1), 1), "attribute namespace string index 7 out of range (pool size 1)"),
+        (_start(0, _attr(0xFFFFFFFF, 0, 0x03, 9), 1), "attribute value string index 9 out of range (pool size 1)"),
+        (_with_element_namespace(_start(0), 3), "element namespace string index 3 out of range (pool size 1)"),
+    ]
+    for start, message in cases:
+        _raises(_doc(pool, start, _end(0)), StringIndexOutOfRangeError, message)
+    _raises(_doc(pool, _start(0), _end(5)), StringIndexOutOfRangeError, "end tag name string index 5 out of range (pool size 1)")
+    # Only a string-typed value is a pool index.
+    doc = decode_axml(_doc(pool, _start(0, _attr(0xFFFFFFFF, 0, 0x10, 9), 1), _end(0)))
+    assert doc.root.attributes[0].value == 9
+
+
+def test_string_index_check_order():
+    pool = _pool("manifest")
+    cases = [
+        # Within an attribute: namespace, then name, then value.
+        (_start(0, _attr(7, 8, 0x03, 9), 1), "attribute namespace string index 7 out of range (pool size 1)"),
+        (_start(0, _attr(0xFFFFFFFF, 8, 0x03, 9), 1), "attribute name string index 8 out of range (pool size 1)"),
+        # Every attribute before the element's own names.
+        (
+            _with_element_namespace(_start(4, _attr(0xFFFFFFFF, 8, 0x10, 1), 1), 3),
+            "attribute name string index 8 out of range (pool size 1)",
+        ),
+        (
+            _start(4, _attr(0xFFFFFFFF, 0, 0x10, 1) + _attr(0xFFFFFFFF, 0, 0x03, 6), 2),
+            "attribute value string index 6 out of range (pool size 1)",
+        ),
+        # The element namespace before its name.
+        (_with_element_namespace(_start(4), 3), "element namespace string index 3 out of range (pool size 1)"),
+        (_start(4), "element name string index 4 out of range (pool size 1)"),
+    ]
+    for start, message in cases:
+        _raises(_doc(pool, start, _end(0)), StringIndexOutOfRangeError, message)
+    # Before any pool, every index is out of range of a pool of size 0.
+    _raises(
+        _doc(_start(0, _attr(0xFFFFFFFF, 0, 0x10, 1), 1), _end(0), pool),
+        StringIndexOutOfRangeError,
+        "attribute name string index 0 out of range (pool size 0)",
+    )
+    # An end tag pops its element before it reads its own name.
+    _raises(_doc(pool, _end(5)), UnbalancedTreeError, "end tag with no open element")

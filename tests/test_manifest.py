@@ -10,9 +10,12 @@ from bankscan.fixtures import (
 )
 from bankscan.fixtures.profiles import manifest_element
 from bankscan.manifest import (
+    ApplicationAttrs,
     ComponentDecl,
+    IntentFilterDecl,
     MissingPackageNameError,
     NotAManifestError,
+    PermissionDecl,
     build_manifest_model,
     effective_exported,
 )
@@ -229,3 +232,61 @@ def test_data_specs_collected():
     filt = model.components[0].intent_filters[0]
     assert "scheme=https" in filt.data_specs
     assert "host=bank.example" in filt.data_specs
+
+
+def test_interleaved_and_repeated_children_project_in_document_order():
+    def name(value):
+        return [(ANDROID_NS, "name", value)]
+
+    def filt(action):
+        return Elem("intent-filter", [], [Elem("action", name(action))])
+
+    root = Elem(
+        "manifest",
+        [(None, "package", "a.b")],
+        [
+            Elem("uses-sdk", [(ANDROID_NS, "minSdkVersion", 16), (ANDROID_NS, "targetSdkVersion", 23)]),
+            Elem("permission", name("a.b.P1") + [(ANDROID_NS, "protectionLevel", 0)]),
+            Elem(
+                "application",
+                [(ANDROID_NS, "allowBackup", True), (ANDROID_NS, "debuggable", True)],
+                [
+                    Elem("activity", name("a.b.A"), [filt("x.ONE"), Elem("meta-data", name("m")), filt("x.TWO")]),
+                    Elem("meta-data", name("a.b.M")),
+                    Elem("uses-sdk", [(ANDROID_NS, "minSdkVersion", 5)]),  # not a child of <manifest>
+                    Elem("service", name("a.b.S")),
+                ],
+            ),
+            Elem("activity", name("a.b.Outside")),  # outside any <application>
+            Elem("permission", name("a.b.P2")),
+            Elem("uses-sdk", [(ANDROID_NS, "minSdkVersion", 21)]),  # the last wins, target included
+            Elem(
+                "application",
+                [(ANDROID_NS, "debuggable", False)],
+                [Elem("receiver", name("a.b.R")), Elem("provider", [])],
+            ),
+            Elem("uses-permission", name("android.permission.INTERNET")),
+            Elem("permission", name("a.b.P3") + [(ANDROID_NS, "protectionLevel", "dangerous")]),
+        ],
+    )
+    model = model_from(root)
+    assert (model.package_name, model.min_sdk, model.target_sdk) == ("a.b", 21, None)
+    assert model.application == ApplicationAttrs(allow_backup=None, debuggable=False)
+    activity = ComponentDecl(
+        "activity",
+        "a.b.A",
+        None,
+        None,
+        (IntentFilterDecl(("x.ONE",), (), ()), IntentFilterDecl(("x.TWO",), (), ())),
+    )
+    assert model.components == (
+        activity,
+        ComponentDecl("service", "a.b.S", None, None, ()),
+        ComponentDecl("receiver", "a.b.R", None, None, ()),
+        ComponentDecl("provider", "(unnamed)", None, None, ()),
+    )
+    assert model.declared_permissions == (
+        PermissionDecl("a.b.P1", "normal"),
+        PermissionDecl("a.b.P2", "unset"),
+        PermissionDecl("a.b.P3", "dangerous"),
+    )
