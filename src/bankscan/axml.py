@@ -11,7 +11,8 @@ Bounds are checked once per chunk or record, not per field: each header or
 element body is size-checked against its chunk, then read with one
 precompiled ``struct.Struct`` call (the pool's offset table with one
 ``unpack_from``). A failed check names the first field that does not fit.
-Pool strings with one-byte length prefixes are sliced inline. The layout
+Each string index is compared with the pool size where it is read, and its
+error is built only when that comparison fails. Pool strings with one-byte length prefixes are sliced inline. The layout
 follows AOSP ``ResourceTypes.h``.
 
 Attribute lookup downstream is by name within the ``android`` namespace URI;
@@ -166,6 +167,10 @@ def _truncated(pos: int, end: int, widths: tuple[int, ...]) -> TruncatedChunkErr
     return TruncatedChunkError(f"need {n} bytes at offset {pos:#x}, only {end - pos} left")
 
 
+def _bad_index(what: str, idx: int, size: int) -> StringIndexOutOfRangeError:
+    return StringIndexOutOfRangeError(f"{what} string index {idx} out of range (pool size {size})")
+
+
 def _decode_string_pool(data: bytes, chunk_start: int, header_size: int, chunk_size: int) -> tuple[str, ...]:
     pos = chunk_start + 8
     limit = chunk_start + chunk_size
@@ -258,23 +263,20 @@ def decode_axml(data: bytes) -> AxmlDocument:
         raise TruncatedChunkError(f"bad XML chunk header size {header_size}")
 
     pool: tuple[str, ...] | None = None
+    size = 0  # of the pool; 0 until one is read, so every index is out of range before it
     warnings: list[str] = []
     root: AxmlElement | None = None
     stack: list[AxmlElement] = []
 
-    def string_at(idx: int, what: str) -> str:
-        if pool is None or idx >= len(pool):
-            raise StringIndexOutOfRangeError(
-                f"{what} string index {idx} out of range (pool size {0 if pool is None else len(pool)})"
-            )
-        return pool[idx]
-
     make = tuple.__new__  # skips NamedTuple.__new__'s per-field argument binding
+    new_element = object.__new__  # the slots are set below, without __init__'s keyword binding
+    unpack_header = _CHUNK_HEADER.unpack_from
+    unpack_attribute = _ATTRIBUTE.unpack_from
     pos = header_size
     while pos < n:
         if pos + 8 > n:
             raise TruncatedChunkError(f"chunk header truncated at offset {pos:#x}")
-        ctype, chdr, csize = _CHUNK_HEADER.unpack_from(data, pos)
+        ctype, chdr, csize = unpack_header(data, pos)
         if csize < 8 or chdr < 8 or csize < chdr or pos + csize > n:
             raise TruncatedChunkError(
                 f"chunk 0x{ctype:04x} at {pos:#x} has bad size {csize}/{chdr}"
@@ -282,33 +284,35 @@ def decode_axml(data: bytes) -> AxmlDocument:
         body = pos + chdr
         end = pos + csize
 
-        if ctype == CHUNK_STRING_POOL:
-            if pool is None:
-                pool = _decode_string_pool(data, pos, chdr, csize)
-            else:
-                warnings.append(f"extra string pool at offset {pos:#x} ignored")
-        elif ctype in (CHUNK_RESOURCE_MAP, CHUNK_CDATA):
-            pass  # not needed for manifest analysis
-        elif ctype in (CHUNK_NS_START, CHUNK_NS_END):
-            pass  # prefix/URI bookkeeping; attributes carry full URIs already
-        elif ctype == CHUNK_ELEMENT_START:
+        # Element records come first: they are most of a manifest's chunks.
+        if ctype == CHUNK_ELEMENT_START:
             if body + _ELEMENT_START.size > end:
                 raise _truncated(body, end, (4, 4, 2, 2, 2, 6))
             ns_idx, name_idx, attr_start, attr_size, attr_count = _ELEMENT_START.unpack_from(data, body)
             if attr_size < 20:
                 raise TruncatedChunkError(f"attribute record size {attr_size} too small")
             abase = body + attr_start
-            if abase + attr_count * attr_size > end:
+            aend = abase + attr_count * attr_size
+            if aend > end:
                 raise TruncatedChunkError("attribute table larger than element chunk")
             attrs = []
-            for apos in range(abase, abase + attr_count * attr_size, attr_size):
-                a_ns, a_name, dtype, dvalue = _ATTRIBUTE.unpack_from(data, apos)
-                namespace = None if a_ns == _NO_INDEX else string_at(a_ns, "attribute namespace")
-                name = string_at(a_name, "attribute name")
+            for apos in range(abase, aend, attr_size):
+                a_ns, a_name, dtype, dvalue = unpack_attribute(data, apos)
+                if a_ns == _NO_INDEX:
+                    namespace = None
+                elif a_ns < size:
+                    namespace = pool[a_ns]
+                else:
+                    raise _bad_index("attribute namespace", a_ns, size)
+                if a_name >= size:
+                    raise _bad_index("attribute name", a_name, size)
+                name = pool[a_name]
                 value: AttrValue
                 if dtype == TYPE_STRING:
-                    value = string_at(dvalue, "attribute value")
-                elif dtype in (TYPE_INT_DEC, TYPE_INT_HEX):
+                    if dvalue >= size:
+                        raise _bad_index("attribute value", dvalue, size)
+                    value = pool[dvalue]
+                elif dtype == TYPE_INT_DEC or dtype == TYPE_INT_HEX:
                     value = dvalue
                 elif dtype == TYPE_INT_BOOLEAN:
                     value = dvalue != 0
@@ -318,11 +322,18 @@ def decode_axml(data: bytes) -> AxmlDocument:
                     warnings.append(f"attribute {name!r}: unhandled value type 0x{dtype:02x}")
                     value = None
                 attrs.append(make(AxmlAttribute, (namespace, name, value)))
-            elem = AxmlElement(
-                namespace=None if ns_idx == _NO_INDEX else string_at(ns_idx, "element namespace"),
-                name=string_at(name_idx, "element name"),
-                attributes=tuple(attrs),
-            )
+            elem = new_element(AxmlElement)
+            if ns_idx == _NO_INDEX:
+                elem.namespace = None
+            elif ns_idx < size:
+                elem.namespace = pool[ns_idx]
+            else:
+                raise _bad_index("element namespace", ns_idx, size)
+            if name_idx >= size:
+                raise _bad_index("element name", name_idx, size)
+            elem.name = pool[name_idx]
+            elem.attributes = tuple(attrs)
+            elem.children = []
             if stack:
                 stack[-1].children.append(elem)
             elif root is None:
@@ -337,11 +348,20 @@ def decode_axml(data: bytes) -> AxmlDocument:
             if not stack:
                 raise UnbalancedTreeError("end tag with no open element")
             open_name = stack.pop().name
-            end_name = string_at(name_idx, "end tag name")
-            if open_name != end_name:
+            if name_idx >= size:
+                raise _bad_index("end tag name", name_idx, size)
+            if pool[name_idx] != open_name:
                 raise UnbalancedTreeError(
-                    f"end tag {end_name!r} does not close open element {open_name!r}"
+                    f"end tag {pool[name_idx]!r} does not close open element {open_name!r}"
                 )
+        elif ctype == CHUNK_STRING_POOL:
+            if pool is None:
+                pool = _decode_string_pool(data, pos, chdr, csize)
+                size = len(pool)
+            else:
+                warnings.append(f"extra string pool at offset {pos:#x} ignored")
+        elif ctype in (CHUNK_RESOURCE_MAP, CHUNK_CDATA, CHUNK_NS_START, CHUNK_NS_END):
+            pass  # not needed: attributes carry full namespace URIs, and manifests need no resource IDs or text
         else:
             warnings.append(f"unknown chunk type 0x{ctype:04x} at offset {pos:#x} skipped")
         pos = end

@@ -154,24 +154,26 @@ def _intent_filter(elem: AxmlElement) -> IntentFilterDecl:
             for a in child.attributes:
                 if a.namespace == ANDROID_NS and a.value is not None:
                     data_specs.append(f"{a.name}={a.value}")
-    return IntentFilterDecl(tuple(actions), tuple(categories), tuple(data_specs))
+    return tuple.__new__(IntentFilterDecl, (tuple(actions), tuple(categories), tuple(data_specs)))
 
 
-def _component(elem: AxmlElement) -> ComponentDecl | None:
-    name = _as_str(elem.attr("name"))
-    return ComponentDecl(
-        kind=elem.name,
-        name=name or "(unnamed)",
-        exported=_bool_attr(elem, "exported"),
-        permission=_as_str(elem.attr("permission")),
-        intent_filters=tuple(
-            _intent_filter(f) for f in elem.find_all("intent-filter")
-        ),
-    )
+def _component(elem: AxmlElement) -> ComponentDecl:
+    return tuple.__new__(ComponentDecl, (
+        elem.name,
+        _as_str(elem.attr("name")) or "(unnamed)",
+        _bool_attr(elem, "exported"),
+        _as_str(elem.attr("permission")),
+        tuple([_intent_filter(f) for f in elem.children if f.name == "intent-filter"]),
+    ))
 
 
 def build_manifest_model(doc: AxmlDocument) -> ManifestModel:
-    """Project a decoded manifest document onto the analysis model."""
+    """Project a decoded manifest document onto the analysis model.
+
+    One pass over the children of ``<manifest>``: the last ``uses-sdk`` and
+    the flags of the last ``application`` win; the components of every
+    ``application`` and the declared permissions keep document order.
+    """
     root = doc.root
     if root.name != "manifest":
         raise NotAManifestError(f"root element is <{root.name}>, not <manifest>")
@@ -179,35 +181,28 @@ def build_manifest_model(doc: AxmlDocument) -> ManifestModel:
     if not package:
         raise MissingPackageNameError("manifest has no package name")
 
-    min_sdk = target_sdk = None
-    for sdk in root.find_all("uses-sdk"):
-        min_sdk = _as_int(sdk.attr("minSdkVersion"))
-        target_sdk = _as_int(sdk.attr("targetSdkVersion"))
-
-    permissions = [
-        PermissionDecl(
-            name=_as_str(p.attr("name")) or "(unnamed)",
-            protection_level=_protection_level(p.attr("protectionLevel")),
-        )
-        for p in root.find_all("permission")
-    ]
-
-    allow_backup = debuggable = None
+    make = tuple.__new__  # skips NamedTuple.__new__'s per-field argument binding
+    min_sdk = target_sdk = allow_backup = debuggable = None
     components: list[ComponentDecl] = []
-    for app in root.find_all("application"):
-        allow_backup = _bool_attr(app, "allowBackup")
-        debuggable = _bool_attr(app, "debuggable")
-        for child in app.children:
-            if child.name in COMPONENT_KINDS:
-                comp = _component(child)
-                if comp is not None:
-                    components.append(comp)
+    permissions: list[PermissionDecl] = []
+    for child in root.children:
+        tag = child.name
+        if tag == "application":
+            allow_backup = _bool_attr(child, "allowBackup")
+            debuggable = _bool_attr(child, "debuggable")
+            components += [_component(c) for c in child.children if c.name in COMPONENT_KINDS]
+        elif tag == "uses-sdk":
+            min_sdk = _as_int(child.attr("minSdkVersion"))
+            target_sdk = _as_int(child.attr("targetSdkVersion"))
+        elif tag == "permission":
+            name = _as_str(child.attr("name")) or "(unnamed)"
+            permissions.append(make(PermissionDecl, (name, _protection_level(child.attr("protectionLevel")))))
 
-    return ManifestModel(
-        package_name=package,
-        min_sdk=min_sdk,
-        target_sdk=target_sdk,
-        application=ApplicationAttrs(allow_backup=allow_backup, debuggable=debuggable),
-        components=tuple(components),
-        declared_permissions=tuple(permissions),
-    )
+    return make(ManifestModel, (
+        package,
+        min_sdk,
+        target_sdk,
+        make(ApplicationAttrs, (allow_backup, debuggable)),
+        tuple(components),
+        tuple(permissions),
+    ))
