@@ -813,6 +813,8 @@ def _sites_of(dex: DexImage, targets: list[int]) -> list[InvocationSite]:
         while row >= 0:
             rows.append(row)
             row = methods.find(char, row + 1)
+    if not rows:
+        return rows  # no site, so no body to build
     if len(targets) > 1:
         rows.sort()  # merge the per-target runs, each already in row order
     make = tuple.__new__

@@ -72,6 +72,10 @@ class RuleId(enum.Enum):
     R13 = "R13"  # screenshot capture not blocked
     R14 = "R14"  # no APK installer source check
 
+    # Members are singletons compared by identity, so the identity hash keeps
+    # dict and set semantics and skips Enum.__hash__'s Python-level call.
+    __hash__ = object.__hash__
+
     @property
     def index(self) -> int:
         return _RULE_INDEX[self]
@@ -88,6 +92,8 @@ class Severity(enum.Enum):
     WARNING = "warning"
     NOTICE = "notice"
     INFO = "info"
+
+    __hash__ = object.__hash__  # as for RuleId
 
     @property
     def rank(self) -> int:
