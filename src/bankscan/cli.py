@@ -6,11 +6,13 @@ offline. Exit codes are a stable contract for CI use:
     0   scan finished, no finding at or above the --fail-on threshold
     1   at least one finding at or above the threshold
     2   usage error
-    3   a file could not be read, parsed or written
+    3   a file could not be read, scanned or written
 
-Batch mode keeps scanning past broken files and summarizes the failures at
-the end; exit code 3 then takes precedence over 1. An output file that
-cannot be written is named on stderr and also gives 3.
+A file that fails to scan, whatever the exception, is named on stderr as
+``bankscan: PATH: Type: message``. Batch mode keeps scanning past it and
+summarizes the failures at the end; exit code 3 then takes precedence over
+1. An output file that cannot be written is named on stderr and also gives
+3.
 """
 
 from __future__ import annotations
@@ -19,9 +21,6 @@ import os
 import sys
 from pathlib import Path
 
-from .apk import ApkError
-from .axml import AxmlError
-from .dex import DexError
 from .report import build_fleet_matrix, duplicate_app_names, render_report, serialize, serialize_reports
 from .rules import ScanResult, Severity
 from .scanner import scan_bytes
@@ -48,10 +47,8 @@ options:
                      (critical, warning, notice, info)
 
 exit codes: 0 ok, 1 findings at/above --fail-on, 2 usage error,
-            3 a file could not be read, parsed or written
+            3 a file could not be read, scanned or written
 """
-
-_PARSE_ERRORS = (ApkError, AxmlError, DexError)
 
 
 class CliUsageError(Exception):
@@ -217,13 +214,13 @@ def _collect_inputs(config: CliConfig) -> list[Path]:
 
 
 def _scan_many(paths: list[Path]):
-    """Scan in input order; returns (results, errors)."""
+    """Scan in input order; returns (results, errors). A file that raises is an error, not the end of the batch."""
     results: list[ScanResult] = []
     errors: list[tuple[Path, str]] = []
     for path in paths:
         try:
             results.append(scan_bytes(path.read_bytes(), path.name))
-        except (*_PARSE_ERRORS, OSError) as exc:
+        except Exception as exc:
             errors.append((path, f"{type(exc).__name__}: {exc}"))
     return results, errors
 
@@ -238,7 +235,7 @@ def execute(config: CliConfig) -> int:
         path = config.inputs[0]
         try:
             result = scan_bytes(path.read_bytes(), path.name)
-        except (*_PARSE_ERRORS, OSError) as exc:
+        except Exception as exc:
             sys.stderr.write(f"{PROG}: {path}: {type(exc).__name__}: {exc}\n")
             return 3
         if not _write_output(config, serialize(render_report(result), fmt)):

@@ -240,6 +240,34 @@ def test_matrix_scans_past_a_superscript_sdk_version(fleet_dir, tmp_path, capsys
     assert captured.err == ""
 
 
+def test_batch_scans_past_any_exception(fleet_dir, tmp_path, monkeypatch, capsys):
+    from bankscan import cli
+
+    workdir = tmp_path / "raising"
+    workdir.mkdir()
+    (workdir / "a-good.apk").write_bytes((fleet_dir / "starling-like.apk").read_bytes())
+    (workdir / "b-bad.apk").write_bytes((fleet_dir / "atom-like.apk").read_bytes())
+    scan = cli.scan_bytes
+
+    def scan_or_raise(data, apk_name):
+        if apk_name == "b-bad.apk":
+            raise ValueError("not a scan result")
+        return scan(data, apk_name)
+
+    monkeypatch.setattr(cli, "scan_bytes", scan_or_raise)
+    assert main(["--dir", str(workdir), "--matrix", "--format", "csv"]) == 3
+    captured = capsys.readouterr()
+    assert [line.split(",")[0] for line in captured.out.splitlines()[1:]] == ["a-good.apk"]
+    assert captured.err.splitlines() == [
+        f"bankscan: {workdir / 'b-bad.apk'}: ValueError: not a scan result",
+        "bankscan: 1 of 2 file(s) failed to scan",
+    ]
+    assert main(["-f", str(workdir / "b-bad.apk")]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"bankscan: {workdir / 'b-bad.apk'}: ValueError: not a scan result\n"
+
+
 def test_batch_reports_in_input_order(fleet_dir, capsys):
     a = str(fleet_dir / "monzo-like.apk")
     b = str(fleet_dir / "atom-like.apk")
