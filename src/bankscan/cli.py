@@ -10,9 +10,9 @@ offline. Exit codes are a stable contract for CI use:
 
 A file that fails to scan, whatever the exception, is named on stderr as
 ``bankscan: PATH: Type: message``. Batch mode keeps scanning past it and
-summarizes the failures at the end; exit code 3 then takes precedence over
-1. An output file that cannot be written is named on stderr and also gives
-3.
+summarizes the failures at the end, and exit code 3 then takes precedence
+over 1. An output file that cannot be written is named on stderr and also
+gives 3.
 """
 
 from __future__ import annotations
