@@ -12,9 +12,8 @@ element body is size-checked against its chunk, then read with one
 precompiled ``struct.Struct`` call (the pool's offset table with one
 ``unpack_from``). A failed check names the first field that does not fit.
 Each string index is compared with the pool size where it is read, and its
-error is built only when that comparison fails. An all-ASCII UTF-8 string
-pool is decoded with one call and sliced; any other pool is read string by
-string. The layout follows AOSP ``ResourceTypes.h``.
+error is built only when that comparison fails. Pool strings with one-byte
+length prefixes are sliced inline. The layout follows AOSP ``ResourceTypes.h``.
 
 Attribute lookup downstream is by name within the ``android`` namespace URI;
 resource-ID lookup is deliberately not implemented.
@@ -195,27 +194,18 @@ def _decode_string_pool(data: bytes, chunk_start: int, header_size: int, chunk_s
     # Offsets may repeat; each distinct one is decoded once, in first-use
     # order, and its str is shared, so the pool costs no more than its data.
     text = dict.fromkeys(offsets)
-    region = data[base:limit]
-    if is_utf8 and region.isascii():
-        # The usual pool. Every length prefix is one byte and a character
-        # index is a byte index, so the data is decoded once and sliced.
-        chars = region.decode("ascii")
-        size = limit - base
-        for off in text:
-            stop = off + 2
-            if stop > size:
-                break  # no room for the prefixes: the loop below names the fault
-            stop += region[off + 1]
-            if stop > size:
-                raise TruncatedChunkError("UTF-8 string data truncated")
-            text[off] = chars[off + 2 : stop]
-        else:
-            return tuple(map(text.__getitem__, offsets))
     for off in text:
         pos = base + off
         if pos >= limit:
             raise TruncatedChunkError(f"string offset {off:#x} outside pool data")
-        text[off] = _read_string(data, pos, limit, is_utf8)
+        if is_utf8 and pos + 2 <= limit and data[pos] < 0x80 and data[pos + 1] < 0x80:
+            # The usual string: one-byte UTF-16 and UTF-8 length prefixes.
+            stop = pos + 2 + data[pos + 1]
+            if stop > limit:
+                raise TruncatedChunkError("UTF-8 string data truncated")
+            text[off] = data[pos + 2 : stop].decode("utf-8", "replace")
+        else:
+            text[off] = _read_string(data, pos, limit, is_utf8)
     return tuple(map(text.__getitem__, offsets))
 
 
@@ -279,7 +269,6 @@ def decode_axml(data: bytes) -> AxmlDocument:
     stack: list[AxmlElement] = []
 
     make = tuple.__new__  # skips NamedTuple.__new__'s per-field argument binding
-    new_element = object.__new__  # the slots are set below, without __init__'s keyword binding
     unpack_header = _CHUNK_HEADER.unpack_from
     unpack_attribute = _ATTRIBUTE.unpack_from
     pos = header_size
@@ -332,18 +321,15 @@ def decode_axml(data: bytes) -> AxmlDocument:
                     warnings.append(f"attribute {name!r}: unhandled value type 0x{dtype:02x}")
                     value = None
                 attrs.append(make(AxmlAttribute, (namespace, name, value)))
-            elem = new_element(AxmlElement)
             if ns_idx == _NO_INDEX:
-                elem.namespace = None
+                namespace = None
             elif ns_idx < size:
-                elem.namespace = pool[ns_idx]
+                namespace = pool[ns_idx]
             else:
                 raise _bad_index("element namespace", ns_idx, size)
             if name_idx >= size:
                 raise _bad_index("element name", name_idx, size)
-            elem.name = pool[name_idx]
-            elem.attributes = tuple(attrs)
-            elem.children = []
+            elem = AxmlElement(namespace, pool[name_idx], tuple(attrs))
             if stack:
                 stack[-1].children.append(elem)
             elif root is None:

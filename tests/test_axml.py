@@ -427,14 +427,3 @@ def test_string_index_check_order():
     )
     # An end tag pops its element before it reads its own name.
     _raises(_doc(pool, _end(5)), UnbalancedTreeError, "end tag with no open element")
-
-
-def test_ascii_and_mixed_pools_read_alike():
-    # An offset on the last byte of an all-ASCII pool leaves no room for the
-    # second length prefix; the message is the one any other pool gives.
-    doc = bytearray(_doc(_pool("manifest"), _start(0), _end(0)))
-    struct.pack_into("<I", doc, 0x24, 11)  # string 0 starts at the padding byte 0x33
-    _raises(bytes(doc), TruncatedChunkError, "string length prefix truncated")
-    strings = ("manifest", "café", "x" * 0x7F, "")
-    for pool in (strings, strings[:1] + strings[2:]):
-        assert decode_axml(_doc(_pool(*pool), _start(0), _end(0))).string_pool == pool
