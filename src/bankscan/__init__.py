@@ -8,7 +8,7 @@ comparison matrix.
 
 from .apk import ApkArchive, ApkError, dex_entry_names, load_apk, open_apk, read_entry
 from .axml import AxmlDocument, AxmlError, decode_axml
-from .dex import DexError, DexImage, InvocationSite, literal_reaching, parse_dex
+from .dex import DexError, DexImage, parse_dex
 from .knowledge import (
     countermeasure_for,
     load_knowledge_base,
@@ -47,7 +47,6 @@ __all__ = [
     "DexImage",
     "Finding",
     "FleetMatrix",
-    "InvocationSite",
     "ManifestModel",
     "Report",
     "RuleId",
@@ -62,7 +61,6 @@ __all__ = [
     "deserialize_report",
     "dex_entry_names",
     "evaluate_rule",
-    "literal_reaching",
     "load_apk",
     "load_knowledge_base",
     "open_apk",

@@ -18,30 +18,28 @@ code_off of up to three bytes, inline. Every body, odd-aligned or holding a
 payload, takes that one path, and every error keeps its class and message.
 The walk builds no ``MethodBody``: each method is a row of per-DEX columns
 (its method index and where its stream starts) and each class a row of its
-owner and last method. ``DexImage`` builds a body from its row on first
-read, slicing the code from the DEX bytes, so a scan builds only the bodies
-that hold a call site it asked for. Two threads racing a first read may
-build two equal bodies for one method.
+owner and last method. ``DexImage`` builds every body from the rows when
+``classes``, ``body_table`` or ``bodies()`` is first read; a scan reads none
+of them. Two threads racing a first read may build two equal bodies.
 
 An invoke costs two list appends: the code unit it starts at and its body's
-ordinal. Neither the walk nor ``_sites_of`` counts positions: a site is its
-body, its callee and its byte offset. After the last body, the method index
-of every invoke is read in one pass over a 16-bit view of the file and
-checked with one ``max``; if another error stops the parse first, the
-invokes recorded so far are checked before it is raised, so the first
-invoke that names no method still wins. The indices are kept as a string,
-one character per invoke, so the rules resolve the method ids they want and
-find their invokes with ``str.find``, without touching the code again.
-``Instruction`` records, with operands only for the const and invoke
-families, are decoded from a body's validated bytes when
+ordinal. After the last body, the method index of every invoke is read in
+one pass over a 16-bit view of the file and checked with one ``max``; if
+another error stops the parse first, the invokes recorded so far are
+checked before it is raised, so the first invoke that names no method still
+wins. The indices are kept as a string, one character per invoke, so the
+rules find the invokes of the method ids they want with ``str.find``.
+``_sites_of`` reads a site as a plain tuple (caller owner and name, callee,
+byte offset, caller ordinal) from those columns and the method and class
+rows, counting no position and building no record or body. ``Instruction``
+records are decoded from a body's validated bytes when
 ``MethodBody.instructions`` is first read; a scan never reads them. The const
-back-scan steps a body's bytes forward through a width table instead, and
-reads a literal straight from them; given a list of sites in body order, it
-steps each body once, however many of its sites it is asked about.
-
-Register dataflow is deliberately not modeled: ``literal_reaching`` is a
-bounded linear back-scan that ignores which register a const targets, so it
-over- and under-approximates on reordered or obfuscated code.
+back-scan, ``_literals_reaching``, reads a calling body's code by its
+ordinal and steps it forward through a width table, reading a literal
+straight from the bytes; it steps each body once per call, however many of
+its sites it is asked about. Register dataflow is deliberately not modeled:
+the back-scan ignores which register a const targets, so it over- and
+under-approximates on reordered or obfuscated code.
 """
 
 from __future__ import annotations
@@ -51,7 +49,8 @@ import struct
 import sys
 from bisect import bisect_right
 from collections.abc import Iterable
-from operator import itemgetter
+from itertools import repeat
+from operator import attrgetter, itemgetter, sub
 from typing import NamedTuple
 
 HEADER_SIZE = 0x70
@@ -261,12 +260,6 @@ class ClassDef(NamedTuple):
     methods: tuple[MethodBody, ...]
 
 
-class InvocationSite(NamedTuple):
-    body: MethodBody  # the calling method
-    callee: MethodRef
-    offset: int  # byte offset of the invoke in body.code
-
-
 class _Invokes(NamedTuple):
     """Every invoke of one DEX as columns, one row per invoke in body order, then stream order.
 
@@ -283,46 +276,30 @@ _NO_INVOKES = _Invokes("", [], [], [])
 
 
 class _Rows(NamedTuple):
-    """A parsed DEX's method bodies as rows, in ``bodies()`` order, and its classes as rows, in class_def order.
-
-    ``built`` holds each body once it is built, None before.
-    """
+    """A parsed DEX's method bodies as rows, in ``bodies()`` order, and its classes as rows, in class_def order."""
 
     data: bytes              # the DEX file; a body's code is sliced from it
     refs: list[int]          # per body: its method index
     code_starts: list[int]   # per body: the byte its stream starts at, 0 for no code
     owners: list[str]        # per class: its type
     class_ends: list[int]    # per class: the ordinal after its last body
-    built: list[MethodBody | None]
 
 
-def _build_bodies(rows: _Rows, method_refs: tuple[MethodRef, ...], places: Iterable[int]) -> list:
-    """``rows.built``, with the body at each of ``places`` built from its rows if it was not yet."""
-    data, refs, code_starts, owners, class_ends, built = rows
-    new = object.__new__
-    put = object.__setattr__  # MethodBody is frozen: fill its slots as its __init__ does, without the call
-    u32 = _U32.unpack_from
-    for place in places:
-        if built[place] is None:
-            start = code_starts[place]  # the stream's insns_size is the u32 before it
-            body = new(MethodBody)
-            put(body, "owner", owners[bisect_right(class_ends, place)])
-            put(body, "name", method_refs[refs[place]].name)
-            put(body, "code", data[start : start + 2 * u32(data, start - 4)[0]] if start else b"")
-            built[place] = body  # only once filled, so another thread never reads an empty body
-    return built
+def _code_at(data: bytes, start: int) -> bytes:
+    """The instruction stream at byte ``start`` of ``data`` (none at 0); its insns_size is the u32 before it."""
+    return data[start : start + 2 * _U32.unpack_from(data, start - 4)[0]] if start else b""
 
 
 class DexImage(_Frozen):
     """One parsed DEX. ``repr``, ``==`` and ``hash`` leave out ``body_table`` and ``invokes``.
 
-    An image from ``parse_dex`` holds its methods as ``_Rows`` and builds each
-    ``MethodBody`` on first read: ``_sites_of`` builds only the bodies of the
-    sites it returns, and ``classes``, ``body_table`` or ``bodies()`` build
-    the rest. All of them share one table per image, so a method always gives
-    the same body, except that two threads racing a first read may build two
-    equal bodies for one method. An image constructed with explicit
-    ``classes`` and ``body_table`` keeps exactly what it was given.
+    An image from ``parse_dex`` holds its methods as ``_Rows`` and builds
+    every ``MethodBody`` when ``classes``, ``body_table`` or ``bodies()`` is
+    first read, then keeps the bodies in place of the rows; ``_sites_of``
+    and ``_literals_reaching`` read the rows while they are there, and the
+    bodies after. Two threads racing a first read may build two equal bodies
+    for one method. An image constructed with explicit ``classes`` and
+    ``body_table`` keeps exactly what it was given.
     """
 
     __slots__ = ("string_pool", "type_names", "method_refs", "_classes", "source_name", "_body_table", "invokes", "_rows")
@@ -363,15 +340,17 @@ class DexImage(_Frozen):
         return self._body_table
 
     def _build_all(self) -> None:
-        """Build every body not built yet, then keep ``classes`` and ``body_table`` in place of the rows."""
+        """Build every body, then keep ``classes`` and ``body_table`` in place of the rows."""
         rows = self._rows
         if rows is None:  # another thread built them meanwhile
             return
-        table = tuple(_build_bodies(rows, self.method_refs, range(len(rows.built))))
-        ends = rows.class_ends
-        classes = tuple(ClassDef(owner, table[begin:end]) for owner, begin, end in zip(rows.owners, [0, *ends], ends))
+        data, refs, code_starts, owners, ends = rows
+        spans = list(zip(owners, [0, *ends], ends))  # each class's type and its bodies' ordinals
+        types = [owner for owner, begin, end in spans for _ in range(begin, end)]
+        names = map(_NAME, map(self.method_refs.__getitem__, refs))
+        table = tuple(map(MethodBody, types, names, map(_code_at, repeat(data), code_starts)))
         put = object.__setattr__
-        put(self, "_classes", classes)
+        put(self, "_classes", tuple(ClassDef(owner, table[begin:end]) for owner, begin, end in spans))
         put(self, "_body_table", table)
         put(self, "_rows", None)
 
@@ -492,7 +471,7 @@ def parse_dex(data: bytes, source_name: str = "classes.dex") -> DexImage:
         body_table=None,
         invokes=tuple.__new__(_Invokes, (walk.methods(method_refs), walk.places, walk.units, walk.starts)),
     )
-    rows = (data, walk.refs, walk.code_starts, walk.owners, walk.class_ends, [None] * len(walk.refs))
+    rows = (data, walk.refs, walk.code_starts, walk.owners, walk.class_ends)
     object.__setattr__(image, "_rows", tuple.__new__(_Rows, rows))
     return image
 
@@ -803,8 +782,18 @@ def _decode_instructions(code: bytes, owner: str, name: str) -> tuple[Instructio
 # ---------------------------------------------------------------------------
 
 
-def _sites_of(dex: DexImage, targets: list[int]) -> list[InvocationSite]:
-    """Call sites of the given method indices from the invoke columns: body order, then offset."""
+_Site = tuple[str, str, MethodRef, int, int]  # see _sites_of
+
+
+def _sites_of(dex: DexImage, targets: list[int]) -> list[_Site]:
+    """Call sites of the given method indices from the invoke columns: body order, then offset.
+
+    A site is ``(owner, name, callee, offset, place)``: its calling method's
+    class and name, the method it calls, the invoke's byte offset in the
+    caller's code and the caller's ordinal in ``bodies()`` order. The caller
+    is read from the method and class rows, or from ``body_table`` on an
+    image without rows, and nothing is built for a site but its tuple.
+    """
     methods, places, units, starts = dex.invokes
     rows = []
     for i in targets:
@@ -814,18 +803,24 @@ def _sites_of(dex: DexImage, targets: list[int]) -> list[InvocationSite]:
             rows.append(row)
             row = methods.find(char, row + 1)
     if not rows:
-        return rows  # no site, so no body to build
+        return rows
     if len(targets) > 1:
         rows.sort()  # merge the per-target runs, each already in row order
-    make = tuple.__new__
     refs = dex.method_refs
+    at = list(map(places.__getitem__, rows))
     parsed = dex._rows
-    bodies = dex._body_table if parsed is None else _build_bodies(parsed, refs, map(places.__getitem__, rows))
-    sites = []
-    for row in rows:
-        place = places[row]
-        sites.append(make(InvocationSite, (bodies[place], refs[ord(methods[row])], 2 * (units[row] - starts[place]))))
-    return sites
+    if parsed is None:  # built by hand, unpickled, or every body already built
+        callers = list(map(dex._body_table.__getitem__, at))
+        owners, names = map(_OWNER, callers), map(_NAME, callers)
+    else:
+        owners = map(parsed.owners.__getitem__, map(functools.partial(bisect_right, parsed.class_ends), at))
+        names = map(_NAME, map(refs.__getitem__, map(parsed.refs.__getitem__, at)))
+    callees = map(refs.__getitem__, map(ord, map(methods.__getitem__, rows)))
+    offsets = map((2).__mul__, map(sub, map(units.__getitem__, rows), map(starts.__getitem__, at)))  # units to bytes
+    return list(zip(owners, names, callees, offsets, at))
+
+
+_OWNER, _NAME = attrgetter("owner"), attrgetter("name")  # of a MethodBody or a MethodRef
 
 
 def _scan_steps(code: bytes) -> bytes:
@@ -843,24 +838,25 @@ def _literal_at(code: bytes, pos: int) -> int:
     return int.from_bytes(code[pos + 2 : pos + 2 + width], "little", signed=True)
 
 
-def _literals_reaching(sites: Iterable[InvocationSite], max_lookback: int = DEFAULT_LOOKBACK) -> list[int | None]:
-    """``literal_reaching(site, max_lookback)`` for each of ``sites``, given in body order, then offset order.
+def _literals_reaching(dex: DexImage, sites: Iterable[_Site], max_lookback: int = DEFAULT_LOOKBACK) -> list[int | None]:
+    """Per site of ``dex`` (in ``_sites_of`` order), the literal of the last const/4, const/16 or const before it.
 
-    Each body's bytes are stepped forward once per call: a site resumes the
-    walk where the previous site in the same body left it, so the cost is
-    linear in instructions plus sites. The walk keeps the position and byte
-    offset of the last const/4, const/16 or const it passes, and reads that
-    const's literal from the bytes when it lies within ``max_lookback``
-    instructions of the site. A site out of that order restarts its body.
+    None when that const lies more than ``max_lookback`` instructions back
+    or there is none. Each body's code is read by its ordinal and stepped
+    forward once per call: a site resumes the walk where the previous site
+    in the same body left it, so the cost is linear in instructions plus
+    sites. The walk keeps the position and offset of the last const it
+    passes and reads the literal from the bytes. A site out of that order
+    restarts its body.
     """
+    parsed = dex._rows
     literals = []
-    body = None
+    body = -1
     pos = 0
-    for site in sites:
-        at = site.offset
-        if site.body is not body or at < pos:
-            body = site.body
-            code = body.code
+    for owner, name, _, at, place in sites:
+        if place != body or at < pos:
+            body = place
+            code = dex._body_table[place].code if parsed is None else _code_at(parsed.data, parsed.code_starts[place])
             steps = _scan_steps(code)
             pos = index = 0
             last = last_pos = -1  # the position and offset of the last const passed
@@ -873,18 +869,8 @@ def _literals_reaching(sites: Iterable[InvocationSite], max_lookback: int = DEFA
                     last = index
                     last_pos = pos
                 elif code[pos + 1] in _PAYLOAD_HIGH_BYTES:
-                    step = 2 * _payload_units(code, pos, len(code), body.owner, body.name)
+                    step = 2 * _payload_units(code, pos, len(code), owner, name)
             pos += step
             index += 1
         literals.append(_literal_at(code, last_pos) if last >= 0 and index - last <= max_lookback else None)
     return literals
-
-
-def literal_reaching(site: InvocationSite, max_lookback: int = DEFAULT_LOOKBACK) -> int | None:
-    """Literal of the nearest const/4, const/16 or const before the site.
-
-    Scans at most ``max_lookback`` instructions backwards in the site's own
-    body; returns None when no const is found in the window. Register
-    targets are ignored on purpose.
-    """
-    return _literals_reaching((site,), max_lookback)[0]

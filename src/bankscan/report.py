@@ -8,7 +8,8 @@ total, and the total as a percentage of 14 rounded half-up to two decimals.
 
 Three output encodings: ``text`` for humans, ``json`` for machines (the
 structured form round-trips losslessly), and ``csv`` tables. The JSON
-report is written directly, one section at a time, and its bytes equal
+report is written directly, one run of sections sharing every field but
+the evidence at a time, and its bytes equal
 ``json.dumps(doc, sort_keys=True, indent=2)`` of the report. All output is
 deterministic for a given input; report timestamps are injected by the
 caller or pinned by tests.
@@ -22,6 +23,8 @@ import datetime as _dt
 import io
 import json
 from collections import Counter
+from itertools import groupby, repeat
+from operator import itemgetter
 from typing import NamedTuple
 
 from .knowledge import KnowledgeBase, load_knowledge_base
@@ -31,6 +34,8 @@ SCHEMA_VERSION = 1
 
 _FORMATS = ("text", "json", "csv")
 _enc = json.encoder.encode_basestring_ascii  # the str encoder of json.dumps
+_FIXED = itemgetter(0, 1, 3, 4, 5, 6)  # a ReportSection's fields but the evidence
+_EVIDENCE = itemgetter(2)
 
 
 class ReportError(Exception):
@@ -190,22 +195,25 @@ def _json_array(items: list[str], indent: str) -> str:
 
 
 def _report_json_parts(report: Report) -> list[str]:
-    """The report as ``json.dumps(doc, sort_keys=True, indent=2)`` writes it, in pieces to join."""
+    """The report as ``json.dumps(doc, sort_keys=True, indent=2)`` writes it, in pieces to join.
+
+    A run of sections sharing every field but the evidence encodes those
+    fields once, and one ``str.join`` puts them between its evidence arrays.
+    """
     parts = [
         f'{{\n  "apk_name": {_enc(report.apk_name)},\n  "generated_at": {_enc(report.generated_at)},\n'
         f'  "kind": "report",\n  "schema_version": {json.dumps(report.schema_version)},\n  "sections": ['
     ]
-    separator, fixed = "\n    ", None
-    for s in report.sections:
-        key = (s.rule, s.severity, s.title, s.category, s.background, s.recommendation)
-        if key != fixed:  # a run of sections sharing these fields encodes them once
-            fixed = key
-            head = f'{{\n      "background": {_enc(s.background)},\n      "category": {_enc(s.category)},\n'
-            tail = (
-                f',\n      "recommendation": {_enc(s.recommendation)},\n      "rule": {_enc(s.rule.value)},\n'
-                f'      "severity": {_enc(s.severity.value)},\n      "title": {_enc(s.title)}\n    }}'
-            )
-        parts += (separator, head, '      "evidence": ', _json_array(list(map(_enc, s.evidence)), "      "), tail)
+    separator = "\n    "
+    for (rule, title, severity, category, background, recommendation), run in groupby(report.sections, _FIXED):
+        head = f'{{\n      "background": {_enc(background)},\n      "category": {_enc(category)},\n      "evidence": '
+        tail = (
+            f',\n      "recommendation": {_enc(recommendation)},\n      "rule": {_enc(rule.value)},\n'
+            f'      "severity": {_enc(severity.value)},\n      "title": {_enc(title)}\n    }}'
+        )
+        lines = map(",\n        ".join, map(map, repeat(_enc), map(_EVIDENCE, run)))  # each evidence array's inside
+        arrays = [f"[\n        {inner}\n      ]" if inner else "[]" for inner in lines]
+        parts += (separator, head, f"{tail},\n    {head}".join(arrays), tail)
         separator = ",\n    "
     users = _json_array(list(map(_enc, report.user_countermeasures)), "  ")
     parts += ("\n  ]" if report.sections else "]", ',\n  "user_countermeasures": ', users, "\n}")

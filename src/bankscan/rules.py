@@ -21,12 +21,12 @@ one C-level pass over the method refs picks the ones named in the table, and
 each of those that matches and is invoked is kept. The same pass settles the
 DEX-level facts: a root marker in the string pool, the package Signature
 type, the first WebView type and a ``FLAG_SECURE`` window flag. A rule that
-needs sites reads them from the DEX's invoke columns for the resolved method
-indices. The first code rule to ask, R01, pays for the table, so a per-rule
-trace shows it under R01, R09's pool search and R13's const back-scan
-included. The const back-scan is one batch call for all of R07's or R08's
-sites, and one per DEX for R13's: it steps the bytes of each calling body
-once, however many sites the body holds, and builds no instruction record.
+needs sites reads them as plain tuples from the DEX's invoke columns and
+method rows for the resolved method indices, and builds no method body. The
+first code rule to ask, R01, pays for the table, so a per-rule trace shows
+it under R01, R09's pool search and R13's const back-scan included. The
+const back-scan is one call per DEX for all of R07's, R08's or R13's sites:
+it steps the bytes of each calling body once, however many sites it holds.
 
 Known, accepted imprecision: rules scan bundled third-party code exactly
 like first-party code, R01 matches on method-local co-occurrence rather
@@ -38,11 +38,11 @@ from __future__ import annotations
 
 import enum
 import functools
-from itertools import compress, count
+from itertools import compress, count, repeat
 from operator import itemgetter
 from typing import Any, Callable, NamedTuple
 
-from .dex import DexImage, InvocationSite, _Frozen, _literals_reaching, _sites_of
+from .dex import DexImage, _Frozen, _literals_reaching, _Site, _sites_of
 from .manifest import ManifestModel
 
 FLAG_SECURE = 0x2000
@@ -225,7 +225,7 @@ def _resolve_facts(dex: DexImage) -> dict[str, Any]:
     if webkit is not None:
         found["webkit type"] = webkit
     window_flags = _sites_of(dex, found.get("Window flags", ()))
-    literals = _literals_reaching(window_flags)
+    literals = _literals_reaching(dex, window_flags)
     secure = next((site for site, literal in zip(window_flags, literals) if literal == FLAG_SECURE), None)
     if secure is not None:
         found["FLAG_SECURE"] = secure
@@ -238,23 +238,25 @@ class ScanResult(NamedTuple):
     rule_vector: tuple[bool, ...]
 
 
-def _sites(inp: ScanInput, key: str) -> list[tuple[DexImage, InvocationSite]]:
-    """``(dex, site)`` for every call to a target: DEX order, then body, then position."""
+def _sites(inp: ScanInput, key: str) -> list[tuple[DexImage, _Site]]:
+    """``(dex, site)`` for every call to a target: DEX order, then body, then offset."""
     return [(dex, site) for dex, indices in inp.facts.get(key, ()) for site in _sites_of(dex, indices)]
 
 
-def _site_literals(inp: ScanInput, key: str) -> list[tuple[tuple[DexImage, InvocationSite], int | None]]:
+def _site_literals(inp: ScanInput, key: str) -> list[tuple[tuple[DexImage, _Site], int | None]]:
     """``((dex, site), literal reaching it)`` for every call to a target, in ``_sites`` order."""
-    sites = _sites(inp, key)
-    return list(zip(sites, _literals_reaching([site for _, site in sites])))
+    pairs = []
+    for dex, indices in inp.facts.get(key, ()):
+        sites = _sites_of(dex, indices)
+        pairs += zip(zip(repeat(dex), sites), _literals_reaching(dex, sites))
+    return pairs
 
 
-def _call_lines(sites: list[tuple[DexImage, InvocationSite]], suffix: str = "") -> list[tuple[str, ...]]:
+def _call_lines(sites: list[tuple[DexImage, _Site]], suffix: str = "") -> list[tuple[str, ...]]:
     """One finding's evidence per ``(dex, site)``: the one line that names the call."""
     return [
-        (f"{dex.source_name}: {site.body.owner}->{site.body.name} +0x{site.offset:04x} "
-         f"calls {site.callee.owner}->{site.callee.name}{suffix}",)
-        for dex, site in sites
+        (f"{dex.source_name}: {owner}->{name} +0x{offset:04x} calls {callee.owner}->{callee.name}{suffix}",)
+        for dex, (owner, name, callee, offset, _) in sites
     ]
 
 
@@ -326,21 +328,20 @@ def _r01_implicit_service(inp: ScanInput) -> list[tuple[str, ...]]:
             continue
         # Sites come in body order, so the first one seen per body is its
         # first constructor call and grouped start sites keep body order.
-        # Bodies are keyed by identity: they live as long as the image.
+        # Bodies are keyed by their ordinal, a site's last field.
         first_ctor: dict[int, int] = {}
-        for site in _sites_of(dex, ctor_targets):
-            first_ctor.setdefault(id(site.body), site.offset)
-        starts: dict[int, list[InvocationSite]] = {}
+        for _, _, _, offset, place in _sites_of(dex, ctor_targets):
+            first_ctor.setdefault(place, offset)
+        starts: dict[int, list[_Site]] = {}
         for site in _sites_of(dex, start_targets[id(dex)]):
-            if id(site.body) in first_ctor:
-                starts.setdefault(id(site.body), []).append(site)
-        for key, sites in starts.items():
-            body = sites[0].body
+            if site[4] in first_ctor:
+                starts.setdefault(site[4], []).append(site)
+        for place, sites in starts.items():
             evidence.append(tuple(
-                f"{dex.source_name}: {body.owner}->{body.name} +0x{site.offset:04x} "
-                f"calls {site.callee.owner}->{site.callee.name} with implicit Intent "
-                f"(action-string constructor at +0x{first_ctor[key]:04x})"
-                for site in sites
+                f"{dex.source_name}: {owner}->{name} +0x{offset:04x} "
+                f"calls {callee.owner}->{callee.name} with implicit Intent "
+                f"(action-string constructor at +0x{first_ctor[place]:04x})"
+                for owner, name, callee, offset, _ in sites
             ))
     return evidence
 

@@ -9,20 +9,22 @@ import copy
 import functools
 import gc
 import hashlib
+import json
 import pickle
 import struct
 import tracemalloc
 import zlib
 from collections import defaultdict
+from typing import NamedTuple
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bankscan import dex as dex_module
-from bankscan import rules as rules_module
 from bankscan import scanner
 from bankscan.apk import dex_entry_names, load_apk, read_entry
+from bankscan.report import render_report, serialize
 from bankscan.dex import (
     BadEndianTagError,
     BadMagicError,
@@ -33,7 +35,6 @@ from bankscan.dex import (
     MethodBody,
     SectionOutOfBoundsError,
     _sites_of,
-    literal_reaching,
     parse_dex,
 )
 from bankscan.fixtures import (
@@ -69,9 +70,23 @@ def _owner_matches(pattern: str, owner: str) -> bool:
     return owner == pattern
 
 
+class Site(NamedTuple):
+    """A call site as ``_sites_of`` gives it, its fields named; it equals the plain tuple."""
+
+    owner: str  # the calling method's class
+    name: str  # the calling method's name
+    callee: dex_module.MethodRef
+    offset: int  # the invoke's byte offset in the caller's code
+    place: int  # the caller's ordinal in bodies() order
+
+
+def sites_of(dex, targets):
+    return [Site(*site) for site in _sites_of(dex, targets)]
+
+
 def invocations_where(dex, matches):
     """Every invoke whose target satisfies ``matches``: body order, then position."""
-    return _sites_of(dex, [i for i, ref in enumerate(dex.method_refs) if matches(ref)])
+    return sites_of(dex, [i for i, ref in enumerate(dex.method_refs) if matches(ref)])
 
 
 def invocations_of(dex, owner_pattern, method_name):
@@ -79,13 +94,20 @@ def invocations_of(dex, owner_pattern, method_name):
     return invocations_where(dex, lambda ref: ref.name == method_name and _owner_matches(owner_pattern, ref.owner))
 
 
-def position(site):
-    """The index in ``site.body.instructions`` of the instruction that starts at ``site.offset``.
+def position(image, site):
+    """The index among its caller's decoded instructions of the instruction that starts at the site's offset.
 
-    Decodes the body; fails unless exactly one instruction starts there.
+    Builds every body of ``image`` and decodes the caller's; fails unless
+    exactly one instruction starts there.
     """
-    [index] = [i for i, ins in enumerate(site.body.instructions) if ins.offset == site.offset]
+    _, _, _, offset, place = site
+    [index] = [i for i, ins in enumerate(image.body_table[place].instructions) if ins.offset == offset]
     return index
+
+
+def literal_reaching(image, site, max_lookback=dex_module.DEFAULT_LOOKBACK):
+    """The const back-scan for one site."""
+    return dex_module._literals_reaching(image, [site], max_lookback)[0]
 
 
 def call_sites(image):
@@ -97,9 +119,10 @@ def call_sites(image):
     """
     methods, places = image.invokes.methods, image.invokes.places
     sites = {}
-    every = _sites_of(image, sorted(set(map(ord, methods))))  # one site per row, in row order
+    every = sites_of(image, sorted(set(map(ord, methods))))  # one site per row, in row order
     for char, ordinal, site in zip(methods, places, every, strict=True):
-        sites.setdefault(ord(char), []).append((ordinal, position(site), site.offset))
+        assert site.place == ordinal and site.callee == image.method_refs[ord(char)]
+        sites.setdefault(ord(char), []).append((ordinal, position(image, site), site.offset))
     return sites
 
 
@@ -201,7 +224,7 @@ def test_invocations_exact_and_wildcard(addjs_artifact):
     image = parse_dex(addjs_artifact.data)
     exact = invocations_of(image, WEBVIEW, "addJavascriptInterface")
     assert len(exact) == 1
-    assert (exact[0].body.owner, exact[0].body.name) == ("Lfixture/addjs/Markers;", "bindJsBridge")
+    assert (exact[0].owner, exact[0].name) == ("Lfixture/addjs/Markers;", "bindJsBridge")
     assert invocations_of(image, "Landroid/webkit/*", "addJavascriptInterface") == exact
     assert invocations_of(image, "Lcom/nothing/*", "addJavascriptInterface") == []
 
@@ -235,7 +258,7 @@ def test_two_call_sites_have_distinct_offsets():
 def _walked_sites(image, owner_pattern, method_name):
     """Reference for invocations_of: a walk over every instruction of every body."""
     sites = []
-    for body in image.bodies():
+    for ordinal, body in enumerate(image.bodies()):
         for i, ins in enumerate(body.instructions):
             if ins.method_index is None:
                 continue
@@ -246,13 +269,13 @@ def _walked_sites(image, owner_pattern, method_name):
                 else ref.owner == owner_pattern
             )
             if ref.name == method_name and owner_hit:
-                sites.append((id(body), i, ref, ins.offset))
+                sites.append((ordinal, body.owner, body.name, i, ref, ins.offset))
     return sites
 
 
 def _indexed_sites(image, owner_pattern, method_name):
     return [
-        (id(site.body), position(site), site.callee, site.offset)
+        (site.place, site.owner, site.name, position(image, site), site.callee, site.offset)
         for site in invocations_of(image, owner_pattern, method_name)
     ]
 
@@ -317,7 +340,7 @@ def test_sites_of_several_targets_keep_body_then_position_order():
     )
     image = parse_dex(art.data)
     sites = invocations_of(image, "*", "run")
-    assert [(s.body.name, position(s), s.callee.owner) for s in sites] == [
+    assert [(s.name, position(image, s), s.callee.owner) for s in sites] == [
         ("alpha", 0, "Lz/Late;"),
         ("alpha", 1, "La/Early;"),
         ("alpha", 3, "Lz/Late;"),
@@ -532,7 +555,7 @@ def test_odd_aligned_code_items_give_the_same_sites_and_errors():
     data = emit_dex(_ORDER_OWNER, _ORDER_METHODS).data
     even = parse_dex(data)
     even_sites = invocations_of(even, JFILE, "delete")
-    assert [(site.body.name, position(site), site.offset) for site in even_sites] == [("a", 0, 0), ("b", 1, 6)]
+    assert [(site.name, position(even, site), site.offset) for site in even_sites] == [("a", 0, 0), ("b", 1, 6)]
     methods = _u32(data, 0x58)
     for names in ({"a"}, {"b"}, {"a", "b"}):
         moved = _odd_code_items(data, names)
@@ -658,6 +681,40 @@ def test_scan_decodes_no_body(monkeypatch):
     assert sum(len(f.evidence) for f in result.findings if f.rule.value == "R11") == 60
 
 
+def _with_every_body(image):
+    list(image.bodies())  # as perfbench's traced counts do after each parse
+    return image
+
+
+def test_scan_reads_alike_from_rows_built_bodies_and_a_pickled_image(monkeypatch):
+    # The site query and the back-scan read the rows of an image straight
+    # from parse_dex, and body_table once every body is built or when the
+    # image was built with one, as an unpickled image is.
+    prepares = {
+        "rows": lambda image: image,
+        "bodies": _with_every_body,
+        "pickled": lambda image: pickle.loads(pickle.dumps(image)),
+    }
+    apps = [(profile.name, build_fixture(profile)) for profile in rule_oracle_corpus() + fleet_profiles()]
+    apps.append(("webview.apk", _webview_apk(300)))
+    results, sources = {}, {}
+    for way, prepare in prepares.items():
+        images = []
+
+        def prepared_parse(data, source_name="classes.dex"):
+            images.append(prepare(parse_dex(data, source_name=source_name)))
+            return images[-1]
+
+        monkeypatch.setattr(scanner, "parse_dex", prepared_parse)
+        results[way] = [scanner.scan_bytes(apk, name) for name, apk in apps]
+        sources[way] = {image._rows is None for image in images}
+    assert sources == {"rows": {False}, "bodies": {True}, "pickled": {True}}
+    assert results["bodies"] == results["rows"] and results["pickled"] == results["rows"]
+    webview = results["rows"][-1]
+    assert sum(len(f.evidence) for f in webview.findings if f.rule.value == "R11") == 300
+    assert sum(len(f.evidence) for f in webview.findings if f.rule.value == "R08") == 100
+
+
 def _bulk_sketches(count: int) -> list[MethodSketch]:
     """Filler methods shaped like the bulk benchmark's: 40 instructions, invokes no rule asks about."""
     neutral = [
@@ -689,9 +746,10 @@ def test_parsed_counts_match_bulk_sketch():
 
 
 # --- bodies built on first read -----------------------------------------------
-# parse_dex builds no MethodBody: each method is a row, and the image builds a
-# body from its row when _sites_of, body_table, classes or bodies() first
-# reads it, through one table, so a method always gives the same body.
+# parse_dex builds no MethodBody: each method is a row, and the image builds
+# every body from the rows when body_table, classes or bodies() is first read,
+# into one table, so a method always gives the same body. The site query and
+# the const back-scan read the rows and build no body.
 
 
 def _live_method_bodies() -> int:
@@ -699,29 +757,31 @@ def _live_method_bodies() -> int:
     return sum(type(o) is MethodBody for o in gc.get_objects())
 
 
-def test_scan_builds_only_the_bodies_of_returned_sites(monkeypatch):
-    images, returned = [], []
+def test_scan_render_and_serialize_build_no_method_body(monkeypatch):
+    images = []
 
     def recording_parse(data, source_name="classes.dex"):
-        images.append(parse_dex(data, source_name=source_name))  # kept, so every body it builds stays alive
+        images.append(parse_dex(data, source_name=source_name))  # kept, so any body it built would stay alive
         return images[-1]
 
-    def recording_sites_of(dex, targets):
-        sites = _sites_of(dex, targets)
-        returned.extend(sites)
-        return sites
-
     monkeypatch.setattr(scanner, "parse_dex", recording_parse)
-    monkeypatch.setattr(rules_module, "_sites_of", recording_sites_of)
     core = next(p for p in fleet_profiles() if p.name == "revolut-like")
     data = emit_dex("Lfixture/bulk/App;", method_sketches(core.code_knobs) + _bulk_sketches(300)).data
+    apps = [(profile.name, build_fixture(profile)) for profile in rule_oracle_corpus() + fleet_profiles()]
+    apps.append(("bulk.apk", pack_apk([("AndroidManifest.xml", build_manifest_bytes(core)), ("classes.dex", data)])))
+    apps.append(("webview.apk", _webview_apk(60)))
     before = _live_method_bodies()
-    image = parse_dex(data)
+    evidence = defaultdict(int)
+    for name, apk in apps:
+        report = render_report(scanner.scan_bytes(apk, name), generated_at="t0")
+        assert json.loads(serialize(report, "json"))["apk_name"] == name
+        for section in report.sections:
+            evidence[section.rule.value] += len(section.evidence)
     assert _live_method_bodies() == before
-    assert len(image.invokes.methods) > 300  # the filler's invokes are recorded, but no body is built
-    apk = pack_apk([("AndroidManifest.xml", build_manifest_bytes(core)), ("classes.dex", data)])
-    assert scanner.scan_bytes(apk, "bulk.apk").findings
-    assert _live_method_bodies() - before == len({id(site.body) for site in returned}) == 4  # of 304 bodies
+    assert len(images) == 36 and all(image._rows is not None for image in images)  # no body table was built
+    # every call-site rule and the FLAG_SECURE back-scan gave sites
+    assert all(evidence[rule] for rule in ("R01", "R04", "R05", "R07", "R08", "R11"))
+    assert evidence["R11"] >= 60 and evidence["R13"] < len(apps)
 
 
 def _three_class_dex(artifact):
@@ -759,8 +819,12 @@ def test_bodies_of_every_class_are_built_from_their_rows(rows_artifact):
     assert all(body.owner == cls.type_name for cls in image.classes for body in cls.methods)
     plain = parse_dex(rows_artifact.data)
     assert [b.code for c in image.classes for b in c.methods] == [b.code for b in plain.body_table] * 2
-    sites = _sites_of(parse_dex(bytes(data)), sorted(set(map(ord, image.invokes.methods))))
-    assert [site.body.owner for site in sites] == [owner] * (len(sites) // 2) + [other] * (len(sites) // 2)
+    fresh = parse_dex(bytes(data))
+    targets = sorted(set(map(ord, fresh.invokes.methods)))
+    sites = sites_of(fresh, targets)  # callers read from the rows
+    assert [site.owner for site in sites] == [owner] * (len(sites) // 2) + [other] * (len(sites) // 2)
+    assert [(site.owner, site.name) for site in sites] == [(b.owner, b.name) for b in map(fresh.body_table.__getitem__, fresh.invokes.places)]
+    assert sites_of(fresh, targets) == sites  # and from the body table, now built
 
 
 def test_undefined_invoke_names_its_owner_past_an_empty_class(rows_artifact):
@@ -778,7 +842,7 @@ def test_a_method_gives_one_body_whichever_read_comes_first(rows_artifact, first
     image = parse_dex(bytes(_three_class_dex(rows_artifact)[2]))
     methods, places = image.invokes.methods, image.invokes.places
     reads = {
-        "sites": lambda: [site.body for site in _sites_of(image, sorted(set(map(ord, methods))))],
+        "sites": lambda: sites_of(image, sorted(set(map(ord, methods)))),
         "body_table": lambda: list(image.body_table),
         "classes": lambda: [body for cls in image.classes for body in cls.methods],
         "bodies": lambda: list(image.bodies()),
@@ -789,7 +853,8 @@ def test_a_method_gives_one_body_whichever_read_comes_first(rows_artifact, first
     assert len(table) == 12 and len(set(map(id, table))) == 12
     assert all(a is b for a, b in zip(seen["classes"], table, strict=True))
     assert all(a is b for a, b in zip(seen["bodies"], table, strict=True))
-    assert all(body is table[place] for body, place in zip(seen["sites"], places, strict=True))
+    assert [site.place for site in seen["sites"]] == places
+    assert all((site.owner, site.name) == (table[site.place].owner, table[site.place].name) for site in seen["sites"])
 
 
 @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, lambda image: pickle.loads(pickle.dumps(image))])
@@ -821,19 +886,19 @@ def _single_site(image):
 def test_literal_reaching_adjacent():
     image = parse_dex(emit_dex("La/A;", [_padded_invoke_sketch(0)]).data)
     site = _single_site(image)
-    assert literal_reaching(site) == 1
+    assert literal_reaching(image, site) == 1
 
 
 def test_literal_reaching_window_boundary():
     # const + 7 nops: const is the 8th instruction back, still inside the window
     image = parse_dex(emit_dex("La/A;", [_padded_invoke_sketch(7)]).data)
     site = _single_site(image)
-    assert literal_reaching(site) == 1
+    assert literal_reaching(image, site) == 1
     # const + 8 nops: one past the default window
     image = parse_dex(emit_dex("La/A;", [_padded_invoke_sketch(8)]).data)
     site = _single_site(image)
-    assert literal_reaching(site) is None
-    assert literal_reaching(site, max_lookback=9) == 1
+    assert literal_reaching(image, site) is None
+    assert literal_reaching(image, site, max_lookback=9) == 1
 
 
 def test_literal_reaching_const16_and_const32():
@@ -845,7 +910,7 @@ def test_literal_reaching_const16_and_const32():
         )
         image = parse_dex(art.data)
         [site] = invocations_of(image, "Landroid/view/Window;", "addFlags")
-        assert literal_reaching(site) == 0x2000
+        assert literal_reaching(image, site) == 0x2000
 
 
 def test_literal_reaching_none_without_const():
@@ -856,7 +921,7 @@ def test_literal_reaching_none_without_const():
     )
     image = parse_dex(art.data)
     [site] = invocations_of(image, JFILE, "delete")
-    assert literal_reaching(site) is None
+    assert literal_reaching(image, site) is None
 
 
 def test_negative_const4_literal_sign_extends():
@@ -866,7 +931,7 @@ def test_negative_const4_literal_sign_extends():
     )
     image = parse_dex(art.data)
     [site] = invocations_of(image, JFILE, "delete")
-    assert literal_reaching(site) == -1
+    assert literal_reaching(image, site) == -1
 
 
 def test_instruction_offsets_strictly_increase(addjs_artifact):
@@ -1141,7 +1206,7 @@ def test_multibyte_uleb128_method_diff_and_string_length():
     assert body.name == "go"
     for i in (0, 127, 128, 129):
         [site] = invocations_of(image, "La/A;", f"m{i:03d}")
-        assert position(site) == 2 + i
+        assert position(image, site) == 2 + i
 
 
 # --- the instruction walk against its oracle ---------------------------------
@@ -1387,9 +1452,8 @@ def _streams_image(streams, odd):
     data = bytes(data)
     if odd:
         data = _odd_code_items(data, {names[k] for k in odd})
-    image = parse_dex(data)
-    assert [body.code for body in image.body_table] == streams
-    return image
+    assert [body.code for body in parse_dex(data).body_table] == streams
+    return parse_dex(data)  # its bodies not built yet
 
 
 _INVOKE_THEN_PAYLOAD = _units([0x6E, 0, 0, 0x0100, 1, 0, 0, 0, 0, 0x000E])
@@ -1410,7 +1474,7 @@ def test_site_positions_match_the_oracle_walk(case):
         _oracle_walk_instructions(body.code, body.owner, body.name, len(image.method_refs), walked, ordinal)
     assert list(call_sites(image).items()) == list(walked.items())
     for index in range(len(image.method_refs)):
-        sites = [(site.body.name, position(site), site.offset) for site in _sites_of(image, [index])]
+        sites = [(site.name, position(image, site), site.offset) for site in sites_of(image, [index])]
         assert sites == [(names[ordinal], at, offset) for ordinal, at, offset in walked.get(index, [])]
 
 
@@ -1423,15 +1487,15 @@ CONST_OPS = (0x12, 0x13, 0x14)  # const/4, const/16, const
 _LOOKALIKE_OPS = [0x15, 0x16, 0x17, 0x18]
 
 
-def _oracle_literal_reaching(site, max_lookback=dex_module.DEFAULT_LOOKBACK):
+def _oracle_literal_reaching(image, site, max_lookback=dex_module.DEFAULT_LOOKBACK):
     """Literal of the nearest const/4, const/16 or const before the site.
 
     Scans at most ``max_lookback`` instructions backwards in the site's own
     body; returns None when no const is found in the window. Register
     targets are ignored on purpose.
     """
-    instructions = site.body.instructions
-    index = position(site)
+    instructions = image.body_table[site.place].instructions
+    index = position(image, site)
     for j in range(index - 1, max(-1, index - 1 - max_lookback), -1):
         if instructions[j].opcode in CONST_OPS:
             return instructions[j].literal
@@ -1478,13 +1542,16 @@ _LOOKALIKES_THEN_RANGE_INVOKE = _units([0x7013, 0xFFFE, 0x0115, 1, 0x0218, 1, 2,
 @example(([_CONST_PAYLOAD_INVOKE, _LOOKALIKES_THEN_RANGE_INVOKE], {0, 1}))
 def test_backscan_matches_the_instruction_window_oracle(case):
     image = _streams_image(*case)
-    sites = _sites_of(image, list(range(len(image.method_refs))))
+    sites = sites_of(image, list(range(len(image.method_refs))))
+    from_rows = [dex_module._literals_reaching(image, sites, max_lookback) for max_lookback in range(13)]
+    assert image._rows is not None  # the code was read from the rows
     for site in sites:
-        assert site.body.instructions[position(site)].opcode in INVOKE_OPS
+        assert image.body_table[site.place].instructions[position(image, site)].opcode in INVOKE_OPS
     for max_lookback in range(13):
-        expected = [_oracle_literal_reaching(site, max_lookback) for site in sites]
-        assert [literal_reaching(site, max_lookback) for site in sites] == expected, max_lookback
-        assert dex_module._literals_reaching(sites, max_lookback) == expected, max_lookback
+        expected = [_oracle_literal_reaching(image, site, max_lookback) for site in sites]
+        assert [literal_reaching(image, site, max_lookback) for site in sites] == expected, max_lookback
+        assert dex_module._literals_reaching(image, sites, max_lookback) == expected, max_lookback
+        assert from_rows[max_lookback] == expected, max_lookback
 
 
 # --- shared string data --------------------------------------------------------
@@ -1548,20 +1615,23 @@ def test_method_ref_and_invocation_site_records():
     ref = dex_module.MethodRef(owner="Landroid/webkit/WebView;", name="loadUrl", shorty="VL")
     assert repr(ref) == "MethodRef(owner='Landroid/webkit/WebView;', name='loadUrl', shorty='VL')"
     assert ref == ("Landroid/webkit/WebView;", "loadUrl", "VL")
-    assert dex_module.InvocationSite._fields == ("body", "callee", "offset")
     images = _multidex_images()
     assert len(images) == 2
     for image in images:
-        ordinal_of = {id(body): k for k, body in enumerate(image.body_table)}
+        raw = _sites_of(image, range(len(image.method_refs)))  # read from the rows: a plain 5-tuple per site
+        assert image._rows is not None and all(type(site) is tuple and len(site) == 5 for site in raw)
         sites = invocations_where(image, lambda ref: True)
+        assert sites == raw
         assert len(sites) == sum(len(v) for v in call_sites(image).values())
         names = sorted({ref.name for ref in image.method_refs})
         for found in [sites] + [invocations_of(image, "*", name) for name in names]:
-            keys = [(ordinal_of[id(site.body)], position(site)) for site in found]
+            keys = [(site.place, position(image, site)) for site in found]
             assert keys == sorted(set(keys)), image.source_name
         for site in sites:
+            body = image.body_table[site.place]
+            assert (site.owner, site.name) == (body.owner, body.name)
             assert site.callee in image.method_refs
-            assert site.body.instructions[position(site)].opcode in INVOKE_OPS
+            assert body.instructions[position(image, site)].opcode in INVOKE_OPS
             assert repr(site.callee) == (
                 f"MethodRef(owner={site.callee.owner!r}, name={site.callee.name!r}, shorty={site.callee.shorty!r})"
             )

@@ -256,21 +256,38 @@ _evidence_line = st.one_of(
     st.lists(_any_text, min_size=2, max_size=3).map("\n".join),  # multi-line
     st.sampled_from(['"quoted"', "back\\slash", "tab\tand\x00nul", "café \U0001f512", "\ud800"]),
 )
-_sections = st.builds(
-    ReportSection,
-    rule=st.sampled_from(list(RuleId)),
-    title=_any_text,
-    evidence=st.lists(_evidence_line, max_size=4).map(tuple),
-    severity=st.sampled_from(list(Severity)),
-    category=_any_text,
-    background=_any_text,
-    recommendation=_any_text,
+_evidence = st.one_of(
+    st.just(()),
+    _evidence_line.map(lambda line: (line,)),
+    st.lists(_evidence_line, min_size=2, max_size=4).map(tuple),
 )
+# rule, title, severity, category, background, recommendation: the fields a run of sections shares
+_fixed_fields = st.tuples(
+    st.sampled_from(list(RuleId)), _any_text, st.sampled_from(list(Severity)), _any_text, _any_text, _any_text
+)
+
+
+@st.composite
+def _sections(draw):
+    """Up to four runs of 1-50 sections, each run's fixed fields drawn from a pool of 2-3, so runs repeat and meet.
+
+    Each section's evidence is drawn from a pool of 1-4 as well, which keeps long runs cheap to draw.
+    """
+    pool = draw(st.lists(_fixed_fields, min_size=2, max_size=3))
+    evidence = st.sampled_from(draw(st.lists(_evidence, min_size=1, max_size=4)))
+    sections = []
+    for _ in range(draw(st.integers(0, 4))):
+        rule, title, severity, category, background, recommendation = draw(st.sampled_from(pool))
+        for _ in range(draw(st.integers(1, 50))):
+            sections.append(ReportSection(rule, title, draw(evidence), severity, category, background, recommendation))
+    return tuple(sections)
+
+
 _reports = st.builds(
     Report,
     apk_name=_any_text,
     generated_at=_any_text,
-    sections=st.lists(_sections, max_size=5).map(tuple),
+    sections=_sections(),
     user_countermeasures=st.lists(_any_text, max_size=3).map(tuple),
     schema_version=st.integers(-(2**70), 2**70),
 )

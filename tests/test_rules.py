@@ -412,9 +412,6 @@ def test_backscan_steps_each_body_once_per_call(monkeypatch):
     flags = ("invoke-virtual", [0, 1], (WINDOW, "addFlags", ("V", ("I",))))
     configure = [ins for k in range(2000) for ins in (("const4", 1, k % 2), js)]
     lock = [ins for k in range(2000) for ins in (("const16", 1, 0x2000 if k == 1999 else 0x80), flags)]
-    inp = make_input(
-        [MethodSketch("configure", configure + [("return-void",)]), MethodSketch("lock", lock + [("return-void",)])]
-    )
     starts = []
     original = dex_module._scan_steps
 
@@ -423,14 +420,23 @@ def test_backscan_steps_each_body_once_per_call(monkeypatch):
         return original(code)
 
     monkeypatch.setattr(dex_module, "_scan_steps", counting_steps)
-    assert "FLAG_SECURE" in inp.facts  # R13's back-scan runs as the facts resolve
-    assert starts == [2000 * 10 + 2]  # lock: const/16 and invoke, 10 bytes a pair
-    starts.clear()
-    findings = evaluate_rule(RuleId.R08, inp)
-    assert sum(len(f.evidence) for f in findings) == 1000
-    assert findings[-1].evidence[0].endswith(f"+0x{1999 * 8 + 2:04x} calls {WEBSETTINGS}->setJavaScriptEnabled with literal 1")
-    assert starts == [2000 * 8 + 2]  # configure: const/4 and invoke, 8 bytes a pair
-    assert evaluate_rule(RuleId.R13, inp) == []
+    for built in (False, True):  # code read from the rows, or from body_table once bodies() has built it
+        inp = make_input(
+            [MethodSketch("configure", configure + [("return-void",)]), MethodSketch("lock", lock + [("return-void",)])]
+        )
+        if built:
+            list(inp.dexes[0].bodies())
+        starts.clear()
+        assert "FLAG_SECURE" in inp.facts  # R13's back-scan runs as the facts resolve
+        assert starts == [2000 * 10 + 2]  # lock: const/16 and invoke, 10 bytes a pair
+        starts.clear()
+        findings = evaluate_rule(RuleId.R08, inp)
+        assert sum(len(f.evidence) for f in findings) == 1000
+        last = f"+0x{1999 * 8 + 2:04x} calls {WEBSETTINGS}->setJavaScriptEnabled with literal 1"
+        assert findings[-1].evidence[0] == f"classes.dex: Ltest/app/Code;->configure {last}"
+        assert starts == [2000 * 8 + 2]  # configure: const/4 and invoke, 8 bytes a pair
+        assert evaluate_rule(RuleId.R13, inp) == []
+        assert (inp.dexes[0]._rows is None) == built
 
 
 def _lookup_rules_input(site_count):
@@ -504,9 +510,8 @@ OLD_TARGET_QUERIES = {
 def _old_sites(dex, query):
     if callable(query):
         return invocations_where(dex, query)
-    ordinal = {id(body): i for i, body in enumerate(dex.body_table)}
     sites = [site for owner, name in query for site in invocations_of(dex, owner, name)]
-    return sorted(sites, key=lambda site: (ordinal[id(site.body)], position(site)))
+    return sorted(sites, key=lambda site: (site.place, position(dex, site)))
 
 
 def _near_miss_input():
@@ -559,9 +564,13 @@ def test_resolved_targets_equal_the_old_per_rule_queries():
     assert {key for _, _, key in CODE_TARGETS.values()} == set(OLD_TARGET_QUERIES)
     hits = set()
     for inp in _resolution_inputs():
+        from_rows = {key: rules_module._sites(inp, key) for key in OLD_TARGET_QUERIES}
+        assert all(dex._rows is not None for dex in inp.dexes)  # no body was built for them
         for key, query in OLD_TARGET_QUERIES.items():
+            # owner, name, callee, offset and ordinal, ordered by ordinal and position
             expected = [(dex, site) for dex in inp.dexes for site in _old_sites(dex, query)]
-            assert rules_module._sites(inp, key) == expected, (inp.dexes[0].source_name, key)
+            assert from_rows[key] == expected, (inp.dexes[0].source_name, key)
+            assert rules_module._sites(inp, key) == expected, (inp.dexes[0].source_name, key)  # from the body tables
             if expected:
                 hits.add(key)
         for key in OLD_TARGET_QUERIES.keys() & inp.facts.keys():
@@ -573,7 +582,7 @@ def test_resolved_targets_equal_the_old_per_rule_queries():
 def test_near_misses_resolve_as_before():
     inp = _near_miss_input()
     callees = {
-        key: {(site.callee.owner, site.callee.shorty) for _, site in rules_module._sites(inp, key)}
+        key: {(callee.owner, callee.shorty) for _, (_, _, callee, _, _) in rules_module._sites(inp, key)}
         for key in OLD_TARGET_QUERIES
     }
     assert callees["File.delete"] == {(JFILE, "Z")}
@@ -584,8 +593,12 @@ def test_near_misses_resolve_as_before():
     delete_dexes = [dex.source_name for dex, _ in inp.facts["File.delete"]]
     assert delete_dexes == ["classes.dex", "classes2.dex"]
     # Window.addFlags/setFlags sites merge in body order, then position.
-    flags = [(site.body.name, position(site)) for _, site in rules_module._sites(inp, "Window flags")]
-    assert flags == [("mixed", 5), ("mixed", 6), ("mixed", 7), ("other", 1)]
+    flags = [(site[:2], position(dex, site), site[2].name) for dex, site in rules_module._sites(inp, "Window flags")]
+    owner = "Ltest/app/Code;"
+    assert flags == [
+        ((owner, "mixed"), 5, "setFlags"), ((owner, "mixed"), 6, "addFlags"),
+        ((owner, "mixed"), 7, "setFlags"), ((owner, "other"), 1, "setFlags"),
+    ]
 
 
 def test_targets_resolve_once_per_dex_per_scan(monkeypatch):
