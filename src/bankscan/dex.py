@@ -50,7 +50,7 @@ import sys
 from bisect import bisect_right
 from collections.abc import Iterable
 from itertools import repeat
-from operator import attrgetter, itemgetter, sub
+from operator import itemgetter
 from typing import NamedTuple
 
 HEADER_SIZE = 0x70
@@ -347,7 +347,7 @@ class DexImage(_Frozen):
         data, refs, code_starts, owners, ends = rows
         spans = list(zip(owners, [0, *ends], ends))  # each class's type and its bodies' ordinals
         types = [owner for owner, begin, end in spans for _ in range(begin, end)]
-        names = map(_NAME, map(self.method_refs.__getitem__, refs))
+        names = [self.method_refs[ref].name for ref in refs]
         table = tuple(map(MethodBody, types, names, map(_code_at, repeat(data), code_starts)))
         put = object.__setattr__
         put(self, "_classes", tuple(ClassDef(owner, table[begin:end]) for owner, begin, end in spans))
@@ -795,32 +795,31 @@ def _sites_of(dex: DexImage, targets: list[int]) -> list[_Site]:
     image without rows, and nothing is built for a site but its tuple.
     """
     methods, places, units, starts = dex.invokes
-    rows = []
+    refs = dex.method_refs
+    parsed = dex._rows
+    if parsed is None:  # built by hand, unpickled, or every body already built
+        bodies = dex._body_table
+    else:
+        owners, class_ends, body_refs = parsed.owners, parsed.class_ends, parsed.refs
+    sites = []
     for i in targets:
+        callee = refs[i]
         char = chr(i)
         row = methods.find(char)
         while row >= 0:
-            rows.append(row)
+            place = places[row]
+            if parsed is None:
+                owner, name = bodies[place].owner, bodies[place].name
+            else:
+                owner, name = owners[bisect_right(class_ends, place)], refs[body_refs[place]].name
+            sites.append((owner, name, callee, 2 * (units[row] - starts[place]), place))
             row = methods.find(char, row + 1)
-    if not rows:
-        return rows
     if len(targets) > 1:
-        rows.sort()  # merge the per-target runs, each already in row order
-    refs = dex.method_refs
-    at = list(map(places.__getitem__, rows))
-    parsed = dex._rows
-    if parsed is None:  # built by hand, unpickled, or every body already built
-        callers = list(map(dex._body_table.__getitem__, at))
-        owners, names = map(_OWNER, callers), map(_NAME, callers)
-    else:
-        owners = map(parsed.owners.__getitem__, map(functools.partial(bisect_right, parsed.class_ends), at))
-        names = map(_NAME, map(refs.__getitem__, map(parsed.refs.__getitem__, at)))
-    callees = map(refs.__getitem__, map(ord, map(methods.__getitem__, rows)))
-    offsets = map((2).__mul__, map(sub, map(units.__getitem__, rows), map(starts.__getitem__, at)))  # units to bytes
-    return list(zip(owners, names, callees, offsets, at))
+        sites.sort(key=_BODY_ORDER)  # merge the per-target runs
+    return sites
 
 
-_OWNER, _NAME = attrgetter("owner"), attrgetter("name")  # of a MethodBody or a MethodRef
+_BODY_ORDER = itemgetter(4, 3)  # a site's body ordinal, then offset
 
 
 def _scan_steps(code: bytes) -> bytes:

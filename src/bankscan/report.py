@@ -23,7 +23,7 @@ import datetime as _dt
 import io
 import json
 from collections import Counter
-from itertools import groupby, repeat
+from itertools import chain, groupby, repeat
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -36,6 +36,7 @@ _FORMATS = ("text", "json", "csv")
 _enc = json.encoder.encode_basestring_ascii  # the str encoder of json.dumps
 _FIXED = itemgetter(0, 1, 3, 4, 5, 6)  # a ReportSection's fields but the evidence
 _EVIDENCE = itemgetter(2)
+_RULE_AND_SEVERITY = itemgetter(0, 1)  # of a Finding
 
 
 class ReportError(Exception):
@@ -96,25 +97,23 @@ def render_report(
     if generated_at is None:
         generated_at = _dt.datetime.now(_dt.timezone.utc).isoformat(timespec="seconds")
 
-    # Sort key (-severity rank, rule index, position). Rank, index and knowledge
-    # text are looked up once per run of findings sharing a severity or a rule.
-    keyed, rule, severity = [], None, None
+    # Findings in a row that share a rule and a severity are a run: its knowledge
+    # text is looked up once. Runs sorted by (-severity rank, rule index,
+    # position) put their sections in that order too, since runs never overlap.
+    runs = []
     make = tuple.__new__  # skips NamedTuple.__new__'s per-field argument binding
-    for i, f in enumerate(result.findings):
-        if f.rule is not rule:
-            rule = f.rule
-            index, background = rule.index, kb.backgrounds[rule]
-            recommendation = kb.countermeasures[rule].developer_action
-        if f.severity is not severity:
-            severity = f.severity
-            rank = -severity.rank
-        section = make(ReportSection, (rule, f.title, f.evidence, severity, f.category, background, recommendation))
-        keyed.append((rank, index, i, section))
-    keyed.sort()  # positions are distinct, so sections are never compared
+    for (rule, severity), run in groupby(result.findings, _RULE_AND_SEVERITY):
+        background, recommendation = kb.backgrounds[rule], kb.countermeasures[rule].developer_action
+        sections = [
+            make(ReportSection, (rule, title, evidence, severity, category, background, recommendation))
+            for _, _, title, evidence, category in run
+        ]
+        runs.append((-severity.rank, rule.index, len(runs), sections))
+    runs.sort()  # positions are distinct, so sections are never compared
     return Report(
         apk_name=result.apk_name,
         generated_at=generated_at,
-        sections=tuple(section for _, _, _, section in keyed),
+        sections=tuple(chain.from_iterable(sections for _, _, _, sections in runs)),
         user_countermeasures=tuple(u.text for u in kb.user_countermeasures),
     )
 
@@ -211,9 +210,12 @@ def _report_json_parts(report: Report) -> list[str]:
             f',\n      "recommendation": {_enc(recommendation)},\n      "rule": {_enc(rule.value)},\n'
             f'      "severity": {_enc(severity.value)},\n      "title": {_enc(title)}\n    }}'
         )
-        lines = map(",\n        ".join, map(map, repeat(_enc), map(_EVIDENCE, run)))  # each evidence array's inside
-        arrays = [f"[\n        {inner}\n      ]" if inner else "[]" for inner in lines]
-        parts += (separator, head, f"{tail},\n    {head}".join(arrays), tail)
+        inners = list(map(",\n        ".join, map(map, repeat(_enc), map(_EVIDENCE, run))))  # each array's inside
+        between = f"\n      ]{tail},\n    {head}[\n        "  # ends an array and its section, starts the next
+        text = f"[\n        {between.join(inners)}\n      ]"
+        if "" in inners:  # an encoded string holds no raw newline, so only an empty array reads as below
+            text = text.replace("[\n        \n      ]", "[]")
+        parts += (separator, head, text, tail)
         separator = ",\n    "
     users = _json_array(list(map(_enc, report.user_countermeasures)), "  ")
     parts += ("\n  ]" if report.sections else "]", ',\n  "user_countermeasures": ', users, "\n}")
