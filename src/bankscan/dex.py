@@ -18,9 +18,9 @@ code_off of up to three bytes, inline. Every body, odd-aligned or holding a
 payload, takes that one path, and every error keeps its class and message.
 The walk builds no ``MethodBody``: each method is a row of per-DEX columns
 (its method index and where its stream starts) and each class a row of its
-owner and last method. ``DexImage`` builds every body from the rows when
-``classes``, ``body_table`` or ``bodies()`` is first read; a scan reads none
-of them. Two threads racing a first read may build two equal bodies.
+owner and last method. The rows and the invoke columns are all a
+``DexImage`` holds; ``bodies()`` builds each ``MethodBody`` from them as it
+is read and keeps none, and a scan never calls it.
 
 An invoke costs two list appends: the code unit it starts at and its body's
 ordinal. After the last body, the method index of every invoke is read in
@@ -31,9 +31,9 @@ wins. The indices are kept as a string, one character per invoke, so the
 rules find the invokes of the method ids they want with ``str.find``.
 ``_sites_of`` reads a site as a plain tuple (caller owner and name, callee,
 byte offset, caller ordinal) from those columns and the method and class
-rows, counting no position and building no record or body. ``Instruction``
-records are decoded from a body's validated bytes when
-``MethodBody.instructions`` is first read; a scan never reads them. The const
+rows, counting no position and building no record or body.
+``MethodBody.instructions`` decodes ``Instruction`` records from a body's
+validated bytes on each read; a scan never reads them. The const
 back-scan, ``_literals_reaching``, reads a calling body's code by its
 ordinal and steps it forward through a width table, reading a literal
 straight from the bytes; it steps each body once per call, however many of
@@ -44,12 +44,10 @@ under-approximates on reordered or obfuscated code.
 
 from __future__ import annotations
 
-import functools
 import struct
 import sys
 from bisect import bisect_right
-from collections.abc import Iterable
-from itertools import repeat
+from collections.abc import Iterable, Iterator
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -223,41 +221,17 @@ class _Frozen:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-class MethodBody(_Frozen):
-    """One method's instruction stream; ``repr`` leaves the code out."""
+class MethodBody(NamedTuple):
+    """One method's instruction stream, as ``DexImage.bodies()`` builds it from the rows."""
 
-    # __dict__ holds what cached_property caches
-    __slots__ = ("owner", "name", "code", "__dict__")
+    owner: str
+    name: str
+    code: bytes  # instruction stream, validated by parse_dex
 
-    def __init__(self, owner: str, name: str, code: bytes) -> None:
-        put = object.__setattr__
-        put(self, "owner", owner)
-        put(self, "name", name)
-        put(self, "code", code)  # instruction stream, validated by parse_dex
-
-    def __repr__(self) -> str:
-        return f"{type(self).__qualname__}(owner={self.owner!r}, name={self.name!r})"
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.owner, self.name, self.code) == (other.owner, other.name, other.code)
-
-    def __hash__(self) -> int:
-        return hash((self.owner, self.name, self.code))
-
-    def __reduce__(self):
-        return type(self), (self.owner, self.name, self.code)
-
-    @functools.cached_property
+    @property
     def instructions(self) -> tuple[Instruction, ...]:
-        """The decoded instruction stream, built on first read and kept."""
+        """The decoded instruction stream, decoded anew on each read."""
         return _decode_instructions(self.code, self.owner, self.name)
-
-
-class ClassDef(NamedTuple):
-    type_name: str
-    methods: tuple[MethodBody, ...]
 
 
 class _Invokes(NamedTuple):
@@ -278,11 +252,14 @@ _NO_INVOKES = _Invokes("", [], [], [])
 class _Rows(NamedTuple):
     """A parsed DEX's method bodies as rows, in ``bodies()`` order, and its classes as rows, in class_def order."""
 
-    data: bytes              # the DEX file; a body's code is sliced from it
-    refs: list[int]          # per body: its method index
-    code_starts: list[int]   # per body: the byte its stream starts at, 0 for no code
-    owners: list[str]        # per class: its type
-    class_ends: list[int]    # per class: the ordinal after its last body
+    data: bytes                   # the DEX file; a body's code is sliced from it
+    refs: tuple[int, ...]         # per body: its method index
+    code_starts: tuple[int, ...]  # per body: the byte its stream starts at, 0 for no code
+    owners: tuple[str, ...]       # per class: its type
+    class_ends: tuple[int, ...]   # per class: the ordinal after its last body
+
+
+_NO_ROWS = _Rows(b"", (), (), (), ())
 
 
 def _code_at(data: bytes, start: int) -> bytes:
@@ -291,76 +268,38 @@ def _code_at(data: bytes, start: int) -> bytes:
 
 
 class DexImage(_Frozen):
-    """One parsed DEX. ``repr``, ``==`` and ``hash`` leave out ``body_table`` and ``invokes``.
+    """One parsed DEX: its id tables, its method and class rows and its invoke columns.
 
-    An image from ``parse_dex`` holds its methods as ``_Rows`` and builds
-    every ``MethodBody`` when ``classes``, ``body_table`` or ``bodies()`` is
-    first read, then keeps the bodies in place of the rows; ``_sites_of``
-    and ``_literals_reaching`` read the rows while they are there, and the
-    bodies after. Two threads racing a first read may build two equal bodies
-    for one method. An image constructed with explicit ``classes`` and
-    ``body_table`` keeps exactly what it was given.
+    ``==`` and ``hash`` compare every field but ``invokes``, which the rows
+    determine; ``repr`` leaves out the rows too, so it prints no DEX bytes.
     """
 
-    __slots__ = ("string_pool", "type_names", "method_refs", "_classes", "source_name", "_body_table", "invokes", "_rows")
+    __slots__ = ("string_pool", "type_names", "method_refs", "source_name", "rows", "invokes")
 
     def __init__(
         self,
         string_pool: tuple[str, ...],
         type_names: tuple[str, ...],
         method_refs: tuple[MethodRef, ...],
-        classes: tuple[ClassDef, ...],
         source_name: str = "classes.dex",
-        # Every method body in bodies() order, and the columns of every
-        # invoke in those bodies; parse_dex builds the bodies from its rows.
-        body_table: tuple[MethodBody, ...] = (),
+        rows: _Rows = _NO_ROWS,
         invokes: _Invokes = _NO_INVOKES,
     ) -> None:
         put = object.__setattr__
         put(self, "string_pool", string_pool)
         put(self, "type_names", type_names)
         put(self, "method_refs", method_refs)
-        put(self, "_classes", classes)
         put(self, "source_name", source_name)
-        put(self, "_body_table", body_table)
+        put(self, "rows", rows)
         put(self, "invokes", invokes)
-        put(self, "_rows", None)  # parse_dex sets the rows the bodies are built from
-
-    @property
-    def classes(self) -> tuple[ClassDef, ...]:
-        if self._rows is not None:
-            self._build_all()
-        return self._classes
-
-    @property
-    def body_table(self) -> tuple[MethodBody, ...]:
-        """Every method body in ``bodies()`` order."""
-        if self._rows is not None:
-            self._build_all()
-        return self._body_table
-
-    def _build_all(self) -> None:
-        """Build every body, then keep ``classes`` and ``body_table`` in place of the rows."""
-        rows = self._rows
-        if rows is None:  # another thread built them meanwhile
-            return
-        data, refs, code_starts, owners, ends = rows
-        spans = list(zip(owners, [0, *ends], ends))  # each class's type and its bodies' ordinals
-        types = [owner for owner, begin, end in spans for _ in range(begin, end)]
-        names = [self.method_refs[ref].name for ref in refs]
-        table = tuple(map(MethodBody, types, names, map(_code_at, repeat(data), code_starts)))
-        put = object.__setattr__
-        put(self, "_classes", tuple(ClassDef(owner, table[begin:end]) for owner, begin, end in spans))
-        put(self, "_body_table", table)
-        put(self, "_rows", None)
 
     def _key(self) -> tuple:
-        return self.string_pool, self.type_names, self.method_refs, self.classes, self.source_name
+        return self.string_pool, self.type_names, self.method_refs, self.source_name, self.rows
 
     def __repr__(self) -> str:
         return (
             f"{type(self).__qualname__}(string_pool={self.string_pool!r}, type_names={self.type_names!r}, "
-            f"method_refs={self.method_refs!r}, classes={self.classes!r}, source_name={self.source_name!r})"
+            f"method_refs={self.method_refs!r}, source_name={self.source_name!r})"
         )
 
     def __eq__(self, other: object) -> bool:
@@ -372,11 +311,16 @@ class DexImage(_Frozen):
         return hash(self._key())
 
     def __reduce__(self):
-        return type(self), (*self._key(), self.body_table, self.invokes)
+        return type(self), (*self._key(), self.invokes)
 
-    def bodies(self):
-        for cls in self.classes:
-            yield from cls.methods
+    def bodies(self) -> Iterator[MethodBody]:
+        """Every method body, class by class, each built from the rows as it is read; none is kept."""
+        data, refs, code_starts, owners, class_ends = self.rows
+        begin = 0
+        for owner, end in zip(owners, class_ends):
+            for place in range(begin, end):
+                yield MethodBody(owner, self.method_refs[refs[place]].name, _code_at(data, code_starts[place]))
+            begin = end
 
 
 def _uleb128(data: bytes, pos: int, limit: int) -> tuple[int, int]:
@@ -462,18 +406,15 @@ def parse_dex(data: bytes, source_name: str = "classes.dex") -> DexImage:
         walk.methods(method_refs)  # an undefined invoke recorded before the failure comes first
         raise
 
-    image = DexImage(
+    rows = (data, tuple(walk.refs), tuple(walk.code_starts), tuple(walk.owners), tuple(walk.class_ends))
+    return DexImage(
         string_pool=tuple(strings),
         type_names=tuple(type_names),
         method_refs=tuple(method_refs),
-        classes=None,
         source_name=source_name,
-        body_table=None,
+        rows=tuple.__new__(_Rows, rows),
         invokes=tuple.__new__(_Invokes, (walk.methods(method_refs), walk.places, walk.units, walk.starts)),
     )
-    rows = (data, walk.refs, walk.code_starts, walk.owners, walk.class_ends)
-    object.__setattr__(image, "_rows", tuple.__new__(_Rows, rows))
-    return image
 
 
 def _parse_strings(data: bytes, off: int, count: int) -> list[str]:
@@ -565,7 +506,7 @@ class _Walk:
     in one loop, the only one that steps instructions. It builds no
     ``MethodBody``: a method is one row of ``refs``, ``code_starts`` and
     ``starts``, and a class one row of ``owners`` and ``class_ends``, which
-    ``DexImage`` builds the bodies from. An invoke costs two appends, its
+    ``DexImage`` keeps as its rows. An invoke costs two appends, its
     unit and its body's ordinal; no position is counted. ``methods`` then
     reads every invoke's method index in one pass and checks them all at
     once.
@@ -791,16 +732,12 @@ def _sites_of(dex: DexImage, targets: list[int]) -> list[_Site]:
     A site is ``(owner, name, callee, offset, place)``: its calling method's
     class and name, the method it calls, the invoke's byte offset in the
     caller's code and the caller's ordinal in ``bodies()`` order. The caller
-    is read from the method and class rows, or from ``body_table`` on an
-    image without rows, and nothing is built for a site but its tuple.
+    is read from the method and class rows, and nothing is built for a site
+    but its tuple.
     """
     methods, places, units, starts = dex.invokes
     refs = dex.method_refs
-    parsed = dex._rows
-    if parsed is None:  # built by hand, unpickled, or every body already built
-        bodies = dex._body_table
-    else:
-        owners, class_ends, body_refs = parsed.owners, parsed.class_ends, parsed.refs
+    owners, class_ends, body_refs = dex.rows.owners, dex.rows.class_ends, dex.rows.refs
     sites = []
     for i in targets:
         callee = refs[i]
@@ -808,10 +745,7 @@ def _sites_of(dex: DexImage, targets: list[int]) -> list[_Site]:
         row = methods.find(char)
         while row >= 0:
             place = places[row]
-            if parsed is None:
-                owner, name = bodies[place].owner, bodies[place].name
-            else:
-                owner, name = owners[bisect_right(class_ends, place)], refs[body_refs[place]].name
+            owner, name = owners[bisect_right(class_ends, place)], refs[body_refs[place]].name
             sites.append((owner, name, callee, 2 * (units[row] - starts[place]), place))
             row = methods.find(char, row + 1)
     if len(targets) > 1:
@@ -848,14 +782,14 @@ def _literals_reaching(dex: DexImage, sites: Iterable[_Site], max_lookback: int 
     passes and reads the literal from the bytes. A site out of that order
     restarts its body.
     """
-    parsed = dex._rows
+    data, code_starts = dex.rows.data, dex.rows.code_starts
     literals = []
     body = -1
     pos = 0
     for owner, name, _, at, place in sites:
         if place != body or at < pos:
             body = place
-            code = dex._body_table[place].code if parsed is None else _code_at(parsed.data, parsed.code_starts[place])
+            code = _code_at(data, code_starts[place])
             steps = _scan_steps(code)
             pos = index = 0
             last = last_pos = -1  # the position and offset of the last const passed

@@ -10,6 +10,7 @@ rewrite of either reader must leave it as it is.
 import hashlib
 import random
 import struct
+from typing import NamedTuple
 
 from test_dex import call_sites
 
@@ -62,9 +63,33 @@ def _decoded_manifest(data: bytes) -> str:
     return repr((doc.root, doc.warnings))
 
 
+class ClassDef(NamedTuple):
+    """A class as the digest records it: its type and its bodies, in class_def order."""
+
+    type_name: str
+    methods: tuple
+
+
+class _Named(NamedTuple):
+    """A body as the digest records it: its owner and name, the code left out."""
+
+    owner: str
+    name: str
+
+    def __repr__(self) -> str:
+        return f"MethodBody(owner={self.owner!r}, name={self.name!r})"
+
+
+def _classes(image) -> tuple[ClassDef, ...]:
+    """Every class of ``image`` with its bodies, built from its rows and ``bodies()``."""
+    bodies = [_Named(body.owner, body.name) for body in image.bodies()]
+    begins = (0, *image.rows.class_ends)
+    return tuple(ClassDef(owner, tuple(bodies[b:e])) for owner, b, e in zip(image.rows.owners, begins, image.rows.class_ends))
+
+
 def _parsed_dex(data: bytes) -> str:
     image = parse_dex(data)
-    return repr((image.method_refs, image.string_pool, image.classes, call_sites(image)))
+    return repr((image.method_refs, image.string_pool, _classes(image), call_sites(image)))
 
 
 def test_axml_mutation_outcomes_pinned():

@@ -29,7 +29,6 @@ from bankscan.dex import (
     BadEndianTagError,
     BadMagicError,
     DexError,
-    DexImage,
     Instruction,
     MalformedUleb128Error,
     MethodBody,
@@ -94,6 +93,11 @@ def invocations_of(dex, owner_pattern, method_name):
     return invocations_where(dex, lambda ref: ref.name == method_name and _owner_matches(owner_pattern, ref.owner))
 
 
+def body_at(image, place):
+    """The body ``image.bodies()`` yields at ordinal ``place``."""
+    return list(image.bodies())[place]
+
+
 def position(image, site):
     """The index among its caller's decoded instructions of the instruction that starts at the site's offset.
 
@@ -101,7 +105,7 @@ def position(image, site):
     exactly one instruction starts there.
     """
     _, _, _, offset, place = site
-    [index] = [i for i, ins in enumerate(image.body_table[place].instructions) if ins.offset == offset]
+    [index] = [i for i, ins in enumerate(body_at(image, place).instructions) if ins.offset == offset]
     return index
 
 
@@ -372,16 +376,17 @@ def test_call_site_index_agrees_with_decoded_records():
     images = [parse_dex(build_dex(p).data) for p in rule_oracle_corpus() + fleet_profiles()]
     for image in images + _multidex_images():
         assert call_sites(image)
+        bodies = list(image.bodies())
         for method_index, sites in call_sites(image).items():
             for ordinal, at, offset in sites:
-                ins = image.body_table[ordinal].instructions[at]
+                ins = bodies[ordinal].instructions[at]
                 assert (ins.offset, ins.method_index) == (offset, method_index), (image.source_name, ordinal)
 
 
 def _patched_stream(instructions, patch):
     """A one-method DEX whose instruction stream ``patch(data, start, size_at)`` edits in place."""
     art = emit_dex("Lfixture/stream/App;", [MethodSketch("go", instructions)])
-    [body] = parse_dex(art.data).body_table
+    [body] = parse_dex(art.data).bodies()
     data = bytearray(art.data)
     start = art.data.index(body.code)  # the code_item's insns_size sits in the 4 bytes before
     patch(data, start, start - 4)
@@ -442,7 +447,7 @@ def _code_starts(data):
     ``_odd_code_items`` appends a moved code_item after the original, so the
     stream a body reads is the last copy in the file.
     """
-    return {body.name: data.rindex(body.code) for body in parse_dex(data).body_table}
+    return {body.name: data.rindex(body.code) for body in parse_dex(data).bodies()}
 
 
 def _second_method_diff_at(data):
@@ -560,11 +565,11 @@ def test_odd_aligned_code_items_give_the_same_sites_and_errors():
     for names in ({"a"}, {"b"}, {"a", "b"}):
         moved = _odd_code_items(data, names)
         odd = parse_dex(moved)
-        assert [body.code for body in odd.body_table] == [body.code for body in even.body_table]
+        assert [body.code for body in odd.bodies()] == [body.code for body in even.bodies()]
         assert list(call_sites(odd).items()) == list(call_sites(even).items())
         assert invocations_of(odd, JFILE, "delete") == even_sites
         for name in names:
-            start = moved.rindex(next(body.code for body in even.body_table if body.name == name))
+            start = moved.rindex(next(body.code for body in even.bodies() if body.name == name))
             assert start % 2 == 1
             bad = bytearray(moved)
             struct.pack_into("<H", bad, start + (2 if name == "a" else 8), methods)
@@ -587,7 +592,8 @@ def test_parse_builds_no_instruction_records():
     before = _live_instructions()
     image = parse_dex(data)
     assert _live_instructions() == before
-    total = sum(len(body.instructions) for body in image.bodies())
+    decoded = [body.instructions for body in image.bodies()]
+    total = sum(map(len, decoded))
     assert total == sum(len(s.instructions) for s in sketches)
     assert _live_instructions() == before + total
 
@@ -628,7 +634,7 @@ def test_invoke_columns_after_a_scan_match_the_oracle_walk(monkeypatch):
     assert len(images) == 34
     for image in images:
         walked = defaultdict(list)
-        for ordinal, body in enumerate(image.body_table):
+        for ordinal, body in enumerate(image.bodies()):
             _oracle_walk_instructions(body.code, body.owner, body.name, len(image.method_refs), walked, ordinal)
         assert list(call_sites(image).items()) == list(walked.items())
 
@@ -664,7 +670,11 @@ def test_scan_decodes_no_body(monkeypatch):
         images.append(parse_dex(data, source_name=source_name))
         return images[-1]
 
+    def refuse(*args):
+        raise AssertionError("the scan decoded an instruction record")
+
     monkeypatch.setattr(scanner, "parse_dex", recording_parse)
+    monkeypatch.setattr(dex_module, "_decode_instructions", refuse)
     apps = [(profile.name, build_fixture(profile)) for profile in rule_oracle_corpus() + fleet_profiles()]
     apps.append(("webview.apk", _webview_apk(60)))
     backscanned = 0
@@ -672,7 +682,6 @@ def test_scan_decodes_no_body(monkeypatch):
         images.clear()
         result = scanner.scan_bytes(apk, name)
         for image in images:
-            assert not any("instructions" in body.__dict__ for body in image.body_table), name
             backscanned += any(
                 (ref.owner, ref.name) in {_JS_ENABLED[:2], _FILE_ACCESS[:2], _ADD_FLAGS[:2]} for ref in image.method_refs
             )
@@ -687,30 +696,35 @@ def _with_every_body(image):
 
 
 def test_scan_reads_alike_from_rows_built_bodies_and_a_pickled_image(monkeypatch):
-    # The site query and the back-scan read the rows of an image straight
-    # from parse_dex, and body_table once every body is built or when the
-    # image was built with one, as an unpickled image is.
+    # bodies() builds each body from the rows and keeps none, so reading it
+    # first cannot change what a scan reads; a copied or unpickled image
+    # carries the same rows.
     prepares = {
-        "rows": lambda image: image,
+        "fresh": lambda image: image,
         "bodies": _with_every_body,
+        "copy": copy.copy,
+        "deepcopy": copy.deepcopy,
         "pickled": lambda image: pickle.loads(pickle.dumps(image)),
     }
     apps = [(profile.name, build_fixture(profile)) for profile in rule_oracle_corpus() + fleet_profiles()]
     apps.append(("webview.apk", _webview_apk(300)))
-    results, sources = {}, {}
+    results, images = {}, {}
     for way, prepare in prepares.items():
-        images = []
+        seen = images[way] = []
 
-        def prepared_parse(data, source_name="classes.dex"):
-            images.append(prepare(parse_dex(data, source_name=source_name)))
-            return images[-1]
+        def prepared_parse(data, source_name="classes.dex", prepare=prepare, seen=seen):
+            seen.append(prepare(parse_dex(data, source_name=source_name)))
+            return seen[-1]
 
         monkeypatch.setattr(scanner, "parse_dex", prepared_parse)
         results[way] = [scanner.scan_bytes(apk, name) for name, apk in apps]
-        sources[way] = {image._rows is None for image in images}
-    assert sources == {"rows": {False}, "bodies": {True}, "pickled": {True}}
-    assert results["bodies"] == results["rows"] and results["pickled"] == results["rows"]
-    webview = results["rows"][-1]
+        assert results[way] == results["fresh"], way
+    assert len(images["fresh"]) == 35
+    for fresh, *others in zip(*images.values(), strict=True):
+        for other in others:
+            assert other is not fresh and other == fresh and hash(other) == hash(fresh) and repr(other) == repr(fresh)
+            assert list(other.bodies()) == list(fresh.bodies())
+    webview = results["fresh"][-1]
     assert sum(len(f.evidence) for f in webview.findings if f.rule.value == "R11") == 300
     assert sum(len(f.evidence) for f in webview.findings if f.rule.value == "R08") == 100
 
@@ -745,10 +759,9 @@ def test_parsed_counts_match_bulk_sketch():
     assert sum(1 for b in bodies for ins in b.instructions if ins.method_index is not None) == invokes
 
 
-# --- bodies built on first read -----------------------------------------------
-# parse_dex builds no MethodBody: each method is a row, and the image builds
-# every body from the rows when body_table, classes or bodies() is first read,
-# into one table, so a method always gives the same body. The site query and
+# --- bodies built from the rows ------------------------------------------------
+# parse_dex builds no MethodBody: each method is a row, and bodies() builds
+# each body from the rows as it is read and keeps none. The site query and
 # the const back-scan read the rows and build no body.
 
 
@@ -778,7 +791,7 @@ def test_scan_render_and_serialize_build_no_method_body(monkeypatch):
         for section in report.sections:
             evidence[section.rule.value] += len(section.evidence)
     assert _live_method_bodies() == before
-    assert len(images) == 36 and all(image._rows is not None for image in images)  # no body table was built
+    assert len(images) == 36
     # every call-site rule and the FLAG_SECURE back-scan gave sites
     assert all(evidence[rule] for rule in ("R01", "R04", "R05", "R07", "R08", "R11"))
     assert evidence["R11"] >= 60 and evidence["R13"] < len(apps)
@@ -813,18 +826,17 @@ def rows_artifact():
 def test_bodies_of_every_class_are_built_from_their_rows(rows_artifact):
     owner, (empty, other), data = _three_class_dex(rows_artifact)
     image = parse_dex(bytes(data))
-    assert [(c.type_name, [b.name for b in c.methods]) for c in image.classes] == [
-        (empty, []), (owner, [f"m{k}" for k in range(6)]), (other, [f"m{k}" for k in range(6)])
-    ]
-    assert all(body.owner == cls.type_name for cls in image.classes for body in cls.methods)
+    assert (image.rows.owners, image.rows.class_ends) == ((empty, owner, other), (0, 6, 12))
+    bodies = list(image.bodies())
+    assert [(b.owner, b.name) for b in bodies] == [(t, f"m{k}") for t in (owner, other) for k in range(6)]
     plain = parse_dex(rows_artifact.data)
-    assert [b.code for c in image.classes for b in c.methods] == [b.code for b in plain.body_table] * 2
-    fresh = parse_dex(bytes(data))
-    targets = sorted(set(map(ord, fresh.invokes.methods)))
-    sites = sites_of(fresh, targets)  # callers read from the rows
+    assert [b.code for b in bodies] == [b.code for b in plain.bodies()] * 2
+    targets = sorted(set(map(ord, image.invokes.methods)))
+    sites = sites_of(image, targets)  # callers read from the rows
     assert [site.owner for site in sites] == [owner] * (len(sites) // 2) + [other] * (len(sites) // 2)
-    assert [(site.owner, site.name) for site in sites] == [(b.owner, b.name) for b in map(fresh.body_table.__getitem__, fresh.invokes.places)]
-    assert sites_of(fresh, targets) == sites  # and from the body table, now built
+    assert [site.place for site in sites] == image.invokes.places
+    assert [(site.owner, site.name) for site in sites] == [(bodies[p].owner, bodies[p].name) for p in image.invokes.places]
+    assert list(image.bodies()) == bodies and sites_of(image, targets) == sites  # reading the bodies kept nothing
 
 
 def test_undefined_invoke_names_its_owner_past_an_empty_class(rows_artifact):
@@ -835,39 +847,6 @@ def test_undefined_invoke_names_its_owner_past_an_empty_class(rows_artifact):
     _dex_raises(
         data, SectionOutOfBoundsError, f"invoke in {owner}->m1 names method {method_count}, only {method_count} defined"
     )
-
-
-@pytest.mark.parametrize("first", ["sites", "body_table", "classes", "bodies"])
-def test_a_method_gives_one_body_whichever_read_comes_first(rows_artifact, first):
-    image = parse_dex(bytes(_three_class_dex(rows_artifact)[2]))
-    methods, places = image.invokes.methods, image.invokes.places
-    reads = {
-        "sites": lambda: sites_of(image, sorted(set(map(ord, methods)))),
-        "body_table": lambda: list(image.body_table),
-        "classes": lambda: [body for cls in image.classes for body in cls.methods],
-        "bodies": lambda: list(image.bodies()),
-    }
-    seen = {first: reads.pop(first)()}
-    seen.update((name, read()) for name, read in reads.items())
-    table = seen["body_table"]
-    assert len(table) == 12 and len(set(map(id, table))) == 12
-    assert all(a is b for a, b in zip(seen["classes"], table, strict=True))
-    assert all(a is b for a, b in zip(seen["bodies"], table, strict=True))
-    assert [site.place for site in seen["sites"]] == places
-    assert all((site.owner, site.name) == (table[site.place].owner, table[site.place].name) for site in seen["sites"])
-
-
-@pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, lambda image: pickle.loads(pickle.dumps(image))])
-def test_a_parsed_image_copies_and_pickles_like_one_built_by_hand(rows_artifact, clone):
-    data = bytes(_three_class_dex(rows_artifact)[2])
-    image = parse_dex(data, source_name="classes2.dex")
-    clone = clone(image)  # before anything has read a body
-    fields = parse_dex(data, source_name="classes2.dex")
-    eager = DexImage(fields.string_pool, fields.type_names, fields.method_refs, fields.classes, fields.source_name)
-    assert clone == image == eager
-    assert repr(clone) == repr(image) == repr(eager)
-    assert hash(clone) == hash(image) == hash(eager)
-    assert clone.body_table == image.body_table == fields.body_table
 
 
 def _padded_invoke_sketch(pad_count: int, literal: int = 1):
@@ -1179,7 +1158,7 @@ def test_instruction_stream_may_end_at_the_last_byte_of_the_file(clean_artifact)
             patched = _with_tail(clean_artifact, tail, ("<I", class_defs + 24, n))
             assert code_off + len(code_item) == len(patched)
             if insns_size == 1:
-                [body] = parse_dex(bytes(patched)).body_table
+                [body] = parse_dex(bytes(patched)).bodies()
                 assert (f"{body.owner}->{body.name}", body.code) == (where, b"\x0e\x00")
             else:
                 _dex_raises(patched, SectionOutOfBoundsError, f"instruction stream of {where} overruns file")
@@ -1202,7 +1181,7 @@ def test_multibyte_uleb128_method_diff_and_string_length():
     assert image.method_refs[130] == dex_module.MethodRef("Lz/Z;", "go", "V")
     assert {long_text, wide_text} <= set(image.string_pool)
     assert image.string_pool == tuple(sorted(image.string_pool))
-    [body] = image.body_table
+    [body] = image.bodies()
     assert body.name == "go"
     for i in (0, 127, 128, 129):
         [site] = invocations_of(image, "La/A;", f"m{i:03d}")
@@ -1289,7 +1268,7 @@ def _stream_dex(owner, name, method_count, units):
     others = [MethodSketch(f"{name}{k:04d}", [("return-void",)]) for k in range(method_count - 1)]
     data = emit_dex(owner, [MethodSketch(name, [("nop",)] * units)] + others).data
     image = parse_dex(data)
-    assert len(image.method_refs) == method_count and image.body_table[0].name == name
+    assert len(image.method_refs) == method_count and next(image.bodies()).name == name
     return data, 2 * image.invokes.starts[0]
 
 
@@ -1452,8 +1431,9 @@ def _streams_image(streams, odd):
     data = bytes(data)
     if odd:
         data = _odd_code_items(data, {names[k] for k in odd})
-    assert [body.code for body in parse_dex(data).body_table] == streams
-    return parse_dex(data)  # its bodies not built yet
+    image = parse_dex(data)
+    assert [body.code for body in image.bodies()] == streams
+    return image
 
 
 _INVOKE_THEN_PAYLOAD = _units([0x6E, 0, 0, 0x0100, 1, 0, 0, 0, 0, 0x000E])
@@ -1468,9 +1448,8 @@ def test_site_positions_match_the_oracle_walk(case):
     streams, odd = case
     names = [f"b{k}" for k in range(len(streams))]
     image = _streams_image(streams, odd)
-    assert not any("instructions" in body.__dict__ for body in image.body_table)  # nothing was decoded
     walked = defaultdict(list)
-    for ordinal, body in enumerate(image.body_table):
+    for ordinal, body in enumerate(image.bodies()):
         _oracle_walk_instructions(body.code, body.owner, body.name, len(image.method_refs), walked, ordinal)
     assert list(call_sites(image).items()) == list(walked.items())
     for index in range(len(image.method_refs)):
@@ -1494,7 +1473,7 @@ def _oracle_literal_reaching(image, site, max_lookback=dex_module.DEFAULT_LOOKBA
     body; returns None when no const is found in the window. Register
     targets are ignored on purpose.
     """
-    instructions = image.body_table[site.place].instructions
+    instructions = body_at(image, site.place).instructions
     index = position(image, site)
     for j in range(index - 1, max(-1, index - 1 - max_lookback), -1):
         if instructions[j].opcode in CONST_OPS:
@@ -1544,9 +1523,8 @@ def test_backscan_matches_the_instruction_window_oracle(case):
     image = _streams_image(*case)
     sites = sites_of(image, list(range(len(image.method_refs))))
     from_rows = [dex_module._literals_reaching(image, sites, max_lookback) for max_lookback in range(13)]
-    assert image._rows is not None  # the code was read from the rows
     for site in sites:
-        assert image.body_table[site.place].instructions[position(image, site)].opcode in INVOKE_OPS
+        assert body_at(image, site.place).instructions[position(image, site)].opcode in INVOKE_OPS
     for max_lookback in range(13):
         expected = [_oracle_literal_reaching(image, site, max_lookback) for site in sites]
         assert [literal_reaching(image, site, max_lookback) for site in sites] == expected, max_lookback
@@ -1619,7 +1597,7 @@ def test_method_ref_and_invocation_site_records():
     assert len(images) == 2
     for image in images:
         raw = _sites_of(image, range(len(image.method_refs)))  # read from the rows: a plain 5-tuple per site
-        assert image._rows is not None and all(type(site) is tuple and len(site) == 5 for site in raw)
+        assert all(type(site) is tuple and len(site) == 5 for site in raw)
         sites = invocations_where(image, lambda ref: True)
         assert sites == raw
         assert len(sites) == sum(len(v) for v in call_sites(image).values())
@@ -1628,7 +1606,7 @@ def test_method_ref_and_invocation_site_records():
             keys = [(site.place, position(image, site)) for site in found]
             assert keys == sorted(set(keys)), image.source_name
         for site in sites:
-            body = image.body_table[site.place]
+            body = body_at(image, site.place)
             assert (site.owner, site.name) == (body.owner, body.name)
             assert site.callee in image.method_refs
             assert body.instructions[position(image, site)].opcode in INVOKE_OPS

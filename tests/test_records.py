@@ -3,12 +3,13 @@
 Each record prints as ``Name(field=value, ...)``, builds by keyword or by
 position with the same field order and defaults, hashes like the tuple of
 its fields and compares equal to an instance with equal fields. The named
-tuples are pinned by ``CASES``; the six records that are not tuples, by
+tuples are pinned by ``CASES``; the five records that are not tuples, by
 ``CLASS_CASES``.
 """
 
 import copy
 import pickle
+import struct
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,7 @@ import pytest
 from bankscan.apk import ApkArchive, ApkEntry
 from bankscan.axml import ANDROID_NS, AxmlAttribute, AxmlDocument, AxmlElement, ResourceRef
 from bankscan.cli import CliConfig
-from bankscan.dex import ClassDef, DexImage, Instruction, MethodBody, MethodRef, _Invokes
+from bankscan.dex import DexImage, Instruction, MethodBody, MethodRef, _Invokes, _Rows, _sites_of
 from bankscan.knowledge import CountermeasureEntry, KnowledgeBase, ThreatEntry, UserCountermeasure
 from bankscan.manifest import ApplicationAttrs, ComponentDecl, IntentFilterDecl, ManifestModel, PermissionDecl
 from bankscan.report import FleetMatrix, Report, ReportSection
@@ -60,8 +61,8 @@ CASES = [
         "value=ResourceRef(resource_id=5))",
     ),
     (
-        ClassDef, dict(type_name="LMain;", methods=(MethodBody("LMain;", "run", b"\x0e\x00"),)),
-        "ClassDef(type_name='LMain;', methods=(MethodBody(owner='LMain;', name='run'),))",
+        MethodBody, dict(owner="LMain;", name="run", code=b"\x0e\x00"),
+        "MethodBody(owner='LMain;', name='run', code=b'\\x0e\\x00')",
     ),
     (
         IntentFilterDecl, _FILTER,
@@ -192,9 +193,12 @@ def test_findings_in_a_set():
     assert other not in {first}
 
 
-# --- the six records that are classes, not tuples ----------------------------
+# --- the five records that are classes, not tuples ---------------------------
 
-_BODY = dict(owner="LMain;", name="run", code=b"\x12\x01\x0e\x00")  # const/4 v1, 0; return-void
+# One class of one method: invoke-virtual {v0} of method 0, then return-void,
+# its stream at byte 8 (unit 4) after its insns_size.
+_CODE = b"\x6e\x10\x00\x00\x00\x00\x0e\x00"
+_ROWS = _Rows(b"\x00" * 4 + struct.pack("<I", len(_CODE) // 2) + _CODE, (0,), (8,), ("LMain;",), (1,))
 _MANIFEST = ManifestModel("com.example", 21, None, ApplicationAttrs(None, None), (), ())
 _PATHS = {name: Path(name) for name in ("a.apk", "d", "o.txt")}
 
@@ -230,27 +234,22 @@ CLASS_CASES = [
         ("mode", "inputs", "dirs", "output_path", "fmt", "fail_threshold"), False,
     ),
     (
-        MethodBody, _BODY, "MethodBody(owner='LMain;', name='run')", ("owner", "name", "code"), True,
-    ),
-    (
         DexImage,
         dict(
             string_pool=("s",), type_names=("LMain;",), method_refs=(MethodRef("LMain;", "run", "V"),),
-            classes=(ClassDef("LMain;", (MethodBody(**_BODY),)),), source_name="classes2.dex",
-            body_table=(MethodBody(**_BODY),), invokes=_Invokes("\x00", [0], [8], [8]),
+            source_name="classes2.dex", rows=_ROWS, invokes=_Invokes("\x00", [0], [4], [4]),
         ),
         "DexImage(string_pool=('s',), type_names=('LMain;',), method_refs=(MethodRef(owner='LMain;', "
-        "name='run', shorty='V'),), classes=(ClassDef(type_name='LMain;', methods=(MethodBody("
-        "owner='LMain;', name='run'),)),), source_name='classes2.dex')",
-        ("string_pool", "type_names", "method_refs", "classes", "source_name"), True,
+        "name='run', shorty='V'),), source_name='classes2.dex')",
+        ("string_pool", "type_names", "method_refs", "source_name", "rows"), True,
     ),
     (
         ScanInput,
-        dict(manifest=_MANIFEST, dexes=(DexImage(("s",), (), (), ()),), apk_name="a.apk"),
+        dict(manifest=_MANIFEST, dexes=(DexImage(("s",), (), ()),), apk_name="a.apk"),
         "ScanInput(manifest=ManifestModel(package_name='com.example', min_sdk=21, target_sdk=None, "
         "application=ApplicationAttrs(allow_backup=None, debuggable=None), components=(), "
         "declared_permissions=()), dexes=(DexImage(string_pool=('s',), type_names=(), method_refs=(), "
-        "classes=(), source_name='classes.dex'),), apk_name='a.apk')",
+        "source_name='classes.dex'),), apk_name='a.apk')",
         ("manifest", "dexes", "apk_name"), True,
     ),
 ]
@@ -303,7 +302,7 @@ def test_class_records_copy_and_pickle(cls, fields):
 
 
 def test_every_class_record_type_is_pinned():
-    assert len({cls for cls, *_ in CLASS_CASES}) == 6
+    assert len({cls for cls, *_ in CLASS_CASES}) == 5
 
 
 def test_class_record_defaults():
@@ -317,10 +316,20 @@ def test_class_record_defaults():
     config.inputs.append(Path("a.apk"))
     assert again.inputs == [] and config.dirs == []
 
-    image = DexImage(("s",), (), (), ())
+    image = DexImage(("s",), (), ())
     assert image.source_name == "classes.dex"
-    assert image.body_table == ()
+    assert image.rows == (b"", (), (), (), ()) and list(image.bodies()) == []
     assert image.invokes == ("", [], [], [])
+
+
+def test_a_dex_image_built_from_rows_gives_its_bodies_and_sites():
+    ref = MethodRef("LMain;", "run", "V")
+    image = DexImage(("s",), ("LMain;",), (ref,), rows=_ROWS, invokes=_Invokes("\x00", [0], [4], [4]))
+    [body] = image.bodies()
+    assert body == MethodBody("LMain;", "run", _CODE)
+    assert body.instructions == (Instruction(0x6E, 0, 3, method_index=0), Instruction(0x0E, 6, 1))
+    assert _sites_of(image, [0]) == [("LMain;", "run", ref, 0, 0)]
+    assert image != DexImage(("s",), ("LMain;",), (ref,), rows=_ROWS._replace(data=_ROWS.data[:-2] + b"\x00\x00"))
 
 
 def test_scan_input_needs_a_dex():
@@ -331,15 +340,7 @@ def test_scan_input_needs_a_dex():
 
 
 def test_cached_properties_are_cached():
-    body = MethodBody(**_BODY)
-    assert "instructions" not in body.__dict__
-    decoded = body.instructions
-    assert decoded == (Instruction(0x12, 0, 1, literal=0), Instruction(0x0E, 2, 1))
-    assert body.instructions is decoded
-    assert body.__dict__["instructions"] is decoded
-    assert body == MethodBody(**_BODY) and hash(body) == hash(tuple(_BODY.values()))
-
-    scan = ScanInput(_MANIFEST, (DexImage(("su",), (), (), ()),), "a.apk")
+    scan = ScanInput(_MANIFEST, (DexImage(("su",), (), ()),), "a.apk")
     facts = scan.facts
     assert facts == {"root marker": [(scan.dexes[0], "su")]}
     assert scan.facts is facts

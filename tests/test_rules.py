@@ -420,23 +420,19 @@ def test_backscan_steps_each_body_once_per_call(monkeypatch):
         return original(code)
 
     monkeypatch.setattr(dex_module, "_scan_steps", counting_steps)
-    for built in (False, True):  # code read from the rows, or from body_table once bodies() has built it
-        inp = make_input(
-            [MethodSketch("configure", configure + [("return-void",)]), MethodSketch("lock", lock + [("return-void",)])]
-        )
-        if built:
-            list(inp.dexes[0].bodies())
-        starts.clear()
-        assert "FLAG_SECURE" in inp.facts  # R13's back-scan runs as the facts resolve
-        assert starts == [2000 * 10 + 2]  # lock: const/16 and invoke, 10 bytes a pair
-        starts.clear()
-        findings = evaluate_rule(RuleId.R08, inp)
-        assert sum(len(f.evidence) for f in findings) == 1000
-        last = f"+0x{1999 * 8 + 2:04x} calls {WEBSETTINGS}->setJavaScriptEnabled with literal 1"
-        assert findings[-1].evidence[0] == f"classes.dex: Ltest/app/Code;->configure {last}"
-        assert starts == [2000 * 8 + 2]  # configure: const/4 and invoke, 8 bytes a pair
-        assert evaluate_rule(RuleId.R13, inp) == []
-        assert (inp.dexes[0]._rows is None) == built
+    inp = make_input(
+        [MethodSketch("configure", configure + [("return-void",)]), MethodSketch("lock", lock + [("return-void",)])]
+    )
+    starts.clear()
+    assert "FLAG_SECURE" in inp.facts  # R13's back-scan runs as the facts resolve
+    assert starts == [2000 * 10 + 2]  # lock: const/16 and invoke, 10 bytes a pair
+    starts.clear()
+    findings = evaluate_rule(RuleId.R08, inp)
+    assert sum(len(f.evidence) for f in findings) == 1000
+    last = f"+0x{1999 * 8 + 2:04x} calls {WEBSETTINGS}->setJavaScriptEnabled with literal 1"
+    assert findings[-1].evidence[0] == f"classes.dex: Ltest/app/Code;->configure {last}"
+    assert starts == [2000 * 8 + 2]  # configure: const/4 and invoke, 8 bytes a pair
+    assert evaluate_rule(RuleId.R13, inp) == []
 
 
 def _lookup_rules_input(site_count):
@@ -564,13 +560,10 @@ def test_resolved_targets_equal_the_old_per_rule_queries():
     assert {key for _, _, key in CODE_TARGETS.values()} == set(OLD_TARGET_QUERIES)
     hits = set()
     for inp in _resolution_inputs():
-        from_rows = {key: rules_module._sites(inp, key) for key in OLD_TARGET_QUERIES}
-        assert all(dex._rows is not None for dex in inp.dexes)  # no body was built for them
         for key, query in OLD_TARGET_QUERIES.items():
             # owner, name, callee, offset and ordinal, ordered by ordinal and position
             expected = [(dex, site) for dex in inp.dexes for site in _old_sites(dex, query)]
-            assert from_rows[key] == expected, (inp.dexes[0].source_name, key)
-            assert rules_module._sites(inp, key) == expected, (inp.dexes[0].source_name, key)  # from the body tables
+            assert rules_module._sites(inp, key) == expected, (inp.dexes[0].source_name, key)
             if expected:
                 hits.add(key)
         for key in OLD_TARGET_QUERIES.keys() & inp.facts.keys():
@@ -743,7 +736,7 @@ def test_absence_rules_search_union_of_all_dexes():
 
 
 def _pool_image(strings):
-    return DexImage(string_pool=tuple(strings), type_names=(), method_refs=(), classes=())
+    return DexImage(string_pool=tuple(strings), type_names=(), method_refs=())
 
 
 def _root_marker_by_loop(pool):
