@@ -66,6 +66,10 @@ class UnsupportedCompressionError(ApkError):
     """Entry uses a compression method other than stored/deflate."""
 
 
+class LocalNameMismatchError(ApkError):
+    """An entry's local header names another entry than its central directory record."""
+
+
 class ApkEntry(NamedTuple):
     name: str
     method: int
@@ -176,13 +180,17 @@ def read_entry(archive: ApkArchive, name: str) -> bytes:
     if data[pos : pos + 4] != LOCAL_SIG:
         raise TruncatedArchiveError(f"bad local header signature for {name!r}")
     # Sizes in the local header may be zero (data-descriptor entries); the
-    # central directory values are authoritative. Name/extra lengths are not:
-    # they can legitimately differ from the central record.
+    # central directory values are authoritative. The extra field can
+    # legitimately differ from the central record, but the name must not, as
+    # libziparchive and zipfile also require.
     name_len, extra_len = struct.unpack_from("<26xHH", data, pos)
     data_start = pos + 30 + name_len + extra_len
     data_end = data_start + entry.compressed_size
     if data_end > len(data):
         raise TruncatedArchiveError(f"payload of {name!r} past end of file")
+    local_name = data[pos + 30 : pos + 30 + name_len].decode("utf-8", "replace")
+    if local_name != name:
+        raise LocalNameMismatchError(f"local header of {name!r} names {local_name!r}")
 
     if entry.flags & 0x1:
         raise UnsupportedCompressionError(f"entry {name!r} is encrypted")

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from bankscan.apk import (
     CrcMismatchError,
     EntryNotFoundError,
+    LocalNameMismatchError,
     MissingManifestError,
     NoDexEntriesError,
     NotAZipError,
@@ -22,6 +23,8 @@ from bankscan.apk import (
     open_apk,
     read_entry,
 )
+from bankscan.cli import main
+from bankscan.fixtures import pack_apk
 
 MANIFEST_STUB = struct.pack("<HHI", 0x0003, 8, 8)  # just the AXML chunk tag
 
@@ -157,6 +160,46 @@ def test_truncated_central_directory():
     struct.pack_into("<I", mutated, eocd + 16, len(data))  # cd offset past EOCD
     with pytest.raises(TruncatedArchiveError):
         load_apk(bytes(mutated))
+
+
+def test_duplicate_entry_names_rejected(tmp_path, capsys):
+    # Two central records of one name (the "Master Key" shape): which payload
+    # a reader takes would depend on the reader, so the archive is refused.
+    with pytest.warns(UserWarning, match="Duplicate name"):
+        data = pack_apk([("AndroidManifest.xml", MANIFEST_STUB), ("classes.dex", b"a"), ("classes.dex", b"b")])
+    with pytest.raises(TruncatedArchiveError, match=r"^duplicate entry name 'classes\.dex'$"):
+        load_apk(data)
+    path = tmp_path / "twice.apk"
+    path.write_bytes(data)
+    assert main(["-f", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"bankscan: {path}: TruncatedArchiveError: duplicate entry name 'classes.dex'\n"
+
+
+@pytest.fixture
+def renamed_local_header():
+    """A minimal APK whose classes.dex local header names classes.dez; its central record is unchanged."""
+    data = bytearray(minimal_apk())
+    local = data.index(b"PK\x03\x04")
+    while data[local + 30 : local + 41] != b"classes.dex":
+        local = data.index(b"PK\x03\x04", local + 4)
+    data[local + 40] = ord("z")
+    return bytes(data)
+
+
+def test_local_header_name_must_match_the_central_record(renamed_local_header):
+    archive = load_apk(renamed_local_header)
+    assert read_entry(archive, "AndroidManifest.xml") == MANIFEST_STUB
+    with pytest.raises(LocalNameMismatchError, match=r"^local header of 'classes\.dex' names 'classes\.dez'$"):
+        read_entry(archive, "classes.dex")
+
+
+def test_zipfile_rejects_a_local_header_name_that_differs(renamed_local_header):
+    with zipfile.ZipFile(io.BytesIO(renamed_local_header)) as zf:
+        assert zf.read("AndroidManifest.xml") == MANIFEST_STUB
+        with pytest.raises(zipfile.BadZipFile, match="File name in directory 'classes.dex' and header b'classes.dez' differ"):
+            zf.read("classes.dex")
 
 
 def test_prepended_data_still_opens(clean_apk):
