@@ -87,8 +87,7 @@ def test_perfbench_modules_import_and_read_the_printed_titles(monkeypatch, corpu
 def test_perfbench_parsed_counts_match_each_plan(monkeypatch, tmp_path):
     # The untraced benchmark checks the DEX files, methods and instructions
     # its parser reads, through every body of DexImage.bodies(), against the
-    # workload's plan; a parsed image that builds its bodies on first read
-    # must still yield them all.
+    # workload's plan; bodies(), built from the rows, must yield them all.
     monkeypatch.syspath_prepend(str(TRACER_PATH.parent))
     try:
         import child
