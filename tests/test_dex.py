@@ -839,6 +839,47 @@ def test_bodies_of_every_class_are_built_from_their_rows(rows_artifact):
     assert list(image.bodies()) == bodies and sites_of(image, targets) == sites  # reading the bodies kept nothing
 
 
+@pytest.mark.parametrize("first", ["sites", "body_table", "classes", "bodies"])
+def test_a_method_gives_one_body_whichever_read_comes_first(rows_artifact, first):
+    # Each read is a view over the same rows: the sites, the bodies by place,
+    # the bodies grouped by class, and bodies() itself. None stores anything
+    # on the image, so the order of the reads changes nothing.
+    image = parse_dex(bytes(_three_class_dex(rows_artifact)[2]))
+    methods, places = image.invokes.methods, image.invokes.places
+    begins = (0, *image.rows.class_ends)
+    reads = {
+        "sites": lambda: sites_of(image, sorted(set(map(ord, methods)))),
+        "body_table": lambda: dict(enumerate(image.bodies())),
+        "classes": lambda: [list(image.bodies())[b:e] for b, e in zip(begins, image.rows.class_ends)],
+        "bodies": lambda: list(image.bodies()),
+    }
+    seen = {first: reads.pop(first)()}
+    seen.update((name, read()) for name, read in reads.items())
+    table = seen["body_table"]
+    assert len(table) == 12 and list(table.values()) == seen["bodies"] == [b for cls in seen["classes"] for b in cls]
+    assert [len(cls) for cls in seen["classes"]] == [0, 6, 6]
+    assert all(body.owner == owner for owner, cls in zip(image.rows.owners, seen["classes"]) for body in cls)
+    assert [site.place for site in seen["sites"]] == places
+    assert all((site.owner, site.name) == (table[site.place].owner, table[site.place].name) for site in seen["sites"])
+
+
+@pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, lambda image: pickle.loads(pickle.dumps(image))])
+def test_a_parsed_image_copies_and_pickles_like_one_built_by_hand(rows_artifact, clone):
+    data = bytes(_three_class_dex(rows_artifact)[2])
+    image = parse_dex(data, source_name="classes2.dex")
+    clone = clone(image)
+    fields = parse_dex(data, source_name="classes2.dex")
+    by_hand = type(fields)(
+        fields.string_pool, fields.type_names, fields.method_refs, fields.source_name, fields.rows, fields.invokes
+    )
+    assert clone == image == by_hand
+    assert repr(clone) == repr(image) == repr(by_hand)
+    assert hash(clone) == hash(image) == hash(by_hand)
+    assert list(clone.bodies()) == list(image.bodies()) == list(by_hand.bodies())
+    targets = sorted(set(map(ord, image.invokes.methods)))
+    assert sites_of(clone, targets) == sites_of(image, targets) == sites_of(by_hand, targets)
+
+
 def test_undefined_invoke_names_its_owner_past_an_empty_class(rows_artifact):
     owner, _, data = _three_class_dex(rows_artifact)
     units = parse_dex(bytes(data)).invokes.units
