@@ -119,6 +119,30 @@ def test_scan_corrupt_file_exit_three(tmp_path, capsys):
     assert "NotAZip" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_scan_failure_writes_nothing(tmp_path, capsys, fmt):
+    # -f on a file that fails: no stdout bytes, no -o file, one stderr line and no summary.
+    bad = tmp_path / "bad.apk"
+    bad.write_bytes(b"this is not an apk at all")
+    out = tmp_path / "out"
+    assert main(["-f", str(bad), "--format", fmt, "-o", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert not out.exists()
+    assert captured.err == f"bankscan: {bad}: NotAZipError: no end-of-central-directory signature\n"
+
+
+def test_scan_json_is_one_object(apk_on_disk, capsys):
+    path = apk_on_disk("oneobject", frozenset({RuleId.R11}))
+    assert main(["-f", path, "--format", "json"]) == 0
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
+    assert isinstance(doc, dict)
+    assert doc["kind"] == "report"
+    assert doc["apk_name"] == "oneobject.apk"
+    assert captured.err == ""
+
+
 def test_usage_error_exit_two(capsys):
     assert main(["--definitely-not-a-flag"]) == 2
     err = capsys.readouterr().err
