@@ -31,7 +31,7 @@ METHOD_DEFLATED = 8
 _EOCD_TAIL = 0x10000 + 22
 
 MANIFEST_NAME = "AndroidManifest.xml"
-_DEX_NAME_RE = re.compile(r"^classes(\d*)\.dex$")
+_DEX_NAME_RE = re.compile(r"classes([0-9]*)\.dex")  # with fullmatch: ASCII digits only, no "\n" after it
 
 
 class ApkError(Exception):
@@ -157,7 +157,7 @@ def load_apk(data: bytes, source_path: Path | None = None) -> ApkArchive:
 
     if MANIFEST_NAME not in seen:
         raise MissingManifestError("archive has no AndroidManifest.xml")
-    if not any(_DEX_NAME_RE.match(n) for n in seen):
+    if not any(_DEX_NAME_RE.fullmatch(n) for n in seen):
         raise NoDexEntriesError("archive has no classes.dex entries")
 
     return ApkArchive(source_path=source_path, data=data, entries=tuple(entries))
@@ -221,8 +221,8 @@ def dex_entry_names(archive: ApkArchive) -> list[str]:
     """All DEX entry names: classes.dex first, then classes2.dex, ... in numeric order."""
 
     def key(name: str) -> int:
-        suffix = _DEX_NAME_RE.match(name).group(1)  # type: ignore[union-attr]
+        suffix = _DEX_NAME_RE.fullmatch(name).group(1)  # type: ignore[union-attr]
         return 1 if suffix == "" else int(suffix)
 
-    names = [e.name for e in archive.entries if _DEX_NAME_RE.match(e.name)]
+    names = [e.name for e in archive.entries if _DEX_NAME_RE.fullmatch(e.name)]
     return sorted(names, key=key)

@@ -1,7 +1,10 @@
 """Command-line front end.
 
 Single-file scan, directory batch scan, and fleet matrix emission, fully
-offline. Exit codes are a stable contract for CI use:
+offline. Every mode runs one way: collect the input paths, scan them in
+order, write one output, then name each failed file on stderr. ``-f`` is
+that loop over one file: it prints a single report (nothing if the file
+fails) and no failure summary. Exit codes are a stable contract for CI use:
 
     0   scan finished, no finding at or above the --fail-on threshold
     1   at least one finding at or above the threshold
@@ -9,10 +12,11 @@ offline. Exit codes are a stable contract for CI use:
     3   a file could not be read, scanned or written
 
 A file that fails to scan, whatever the exception, is named on stderr as
-``bankscan: PATH: Type: message``. Batch mode keeps scanning past it and
-summarizes the failures at the end, and exit code 3 then takes precedence
-over 1. An output file that cannot be written is named on stderr and also
-gives 3.
+``bankscan: PATH: Type: message``. Batch and matrix runs keep scanning past
+it and summarize the failures at the end, and exit code 3 then takes
+precedence over 1. An output that cannot be written, the ``-o`` file or
+stdout (named ``<stdout>``, as when its reader has closed the pipe), is
+named on stderr the same way and also gives 3.
 """
 
 from __future__ import annotations
@@ -21,13 +25,12 @@ import os
 import sys
 from pathlib import Path
 
-from .report import build_fleet_matrix, duplicate_app_names, render_report, serialize, serialize_reports
+from .report import FORMATS, build_fleet_matrix, duplicate_app_names, render_report, serialize, serialize_reports
 from .rules import ScanResult, Severity
 from .scanner import scan_bytes
 
 PROG = "bankscan"
 FORMAT_ENV_VAR = "BANKSCAN_FORMAT"
-_FORMATS = ("text", "json", "csv")
 
 USAGE = f"""usage: {PROG} [options] [apk ...]
 
@@ -134,8 +137,8 @@ def parse_args(argv: list[str]) -> CliConfig:
             output = Path(take_value(arg, it))
         elif arg == "--format":
             fmt = take_value(arg, it)
-            if fmt not in _FORMATS:
-                raise CliUsageError(f"unknown format {fmt!r}, expected one of {_FORMATS}")
+            if fmt not in FORMATS:
+                raise CliUsageError(f"unknown format {fmt!r}, expected one of {FORMATS}")
         elif arg == "--fail-on":
             value = take_value(arg, it)
             try:
@@ -175,24 +178,26 @@ def parse_args(argv: list[str]) -> CliConfig:
 
 def _resolve_format(config: CliConfig) -> str:
     fmt = config.fmt or os.environ.get(FORMAT_ENV_VAR) or "text"
-    if fmt not in _FORMATS:
+    if fmt not in FORMATS:
         raise CliUsageError(
-            f"{FORMAT_ENV_VAR}={fmt!r} is not a valid format, expected one of {_FORMATS}"
+            f"{FORMAT_ENV_VAR}={fmt!r} is not a valid format, expected one of {FORMATS}"
         )
     return fmt
 
 
 def _write_output(config: CliConfig, payload: bytes) -> bool:
-    """Write ``payload`` to ``-o`` or stdout; False, after one stderr line, if the ``-o`` file cannot be written."""
-    if config.output_path is not None:
-        try:
-            config.output_path.write_bytes(payload)
-        except OSError as exc:
-            sys.stderr.write(f"{PROG}: {config.output_path}: {type(exc).__name__}: {exc}\n")
-            return False
-    else:
-        sys.stdout.buffer.write(payload)
-        sys.stdout.buffer.flush()
+    """Write ``payload`` to ``-o`` or stdout; False, after one stderr line naming the target, if the write fails."""
+    path = config.output_path
+    try:
+        if path is None:
+            sys.stdout.buffer.write(payload)
+            sys.stdout.buffer.flush()
+        else:
+            path.write_bytes(payload)
+    except OSError as exc:
+        target = "<stdout>" if path is None else path
+        sys.stderr.write(f"{PROG}: {target}: {type(exc).__name__}: {exc}\n")
+        return False
     return True
 
 
@@ -227,21 +232,8 @@ def _scan_many(paths: list[Path]):
 
 def execute(config: CliConfig) -> int:
     if config.mode == "help":
-        sys.stdout.write(USAGE)
-        return 0
+        return 0 if _write_output(config, USAGE.encode()) else 3
     fmt = _resolve_format(config)
-
-    if config.mode == "scan":
-        path = config.inputs[0]
-        try:
-            result = scan_bytes(path.read_bytes(), path.name)
-        except Exception as exc:
-            sys.stderr.write(f"{PROG}: {path}: {type(exc).__name__}: {exc}\n")
-            return 3
-        if not _write_output(config, serialize(render_report(result), fmt)):
-            return 3
-        return 1 if _threshold_hit([result], config.fail_threshold) else 0
-
     paths = _collect_inputs(config)
     if not paths:
         sys.stderr.write(f"{PROG}: no .apk files found in the given inputs\n")
@@ -252,14 +244,18 @@ def execute(config: CliConfig) -> int:
             raise CliUsageError(f"matrix rows are keyed by file name; duplicate names: {clashes}")
     results, errors = _scan_many(paths)
 
-    if config.mode == "matrix":
-        written = not results or _write_output(config, serialize(build_fleet_matrix(results), fmt))
-    else:
+    if config.mode == "batch":
         written = _write_output(config, serialize_reports([render_report(r) for r in results], fmt))
+    elif not results:  # -f and --matrix write nothing when every file failed
+        written = True
+    elif config.mode == "matrix":
+        written = _write_output(config, serialize(build_fleet_matrix(results), fmt))
+    else:
+        written = _write_output(config, serialize(render_report(results[0]), fmt))
 
     for path, message in errors:
         sys.stderr.write(f"{PROG}: {path}: {message}\n")
-    if errors:
+    if errors and config.mode != "scan":
         sys.stderr.write(f"{PROG}: {len(errors)} of {len(paths)} file(s) failed to scan\n")
     if errors or not written:
         return 3

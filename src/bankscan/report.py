@@ -32,7 +32,7 @@ from .rules import RULE_COUNT, RULE_TITLES, RuleId, ScanResult, Severity
 
 SCHEMA_VERSION = 1
 
-_FORMATS = ("text", "json", "csv")
+FORMATS = ("text", "json", "csv")
 _enc = json.encoder.encode_basestring_ascii  # the str encoder of json.dumps
 _FIXED = itemgetter(0, 1, 3, 4, 5, 6)  # a ReportSection's fields but the evidence
 _EVIDENCE = itemgetter(2)
@@ -151,8 +151,8 @@ def build_fleet_matrix(results: list[ScanResult]) -> FleetMatrix:
 
 
 def _check_format(fmt: str) -> None:
-    if fmt not in _FORMATS:
-        raise UnknownFormatError(f"unknown format {fmt!r}, expected one of {_FORMATS}")
+    if fmt not in FORMATS:
+        raise UnknownFormatError(f"unknown format {fmt!r}, expected one of {FORMATS}")
 
 
 def serialize(obj: Report | FleetMatrix, fmt: str = "text") -> bytes:

@@ -231,6 +231,25 @@ def test_dex_entry_names_numeric_order():
     assert dex_entry_names(archive) == reference
 
 
+def test_dex_name_with_a_trailing_newline_is_not_dex(tmp_path, capsys):
+    # "$" would match before a final newline; no Android loader opens "classes.dex\n".
+    data = pack_apk([("AndroidManifest.xml", MANIFEST_STUB), ("classes.dex\n", b"a")])
+    with pytest.raises(NoDexEntriesError):
+        load_apk(data)
+    path = tmp_path / "newline.apk"
+    path.write_bytes(data)
+    assert main(["-f", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"bankscan: {path}: NoDexEntriesError: archive has no classes.dex entries\n"
+
+
+def test_dex_name_with_non_ascii_digits_is_not_dex():
+    # "\d" would take ARABIC-INDIC DIGIT TWO and sort the entry as classes2.dex.
+    data = pack_apk([("AndroidManifest.xml", MANIFEST_STUB), ("classes.dex", b"a"), ("classes\u0662.dex", b"b")])
+    assert dex_entry_names(load_apk(data)) == ["classes.dex"]
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     payload=st.binary(min_size=0, max_size=2048),

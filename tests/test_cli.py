@@ -1,6 +1,7 @@
 import datetime
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import types
@@ -191,6 +192,41 @@ def test_unwritable_matrix_output_still_reports_file_errors(fleet_dir, tmp_path,
     (inputs / "broken.apk").unlink()
     assert main(["--dir", str(inputs), "--matrix", "--fail-on", "info", "-o", str(out)]) == 3
     assert capsys.readouterr().err.splitlines() == [lines[0]]
+
+
+class _ClosedPipe:
+    """A stdout buffer whose reader has gone."""
+
+    def write(self, data):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("argv", [["-f", "starling-like.apk"], ["--dir", "."], ["-h"]])
+def test_closed_stdout_exit_three(fleet_dir, monkeypatch, capsys, argv):
+    # Starling has findings, so without the failed write --fail-on info would give 1.
+    monkeypatch.chdir(fleet_dir)
+    monkeypatch.setattr(sys, "stdout", types.SimpleNamespace(buffer=_ClosedPipe()))
+    assert main([*argv, "--fail-on", "info"]) == 3
+    assert capsys.readouterr().err == "bankscan: <stdout>: BrokenPipeError: [Errno 32] Broken pipe\n"
+
+
+def test_closed_stdout_subprocess(fleet_dir):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the first byte is written
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "bankscan", "--dir", str(fleet_dir)],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 3
+    assert proc.stderr == "bankscan: <stdout>: BrokenPipeError: [Errno 32] Broken pipe\n"
 
 
 def test_format_env_var_default(apk_on_disk, tmp_path, monkeypatch):
