@@ -200,9 +200,6 @@ class _ClosedPipe:
     def write(self, data):
         raise BrokenPipeError(32, "Broken pipe")
 
-    def flush(self):
-        pass
-
 
 @pytest.mark.parametrize("argv", [["-f", "starling-like.apk"], ["--dir", "."], ["-h"]])
 def test_closed_stdout_exit_three(fleet_dir, monkeypatch, capsys, argv):
