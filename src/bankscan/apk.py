@@ -91,9 +91,6 @@ class ApkArchive(NamedTuple):
                 return e
         raise EntryNotFoundError(f"no entry named {name!r}")
 
-    def names(self) -> list[str]:
-        return [e.name for e in self.entries]
-
 
 def _find_eocd(data: bytes) -> int:
     if len(data) < 22:

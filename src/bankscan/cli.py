@@ -24,6 +24,7 @@ from __future__ import annotations
 import os
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 from .report import FORMATS, build_fleet_matrix, duplicate_app_names, render_report, serialize, serialize_reports
 from .rules import ScanResult, Severity
@@ -70,39 +71,15 @@ class ConflictingModesError(CliUsageError):
     pass
 
 
-class CliConfig:
-    """The parsed command line; mutable and unhashable."""
+class CliConfig(NamedTuple):
+    """The parsed command line."""
 
-    __slots__ = ("mode", "inputs", "dirs", "output_path", "fmt", "fail_threshold")
-
-    def __init__(
-        self,
-        mode: str,  # scan | batch | matrix | help
-        inputs: list[Path] | None = None,
-        dirs: list[Path] | None = None,
-        output_path: Path | None = None,
-        fmt: str | None = None,
-        fail_threshold: Severity | None = None,
-    ) -> None:
-        self.mode = mode
-        self.inputs = [] if inputs is None else inputs
-        self.dirs = [] if dirs is None else dirs
-        self.output_path = output_path
-        self.fmt = fmt
-        self.fail_threshold = fail_threshold
-
-    def __repr__(self) -> str:
-        return (
-            f"{type(self).__qualname__}(mode={self.mode!r}, inputs={self.inputs!r}, dirs={self.dirs!r}, "
-            f"output_path={self.output_path!r}, fmt={self.fmt!r}, fail_threshold={self.fail_threshold!r})"
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.mode, self.inputs, self.dirs, self.output_path, self.fmt, self.fail_threshold) == (
-            other.mode, other.inputs, other.dirs, other.output_path, other.fmt, other.fail_threshold
-        )
+    mode: str  # scan | batch | matrix | help
+    inputs: tuple[Path, ...] = ()
+    dirs: tuple[Path, ...] = ()
+    output_path: Path | None = None
+    fmt: str | None = None
+    fail_threshold: Severity | None = None
 
 
 def parse_args(argv: list[str]) -> CliConfig:
@@ -159,7 +136,7 @@ def parse_args(argv: list[str]) -> CliConfig:
     if single is not None:
         return CliConfig(
             mode="scan",
-            inputs=[single],
+            inputs=(single,),
             output_path=output,
             fmt=fmt,
             fail_threshold=fail_on,
@@ -168,8 +145,8 @@ def parse_args(argv: list[str]) -> CliConfig:
         raise MissingArgumentError("no inputs: give -f APK, --dir PATH or positional apk paths")
     return CliConfig(
         mode="matrix" if matrix else "batch",
-        inputs=positionals,
-        dirs=dirs,
+        inputs=tuple(positionals),
+        dirs=tuple(dirs),
         output_path=output,
         fmt=fmt,
         fail_threshold=fail_on,

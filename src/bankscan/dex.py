@@ -205,22 +205,6 @@ class Instruction(NamedTuple):
     method_index: int | None = None  # invoke family
 
 
-class _Frozen:
-    """Base of the frozen records.
-
-    Their ``__init__`` sets each field with ``object.__setattr__``, and their
-    ``__reduce__`` rebuilds them through ``__init__`` for copy and pickle.
-    """
-
-    __slots__ = ()
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-
 class MethodBody(NamedTuple):
     """One method's instruction stream, as ``DexImage.bodies()`` builds it from the rows."""
 
@@ -267,51 +251,25 @@ def _code_at(data: bytes, start: int) -> bytes:
     return data[start : start + 2 * _U32.unpack_from(data, start - 4)[0]] if start else b""
 
 
-class DexImage(_Frozen):
+class DexImage(NamedTuple):
     """One parsed DEX: its id tables, its method and class rows and its invoke columns.
 
-    ``==`` and ``hash`` compare every field but ``invokes``, which the rows
-    determine; ``repr`` leaves out the rows too, so it prints no DEX bytes.
+    ``repr`` leaves out the rows and the invokes, so it prints no DEX bytes.
+    The invoke columns are lists, so an image is not hashable.
     """
 
-    __slots__ = ("string_pool", "type_names", "method_refs", "source_name", "rows", "invokes")
-
-    def __init__(
-        self,
-        string_pool: tuple[str, ...],
-        type_names: tuple[str, ...],
-        method_refs: tuple[MethodRef, ...],
-        source_name: str = "classes.dex",
-        rows: _Rows = _NO_ROWS,
-        invokes: _Invokes = _NO_INVOKES,
-    ) -> None:
-        put = object.__setattr__
-        put(self, "string_pool", string_pool)
-        put(self, "type_names", type_names)
-        put(self, "method_refs", method_refs)
-        put(self, "source_name", source_name)
-        put(self, "rows", rows)
-        put(self, "invokes", invokes)
-
-    def _key(self) -> tuple:
-        return self.string_pool, self.type_names, self.method_refs, self.source_name, self.rows
+    string_pool: tuple[str, ...]
+    type_names: tuple[str, ...]
+    method_refs: tuple[MethodRef, ...]
+    source_name: str = "classes.dex"
+    rows: _Rows = _NO_ROWS
+    invokes: _Invokes = _NO_INVOKES
 
     def __repr__(self) -> str:
         return (
             f"{type(self).__qualname__}(string_pool={self.string_pool!r}, type_names={self.type_names!r}, "
             f"method_refs={self.method_refs!r}, source_name={self.source_name!r})"
         )
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __reduce__(self):
-        return type(self), (*self._key(), self.invokes)
 
     def bodies(self) -> Iterator[MethodBody]:
         """Every method body, class by class, each built from the rows as it is read; none is kept."""
@@ -406,15 +364,9 @@ def parse_dex(data: bytes, source_name: str = "classes.dex") -> DexImage:
         walk.methods(method_refs)  # an undefined invoke recorded before the failure comes first
         raise
 
-    rows = (data, tuple(walk.refs), tuple(walk.code_starts), tuple(walk.owners), tuple(walk.class_ends))
-    return DexImage(
-        string_pool=tuple(strings),
-        type_names=tuple(type_names),
-        method_refs=tuple(method_refs),
-        source_name=source_name,
-        rows=tuple.__new__(_Rows, rows),
-        invokes=tuple.__new__(_Invokes, (walk.methods(method_refs), walk.places, walk.units, walk.starts)),
-    )
+    rows = make(_Rows, (data, tuple(walk.refs), tuple(walk.code_starts), tuple(walk.owners), tuple(walk.class_ends)))
+    invokes = make(_Invokes, (walk.methods(method_refs), walk.places, walk.units, walk.starts))
+    return make(DexImage, (tuple(strings), tuple(type_names), tuple(method_refs), source_name, rows, invokes))
 
 
 def _parse_strings(data: bytes, off: int, count: int) -> list[str]:

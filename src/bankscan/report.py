@@ -226,28 +226,36 @@ def _report_json(report: Report) -> bytes:
     return "".join([*_report_json_parts(report), "\n"]).encode("utf-8")
 
 
+# What reading a malformed document raises (bad UTF-8 and bad JSON are
+# ValueErrors); the deserializers raise each as a ReportError chained from it.
+_MALFORMED = (AttributeError, KeyError, TypeError, ValueError)
+
+
 def deserialize_report(data: bytes) -> Report:
-    doc = json.loads(data.decode("utf-8"))
-    if doc.get("kind") != "report":
-        raise ReportError(f"not a report document: kind={doc.get('kind')!r}")
-    return Report(
-        apk_name=doc["apk_name"],
-        generated_at=doc["generated_at"],
-        sections=tuple(
-            ReportSection(
-                rule=RuleId(s["rule"]),
-                title=s["title"],
-                evidence=tuple(s["evidence"]),
-                severity=Severity(s["severity"]),
-                category=s["category"],
-                background=s["background"],
-                recommendation=s["recommendation"],
-            )
-            for s in doc["sections"]
-        ),
-        user_countermeasures=tuple(doc["user_countermeasures"]),
-        schema_version=doc["schema_version"],
-    )
+    try:
+        doc = json.loads(data.decode("utf-8"))
+        if doc.get("kind") != "report":
+            raise ReportError(f"not a report document: kind={doc.get('kind')!r}")
+        return Report(
+            apk_name=doc["apk_name"],
+            generated_at=doc["generated_at"],
+            sections=tuple(
+                ReportSection(
+                    rule=RuleId(s["rule"]),
+                    title=s["title"],
+                    evidence=tuple(s["evidence"]),
+                    severity=Severity(s["severity"]),
+                    category=s["category"],
+                    background=s["background"],
+                    recommendation=s["recommendation"],
+                )
+                for s in doc["sections"]
+            ),
+            user_countermeasures=tuple(doc["user_countermeasures"]),
+            schema_version=doc["schema_version"],
+        )
+    except _MALFORMED as exc:
+        raise ReportError(f"malformed report document: {type(exc).__name__}: {exc}") from exc
 
 
 def _matrix_json(matrix: FleetMatrix) -> bytes:
@@ -266,18 +274,21 @@ def _matrix_json(matrix: FleetMatrix) -> bytes:
 
 
 def deserialize_matrix(data: bytes) -> FleetMatrix:
-    doc = json.loads(data.decode("utf-8"))
-    if doc.get("kind") != "fleet_matrix":
-        raise ReportError(f"not a fleet matrix document: kind={doc.get('kind')!r}")
-    return FleetMatrix(
-        apps=tuple(doc["apps"]),
-        rules=tuple(RuleId(r) for r in doc["rules"]),
-        cells=tuple(tuple(bool(c) for c in row) for row in doc["cells"]),
-        totals=tuple(doc["totals"]),
-        percentages=tuple(doc["percentages"]),
-        rule_titles=tuple(doc["rule_titles"]),
-        schema_version=doc["schema_version"],
-    )
+    try:
+        doc = json.loads(data.decode("utf-8"))
+        if doc.get("kind") != "fleet_matrix":
+            raise ReportError(f"not a fleet matrix document: kind={doc.get('kind')!r}")
+        return FleetMatrix(
+            apps=tuple(doc["apps"]),
+            rules=tuple(RuleId(r) for r in doc["rules"]),
+            cells=tuple(tuple(bool(c) for c in row) for row in doc["cells"]),
+            totals=tuple(doc["totals"]),
+            percentages=tuple(doc["percentages"]),
+            rule_titles=tuple(doc["rule_titles"]),
+            schema_version=doc["schema_version"],
+        )
+    except _MALFORMED as exc:
+        raise ReportError(f"malformed fleet matrix document: {type(exc).__name__}: {exc}") from exc
 
 
 def scan_result_json(result: ScanResult) -> bytes:

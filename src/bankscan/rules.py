@@ -42,7 +42,7 @@ from itertools import compress, count, repeat
 from operator import itemgetter
 from typing import Any, Callable, NamedTuple
 
-from .dex import DexImage, _Frozen, _literals_reaching, _Site, _sites_of
+from .dex import DexImage, _literals_reaching, _Site, _sites_of
 from .manifest import ManifestModel
 
 FLAG_SECURE = 0x2000
@@ -157,10 +157,13 @@ class Finding(NamedTuple):
     category: str
 
 
-class ScanInput(_Frozen):
-    """What the rules read: the manifest model and at least one parsed DEX."""
+class ScanInput:
+    """What the rules read: the manifest model and at least one parsed DEX.
 
-    # __dict__ holds what cached_property caches
+    A frozen class, not a named tuple: it caches ``facts`` in its ``__dict__``
+    and refuses an empty ``dexes``. Its DEX images are unhashable, so it is too.
+    """
+
     __slots__ = ("manifest", "dexes", "apk_name", "__dict__")
 
     def __init__(self, manifest: ManifestModel, dexes: tuple[DexImage, ...], apk_name: str) -> None:
@@ -171,6 +174,12 @@ class ScanInput(_Frozen):
         put(self, "dexes", dexes)
         put(self, "apk_name", apk_name)
 
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
     def __repr__(self) -> str:
         return f"{type(self).__qualname__}(manifest={self.manifest!r}, dexes={self.dexes!r}, apk_name={self.apk_name!r})"
 
@@ -178,9 +187,6 @@ class ScanInput(_Frozen):
         if other.__class__ is not self.__class__:
             return NotImplemented
         return (self.manifest, self.dexes, self.apk_name) == (other.manifest, other.dexes, other.apk_name)
-
-    def __hash__(self) -> int:
-        return hash((self.manifest, self.dexes, self.apk_name))
 
     def __reduce__(self):
         return type(self), (self.manifest, self.dexes, self.apk_name)

@@ -52,7 +52,7 @@ def test_open_apk_lists_entries_matching_zipfile(tmp_path, clean_apk):
     with zipfile.ZipFile(io.BytesIO(data)) as zf:
         infos = {i.filename: i for i in zf.infolist()}
     assert len(archive.entries) == 2
-    assert set(archive.names()) == set(infos)
+    assert {e.name for e in archive.entries} == set(infos)
     for entry in archive.entries:
         ref = infos[entry.name]
         assert entry.crc32 == ref.CRC
@@ -206,7 +206,7 @@ def test_prepended_data_still_opens(clean_apk):
     _, data = clean_apk
     shifted = b"\xde\xad\xbe\xef" * 32 + data
     archive = load_apk(shifted)
-    assert set(archive.names()) == {"AndroidManifest.xml", "classes.dex"}
+    assert {e.name for e in archive.entries} == {"AndroidManifest.xml", "classes.dex"}
     manifest = read_entry(archive, "AndroidManifest.xml")
     assert struct.unpack_from("<H", manifest, 0)[0] == 0x0003
 

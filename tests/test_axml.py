@@ -61,10 +61,10 @@ def test_typed_attribute_values():
         ],
     )
     doc = decode_axml(encode_document(root))
-    app = doc.root.find_all("application")[0]
+    app = [c for c in doc.root.children if c.name == "application"][0]
     assert app.attr("allowBackup") is False
     assert app.attr("debuggable") is True
-    assert doc.root.find_all("uses-sdk")[0].attr("minSdkVersion") == 21
+    assert [c for c in doc.root.children if c.name == "uses-sdk"][0].attr("minSdkVersion") == 21
 
 
 def test_utf16_string_pool_round_trip():

@@ -722,7 +722,7 @@ def test_scan_reads_alike_from_rows_built_bodies_and_a_pickled_image(monkeypatch
     assert len(images["fresh"]) == 35
     for fresh, *others in zip(*images.values(), strict=True):
         for other in others:
-            assert other is not fresh and other == fresh and hash(other) == hash(fresh) and repr(other) == repr(fresh)
+            assert other is not fresh and other == fresh and repr(other) == repr(fresh)
             assert list(other.bodies()) == list(fresh.bodies())
     webview = results["fresh"][-1]
     assert sum(len(f.evidence) for f in webview.findings if f.rule.value == "R11") == 300
@@ -874,7 +874,6 @@ def test_a_parsed_image_copies_and_pickles_like_one_built_by_hand(rows_artifact,
     )
     assert clone == image == by_hand
     assert repr(clone) == repr(image) == repr(by_hand)
-    assert hash(clone) == hash(image) == hash(by_hand)
     assert list(clone.bodies()) == list(image.bodies()) == list(by_hand.bodies())
     targets = sorted(set(map(ord, image.invokes.methods)))
     assert sites_of(clone, targets) == sites_of(image, targets) == sites_of(by_hand, targets)

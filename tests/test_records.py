@@ -1,10 +1,10 @@
 """Behaviour of the records a scan builds and returns.
 
 Each record prints as ``Name(field=value, ...)``, builds by keyword or by
-position with the same field order and defaults, hashes like the tuple of
-its fields and compares equal to an instance with equal fields. The named
-tuples are pinned by ``CASES``; the five records that are not tuples, by
-``CLASS_CASES``.
+position with the same field order and defaults, compares equal to an
+instance with equal fields, and copies and pickles. The named tuples, pinned
+by ``CASES``, also compare equal to and hash like the tuple of their fields;
+the two records that are not tuples, by ``CLASS_CASES``.
 """
 
 import copy
@@ -41,6 +41,11 @@ _SECTION = dict(
     category="Storage", background="bg", recommendation="rec",
 )
 _THREAT = dict(rule=RuleId.R10, threat_name="Data theft", description="adb backup")
+# One class of one method: invoke-virtual {v0} of method 0, then return-void,
+# its stream at byte 8 (unit 4) after its insns_size.
+_CODE = b"\x6e\x10\x00\x00\x00\x00\x0e\x00"
+_ROWS = _Rows(b"\x00" * 4 + struct.pack("<I", len(_CODE) // 2) + _CODE, (0,), (8,), ("LMain;",), (1,))
+_PATHS = {name: Path(name) for name in ("a.apk", "d", "o.txt")}
 
 # (record type, its fields in declaration order, repr of that instance)
 CASES = [
@@ -56,9 +61,24 @@ CASES = [
     ),
     (ResourceRef, dict(resource_id=0x7F010001), "ResourceRef(resource_id=2130771969)"),
     (
+        AxmlDocument,
+        dict(string_pool=("manifest",), root=AxmlElement(None, "manifest", ()), warnings=("w",)),
+        "AxmlDocument(string_pool=('manifest',), root=AxmlElement(namespace=None, name='manifest', "
+        "attributes=(), children=[]), warnings=('w',))",
+    ),
+    (
         AxmlAttribute, dict(namespace=ANDROID_NS, name="exported", value=ResourceRef(5)),
         "AxmlAttribute(namespace='http://schemas.android.com/apk/res/android', name='exported', "
         "value=ResourceRef(resource_id=5))",
+    ),
+    (
+        DexImage,
+        dict(
+            string_pool=("s",), type_names=("LMain;",), method_refs=(MethodRef("LMain;", "run", "V"),),
+            source_name="classes2.dex", rows=_ROWS, invokes=_Invokes("\x00", [0], [4], [4]),
+        ),
+        "DexImage(string_pool=('s',), type_names=('LMain;',), method_refs=(MethodRef(owner='LMain;', "
+        "name='run', shorty='V'),), source_name='classes2.dex')",
     ),
     (
         MethodBody, dict(owner="LMain;", name="run", code=b"\x0e\x00"),
@@ -153,7 +173,20 @@ CASES = [
         "threat_name='Data theft', description='adb backup')}, countermeasures={}, "
         "backgrounds={<RuleId.R10: 'R10'>: 'bg'}, user_countermeasures=(UserCountermeasure(text='u'),))",
     ),
+    (
+        CliConfig,
+        dict(
+            mode="batch", inputs=(_PATHS["a.apk"],), dirs=(_PATHS["d"],), output_path=_PATHS["o.txt"],
+            fmt="json", fail_threshold=Severity.WARNING,
+        ),
+        f"CliConfig(mode='batch', inputs=({_PATHS['a.apk']!r},), dirs=({_PATHS['d']!r},), "
+        f"output_path={_PATHS['o.txt']!r}, fmt='json', fail_threshold=<Severity.WARNING: 'warning'>)",
+    ),
 ]
+
+# Not hashable: a KnowledgeBase's lookup tables are dicts, a DexImage's
+# invoke columns are lists and an AxmlDocument's root element is mutable.
+_UNHASHABLE = (KnowledgeBase, DexImage, AxmlDocument)
 
 
 @pytest.mark.parametrize("cls, fields, expected", CASES, ids=[c[0].__name__ for c in CASES])
@@ -165,17 +198,21 @@ def test_record_behaviour(cls, fields, expected):
     for name, value in fields.items():
         assert getattr(by_keyword, name) == value
         assert getattr(by_position, name) is value
-    assert by_keyword == by_position
+        with pytest.raises(AttributeError):
+            setattr(by_keyword, name, value)
+    assert by_keyword == by_position == tuple(fields.values())
     assert not by_keyword != by_position
-    if cls is KnowledgeBase:  # its lookup tables are dicts, so it is not hashable
+    if cls in _UNHASHABLE:
         with pytest.raises(TypeError):
             hash(by_keyword)
     else:
         assert hash(by_keyword) == hash(by_position) == hash(tuple(fields.values()))
+    for clone in (copy.copy(by_keyword), copy.deepcopy(by_keyword), pickle.loads(pickle.dumps(by_keyword))):
+        assert type(clone) is cls and clone == by_keyword and repr(clone) == expected
 
 
 def test_every_record_type_is_pinned():
-    assert len({cls for cls, _, _ in CASES}) == 19
+    assert len({cls for cls, _, _ in CASES}) == 22
 
 
 def test_defaults_are_unchanged():
@@ -193,17 +230,11 @@ def test_findings_in_a_set():
     assert other not in {first}
 
 
-# --- the five records that are classes, not tuples ---------------------------
+# --- the two records that are classes, not tuples ----------------------------
 
-# One class of one method: invoke-virtual {v0} of method 0, then return-void,
-# its stream at byte 8 (unit 4) after its insns_size.
-_CODE = b"\x6e\x10\x00\x00\x00\x00\x0e\x00"
-_ROWS = _Rows(b"\x00" * 4 + struct.pack("<I", len(_CODE) // 2) + _CODE, (0,), (8,), ("LMain;",), (1,))
 _MANIFEST = ManifestModel("com.example", 21, None, ApplicationAttrs(None, None), (), ())
-_PATHS = {name: Path(name) for name in ("a.apk", "d", "o.txt")}
 
-# (record type, its fields in declaration order, repr of that instance,
-#  the fields == and hash compare, whether it is frozen)
+# (record type, its fields in declaration order, repr of that instance, whether it is frozen)
 CLASS_CASES = [
     (
         AxmlElement,
@@ -214,34 +245,7 @@ CLASS_CASES = [
         "AxmlElement(namespace=None, name='manifest', attributes=(AxmlAttribute("
         "namespace='http://schemas.android.com/apk/res/android', name='versionCode', value=1),), "
         "children=[AxmlElement(namespace=None, name='application', attributes=(), children=[])])",
-        ("namespace", "name", "attributes", "children"), False,
-    ),
-    (
-        AxmlDocument,
-        dict(string_pool=("manifest",), root=AxmlElement(None, "manifest", ()), warnings=("w",)),
-        "AxmlDocument(string_pool=('manifest',), root=AxmlElement(namespace=None, name='manifest', "
-        "attributes=(), children=[]), warnings=('w',))",
-        ("string_pool", "root", "warnings"), False,
-    ),
-    (
-        CliConfig,
-        dict(
-            mode="batch", inputs=[_PATHS["a.apk"]], dirs=[_PATHS["d"]], output_path=_PATHS["o.txt"],
-            fmt="json", fail_threshold=Severity.WARNING,
-        ),
-        f"CliConfig(mode='batch', inputs=[{_PATHS['a.apk']!r}], dirs=[{_PATHS['d']!r}], "
-        f"output_path={_PATHS['o.txt']!r}, fmt='json', fail_threshold=<Severity.WARNING: 'warning'>)",
-        ("mode", "inputs", "dirs", "output_path", "fmt", "fail_threshold"), False,
-    ),
-    (
-        DexImage,
-        dict(
-            string_pool=("s",), type_names=("LMain;",), method_refs=(MethodRef("LMain;", "run", "V"),),
-            source_name="classes2.dex", rows=_ROWS, invokes=_Invokes("\x00", [0], [4], [4]),
-        ),
-        "DexImage(string_pool=('s',), type_names=('LMain;',), method_refs=(MethodRef(owner='LMain;', "
-        "name='run', shorty='V'),), source_name='classes2.dex')",
-        ("string_pool", "type_names", "method_refs", "source_name", "rows"), True,
+        False,
     ),
     (
         ScanInput,
@@ -250,15 +254,13 @@ CLASS_CASES = [
         "application=ApplicationAttrs(allow_backup=None, debuggable=None), components=(), "
         "declared_permissions=()), dexes=(DexImage(string_pool=('s',), type_names=(), method_refs=(), "
         "source_name='classes.dex'),), apk_name='a.apk')",
-        ("manifest", "dexes", "apk_name"), True,
+        True,
     ),
 ]
 
 
-@pytest.mark.parametrize(
-    "cls, fields, expected, compared, frozen", CLASS_CASES, ids=[c[0].__name__ for c in CLASS_CASES]
-)
-def test_class_record_behaviour(cls, fields, expected, compared, frozen):
+@pytest.mark.parametrize("cls, fields, expected, frozen", CLASS_CASES, ids=[c[0].__name__ for c in CLASS_CASES])
+def test_class_record_behaviour(cls, fields, expected, frozen):
     by_keyword = cls(**fields)
     by_position = cls(*fields.values())
     assert repr(by_keyword) == expected
@@ -269,25 +271,21 @@ def test_class_record_behaviour(cls, fields, expected, compared, frozen):
     assert by_keyword == by_position
     assert not by_keyword != by_position
 
-    key = tuple(fields[name] for name in compared)
+    key = tuple(fields.values())
     assert by_keyword != key  # only an instance of the same class compares equal
     assert cls.__eq__(by_keyword, key) is NotImplemented
     for name in fields:
         other = cls(**{**fields, name: object()})
-        if name in compared:
-            assert other != by_keyword and not other == by_keyword
-        else:
-            assert other == by_keyword
+        assert other != by_keyword and not other == by_keyword
 
+    with pytest.raises(TypeError):  # an element is mutable; a scan input's DEX images are unhashable
+        hash(by_keyword)
     if frozen:
-        assert hash(by_keyword) == hash(by_position) == hash(key)
         for name in fields:
             with pytest.raises(AttributeError):
                 setattr(by_keyword, name, fields[name])
         assert by_keyword == by_position
     else:
-        with pytest.raises(TypeError):
-            hash(by_keyword)
         for name, value in fields.items():
             setattr(by_position, name, value)
             assert getattr(by_position, name) is value
@@ -302,7 +300,7 @@ def test_class_records_copy_and_pickle(cls, fields):
 
 
 def test_every_class_record_type_is_pinned():
-    assert len({cls for cls, *_ in CLASS_CASES}) == 5
+    assert len({cls for cls, *_ in CLASS_CASES}) == 2
 
 
 def test_class_record_defaults():
@@ -310,11 +308,7 @@ def test_class_record_defaults():
     assert element.children == [] and element.children is not AxmlElement(None, "manifest", ()).children
     assert AxmlDocument(("m",), element).warnings == ()
 
-    config, again = CliConfig("help"), CliConfig(mode="help")
-    assert (config.inputs, config.dirs, config.output_path, config.fmt, config.fail_threshold) == ([], [], None, None, None)
-    assert config.inputs is not again.inputs and config.dirs is not again.dirs and config.inputs is not config.dirs
-    config.inputs.append(Path("a.apk"))
-    assert again.inputs == [] and config.dirs == []
+    assert CliConfig("help") == CliConfig(mode="help") == ("help", (), (), None, None, None)
 
     image = DexImage(("s",), (), ())
     assert image.source_name == "classes.dex"

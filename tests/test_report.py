@@ -18,6 +18,7 @@ from bankscan.knowledge import load_knowledge_base
 from bankscan.report import (
     DuplicateAppNameError,
     Report,
+    ReportError,
     ReportSection,
     UnknownFormatError,
     build_fleet_matrix,
@@ -190,6 +191,37 @@ def test_matrix_json_round_trip():
         [make_result("a", {RuleId.R11}), make_result("b", set())]
     )
     assert deserialize_matrix(serialize(matrix, "json")) == matrix
+
+
+_REPORT_HEAD = b'{"kind": "report", "apk_name": "a.apk", "generated_at": "t0", "sections": '
+_SECTION_HEAD = b'{"rule": "R01", "title": "t", "evidence": [], '
+
+# (deserializer, malformed bytes, what reading them raises, which the ReportError is chained from)
+_MALFORMED = {
+    "report-list": (deserialize_report, b"[]", AttributeError),
+    "report-kind-only": (deserialize_report, b'{"kind": "report"}', KeyError),
+    "report-unknown-rule": (deserialize_report, _REPORT_HEAD + b'[{"rule": "R99"}]}', ValueError),
+    "report-unknown-severity": (
+        deserialize_report, _REPORT_HEAD + b"[" + _SECTION_HEAD + b'"severity": "dire"}]}', ValueError
+    ),
+    "report-bad-utf8": (deserialize_report, b'{"kind": "\xff"}', UnicodeDecodeError),
+    "report-bad-json": (deserialize_report, b'{"kind": ', json.JSONDecodeError),
+    "matrix-list": (deserialize_matrix, b"[]", AttributeError),
+    "matrix-kind-only": (deserialize_matrix, b'{"kind": "fleet_matrix"}', KeyError),
+    "matrix-unknown-rule": (
+        deserialize_matrix, b'{"kind": "fleet_matrix", "apps": [], "rules": ["R99"]}', ValueError
+    ),
+    "matrix-bad-utf8": (deserialize_matrix, b'{"kind": "\xff"}', UnicodeDecodeError),
+    "matrix-bad-json": (deserialize_matrix, b'{"kind": ', json.JSONDecodeError),
+}
+
+
+@pytest.mark.parametrize("deserialize, data, cause", _MALFORMED.values(), ids=_MALFORMED.keys())
+def test_malformed_documents_raise_report_error(deserialize, data, cause):
+    with pytest.raises(ReportError, match=r"^malformed (report|fleet matrix) document: ") as excinfo:
+        deserialize(data)
+    assert type(excinfo.value) is ReportError
+    assert type(excinfo.value.__cause__) is cause
 
 
 def test_report_csv_lists_conditions():
