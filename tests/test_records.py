@@ -4,7 +4,9 @@ Each record prints as ``Name(field=value, ...)``, builds by keyword or by
 position with the same field order and defaults, compares equal to an
 instance with equal fields, and copies and pickles. The named tuples, pinned
 by ``CASES``, also compare equal to and hash like the tuple of their fields;
-the two records that are not tuples, by ``CLASS_CASES``.
+the two records that are not tuples, by ``CLASS_CASES``. The three records
+that were classes before they became named tuples (``AxmlDocument``,
+``CliConfig`` and ``DexImage``) also keep the class-record checks.
 """
 
 import copy
@@ -185,8 +187,9 @@ CASES = [
 ]
 
 # Not hashable: a KnowledgeBase's lookup tables are dicts, a DexImage's
-# invoke columns are lists and an AxmlDocument's root element is mutable.
-_UNHASHABLE = (KnowledgeBase, DexImage, AxmlDocument)
+# invoke columns are lists, an AxmlElement (so an AxmlDocument's root) is
+# mutable and a ScanInput's DEX images are unhashable.
+_UNHASHABLE = (KnowledgeBase, DexImage, AxmlDocument, AxmlElement, ScanInput)
 
 
 @pytest.mark.parametrize("cls, fields, expected", CASES, ids=[c[0].__name__ for c in CASES])
@@ -257,9 +260,13 @@ CLASS_CASES = [
         True,
     ),
 ]
+# The class cases plus the named tuples that were classes, all three frozen.
+_CLASS_CHECKED = CLASS_CASES + [
+    (cls, fields, expected, True) for cls, fields, expected in CASES if cls in (AxmlDocument, CliConfig, DexImage)
+]
 
 
-@pytest.mark.parametrize("cls, fields, expected, frozen", CLASS_CASES, ids=[c[0].__name__ for c in CLASS_CASES])
+@pytest.mark.parametrize("cls, fields, expected, frozen", _CLASS_CHECKED, ids=[c[0].__name__ for c in _CLASS_CHECKED])
 def test_class_record_behaviour(cls, fields, expected, frozen):
     by_keyword = cls(**fields)
     by_position = cls(*fields.values())
@@ -272,14 +279,20 @@ def test_class_record_behaviour(cls, fields, expected, frozen):
     assert not by_keyword != by_position
 
     key = tuple(fields.values())
-    assert by_keyword != key  # only an instance of the same class compares equal
-    assert cls.__eq__(by_keyword, key) is NotImplemented
-    for name in fields:
+    if issubclass(cls, tuple):
+        assert by_keyword == key
+    else:  # only an instance of the same class compares equal
+        assert by_keyword != key
+        assert cls.__eq__(by_keyword, key) is NotImplemented
+    for name in fields:  # every field takes part in ==
         other = cls(**{**fields, name: object()})
         assert other != by_keyword and not other == by_keyword
 
-    with pytest.raises(TypeError):  # an element is mutable; a scan input's DEX images are unhashable
-        hash(by_keyword)
+    if cls in _UNHASHABLE:
+        with pytest.raises(TypeError):
+            hash(by_keyword)
+    else:
+        assert hash(by_keyword) == hash(by_position) == hash(key)
     if frozen:
         for name in fields:
             with pytest.raises(AttributeError):
@@ -291,7 +304,7 @@ def test_class_record_behaviour(cls, fields, expected, frozen):
             assert getattr(by_position, name) is value
 
 
-@pytest.mark.parametrize("cls, fields", [c[:2] for c in CLASS_CASES], ids=[c[0].__name__ for c in CLASS_CASES])
+@pytest.mark.parametrize("cls, fields", [c[:2] for c in _CLASS_CHECKED], ids=[c[0].__name__ for c in _CLASS_CHECKED])
 def test_class_records_copy_and_pickle(cls, fields):
     record = cls(**fields)
     for clone in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
