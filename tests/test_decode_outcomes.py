@@ -5,11 +5,16 @@ outcome of every decode (exception class and message, or the repr of what was
 decoded) and compares the sha256 of that record with a pinned digest. A change
 in any exception class, message or decoded value changes the digest, so a
 rewrite of either reader must leave it as it is.
+
+Run as a script, ``PYTHONPATH=src python tests/test_decode_outcomes.py dex``
+(or ``axml``) prints the outcomes that the digest hashes, one per line, so
+two trees' outcomes can be compared with ``diff``.
 """
 
 import hashlib
 import random
 import struct
+import sys
 from typing import NamedTuple
 
 from test_dex import call_sites
@@ -48,13 +53,18 @@ def _mutants(data: bytes, seed: int, size_at: int | None):
         yield bytes(buf)
 
 
-def _outcome_digest(data: bytes, seed: int, size_at: int | None, decode) -> str:
+def _outcomes(data: bytes, seed: int, size_at: int | None, decode) -> list[str]:
+    """The outcome of decoding each mutant: what ``decode`` returned, or the exception's class and message."""
     outcomes = []
     for mutant in _mutants(data, seed, size_at):
         try:
             outcomes.append(decode(mutant))
         except Exception as exc:  # noqa: BLE001 - any class is part of the record
             outcomes.append(f"{type(exc).__name__}: {exc}")
+    return outcomes
+
+
+def _digest(outcomes: list[str]) -> str:
     return hashlib.sha256("\n".join(outcomes).encode("utf-8", "surrogatepass")).hexdigest()
 
 
@@ -92,15 +102,26 @@ def _parsed_dex(data: bytes) -> str:
     return repr((image.method_refs, image.string_pool, _classes(image), call_sites(image)))
 
 
+def _axml_outcomes() -> list[str]:
+    return _outcomes(build_manifest_bytes(fleet_profiles()[-1]), 6, 4, _decoded_manifest)
+
+
+def _dex_outcomes() -> list[str]:
+    return _outcomes(build_dex(fleet_profiles()[-1]).data, 6, None, _parsed_dex)
+
+
 def test_axml_mutation_outcomes_pinned():
-    data = build_manifest_bytes(fleet_profiles()[-1])
-    assert _outcome_digest(data, 6, 4, _decoded_manifest) == (
-        "17c297a6cb5adce7df76d6271f61f3cf42a61b930d71599fc4cf2abd1bf57d43"
-    )
+    assert _digest(_axml_outcomes()) == "17c297a6cb5adce7df76d6271f61f3cf42a61b930d71599fc4cf2abd1bf57d43"
 
 
 def test_dex_mutation_outcomes_pinned():
-    data = build_dex(fleet_profiles()[-1]).data
-    assert _outcome_digest(data, 6, None, _parsed_dex) == (
-        "4c09c7e437c1395558575421807aa5a4c0ab3fb9cbeeec03f648195238418235"
-    )
+    assert _digest(_dex_outcomes()) == "4c09c7e437c1395558575421807aa5a4c0ab3fb9cbeeec03f648195238418235"
+
+
+if __name__ == "__main__":
+    outcomes = {"axml": _axml_outcomes, "dex": _dex_outcomes}
+    if sys.argv[1:] not in ([name] for name in outcomes):
+        sys.exit(f"usage: {sys.argv[0]} axml|dex")
+    sys.stdout.reconfigure(errors="surrogatepass")  # as the digest encodes them
+    for line in outcomes[sys.argv[1]]():
+        print(line)
