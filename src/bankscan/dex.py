@@ -14,8 +14,10 @@ the published opcode format table, with one ``bytes.translate`` per DEX;
 each entry is the opcode's width in code units, or a marker for the invoke
 family and for ``nop``, which may start a payload. A plain instruction then
 costs one table read and one add. The loop reads a one-byte ULEB128, and a
-code_off of up to three bytes, inline. Every body, odd-aligned or holding a
-payload, takes that one path, and every error keeps its class and message.
+code_off of up to three bytes, inline. The format puts every code_item on a
+4-byte boundary, so the file's code units number every stream; a code_item
+off that boundary raises ``MisalignedCodeItemError``. Every body, with or
+without a payload, takes that one path.
 The walk builds no ``MethodBody``: each method is a row of per-DEX columns
 (its method index and where its stream starts) and each class a row of its
 owner and last method. The rows and the invoke columns are all a
@@ -84,6 +86,10 @@ class SectionOutOfBoundsError(DexError):
 
 class MalformedUleb128Error(DexError):
     """A ULEB128 value is truncated or longer than five bytes."""
+
+
+class MisalignedCodeItemError(DexError):
+    """A code_item does not start on the 4-byte boundary the format requires."""
 
 
 # ---------------------------------------------------------------------------
@@ -221,16 +227,15 @@ class MethodBody(NamedTuple):
 class _Invokes(NamedTuple):
     """Every invoke of one DEX as columns, one row per invoke in body order, then stream order.
 
-    No position is kept: a site's byte offset is its unit less its body's start.
+    No position is kept: a site's byte offset is twice its unit less its body's ``code_starts`` byte.
     """
 
     methods: str        # character r is chr(the method index row r names), for str.find
     places: list[int]   # its body's ordinal
-    units: list[int]    # the code unit it starts at, numbered across the DEX
-    starts: list[int]   # per body ordinal: the code unit its stream starts at
+    units: list[int]    # the code unit it starts at: unit u is bytes 2u and 2u + 1 of the DEX
 
 
-_NO_INVOKES = _Invokes("", [], [], [])
+_NO_INVOKES = _Invokes("", [], [])
 
 
 class _Rows(NamedTuple):
@@ -365,7 +370,7 @@ def parse_dex(data: bytes, source_name: str = "classes.dex") -> DexImage:
         raise
 
     rows = make(_Rows, (data, tuple(walk.refs), tuple(walk.code_starts), tuple(walk.owners), tuple(walk.class_ends)))
-    invokes = make(_Invokes, (walk.methods(method_refs), walk.places, walk.units, walk.starts))
+    invokes = make(_Invokes, (walk.methods(method_refs), walk.places, walk.units))
     return make(DexImage, (tuple(strings), tuple(type_names), tuple(method_refs), source_name, rows, invokes))
 
 
@@ -446,36 +451,28 @@ _U32 = struct.Struct("<I")
 
 
 class _Walk:
-    """The walk over one DEX's class data and code: its width table, its method and class rows and its invoke columns.
+    """The walk over one DEX's class data and code: its method and class rows and its invoke columns.
 
     Code units are numbered across the whole file, unit u being bytes 2u and
-    2u + 1, and ``steps[u]`` is the ``_WALK_WIDTHS`` entry of unit u's low
-    byte, built with one ``bytes.translate`` per DEX. A stream that starts at
-    an odd byte is numbered in a copy of the file shifted by one byte, put
-    after the even units, so every stream is walked the same way.
+    2u + 1. A code_item must start on a 4-byte boundary, so every stream
+    starts on a whole unit, and one numbering serves every body; a
+    code_item off that boundary raises ``MisalignedCodeItemError``.
 
     ``classes`` reads every class_data, method entry and instruction stream
     in one loop, the only one that steps instructions. It builds no
-    ``MethodBody``: a method is one row of ``refs``, ``code_starts`` and
-    ``starts``, and a class one row of ``owners`` and ``class_ends``, which
-    ``DexImage`` keeps as its rows. An invoke costs two appends, its
-    unit and its body's ordinal; no position is counted. ``methods`` then
-    reads every invoke's method index in one pass and checks them all at
-    once.
+    ``MethodBody``: a method is one row of ``refs`` and ``code_starts``, and
+    a class one row of ``owners`` and ``class_ends``, which ``DexImage``
+    keeps as its rows. An invoke costs two appends, its unit and its body's
+    ordinal; no position is counted. ``methods`` then reads every invoke's
+    method index in one pass and checks them all at once.
     """
 
-    __slots__ = (
-        "data", "buf", "steps", "odd_base", "units", "places", "starts",
-        "refs", "code_starts", "owners", "class_ends",
-    )
+    __slots__ = ("data", "units", "places", "refs", "code_starts", "owners", "class_ends")
 
     def __init__(self, data: bytes):
-        self.data = self.buf = data
-        self.steps = data[: len(data) & ~1 : 2].translate(_WALK_WIDTHS)
-        self.odd_base = -1  # the unit number of byte 1 once the shifted copy is made
+        self.data = data
         self.units: list[int] = []
         self.places: list[int] = []
-        self.starts: list[int] = []
         self.refs: list[int] = []
         self.code_starts: list[int] = []
         self.owners: list[str] = []
@@ -486,23 +483,22 @@ class _Walk:
 
         The usual method entry (one-byte ULEB128s and a code_off of up to
         three bytes) is read inline, and longer ones through ``_uleb128``.
-        Every body takes one path: its code_item and stream are checked
-        against the file, a stream at an odd byte gets its units in the
-        shifted copy, and the body is recorded, then walked. Every width and
-        payload is checked here, so decoding the same bytes later cannot
-        fail; the invoke targets are checked by ``methods``.
+        Every body takes one path: its code_item is checked against the file
+        and the 4-byte boundary and its stream against the file, and the
+        body is recorded, then walked. ``steps[u]`` is the ``_WALK_WIDTHS``
+        entry of unit u's low byte, built with one ``bytes.translate`` per
+        DEX. Every width and payload is checked here, so decoding the same
+        bytes later cannot fail; the invoke targets are checked by
+        ``methods``.
         """
         data = self.data
         n = len(data)
-        steps = self.steps
-        buf = self.buf
-        starts = self.starts
+        steps = data[: n & ~1 : 2].translate(_WALK_WIDTHS)
         units = self.units
         places = self.places
         refs = self.refs
         append_unit = units.append
         append_place = places.append
-        append_start = starts.append
         append_ref = refs.append
         append_code_start = self.code_starts.append
         class_ends = self.class_ends
@@ -561,26 +557,24 @@ class _Walk:
                         if code_off + 16 > n:
                             name = method_refs[method_idx].name
                             raise SectionOutOfBoundsError(f"code_item of {owner}->{name} at {code_off:#x}")
+                        if code_off & 3:
+                            name = method_refs[method_idx].name
+                            raise MisalignedCodeItemError(
+                                f"code_item of {owner}->{name} at {code_off:#x} is not 4-byte aligned"
+                            )
                         start = code_off + 16
                         stop = start + 2 * u32(data, code_off + 12)[0]
                         if stop > n:
                             name = method_refs[method_idx].name
                             raise SectionOutOfBoundsError(f"instruction stream of {owner}->{name} overruns file")
-                        if start & 1:
-                            first = self._odd_start(start)
-                            steps = self.steps
-                            buf = self.buf
-                        else:
-                            first = start >> 1
                     else:
-                        start = stop = first = 0  # no code
+                        start = stop = 0  # no code
                     ordinal = len(refs)
                     # recorded before the walk, so a failure can name an earlier invoke's body
                     append_ref(method_idx)
                     append_code_start(start)
-                    append_start(first)
-                    end = first + ((stop - start) >> 1)
-                    unit = first
+                    end = stop >> 1
+                    unit = start >> 1
                     while unit < end:
                         step = steps[unit]
                         if step > _MAX_UNITS:
@@ -588,8 +582,8 @@ class _Walk:
                                 step = 3  # formats 35c and 3rc alike
                                 append_unit(unit)
                                 append_place(ordinal)
-                            elif buf[2 * unit + 1] in _PAYLOAD_HIGH_BYTES:
-                                step = _payload_units(buf, 2 * unit, 2 * end, owner, method_refs[method_idx].name)
+                            elif data[2 * unit + 1] in _PAYLOAD_HIGH_BYTES:
+                                step = _payload_units(data, 2 * unit, stop, owner, method_refs[method_idx].name)
                             else:
                                 step = 1  # a plain nop
                         unit += step
@@ -600,18 +594,9 @@ class _Walk:
                             places.pop()
                         name = method_refs[method_idx].name
                         raise SectionOutOfBoundsError(
-                            f"instruction 0x{buf[2 * unit]:02x} at +{2 * (unit - first):#x} overruns {owner}->{name}"
+                            f"instruction 0x{data[2 * unit]:02x} at +{2 * unit - start:#x} overruns {owner}->{name}"
                         )
             class_ends.append(len(refs))
-
-    def _odd_start(self, start: int) -> int:
-        if self.odd_base < 0:
-            data = self.data
-            shifted = data[1 : 1 + ((len(data) - 1) & ~1)]
-            self.odd_base = len(data) >> 1
-            self.buf = data[: len(data) & ~1] + shifted
-            self.steps += shifted[::2].translate(_WALK_WIDTHS)
-        return self.odd_base + (start >> 1)
 
     def methods(self, method_refs: list[MethodRef]) -> str:
         """``_Invokes.methods``: the method index each recorded invoke names, all checked at once.
@@ -619,11 +604,11 @@ class _Walk:
         The first invoke that names a method past ``method_refs`` raises,
         with the owner and name of its body, read from the rows.
         """
-        buf = self.buf
+        data = self.data
         if _LITTLE_ENDIAN:
-            words = memoryview(buf)[2 : len(buf) & ~1].cast("H")  # words[u]: code unit u + 1
+            words = memoryview(data)[2 : len(data) & ~1].cast("H")  # words[u]: code unit u + 1
         else:
-            words = struct.unpack(f"<{max(0, len(buf) // 2 - 1)}H", buf[2 : len(buf) & ~1])
+            words = struct.unpack(f"<{max(0, len(data) // 2 - 1)}H", data[2 : len(data) & ~1])
         units = self.units
         # itemgetter gathers in one call, but returns a bare item for a single unit.
         methods = itemgetter(*units)(words) if len(units) > 1 else [words[u] for u in units]
@@ -687,9 +672,9 @@ def _sites_of(dex: DexImage, targets: list[int]) -> list[_Site]:
     is read from the method and class rows, and nothing is built for a site
     but its tuple.
     """
-    methods, places, units, starts = dex.invokes
+    methods, places, units = dex.invokes
     refs = dex.method_refs
-    owners, class_ends, body_refs = dex.rows.owners, dex.rows.class_ends, dex.rows.refs
+    _, body_refs, code_starts, owners, class_ends = dex.rows
     sites = []
     for i in targets:
         callee = refs[i]
@@ -698,7 +683,7 @@ def _sites_of(dex: DexImage, targets: list[int]) -> list[_Site]:
         while row >= 0:
             place = places[row]
             owner, name = owners[bisect_right(class_ends, place)], refs[body_refs[place]].name
-            sites.append((owner, name, callee, 2 * (units[row] - starts[place]), place))
+            sites.append((owner, name, callee, 2 * units[row] - code_starts[place], place))
             row = methods.find(char, row + 1)
     if len(targets) > 1:
         sites.sort(key=_BODY_ORDER)  # merge the per-target runs

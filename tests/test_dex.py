@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 from bankscan import dex as dex_module
 from bankscan import scanner
 from bankscan.apk import dex_entry_names, load_apk, read_entry
+from bankscan.cli import main
 from bankscan.report import render_report, serialize
 from bankscan.dex import (
     BadEndianTagError,
@@ -32,6 +33,7 @@ from bankscan.dex import (
     Instruction,
     MalformedUleb128Error,
     MethodBody,
+    MisalignedCodeItemError,
     SectionOutOfBoundsError,
     _sites_of,
     parse_dex,
@@ -426,7 +428,7 @@ def test_malformed_streams_raise_from_parse_dex(monkeypatch):
         parse_dex(bad_invoke)
 
 
-# --- error precedence and odd-aligned streams ---------------------------------
+# --- error precedence and misaligned code_items ------------------------------
 # The walk records invokes and checks their targets after the class_data
 # loop, or when another error stops it; either way the first invoke that
 # names an undefined method must win over every error found after it.
@@ -439,15 +441,6 @@ _ORDER_METHODS = [
     MethodSketch("a", [("invoke-virtual", [0], _DELETE), ("const", 5, 0x7A7B7C7D), ("nop",), ("return-void",)]),
     MethodSketch("b", [("const", 5, 0x71727374), ("invoke-virtual", [1], _DELETE), ("return-void",)]),
 ]
-
-
-def _code_starts(data):
-    """Byte offset of each body's instruction stream, by body name.
-
-    ``_odd_code_items`` appends a moved code_item after the original, so the
-    stream a body reads is the last copy in the file.
-    """
-    return {body.name: data.rindex(body.code) for body in parse_dex(data).bodies()}
 
 
 def _second_method_diff_at(data):
@@ -479,13 +472,20 @@ def _second_bad_invoke_in_b(data, starts):
     struct.pack_into("<H", data, starts["b"] + 8, _u32(data, 0x58) + 1)
 
 
-def _order_dex(*patches, odd=()):
-    """The two-method DEX of ``_ORDER_METHODS``, the code_items of ``odd`` moved to odd offsets, each ``patch(data, code starts)`` applied."""
+_ORDER_CODE = {body.name: body.code for body in parse_dex(emit_dex(_ORDER_OWNER, _ORDER_METHODS).data).bodies()}
+
+
+def _order_dex(*patches, misaligned=()):
+    """The two-method DEX of ``_ORDER_METHODS``, the code_items of ``misaligned`` moved to odd offsets, each ``patch(data, code starts)`` applied.
+
+    ``_moved_code_items`` appends a moved code_item after the original, so
+    the stream a body reads is the last copy in the file.
+    """
     data = emit_dex(_ORDER_OWNER, _ORDER_METHODS).data
-    if odd:
-        data = _odd_code_items(data, set(odd))
-    starts = _code_starts(data)
-    assert all(start % 2 == (name in odd) for name, start in starts.items())
+    if misaligned:
+        data = _moved_code_items(data, set(misaligned), 1)
+    starts = {name: data.rindex(code) for name, code in _ORDER_CODE.items()}
+    assert all(start % 2 == (name in misaligned) for name, start in starts.items())
     data = bytearray(data)
     for patch in patches:
         patch(data, starts)
@@ -502,11 +502,15 @@ def test_first_bad_invoke_outranks_every_later_error():
         _second_bad_invoke_in_b: f"invoke in {_ORDER_OWNER}->b names method {methods + 1}, only {methods} defined",
     }
     first = f"invoke in {_ORDER_OWNER}->a names method {methods}, only {methods} defined"
-    for odd in ((), ("a",)):  # a's code_item at an even, then at an odd offset
-        _dex_raises(_order_dex(_bad_invoke_in_a, odd=odd), SectionOutOfBoundsError, first)
-        for patch, message in later.items():
-            _dex_raises(_order_dex(patch, odd=odd), SectionOutOfBoundsError, message)  # each error is real on its own
-            _dex_raises(_order_dex(_bad_invoke_in_a, patch, odd=odd), SectionOutOfBoundsError, first)
+    _dex_raises(_order_dex(_bad_invoke_in_a), SectionOutOfBoundsError, first)
+    for patch, message in later.items():
+        _dex_raises(_order_dex(patch), SectionOutOfBoundsError, message)  # each error is real on its own
+        _dex_raises(_order_dex(_bad_invoke_in_a, patch), SectionOutOfBoundsError, first)
+    # b's code_item at an odd offset: a misaligned code_item after a's invoke
+    b_code_off = _order_dex(misaligned="b").rindex(_ORDER_CODE["b"]) - 16
+    misaligned = f"code_item of {_ORDER_OWNER}->b at {b_code_off:#x} is not 4-byte aligned"
+    _dex_raises(_order_dex(misaligned="b"), MisalignedCodeItemError, misaligned)
+    _dex_raises(_order_dex(_bad_invoke_in_a, misaligned="b"), SectionOutOfBoundsError, first)
 
 
 def _uleb(value):
@@ -518,8 +522,8 @@ def _uleb(value):
             return bytes(out)
 
 
-def _odd_code_items(data, names):
-    """``data`` with the code_items of the methods ``names`` copied to odd offsets at its end.
+def _moved_code_items(data, names, rest):
+    """``data`` with the code_items of the methods ``names`` copied to its end, each at an offset of ``rest`` mod 4.
 
     A new class_data pointing at the copies is appended too, and the
     class_def is pointed at it; nothing else changes.
@@ -545,8 +549,7 @@ def _odd_code_items(data, names):
         diff, access, code_off = fields
         method_idx += diff
         if refs[method_idx].name in names:
-            if len(out) % 2 == 0:
-                out += b"\x00"
+            out += bytes((rest - len(out)) % 4)
             insns_size = _u32(data, code_off + 12)
             out, code_off = out + data[code_off : code_off + 16 + 2 * insns_size], len(out)
         entries.append(_uleb(diff) + _uleb(access) + _uleb(code_off))
@@ -556,28 +559,35 @@ def _odd_code_items(data, names):
     return bytes(out)
 
 
-def test_odd_aligned_code_items_give_the_same_sites_and_errors():
+def test_misaligned_code_items_raise():
     data = emit_dex(_ORDER_OWNER, _ORDER_METHODS).data
-    even = parse_dex(data)
-    even_sites = invocations_of(even, JFILE, "delete")
-    assert [(site.name, position(even, site), site.offset) for site in even_sites] == [("a", 0, 0), ("b", 1, 6)]
-    methods = _u32(data, 0x58)
+    image = parse_dex(data)
+    assert issubclass(MisalignedCodeItemError, DexError)
     for names in ({"a"}, {"b"}, {"a", "b"}):
-        moved = _odd_code_items(data, names)
-        odd = parse_dex(moved)
-        assert [body.code for body in odd.bodies()] == [body.code for body in even.bodies()]
-        assert list(call_sites(odd).items()) == list(call_sites(even).items())
-        assert invocations_of(odd, JFILE, "delete") == even_sites
-        for name in names:
-            start = moved.rindex(next(body.code for body in even.bodies() if body.name == name))
-            assert start % 2 == 1
-            bad = bytearray(moved)
-            struct.pack_into("<H", bad, start + (2 if name == "a" else 8), methods)
-            _dex_raises(bad, SectionOutOfBoundsError, f"invoke in {_ORDER_OWNER}->{name} names method {methods}, only {methods} defined")
-            cut = bytearray(moved)
-            struct.pack_into("<I", cut, start - 4, 5)
-            opcode, at = (0x14, 6) if name == "a" else (0x6E, 6)
-            _dex_raises(cut, SectionOutOfBoundsError, f"instruction 0x{opcode:02x} at +{at:#x} overruns {_ORDER_OWNER}->{name}")
+        first = min(names)  # a's method index is below b's, so a's entry is read first
+        for rest in (1, 2, 3):  # odd offsets, and an even one off the 4-byte boundary
+            moved = _moved_code_items(data, names, rest)
+            code_off = moved.rindex(_ORDER_CODE[first]) - 16
+            assert code_off % 4 == rest
+            message = f"code_item of {_ORDER_OWNER}->{first} at {code_off:#x} is not 4-byte aligned"
+            _dex_raises(moved, MisalignedCodeItemError, message)
+        # copies moved to a 4-byte boundary read as the originals
+        aligned = parse_dex(_moved_code_items(data, names, 0))
+        assert list(aligned.bodies()) == list(image.bodies())
+        assert list(call_sites(aligned).items()) == list(call_sites(image).items())
+
+
+def test_misaligned_code_item_fails_the_scan(tmp_path, capsys):
+    dex = _moved_code_items(emit_dex(_ORDER_OWNER, _ORDER_METHODS).data, {"b"}, 2)
+    path = tmp_path / "misaligned.apk"
+    path.write_bytes(pack_apk([("AndroidManifest.xml", build_manifest_bytes(clean_profile())), ("classes.dex", dex)]))
+    assert main(["-f", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    code_off = dex.rindex(_ORDER_CODE["b"]) - 16
+    assert err == (
+        f"bankscan: {path}: MisalignedCodeItemError: code_item of {_ORDER_OWNER}->b at {code_off:#x} is not 4-byte aligned\n"
+    )
 
 
 def _live_instructions():
@@ -656,9 +666,9 @@ def _webview_apk(methods: int) -> bytes:
     data = bytearray(emit_dex("Lfixture/webview/Screens;", sketches).data)
     # Turn the six lead-in nops of every fourth method into a packed-switch payload of
     # one target, so the back-scan steps a payload on its way to the site.
-    starts = parse_dex(bytes(data)).invokes.starts
+    starts = parse_dex(bytes(data)).rows.code_starts
     for k in range(3, methods, 4):
-        struct.pack_into("<6H", data, 2 * starts[k], 0x0100, 1, 0, 0, 0, 0)
+        struct.pack_into("<6H", data, starts[k], 0x0100, 1, 0, 0, 0, 0)
     manifest = build_manifest_bytes(clean_profile())
     return pack_apk([("AndroidManifest.xml", manifest), ("classes.dex", bytes(data))])
 
@@ -1150,7 +1160,9 @@ def test_method_entry_and_code_item_messages(clean_artifact):
             message,
         )
     # A code_off 15 or 14 bytes before the end of the file: its 16-byte
-    # code_item header does not fit, at an odd and at an even offset.
+    # code_item header does not fit, at an odd offset and at an even one off
+    # the 4-byte boundary, and that is reported before the misalignment.
+    assert n % 4 == 0
     for short in (15, 14):
         code_off = n + 8 - short
         entry = b"\x00\x09" + _uleb(code_off)
@@ -1169,39 +1181,39 @@ def test_method_entry_and_code_item_messages(clean_artifact):
             SectionOutOfBoundsError,
             f"code_item of {where} at {code_off:#x}",
         )
-    # A whole code_item header at the end of the file, at an even and at an
-    # odd offset, whose insns_size of 100 units runs past the file.
-    for pad in (b"", b"\x00"):
+    # A whole code_item header at the end of the file, whose insns_size of
+    # 100 units runs past the file: on the 4-byte boundary that overrun is
+    # the error; one or two bytes past it, the misalignment is found first.
+    for pad in (b"", b"\x00", b"\x00\x00"):
         code_item = pad + struct.pack("<4H2I", 1, 0, 0, 0, 0, 100)
         tail = code_item + one_method + b"\x00\x09" + _uleb(n + len(pad))
-        _dex_raises(
-            _with_tail(clean_artifact, tail, ("<I", class_defs + 24, n + len(code_item))),
-            SectionOutOfBoundsError,
-            f"instruction stream of {where} overruns file",
-        )
+        patched = _with_tail(clean_artifact, tail, ("<I", class_defs + 24, n + len(code_item)))
+        if pad:
+            _dex_raises(patched, MisalignedCodeItemError, f"code_item of {where} at {n + len(pad):#x} is not 4-byte aligned")
+        else:
+            _dex_raises(patched, SectionOutOfBoundsError, f"instruction stream of {where} overruns file")
 
 
 def test_instruction_stream_may_end_at_the_last_byte_of_the_file(clean_artifact):
-    # A one-method class_data, then a code_item at an even and at an odd
-    # offset whose stream ends at the file's last byte, or one unit past it.
+    # A one-method class_data, then a code_item on the 4-byte boundary whose
+    # stream ends at the file's last byte, or one unit past it.
     data = clean_artifact.data
     n = len(data)
     class_defs = _u32(data, 0x64)
     where = f"Lfixture/clean/Markers;->{parse_dex(data).method_refs[0].name}"
     class_data = b"\x00\x00\x01\x00" + b"\x00\x09"
-    for pad in (b"", b"\x00"):
-        code_off = n + len(class_data) + 2 + len(pad)
-        assert len(_uleb(code_off)) == 2
-        for insns_size in (1, 2):
-            code_item = struct.pack("<4H2I", 1, 0, 0, 0, 0, insns_size) + b"\x0e\x00"  # return-void
-            tail = class_data + _uleb(code_off) + pad + code_item
-            patched = _with_tail(clean_artifact, tail, ("<I", class_defs + 24, n))
-            assert code_off + len(code_item) == len(patched)
-            if insns_size == 1:
-                [body] = parse_dex(bytes(patched)).bodies()
-                assert (f"{body.owner}->{body.name}", body.code) == (where, b"\x0e\x00")
-            else:
-                _dex_raises(patched, SectionOutOfBoundsError, f"instruction stream of {where} overruns file")
+    code_off = n + len(class_data) + 2
+    assert len(_uleb(code_off)) == 2 and code_off % 4 == 0
+    for insns_size in (1, 2):
+        code_item = struct.pack("<4H2I", 1, 0, 0, 0, 0, insns_size) + b"\x0e\x00"  # return-void
+        tail = class_data + _uleb(code_off) + code_item
+        patched = _with_tail(clean_artifact, tail, ("<I", class_defs + 24, n))
+        assert code_off + len(code_item) == len(patched)
+        if insns_size == 1:
+            [body] = parse_dex(bytes(patched)).bodies()
+            assert (f"{body.owner}->{body.name}", body.code) == (where, b"\x0e\x00")
+        else:
+            _dex_raises(patched, SectionOutOfBoundsError, f"instruction stream of {where} overruns file")
 
 
 def test_multibyte_uleb128_method_diff_and_string_length():
@@ -1309,7 +1321,7 @@ def _stream_dex(owner, name, method_count, units):
     data = emit_dex(owner, [MethodSketch(name, [("nop",)] * units)] + others).data
     image = parse_dex(data)
     assert len(image.method_refs) == method_count and next(image.bodies()).name == name
-    return data, 2 * image.invokes.starts[0]
+    return data, image.rows.code_starts[0]
 
 
 def _parse_dex_walk(code, owner, name, method_count, found, ordinal):
@@ -1439,7 +1451,7 @@ def _invoke(draw, method_count):
 
 @st.composite
 def _whole_streams(draw):
-    """Streams of 1-4 methods that parse, and which of them to move to an odd offset.
+    """Streams of 1-4 methods that parse.
 
     Each stream is code units: plain instructions (nops that start no
     payload included), 35c and 3rc invokes of one of the methods, and
@@ -1458,20 +1470,17 @@ def _whole_streams(draw):
             else:
                 units += draw(_payload())
         streams.append(_units(units))
-    return streams, draw(st.sets(st.integers(0, count - 1)))
+    return streams
 
 
-def _streams_image(streams, odd):
-    """A parsed DEX whose method ``b<k>`` has stream ``streams[k]``, its code_item at an odd offset when k is in ``odd``."""
+def _streams_image(streams):
+    """A parsed DEX whose method ``b<k>`` has stream ``streams[k]``."""
     names = [f"b{k}" for k in range(len(streams))]
     template = emit_dex("Lp/P;", [MethodSketch(name, [("nop",)] * (len(code) // 2)) for name, code in zip(names, streams)])
     data = bytearray(template.data)
-    for start, code in zip(parse_dex(template.data).invokes.starts, streams):
-        data[2 * start : 2 * start + len(code)] = code
-    data = bytes(data)
-    if odd:
-        data = _odd_code_items(data, {names[k] for k in odd})
-    image = parse_dex(data)
+    for start, code in zip(parse_dex(template.data).rows.code_starts, streams):
+        data[start : start + len(code)] = code
+    image = parse_dex(bytes(data))
     assert [body.code for body in image.bodies()] == streams
     return image
 
@@ -1482,12 +1491,10 @@ _RANGE_INVOKE = _units([0x0312, 0x2074, 1, 3, 0x000E])
 
 @settings(max_examples=150, deadline=None)
 @given(_whole_streams())
-@example(([_INVOKE_THEN_PAYLOAD, _RANGE_INVOKE], set()))  # an invoke the loop records before a payload
-@example(([_INVOKE_THEN_PAYLOAD, _RANGE_INVOKE], {0, 1}))
-def test_site_positions_match_the_oracle_walk(case):
-    streams, odd = case
+@example([_INVOKE_THEN_PAYLOAD, _RANGE_INVOKE])  # an invoke the loop records before a payload
+def test_site_positions_match_the_oracle_walk(streams):
     names = [f"b{k}" for k in range(len(streams))]
-    image = _streams_image(streams, odd)
+    image = _streams_image(streams)
     walked = defaultdict(list)
     for ordinal, body in enumerate(image.bodies()):
         _oracle_walk_instructions(body.code, body.owner, body.name, len(image.method_refs), walked, ordinal)
@@ -1523,7 +1530,7 @@ def _oracle_literal_reaching(image, site, max_lookback=dex_module.DEFAULT_LOOKBA
 
 @st.composite
 def _backscan_streams(draw):
-    """Streams of 1-3 methods with invokes among consts, look-alikes and payloads, and which to move to an odd offset.
+    """Streams of 1-3 methods with invokes among consts, look-alikes and payloads.
 
     Each stream mixes const/4, const/16 and const with every operand, the
     const look-alikes, other plain instructions, 35c and 3rc invokes of one
@@ -1548,7 +1555,7 @@ def _backscan_streams(draw):
             else:
                 units += draw(_payload())
         streams.append(_units(units))
-    return streams, draw(st.sets(st.integers(0, count - 1)))
+    return streams
 
 
 _CONST_PAYLOAD_INVOKE = _units([0xF012, 0x0100, 1, 0, 0, 0, 0, 0x006E, 0, 0, 0x6E, 0, 0])
@@ -1557,10 +1564,9 @@ _LOOKALIKES_THEN_RANGE_INVOKE = _units([0x7013, 0xFFFE, 0x0115, 1, 0x0218, 1, 2,
 
 @settings(max_examples=200, deadline=None)
 @given(_backscan_streams())
-@example(([_CONST_PAYLOAD_INVOKE, _LOOKALIKES_THEN_RANGE_INVOKE], set()))  # a payload and look-alikes in the window
-@example(([_CONST_PAYLOAD_INVOKE, _LOOKALIKES_THEN_RANGE_INVOKE], {0, 1}))
-def test_backscan_matches_the_instruction_window_oracle(case):
-    image = _streams_image(*case)
+@example([_CONST_PAYLOAD_INVOKE, _LOOKALIKES_THEN_RANGE_INVOKE])  # a payload and look-alikes in the window
+def test_backscan_matches_the_instruction_window_oracle(streams):
+    image = _streams_image(streams)
     sites = sites_of(image, list(range(len(image.method_refs))))
     from_rows = [dex_module._literals_reaching(image, sites, max_lookback) for max_lookback in range(13)]
     for site in sites:

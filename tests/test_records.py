@@ -77,7 +77,7 @@ CASES = [
         DexImage,
         dict(
             string_pool=("s",), type_names=("LMain;",), method_refs=(MethodRef("LMain;", "run", "V"),),
-            source_name="classes2.dex", rows=_ROWS, invokes=_Invokes("\x00", [0], [4], [4]),
+            source_name="classes2.dex", rows=_ROWS, invokes=_Invokes("\x00", [0], [4]),
         ),
         "DexImage(string_pool=('s',), type_names=('LMain;',), method_refs=(MethodRef(owner='LMain;', "
         "name='run', shorty='V'),), source_name='classes2.dex')",
@@ -326,12 +326,12 @@ def test_class_record_defaults():
     image = DexImage(("s",), (), ())
     assert image.source_name == "classes.dex"
     assert image.rows == (b"", (), (), (), ()) and list(image.bodies()) == []
-    assert image.invokes == ("", [], [], [])
+    assert image.invokes == ("", [], [])
 
 
 def test_a_dex_image_built_from_rows_gives_its_bodies_and_sites():
     ref = MethodRef("LMain;", "run", "V")
-    image = DexImage(("s",), ("LMain;",), (ref,), rows=_ROWS, invokes=_Invokes("\x00", [0], [4], [4]))
+    image = DexImage(("s",), ("LMain;",), (ref,), rows=_ROWS, invokes=_Invokes("\x00", [0], [4]))
     [body] = image.bodies()
     assert body == MethodBody("LMain;", "run", _CODE)
     assert body.instructions == (Instruction(0x6E, 0, 3, method_index=0), Instruction(0x0E, 6, 1))
