@@ -115,7 +115,7 @@ def test_axml_mutation_outcomes_pinned():
 
 
 def test_dex_mutation_outcomes_pinned():
-    assert _digest(_dex_outcomes()) == "4c09c7e437c1395558575421807aa5a4c0ab3fb9cbeeec03f648195238418235"
+    assert _digest(_dex_outcomes()) == "3885a5cde650c9a195627acd63839a4713a7240f61858b4ca549652bf9a377b7"
 
 
 if __name__ == "__main__":
