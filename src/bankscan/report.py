@@ -227,8 +227,34 @@ def _report_json(report: Report) -> bytes:
 
 
 # What reading a malformed document raises (bad UTF-8 and bad JSON are
-# ValueErrors); the deserializers raise each as a ReportError chained from it.
-_MALFORMED = (AttributeError, KeyError, TypeError, ValueError)
+# ValueErrors, JSON nested too deep a RecursionError, and a field of the
+# wrong JSON type a TypeError); the deserializers raise each as a
+# ReportError chained from it.
+_MALFORMED = (AttributeError, KeyError, RecursionError, TypeError, ValueError)
+
+
+def _field(doc: dict, key: str, kind: type = str):
+    """``doc[key]``, which must be a JSON value of Python type ``kind`` (a JSON boolean is no number)."""
+    value = doc[key]
+    if type(value) is not kind:
+        raise TypeError(f"{key} is {type(value).__name__}, not {kind.__name__}")
+    return value
+
+
+def _strings(doc: dict, key: str) -> tuple[str, ...]:
+    """``doc[key]``, which must be a list of strings, as a tuple."""
+    items = _field(doc, key, list)
+    for item in items:
+        if type(item) is not str:
+            raise TypeError(f"{key} holds a {type(item).__name__}, not only str")
+    return tuple(items)
+
+
+def _schema_version(doc: dict) -> int:
+    version = doc["schema_version"]
+    if type(version) is not int or version != SCHEMA_VERSION:
+        raise ValueError(f"schema_version is {version!r}, not {SCHEMA_VERSION}")
+    return version
 
 
 def deserialize_report(data: bytes) -> Report:
@@ -237,22 +263,22 @@ def deserialize_report(data: bytes) -> Report:
         if doc.get("kind") != "report":
             raise ReportError(f"not a report document: kind={doc.get('kind')!r}")
         return Report(
-            apk_name=doc["apk_name"],
-            generated_at=doc["generated_at"],
+            apk_name=_field(doc, "apk_name"),
+            generated_at=_field(doc, "generated_at"),
             sections=tuple(
                 ReportSection(
                     rule=RuleId(s["rule"]),
-                    title=s["title"],
-                    evidence=tuple(s["evidence"]),
+                    title=_field(s, "title"),
+                    evidence=_strings(s, "evidence"),
                     severity=Severity(s["severity"]),
-                    category=s["category"],
-                    background=s["background"],
-                    recommendation=s["recommendation"],
+                    category=_field(s, "category"),
+                    background=_field(s, "background"),
+                    recommendation=_field(s, "recommendation"),
                 )
                 for s in doc["sections"]
             ),
-            user_countermeasures=tuple(doc["user_countermeasures"]),
-            schema_version=doc["schema_version"],
+            user_countermeasures=_strings(doc, "user_countermeasures"),
+            schema_version=_schema_version(doc),
         )
     except _MALFORMED as exc:
         raise ReportError(f"malformed report document: {type(exc).__name__}: {exc}") from exc
@@ -278,15 +304,28 @@ def deserialize_matrix(data: bytes) -> FleetMatrix:
         doc = json.loads(data.decode("utf-8"))
         if doc.get("kind") != "fleet_matrix":
             raise ReportError(f"not a fleet matrix document: kind={doc.get('kind')!r}")
-        return FleetMatrix(
-            apps=tuple(doc["apps"]),
+        matrix = FleetMatrix(
+            apps=_strings(doc, "apps"),
             rules=tuple(RuleId(r) for r in doc["rules"]),
-            cells=tuple(tuple(bool(c) for c in row) for row in doc["cells"]),
-            totals=tuple(doc["totals"]),
-            percentages=tuple(doc["percentages"]),
-            rule_titles=tuple(doc["rule_titles"]),
-            schema_version=doc["schema_version"],
+            cells=tuple(map(tuple, _field(doc, "cells", list))),
+            totals=tuple(_field(doc, "totals", list)),
+            percentages=_strings(doc, "percentages"),
+            rule_titles=_strings(doc, "rule_titles"),
+            schema_version=_schema_version(doc),
         )
+        apps, rules, cells, totals, percentages = matrix[:5]
+        if not len(apps) == len(cells) == len(totals) == len(percentages):
+            raise ValueError(
+                f"{len(apps)} apps, {len(cells)} rows of cells, {len(totals)} totals and {len(percentages)} percentages"
+            )
+        for app, row, total, percentage in zip(apps, cells, totals, percentages):
+            if len(row) != len(rules):
+                raise ValueError(f"{app!r} has {len(row)} cells for {len(rules)} rules")
+            if any(type(cell) is not bool for cell in row):
+                raise TypeError(f"a cell of {app!r} is not a boolean")
+            if type(total) is not int or total != sum(row) or percentage != format_percentage(total):
+                raise ValueError(f"{app!r} has total {total!r} and percentage {percentage!r} for {sum(row)} cells")
+        return matrix
     except _MALFORMED as exc:
         raise ReportError(f"malformed fleet matrix document: {type(exc).__name__}: {exc}") from exc
 

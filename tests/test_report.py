@@ -213,6 +213,8 @@ _MALFORMED = {
     ),
     "matrix-bad-utf8": (deserialize_matrix, b'{"kind": "\xff"}', UnicodeDecodeError),
     "matrix-bad-json": (deserialize_matrix, b'{"kind": ', json.JSONDecodeError),
+    "report-deep-nesting": (deserialize_report, b"[" * 100000 + b"]" * 100000, RecursionError),
+    "matrix-deep-nesting": (deserialize_matrix, b"[" * 100000 + b"]" * 100000, RecursionError),
 }
 
 
@@ -220,6 +222,53 @@ _MALFORMED = {
 def test_malformed_documents_raise_report_error(deserialize, data, cause):
     with pytest.raises(ReportError, match=r"^malformed (report|fleet matrix) document: ") as excinfo:
         deserialize(data)
+    assert type(excinfo.value) is ReportError
+    assert type(excinfo.value.__cause__) is cause
+
+
+def _report_json_doc() -> dict:
+    return json.loads(serialize(render_report(make_result("app.apk", {RuleId.R04, RuleId.R09}), generated_at="t0"), "json"))
+
+
+def _matrix_json_doc() -> dict:
+    return json.loads(serialize(build_fleet_matrix([make_result("a", {RuleId.R11}), make_result("b", set())]), "json"))
+
+
+def _set(doc: dict, key: str, value) -> None:
+    doc[key] = value
+
+
+# (a document as written, an edit that makes it wrong, which error the ReportError is chained from)
+_MISTYPED = {
+    "report-evidence-string": (_report_json_doc, lambda doc: _set(doc["sections"][0], "evidence", "abc"), TypeError),
+    "report-evidence-number": (_report_json_doc, lambda doc: doc["sections"][0]["evidence"].append(5), TypeError),
+    "report-countermeasures-string": (_report_json_doc, lambda doc: _set(doc, "user_countermeasures", "xy"), TypeError),
+    "report-apk-name-number": (_report_json_doc, lambda doc: _set(doc, "apk_name", 5), TypeError),
+    "report-generated-at-null": (_report_json_doc, lambda doc: _set(doc, "generated_at", None), TypeError),
+    "report-title-list": (_report_json_doc, lambda doc: _set(doc["sections"][1], "title", ["t"]), TypeError),
+    "report-background-number": (_report_json_doc, lambda doc: _set(doc["sections"][0], "background", 0), TypeError),
+    "report-schema-99": (_report_json_doc, lambda doc: _set(doc, "schema_version", 99), ValueError),
+    "report-schema-true": (_report_json_doc, lambda doc: _set(doc, "schema_version", True), ValueError),
+    "matrix-cell-number": (_matrix_json_doc, lambda doc: _set(doc["cells"][0], 0, 0), TypeError),
+    "matrix-cell-string": (_matrix_json_doc, lambda doc: _set(doc["cells"][1], 3, "YES"), TypeError),
+    "matrix-short-row": (_matrix_json_doc, lambda doc: doc["cells"][1].pop(), ValueError),
+    "matrix-missing-row": (_matrix_json_doc, lambda doc: doc["cells"].pop(), ValueError),
+    "matrix-wrong-total": (_matrix_json_doc, lambda doc: _set(doc["totals"], 0, 2), ValueError),
+    "matrix-total-true": (_matrix_json_doc, lambda doc: _set(doc["totals"], 0, True), ValueError),
+    "matrix-wrong-percentage": (_matrix_json_doc, lambda doc: _set(doc["percentages"], 0, "7.15"), ValueError),
+    "matrix-app-number": (_matrix_json_doc, lambda doc: _set(doc["apps"], 1, 2), TypeError),
+    "matrix-schema-99": (_matrix_json_doc, lambda doc: _set(doc, "schema_version", 99), ValueError),
+}
+
+
+@pytest.mark.parametrize("written, edit, cause", _MISTYPED.values(), ids=_MISTYPED.keys())
+def test_mistyped_documents_raise_report_error(written, edit, cause):
+    deserialize = deserialize_report if written is _report_json_doc else deserialize_matrix
+    doc = written()
+    deserialize(json.dumps(doc).encode())  # as written, the document reads back
+    edit(doc)
+    with pytest.raises(ReportError, match=r"^malformed (report|fleet matrix) document: ") as excinfo:
+        deserialize(json.dumps(doc).encode())
     assert type(excinfo.value) is ReportError
     assert type(excinfo.value.__cause__) is cause
 
