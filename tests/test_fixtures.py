@@ -2,6 +2,7 @@
 
 import hashlib
 import io
+import struct
 import zipfile
 
 import pytest
@@ -13,6 +14,8 @@ from bankscan.fixtures import (
     FixtureProfile,
     InconsistentProfileError,
     ManifestKnobs,
+    MethodSketch,
+    build_dex,
     build_fixture,
     build_manifest_bytes,
     clean_profile,
@@ -26,6 +29,7 @@ from bankscan.fixtures import (
 )
 from bankscan.fixtures.profiles import PERMISSION_LEVELS, PROVIDER_EXPORT_MODES
 from bankscan.axml import decode_axml
+from bankscan.dex import parse_dex
 from bankscan.manifest import build_manifest_model
 from bankscan.rules import RuleId
 from bankscan.scanner import scan_bytes
@@ -185,7 +189,6 @@ def test_entry_payloads_round_trip_pre_compression_bytes(fleet):
     import hashlib
 
     from bankscan.apk import load_apk, read_entry
-    from bankscan.fixtures import build_dex
 
     for profile, stored in fleet:
         expected = {
@@ -196,3 +199,63 @@ def test_entry_payloads_round_trip_pre_compression_bytes(fleet):
             archive = load_apk(data)
             for name, digest in expected.items():
                 assert hashlib.sha256(read_entry(archive, name)).digest() == digest
+
+
+def _code_offs(data: bytes) -> list[int]:
+    """Every nonzero code_off in the class_data of every class_def of a DEX, read without ``parse_dex``."""
+
+    def uleb(pos):
+        value = shift = 0
+        while True:
+            byte = data[pos]
+            value |= (byte & 0x7F) << shift
+            shift += 7
+            pos += 1
+            if byte < 0x80:
+                return value, pos
+
+    class_defs_size, class_defs_off = struct.unpack_from("<II", data, 0x60)
+    offs = []
+    for k in range(class_defs_size):
+        pos = struct.unpack_from("<I", data, class_defs_off + 32 * k + 24)[0]
+        if not pos:
+            continue
+        sizes = []
+        for _ in range(4):
+            size, pos = uleb(pos)
+            sizes.append(size)
+        for _ in range(2 * (sizes[0] + sizes[1])):  # field_idx_diff and access_flags of each field
+            pos = uleb(pos)[1]
+        for _ in range(sizes[2] + sizes[3]):
+            pos = uleb(uleb(pos)[1])[1]  # method_idx_diff and access_flags
+            code_off, pos = uleb(pos)
+            offs += [code_off] if code_off else []
+    return offs
+
+
+def _several_classes_sketch() -> list[MethodSketch]:
+    """80 methods of 1-7 code units that call methods of five classes, with 0-4 parameters each.
+
+    A type_list of an odd parameter count, and a stream of an odd number of
+    code units, each end 2 bytes past a 4-byte boundary.
+    """
+    owners = [f"Lfixture/align/Peer{j};" for j in range(5)]
+    sketches = []
+    for k in range(80):
+        params = ("I",) * (k % 5)
+        callee = (owners[k % 5], f"peer{k % 7}", ("V", params))
+        calls = [("invoke-static", list(range(len(params))), callee)] if k % 3 else []
+        sketches.append(MethodSketch(f"m{k:02d}", calls + [("nop",)] * (k % 4) + [("return-void",)]))
+    return sketches
+
+
+def test_emitted_code_items_sit_on_4_byte_boundaries():
+    # The DEX format requires it, and parse_dex rejects a code_item off it.
+    dexes = [build_dex(profile).data for profile in rule_oracle_corpus() + fleet_profiles()]
+    dexes.append(emit_dex("Lfixture/align/App;", _several_classes_sketch()).data)
+    for data in dexes:
+        offs = _code_offs(data)
+        assert offs and all(off % 4 == 0 for off in offs), offs
+        assert len(offs) == len(list(parse_dex(data).bodies()))
+    assert len(_code_offs(dexes[-1])) == 80
+    assert len(parse_dex(dexes[-1]).type_names) > 5
