@@ -507,10 +507,10 @@ def test_first_bad_invoke_outranks_every_later_error():
         _dex_raises(_order_dex(patch), SectionOutOfBoundsError, message)  # each error is real on its own
         _dex_raises(_order_dex(_bad_invoke_in_a, patch), SectionOutOfBoundsError, first)
     # b's code_item at an odd offset: a misaligned code_item after a's invoke
-    b_code_off = _order_dex(misaligned="b").rindex(_ORDER_CODE["b"]) - 16
+    b_code_off = _order_dex(misaligned=("b",)).rindex(_ORDER_CODE["b"]) - 16
     misaligned = f"code_item of {_ORDER_OWNER}->b at {b_code_off:#x} is not 4-byte aligned"
-    _dex_raises(_order_dex(misaligned="b"), MisalignedCodeItemError, misaligned)
-    _dex_raises(_order_dex(_bad_invoke_in_a, misaligned="b"), SectionOutOfBoundsError, first)
+    _dex_raises(_order_dex(misaligned=("b",)), MisalignedCodeItemError, misaligned)
+    _dex_raises(_order_dex(_bad_invoke_in_a, misaligned=("b",)), SectionOutOfBoundsError, first)
 
 
 def _uleb(value):
@@ -562,6 +562,8 @@ def _moved_code_items(data, names, rest):
 def test_misaligned_code_items_raise():
     data = emit_dex(_ORDER_OWNER, _ORDER_METHODS).data
     image = parse_dex(data)
+    sites = invocations_of(image, JFILE, "delete")
+    assert [(site.name, position(image, site), site.offset) for site in sites] == [("a", 0, 0), ("b", 1, 6)]
     assert issubclass(MisalignedCodeItemError, DexError)
     for names in ({"a"}, {"b"}, {"a", "b"}):
         first = min(names)  # a's method index is below b's, so a's entry is read first
@@ -575,6 +577,7 @@ def test_misaligned_code_items_raise():
         aligned = parse_dex(_moved_code_items(data, names, 0))
         assert list(aligned.bodies()) == list(image.bodies())
         assert list(call_sites(aligned).items()) == list(call_sites(image).items())
+        assert invocations_of(aligned, JFILE, "delete") == sites
 
 
 def test_misaligned_code_item_fails_the_scan(tmp_path, capsys):
