@@ -355,6 +355,4 @@ def decode_axml(data: bytes) -> AxmlDocument:
         raise UnbalancedTreeError(f"{len(stack)} element(s) left open at end of document")
     if root is None:
         raise UnbalancedTreeError("document contains no elements")
-    if pool is None:
-        raise TruncatedChunkError("document contains no string pool")
     return make(AxmlDocument, (pool, root, tuple(warnings)))

@@ -630,7 +630,6 @@ class _Walk:
 def _decode_instructions(code: bytes, owner: str, name: str) -> tuple[Instruction, ...]:
     """Decode a stream that ``parse_dex`` has already checked."""
     out = []
-    append = out.append
     make = tuple.__new__  # skips NamedTuple.__new__'s per-field argument binding
     pos = 0
     n = len(code)
@@ -640,17 +639,9 @@ def _decode_instructions(code: bytes, owner: str, name: str) -> tuple[Instructio
             units = _payload_units(code, pos, n, owner, name)
         else:
             units = _OP_UNITS[op]
-        if op in INVOKE_OPS:
-            append(make(Instruction, (op, pos, units, None, code[pos + 2] | code[pos + 3] << 8)))
-        elif op == OP_CONST_4:
-            nibble = code[pos + 1] >> 4
-            append(make(Instruction, (op, pos, units, nibble - 16 if nibble >= 8 else nibble, None)))
-        elif op == OP_CONST_16:
-            append(make(Instruction, (op, pos, units, struct.unpack_from("<h", code, pos + 2)[0], None)))
-        elif op == OP_CONST:
-            append(make(Instruction, (op, pos, units, struct.unpack_from("<i", code, pos + 2)[0], None)))
-        else:
-            append(make(Instruction, (op, pos, units, None, None)))
+        literal = _literal_at(code, pos) if op in CONST_OPS else None
+        method = code[pos + 2] | code[pos + 3] << 8 if op in INVOKE_OPS else None
+        out.append(make(Instruction, (op, pos, units, literal, method)))
         pos += units * 2
     return tuple(out)
 
@@ -702,8 +693,7 @@ def _literal_at(code: bytes, pos: int) -> int:
     """The sign-extended literal of the const/4, const/16 or const at byte ``pos`` of ``code``."""
     op = code[pos]
     if op == OP_CONST_4:
-        nibble = code[pos + 1] >> 4
-        return nibble - 16 if nibble >= 8 else nibble
+        return ((code[pos + 1] >> 4) ^ 8) - 8  # the high nibble, sign-extended
     width = 2 if op == OP_CONST_16 else 4
     return int.from_bytes(code[pos + 2 : pos + 2 + width], "little", signed=True)
 

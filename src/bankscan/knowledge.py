@@ -51,35 +51,50 @@ class KnowledgeBaseError(Exception):
     """The knowledge data file is missing entries or malformed."""
 
 
+def _typed(value, kind: type, what: str):
+    """``value``, which must be a JSON value of Python type ``kind``; ``what`` names it in the error."""
+    if type(value) is not kind:
+        raise KnowledgeBaseError(f"{what} is {type(value).__name__}, not {kind.__name__}")
+    return value
+
+
 @functools.lru_cache(maxsize=1)
 def load_knowledge_base() -> KnowledgeBase:
     raw = resources.files(_DATA_PACKAGE).joinpath(_DATA_FILE).read_text("utf-8")
-    doc = json.loads(raw)
+    try:
+        doc = _typed(json.loads(raw), dict, "knowledge data")
+        records, texts = doc["rules"], doc["user_countermeasures"]
+    except KeyError as exc:
+        raise KnowledgeBaseError(f"knowledge data lacks key {exc}") from exc
+    except (RecursionError, ValueError) as exc:
+        raise KnowledgeBaseError(f"knowledge data is not JSON: {exc}") from exc
 
     threats: dict[RuleId, ThreatEntry] = {}
     countermeasures: dict[RuleId, CountermeasureEntry] = {}
     backgrounds: dict[RuleId, str] = {}
-    for i, record in enumerate(doc["rules"]):
+    for i, record in enumerate(_typed(records, list, "knowledge rules")):
         try:
-            rule = RuleId(record["rule_id"])
-            threat = ThreatEntry(rule, record["threat_name"], record["threat_description"])
-            countermeasure = CountermeasureEntry(rule, record["developer_countermeasure"])
-            background = record["background"]
+            rule = RuleId(_typed(record, dict, f"knowledge record {i}")["rule_id"])
+            name, description, action, background = (
+                _typed(record[field], str, f"knowledge record {i} field {field!r}")
+                for field in ("threat_name", "threat_description", "developer_countermeasure", "background")
+            )
         except KeyError as exc:
             raise KnowledgeBaseError(f"knowledge record {i} lacks field {exc}") from exc
         except ValueError as exc:
             raise KnowledgeBaseError(f"knowledge record {i} is malformed: {exc}") from exc
         if rule in threats:
             raise KnowledgeBaseError(f"duplicate knowledge record for {rule.value}")
-        threats[rule] = threat
-        countermeasures[rule] = countermeasure
+        threats[rule] = ThreatEntry(rule, name, description)
+        countermeasures[rule] = CountermeasureEntry(rule, action)
         backgrounds[rule] = background
 
     missing = [r.value for r in RuleId if r not in threats]
     if missing:
         raise KnowledgeBaseError(f"knowledge data lacks entries for {missing}")
 
-    user = tuple(UserCountermeasure(text=t) for t in doc["user_countermeasures"])
+    texts = _typed(texts, list, "knowledge user_countermeasures")
+    user = tuple(UserCountermeasure(_typed(text, str, f"user countermeasure {i}")) for i, text in enumerate(texts))
     if len(user) != 6:
         raise KnowledgeBaseError(f"expected 6 user countermeasures, found {len(user)}")
 

@@ -313,7 +313,9 @@ def deserialize_matrix(data: bytes) -> FleetMatrix:
             rule_titles=_strings(doc, "rule_titles"),
             schema_version=_schema_version(doc),
         )
-        apps, rules, cells, totals, percentages = matrix[:5]
+        apps, rules, cells, totals, percentages, titles = matrix[:6]
+        if rules != tuple(RuleId) or titles != tuple(RULE_TITLES.values()):
+            raise ValueError("rules and rule_titles are not R01 to R14 and their titles, in order")
         if not len(apps) == len(cells) == len(totals) == len(percentages):
             raise ValueError(
                 f"{len(apps)} apps, {len(cells)} rows of cells, {len(totals)} totals and {len(percentages)} percentages"

@@ -15,18 +15,17 @@ functions of the scan input, so results are deterministic; findings are
 always merged in rule order.
 
 Every code rule reads one per-scan fact table, ``ScanInput.facts``, and
-queries the DEX no further. ``CODE_TARGETS`` maps a method name to an owner,
-a shorty and a target key, and ``_resolve_facts`` resolves it once per DEX:
+``_resolve_facts`` alone builds it, in one pass over each DEX.
+``CODE_TARGETS`` maps a method name to an owner, a shorty and a target key:
 one C-level pass over the method refs picks the ones named in the table, and
 each of those that matches and is invoked is kept. The same pass settles the
-DEX-level facts: a root marker in the string pool, the package Signature
-type, the first WebView type and a ``FLAG_SECURE`` window flag. A rule that
-needs sites reads them as plain tuples from the DEX's invoke columns and
-method rows for the resolved method indices, and builds no method body. The
-first code rule to ask, R01, pays for the table, so a per-rule trace shows
-it under R01, R09's pool search and R13's const back-scan included. The
-const back-scan is one call per DEX for all of R07's, R08's or R13's sites:
-it steps the bytes of each calling body once, however many sites it holds.
+DEX-level facts (a root marker in the string pool, the package Signature
+type, the first WebView type) and runs the one const back-scan: every call
+to R07's, R08's and R13's targets is kept with the literal that reaches it,
+and each calling body is stepped once however many sites it holds. Other
+rules read their sites through ``_sites``, as plain tuples from the invoke
+columns and method rows, and no rule builds a method body. The first code
+rule to ask, R01, pays for the table, so a per-rule trace shows it there.
 
 Known, accepted imprecision: rules scan bundled third-party code exactly
 like first-party code, R01 matches on method-local co-occurrence rather
@@ -38,7 +37,7 @@ from __future__ import annotations
 
 import enum
 import functools
-from itertools import compress, count, repeat
+from itertools import compress, count
 from operator import itemgetter
 from typing import Any, Callable, NamedTuple
 
@@ -140,13 +139,15 @@ CODE_TARGETS: dict[str, tuple[str | None, str | None, str]] = {
     ),  # R14
 }
 _NAME = itemgetter(1)  # MethodRef.name
+_LITERAL_KEYS = ("WebSettings.setAllowFileAccess", "WebSettings.setJavaScriptEnabled", "Window flags")  # R07, R08, R13
 
-# The DEX-level facts _resolve_facts adds to the call targets, by key, each
-# with the value that set it. "root marker": a ROOT_MARKER_EXACT string in the
-# pool, else a ROOT_MARKER_SUBSTRINGS one inside a pool string. "Signature
-# type": the type Landroid/content/pm/Signature;. "webkit type": the first
-# Landroid/webkit/ type, which R07 quotes. "FLAG_SECURE": the first "Window
-# flags" site whose reaching literal is FLAG_SECURE.
+# The facts _resolve_facts adds to the call targets, by key, each with the
+# value that set it. "root marker": a ROOT_MARKER_EXACT string in the pool,
+# else a ROOT_MARKER_SUBSTRINGS one inside a pool string. "Signature type":
+# the type Landroid/content/pm/Signature;. "webkit type": the first
+# Landroid/webkit/ type, which R07 quotes. "<key> literals", per _LITERAL_KEYS
+# key with sites: (site, literal reaching it) per call, in _sites order.
+# "FLAG_SECURE": the first "Window flags" site whose literal is FLAG_SECURE.
 
 
 class Finding(NamedTuple):
@@ -230,11 +231,12 @@ def _resolve_facts(dex: DexImage) -> dict[str, Any]:
     webkit = next((t for t in types if t.startswith("Landroid/webkit/")), None)
     if webkit is not None:
         found["webkit type"] = webkit
-    window_flags = _sites_of(dex, found.get("Window flags", ()))
-    literals = _literals_reaching(dex, window_flags)
-    secure = next((site for site, literal in zip(window_flags, literals) if literal == FLAG_SECURE), None)
-    if secure is not None:
-        found["FLAG_SECURE"] = secure
+    sites = _sites_of(dex, [i for key in _LITERAL_KEYS for i in found.get(key, ())])
+    for site, literal in zip(sites, _literals_reaching(dex, sites)):
+        key = CODE_TARGETS[site[2].name][2]
+        found.setdefault(key + " literals", []).append((site, literal))
+        if literal == FLAG_SECURE and key == "Window flags":
+            found.setdefault("FLAG_SECURE", site)
     return found
 
 
@@ -249,13 +251,9 @@ def _sites(inp: ScanInput, key: str) -> list[tuple[DexImage, _Site]]:
     return [(dex, site) for dex, indices in inp.facts.get(key, ()) for site in _sites_of(dex, indices)]
 
 
-def _site_literals(inp: ScanInput, key: str) -> list[tuple[tuple[DexImage, _Site], int | None]]:
-    """``((dex, site), literal reaching it)`` for every call to a target, in ``_sites`` order."""
-    pairs = []
-    for dex, indices in inp.facts.get(key, ()):
-        sites = _sites_of(dex, indices)
-        pairs += zip(zip(repeat(dex), sites), _literals_reaching(dex, sites))
-    return pairs
+def _sites_with_literal(inp: ScanInput, key: str, literal: int) -> list[tuple[DexImage, _Site]]:
+    """``(dex, site)`` for every call to an R07, R08 or R13 target that ``literal`` reaches, in ``_sites`` order."""
+    return [(dex, site) for dex, pairs in inp.facts.get(key + " literals", ()) for site, lit in pairs if lit == literal]
 
 
 def _call_lines(sites: list[tuple[DexImage, _Site]], suffix: str = "") -> list[tuple[str, ...]]:
@@ -273,7 +271,7 @@ def _calls(key: str) -> Callable[[ScanInput], list[tuple[str, ...]]]:
 
 def _calls_with_one(key: str) -> Callable[[ScanInput], list[tuple[str, ...]]]:
     """A presence rule with one finding per call to the target ``key`` that the literal 1 reaches."""
-    return lambda inp: _call_lines([pair for pair, lit in _site_literals(inp, key) if lit == 1], " with literal 1")
+    return lambda inp: _call_lines(_sites_with_literal(inp, key, 1), " with literal 1")
 
 
 def _absent(keys: tuple[str, ...], searched: str) -> Callable[[ScanInput], list[tuple[str, ...]]]:
@@ -327,44 +325,35 @@ def _r01_implicit_service(inp: ScanInput) -> list[tuple[str, ...]]:
     # startService/bindService call. Shorty VL means one reference argument,
     # which covers the action-string constructor (and over-approximates the
     # copy constructor); the two-argument explicit form is VLL and never hits.
-    evidence = []
-    start_targets = {id(dex): indices for dex, indices in inp.facts.get("service start", ())}
-    for dex, ctor_targets in inp.facts.get("Intent(action)", ()):
-        if id(dex) not in start_targets:
-            continue
-        # Sites come in body order, so the first one seen per body is its
-        # first constructor call and grouped start sites keep body order.
-        # Bodies are keyed by their ordinal, a site's last field.
-        first_ctor: dict[int, int] = {}
-        for _, _, _, offset, place in _sites_of(dex, ctor_targets):
-            first_ctor.setdefault(place, offset)
-        starts: dict[int, list[_Site]] = {}
-        for site in _sites_of(dex, start_targets[id(dex)]):
-            if site[4] in first_ctor:
-                starts.setdefault(site[4], []).append(site)
-        for place, sites in starts.items():
-            evidence.append(tuple(
-                f"{dex.source_name}: {owner}->{name} +0x{offset:04x} "
-                f"calls {callee.owner}->{callee.name} with implicit Intent "
-                f"(action-string constructor at +0x{first_ctor[place]:04x})"
-                for owner, name, callee, offset, _ in sites
-            ))
-    return evidence
+    # Sites come in DEX, then body order, so the first one seen per body (keyed
+    # by its DEX and ordinal) is its first constructor call.
+    first_ctor: dict[tuple[int, int], int] = {}
+    for dex, (_, _, _, offset, place) in _sites(inp, "Intent(action)"):
+        first_ctor.setdefault((id(dex), place), offset)
+    if not first_ctor:  # the usual case: skip the start-site query
+        return []
+    starts: dict[tuple[int, int], list[tuple[DexImage, _Site]]] = {}
+    for dex, site in _sites(inp, "service start"):
+        if (id(dex), site[4]) in first_ctor:
+            starts.setdefault((id(dex), site[4]), []).append((dex, site))
+    return [
+        tuple(
+            f"{dex.source_name}: {owner}->{name} +0x{offset:04x} "
+            f"calls {callee.owner}->{callee.name} with implicit Intent "
+            f"(action-string constructor at +0x{first_ctor[body]:04x})"
+            for dex, (owner, name, callee, offset, _) in sites
+        )
+        for body, sites in starts.items()
+    ]
 
 
 def _r07_file_access(inp: ScanInput) -> list[tuple[str, ...]]:
-    fired = []
-    explicit_off = False
-    for pair, lit in _site_literals(inp, "WebSettings.setAllowFileAccess"):
-        if lit == 1:
-            fired.append(pair)
-        elif lit == 0:
-            explicit_off = True
+    fired = _sites_with_literal(inp, "WebSettings.setAllowFileAccess", 1)
     if fired:
         return _call_lines(fired, " with literal 1")
     # File access is on by default: a WebView in use without an explicit
     # setAllowFileAccess(false) anywhere leaves it enabled.
-    if explicit_off or "webkit type" not in inp.facts:
+    if _sites_with_literal(inp, "WebSettings.setAllowFileAccess", 0) or "webkit type" not in inp.facts:
         return []
     dex, webkit = inp.facts["webkit type"][0]
     default_on = "never calls setAllowFileAccess(false); file access is enabled by default"

@@ -323,6 +323,32 @@ def test_string_data_messages():
     _raises(bytes(wide), TruncatedChunkError, "UTF-16 string data truncated")
 
 
+@pytest.mark.parametrize(
+    "utf8, offset, high, message",
+    [
+        # "manifest" in UTF-16 is 20 bytes of pool data at 0x28, ending at 0x3c.
+        (False, 19, None, "string length prefix truncated"),  # one byte of a unit left
+        (False, 18, 0x80, "string length prefix truncated"),  # a two-unit prefix with one unit left
+        # In UTF-8 it is 12 bytes, ending at 0x34: the last byte is padding,
+        # read as a one-byte UTF-16 length with no byte left for the UTF-8 one.
+        (True, 11, None, "string length prefix truncated"),
+    ],
+)
+def test_string_length_prefix_messages(utf8, offset, high, message):
+    doc = bytearray(_doc(_pool("manifest", utf8=utf8), _start(0), _end(0)))
+    struct.pack_into("<I", doc, 0x24, offset)  # string 0's offset
+    if high is not None:
+        doc[0x28 + offset + 1] = high
+    _raises(bytes(doc), TruncatedChunkError, message)
+
+
+def test_elements_without_a_string_pool_name_no_string():
+    # Every index is out of range before a pool is read, so no element is
+    # built without one.
+    message = "element name string index 0 out of range (pool size 0)"
+    _raises(_doc(_start(0), _end(0)), StringIndexOutOfRangeError, message)
+
+
 def test_unknown_chunk_and_extra_pool_warn():
     unknown = struct.pack("<HHI", 0x0200, 8, 12) + b"\x00" * 4
     doc = decode_axml(_doc(_pool("manifest"), unknown, _pool("other"), _start(0), _end(0)))

@@ -47,6 +47,13 @@ def test_parse_conflicting_modes():
         parse_args(["-f", "a.apk", "b.apk"])
 
 
+def test_parse_file_given_twice():
+    with pytest.raises(ConflictingModesError) as info:
+        parse_args(["-f", "a.apk", "--file", "b.apk"])
+    assert type(info.value) is ConflictingModesError
+    assert str(info.value) == "-f given more than once"
+
+
 def test_parse_batch_and_matrix():
     config = parse_args(["--dir", "d/", "extra.apk"])
     assert config.mode == "batch"

@@ -72,6 +72,29 @@ def test_loaded_content_matches_data_file():
     assert [u.text for u in kb.user_countermeasures] == doc["user_countermeasures"]
 
 
+def _data_doc():
+    return json.loads(resources.files("bankscan").joinpath("data/knowledge.json").read_text("utf-8"))
+
+
+def _edited(edit):
+    """The data file's text after ``edit`` changes its document."""
+    doc = _data_doc()
+    edit(doc)
+    return json.dumps(doc)
+
+
+def _load_text(tmp_path, monkeypatch, text):
+    """Load the knowledge base from a data file holding ``text``."""
+    (tmp_path / "data").mkdir()
+    (tmp_path / "data" / "knowledge.json").write_text(text, "utf-8")
+    monkeypatch.setattr(knowledge, "resources", types.SimpleNamespace(files=lambda package: tmp_path))
+    load_knowledge_base.cache_clear()
+    try:
+        return load_knowledge_base()
+    finally:
+        load_knowledge_base.cache_clear()
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
@@ -80,15 +103,68 @@ def test_loaded_content_matches_data_file():
     ],
 )
 def test_malformed_record_raises_knowledge_base_error_naming_its_index(tmp_path, monkeypatch, edit, message):
-    doc = json.loads(resources.files("bankscan").joinpath("data/knowledge.json").read_text("utf-8"))
-    edit(doc["rules"][3])
-    (tmp_path / "data").mkdir()
-    (tmp_path / "data" / "knowledge.json").write_text(json.dumps(doc), "utf-8")
-    monkeypatch.setattr(knowledge, "resources", types.SimpleNamespace(files=lambda package: tmp_path))
-    load_knowledge_base.cache_clear()
-    try:
-        with pytest.raises(KnowledgeBaseError) as info:
-            load_knowledge_base()
-    finally:
-        load_knowledge_base.cache_clear()
+    with pytest.raises(KnowledgeBaseError) as info:
+        _load_text(tmp_path, monkeypatch, _edited(lambda doc: edit(doc["rules"][3])))
     assert str(info.value) == message
+
+
+def _set(doc, key, value):
+    doc[key] = value
+
+
+# (an edit of the data file's document, the message it raises)
+_MALFORMED = {
+    "no-rules": (lambda doc: doc.pop("rules"), "knowledge data lacks key 'rules'"),
+    "no-user-countermeasures": (
+        lambda doc: doc.pop("user_countermeasures"), "knowledge data lacks key 'user_countermeasures'"
+    ),
+    "rules-object": (lambda doc: _set(doc, "rules", {}), "knowledge rules is dict, not list"),
+    "record-list": (lambda doc: _set(doc["rules"], 2, ["R03"]), "knowledge record 2 is list, not dict"),
+    "record-string": (lambda doc: _set(doc["rules"], 0, "R01"), "knowledge record 0 is str, not dict"),
+    "record-text-number": (
+        lambda doc: _set(doc["rules"][5], "threat_name", 5), "knowledge record 5 field 'threat_name' is int, not str"
+    ),
+    "record-text-null": (
+        lambda doc: _set(doc["rules"][13], "background", None),
+        "knowledge record 13 field 'background' is NoneType, not str",
+    ),
+    "duplicate-record": (lambda doc: _set(doc["rules"], 4, doc["rules"][1]), "duplicate knowledge record for R02"),
+    "missing-entries": (lambda doc: doc["rules"].pop(), "knowledge data lacks entries for ['R14']"),
+    "user-countermeasure-number": (
+        lambda doc: _set(doc["user_countermeasures"], 2, 5), "user countermeasure 2 is int, not str"
+    ),
+    "user-countermeasures-string": (
+        lambda doc: _set(doc, "user_countermeasures", "sixchr"), "knowledge user_countermeasures is str, not list"
+    ),
+    "five-user-countermeasures": (
+        lambda doc: doc["user_countermeasures"].pop(), "expected 6 user countermeasures, found 5"
+    ),
+    "seven-user-countermeasures": (
+        lambda doc: doc["user_countermeasures"].append("x"), "expected 6 user countermeasures, found 7"
+    ),
+}
+
+
+@pytest.mark.parametrize("edit, message", _MALFORMED.values(), ids=_MALFORMED.keys())
+def test_malformed_document_raises_knowledge_base_error(tmp_path, monkeypatch, edit, message):
+    with pytest.raises(KnowledgeBaseError) as info:
+        _load_text(tmp_path, monkeypatch, _edited(edit))
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (json.dumps([_data_doc()]), "knowledge data is list, not dict"),
+        ("{", "knowledge data is not JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    ],
+    ids=["document-list", "not-json"],
+)
+def test_a_data_file_that_is_no_json_object_raises_knowledge_base_error(tmp_path, monkeypatch, text, message):
+    with pytest.raises(KnowledgeBaseError) as info:
+        _load_text(tmp_path, monkeypatch, text)
+    assert str(info.value) == message
+
+
+def test_an_unedited_copy_loads_as_the_packaged_file(tmp_path, monkeypatch):
+    assert _load_text(tmp_path, monkeypatch, _edited(lambda doc: None)) == load_knowledge_base()

@@ -118,6 +118,18 @@ def test_string_sdk_versions_parse_only_as_int_would():
     assert model_from(sdk_root("9" * 5000, "0")).min_sdk is None
 
 
+def test_boolean_sdk_version_reads_as_unset():
+    sdk = [(ANDROID_NS, "minSdkVersion", True), (ANDROID_NS, "targetSdkVersion", 30)]
+    model = model_from(Elem("manifest", [(None, "package", "a.b")], [Elem("uses-sdk", sdk)]))
+    assert model.min_sdk is None and model.target_sdk == 30
+
+
+def test_protection_level_naming_no_level_reads_as_unset():
+    perm = [(ANDROID_NS, "name", "a.b.P"), (ANDROID_NS, "protectionLevel", "signatureOrAdmin")]
+    model = model_from(Elem("manifest", [(None, "package", "a.b")], [Elem("permission", perm)]))
+    assert model.declared_permissions[0].protection_level == "unset"
+
+
 def test_not_a_manifest():
     with pytest.raises(NotAManifestError):
         model_from(Elem("resources"))

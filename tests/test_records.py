@@ -346,6 +346,15 @@ def test_scan_input_needs_a_dex():
         ScanInput(manifest=_MANIFEST, dexes=(), apk_name="a.apk")
 
 
+def test_scan_input_fields_cannot_be_deleted():
+    scan = ScanInput(_MANIFEST, (DexImage(("s",), (), ()),), "a.apk")
+    with pytest.raises(AttributeError) as info:
+        del scan.apk_name
+    assert type(info.value) is AttributeError
+    assert str(info.value) == "cannot delete field 'apk_name'"
+    assert scan.apk_name == "a.apk"
+
+
 def test_cached_properties_are_cached():
     scan = ScanInput(_MANIFEST, (DexImage(("su",), (), ()),), "a.apk")
     facts = scan.facts

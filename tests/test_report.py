@@ -258,6 +258,11 @@ _MISTYPED = {
     "matrix-wrong-percentage": (_matrix_json_doc, lambda doc: _set(doc["percentages"], 0, "7.15"), ValueError),
     "matrix-app-number": (_matrix_json_doc, lambda doc: _set(doc["apps"], 1, 2), TypeError),
     "matrix-schema-99": (_matrix_json_doc, lambda doc: _set(doc, "schema_version", 99), ValueError),
+    "matrix-one-rule-one-title": (
+        _matrix_json_doc, lambda doc: doc.update(rules=["R11"] * 14, rule_titles=["File unsafe deleting"]), ValueError
+    ),
+    "matrix-titles-swapped": (_matrix_json_doc, lambda doc: doc["rule_titles"].reverse(), ValueError),
+    "matrix-rules-swapped": (_matrix_json_doc, lambda doc: doc["rules"].reverse(), ValueError),
 }
 
 
@@ -271,6 +276,25 @@ def test_mistyped_documents_raise_report_error(written, edit, cause):
         deserialize(json.dumps(doc).encode())
     assert type(excinfo.value) is ReportError
     assert type(excinfo.value.__cause__) is cause
+
+
+def test_report_errors_name_what_they_refuse():
+    # (a call, the ReportError message it raises)
+    cases = [
+        (lambda: build_fleet_matrix([]), "fleet matrix needs at least one scan result"),
+        (lambda: serialize(object(), "text"), "cannot serialize object"),
+        (lambda: deserialize_report(json.dumps(_matrix_json_doc()).encode()), "not a report document: kind='fleet_matrix'"),
+        (
+            lambda: deserialize_matrix(json.dumps(_report_json_doc()).encode()),
+            "not a fleet matrix document: kind='report'",
+        ),
+    ]
+    for call, message in cases:
+        with pytest.raises(ReportError) as info:
+            call()
+        assert type(info.value) is ReportError
+        assert str(info.value) == message
+        assert info.value.__cause__ is None
 
 
 def test_report_csv_lists_conditions():

@@ -203,6 +203,38 @@ def test_r01_evidence_matches_instruction_walk():
     assert [len(f.evidence) for f in findings] == [1, 4, 1]  # launch, many; then classes2.dex
 
 
+def test_r01_keys_bodies_by_dex_and_ordinal():
+    # Each DEX holds a body with only one half at ordinal 0 (build, begin) and
+    # a launch body with both at ordinal 1; the halves at ordinal 0 do not pair.
+    bind = (CONTEXT, "bindService", ("Z", (INTENT, "Landroid/content/ServiceConnection;")))
+    build = MethodSketch("build", _service_start(("V", (STRING,)), include_start=False).instructions)
+    first = [build, _service_start(("V", (STRING,)))]
+    begin = MethodSketch("begin", [("invoke-virtual", [2, 0, 3], bind), ("return-void",)])
+    launch = MethodSketch(
+        "launch",
+        [
+            ("const-string", 1, "test.ACTION"),
+            ("invoke-direct", [0, 1], (INTENT, "<init>", ("V", (STRING,)))),
+            ("invoke-virtual", [2, 0, 3], bind),
+            ("invoke-virtual", [2, 0, 3], bind),
+            ("return-void",),
+        ],
+    )
+    second = parse_dex(emit_dex("Ltest/app/Second;", [begin, launch]).data, source_name="classes2.dex")
+    inp = make_input(first, extra_dexes=(second,))
+    assert [place for _, (_, _, _, _, place) in rules_module._sites(inp, "Intent(action)")] == [0, 1, 1]
+    assert [place for _, (_, _, _, _, place) in rules_module._sites(inp, "service start")] == [1, 0, 1, 1]
+    implicit = "with implicit Intent (action-string constructor at"
+    assert [f.evidence for f in evaluate_rule(RuleId.R01, inp)] == [
+        (f"classes.dex: Ltest/app/Code;->launch +0x000e calls {CONTEXT}->startService {implicit} +0x0008)",),
+        (
+            f"classes2.dex: Ltest/app/Second;->launch +0x000a calls {CONTEXT}->bindService {implicit} +0x0004)",
+            f"classes2.dex: Ltest/app/Second;->launch +0x0010 calls {CONTEXT}->bindService {implicit} +0x0004)",
+        ),
+    ]
+    assert [f.evidence for f in evaluate_rule(RuleId.R01, inp)] == _r01_by_walk(inp)
+
+
 def test_r01_cross_method_does_not_fire():
     ctor_only = _service_start(("V", (STRING,)), include_start=False)
     start_only = MethodSketch(
@@ -407,7 +439,8 @@ def test_backscan_steps_each_body_once_per_call(monkeypatch):
     # One method with 2,000 setJavaScriptEnabled sites, every other one after
     # const/4 1, and one with 2,000 Window.addFlags sites, the last after
     # FLAG_SECURE. Stepping each body from its start per site would take
-    # 2,000 body starts per rule; the back-scan resumes from the previous site.
+    # 2,000 body starts; the back-scan resumes from the previous site, and it
+    # runs once, as the facts resolve, for R07, R08 and R13 together.
     js = ("invoke-virtual", [0, 1], (WEBSETTINGS, "setJavaScriptEnabled", ("V", ("Z",))))
     flags = ("invoke-virtual", [0, 1], (WINDOW, "addFlags", ("V", ("I",))))
     configure = [ins for k in range(2000) for ins in (("const4", 1, k % 2), js)]
@@ -424,15 +457,46 @@ def test_backscan_steps_each_body_once_per_call(monkeypatch):
         [MethodSketch("configure", configure + [("return-void",)]), MethodSketch("lock", lock + [("return-void",)])]
     )
     starts.clear()
-    assert "FLAG_SECURE" in inp.facts  # R13's back-scan runs as the facts resolve
-    assert starts == [2000 * 10 + 2]  # lock: const/16 and invoke, 10 bytes a pair
+    assert "FLAG_SECURE" in inp.facts
+    # configure: const/4 and invoke, 8 bytes a pair; lock: const/16 and invoke, 10 bytes a pair.
+    assert starts == [2000 * 8 + 2, 2000 * 10 + 2]
     starts.clear()
     findings = evaluate_rule(RuleId.R08, inp)
     assert sum(len(f.evidence) for f in findings) == 1000
     last = f"+0x{1999 * 8 + 2:04x} calls {WEBSETTINGS}->setJavaScriptEnabled with literal 1"
     assert findings[-1].evidence[0] == f"classes.dex: Ltest/app/Code;->configure {last}"
-    assert starts == [2000 * 8 + 2]  # configure: const/4 and invoke, 8 bytes a pair
+    assert starts == []  # R08 reads its literals from the facts
     assert evaluate_rule(RuleId.R13, inp) == []
+
+
+def test_backscan_steps_a_body_once_for_r07_r08_and_r13(monkeypatch):
+    calls = [
+        ("const4", 1, 1),
+        ("invoke-virtual", [0, 1], (WEBSETTINGS, "setJavaScriptEnabled", ("V", ("Z",)))),
+        ("invoke-virtual", [0, 1], (WEBSETTINGS, "setAllowFileAccess", ("V", ("Z",)))),
+        ("const16", 1, 0x2000),
+        ("invoke-virtual", [2, 1], (WINDOW, "addFlags", ("V", ("I",)))),
+        ("return-void",),
+    ]
+    starts = []
+    original = dex_module._scan_steps
+
+    def counting_steps(code):
+        starts.append(len(code))
+        return original(code)
+
+    monkeypatch.setattr(dex_module, "_scan_steps", counting_steps)
+    inp = make_input([MethodSketch("configure", calls)])
+    result = run_all_rules(inp)
+    assert starts == [2 + 6 + 6 + 4 + 6 + 2]  # one step table for the one calling body
+    fired = {f.rule for f in result.findings}
+    assert {RuleId.R07, RuleId.R08} <= fired and RuleId.R13 not in fired
+    literals = {key: [lit for _, lit in pairs] for key, [(_, pairs)] in inp.facts.items() if key.endswith(" literals")}
+    assert literals == {
+        "WebSettings.setJavaScriptEnabled literals": [1],
+        "WebSettings.setAllowFileAccess literals": [1],
+        "Window flags literals": [0x2000],
+    }
 
 
 def _lookup_rules_input(site_count):
@@ -841,3 +905,10 @@ def test_scan_input_requires_dexes():
 def test_severity_order_total():
     assert Severity.CRITICAL > Severity.WARNING > Severity.NOTICE > Severity.INFO
     assert sorted(Severity) == [Severity.INFO, Severity.NOTICE, Severity.WARNING, Severity.CRITICAL]
+
+
+def test_severity_does_not_order_against_other_types():
+    assert Severity.INFO.__lt__(0) is NotImplemented
+    with pytest.raises(TypeError) as info:
+        Severity.INFO < 0
+    assert str(info.value) == "'<' not supported between instances of 'Severity' and 'int'"
