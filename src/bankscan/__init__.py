@@ -20,8 +20,6 @@ from .report import (
     FleetMatrix,
     Report,
     build_fleet_matrix,
-    deserialize_matrix,
-    deserialize_report,
     render_report,
     serialize,
 )
@@ -57,8 +55,6 @@ __all__ = [
     "build_manifest_model",
     "countermeasure_for",
     "decode_axml",
-    "deserialize_matrix",
-    "deserialize_report",
     "dex_entry_names",
     "evaluate_rule",
     "load_apk",

@@ -6,10 +6,11 @@ fixes never touch rule logic. Each rule maps to exactly one threat entry
 one developer countermeasure; the global user-countermeasure list has six
 entries. Lookups are total: every rule id resolves.
 
-Data file format (UTF-8 JSON): a ``rules`` array of records with fields
-``rule_id``, ``threat_name``, ``threat_description``,
-``developer_countermeasure`` and ``background``, plus a top-level
-``user_countermeasures`` string array.
+Data file format (UTF-8 JSON): an object with exactly three keys. Its
+``schema_version`` is the integer 1, ``rules`` is an array of records with
+fields ``rule_id``, ``threat_name``, ``threat_description``,
+``developer_countermeasure`` and ``background``, and
+``user_countermeasures`` is a string array.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ from .rules import RuleId
 
 _DATA_PACKAGE = __package__
 _DATA_FILE = "data/knowledge.json"
+_SCHEMA_VERSION = 1
+_KEYS = ("schema_version", "rules", "user_countermeasures")
 
 
 class ThreatEntry(NamedTuple):
@@ -63,11 +66,16 @@ def load_knowledge_base() -> KnowledgeBase:
     raw = resources.files(_DATA_PACKAGE).joinpath(_DATA_FILE).read_text("utf-8")
     try:
         doc = _typed(json.loads(raw), dict, "knowledge data")
-        records, texts = doc["rules"], doc["user_countermeasures"]
+        version, records, texts = (doc[key] for key in _KEYS)
     except KeyError as exc:
         raise KnowledgeBaseError(f"knowledge data lacks key {exc}") from exc
     except (RecursionError, ValueError) as exc:
         raise KnowledgeBaseError(f"knowledge data is not JSON: {exc}") from exc
+    if type(version) is not int or version != _SCHEMA_VERSION:
+        raise KnowledgeBaseError(f"knowledge schema_version is {version!r}, not {_SCHEMA_VERSION}")
+    unknown = sorted(doc.keys() - set(_KEYS))
+    if unknown:
+        raise KnowledgeBaseError(f"knowledge data has unknown keys {unknown}")
 
     threats: dict[RuleId, ThreatEntry] = {}
     countermeasures: dict[RuleId, CountermeasureEntry] = {}

@@ -6,10 +6,9 @@ recommendation) plus the user-countermeasure appendix. Fleet matrices put
 apps on rows and the fourteen rules on columns with YES/no cells, a per-app
 total, and the total as a percentage of 14 rounded half-up to two decimals.
 
-Three output encodings: ``text`` for humans, ``json`` for machines (the
-structured form round-trips losslessly), and ``csv`` tables. The JSON
-report is written directly, one run of sections sharing every field but
-the evidence at a time, and its bytes equal
+Three output encodings: ``text`` for humans, ``json`` for machines, and
+``csv`` tables. The JSON report is written directly, one run of sections
+sharing every field but the evidence at a time, and its bytes equal
 ``json.dumps(doc, sort_keys=True, indent=2)`` of the report. All output is
 deterministic for a given input; report timestamps are injected by the
 caller or pinned by tests.
@@ -181,10 +180,6 @@ def serialize_reports(reports: list[Report], fmt: str = "text") -> bytes:
     return _reports_csv(reports)
 
 
-def _dump_json(payload: dict) -> bytes:
-    return (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode("utf-8")
-
-
 def _json_array(items: list[str], indent: str) -> str:
     """Encoded items as a JSON array, laid out as ``json.dumps(indent=2)`` does at ``indent``."""
     if not items:
@@ -226,132 +221,18 @@ def _report_json(report: Report) -> bytes:
     return "".join([*_report_json_parts(report), "\n"]).encode("utf-8")
 
 
-# What reading a malformed document raises (bad UTF-8 and bad JSON are
-# ValueErrors, JSON nested too deep a RecursionError, and a field of the
-# wrong JSON type a TypeError); the deserializers raise each as a
-# ReportError chained from it.
-_MALFORMED = (AttributeError, KeyError, RecursionError, TypeError, ValueError)
-
-
-def _field(doc: dict, key: str, kind: type = str):
-    """``doc[key]``, which must be a JSON value of Python type ``kind`` (a JSON boolean is no number)."""
-    value = doc[key]
-    if type(value) is not kind:
-        raise TypeError(f"{key} is {type(value).__name__}, not {kind.__name__}")
-    return value
-
-
-def _strings(doc: dict, key: str) -> tuple[str, ...]:
-    """``doc[key]``, which must be a list of strings, as a tuple."""
-    items = _field(doc, key, list)
-    for item in items:
-        if type(item) is not str:
-            raise TypeError(f"{key} holds a {type(item).__name__}, not only str")
-    return tuple(items)
-
-
-def _schema_version(doc: dict) -> int:
-    version = doc["schema_version"]
-    if type(version) is not int or version != SCHEMA_VERSION:
-        raise ValueError(f"schema_version is {version!r}, not {SCHEMA_VERSION}")
-    return version
-
-
-def deserialize_report(data: bytes) -> Report:
-    try:
-        doc = json.loads(data.decode("utf-8"))
-        if doc.get("kind") != "report":
-            raise ReportError(f"not a report document: kind={doc.get('kind')!r}")
-        return Report(
-            apk_name=_field(doc, "apk_name"),
-            generated_at=_field(doc, "generated_at"),
-            sections=tuple(
-                ReportSection(
-                    rule=RuleId(s["rule"]),
-                    title=_field(s, "title"),
-                    evidence=_strings(s, "evidence"),
-                    severity=Severity(s["severity"]),
-                    category=_field(s, "category"),
-                    background=_field(s, "background"),
-                    recommendation=_field(s, "recommendation"),
-                )
-                for s in doc["sections"]
-            ),
-            user_countermeasures=_strings(doc, "user_countermeasures"),
-            schema_version=_schema_version(doc),
-        )
-    except _MALFORMED as exc:
-        raise ReportError(f"malformed report document: {type(exc).__name__}: {exc}") from exc
-
-
 def _matrix_json(matrix: FleetMatrix) -> bytes:
-    return _dump_json(
-        {
-            "schema_version": matrix.schema_version,
-            "kind": "fleet_matrix",
-            "apps": list(matrix.apps),
-            "rules": [r.value for r in matrix.rules],
-            "rule_titles": list(matrix.rule_titles),
-            "cells": [list(row) for row in matrix.cells],
-            "totals": list(matrix.totals),
-            "percentages": list(matrix.percentages),
-        }
-    )
-
-
-def deserialize_matrix(data: bytes) -> FleetMatrix:
-    try:
-        doc = json.loads(data.decode("utf-8"))
-        if doc.get("kind") != "fleet_matrix":
-            raise ReportError(f"not a fleet matrix document: kind={doc.get('kind')!r}")
-        matrix = FleetMatrix(
-            apps=_strings(doc, "apps"),
-            rules=tuple(RuleId(r) for r in doc["rules"]),
-            cells=tuple(map(tuple, _field(doc, "cells", list))),
-            totals=tuple(_field(doc, "totals", list)),
-            percentages=_strings(doc, "percentages"),
-            rule_titles=_strings(doc, "rule_titles"),
-            schema_version=_schema_version(doc),
-        )
-        apps, rules, cells, totals, percentages, titles = matrix[:6]
-        if rules != tuple(RuleId) or titles != tuple(RULE_TITLES.values()):
-            raise ValueError("rules and rule_titles are not R01 to R14 and their titles, in order")
-        if not len(apps) == len(cells) == len(totals) == len(percentages):
-            raise ValueError(
-                f"{len(apps)} apps, {len(cells)} rows of cells, {len(totals)} totals and {len(percentages)} percentages"
-            )
-        for app, row, total, percentage in zip(apps, cells, totals, percentages):
-            if len(row) != len(rules):
-                raise ValueError(f"{app!r} has {len(row)} cells for {len(rules)} rules")
-            if any(type(cell) is not bool for cell in row):
-                raise TypeError(f"a cell of {app!r} is not a boolean")
-            if type(total) is not int or total != sum(row) or percentage != format_percentage(total):
-                raise ValueError(f"{app!r} has total {total!r} and percentage {percentage!r} for {sum(row)} cells")
-        return matrix
-    except _MALFORMED as exc:
-        raise ReportError(f"malformed fleet matrix document: {type(exc).__name__}: {exc}") from exc
-
-
-def scan_result_json(result: ScanResult) -> bytes:
-    """Stable byte encoding of a raw scan result (no timestamp on purpose)."""
-    return _dump_json(
-        {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "scan_result",
-            "apk_name": result.apk_name,
-            "rule_vector": list(result.rule_vector),
-            "findings": [
-                {
-                    "rule": f.rule.value,
-                    "severity": f.severity.value,
-                    "title": f.title,
-                    "category": f.category,
-                    "evidence": list(f.evidence),
-                }
-                for f in result.findings
-            ],
-        }
-    )
+    doc = {
+        "schema_version": matrix.schema_version,
+        "kind": "fleet_matrix",
+        "apps": list(matrix.apps),
+        "rules": [r.value for r in matrix.rules],
+        "rule_titles": list(matrix.rule_titles),
+        "cells": [list(row) for row in matrix.cells],
+        "totals": list(matrix.totals),
+        "percentages": list(matrix.percentages),
+    }
+    return (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode("utf-8")
 
 
 def _report_text(report: Report) -> bytes:

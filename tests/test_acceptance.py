@@ -5,6 +5,7 @@ or read the verbose test status); a failed assertion means the criterion
 is red.
 """
 
+import json
 import random
 import time
 
@@ -22,8 +23,8 @@ from bankscan.fixtures import (
 )
 from bankscan.knowledge import countermeasure_for, load_knowledge_base, threat_for
 from bankscan.manifest import build_manifest_model
-from bankscan.report import build_fleet_matrix, render_report, scan_result_json, serialize
-from bankscan.rules import RULES, RuleId, Severity
+from bankscan.report import SCHEMA_VERSION, build_fleet_matrix, render_report, serialize
+from bankscan.rules import RULES, RuleId, ScanResult, Severity
 from bankscan.scanner import scan_bytes
 
 STRUCTURED_ERRORS = (ApkError, AxmlError, DexError)
@@ -144,6 +145,27 @@ def test_criterion_5_parser_fuzz_robustness():
     elapsed = time.monotonic() - started
     assert elapsed < 60.0, f"fuzz took {elapsed:.1f}s"
     print(f"ACCEPTANCE 5 parser fuzz, 10000 mutations in {elapsed:.1f}s: PASS")
+
+
+def scan_result_json(result: ScanResult) -> bytes:
+    """Stable byte encoding of a raw scan result (no timestamp on purpose)."""
+    doc = {
+        "schema_version": SCHEMA_VERSION,
+        "kind": "scan_result",
+        "apk_name": result.apk_name,
+        "rule_vector": list(result.rule_vector),
+        "findings": [
+            {
+                "rule": f.rule.value,
+                "severity": f.severity.value,
+                "title": f.title,
+                "category": f.category,
+                "evidence": list(f.evidence),
+            }
+            for f in result.findings
+        ],
+    }
+    return (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode("utf-8")
 
 
 def test_criterion_6_determinism(fleet, fleet_dir, tmp_path):

@@ -192,9 +192,18 @@ def test_parse_deterministic(addjs_artifact):
     assert parse_dex(addjs_artifact.data) == parse_dex(addjs_artifact.data)
 
 
-def test_bad_magic_on_zero_header():
-    with pytest.raises(BadMagicError):
-        parse_dex(b"\x00" * 0x70)
+@pytest.mark.parametrize(
+    "magic, message",
+    [
+        (b"\x00" * 8, "unsupported dex magic b'\\x00\\x00\\x00\\x00\\x00\\x00\\x00\\x00'"),
+        (b"dex\n040\x00", "unsupported dex magic b'dex\\n040\\x00'"),  # 039 is the last version read
+    ],
+    ids=["zero", "dex-040"],
+)
+def test_bad_magic_on_zero_header(magic, message):
+    with pytest.raises(BadMagicError) as info:
+        parse_dex(magic + b"\x00" * 0x68)
+    assert str(info.value) == message
 
 
 def test_short_file_rejected():

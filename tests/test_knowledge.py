@@ -114,6 +114,10 @@ def _set(doc, key, value):
 
 # (an edit of the data file's document, the message it raises)
 _MALFORMED = {
+    "no-schema-version": (lambda doc: doc.pop("schema_version"), "knowledge data lacks key 'schema_version'"),
+    "schema-version-99": (lambda doc: _set(doc, "schema_version", 99), "knowledge schema_version is 99, not 1"),
+    "schema-version-true": (lambda doc: _set(doc, "schema_version", True), "knowledge schema_version is True, not 1"),
+    "unknown-key": (lambda doc: _set(doc, "extra", {}), "knowledge data has unknown keys ['extra']"),
     "no-rules": (lambda doc: doc.pop("rules"), "knowledge data lacks key 'rules'"),
     "no-user-countermeasures": (
         lambda doc: doc.pop("user_countermeasures"), "knowledge data lacks key 'user_countermeasures'"

@@ -1,4 +1,4 @@
-"""Report rendering, fleet matrix arithmetic, serialization round trips."""
+"""Report rendering, fleet matrix arithmetic, the written documents."""
 
 import datetime
 import hashlib
@@ -22,11 +22,8 @@ from bankscan.report import (
     ReportSection,
     UnknownFormatError,
     build_fleet_matrix,
-    deserialize_matrix,
-    deserialize_report,
     format_percentage,
     render_report,
-    scan_result_json,
     serialize,
     serialize_reports,
 )
@@ -183,99 +180,29 @@ def test_report_json_round_trip():
     report = render_report(
         make_result("app.apk", {RuleId.R04, RuleId.R09, RuleId.R10}), generated_at="2024-01-01T00:00:00+00:00"
     )
-    assert deserialize_report(serialize(report, "json")) == report
+    doc = json.loads(serialize(report, "json"))
+    assert doc == _report_doc(report)
+    assert [s["rule"] for s in doc["sections"]] == ["R04", "R10", "R09"]  # critical, warning, notice
+    assert (doc["kind"], doc["schema_version"], doc["generated_at"]) == ("report", 1, "2024-01-01T00:00:00+00:00")
 
 
 def test_matrix_json_round_trip():
     matrix = build_fleet_matrix(
         [make_result("a", {RuleId.R11}), make_result("b", set())]
     )
-    assert deserialize_matrix(serialize(matrix, "json")) == matrix
-
-
-_REPORT_HEAD = b'{"kind": "report", "apk_name": "a.apk", "generated_at": "t0", "sections": '
-_SECTION_HEAD = b'{"rule": "R01", "title": "t", "evidence": [], '
-
-# (deserializer, malformed bytes, what reading them raises, which the ReportError is chained from)
-_MALFORMED = {
-    "report-list": (deserialize_report, b"[]", AttributeError),
-    "report-kind-only": (deserialize_report, b'{"kind": "report"}', KeyError),
-    "report-unknown-rule": (deserialize_report, _REPORT_HEAD + b'[{"rule": "R99"}]}', ValueError),
-    "report-unknown-severity": (
-        deserialize_report, _REPORT_HEAD + b"[" + _SECTION_HEAD + b'"severity": "dire"}]}', ValueError
-    ),
-    "report-bad-utf8": (deserialize_report, b'{"kind": "\xff"}', UnicodeDecodeError),
-    "report-bad-json": (deserialize_report, b'{"kind": ', json.JSONDecodeError),
-    "matrix-list": (deserialize_matrix, b"[]", AttributeError),
-    "matrix-kind-only": (deserialize_matrix, b'{"kind": "fleet_matrix"}', KeyError),
-    "matrix-unknown-rule": (
-        deserialize_matrix, b'{"kind": "fleet_matrix", "apps": [], "rules": ["R99"]}', ValueError
-    ),
-    "matrix-bad-utf8": (deserialize_matrix, b'{"kind": "\xff"}', UnicodeDecodeError),
-    "matrix-bad-json": (deserialize_matrix, b'{"kind": ', json.JSONDecodeError),
-    "report-deep-nesting": (deserialize_report, b"[" * 100000 + b"]" * 100000, RecursionError),
-    "matrix-deep-nesting": (deserialize_matrix, b"[" * 100000 + b"]" * 100000, RecursionError),
-}
-
-
-@pytest.mark.parametrize("deserialize, data, cause", _MALFORMED.values(), ids=_MALFORMED.keys())
-def test_malformed_documents_raise_report_error(deserialize, data, cause):
-    with pytest.raises(ReportError, match=r"^malformed (report|fleet matrix) document: ") as excinfo:
-        deserialize(data)
-    assert type(excinfo.value) is ReportError
-    assert type(excinfo.value.__cause__) is cause
-
-
-def _report_json_doc() -> dict:
-    return json.loads(serialize(render_report(make_result("app.apk", {RuleId.R04, RuleId.R09}), generated_at="t0"), "json"))
-
-
-def _matrix_json_doc() -> dict:
-    return json.loads(serialize(build_fleet_matrix([make_result("a", {RuleId.R11}), make_result("b", set())]), "json"))
-
-
-def _set(doc: dict, key: str, value) -> None:
-    doc[key] = value
-
-
-# (a document as written, an edit that makes it wrong, which error the ReportError is chained from)
-_MISTYPED = {
-    "report-evidence-string": (_report_json_doc, lambda doc: _set(doc["sections"][0], "evidence", "abc"), TypeError),
-    "report-evidence-number": (_report_json_doc, lambda doc: doc["sections"][0]["evidence"].append(5), TypeError),
-    "report-countermeasures-string": (_report_json_doc, lambda doc: _set(doc, "user_countermeasures", "xy"), TypeError),
-    "report-apk-name-number": (_report_json_doc, lambda doc: _set(doc, "apk_name", 5), TypeError),
-    "report-generated-at-null": (_report_json_doc, lambda doc: _set(doc, "generated_at", None), TypeError),
-    "report-title-list": (_report_json_doc, lambda doc: _set(doc["sections"][1], "title", ["t"]), TypeError),
-    "report-background-number": (_report_json_doc, lambda doc: _set(doc["sections"][0], "background", 0), TypeError),
-    "report-schema-99": (_report_json_doc, lambda doc: _set(doc, "schema_version", 99), ValueError),
-    "report-schema-true": (_report_json_doc, lambda doc: _set(doc, "schema_version", True), ValueError),
-    "matrix-cell-number": (_matrix_json_doc, lambda doc: _set(doc["cells"][0], 0, 0), TypeError),
-    "matrix-cell-string": (_matrix_json_doc, lambda doc: _set(doc["cells"][1], 3, "YES"), TypeError),
-    "matrix-short-row": (_matrix_json_doc, lambda doc: doc["cells"][1].pop(), ValueError),
-    "matrix-missing-row": (_matrix_json_doc, lambda doc: doc["cells"].pop(), ValueError),
-    "matrix-wrong-total": (_matrix_json_doc, lambda doc: _set(doc["totals"], 0, 2), ValueError),
-    "matrix-total-true": (_matrix_json_doc, lambda doc: _set(doc["totals"], 0, True), ValueError),
-    "matrix-wrong-percentage": (_matrix_json_doc, lambda doc: _set(doc["percentages"], 0, "7.15"), ValueError),
-    "matrix-app-number": (_matrix_json_doc, lambda doc: _set(doc["apps"], 1, 2), TypeError),
-    "matrix-schema-99": (_matrix_json_doc, lambda doc: _set(doc, "schema_version", 99), ValueError),
-    "matrix-one-rule-one-title": (
-        _matrix_json_doc, lambda doc: doc.update(rules=["R11"] * 14, rule_titles=["File unsafe deleting"]), ValueError
-    ),
-    "matrix-titles-swapped": (_matrix_json_doc, lambda doc: doc["rule_titles"].reverse(), ValueError),
-    "matrix-rules-swapped": (_matrix_json_doc, lambda doc: doc["rules"].reverse(), ValueError),
-}
-
-
-@pytest.mark.parametrize("written, edit, cause", _MISTYPED.values(), ids=_MISTYPED.keys())
-def test_mistyped_documents_raise_report_error(written, edit, cause):
-    deserialize = deserialize_report if written is _report_json_doc else deserialize_matrix
-    doc = written()
-    deserialize(json.dumps(doc).encode())  # as written, the document reads back
-    edit(doc)
-    with pytest.raises(ReportError, match=r"^malformed (report|fleet matrix) document: ") as excinfo:
-        deserialize(json.dumps(doc).encode())
-    assert type(excinfo.value) is ReportError
-    assert type(excinfo.value.__cause__) is cause
+    doc = json.loads(serialize(matrix, "json"))
+    assert doc == {
+        "schema_version": matrix.schema_version,
+        "kind": "fleet_matrix",
+        "apps": list(matrix.apps),
+        "rules": [r.value for r in matrix.rules],
+        "rule_titles": list(matrix.rule_titles),
+        "cells": [list(row) for row in matrix.cells],
+        "totals": list(matrix.totals),
+        "percentages": list(matrix.percentages),
+    }
+    assert (doc["kind"], doc["schema_version"], doc["apps"]) == ("fleet_matrix", 1, ["a", "b"])
+    assert (doc["totals"], doc["percentages"]) == ([1, 0], ["7.14", "0.00"])
 
 
 def test_report_errors_name_what_they_refuse():
@@ -283,11 +210,6 @@ def test_report_errors_name_what_they_refuse():
     cases = [
         (lambda: build_fleet_matrix([]), "fleet matrix needs at least one scan result"),
         (lambda: serialize(object(), "text"), "cannot serialize object"),
-        (lambda: deserialize_report(json.dumps(_matrix_json_doc()).encode()), "not a report document: kind='fleet_matrix'"),
-        (
-            lambda: deserialize_matrix(json.dumps(_report_json_doc()).encode()),
-            "not a fleet matrix document: kind='report'",
-        ),
     ]
     for call, message in cases:
         with pytest.raises(ReportError) as info:
@@ -302,12 +224,6 @@ def test_report_csv_lists_conditions():
     got = serialize(report, "csv").decode()
     assert got.splitlines()[0] == "apk,rule,severity,title,category,evidence"
     assert got.splitlines()[1].startswith("app.apk,R04,critical,Remote code execution,")
-
-
-def test_scan_result_json_stable_and_timestamp_free():
-    result = make_result("app.apk", {RuleId.R11})
-    assert scan_result_json(result) == scan_result_json(result)
-    assert b"generated" not in scan_result_json(result)
 
 
 def test_unknown_format_rejected():
