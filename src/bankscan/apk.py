@@ -81,7 +81,6 @@ class ApkEntry(NamedTuple):
 
 
 class ApkArchive(NamedTuple):
-    source_path: Path | None
     data: bytes
     entries: tuple[ApkEntry, ...]
 
@@ -102,7 +101,7 @@ def _find_eocd(data: bytes) -> int:
     return pos
 
 
-def load_apk(data: bytes, source_path: Path | None = None) -> ApkArchive:
+def load_apk(data: bytes) -> ApkArchive:
     """Parse APK bytes into an archive with its central-directory entry list.
 
     No payload is decompressed here; use :func:`read_entry` for that.
@@ -157,13 +156,12 @@ def load_apk(data: bytes, source_path: Path | None = None) -> ApkArchive:
     if not any(_DEX_NAME_RE.fullmatch(n) for n in seen):
         raise NoDexEntriesError("archive has no classes.dex entries")
 
-    return ApkArchive(source_path=source_path, data=data, entries=tuple(entries))
+    return ApkArchive(data=data, entries=tuple(entries))
 
 
 def open_apk(path: str | Path) -> ApkArchive:
     """Open an APK file from disk. See :func:`load_apk` for the parse rules."""
-    p = Path(path)
-    return load_apk(p.read_bytes(), source_path=p)
+    return load_apk(Path(path).read_bytes())
 
 
 def read_entry(archive: ApkArchive, name: str) -> bytes:

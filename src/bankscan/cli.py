@@ -21,7 +21,6 @@ named on stderr the same way and also gives 3.
 
 from __future__ import annotations
 
-import os
 import sys
 from pathlib import Path
 from typing import NamedTuple
@@ -31,7 +30,6 @@ from .rules import ScanResult, Severity
 from .scanner import scan_bytes
 
 PROG = "bankscan"
-FORMAT_ENV_VAR = "BANKSCAN_FORMAT"
 
 USAGE = f"""usage: {PROG} [options] [apk ...]
 
@@ -45,8 +43,7 @@ modes (choose one):
 
 options:
   -o, --output PATH  write output to PATH instead of stdout
-      --format FMT   output format: text, json or csv
-                     (default: ${FORMAT_ENV_VAR} or text)
+      --format FMT   output format: text, json or csv (default: text)
       --fail-on SEV  exit 1 if any finding is at least SEV
                      (critical, warning, notice, info)
 
@@ -153,15 +150,6 @@ def parse_args(argv: list[str]) -> CliConfig:
     )
 
 
-def _resolve_format(config: CliConfig) -> str:
-    fmt = config.fmt or os.environ.get(FORMAT_ENV_VAR) or "text"
-    if fmt not in FORMATS:
-        raise CliUsageError(
-            f"{FORMAT_ENV_VAR}={fmt!r} is not a valid format, expected one of {FORMATS}"
-        )
-    return fmt
-
-
 def _write_output(config: CliConfig, payload: bytes) -> bool:
     """Write ``payload`` to ``-o`` or stdout; False, after one stderr line naming the target, if the write fails."""
     path = config.output_path
@@ -210,7 +198,7 @@ def _scan_many(paths: list[Path]):
 def execute(config: CliConfig) -> int:
     if config.mode == "help":
         return 0 if _write_output(config, USAGE.encode()) else 3
-    fmt = _resolve_format(config)
+    fmt = config.fmt or "text"
     paths = _collect_inputs(config)
     if not paths:
         sys.stderr.write(f"{PROG}: no .apk files found in the given inputs\n")

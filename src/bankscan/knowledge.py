@@ -17,13 +17,12 @@ from __future__ import annotations
 
 import functools
 import json
-from importlib import resources
+from pathlib import Path
 from typing import NamedTuple
 
 from .rules import RuleId
 
-_DATA_PACKAGE = __package__
-_DATA_FILE = "data/knowledge.json"
+_DATA_PATH = Path(__file__).with_name("data") / "knowledge.json"
 _SCHEMA_VERSION = 1
 _KEYS = ("schema_version", "rules", "user_countermeasures")
 
@@ -63,7 +62,7 @@ def _typed(value, kind: type, what: str):
 
 @functools.lru_cache(maxsize=1)
 def load_knowledge_base() -> KnowledgeBase:
-    raw = resources.files(_DATA_PACKAGE).joinpath(_DATA_FILE).read_text("utf-8")
+    raw = _DATA_PATH.read_text("utf-8")
     try:
         doc = _typed(json.loads(raw), dict, "knowledge data")
         version, records, texts = (doc[key] for key in _KEYS)

@@ -1,18 +1,18 @@
 """Structured view of a decoded AndroidManifest.xml.
 
 Maps the raw AXML element tree onto the handful of facts the detection
-rules consult: package identity, SDK levels, backup/debug flags, the four
-component kinds with their intent filters, and declared permissions with
-their protection levels. Tri-state attributes distinguish an explicit
-``false`` from the attribute being absent, because several Android
-defaults depend on exactly that.
+rules consult: package identity, the target SDK, the backup flag, the four
+component kinds with the actions of their intent filters, and declared
+permissions with their protection levels. Tri-state attributes distinguish
+an explicit ``false`` from the attribute being absent, because several
+Android defaults depend on exactly that.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .axml import ANDROID_NS, AxmlDocument, AxmlElement, AxmlError, ResourceRef
+from .axml import AxmlDocument, AxmlElement, AxmlError, ResourceRef
 
 COMPONENT_KINDS = ("activity", "service", "receiver", "provider")
 
@@ -40,18 +40,12 @@ class MissingPackageNameError(ManifestError):
     """Manifest has no (or an empty) package attribute."""
 
 
-class IntentFilterDecl(NamedTuple):
-    actions: tuple[str, ...]
-    categories: tuple[str, ...]
-    data_specs: tuple[str, ...]
-
-
 class ComponentDecl(NamedTuple):
     kind: str
     name: str
     exported: bool | None
     permission: str | None
-    intent_filters: tuple[IntentFilterDecl, ...]
+    intent_filters: tuple[tuple[str, ...], ...]  # each filter's action names
 
 
 class PermissionDecl(NamedTuple):
@@ -59,21 +53,12 @@ class PermissionDecl(NamedTuple):
     protection_level: str  # normal | dangerous | signature | signatureOrSystem | unset
 
 
-class ApplicationAttrs(NamedTuple):
-    allow_backup: bool | None
-    debuggable: bool | None
-
-
 class ManifestModel(NamedTuple):
     package_name: str
-    min_sdk: int | None
     target_sdk: int | None
-    application: ApplicationAttrs
+    allow_backup: bool | None
     components: tuple[ComponentDecl, ...]
     declared_permissions: tuple[PermissionDecl, ...]
-
-    def effective_exported(self, component: ComponentDecl) -> bool:
-        return effective_exported(component, self.target_sdk)
 
 
 def effective_exported(component: ComponentDecl, target_sdk: int | None) -> bool:
@@ -140,21 +125,9 @@ def _protection_level(value) -> str:
     return "unset"
 
 
-def _intent_filter(elem: AxmlElement) -> IntentFilterDecl:
-    actions = []
-    categories = []
-    data_specs = []
-    for child in elem.children:
-        name = _as_str(child.attr("name"))
-        if child.name == "action" and name:
-            actions.append(name)
-        elif child.name == "category" and name:
-            categories.append(name)
-        elif child.name == "data":
-            for a in child.attributes:
-                if a.namespace == ANDROID_NS and a.value is not None:
-                    data_specs.append(f"{a.name}={a.value}")
-    return tuple.__new__(IntentFilterDecl, (tuple(actions), tuple(categories), tuple(data_specs)))
+def _intent_filter(elem: AxmlElement) -> tuple[str, ...]:
+    names = [_as_str(child.attr("name")) for child in elem.children if child.name == "action"]
+    return tuple([name for name in names if name])
 
 
 def _component(elem: AxmlElement) -> ComponentDecl:
@@ -171,7 +144,7 @@ def build_manifest_model(doc: AxmlDocument) -> ManifestModel:
     """Project a decoded manifest document onto the analysis model.
 
     One pass over the children of ``<manifest>``: the last ``uses-sdk`` and
-    the flags of the last ``application`` win; the components of every
+    the backup flag of the last ``application`` win; the components of every
     ``application`` and the declared permissions keep document order.
     """
     root = doc.root
@@ -182,17 +155,15 @@ def build_manifest_model(doc: AxmlDocument) -> ManifestModel:
         raise MissingPackageNameError("manifest has no package name")
 
     make = tuple.__new__  # skips NamedTuple.__new__'s per-field argument binding
-    min_sdk = target_sdk = allow_backup = debuggable = None
+    target_sdk = allow_backup = None
     components: list[ComponentDecl] = []
     permissions: list[PermissionDecl] = []
     for child in root.children:
         tag = child.name
         if tag == "application":
             allow_backup = _bool_attr(child, "allowBackup")
-            debuggable = _bool_attr(child, "debuggable")
             components += [_component(c) for c in child.children if c.name in COMPONENT_KINDS]
         elif tag == "uses-sdk":
-            min_sdk = _as_int(child.attr("minSdkVersion"))
             target_sdk = _as_int(child.attr("targetSdkVersion"))
         elif tag == "permission":
             name = _as_str(child.attr("name")) or "(unnamed)"
@@ -200,9 +171,8 @@ def build_manifest_model(doc: AxmlDocument) -> ManifestModel:
 
     return make(ManifestModel, (
         package,
-        min_sdk,
         target_sdk,
-        make(ApplicationAttrs, (allow_backup, debuggable)),
+        allow_backup,
         tuple(components),
         tuple(permissions),
     ))

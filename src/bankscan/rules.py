@@ -42,7 +42,7 @@ from operator import itemgetter
 from typing import Any, Callable, NamedTuple
 
 from .dex import DexImage, _literals_reaching, _Site, _sites_of
-from .manifest import ManifestModel
+from .manifest import ManifestModel, effective_exported
 
 FLAG_SECURE = 0x2000
 
@@ -289,8 +289,8 @@ def _absent(keys: tuple[str, ...], searched: str) -> Callable[[ScanInput], list[
 def _r02_intent_filter(inp: ScanInput) -> list[tuple[str, ...]]:
     evidence = []
     for comp in inp.manifest.components:
-        for i, filt in enumerate(comp.intent_filters):
-            if not filt.actions:
+        for i, actions in enumerate(comp.intent_filters):
+            if not actions:
                 evidence.append((f"manifest: application/{comp.kind}[{comp.name}]/intent-filter[{i}] has no action",))
     return evidence
 
@@ -298,7 +298,7 @@ def _r02_intent_filter(inp: ScanInput) -> list[tuple[str, ...]]:
 def _r03_provider(inp: ScanInput) -> list[tuple[str, ...]]:
     evidence = []
     for comp in inp.manifest.components:
-        if comp.kind == "provider" and inp.manifest.effective_exported(comp) and comp.permission is None:
+        if comp.kind == "provider" and effective_exported(comp, inp.manifest.target_sdk) and comp.permission is None:
             evidence.append((f"manifest: application/provider[{comp.name}] exported without permission",))
     return evidence
 
@@ -312,7 +312,7 @@ def _r06_permission(inp: ScanInput) -> list[tuple[str, ...]]:
 
 
 def _r10_backup(inp: ScanInput) -> list[tuple[str, ...]]:
-    allow = inp.manifest.application.allow_backup
+    allow = inp.manifest.allow_backup
     state = "true" if allow else "unset (defaults to true)"
     return [] if allow is False else [(f"manifest: application allowBackup={state}",)]
 

@@ -233,16 +233,6 @@ def test_closed_stdout_subprocess(fleet_dir):
     assert proc.stderr == "bankscan: <stdout>: BrokenPipeError: [Errno 32] Broken pipe\n"
 
 
-def test_format_env_var_default(apk_on_disk, tmp_path, monkeypatch):
-    path = apk_on_disk("envfmt", frozenset())
-    out = tmp_path / "r.json"
-    monkeypatch.setenv("BANKSCAN_FORMAT", "json")
-    assert main(["-f", path, "-o", str(out)]) == 0
-    assert json.loads(out.read_text())["kind"] == "report"
-    monkeypatch.setenv("BANKSCAN_FORMAT", "bogus")
-    assert main(["-f", path]) == 2
-
-
 def test_matrix_over_fleet_dir(fleet_dir, capsys):
     assert main(["--dir", str(fleet_dir), "--matrix", "--format", "csv"]) == 0
     out = capsys.readouterr().out

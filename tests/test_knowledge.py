@@ -1,6 +1,4 @@
 import json
-import types
-from importlib import resources
 
 import pytest
 
@@ -59,8 +57,7 @@ def test_user_countermeasure_list():
 
 
 def test_loaded_content_matches_data_file():
-    raw = resources.files("bankscan").joinpath("data/knowledge.json").read_text("utf-8")
-    doc = json.loads(raw)
+    doc = json.loads(knowledge._DATA_PATH.read_text("utf-8"))
     kb = load_knowledge_base()
     assert len(doc["rules"]) == 14
     for record in doc["rules"]:
@@ -73,7 +70,7 @@ def test_loaded_content_matches_data_file():
 
 
 def _data_doc():
-    return json.loads(resources.files("bankscan").joinpath("data/knowledge.json").read_text("utf-8"))
+    return json.loads(knowledge._DATA_PATH.read_text("utf-8"))
 
 
 def _edited(edit):
@@ -85,9 +82,9 @@ def _edited(edit):
 
 def _load_text(tmp_path, monkeypatch, text):
     """Load the knowledge base from a data file holding ``text``."""
-    (tmp_path / "data").mkdir()
-    (tmp_path / "data" / "knowledge.json").write_text(text, "utf-8")
-    monkeypatch.setattr(knowledge, "resources", types.SimpleNamespace(files=lambda package: tmp_path))
+    path = tmp_path / "knowledge.json"
+    path.write_text(text, "utf-8")
+    monkeypatch.setattr(knowledge, "_DATA_PATH", path)
     load_knowledge_base.cache_clear()
     try:
         return load_knowledge_base()

@@ -1,18 +1,18 @@
 import pytest
 
-from bankscan.axml import ANDROID_NS, decode_axml
+from bankscan.axml import ANDROID_NS, AxmlElement, decode_axml
 from bankscan.fixtures import (
     Elem,
     ManifestKnobs,
     build_manifest_bytes,
     encode_document,
+    fleet_profiles,
     profile_for_rules,
+    rule_oracle_corpus,
 )
 from bankscan.fixtures.profiles import manifest_element
 from bankscan.manifest import (
-    ApplicationAttrs,
     ComponentDecl,
-    IntentFilterDecl,
     MissingPackageNameError,
     NotAManifestError,
     PermissionDecl,
@@ -34,20 +34,17 @@ def test_fixture_manifest_model():
     profile = profile_for_rules("modeltest", frozenset({RuleId.R10}))
     model = build_manifest_model(decode_axml(build_manifest_bytes(profile)))
     assert model.package_name == "fixture.modeltest"
-    assert model.min_sdk == 21
     assert model.target_sdk == 28
-    assert model.application.allow_backup is None  # attribute omitted
+    assert model.allow_backup is None  # attribute omitted
     kinds = [c.kind for c in model.components]
     assert kinds == ["activity"]
-    activity = model.components[0]
-    assert activity.intent_filters[0].actions == ("android.intent.action.MAIN",)
-    assert activity.intent_filters[0].categories == ("android.intent.category.LAUNCHER",)
+    assert model.components[0].intent_filters == (("android.intent.action.MAIN",),)
 
 
 def test_allow_backup_tri_state():
-    assert model_for_knobs(ManifestKnobs(allow_backup=True)).application.allow_backup is True
-    assert model_for_knobs(ManifestKnobs(allow_backup=False)).application.allow_backup is False
-    assert model_for_knobs(ManifestKnobs(allow_backup=None)).application.allow_backup is None
+    assert model_for_knobs(ManifestKnobs(allow_backup=True)).allow_backup is True
+    assert model_for_knobs(ManifestKnobs(allow_backup=False)).allow_backup is False
+    assert model_for_knobs(ManifestKnobs(allow_backup=None)).allow_backup is None
 
 
 def test_provider_variants():
@@ -94,34 +91,33 @@ def test_permission_protection_level_string_and_flagged_forms():
 def test_empty_intent_filter_surfaced():
     model = model_for_knobs(ManifestKnobs(empty_intent_filter=True))
     receiver = [c for c in model.components if c.kind == "receiver"][0]
-    assert receiver.intent_filters[0].actions == ()
-    assert receiver.intent_filters[0].categories == ("android.intent.category.DEFAULT",)
+    assert receiver.intent_filters == ((),)  # its one child is a category
 
 
 def test_no_application_children_gives_empty_components():
     model = model_from(Elem("manifest", [(None, "package", "a.b")]))
     assert model.components == ()
-    assert model.min_sdk is None and model.target_sdk is None
+    assert model.target_sdk is None
+
+
+def target_sdk(value):
+    sdk = [(ANDROID_NS, "targetSdkVersion", value)]
+    return model_from(Elem("manifest", [(None, "package", "a.b")], [Elem("uses-sdk", sdk)])).target_sdk
 
 
 def test_string_sdk_versions_parse_only_as_int_would():
     # "²" is a digit to str.isdigit() but not to int(), and int() refuses a
     # string of more than 4,300 digits; each must read as unset, not raise.
-    def sdk_root(min_sdk, target_sdk):
-        sdk = [(ANDROID_NS, "minSdkVersion", min_sdk), (ANDROID_NS, "targetSdkVersion", target_sdk)]
-        return Elem("manifest", [(None, "package", "a.b")], [Elem("uses-sdk", sdk)])
-
-    model = model_from(sdk_root("²", "21"))
-    assert model.min_sdk is None and model.target_sdk == 21
-    arabic = model_from(sdk_root("\u0662\u0661", "x1"))  # int() reads Arabic-Indic digits, so they still parse
-    assert arabic.min_sdk == 21 and arabic.target_sdk is None
-    assert model_from(sdk_root("9" * 5000, "0")).min_sdk is None
+    assert target_sdk("²") is None
+    assert target_sdk("21") == 21 and target_sdk("0") == 0
+    assert target_sdk("\u0662\u0661") == 21  # int() reads Arabic-Indic digits, so they still parse
+    assert target_sdk("x1") is None
+    assert target_sdk("9" * 5000) is None
 
 
 def test_boolean_sdk_version_reads_as_unset():
-    sdk = [(ANDROID_NS, "minSdkVersion", True), (ANDROID_NS, "targetSdkVersion", 30)]
-    model = model_from(Elem("manifest", [(None, "package", "a.b")], [Elem("uses-sdk", sdk)]))
-    assert model.min_sdk is None and model.target_sdk == 30
+    assert target_sdk(True) is None
+    assert target_sdk(30) == 30
 
 
 def test_protection_level_naming_no_level_reads_as_unset():
@@ -179,16 +175,12 @@ def test_boolean_attr_as_resource_reference_is_unset(caplog):
 
     with caplog.at_level("WARNING", logger="bankscan.manifest"):
         model = build_manifest_model(decode_axml(doc_bytes))
-    assert model.application.allow_backup is None
+    assert model.allow_backup is None
     assert any("allowBackup" in rec.message for rec in caplog.records)
 
 
 def _component(kind, exported, has_filter):
-    filters = ()
-    if has_filter:
-        from bankscan.manifest import IntentFilterDecl
-
-        filters = (IntentFilterDecl(actions=("a",), categories=(), data_specs=()),)
+    filters = (("a",),) if has_filter else ()
     return ComponentDecl(
         kind=kind, name="c", exported=exported, permission=None, intent_filters=filters
     )
@@ -211,39 +203,6 @@ def test_effective_exported_enumeration(kind, exported, has_filter):
         else:
             expected = has_filter
         assert got is expected, (kind, exported, has_filter, target_sdk)
-
-
-def test_data_specs_collected():
-    root = Elem(
-        "manifest",
-        [(None, "package", "a.b")],
-        [
-            Elem(
-                "application",
-                [],
-                [
-                    Elem(
-                        "activity",
-                        [(ANDROID_NS, "name", "a.b.Deep")],
-                        [
-                            Elem(
-                                "intent-filter",
-                                [],
-                                [
-                                    Elem("action", [(ANDROID_NS, "name", "android.intent.action.VIEW")]),
-                                    Elem("data", [(ANDROID_NS, "scheme", "https"), (ANDROID_NS, "host", "bank.example")]),
-                                ],
-                            )
-                        ],
-                    )
-                ],
-            )
-        ],
-    )
-    model = model_from(root)
-    filt = model.components[0].intent_filters[0]
-    assert "scheme=https" in filt.data_specs
-    assert "host=bank.example" in filt.data_specs
 
 
 def test_interleaved_and_repeated_children_project_in_document_order():
@@ -282,15 +241,8 @@ def test_interleaved_and_repeated_children_project_in_document_order():
         ],
     )
     model = model_from(root)
-    assert (model.package_name, model.min_sdk, model.target_sdk) == ("a.b", 21, None)
-    assert model.application == ApplicationAttrs(allow_backup=None, debuggable=False)
-    activity = ComponentDecl(
-        "activity",
-        "a.b.A",
-        None,
-        None,
-        (IntentFilterDecl(("x.ONE",), (), ()), IntentFilterDecl(("x.TWO",), (), ())),
-    )
+    assert (model.package_name, model.target_sdk, model.allow_backup) == ("a.b", None, None)
+    activity = ComponentDecl("activity", "a.b.A", None, None, (("x.ONE",), ("x.TWO",)))
     assert model.components == (
         activity,
         ComponentDecl("service", "a.b.S", None, None, ()),
@@ -302,3 +254,27 @@ def test_interleaved_and_repeated_children_project_in_document_order():
         PermissionDecl("a.b.P2", "unset"),
         PermissionDecl("a.b.P3", "dangerous"),
     )
+
+
+def test_projection_reads_only_the_attributes_the_model_keeps(monkeypatch):
+    read = set()
+    attr = AxmlElement.attr
+
+    def recording_attr(self, name, namespace=ANDROID_NS):
+        read.add((self.name, name))
+        return attr(self, name, namespace)
+
+    monkeypatch.setattr(AxmlElement, "attr", recording_attr)
+    profiles = rule_oracle_corpus() + fleet_profiles()
+    assert len(profiles) == 34
+    for profile in profiles:
+        build_manifest_model(decode_axml(build_manifest_bytes(profile)))
+    kinds, names = ("activity", "receiver", "provider"), ("name", "exported", "permission")
+    assert read == {(kind, name) for kind in kinds for name in names} | {
+        ("manifest", "package"),
+        ("uses-sdk", "targetSdkVersion"),
+        ("application", "allowBackup"),
+        ("action", "name"),
+        ("permission", "name"),
+        ("permission", "protectionLevel"),
+    }

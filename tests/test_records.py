@@ -21,7 +21,7 @@ from bankscan.axml import ANDROID_NS, AxmlAttribute, AxmlDocument, AxmlElement, 
 from bankscan.cli import CliConfig
 from bankscan.dex import DexImage, Instruction, MethodBody, MethodRef, _Invokes, _Rows, _sites_of
 from bankscan.knowledge import CountermeasureEntry, KnowledgeBase, ThreatEntry, UserCountermeasure
-from bankscan.manifest import ApplicationAttrs, ComponentDecl, IntentFilterDecl, ManifestModel, PermissionDecl
+from bankscan.manifest import ComponentDecl, ManifestModel, PermissionDecl
 from bankscan.report import FleetMatrix, Report, ReportSection
 from bankscan.rules import Finding, RuleId, ScanInput, ScanResult, Severity
 
@@ -29,10 +29,9 @@ _ENTRY = dict(
     name="classes.dex", method=8, crc32=0x1234, compressed_size=10,
     uncompressed_size=20, local_header_offset=0, flags=0,
 )
-_FILTER = dict(actions=("android.intent.action.VIEW",), categories=(), data_specs=("scheme=https",))
 _COMPONENT = dict(
     kind="activity", name=".Main", exported=None, permission=None,
-    intent_filters=(IntentFilterDecl(**_FILTER),),
+    intent_filters=(("android.intent.action.VIEW",),),
 )
 _FINDING = dict(
     rule=RuleId.R04, severity=Severity.CRITICAL, title="Remote code execution",
@@ -57,8 +56,8 @@ CASES = [
         "uncompressed_size=20, local_header_offset=0, flags=0)",
     ),
     (
-        ApkArchive, dict(source_path=None, data=b"PK", entries=(ApkEntry(**_ENTRY),)),
-        "ApkArchive(source_path=None, data=b'PK', entries=(ApkEntry(name='classes.dex', method=8, "
+        ApkArchive, dict(data=b"PK", entries=(ApkEntry(**_ENTRY),)),
+        "ApkArchive(data=b'PK', entries=(ApkEntry(name='classes.dex', method=8, "
         "crc32=4660, compressed_size=10, uncompressed_size=20, local_header_offset=0, flags=0),))",
     ),
     (ResourceRef, dict(resource_id=0x7F010001), "ResourceRef(resource_id=2130771969)"),
@@ -87,36 +86,24 @@ CASES = [
         "MethodBody(owner='LMain;', name='run', code=b'\\x0e\\x00')",
     ),
     (
-        IntentFilterDecl, _FILTER,
-        "IntentFilterDecl(actions=('android.intent.action.VIEW',), categories=(), "
-        "data_specs=('scheme=https',))",
-    ),
-    (
         ComponentDecl, _COMPONENT,
         "ComponentDecl(kind='activity', name='.Main', exported=None, permission=None, "
-        "intent_filters=(IntentFilterDecl(actions=('android.intent.action.VIEW',), categories=(), "
-        "data_specs=('scheme=https',)),))",
+        "intent_filters=(('android.intent.action.VIEW',),))",
     ),
     (
         PermissionDecl, dict(name="com.example.P", protection_level="normal"),
         "PermissionDecl(name='com.example.P', protection_level='normal')",
     ),
     (
-        ApplicationAttrs, dict(allow_backup=False, debuggable=None),
-        "ApplicationAttrs(allow_backup=False, debuggable=None)",
-    ),
-    (
         ManifestModel,
         dict(
-            package_name="com.example", min_sdk=21, target_sdk=None,
-            application=ApplicationAttrs(True, None), components=(ComponentDecl(**_COMPONENT),),
+            package_name="com.example", target_sdk=None, allow_backup=True,
+            components=(ComponentDecl(**_COMPONENT),),
             declared_permissions=(PermissionDecl("com.example.P", "unset"),),
         ),
-        "ManifestModel(package_name='com.example', min_sdk=21, target_sdk=None, "
-        "application=ApplicationAttrs(allow_backup=True, debuggable=None), "
+        "ManifestModel(package_name='com.example', target_sdk=None, allow_backup=True, "
         "components=(ComponentDecl(kind='activity', name='.Main', exported=None, permission=None, "
-        "intent_filters=(IntentFilterDecl(actions=('android.intent.action.VIEW',), categories=(), "
-        "data_specs=('scheme=https',)),)),), "
+        "intent_filters=(('android.intent.action.VIEW',),)),), "
         "declared_permissions=(PermissionDecl(name='com.example.P', protection_level='unset'),))",
     ),
     (
@@ -215,7 +202,7 @@ def test_record_behaviour(cls, fields, expected):
 
 
 def test_every_record_type_is_pinned():
-    assert len({cls for cls, _, _ in CASES}) == 22
+    assert len({cls for cls, _, _ in CASES}) == 20
 
 
 def test_defaults_are_unchanged():
@@ -235,7 +222,7 @@ def test_findings_in_a_set():
 
 # --- the two records that are classes, not tuples ----------------------------
 
-_MANIFEST = ManifestModel("com.example", 21, None, ApplicationAttrs(None, None), (), ())
+_MANIFEST = ManifestModel("com.example", None, None, (), ())
 
 # (record type, its fields in declaration order, repr of that instance, whether it is frozen)
 CLASS_CASES = [
@@ -253,8 +240,8 @@ CLASS_CASES = [
     (
         ScanInput,
         dict(manifest=_MANIFEST, dexes=(DexImage(("s",), (), ()),), apk_name="a.apk"),
-        "ScanInput(manifest=ManifestModel(package_name='com.example', min_sdk=21, target_sdk=None, "
-        "application=ApplicationAttrs(allow_backup=None, debuggable=None), components=(), "
+        "ScanInput(manifest=ManifestModel(package_name='com.example', target_sdk=None, "
+        "allow_backup=None, components=(), "
         "declared_permissions=()), dexes=(DexImage(string_pool=('s',), type_names=(), method_refs=(), "
         "source_name='classes.dex'),), apk_name='a.apk')",
         True,

@@ -22,13 +22,7 @@ from bankscan.fixtures.profiles import (
     CodeKnobs,
     method_sketches,
 )
-from bankscan.manifest import (
-    ApplicationAttrs,
-    ComponentDecl,
-    IntentFilterDecl,
-    ManifestModel,
-    PermissionDecl,
-)
+from bankscan.manifest import ComponentDecl, ManifestModel, PermissionDecl
 from bankscan.rules import (
     CODE_TARGETS,
     RULES,
@@ -51,9 +45,8 @@ def make_manifest(
 ) -> ManifestModel:
     return ManifestModel(
         package_name="test.app",
-        min_sdk=21,
         target_sdk=target_sdk,
-        application=ApplicationAttrs(allow_backup=allow_backup, debuggable=None),
+        allow_backup=allow_backup,
         components=tuple(components),
         declared_permissions=tuple(permissions),
     )
@@ -253,11 +246,7 @@ def test_r01_cross_method_does_not_fire():
 def test_r02_empty_actions_flagged_per_filter():
     comp = ComponentDecl(
         kind="receiver", name="test.app.R", exported=None, permission=None,
-        intent_filters=(
-            IntentFilterDecl((), ("c",), ()),
-            IntentFilterDecl(("android.intent.action.BOOT_COMPLETED",), (), ()),
-            IntentFilterDecl((), (), ()),
-        ),
+        intent_filters=((), ("android.intent.action.BOOT_COMPLETED",), ()),
     )
     findings = evaluate_rule(RuleId.R02, make_input(manifest=make_manifest([comp])))
     assert len(findings) == 2
