@@ -9,12 +9,7 @@ comparison matrix.
 from .apk import ApkArchive, ApkError, dex_entry_names, load_apk, open_apk, read_entry
 from .axml import AxmlDocument, AxmlError, decode_axml
 from .dex import DexError, DexImage, parse_dex
-from .knowledge import (
-    countermeasure_for,
-    load_knowledge_base,
-    threat_for,
-    user_countermeasures,
-)
+from .knowledge import load_knowledge_base
 from .manifest import ManifestModel, build_manifest_model
 from .report import (
     FleetMatrix,
@@ -53,7 +48,6 @@ __all__ = [
     "Severity",
     "build_fleet_matrix",
     "build_manifest_model",
-    "countermeasure_for",
     "decode_axml",
     "dex_entry_names",
     "evaluate_rule",
@@ -66,6 +60,4 @@ __all__ = [
     "run_all_rules",
     "scan_bytes",
     "serialize",
-    "threat_for",
-    "user_countermeasures",
 ]

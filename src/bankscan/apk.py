@@ -194,10 +194,16 @@ def read_entry(archive: ApkArchive, name: str) -> bytes:
     if entry.method == METHOD_STORED:
         payload = raw
     elif entry.method == METHOD_DEFLATED:
+        # At most one byte past the declared size: an entry that lies about it fails before it fills memory.
+        inflater = zlib.decompressobj(-15)
         try:
-            payload = zlib.decompress(raw, wbits=-15)
-        except zlib.error as exc:
+            payload = inflater.decompress(raw, entry.uncompressed_size + 1)
+            if not inflater.eof and len(payload) <= entry.uncompressed_size:  # all input read, stream unfinished
+                raise zlib.error("Error -5 while decompressing data: incomplete or truncated stream")
+        except zlib.error as exc:  # the messages are zlib.decompress's
             raise CrcMismatchError(f"entry {name!r}: corrupt deflate stream: {exc}") from exc
+        if len(payload) > entry.uncompressed_size:
+            raise CrcMismatchError(f"entry {name!r}: inflates past its declared size {entry.uncompressed_size}")
     else:
         raise UnsupportedCompressionError(
             f"entry {name!r} uses unsupported compression method {entry.method}"

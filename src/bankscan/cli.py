@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .report import FORMATS, build_fleet_matrix, duplicate_app_names, render_report, serialize, serialize_reports
-from .rules import ScanResult, Severity
+from .rules import RULES, ScanResult, Severity
 from .scanner import scan_bytes
 
 PROG = "bankscan"
@@ -75,7 +75,7 @@ class CliConfig(NamedTuple):
     inputs: tuple[Path, ...] = ()
     dirs: tuple[Path, ...] = ()
     output_path: Path | None = None
-    fmt: str | None = None
+    fmt: str = "text"
     fail_threshold: Severity | None = None
 
 
@@ -86,7 +86,7 @@ def parse_args(argv: list[str]) -> CliConfig:
     matrix = False
     show_help = False
     output: Path | None = None
-    fmt: str | None = None
+    fmt = "text"
     fail_on: Severity | None = None
 
     def take_value(flag: str, it) -> str:
@@ -170,7 +170,7 @@ def _threshold_hit(results: list[ScanResult], threshold: Severity | None) -> boo
     if threshold is None:
         return False
     return any(
-        finding.severity.rank >= threshold.rank
+        RULES[finding.rule].severity.rank >= threshold.rank
         for result in results
         for finding in result.findings
     )
@@ -198,7 +198,6 @@ def _scan_many(paths: list[Path]):
 def execute(config: CliConfig) -> int:
     if config.mode == "help":
         return 0 if _write_output(config, USAGE.encode()) else 3
-    fmt = config.fmt or "text"
     paths = _collect_inputs(config)
     if not paths:
         sys.stderr.write(f"{PROG}: no .apk files found in the given inputs\n")
@@ -210,13 +209,13 @@ def execute(config: CliConfig) -> int:
     results, errors = _scan_many(paths)
 
     if config.mode == "batch":
-        written = _write_output(config, serialize_reports([render_report(r) for r in results], fmt))
+        written = _write_output(config, serialize_reports([render_report(r) for r in results], config.fmt))
     elif not results:  # -f and --matrix write nothing when every file failed
         written = True
     elif config.mode == "matrix":
-        written = _write_output(config, serialize(build_fleet_matrix(results), fmt))
+        written = _write_output(config, serialize(build_fleet_matrix(results), config.fmt))
     else:
-        written = _write_output(config, serialize(render_report(results[0]), fmt))
+        written = _write_output(config, serialize(render_report(results[0]), config.fmt))
 
     for path, message in errors:
         sys.stderr.write(f"{PROG}: {path}: {message}\n")

@@ -1,15 +1,14 @@
 """Threat and countermeasure knowledge base.
 
 Content lives in ``data/knowledge.json`` rather than in code so wording
-fixes never touch rule logic. Each rule maps to exactly one threat entry
-(threat names are shared between rules where the same threat applies) and
-one developer countermeasure; the global user-countermeasure list has six
-entries. Lookups are total: every rule id resolves.
+fixes never touch rule logic. Every rule has exactly one record: its threat
+(threat names are shared between rules where the same threat applies), its
+developer countermeasure and the background a report prints. The global
+user-countermeasure list has six entries.
 
 Data file format (UTF-8 JSON): an object with exactly three keys. Its
-``schema_version`` is the integer 1, ``rules`` is an array of records with
-fields ``rule_id``, ``threat_name``, ``threat_description``,
-``developer_countermeasure`` and ``background``, and
+``schema_version`` is the integer 1, ``rules`` is an array of records, each
+with exactly the keys ``rule_id`` and the ``RuleKnowledge`` fields, and
 ``user_countermeasures`` is a string array.
 """
 
@@ -27,26 +26,18 @@ _SCHEMA_VERSION = 1
 _KEYS = ("schema_version", "rules", "user_countermeasures")
 
 
-class ThreatEntry(NamedTuple):
-    rule: RuleId
+class RuleKnowledge(NamedTuple):
+    """One rule's record in the data file, but its ``rule_id``."""
+
     threat_name: str
-    description: str
-
-
-class CountermeasureEntry(NamedTuple):
-    rule: RuleId
-    developer_action: str
-
-
-class UserCountermeasure(NamedTuple):
-    text: str
+    threat_description: str
+    developer_countermeasure: str
+    background: str
 
 
 class KnowledgeBase(NamedTuple):
-    threats: dict[RuleId, ThreatEntry]
-    countermeasures: dict[RuleId, CountermeasureEntry]
-    backgrounds: dict[RuleId, str]
-    user_countermeasures: tuple[UserCountermeasure, ...]
+    rules: dict[RuleId, RuleKnowledge]
+    user_countermeasures: tuple[str, ...]
 
 
 class KnowledgeBaseError(Exception):
@@ -58,6 +49,12 @@ def _typed(value, kind: type, what: str):
     if type(value) is not kind:
         raise KnowledgeBaseError(f"{what} is {type(value).__name__}, not {kind.__name__}")
     return value
+
+
+def _refuse_unknown_keys(doc: dict, keys: tuple[str, ...], what: str) -> None:
+    unknown = sorted(doc.keys() - set(keys))
+    if unknown:
+        raise KnowledgeBaseError(f"{what} has unknown keys {unknown}")
 
 
 @functools.lru_cache(maxsize=1)
@@ -72,54 +69,30 @@ def load_knowledge_base() -> KnowledgeBase:
         raise KnowledgeBaseError(f"knowledge data is not JSON: {exc}") from exc
     if type(version) is not int or version != _SCHEMA_VERSION:
         raise KnowledgeBaseError(f"knowledge schema_version is {version!r}, not {_SCHEMA_VERSION}")
-    unknown = sorted(doc.keys() - set(_KEYS))
-    if unknown:
-        raise KnowledgeBaseError(f"knowledge data has unknown keys {unknown}")
+    _refuse_unknown_keys(doc, _KEYS, "knowledge data")
 
-    threats: dict[RuleId, ThreatEntry] = {}
-    countermeasures: dict[RuleId, CountermeasureEntry] = {}
-    backgrounds: dict[RuleId, str] = {}
+    rules: dict[RuleId, RuleKnowledge] = {}
     for i, record in enumerate(_typed(records, list, "knowledge rules")):
         try:
             rule = RuleId(_typed(record, dict, f"knowledge record {i}")["rule_id"])
-            name, description, action, background = (
-                _typed(record[field], str, f"knowledge record {i} field {field!r}")
-                for field in ("threat_name", "threat_description", "developer_countermeasure", "background")
+            entry = RuleKnowledge._make(
+                _typed(record[field], str, f"knowledge record {i} field {field!r}") for field in RuleKnowledge._fields
             )
         except KeyError as exc:
             raise KnowledgeBaseError(f"knowledge record {i} lacks field {exc}") from exc
         except ValueError as exc:
             raise KnowledgeBaseError(f"knowledge record {i} is malformed: {exc}") from exc
-        if rule in threats:
+        _refuse_unknown_keys(record, ("rule_id", *RuleKnowledge._fields), f"knowledge record {i}")
+        if rule in rules:
             raise KnowledgeBaseError(f"duplicate knowledge record for {rule.value}")
-        threats[rule] = ThreatEntry(rule, name, description)
-        countermeasures[rule] = CountermeasureEntry(rule, action)
-        backgrounds[rule] = background
+        rules[rule] = entry
 
-    missing = [r.value for r in RuleId if r not in threats]
+    missing = [r.value for r in RuleId if r not in rules]
     if missing:
         raise KnowledgeBaseError(f"knowledge data lacks entries for {missing}")
 
     texts = _typed(texts, list, "knowledge user_countermeasures")
-    user = tuple(UserCountermeasure(_typed(text, str, f"user countermeasure {i}")) for i, text in enumerate(texts))
+    user = tuple(_typed(text, str, f"user countermeasure {i}") for i, text in enumerate(texts))
     if len(user) != 6:
         raise KnowledgeBaseError(f"expected 6 user countermeasures, found {len(user)}")
-
-    return KnowledgeBase(
-        threats=threats,
-        countermeasures=countermeasures,
-        backgrounds=backgrounds,
-        user_countermeasures=user,
-    )
-
-
-def threat_for(rule: RuleId) -> ThreatEntry:
-    return load_knowledge_base().threats[rule]
-
-
-def countermeasure_for(rule: RuleId) -> CountermeasureEntry:
-    return load_knowledge_base().countermeasures[rule]
-
-
-def user_countermeasures() -> list[UserCountermeasure]:
-    return list(load_knowledge_base().user_countermeasures)
+    return KnowledgeBase(rules, user)

@@ -26,8 +26,8 @@ from itertools import chain, groupby, repeat
 from operator import itemgetter
 from typing import NamedTuple
 
-from .knowledge import KnowledgeBase, load_knowledge_base
-from .rules import RULE_COUNT, RULE_TITLES, RuleId, ScanResult, Severity
+from .knowledge import load_knowledge_base
+from .rules import RULE_COUNT, RULE_TITLES, RULES, RuleId, ScanResult, Severity
 
 SCHEMA_VERSION = 1
 
@@ -35,7 +35,7 @@ FORMATS = ("text", "json", "csv")
 _enc = json.encoder.encode_basestring_ascii  # the str encoder of json.dumps
 _FIXED = itemgetter(0, 1, 3, 4, 5, 6)  # a ReportSection's fields but the evidence
 _EVIDENCE = itemgetter(2)
-_RULE_AND_SEVERITY = itemgetter(0, 1)  # of a Finding
+_RULE = itemgetter(0)  # of a Finding
 
 
 class ReportError(Exception):
@@ -86,26 +86,24 @@ def format_percentage(count: int, out_of: int = RULE_COUNT) -> str:
     return f"{hundredths // 100}.{hundredths % 100:02d}"
 
 
-def render_report(
-    result: ScanResult,
-    kb: KnowledgeBase | None = None,
-    generated_at: str | None = None,
-) -> Report:
+def render_report(result: ScanResult, generated_at: str | None = None) -> Report:
     """One section per finding, critical first, then rule order."""
-    kb = kb or load_knowledge_base()
+    kb = load_knowledge_base()
     if generated_at is None:
         generated_at = _dt.datetime.now(_dt.timezone.utc).isoformat(timespec="seconds")
 
-    # Findings in a row that share a rule and a severity are a run: its knowledge
-    # text is looked up once. Runs sorted by (-severity rank, rule index,
-    # position) put their sections in that order too, since runs never overlap.
+    # Findings in a row that share a rule are a run: its row and knowledge are
+    # looked up once. Runs sorted by (-severity rank, rule index, position)
+    # put their sections in that order too, since runs never overlap.
     runs = []
     make = tuple.__new__  # skips NamedTuple.__new__'s per-field argument binding
-    for (rule, severity), run in groupby(result.findings, _RULE_AND_SEVERITY):
-        background, recommendation = kb.backgrounds[rule], kb.countermeasures[rule].developer_action
+    for rule, run in groupby(result.findings, _RULE):
+        title, severity, category, _ = RULES[rule]
+        known = kb.rules[rule]
+        background, recommendation = known.background, known.developer_countermeasure
         sections = [
             make(ReportSection, (rule, title, evidence, severity, category, background, recommendation))
-            for _, _, title, evidence, category in run
+            for _, evidence in run
         ]
         runs.append((-severity.rank, rule.index, len(runs), sections))
     runs.sort()  # positions are distinct, so sections are never compared
@@ -113,7 +111,7 @@ def render_report(
         apk_name=result.apk_name,
         generated_at=generated_at,
         sections=tuple(chain.from_iterable(sections for _, _, _, sections in runs)),
-        user_countermeasures=tuple(u.text for u in kb.user_countermeasures),
+        user_countermeasures=kb.user_countermeasures,
     )
 
 

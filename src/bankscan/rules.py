@@ -2,7 +2,9 @@
 
 Every rule is one row of ``RULES``: title, severity, category and an
 evidence function of the scan input. ``evaluate_rule`` alone turns evidence
-into ``Finding`` records. Rules of one kind share a factory: ``_calls``
+into ``Finding`` records, each only its rule and one tuple of evidence
+lines; whoever needs the title, severity or category reads them from the
+rule's row. Rules of one kind share a factory: ``_calls``
 (R04, R05, R11), ``_calls_with_one`` (R08) and ``_absent`` (R09, R12, R13,
 R14); the others are plain functions.
 
@@ -152,10 +154,7 @@ _LITERAL_KEYS = ("WebSettings.setAllowFileAccess", "WebSettings.setJavaScriptEna
 
 class Finding(NamedTuple):
     rule: RuleId
-    severity: Severity
-    title: str
     evidence: tuple[str, ...]
-    category: str
 
 
 class ScanInput:
@@ -407,13 +406,11 @@ RULE_TITLES: dict[RuleId, str] = {rule: row.title for rule, row in RULES.items()
 
 def evaluate_rule(rule: RuleId, scan_input: ScanInput) -> list[Finding]:
     """Run one rule; empty list means not vulnerable."""
-    row = RULES[rule]
-    evidence = row.evidence(scan_input)
+    evidence = RULES[rule].evidence(scan_input)
     if not evidence:  # the usual case on most apps: build nothing
         return evidence
-    title, severity, category, _ = row
     make = tuple.__new__  # skips NamedTuple.__new__'s per-field argument binding
-    return [make(Finding, (rule, severity, title, lines, category)) for lines in evidence]
+    return [make(Finding, (rule, lines)) for lines in evidence]
 
 
 def run_all_rules(scan_input: ScanInput) -> ScanResult:

@@ -21,7 +21,7 @@ from bankscan.fixtures import (
     fleet_profiles,
     rule_oracle_corpus,
 )
-from bankscan.knowledge import countermeasure_for, load_knowledge_base, threat_for
+from bankscan.knowledge import load_knowledge_base
 from bankscan.manifest import build_manifest_model
 from bankscan.report import SCHEMA_VERSION, build_fleet_matrix, render_report, serialize
 from bankscan.rules import RULES, RuleId, ScanResult, Severity
@@ -90,12 +90,12 @@ def test_criterion_3_aggregation_arithmetic(fleet_scans):
 def test_criterion_4_report_schema(corpus, fleet, clean_apk):
     kb = load_knowledge_base()
     for rule in RuleId:
-        assert threat_for(rule).threat_name and threat_for(rule).description
-        assert countermeasure_for(rule).developer_action
+        assert kb.rules[rule].threat_name and kb.rules[rule].threat_description
+        assert kb.rules[rule].developer_countermeasure
     sections_seen = 0
     for profile, data in [*corpus, *fleet, clean_apk]:
         result = scan_bytes(data, profile.name)
-        report = render_report(result, kb=kb)
+        report = render_report(result)
         assert len(report.sections) == len(result.findings)
         assert len(report.user_countermeasures) == 6
         for s in report.sections:
@@ -157,9 +157,9 @@ def scan_result_json(result: ScanResult) -> bytes:
         "findings": [
             {
                 "rule": f.rule.value,
-                "severity": f.severity.value,
-                "title": f.title,
-                "category": f.category,
+                "severity": RULES[f.rule].severity.value,
+                "title": RULES[f.rule].title,
+                "category": RULES[f.rule].category,
                 "evidence": list(f.evidence),
             }
             for f in result.findings

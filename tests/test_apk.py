@@ -3,7 +3,9 @@
 import hashlib
 import io
 import struct
+import tracemalloc
 import zipfile
+import zlib
 
 import pytest
 from hypothesis import given, settings
@@ -128,14 +130,56 @@ def test_corrupted_deflate_stream_fails_integrity():
         read_entry(archive, "classes.dex")
 
 
+def _central_record(data, name: bytes) -> int:
+    """The offset of ``name``'s central directory record in ``data``."""
+    central = data.index(b"PK\x01\x02")
+    while data[central + 46 : central + 46 + len(name)] != name:
+        central = data.index(b"PK\x01\x02", central + 4)
+    return central
+
+
+def test_an_entry_inflating_past_its_declared_size_fails_before_it_is_inflated():
+    data = bytearray(minimal_apk(dex_payload=bytes(20_000_000), method=zipfile.ZIP_DEFLATED))
+    struct.pack_into("<I", data, _central_record(data, b"classes.dex") + 24, 4096)  # uncompressed size
+    archive = load_apk(bytes(data))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CrcMismatchError) as info:
+            read_entry(archive, "classes.dex")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == "entry 'classes.dex': inflates past its declared size 4096"
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("extra", [-3, 4])
+def test_a_deflate_stream_is_read_as_zlib_decompress_reads_it(extra):
+    # A stream cut short fails with zlib.decompress's own message; bytes after
+    # the end of a whole stream are ignored.
+    payload = bytes(range(256)) * 16
+    data = bytearray(minimal_apk(dex_payload=payload, method=zipfile.ZIP_DEFLATED))
+    central = _central_record(data, b"classes.dex")
+    (size,) = struct.unpack_from("<I", data, central + 20)
+    struct.pack_into("<I", data, central + 20, size + extra)  # compressed size
+    archive = load_apk(bytes(data))
+    if extra >= 0:
+        assert read_entry(archive, "classes.dex") == payload
+        return
+    start = data.index(b"classes.dex", data.index(b"PK\x03\x04")) + len(b"classes.dex")
+    with pytest.raises(zlib.error) as expected:
+        zlib.decompress(bytes(data[start : start + size + extra]), wbits=-15)
+    with pytest.raises(CrcMismatchError) as info:
+        read_entry(archive, "classes.dex")
+    assert str(info.value) == f"entry 'classes.dex': corrupt deflate stream: {expected.value}"
+
+
 def test_unsupported_compression_method():
     data = bytearray(minimal_apk())
     # patch method field (offset 8 in local header, 10 in central entry) of classes.dex
     local = data.index(b"PK\x03\x04", data.index(b"classes.dex") - 64)
     struct.pack_into("<H", data, local + 8, 12)  # bzip2
-    central = data.index(b"PK\x01\x02")
-    while data[central + 46 : central + 46 + 11] != b"classes.dex":
-        central = data.index(b"PK\x01\x02", central + 4)
+    central = _central_record(data, b"classes.dex")
     struct.pack_into("<H", data, central + 10, 12)
     archive = load_apk(bytes(data))
     with pytest.raises(UnsupportedCompressionError):
@@ -144,9 +188,7 @@ def test_unsupported_compression_method():
 
 def test_encrypted_entry_rejected():
     data = bytearray(minimal_apk())
-    central = data.index(b"PK\x01\x02")
-    while data[central + 46 : central + 46 + 11] != b"classes.dex":
-        central = data.index(b"PK\x01\x02", central + 4)
+    central = _central_record(data, b"classes.dex")
     struct.pack_into("<H", data, central + 8, 0x1)  # encryption flag
     archive = load_apk(bytes(data))
     with pytest.raises(UnsupportedCompressionError):

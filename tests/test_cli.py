@@ -372,49 +372,41 @@ def test_module_entry_point_subprocess(fleet_dir):
     assert "Security report" in proc.stdout
 
 
+# Names the watched modules that a fresh interpreter first imports after the
+# probe starts importing bankscan.cli: one that the interpreter's own start-up
+# (its site hooks, say) already imported is none of the scan's doing.
 _IMPORT_PROBE = """
 import sys
+before = set(sys.modules)
 import bankscan.cli
-out = sys.argv[2]
+out, watched = sys.argv[2], sys.argv[3:]
 codes = [bankscan.cli.main(["-f", sys.argv[1], "--format", fmt, "-o", out]) for fmt in ("text", "json")]
-print(codes, sorted(m for m in ("decimal", "logging") if m in sys.modules))
+print(codes, sorted(m for m in watched if m in sys.modules and m not in before))
 """
 
 
-def test_fresh_scan_imports_neither_logging_nor_decimal(apk_on_disk, tmp_path):
-    # A fresh interpreter: pytest itself has imported logging in this one.
+def _fresh_scan_imports(apk_on_disk, tmp_path, *watched) -> str:
+    """The probe's output for a text and a json scan of a clean APK in a fresh interpreter."""
     path = apk_on_disk("cleanapp", frozenset())
     proc = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE, path, str(tmp_path / "report.out")],
+        [sys.executable, "-c", _IMPORT_PROBE, path, str(tmp_path / "report.out"), *watched],
         capture_output=True,
         text=True,
     )
     assert proc.stderr == ""
-    assert proc.stdout == "[0, 0] []\n"
     assert '"kind": "report"' in (tmp_path / "report.out").read_text()
+    return proc.stdout
 
 
-_COLD_IMPORT_PROBE = """
-import sys
-import bankscan.cli
-out = sys.argv[2]
-codes = [bankscan.cli.main(["-f", sys.argv[1], "--format", fmt, "-o", out]) for fmt in ("text", "json")]
-print(codes, sorted(m for m in ("csv", "dataclasses", "inspect") if m in sys.modules))
-"""
+def test_fresh_scan_imports_neither_logging_nor_decimal(apk_on_disk, tmp_path):
+    # A fresh interpreter: pytest itself has imported logging in this one.
+    assert _fresh_scan_imports(apk_on_disk, tmp_path, "decimal", "logging") == "[0, 0] []\n"
 
 
 def test_fresh_scan_imports_neither_dataclasses_nor_inspect_nor_csv(apk_on_disk, tmp_path):
     # The scan path's records are hand-written classes and named tuples, and
     # only the CSV writers import csv.
-    path = apk_on_disk("cleanapp", frozenset())
-    proc = subprocess.run(
-        [sys.executable, "-c", _COLD_IMPORT_PROBE, path, str(tmp_path / "report.out")],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.stderr == ""
-    assert proc.stdout == "[0, 0] []\n"
-    assert '"kind": "report"' in (tmp_path / "report.out").read_text()
+    assert _fresh_scan_imports(apk_on_disk, tmp_path, "csv", "dataclasses", "inspect") == "[0, 0] []\n"
 
 
 class _PinnedClock(datetime.datetime):

@@ -3,70 +3,77 @@ import json
 import pytest
 
 from bankscan import knowledge
-from bankscan.knowledge import (
-    KnowledgeBaseError,
-    countermeasure_for,
-    load_knowledge_base,
-    threat_for,
-    user_countermeasures,
-)
-from bankscan.rules import RuleId
+from bankscan.knowledge import KnowledgeBase, KnowledgeBaseError, RuleKnowledge, load_knowledge_base
+from bankscan.rules import Finding, RuleId
+
+
+def test_what_is_fixed_per_rule_is_stored_once():
+    # A finding carries only what varies; its rule's row in RULES and its one
+    # knowledge record, keyed as in the data file, hold the rest.
+    assert Finding._fields == ("rule", "evidence")
+    assert KnowledgeBase._fields == ("rules", "user_countermeasures")
+    assert RuleKnowledge._fields == ("threat_name", "threat_description", "developer_countermeasure", "background")
+    for record in _data_doc()["rules"]:
+        assert tuple(record) == ("rule_id", *RuleKnowledge._fields)
 
 
 def test_lookups_total_over_all_rules():
     kb = load_knowledge_base()
     for rule in RuleId:
-        assert threat_for(rule).threat_name
-        assert threat_for(rule).description
-        assert countermeasure_for(rule).developer_action
-        assert kb.backgrounds[rule]
+        assert kb.rules[rule].threat_name
+        assert kb.rules[rule].threat_description
+        assert kb.rules[rule].developer_countermeasure
+        assert kb.rules[rule].background
 
 
 def test_threat_examples():
-    assert threat_for(RuleId.R04).threat_name == "Unauthorized access"
-    assert "without authorization" in threat_for(RuleId.R04).description
-    assert threat_for(RuleId.R08).threat_name == "Cross-site Scripting threat"
-    assert "cross-site scripting" in threat_for(RuleId.R08).description
-    assert threat_for(RuleId.R14).threat_name == "Phishing through fake applications"
-    assert "fake applications" in threat_for(RuleId.R14).description
+    rules = load_knowledge_base().rules
+    assert rules[RuleId.R04].threat_name == "Unauthorized access"
+    assert "without authorization" in rules[RuleId.R04].threat_description
+    assert rules[RuleId.R08].threat_name == "Cross-site Scripting threat"
+    assert "cross-site scripting" in rules[RuleId.R08].threat_description
+    assert rules[RuleId.R14].threat_name == "Phishing through fake applications"
+    assert "fake applications" in rules[RuleId.R14].threat_description
 
 
 def test_countermeasure_examples():
-    assert countermeasure_for(RuleId.R01).developer_action == (
+    rules = load_knowledge_base().rules
+    assert rules[RuleId.R01].developer_countermeasure == (
         "Always use explicit intent when starting a service."
     )
-    assert countermeasure_for(RuleId.R11).developer_action == (
+    assert rules[RuleId.R11].developer_countermeasure == (
         'Do not use "file.delete()" to delete essential files.'
     )
-    assert 'android:protectionLevel="signature"' in countermeasure_for(RuleId.R06).developer_action
+    assert 'android:protectionLevel="signature"' in rules[RuleId.R06].developer_countermeasure
 
 
 def test_shared_threat_names():
-    disposal = {threat_for(r).threat_name for r in (RuleId.R10, RuleId.R11, RuleId.R13)}
+    rules = load_knowledge_base().rules
+    disposal = {rules[r].threat_name for r in (RuleId.R10, RuleId.R11, RuleId.R13)}
     assert disposal == {"Improper disposal of the device"}
-    third_party = {threat_for(r).threat_name for r in (RuleId.R03, RuleId.R06)}
+    third_party = {rules[r].threat_name for r in (RuleId.R03, RuleId.R06)}
     assert third_party == {"Third-party application threat"}
 
 
 def test_user_countermeasure_list():
-    user = user_countermeasures()
+    user = load_knowledge_base().user_countermeasures
     assert len(user) == 6
-    first, last = user[0].text, user[-1].text
+    first, last = user[0], user[-1]
     assert "rooted" in first and "jailbreak" in first
     assert "operating system" in last
 
 
 def test_loaded_content_matches_data_file():
-    doc = json.loads(knowledge._DATA_PATH.read_text("utf-8"))
+    doc = _data_doc()
     kb = load_knowledge_base()
     assert len(doc["rules"]) == 14
     for record in doc["rules"]:
         rule = RuleId(record["rule_id"])
-        assert kb.threats[rule].threat_name == record["threat_name"]
-        assert kb.threats[rule].description == record["threat_description"]
-        assert kb.countermeasures[rule].developer_action == record["developer_countermeasure"]
-        assert kb.backgrounds[rule] == record["background"]
-    assert [u.text for u in kb.user_countermeasures] == doc["user_countermeasures"]
+        assert kb.rules[rule].threat_name == record["threat_name"]
+        assert kb.rules[rule].threat_description == record["threat_description"]
+        assert kb.rules[rule].developer_countermeasure == record["developer_countermeasure"]
+        assert kb.rules[rule].background == record["background"]
+    assert list(kb.user_countermeasures) == doc["user_countermeasures"]
 
 
 def _data_doc():
@@ -128,6 +135,9 @@ _MALFORMED = {
     "record-text-null": (
         lambda doc: _set(doc["rules"][13], "background", None),
         "knowledge record 13 field 'background' is NoneType, not str",
+    ),
+    "record-unknown-key": (
+        lambda doc: _set(doc["rules"][6], "threat_nmae", "typo"), "knowledge record 6 has unknown keys ['threat_nmae']"
     ),
     "duplicate-record": (lambda doc: _set(doc["rules"], 4, doc["rules"][1]), "duplicate knowledge record for R02"),
     "missing-entries": (lambda doc: doc["rules"].pop(), "knowledge data lacks entries for ['R14']"),

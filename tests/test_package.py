@@ -19,7 +19,6 @@ PUBLIC_API = [
     "Severity",
     "build_fleet_matrix",
     "build_manifest_model",
-    "countermeasure_for",
     "decode_axml",
     "dex_entry_names",
     "evaluate_rule",
@@ -32,8 +31,6 @@ PUBLIC_API = [
     "run_all_rules",
     "scan_bytes",
     "serialize",
-    "threat_for",
-    "user_countermeasures",
 ]
 
 

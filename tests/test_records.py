@@ -20,7 +20,7 @@ from bankscan.apk import ApkArchive, ApkEntry
 from bankscan.axml import ANDROID_NS, AxmlAttribute, AxmlDocument, AxmlElement, ResourceRef
 from bankscan.cli import CliConfig
 from bankscan.dex import DexImage, Instruction, MethodBody, MethodRef, _Invokes, _Rows, _sites_of
-from bankscan.knowledge import CountermeasureEntry, KnowledgeBase, ThreatEntry, UserCountermeasure
+from bankscan.knowledge import KnowledgeBase, RuleKnowledge
 from bankscan.manifest import ComponentDecl, ManifestModel, PermissionDecl
 from bankscan.report import FleetMatrix, Report, ReportSection
 from bankscan.rules import Finding, RuleId, ScanInput, ScanResult, Severity
@@ -33,15 +33,15 @@ _COMPONENT = dict(
     kind="activity", name=".Main", exported=None, permission=None,
     intent_filters=(("android.intent.action.VIEW",),),
 )
-_FINDING = dict(
-    rule=RuleId.R04, severity=Severity.CRITICAL, title="Remote code execution",
-    evidence=("classes.dex: LMain;->run +0x0002",), category="WebView",
-)
+_FINDING = dict(rule=RuleId.R04, evidence=("classes.dex: LMain;->run +0x0002",))
 _SECTION = dict(
     rule=RuleId.R11, title="File unsafe deleting", evidence=("e1", "e2"), severity=Severity.NOTICE,
     category="Storage", background="bg", recommendation="rec",
 )
-_THREAT = dict(rule=RuleId.R10, threat_name="Data theft", description="adb backup")
+_KNOWLEDGE = dict(
+    threat_name="Data theft", threat_description="adb backup", developer_countermeasure="set allowBackup=false",
+    background="bg",
+)
 # One class of one method: invoke-virtual {v0} of method 0, then return-void,
 # its stream at byte 8 (unit 4) after its insns_size.
 _CODE = b"\x6e\x10\x00\x00\x00\x00\x0e\x00"
@@ -108,14 +108,12 @@ CASES = [
     ),
     (
         Finding, _FINDING,
-        "Finding(rule=<RuleId.R04: 'R04'>, severity=<Severity.CRITICAL: 'critical'>, "
-        "title='Remote code execution', evidence=('classes.dex: LMain;->run +0x0002',), category='WebView')",
+        "Finding(rule=<RuleId.R04: 'R04'>, evidence=('classes.dex: LMain;->run +0x0002',))",
     ),
     (
         ScanResult, dict(apk_name="a.apk", findings=(Finding(**_FINDING),), rule_vector=(False, True)),
         "ScanResult(apk_name='a.apk', findings=(Finding(rule=<RuleId.R04: 'R04'>, "
-        "severity=<Severity.CRITICAL: 'critical'>, title='Remote code execution', "
-        "evidence=('classes.dex: LMain;->run +0x0002',), category='WebView'),), rule_vector=(False, True))",
+        "evidence=('classes.dex: LMain;->run +0x0002',)),), rule_vector=(False, True))",
     ),
     (
         ReportSection, _SECTION,
@@ -144,23 +142,16 @@ CASES = [
         "schema_version=1)",
     ),
     (
-        ThreatEntry, _THREAT,
-        "ThreatEntry(rule=<RuleId.R10: 'R10'>, threat_name='Data theft', description='adb backup')",
+        RuleKnowledge, _KNOWLEDGE,
+        "RuleKnowledge(threat_name='Data theft', threat_description='adb backup', "
+        "developer_countermeasure='set allowBackup=false', background='bg')",
     ),
-    (
-        CountermeasureEntry, dict(rule=RuleId.R10, developer_action="set allowBackup=false"),
-        "CountermeasureEntry(rule=<RuleId.R10: 'R10'>, developer_action='set allowBackup=false')",
-    ),
-    (UserCountermeasure, dict(text="keep the OS updated"), "UserCountermeasure(text='keep the OS updated')"),
     (
         KnowledgeBase,
-        dict(
-            threats={RuleId.R10: ThreatEntry(**_THREAT)}, countermeasures={}, backgrounds={RuleId.R10: "bg"},
-            user_countermeasures=(UserCountermeasure("u"),),
-        ),
-        "KnowledgeBase(threats={<RuleId.R10: 'R10'>: ThreatEntry(rule=<RuleId.R10: 'R10'>, "
-        "threat_name='Data theft', description='adb backup')}, countermeasures={}, "
-        "backgrounds={<RuleId.R10: 'R10'>: 'bg'}, user_countermeasures=(UserCountermeasure(text='u'),))",
+        dict(rules={RuleId.R10: RuleKnowledge(**_KNOWLEDGE)}, user_countermeasures=("u",)),
+        "KnowledgeBase(rules={<RuleId.R10: 'R10'>: RuleKnowledge(threat_name='Data theft', "
+        "threat_description='adb backup', developer_countermeasure='set allowBackup=false', background='bg')}, "
+        "user_countermeasures=('u',))",
     ),
     (
         CliConfig,
@@ -173,7 +164,7 @@ CASES = [
     ),
 ]
 
-# Not hashable: a KnowledgeBase's lookup tables are dicts, a DexImage's
+# Not hashable: a KnowledgeBase's lookup table is a dict, a DexImage's
 # invoke columns are lists, an AxmlElement (so an AxmlDocument's root) is
 # mutable and a ScanInput's DEX images are unhashable.
 _UNHASHABLE = (KnowledgeBase, DexImage, AxmlDocument, AxmlElement, ScanInput)
@@ -202,7 +193,7 @@ def test_record_behaviour(cls, fields, expected):
 
 
 def test_every_record_type_is_pinned():
-    assert len({cls for cls, _, _ in CASES}) == 20
+    assert len({cls for cls, _, _ in CASES}) == 18
 
 
 def test_defaults_are_unchanged():
@@ -308,7 +299,7 @@ def test_class_record_defaults():
     assert element.children == [] and element.children is not AxmlElement(None, "manifest", ()).children
     assert AxmlDocument(("m",), element).warnings == ()
 
-    assert CliConfig("help") == CliConfig(mode="help") == ("help", (), (), None, None, None)
+    assert CliConfig("help") == CliConfig(mode="help") == ("help", (), (), None, "text", None)
 
     image = DexImage(("s",), (), ())
     assert image.source_name == "classes.dex"

@@ -48,13 +48,7 @@ EXPECTED_PERCENT_TABLE = [
 
 
 def make_finding(rule: RuleId, evidence=("manifest: application",)) -> Finding:
-    return Finding(
-        rule=rule,
-        severity=RULES[rule].severity,
-        title=RULE_TITLES[rule],
-        evidence=tuple(evidence),
-        category=RULES[rule].category,
-    )
+    return Finding(rule=rule, evidence=tuple(evidence))
 
 
 def make_result(name: str, rules: set[RuleId]) -> ScanResult:
@@ -334,7 +328,7 @@ def test_report_json_edge_shapes():
     kb = load_knowledge_base()
     base = dict(
         rule=RuleId.R11, title=RULE_TITLES[RuleId.R11], severity=Severity.NOTICE, category="Storage",
-        background=kb.backgrounds[RuleId.R11], recommendation=kb.countermeasures[RuleId.R11].developer_action,
+        background=kb.rules[RuleId.R11].background, recommendation=kb.rules[RuleId.R11].developer_countermeasure,
     )
     # a run of one rule and text, broken by a changed field, another rule and a return
     sections = [ReportSection(evidence=(f"line {i}",), **base) for i in range(3)]
@@ -442,37 +436,31 @@ def test_site_heavy_json_report_pinned(tmp_path, monkeypatch, capsys):
 
 
 def test_render_report_sections_match_per_finding_oracle():
-    # Rules interleave. One R11 finding carries a severity other than its
-    # rule's default and follows an R11 finding, and an R02 finding follows
-    # it at the same severity, so a rank carried over within a rule or a
-    # background carried over within a severity would show.
-    def finding(rule, evidence, severity=None):
-        row = RULES[rule]
-        return Finding(rule, severity or row.severity, RULE_TITLES[rule], (evidence,), row.category)
-
-    findings = (
-        finding(RuleId.R11, "a"),
-        finding(RuleId.R04, "b"),
-        finding(RuleId.R11, "c"),
-        finding(RuleId.R11, "d", Severity.CRITICAL),
-        finding(RuleId.R02, "e"),
-        finding(RuleId.R04, "f", Severity.INFO),
+    # Rules interleave, and an R02 finding follows an R04 finding at the same
+    # severity, so a background carried over within a severity would show.
+    findings = tuple(
+        Finding(rule, (evidence,))
+        for rule, evidence in (
+            (RuleId.R11, "a"), (RuleId.R04, "b"), (RuleId.R11, "c"),
+            (RuleId.R04, "d"), (RuleId.R02, "e"), (RuleId.R11, "f"),
+        )
     )
     result = ScanResult("mixed.apk", findings, tuple(r in {f.rule for f in findings} for r in RuleId))
     kb = load_knowledge_base()
-    order = sorted(range(len(findings)), key=lambda i: (-findings[i].severity.rank, findings[i].rule.index, i))
+    rank = [-RULES[f.rule].severity.rank for f in findings]
+    order = sorted(range(len(findings)), key=lambda i: (rank[i], findings[i].rule.index, i))
     expected = tuple(
         ReportSection(
             rule=f.rule,
-            title=f.title,
+            title=RULES[f.rule].title,
             evidence=f.evidence,
-            severity=f.severity,
-            category=f.category,
-            background=kb.backgrounds[f.rule],
-            recommendation=kb.countermeasures[f.rule].developer_action,
+            severity=RULES[f.rule].severity,
+            category=RULES[f.rule].category,
+            background=kb.rules[f.rule].background,
+            recommendation=kb.rules[f.rule].developer_countermeasure,
         )
         for f in (findings[i] for i in order)
     )
-    report = render_report(result, kb, generated_at="t0")
+    report = render_report(result, generated_at="t0")
     assert report.sections == expected
     assert [s.evidence[0] for s in report.sections] == ["e", "b", "d", "a", "c", "f"]

@@ -92,7 +92,7 @@ def test_r01_flags_action_string_constructor_with_start():
     inp = make_input([_service_start(("V", (STRING,)))])
     findings = evaluate_rule(RuleId.R01, inp)
     assert len(findings) == 1
-    assert findings[0].severity == Severity.CRITICAL
+    assert RULES[findings[0].rule].severity == Severity.CRITICAL
 
 
 def test_r01_ignores_explicit_two_arg_constructor():
@@ -294,7 +294,7 @@ def test_r04_example_fixture_yields_one_critical():
     inp = make_input(method_sketches(CodeKnobs(add_javascript_interface=True, set_allow_file_access=False)))
     findings = evaluate_rule(RuleId.R04, inp)
     assert len(findings) == 1
-    assert findings[0].severity == Severity.CRITICAL
+    assert RULES[findings[0].rule].severity == Severity.CRITICAL
     assert "addJavascriptInterface" in findings[0].evidence[0]
 
 
@@ -318,9 +318,8 @@ def test_site_findings_cover_every_dex_in_order():
     inp = make_input([MethodSketch("wipe", [delete, ("return-void",)])], extra_dexes=(second,))
     r11 = evaluate_rule(RuleId.R11, inp)
     assert [f.evidence[0].split(": ")[0] for f in r11] == ["classes.dex", "classes2.dex", "classes2.dex"]
-    assert {(f.severity, f.title, f.category, len(f.evidence)) for f in r11} == {
-        (Severity.NOTICE, "File unsafe deleting", "Storage", 1)
-    }
+    assert {(f.rule, len(f.evidence)) for f in r11} == {(RuleId.R11, 1)}
+    assert RULES[RuleId.R11][:3] == ("File unsafe deleting", Severity.NOTICE, "Storage")
     [r08] = evaluate_rule(RuleId.R08, inp)
     assert r08.evidence[0].startswith("classes2.dex: Ltest/app/Second;->cfg_setJavaScriptEnabled_1 +0x")
     assert r08.evidence[0].endswith(" calls Landroid/webkit/WebSettings;->setJavaScriptEnabled with literal 1")
