@@ -1,14 +1,18 @@
 """DEX bytecode parsing.
 
 Parses Dalvik executable files just far enough for rule queries: which
-methods are invoked where, which string constants exist, and what integer
+methods are invoked where, which strings the file holds, and what integer
 literal precedes a given call. The id sections (strings, types, protos,
-fields, methods) are fully decoded; each is range-checked once against the
-file and then read in bulk, not one entry at a time, and each distinct
-string offset is decoded once. ``parse_dex`` then reads every class_data,
-method entry and instruction stream of the DEX in one loop, its locals bound
-once per DEX, so every instruction's width, every payload and every invoke
-target is checked at parse time, but it builds no per-instruction record.
+fields, methods) are each range-checked once against the file and then read
+in bulk, not one entry at a time. Every string id is checked, with a few
+C-level calls unless one fails, and kept as its string_data offset; a
+string is decoded only when a type id, a proto's shorty or a method's name
+names it, once per distinct offset. ``_string_marker`` searches the raw
+string data for ASCII needles without decoding a string. ``parse_dex`` then
+reads every class_data, method entry and instruction stream of the DEX in
+one loop, its locals bound once per DEX, so every instruction's width,
+every payload and every invoke target is checked at parse time, but it
+builds no per-instruction record.
 The walk maps the file's opcode bytes through a 256-byte table, built from
 the published opcode format table, with one ``bytes.translate`` per DEX;
 each entry is the opcode's width in code units, or a marker for the invoke
@@ -263,7 +267,7 @@ class DexImage(NamedTuple):
     The invoke columns are lists, so an image is not hashable.
     """
 
-    string_pool: tuple[str, ...]
+    string_ids: tuple[int, ...]  # per string id: its string_data offset, checked
     type_names: tuple[str, ...]
     method_refs: tuple[MethodRef, ...]
     source_name: str = "classes.dex"
@@ -272,7 +276,7 @@ class DexImage(NamedTuple):
 
     def __repr__(self) -> str:
         return (
-            f"{type(self).__qualname__}(string_pool={self.string_pool!r}, type_names={self.type_names!r}, "
+            f"{type(self).__qualname__}(string_ids={self.string_ids!r}, type_names={self.type_names!r}, "
             f"method_refs={self.method_refs!r}, source_name={self.source_name!r})"
         )
 
@@ -340,27 +344,49 @@ def parse_dex(data: bytes, source_name: str = "classes.dex") -> DexImage:
     _check_section(n, method_ids_off, method_ids_size, 8, "method_ids")
     _check_section(n, class_defs_off, class_defs_size, 32, "class_defs")
 
-    strings = _parse_strings(data, string_ids_off, string_ids_size)
+    string_ids = _parse_strings(data, string_ids_off, string_ids_size)
+    string_count = len(string_ids)
+    # A string is decoded when an id below first names it, once per distinct
+    # string_data offset, and ids that share an offset share its str;
+    # find(0) seeks the NUL without the buffer that a b"\x00" needle costs.
+    # ``chars`` holds each byte as one code point, so an ASCII slice of it is
+    # already the string's text; only other strings are decoded from bytes.
+    # MUTF-8 differs from UTF-8 only for embedded NULs and supplementary
+    # characters; tolerant decoding is fine for matching purposes.
+    text: dict[int, str] = {}
+    chars = data.decode("latin-1")
 
     type_names = []
     type_ids = data[type_ids_off : type_ids_off + 4 * type_ids_size]
     for i, idx in enumerate(struct.unpack(f"<{type_ids_size}I", type_ids)):
-        if idx >= len(strings):
-            raise SectionOutOfBoundsError(f"type_id {i} names string {idx}, pool has {len(strings)}")
-        type_names.append(strings[idx])
+        if idx >= string_count:
+            raise SectionOutOfBoundsError(f"type_id {i} names string {idx}, pool has {string_count}")
+        off = string_ids[idx]
+        name = text.get(off)
+        if name is None:
+            start = off + 1 if data[off] < 0x80 else off + _uleb128(data, off, n)[1]
+            end = data.find(0, start)
+            name = chars[start:end]
+            name = text[off] = name if name.isascii() else data[start:end].decode("utf-8", "replace")
+        type_names.append(name)
 
-    proto_shorties = _parse_protos(data, proto_ids_off, proto_ids_size, strings, len(type_names))
-    _validate_fields(data, field_ids_off, field_ids_size, len(type_names), len(strings))
+    proto_shorties = _parse_protos(data, proto_ids_off, proto_ids_size, string_ids, text, chars, len(type_names))
+    _validate_fields(data, field_ids_off, field_ids_size, len(type_names), string_count)
 
     method_refs = []
     make = tuple.__new__  # skips NamedTuple.__new__'s per-field argument binding
     method_ids = data[method_ids_off : method_ids_off + 8 * method_ids_size]
     for i, (class_idx, proto_idx, name_idx) in enumerate(struct.iter_unpack("<HHI", method_ids)):
-        if class_idx >= len(type_names) or proto_idx >= len(proto_shorties) or name_idx >= len(strings):
+        if class_idx >= len(type_names) or proto_idx >= len(proto_shorties) or name_idx >= string_count:
             raise SectionOutOfBoundsError(f"method_id {i} has out-of-range indices")
-        method_refs.append(
-            make(MethodRef, (type_names[class_idx], strings[name_idx], proto_shorties[proto_idx]))
-        )
+        off = string_ids[name_idx]
+        name = text.get(off)
+        if name is None:
+            start = off + 1 if data[off] < 0x80 else off + _uleb128(data, off, n)[1]
+            end = data.find(0, start)
+            name = chars[start:end]
+            name = text[off] = name if name.isascii() else data[start:end].decode("utf-8", "replace")
+        method_refs.append(make(MethodRef, (type_names[class_idx], name, proto_shorties[proto_idx])))
 
     walk = _Walk(data)
     try:
@@ -371,50 +397,82 @@ def parse_dex(data: bytes, source_name: str = "classes.dex") -> DexImage:
 
     rows = make(_Rows, (data, tuple(walk.refs), tuple(walk.code_starts), tuple(walk.owners), tuple(walk.class_ends)))
     invokes = make(_Invokes, (walk.methods(method_refs), walk.places, walk.units))
-    return make(DexImage, (tuple(strings), tuple(type_names), tuple(method_refs), source_name, rows, invokes))
+    return make(DexImage, (string_ids, tuple(type_names), tuple(method_refs), source_name, rows, invokes))
 
 
-def _parse_strings(data: bytes, off: int, count: int) -> list[str]:
+def _parse_strings(data: bytes, off: int, count: int) -> tuple[int, ...]:
+    """The string_data offset of every string id, each checked to start a ULEB128 length and NUL-ended content.
+
+    Valid ids take C-level checks: every offset lies in the file, every
+    length of more than one byte is a valid ULEB128, and a NUL ends the
+    content that starts last. Only when one fails are the distinct offsets
+    checked one by one, in first-use order, so that the error names the
+    first id that uses the failing offset.
+    """
     n = len(data)
     ids = struct.unpack(f"<{count}I", data[off : off + 4 * count])
-    # string_data offsets may repeat; each distinct one is decoded once, in
-    # first-use order, and its str is shared, so the pool costs no more than
-    # the file. An error names the first id that uses the offset.
-    text = dict.fromkeys(ids)
-    for data_off in text:
-        if data_off >= n:
-            raise SectionOutOfBoundsError(f"string_data of string {ids.index(data_off)} at {data_off:#x}")
-        if data[data_off] < 0x80:  # the usual one-byte UTF-16 length, unused
-            start = data_off + 1
-        else:
-            start = data_off + _uleb128(data, data_off, n)[1]
-        end = data.find(b"\x00", start)
-        if end < 0:
-            raise SectionOutOfBoundsError(f"string {ids.index(data_off)} is not NUL terminated")
-        # MUTF-8 differs from UTF-8 only for embedded NULs and supplementary
-        # characters; tolerant decoding is fine for matching purposes.
-        text[data_off] = data[start:end].decode("utf-8", "replace")
-    return list(map(text.__getitem__, ids))
+    if not ids:
+        return ids
+    top = max(ids)
+    valid = False
+    if top < n:
+        firsts = bytes(itemgetter(*ids)(data)) if count > 1 else data[top : top + 1]
+        try:
+            if firsts.isascii():  # the usual case: every length takes one byte
+                last = top + 1
+            else:
+                for data_off, first in zip(ids, firsts):
+                    if first >= 0x80:
+                        _uleb128(data, data_off, n)
+                last = top + _uleb128(data, top, n)[1]
+            # A length ends at the first byte below 0x80 after its offset, so
+            # the content at the last offset starts no earlier than any other.
+            valid = data.find(0, last) >= 0
+        except MalformedUleb128Error:
+            pass
+    if not valid:
+        for data_off in dict.fromkeys(ids):
+            if data_off >= n:
+                raise SectionOutOfBoundsError(f"string_data of string {ids.index(data_off)} at {data_off:#x}")
+            if data.find(0, data_off + _uleb128(data, data_off, n)[1]) < 0:
+                raise SectionOutOfBoundsError(f"string {ids.index(data_off)} is not NUL terminated")
+    return ids
 
 
-def _parse_protos(data, off, count, strings, type_count) -> list[str]:
+# The entries of a type_list of each usual size, compiled once: a format
+# built per proto cost small DEXes more than a loop over the entries did.
+_TYPE_LISTS = tuple(struct.Struct(f"<{size}H") for size in range(8))
+
+
+def _parse_protos(data, off, count, string_ids, text, chars, type_count) -> list[str]:
+    """Each proto's shorty, decoded into ``text`` as ``parse_dex`` decodes type names; each type_list is checked once."""
     n = len(data)
     shorties = []
+    checked = set()  # the type_list offsets already checked; many protos may share one list
     records = struct.iter_unpack("<3I", data[off : off + 12 * count])
     for i, (shorty_idx, return_idx, params_off) in enumerate(records):
-        if shorty_idx >= len(strings) or return_idx >= type_count:
+        if shorty_idx >= len(string_ids) or return_idx >= type_count:
             raise SectionOutOfBoundsError(f"proto_id {i} has out-of-range indices")
-        if params_off:
+        if params_off and params_off not in checked:
             if params_off + 4 > n:
                 raise SectionOutOfBoundsError(f"proto_id {i} type_list at {params_off:#x}")
             size = struct.unpack_from("<I", data, params_off)[0]
             if params_off + 4 + 2 * size > n:
                 raise SectionOutOfBoundsError(f"proto_id {i} type_list overruns file")
-            for j in range(size):
-                t = struct.unpack_from("<H", data, params_off + 4 + 2 * j)[0]
-                if t >= type_count:
-                    raise SectionOutOfBoundsError(f"proto_id {i} parameter {j} names type {t}")
-        shorties.append(strings[shorty_idx])
+            entries = _TYPE_LISTS[size] if size < len(_TYPE_LISTS) else struct.Struct(f"<{size}H")
+            params = entries.unpack_from(data, params_off + 4)
+            if size and max(params) >= type_count:
+                j = next(j for j, t in enumerate(params) if t >= type_count)
+                raise SectionOutOfBoundsError(f"proto_id {i} parameter {j} names type {params[j]}")
+            checked.add(params_off)
+        off = string_ids[shorty_idx]
+        shorty = text.get(off)
+        if shorty is None:
+            start = off + 1 if data[off] < 0x80 else off + _uleb128(data, off, n)[1]
+            end = data.find(0, start)
+            shorty = chars[start:end]
+            shorty = text[off] = shorty if shorty.isascii() else data[start:end].decode("utf-8", "replace")
+        shorties.append(shorty)
     return shorties
 
 
@@ -682,6 +740,66 @@ def _sites_of(dex: DexImage, targets: list[int]) -> list[_Site]:
 
 
 _BODY_ORDER = itemgetter(4, 3)  # a site's body ordinal, then offset
+
+
+def _string_marker(dex: DexImage, exact: tuple[bytes, ...], contained: tuple[bytes, ...]) -> bytes | None:
+    """The first of ``exact`` that is a whole string of ``dex``, else the first of ``contained`` inside one.
+
+    The needles are ASCII without NUL, and decoding with ``"replace"`` maps
+    each ASCII byte to itself and no other byte to ASCII, so a needle is in
+    a string's text exactly when its bytes lie in the string's content:
+    after its ULEB128 length, before its NUL. The search starts at the
+    smallest string_data offset and runs to the end of the file: a bound at
+    the end of the last string would cost a pass over the ids, and a hit
+    past it fails the check below like any other hit outside a string. A
+    hit outside every content moves the search on to the next content
+    start, so the next hit that fails lies behind a NUL after that start,
+    and the backward NUL searches of two failing hits never overlap: the
+    cost stays linear whatever lies between the strings.
+    """
+    data, ids = dex.rows.data, dex.string_ids
+    if not ids:
+        return None
+    n = len(data)
+    lo = min(ids)
+    offsets = None  # the set of ids, built on the first hit
+    for needle in exact:
+        pattern = needle + b"\x00"
+        hit = data.find(pattern, lo + 1)
+        while hit >= 0:
+            if offsets is None:
+                offsets = set(ids)
+            # an id 1 to 5 bytes back whose ULEB128 length ends right before the hit
+            off = hit - 1
+            if data[off] < 0x80:
+                while off not in offsets:
+                    off -= 1
+                    if off < hit - 5 or off < lo or data[off] < 0x80:
+                        break
+                else:
+                    return needle
+            hit = data.find(pattern, hit + 1)
+    starts = None  # every content start, sorted, built at most once
+    for needle in contained:
+        hit = data.find(needle, lo)
+        while hit >= 0:
+            nul = max(data.rfind(0, lo, hit), lo - 1)  # the last NUL before the hit, or lo - 1 for none since lo
+            if offsets is None:
+                offsets = set(ids)
+            if nul + 1 in offsets:  # the usual case: a string starts right after the NUL
+                start = nul + 2 if data[nul + 1] < 0x80 else nul + 1 + _uleb128(data, nul + 1, n)[1]
+                if start <= hit:
+                    return needle
+            if starts is None:
+                starts = sorted({off + _uleb128(data, off, n)[1] for off in offsets})
+            # The content starting nearest before the hit holds it if no NUL lies between.
+            k = bisect_right(starts, hit)
+            if k and starts[k - 1] > nul:
+                return needle
+            if k == len(starts):
+                break
+            hit = data.find(needle, starts[k])
+    return None
 
 
 def _scan_steps(code: bytes) -> bytes:

@@ -21,13 +21,14 @@ Every code rule reads one per-scan fact table, ``ScanInput.facts``, and
 ``CODE_TARGETS`` maps a method name to an owner, a shorty and a target key:
 one C-level pass over the method refs picks the ones named in the table, and
 each of those that matches and is invoked is kept. The same pass settles the
-DEX-level facts (a root marker in the string pool, the package Signature
-type, the first WebView type) and runs the one const back-scan: every call
-to R07's, R08's and R13's targets is kept with the literal that reaches it,
-and each calling body is stepped once however many sites it holds. Other
-rules read their sites through ``_sites``, as plain tuples from the invoke
-columns and method rows, and no rule builds a method body. The first code
-rule to ask, R01, pays for the table, so a per-rule trace shows it there.
+DEX-level facts (a root marker, which ``dex._string_marker`` finds in the raw
+string data without decoding it, the package Signature type, the first
+WebView type) and runs the one const back-scan: every call to R07's, R08's
+and R13's targets is kept with the literal that reaches it, and each calling
+body is stepped once however many sites it holds. Other rules read their
+sites through ``_sites``, as plain tuples from the invoke columns and method
+rows, and no rule builds a method body. The first code rule to ask, R01,
+pays for the table, so a per-rule trace shows it there.
 
 Known, accepted imprecision: rules scan bundled third-party code exactly
 like first-party code, R01 matches on method-local co-occurrence rather
@@ -43,7 +44,7 @@ from itertools import compress, count
 from operator import itemgetter
 from typing import Any, Callable, NamedTuple
 
-from .dex import DexImage, _literals_reaching, _Site, _sites_of
+from .dex import DexImage, _literals_reaching, _Site, _sites_of, _string_marker
 from .manifest import ManifestModel, effective_exported
 
 FLAG_SECURE = 0x2000
@@ -55,6 +56,9 @@ ROOT_MARKER_SUBSTRINGS = (
     "test-keys",
     "superuser",
 )
+# The same markers as the ASCII bytes that _string_marker searches the string data for.
+_ROOT_EXACT = tuple(m.encode("ascii") for m in ROOT_MARKER_EXACT)
+_ROOT_CONTAINED = tuple(m.encode("ascii") for m in ROOT_MARKER_SUBSTRINGS)
 
 
 class RuleId(enum.Enum):
@@ -144,8 +148,8 @@ _NAME = itemgetter(1)  # MethodRef.name
 _LITERAL_KEYS = ("WebSettings.setAllowFileAccess", "WebSettings.setJavaScriptEnabled", "Window flags")  # R07, R08, R13
 
 # The facts _resolve_facts adds to the call targets, by key, each with the
-# value that set it. "root marker": a ROOT_MARKER_EXACT string in the pool,
-# else a ROOT_MARKER_SUBSTRINGS one inside a pool string. "Signature type":
+# value that set it. "root marker": a ROOT_MARKER_EXACT string of the DEX,
+# else a ROOT_MARKER_SUBSTRINGS one inside one of its strings. "Signature type":
 # the type Landroid/content/pm/Signature;. "webkit type": the first
 # Landroid/webkit/ type, which R07 quotes. "<key> literals", per _LITERAL_KEYS
 # key with sites: (site, literal reaching it) per call, in _sites order.
@@ -215,15 +219,9 @@ def _resolve_facts(dex: DexImage) -> dict[str, Any]:
         if (owner is None or owner == ref.owner) and (shorty is None or shorty == ref.shorty) and chr(i) in invoked:
             found.setdefault(key, []).append(i)
 
-    pool = dex.string_pool
-    marker = next((m for m in ROOT_MARKER_EXACT if m in pool), None)
-    if marker is None:
-        # The markers hold no NUL, so one found in the joined pool lies inside
-        # one string; joining only distinct strings bounds it by the file size.
-        joined = "\x00".join(dict.fromkeys(pool))
-        marker = next((m for m in ROOT_MARKER_SUBSTRINGS if m in joined), None)
+    marker = _string_marker(dex, _ROOT_EXACT, _ROOT_CONTAINED)
     if marker is not None:
-        found["root marker"] = marker
+        found["root marker"] = marker.decode("ascii")
     types = dex.type_names
     if "Landroid/content/pm/Signature;" in types:
         found["Signature type"] = "Landroid/content/pm/Signature;"

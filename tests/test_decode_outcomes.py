@@ -17,7 +17,7 @@ import struct
 import sys
 from typing import NamedTuple
 
-from test_dex import call_sites
+from test_dex import call_sites, string_pool
 
 from bankscan.axml import decode_axml
 from bankscan.dex import parse_dex
@@ -99,7 +99,7 @@ def _classes(image) -> tuple[ClassDef, ...]:
 
 def _parsed_dex(data: bytes) -> str:
     image = parse_dex(data)
-    return repr((image.method_refs, image.string_pool, _classes(image), call_sites(image)))
+    return repr((image.method_refs, string_pool(image), _classes(image), call_sites(image)))
 
 
 def _axml_outcomes() -> list[str]:

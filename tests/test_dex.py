@@ -12,6 +12,7 @@ import hashlib
 import json
 import pickle
 import struct
+import time
 import tracemalloc
 import zlib
 from collections import defaultdict
@@ -132,6 +133,16 @@ def call_sites(image):
     return sites
 
 
+def string_pool(image):
+    """The text of every string id of ``image``, decoded in full: the reference for what ``parse_dex`` decodes."""
+    data = image.rows.data
+    pool = []
+    for off in image.string_ids:
+        start = off + dex_module._uleb128(data, off, len(data))[1]
+        pool.append(data[start : data.index(b"\x00", start)].decode("utf-8", "replace"))
+    return tuple(pool)
+
+
 @pytest.fixture(scope="module")
 def addjs_artifact():
     return emit_dex(
@@ -165,8 +176,9 @@ def test_invocation_targets_match_emitter_record(addjs_artifact, clean_artifact)
 
 def test_const_strings_pooled(addjs_artifact):
     image = parse_dex(addjs_artifact.data)
+    pool = string_pool(image)
     for s in addjs_artifact.const_strings:
-        assert s in image.string_pool
+        assert s in pool
 
 
 def test_header_counts_match_raw_struct(addjs_artifact):
@@ -174,7 +186,7 @@ def test_header_counts_match_raw_struct(addjs_artifact):
     string_count = struct.unpack_from("<I", addjs_artifact.data, 0x38)[0]
     type_count = struct.unpack_from("<I", addjs_artifact.data, 0x40)[0]
     method_count = struct.unpack_from("<I", addjs_artifact.data, 0x58)[0]
-    assert len(image.string_pool) == string_count
+    assert len(image.string_ids) == string_count
     assert len(image.type_names) == type_count
     assert len(image.method_refs) == method_count
 
@@ -892,7 +904,7 @@ def test_a_parsed_image_copies_and_pickles_like_one_built_by_hand(rows_artifact,
     clone = clone(image)
     fields = parse_dex(data, source_name="classes2.dex")
     by_hand = type(fields)(
-        fields.string_pool, fields.type_names, fields.method_refs, fields.source_name, fields.rows, fields.invokes
+        fields.string_ids, fields.type_names, fields.method_refs, fields.source_name, fields.rows, fields.invokes
     )
     assert clone == image == by_hand
     assert repr(clone) == repr(image) == repr(by_hand)
@@ -1060,6 +1072,36 @@ def test_string_section_messages(clean_artifact):
     )
 
 
+def test_empty_id_sections_may_point_past_the_file(clean_artifact):
+    # A section of no items is not range-checked, so its offset is never read.
+    data = bytearray(clean_artifact.data)
+    struct.pack_into("<12I", data, 0x38, *(0, 0xFFFFFFF0) * 6)
+    image = parse_dex(bytes(data))
+    assert (image.string_ids, image.type_names, image.method_refs) == ((), (), ())
+
+
+def test_string_checks_name_the_first_id_whose_offset_fails(clean_artifact):
+    # The ids are checked in bulk and, when that fails, offset by offset in
+    # first-use order, so the message names the first failing id.
+    n = len(clean_artifact.data)
+    ids = _u32(clean_artifact.data, 0x3C)
+    _dex_raises(
+        _with_tail(clean_artifact, b"\x00", ("<I", ids + 4, n)),  # a zero length at the file's last byte
+        SectionOutOfBoundsError,
+        "string 1 is not NUL terminated",
+    )
+    _dex_raises(
+        _with_tail(clean_artifact, b"\x03abc", ("<I", ids, n), ("<I", ids + 4, n + 100), ("<I", ids + 8, n)),
+        SectionOutOfBoundsError,
+        "string 0 is not NUL terminated",
+    )
+    _dex_raises(
+        _with_tail(clean_artifact, b"\xff" * 5 + b"\x00\x01a\x00", ("<I", ids + 4, n), ("<I", ids, n + 6)),
+        MalformedUleb128Error,
+        f"uleb128 longer than 5 bytes at offset {n:#x}",
+    )
+
+
 def test_type_and_proto_messages(clean_artifact):
     data = clean_artifact.data
     n = len(data)
@@ -1096,6 +1138,34 @@ def test_type_and_proto_messages(clean_artifact):
         SectionOutOfBoundsError,
         f"proto_id 0 parameter 1 names type {types}",
     )
+
+
+def _shared_type_list_dex(artifact, protos: int, params: list[int]) -> bytes:
+    """``artifact`` with a new proto_ids table of ``protos`` protos, the first without parameters and the rest sharing one type_list."""
+    data = bytearray(artifact.data)
+    while len(data) % 4:
+        data += b"\x00"
+    list_off = len(data)
+    data += struct.pack(f"<I{len(params)}H", len(params), *params)
+    while len(data) % 4:
+        data += b"\x00"
+    struct.pack_into("<II", data, 0x48, protos, len(data))
+    data += struct.pack("<3I", 0, 0, 0) + struct.pack("<3I", 0, 0, list_off) * (protos - 1)
+    return bytes(data)
+
+
+def test_protos_sharing_one_type_list_check_it_once(clean_artifact):
+    # 1,000 protos naming one 10,000-entry list: checking the list per proto
+    # reads ten million entries.
+    data = _shared_type_list_dex(clean_artifact, 1000, [0] * 10_000)
+    assert 32_000 < len(data) < 33_000
+    started = time.perf_counter()
+    image = parse_dex(data)
+    assert time.perf_counter() - started < 0.25
+    assert [ref[:2] for ref in image.method_refs] == [ref[:2] for ref in parse_dex(clean_artifact.data).method_refs]
+    types = _u32(data, 0x40)
+    bad = _shared_type_list_dex(clean_artifact, 3, [0, 0, types, types + 1])
+    _dex_raises(bad, SectionOutOfBoundsError, f"proto_id 1 parameter 2 names type {types}")
 
 
 def test_field_method_and_class_def_messages(clean_artifact):
@@ -1243,8 +1313,9 @@ def test_multibyte_uleb128_method_diff_and_string_length():
     image = parse_dex(art.data)
     assert len(image.method_refs) == 131
     assert image.method_refs[130] == dex_module.MethodRef("Lz/Z;", "go", "V")
-    assert {long_text, wide_text} <= set(image.string_pool)
-    assert image.string_pool == tuple(sorted(image.string_pool))
+    pool = string_pool(image)
+    assert {long_text, wide_text} <= set(pool)
+    assert pool == tuple(sorted(pool))
     [body] = image.bodies()
     assert body.name == "go"
     for i in (0, 127, 128, 129):
@@ -1594,20 +1665,25 @@ def test_backscan_matches_the_instruction_window_oracle(streams):
 
 
 def _shared_string_dex(artifact, repeats: int, length: int) -> bytes:
-    """``artifact`` with ``repeats`` extra string_ids all naming one ``length``-byte string.
+    """``artifact`` with ``repeats`` extra string_ids all naming one ``length``-byte string, and a type_id naming each.
 
-    The string's data and a new string_ids table (the old ids, then the
-    repeats) are appended, and the header is pointed at the new table.
+    The string's data and new string_ids and type_ids tables (the old ids,
+    then the repeats) are appended, and the header is pointed at the new
+    tables.
     """
     data = bytearray(artifact.data)
     count, ids_off = _u32(data, 0x38), _u32(data, 0x3C)
+    type_count, types_off = _u32(data, 0x40), _u32(data, 0x44)
     old_ids = data[ids_off : ids_off + 4 * count]
+    old_types = data[types_off : types_off + 4 * type_count]
     shared_off = len(data)
     data += bytes([0x80 | length & 0x7F, 0x80 | length >> 7 & 0x7F, length >> 14]) + b"s" * length + b"\x00"
     while len(data) % 4:
         data += b"\x00"
     struct.pack_into("<II", data, 0x38, count + repeats, len(data))
     data += old_ids + struct.pack("<I", shared_off) * repeats
+    struct.pack_into("<II", data, 0x40, type_count + repeats, len(data))
+    data += old_types + struct.pack(f"<{repeats}I", *range(count, count + repeats))
     return bytes(data)
 
 
@@ -1620,16 +1696,20 @@ def test_repeated_string_ids_share_one_decoded_string(clean_artifact):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    shared = image.string_pool[-1000:]
+    assert len(set(image.string_ids[-1000:])) == 1
+    shared = image.type_names[-1000:]
     assert shared[0] == "s" * 50_000
     assert all(s is shared[0] for s in shared)
     # 1,000 separately decoded copies would take 50 MB.
     assert peak < 2 * 1024 * 1024
-    assert image.string_pool[:-1000] == parse_dex(clean_artifact.data).string_pool
+    clean = parse_dex(clean_artifact.data)
+    assert image.string_ids[:-1000] == clean.string_ids
+    assert image.type_names[:-1000] == clean.type_names
+    assert string_pool(image)[:-1000] == string_pool(clean)
 
 
 def test_repeated_string_ids_do_not_multiply_scan_memory(clean_artifact):
-    # R09's pool query joins the pool; repeated ids must not repeat the string there.
+    # R09's marker search and the type queries must not repeat the string per id.
     manifest = build_manifest_bytes(clean_profile())
     apk = pack_apk([("AndroidManifest.xml", manifest), ("classes.dex", _shared_string_dex(clean_artifact, 1000, 50_000))])
     tracemalloc.start()
@@ -1640,7 +1720,7 @@ def test_repeated_string_ids_do_not_multiply_scan_memory(clean_artifact):
         tracemalloc.stop()
     plain = pack_apk([("AndroidManifest.xml", manifest), ("classes.dex", clean_artifact.data)])
     assert result.findings == scanner.scan_bytes(plain, "shared.apk").findings
-    # The pool holds 50 KB of distinct strings; joining every id would take 50 MB.
+    # The file holds 50 KB of distinct strings; a copy per id would take 50 MB.
     assert peak < 2 * 1024 * 1024
 
 

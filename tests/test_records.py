@@ -75,10 +75,10 @@ CASES = [
     (
         DexImage,
         dict(
-            string_pool=("s",), type_names=("LMain;",), method_refs=(MethodRef("LMain;", "run", "V"),),
+            string_ids=(0,), type_names=("LMain;",), method_refs=(MethodRef("LMain;", "run", "V"),),
             source_name="classes2.dex", rows=_ROWS, invokes=_Invokes("\x00", [0], [4]),
         ),
-        "DexImage(string_pool=('s',), type_names=('LMain;',), method_refs=(MethodRef(owner='LMain;', "
+        "DexImage(string_ids=(0,), type_names=('LMain;',), method_refs=(MethodRef(owner='LMain;', "
         "name='run', shorty='V'),), source_name='classes2.dex')",
     ),
     (
@@ -230,10 +230,10 @@ CLASS_CASES = [
     ),
     (
         ScanInput,
-        dict(manifest=_MANIFEST, dexes=(DexImage(("s",), (), ()),), apk_name="a.apk"),
+        dict(manifest=_MANIFEST, dexes=(DexImage((0,), (), ()),), apk_name="a.apk"),
         "ScanInput(manifest=ManifestModel(package_name='com.example', target_sdk=None, "
         "allow_backup=None, components=(), "
-        "declared_permissions=()), dexes=(DexImage(string_pool=('s',), type_names=(), method_refs=(), "
+        "declared_permissions=()), dexes=(DexImage(string_ids=(0,), type_names=(), method_refs=(), "
         "source_name='classes.dex'),), apk_name='a.apk')",
         True,
     ),
@@ -334,7 +334,8 @@ def test_scan_input_fields_cannot_be_deleted():
 
 
 def test_cached_properties_are_cached():
-    scan = ScanInput(_MANIFEST, (DexImage(("su",), (), ()),), "a.apk")
+    su_only = _Rows(b"\x02su\x00", (), (), (), ())  # one string, "su", at offset 0
+    scan = ScanInput(_MANIFEST, (DexImage((0,), (), (), rows=su_only),), "a.apk")
     facts = scan.facts
     assert facts == {"root marker": [(scan.dexes[0], "su")]}
     assert scan.facts is facts

@@ -1,14 +1,18 @@
 """Rule-by-rule behavior at the engine level, with hand-built inputs."""
 
+import struct
+import time
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from test_dex import _multidex_images, invocations_of, invocations_where, position
+from test_dex import _multidex_images, invocations_of, invocations_where, position, string_pool
 
 from bankscan import dex as dex_module
 from bankscan import rules as rules_module
 from bankscan.dex import DexImage, parse_dex
 from bankscan.fixtures import MethodSketch, build_dex, emit_dex, fleet_profiles, rule_oracle_corpus
+from bankscan.fixtures.dex_writer import _uleb
 from bankscan.fixtures.profiles import (
     CONTEXT,
     INTENT,
@@ -787,8 +791,46 @@ def test_absence_rules_search_union_of_all_dexes():
         assert evaluate_rule(rule, make_input(extra_dexes=(second,))) == [], rule
 
 
-def _pool_image(strings):
-    return DexImage(string_pool=tuple(strings), type_names=(), method_refs=())
+def _mutf8(text: str) -> bytes:
+    """``text`` as MUTF-8: NUL as C0 80, and a supplementary character as its two surrogates, three bytes each."""
+    out = bytearray()
+    for char in text:
+        if char == "\x00":
+            out += b"\xc0\x80"
+        else:
+            for unit in struct.unpack(f"<{len(char.encode('utf-16-le')) // 2}H", char.encode("utf-16-le")):
+                out += chr(unit).encode("utf-8", "surrogatepass")
+    return bytes(out)
+
+
+def _is_string_id(data: bytes, off: int) -> bool:
+    """Whether a string id at ``off`` passes parse_dex's checks: a ULEB128 length, then content that a NUL ends."""
+    try:
+        start = off + dex_module._uleb128(data, off, len(data))[1]
+    except dex_module.MalformedUleb128Error:
+        return False
+    return data.find(b"\x00", start) >= 0
+
+
+def _string_data_image(items, extra=()):
+    """An image whose ``rows.data`` holds ``items`` in order, with a string id per str item and per ``extra`` offset.
+
+    A str item is written as a string_data item: its ULEB128 UTF-16 length,
+    its MUTF-8 bytes and a NUL. A bytes item is written as it is and gets no
+    id. Each of ``extra`` is an offset into the data, taken modulo its
+    length; those that fail parse_dex's string checks are left out.
+    """
+    data = bytearray()
+    ids = []
+    for item in items:
+        if isinstance(item, str):
+            ids.append(len(data))
+            data += _uleb(len(item.encode("utf-16-le")) // 2) + _mutf8(item) + b"\x00"
+        else:
+            data += item
+    data = bytes(data)
+    ids += [off % len(data) for off in extra if data and _is_string_id(data, off % len(data))]
+    return DexImage(tuple(ids), (), (), rows=dex_module._Rows(data, (), (), (), ()))
 
 
 def _root_marker_by_loop(pool):
@@ -799,28 +841,62 @@ def _root_marker_by_loop(pool):
 
 
 # Pool strings built from pieces of the markers, so that a marker appears
-# whole, split over two strings, or cut by a NUL inside one string.
+# whole, split over two strings, or cut by a NUL inside one string; and bytes
+# between the string items built from the same pieces.
 _MARKER_PIECES = ["su", "s", "u", "/system/", "xbin/", "bin/", "test-", "keys", "super", "user", "\x00", "x"]
-_POOL_STRING = st.lists(st.sampled_from(_MARKER_PIECES), max_size=4).map("".join)
+_POOL_STRING = st.lists(st.sampled_from(_MARKER_PIECES + ["\xe9", "\U0001f600"]), max_size=4).map("".join)
+_GARBAGE = st.lists(st.sampled_from([p.encode() for p in _MARKER_PIECES] + [b"\x80", b"\xc0\x80"]), min_size=1, max_size=4).map(
+    b"".join
+)
 
 
 @settings(max_examples=300, deadline=None)
-@example(pool=[])
-@example(pool=[""])
-@example(pool=["", ""])
-@example(pool=["s", "u"])
-@example(pool=["su\x00", "\x00su"])
-@example(pool=["/system/xbin/", "su"])
-@example(pool=["test-\x00keys", "super\x00user"])
-@example(pool=["sushi", "(su)|x", "s+u"])
-@example(pool=["su", "x", "su", "sux"])
-@example(pool=["a", "/system/bin/su-superuser", "b"])
-@given(pool=st.lists(_POOL_STRING, max_size=8))
-def test_root_marker_fact_agrees_with_loop(pool):
-    # Empty pools and strings, NULs inside strings, repeated strings and
-    # markers that would only match across two joined strings.
-    facts = rules_module._resolve_facts(_pool_image(pool))
-    assert facts.get("root marker") == _root_marker_by_loop(pool)
+@example(items=[], extra=[])
+@example(items=[""], extra=[])
+@example(items=["", ""], extra=[])
+@example(items=["s", "u"], extra=[])
+@example(items=["su\x00", "\x00su"], extra=[])
+@example(items=["/system/xbin/", "su"], extra=[])
+@example(items=["test-\x00keys", "super\x00user"], extra=[])
+@example(items=["sushi", "(su)|x", "s+u"], extra=[])
+@example(items=["su", "x", "su", "sux"], extra=[])
+@example(items=["a", "/system/bin/su-superuser", "b"], extra=[])
+@example(items=["a", "system/xbin/su" + "x" * 33], extra=[])  # the length byte of 47 is "/"
+@example(items=["x" * 128 + "test-keys", "su" + "x" * 200], extra=[])  # two-byte lengths
+@example(items=["a", "system/xbin/su" + "x" * 6002], extra=[])  # the second byte of the length of 6,016 is "/"
+@example(items=["\xe9xsu"], extra=[1])  # an id whose three-byte length ends right before "su"
+@example(items=["a", b"superuser", "superuser"], extra=[])  # a marker between strings, then one at a content start
+@example(items=["x" * 200, b"superuser"], extra=[])
+@example(items=["asu"], extra=[1])  # an id at "a" in the middle of a string: its text is "su"
+@example(items=["x/system/bin/su"], extra=[2])  # an id at "/": its text is "system/bin/su"
+@example(items=["\xe9su"], extra=[2])  # an id at the second byte of "\xe9": a two-byte length, its text "u"
+@example(items=["x", "superuser", "x"], extra=[3, 3])  # repeated ids
+@example(items=["su", "su", "su"], extra=[])
+@example(items=["a", b"superuser\x00su\x00/system/bin/su", "b"], extra=[])  # markers between string items
+@example(items=["a", b"su\x00", "b"], extra=[])
+@example(items=[b"\x00superuser\x00", "x", b"test-keys"], extra=[])  # markers before and after every string
+@example(items=["a", b"su\x00"], extra=[])
+@given(items=st.lists(st.one_of(_POOL_STRING, _GARBAGE), max_size=8), extra=st.lists(st.integers(0, 1 << 16), max_size=4))
+def test_root_marker_fact_agrees_with_loop(items, extra):
+    # Empty pools and strings, NULs inside strings, repeated strings, markers
+    # that would only match across two strings or that lie between string
+    # items, and ids that start inside another string.
+    image = _string_data_image(items, extra)
+    facts = rules_module._resolve_facts(image)
+    assert facts.get("root marker") == _root_marker_by_loop(string_pool(image))
+
+
+@pytest.mark.parametrize("last", ["x", "a superuser"])
+def test_root_marker_search_is_linear_over_marker_hits_between_strings(last):
+    # 4 MB of "superuser" with no NUL between two strings: every hit lies
+    # outside any string. A search that checks each of the 450,000 hits and
+    # looks back over the run for its NUL took about a minute.
+    image = _string_data_image(["a", b"superuser" * 450_000, "b" * 300, last])
+    started = time.perf_counter()
+    facts = rules_module._resolve_facts(image)
+    elapsed = time.perf_counter() - started
+    assert facts.get("root marker") == ("superuser" if "superuser" in last else None)
+    assert elapsed < 0.25
 
 
 # --- engine-wide properties ---------------------------------------------------
