@@ -1,19 +1,21 @@
 """Report rendering and fleet comparison matrices.
 
-Single-app reports carry one section per finding with the six standard
-fields (title, evidence paths, severity, category, background,
-recommendation) plus the user-countermeasure appendix. Fleet matrices put
-apps on rows and the fourteen rules on columns with YES/no cells, a per-app
-total, and the total as a percentage of 14 rounded half-up to two decimals.
+A single-app report holds its scan's own findings, critical first, then in
+rule order. Each section prints the six standard fields: the writers read a
+rule's title, severity and category from ``rules.RULES``, and its background
+and recommendation from the knowledge base, which also gives the
+user-countermeasure appendix. Fleet matrices put apps on rows and the
+fourteen rules on columns with YES/no cells, a per-app total, and the total
+as a percentage of 14 rounded half-up to two decimals.
 
 Three output encodings: ``text`` for humans, ``json`` for machines, and
-``csv`` tables. The JSON report is written directly, one run of sections
-sharing every field but the evidence at a time, and its bytes equal
-``json.dumps(doc, sort_keys=True, indent=2)`` of the report. All output is
-deterministic for a given input; report timestamps are injected by the
-caller or pinned by tests.
+``csv`` tables. The JSON report is written directly, one run of one rule's
+sections at a time, and its bytes equal ``json.dumps(doc, sort_keys=True,
+indent=2)`` of the report. All output is deterministic for a given input;
+report timestamps are injected by the caller or pinned by tests.
 
-Both structured formats are versioned via ``schema_version``.
+Both structured formats write the constant ``SCHEMA_VERSION`` as their
+``schema_version``.
 """
 
 from __future__ import annotations
@@ -22,20 +24,21 @@ import datetime as _dt
 import io
 import json
 from collections import Counter
-from itertools import chain, groupby, repeat
+from itertools import groupby, repeat
 from operator import itemgetter
 from typing import NamedTuple
 
 from .knowledge import load_knowledge_base
-from .rules import RULE_COUNT, RULE_TITLES, RULES, RuleId, ScanResult, Severity
+from .rules import RULE_COUNT, RULE_TITLES, RULES, Finding, RuleId, ScanResult
 
 SCHEMA_VERSION = 1
 
 FORMATS = ("text", "json", "csv")
 _enc = json.encoder.encode_basestring_ascii  # the str encoder of json.dumps
-_FIXED = itemgetter(0, 1, 3, 4, 5, 6)  # a ReportSection's fields but the evidence
-_EVIDENCE = itemgetter(2)
 _RULE = itemgetter(0)  # of a Finding
+_EVIDENCE = itemgetter(1)
+# A finding's place in a report: critical first, then rule order.
+_REPORT_ORDER = {rule: (-RULES[rule].severity.rank, i) for i, rule in enumerate(RuleId)}
 
 
 class ReportError(Exception):
@@ -50,32 +53,17 @@ class UnknownFormatError(ReportError):
     """Requested serialization format is not text/json/csv."""
 
 
-class ReportSection(NamedTuple):
-    rule: RuleId
-    title: str
-    evidence: tuple[str, ...]
-    severity: Severity
-    category: str
-    background: str
-    recommendation: str
-
-
 class Report(NamedTuple):
     apk_name: str
     generated_at: str
-    sections: tuple[ReportSection, ...]
-    user_countermeasures: tuple[str, ...]
-    schema_version: int = SCHEMA_VERSION
+    sections: tuple[Finding, ...]  # one per finding, in report order
 
 
 class FleetMatrix(NamedTuple):
     apps: tuple[str, ...]
-    rules: tuple[RuleId, ...]
-    cells: tuple[tuple[bool, ...], ...]
+    cells: tuple[tuple[bool, ...], ...]  # per app, one per rule in rule order
     totals: tuple[int, ...]
     percentages: tuple[str, ...]
-    rule_titles: tuple[str, ...]
-    schema_version: int = SCHEMA_VERSION
 
 
 def format_percentage(count: int, out_of: int = RULE_COUNT) -> str:
@@ -87,32 +75,11 @@ def format_percentage(count: int, out_of: int = RULE_COUNT) -> str:
 
 
 def render_report(result: ScanResult, generated_at: str | None = None) -> Report:
-    """One section per finding, critical first, then rule order."""
-    kb = load_knowledge_base()
+    """The result's own findings, critical first, then rule order, then scan order."""
     if generated_at is None:
         generated_at = _dt.datetime.now(_dt.timezone.utc).isoformat(timespec="seconds")
-
-    # Findings in a row that share a rule are a run: its row and knowledge are
-    # looked up once. Runs sorted by (-severity rank, rule index, position)
-    # put their sections in that order too, since runs never overlap.
-    runs = []
-    make = tuple.__new__  # skips NamedTuple.__new__'s per-field argument binding
-    for rule, run in groupby(result.findings, _RULE):
-        title, severity, category, _ = RULES[rule]
-        known = kb.rules[rule]
-        background, recommendation = known.background, known.developer_countermeasure
-        sections = [
-            make(ReportSection, (rule, title, evidence, severity, category, background, recommendation))
-            for _, evidence in run
-        ]
-        runs.append((-severity.rank, rule.index, len(runs), sections))
-    runs.sort()  # positions are distinct, so sections are never compared
-    return Report(
-        apk_name=result.apk_name,
-        generated_at=generated_at,
-        sections=tuple(chain.from_iterable(sections for _, _, _, sections in runs)),
-        user_countermeasures=kb.user_countermeasures,
-    )
+    sections = sorted(result.findings, key=lambda finding: _REPORT_ORDER[finding.rule])  # stable: keeps scan order
+    return Report(result.apk_name, generated_at, tuple(sections))
 
 
 def duplicate_app_names(names) -> list[str]:
@@ -129,17 +96,9 @@ def build_fleet_matrix(results: list[ScanResult]) -> FleetMatrix:
     if dupes:
         raise DuplicateAppNameError(f"duplicate app names: {dupes}")
 
-    rules = tuple(RuleId)
     cells = tuple(tuple(r.rule_vector) for r in results)
     totals = tuple(sum(row) for row in cells)
-    return FleetMatrix(
-        apps=tuple(names),
-        rules=rules,
-        cells=cells,
-        totals=totals,
-        percentages=tuple(format_percentage(t) for t in totals),
-        rule_titles=tuple(RULE_TITLES[r] for r in rules),
-    )
+    return FleetMatrix(tuple(names), cells, totals, tuple(format_percentage(t) for t in totals))
 
 
 # ---------------------------------------------------------------------------
@@ -189,15 +148,19 @@ def _json_array(items: list[str], indent: str) -> str:
 def _report_json_parts(report: Report) -> list[str]:
     """The report as ``json.dumps(doc, sort_keys=True, indent=2)`` writes it, in pieces to join.
 
-    A run of sections sharing every field but the evidence encodes those
-    fields once, and one ``str.join`` puts them between its evidence arrays.
+    A run of one rule's sections encodes the rule's fields once, and one
+    ``str.join`` puts them between its evidence arrays.
     """
+    kb = load_knowledge_base()
     parts = [
         f'{{\n  "apk_name": {_enc(report.apk_name)},\n  "generated_at": {_enc(report.generated_at)},\n'
-        f'  "kind": "report",\n  "schema_version": {json.dumps(report.schema_version)},\n  "sections": ['
+        f'  "kind": "report",\n  "schema_version": {SCHEMA_VERSION},\n  "sections": ['
     ]
     separator = "\n    "
-    for (rule, title, severity, category, background, recommendation), run in groupby(report.sections, _FIXED):
+    for rule, run in groupby(report.sections, _RULE):
+        title, severity, category, _ = RULES[rule]
+        known = kb.rules[rule]
+        background, recommendation = known.background, known.developer_countermeasure
         head = f'{{\n      "background": {_enc(background)},\n      "category": {_enc(category)},\n      "evidence": '
         tail = (
             f',\n      "recommendation": {_enc(recommendation)},\n      "rule": {_enc(rule.value)},\n'
@@ -210,7 +173,7 @@ def _report_json_parts(report: Report) -> list[str]:
             text = text.replace("[\n        \n      ]", "[]")
         parts += (separator, head, text, tail)
         separator = ",\n    "
-    users = _json_array(list(map(_enc, report.user_countermeasures)), "  ")
+    users = _json_array(list(map(_enc, kb.user_countermeasures)), "  ")
     parts += ("\n  ]" if report.sections else "]", ',\n  "user_countermeasures": ', users, "\n}")
     return parts
 
@@ -221,11 +184,11 @@ def _report_json(report: Report) -> bytes:
 
 def _matrix_json(matrix: FleetMatrix) -> bytes:
     doc = {
-        "schema_version": matrix.schema_version,
+        "schema_version": SCHEMA_VERSION,
         "kind": "fleet_matrix",
         "apps": list(matrix.apps),
-        "rules": [r.value for r in matrix.rules],
-        "rule_titles": list(matrix.rule_titles),
+        "rules": [r.value for r in RuleId],
+        "rule_titles": list(RULE_TITLES.values()),
         "cells": [list(row) for row in matrix.cells],
         "totals": list(matrix.totals),
         "percentages": list(matrix.percentages),
@@ -234,20 +197,23 @@ def _matrix_json(matrix: FleetMatrix) -> bytes:
 
 
 def _report_text(report: Report) -> bytes:
+    kb = load_knowledge_base()
     out = io.StringIO()
     out.write(f"== Security report: {report.apk_name} ==\n")
     out.write(f"generated: {report.generated_at}\n")
     out.write(f"findings: {len(report.sections)}\n")
-    for i, s in enumerate(report.sections, 1):
-        out.write(f"\n[{i}] ({s.severity.value}) {s.title}\n")
-        out.write(f"    category: {s.category}\n")
+    for i, (rule, evidence) in enumerate(report.sections, 1):
+        title, severity, category, _ = RULES[rule]
+        known = kb.rules[rule]
+        out.write(f"\n[{i}] ({severity.value}) {title}\n")
+        out.write(f"    category: {category}\n")
         out.write("    evidence:\n")
-        for line in s.evidence:
+        for line in evidence:
             out.write(f"      - {line}\n")
-        out.write(f"    background: {s.background}\n")
-        out.write(f"    recommendation: {s.recommendation}\n")
+        out.write(f"    background: {known.background}\n")
+        out.write(f"    recommendation: {known.developer_countermeasure}\n")
     out.write("\n-- User countermeasures --\n")
-    for i, text in enumerate(report.user_countermeasures, 1):
+    for i, text in enumerate(kb.user_countermeasures, 1):
         out.write(f"{i}. {text}\n")
     return out.getvalue().encode("utf-8")
 
@@ -261,10 +227,9 @@ def _reports_csv(reports: list[Report]) -> bytes:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["apk", "rule", "severity", "title", "category", "evidence"])
     for report in reports:
-        for s in report.sections:
-            writer.writerow(
-                [report.apk_name, s.rule.value, s.severity.value, s.title, s.category, " | ".join(s.evidence)]
-            )
+        for rule, evidence in report.sections:
+            title, severity, category, _ = RULES[rule]
+            writer.writerow([report.apk_name, rule.value, severity.value, title, category, " | ".join(evidence)])
     return buf.getvalue().encode("utf-8")
 
 
@@ -276,13 +241,13 @@ def _matrix_text(matrix: FleetMatrix) -> bytes:
     out = io.StringIO()
     out.write("== Fleet vulnerability matrix ==\n")
     width = max(len(a) for a in matrix.apps + ("app",))
-    header = "  ".join(r.value for r in matrix.rules)
+    header = "  ".join(r.value for r in RuleId)
     out.write(f"{'app'.ljust(width)}  {header}  Total  Percentage\n")
     for app, row, total, pct in zip(matrix.apps, matrix.cells, matrix.totals, matrix.percentages):
         cells = "  ".join(_cell_text(c).ljust(3) for c in row)
         out.write(f"{app.ljust(width)}  {cells}  {total:>5}  {pct:>10}\n")
     out.write("\nrule legend:\n")
-    for rule, title in zip(matrix.rules, matrix.rule_titles):
+    for rule, title in RULE_TITLES.items():
         out.write(f"  {rule.value}: {title}\n")
     return out.getvalue().encode("utf-8")
 
@@ -292,7 +257,7 @@ def _matrix_csv(matrix: FleetMatrix) -> bytes:
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["app", *matrix.rule_titles, "Total", "Percentage"])
+    writer.writerow(["app", *RULE_TITLES.values(), "Total", "Percentage"])
     for app, row, total, pct in zip(matrix.apps, matrix.cells, matrix.totals, matrix.percentages):
         writer.writerow([app, *(_cell_text(c) for c in row), total, pct])
     return buf.getvalue().encode("utf-8")

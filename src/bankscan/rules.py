@@ -81,17 +81,11 @@ class RuleId(enum.Enum):
     # dict and set semantics and skips Enum.__hash__'s Python-level call.
     __hash__ = object.__hash__
 
-    @property
-    def index(self) -> int:
-        return _RULE_INDEX[self]
-
 
 _RULE_ORDER: tuple[RuleId, ...] = tuple(RuleId)
-_RULE_INDEX: dict[RuleId, int] = {rule: i for i, rule in enumerate(_RULE_ORDER)}
 RULE_COUNT = len(_RULE_ORDER)
 
 
-@functools.total_ordering
 class Severity(enum.Enum):
     CRITICAL = "critical"
     WARNING = "warning"
@@ -103,11 +97,6 @@ class Severity(enum.Enum):
     @property
     def rank(self) -> int:
         return _SEVERITY_RANK[self]
-
-    def __lt__(self, other: "Severity") -> bool:
-        if not isinstance(other, Severity):
-            return NotImplemented
-        return self.rank < other.rank
 
 
 _SEVERITY_RANK: dict[Severity, int] = {
@@ -397,8 +386,8 @@ RULES: dict[RuleId, Rule] = {
     ),
 }
 
-# Kept by name: report.build_fleet_matrix reads it, and so does the benchmark's
-# output check (perfbench/workloads.py), to map printed titles back to rules.
+# Kept by name: the report module's matrix writers read it, and so does the
+# benchmark's output check (perfbench/workloads.py), to map printed titles back to rules.
 RULE_TITLES: dict[RuleId, str] = {rule: row.title for rule, row in RULES.items()}
 
 

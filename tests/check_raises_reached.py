@@ -4,10 +4,10 @@ Runs the tier-1 suite in this process under a ``sys.settrace`` line trace of
 the package's own frames, then checks every ``ast.Raise`` line against the
 lines the trace saw. An unreached ``raise`` is an error path no test drives.
 It takes several times as long as plain tier-1, so it is kept out of it.
-Standard library only, besides pytest itself. Run it from the repository
-root with the tier-1 path, which the subprocess tests need too::
+Standard library only, besides pytest itself. It puts this checkout's
+``src`` first on ``sys.path`` itself, so it needs no ``PYTHONPATH``::
 
-    PYTHONPATH=src python tests/check_raises_reached.py
+    python tests/check_raises_reached.py
 
 It is not collected by pytest (its name does not start with ``test_``).
 """
@@ -57,6 +57,7 @@ def main() -> int:
             by_filename[filename] = wanted.get(os.path.realpath(filename))
         return local if by_filename[filename] else None
 
+    sys.path.insert(0, str(ROOT / "src"))  # this checkout's bankscan, whatever else the environment holds
     sys.settrace(on_call)
     try:
         status = pytest.main(["-q", str(ROOT / "tests")])

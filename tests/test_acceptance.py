@@ -96,15 +96,17 @@ def test_criterion_4_report_schema(corpus, fleet, clean_apk):
     for profile, data in [*corpus, *fleet, clean_apk]:
         result = scan_bytes(data, profile.name)
         report = render_report(result)
-        assert len(report.sections) == len(result.findings)
-        assert len(report.user_countermeasures) == 6
-        for s in report.sections:
-            assert s.title, profile.name
-            assert s.evidence and all(s.evidence), profile.name
-            assert s.severity in Severity, profile.name
-            assert s.category, profile.name
-            assert s.background, profile.name
-            assert s.recommendation, profile.name
+        assert sorted(map(id, report.sections)) == sorted(map(id, result.findings)), profile.name
+        doc = json.loads(serialize(report, "json"))
+        assert len(doc["sections"]) == len(result.findings)
+        assert len(doc["user_countermeasures"]) == 6
+        for s in doc["sections"]:
+            assert s["title"], profile.name
+            assert s["evidence"] and all(s["evidence"]), profile.name
+            assert s["severity"] in [v.value for v in Severity], profile.name
+            assert s["category"], profile.name
+            assert s["background"], profile.name
+            assert s["recommendation"], profile.name
             sections_seen += 1
     assert sections_seen > 0
     print(f"ACCEPTANCE 4 report schema ({sections_seen} sections checked): PASS")

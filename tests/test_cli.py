@@ -8,6 +8,7 @@ import types
 
 import pytest
 
+import bankscan
 from bankscan import report as report_module
 from bankscan.cli import (
     CliUsageError,
@@ -217,6 +218,14 @@ def test_closed_stdout_exit_three(fleet_dir, monkeypatch, capsys, argv):
     assert capsys.readouterr().err == "bankscan: <stdout>: BrokenPipeError: [Errno 32] Broken pipe\n"
 
 
+def _env_for_this_bankscan() -> dict[str, str]:
+    """This environment, with the bankscan under test first on PYTHONPATH, so a child interpreter imports it."""
+    env = dict(os.environ)
+    parent = os.path.dirname(os.path.dirname(os.path.abspath(bankscan.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [parent, env.get("PYTHONPATH")]))
+    return env
+
+
 def test_closed_stdout_subprocess(fleet_dir):
     read_end, write_end = os.pipe()
     os.close(read_end)  # the reader is gone before the first byte is written
@@ -226,6 +235,7 @@ def test_closed_stdout_subprocess(fleet_dir):
             stdout=write_end,
             stderr=subprocess.PIPE,
             text=True,
+            env=_env_for_this_bankscan(),
         )
     finally:
         os.close(write_end)
@@ -367,6 +377,7 @@ def test_module_entry_point_subprocess(fleet_dir):
         [sys.executable, "-m", "bankscan", "-f", str(fleet_dir / "revolut-like.apk"), "--fail-on", "critical"],
         capture_output=True,
         text=True,
+        env=_env_for_this_bankscan(),
     )
     assert proc.returncode == 1
     assert "Security report" in proc.stdout
@@ -392,6 +403,7 @@ def _fresh_scan_imports(apk_on_disk, tmp_path, *watched) -> str:
         [sys.executable, "-c", _IMPORT_PROBE, path, str(tmp_path / "report.out"), *watched],
         capture_output=True,
         text=True,
+        env=_env_for_this_bankscan(),
     )
     assert proc.stderr == ""
     assert '"kind": "report"' in (tmp_path / "report.out").read_text()

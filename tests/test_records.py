@@ -22,7 +22,7 @@ from bankscan.cli import CliConfig
 from bankscan.dex import DexImage, Instruction, MethodBody, MethodRef, _Invokes, _Rows, _sites_of
 from bankscan.knowledge import KnowledgeBase, RuleKnowledge
 from bankscan.manifest import ComponentDecl, ManifestModel, PermissionDecl
-from bankscan.report import FleetMatrix, Report, ReportSection
+from bankscan.report import SCHEMA_VERSION, FleetMatrix, Report
 from bankscan.rules import Finding, RuleId, ScanInput, ScanResult, Severity
 
 _ENTRY = dict(
@@ -34,10 +34,6 @@ _COMPONENT = dict(
     intent_filters=(("android.intent.action.VIEW",),),
 )
 _FINDING = dict(rule=RuleId.R04, evidence=("classes.dex: LMain;->run +0x0002",))
-_SECTION = dict(
-    rule=RuleId.R11, title="File unsafe deleting", evidence=("e1", "e2"), severity=Severity.NOTICE,
-    category="Storage", background="bg", recommendation="rec",
-)
 _KNOWLEDGE = dict(
     threat_name="Data theft", threat_description="adb backup", developer_countermeasure="set allowBackup=false",
     background="bg",
@@ -116,30 +112,15 @@ CASES = [
         "evidence=('classes.dex: LMain;->run +0x0002',)),), rule_vector=(False, True))",
     ),
     (
-        ReportSection, _SECTION,
-        "ReportSection(rule=<RuleId.R11: 'R11'>, title='File unsafe deleting', evidence=('e1', 'e2'), "
-        "severity=<Severity.NOTICE: 'notice'>, category='Storage', background='bg', recommendation='rec')",
-    ),
-    (
         Report,
-        dict(
-            apk_name="a.apk", generated_at="2024-01-01T00:00:00+00:00",
-            sections=(ReportSection(**_SECTION),), user_countermeasures=("u1",), schema_version=1,
-        ),
+        dict(apk_name="a.apk", generated_at="2024-01-01T00:00:00+00:00", sections=(Finding(**_FINDING),)),
         "Report(apk_name='a.apk', generated_at='2024-01-01T00:00:00+00:00', "
-        "sections=(ReportSection(rule=<RuleId.R11: 'R11'>, title='File unsafe deleting', "
-        "evidence=('e1', 'e2'), severity=<Severity.NOTICE: 'notice'>, category='Storage', "
-        "background='bg', recommendation='rec'),), user_countermeasures=('u1',), schema_version=1)",
+        "sections=(Finding(rule=<RuleId.R04: 'R04'>, evidence=('classes.dex: LMain;->run +0x0002',)),))",
     ),
     (
         FleetMatrix,
-        dict(
-            apps=("a", "b"), rules=(RuleId.R01,), cells=((True,), (False,)), totals=(1, 0),
-            percentages=("100.00", "0.00"), rule_titles=("Implicit intent for service",), schema_version=1,
-        ),
-        "FleetMatrix(apps=('a', 'b'), rules=(<RuleId.R01: 'R01'>,), cells=((True,), (False,)), "
-        "totals=(1, 0), percentages=('100.00', '0.00'), rule_titles=('Implicit intent for service',), "
-        "schema_version=1)",
+        dict(apps=("a", "b"), cells=((True,), (False,)), totals=(1, 0), percentages=("100.00", "0.00")),
+        "FleetMatrix(apps=('a', 'b'), cells=((True,), (False,)), totals=(1, 0), percentages=('100.00', '0.00'))",
     ),
     (
         RuleKnowledge, _KNOWLEDGE,
@@ -193,13 +174,16 @@ def test_record_behaviour(cls, fields, expected):
 
 
 def test_every_record_type_is_pinned():
-    assert len({cls for cls, _, _ in CASES}) == 18
+    assert len({cls for cls, _, _ in CASES}) == 17
 
 
 def test_defaults_are_unchanged():
-    report = Report("a.apk", "t", (), ())
-    matrix = FleetMatrix(("a",), (RuleId.R01,), ((False,),), (0,), ("0.00",), ("t",))
-    assert report.schema_version == matrix.schema_version == 1
+    # A report and a matrix hold only what varies by scan, every field given;
+    # the writers write the one schema version.
+    assert Report._field_defaults == FleetMatrix._field_defaults == {}
+    with pytest.raises(TypeError):
+        Report("a.apk", "t")
+    assert SCHEMA_VERSION == 1
 
 
 def test_findings_in_a_set():

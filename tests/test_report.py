@@ -17,9 +17,9 @@ from bankscan.fixtures.profiles import JFILE, WEBSETTINGS
 from bankscan.knowledge import load_knowledge_base
 from bankscan.report import (
     DuplicateAppNameError,
+    SCHEMA_VERSION,
     Report,
     ReportError,
-    ReportSection,
     UnknownFormatError,
     build_fleet_matrix,
     format_percentage,
@@ -54,7 +54,7 @@ def make_finding(rule: RuleId, evidence=("manifest: application",)) -> Finding:
 def make_result(name: str, rules: set[RuleId]) -> ScanResult:
     return ScanResult(
         apk_name=name,
-        findings=tuple(make_finding(r) for r in sorted(rules, key=lambda r: r.index)),
+        findings=tuple(make_finding(r) for r in RuleId if r in rules),
         rule_vector=tuple(r in rules for r in RuleId),
     )
 
@@ -62,16 +62,20 @@ def make_result(name: str, rules: set[RuleId]) -> ScanResult:
 def test_empty_result_renders_appendix_only():
     report = render_report(make_result("clean.apk", set()), generated_at="t0")
     assert report.sections == ()
-    assert len(report.user_countermeasures) == 6
+    text = serialize(report, "text").decode()
+    assert "findings: 0\n\n-- User countermeasures --\n1. " in text
+    assert text.endswith(f"\n6. {load_knowledge_base().user_countermeasures[5]}\n")
 
 
 def test_r04_section_content():
     report = render_report(make_result("app.apk", {RuleId.R04}), generated_at="t0")
-    [section] = report.sections
-    assert section.severity.value == "critical"
-    assert section.recommendation == "Modify code to disallow remote code execution."
-    assert section.title == "Remote code execution"
-    assert section.background
+    [finding] = report.sections
+    assert finding.rule is RuleId.R04
+    [section] = json.loads(serialize(report, "json"))["sections"]
+    assert section["severity"] == "critical"
+    assert section["recommendation"] == "Modify code to disallow remote code execution."
+    assert section["title"] == "Remote code execution"
+    assert section["background"]
 
 
 def test_sections_ordered_by_severity_then_rule():
@@ -87,11 +91,11 @@ def test_sections_ordered_by_severity_then_rule():
 def test_every_section_has_all_six_fields(clean_apk, corpus):
     for profile, data in list(corpus[:6]):
         result = scan_bytes(data, profile.name)
-        report = render_report(result)
-        assert len(report.sections) == len(result.findings)
-        for s in report.sections:
-            assert s.title and s.evidence and s.category and s.background and s.recommendation
-            assert s.severity is not None
+        sections = json.loads(serialize(render_report(result), "json"))["sections"]
+        assert len(sections) == len(result.findings)
+        for s in sections:
+            assert s["title"] and s["evidence"] and s["category"] and s["background"] and s["recommendation"]
+            assert s["severity"] in [v.value for v in Severity]
 
 
 def test_matrix_reproduces_reference_fleet_numbers():
@@ -170,6 +174,18 @@ def test_matrix_text_has_legend():
     assert "R01: Implicit intent for service" in text
 
 
+def test_render_and_matrix_never_load_the_knowledge_base(monkeypatch):
+    # Only the report writers read it; a --matrix run never does.
+    def refuse():
+        raise AssertionError("the knowledge base was loaded")
+
+    monkeypatch.setattr(report_module, "load_knowledge_base", refuse)
+    result = make_result("a", {RuleId.R04, RuleId.R11})
+    assert render_report(result, generated_at="t0").sections == result.findings
+    matrix = build_fleet_matrix([result])
+    assert all(serialize(matrix, fmt) for fmt in ("text", "json", "csv"))
+
+
 def test_report_json_round_trip():
     report = render_report(
         make_result("app.apk", {RuleId.R04, RuleId.R09, RuleId.R10}), generated_at="2024-01-01T00:00:00+00:00"
@@ -186,11 +202,11 @@ def test_matrix_json_round_trip():
     )
     doc = json.loads(serialize(matrix, "json"))
     assert doc == {
-        "schema_version": matrix.schema_version,
+        "schema_version": SCHEMA_VERSION,
         "kind": "fleet_matrix",
         "apps": list(matrix.apps),
-        "rules": [r.value for r in matrix.rules],
-        "rule_titles": list(matrix.rule_titles),
+        "rules": [r.value for r in RuleId],
+        "rule_titles": [RULE_TITLES[r] for r in RuleId],
         "cells": [list(row) for row in matrix.cells],
         "totals": list(matrix.totals),
         "percentages": list(matrix.percentages),
@@ -238,25 +254,26 @@ def test_report_text_contains_all_fields():
 
 
 def _report_doc(report: Report) -> dict:
-    """The report object as the JSON document describes it, field by field."""
+    """The report as its JSON document describes it, field by field: rule text from RULES and the knowledge base."""
+    kb = load_knowledge_base()
     return {
-        "schema_version": report.schema_version,
+        "schema_version": 1,
         "kind": "report",
         "apk_name": report.apk_name,
         "generated_at": report.generated_at,
         "sections": [
             {
-                "rule": s.rule.value,
-                "title": s.title,
-                "evidence": list(s.evidence),
-                "severity": s.severity.value,
-                "category": s.category,
-                "background": s.background,
-                "recommendation": s.recommendation,
+                "rule": f.rule.value,
+                "title": RULES[f.rule].title,
+                "evidence": list(f.evidence),
+                "severity": RULES[f.rule].severity.value,
+                "category": RULES[f.rule].category,
+                "background": kb.rules[f.rule].background,
+                "recommendation": kb.rules[f.rule].developer_countermeasure,
             }
-            for s in report.sections
+            for f in report.sections
         ],
-        "user_countermeasures": list(report.user_countermeasures),
+        "user_countermeasures": list(kb.user_countermeasures),
     }
 
 
@@ -276,36 +293,24 @@ _evidence = st.one_of(
     _evidence_line.map(lambda line: (line,)),
     st.lists(_evidence_line, min_size=2, max_size=4).map(tuple),
 )
-# rule, title, severity, category, background, recommendation: the fields a run of sections shares
-_fixed_fields = st.tuples(
-    st.sampled_from(list(RuleId)), _any_text, st.sampled_from(list(Severity)), _any_text, _any_text, _any_text
-)
 
 
 @st.composite
 def _sections(draw):
-    """Up to four runs of 1-50 sections, each run's fixed fields drawn from a pool of 2-3, so runs repeat and meet.
+    """Up to four runs of 1-50 findings, each run's rule drawn from a pool of 2-3, so runs repeat and meet.
 
-    Each section's evidence is drawn from a pool of 1-4 as well, which keeps long runs cheap to draw.
+    Each finding's evidence is drawn from a pool of 1-4 as well, which keeps long runs cheap to draw.
     """
-    pool = draw(st.lists(_fixed_fields, min_size=2, max_size=3))
+    pool = draw(st.lists(st.sampled_from(list(RuleId)), min_size=2, max_size=3))
     evidence = st.sampled_from(draw(st.lists(_evidence, min_size=1, max_size=4)))
     sections = []
     for _ in range(draw(st.integers(0, 4))):
-        rule, title, severity, category, background, recommendation = draw(st.sampled_from(pool))
-        for _ in range(draw(st.integers(1, 50))):
-            sections.append(ReportSection(rule, title, draw(evidence), severity, category, background, recommendation))
+        rule = draw(st.sampled_from(pool))
+        sections += (Finding(rule, draw(evidence)) for _ in range(draw(st.integers(1, 50))))
     return tuple(sections)
 
 
-_reports = st.builds(
-    Report,
-    apk_name=_any_text,
-    generated_at=_any_text,
-    sections=_sections(),
-    user_countermeasures=st.lists(_any_text, max_size=3).map(tuple),
-    schema_version=st.integers(-(2**70), 2**70),
-)
+_reports = st.builds(Report, apk_name=_any_text, generated_at=_any_text, sections=_sections())
 
 
 @settings(max_examples=300, deadline=None)
@@ -322,20 +327,15 @@ def test_reports_json_equals_joined_dumps(reports):
 
 
 def test_report_json_edge_shapes():
-    bare = Report(apk_name="a", generated_at="t", sections=(), user_countermeasures=())
+    bare = Report(apk_name="a", generated_at="t", sections=())
     assert serialize(bare, "json") == (_dumps(_report_doc(bare)) + "\n").encode()
     assert b'"sections": [],' in serialize(bare, "json")
-    kb = load_knowledge_base()
-    base = dict(
-        rule=RuleId.R11, title=RULE_TITLES[RuleId.R11], severity=Severity.NOTICE, category="Storage",
-        background=kb.rules[RuleId.R11].background, recommendation=kb.rules[RuleId.R11].developer_countermeasure,
-    )
-    # a run of one rule and text, broken by a changed field, another rule and a return
-    sections = [ReportSection(evidence=(f"line {i}",), **base) for i in range(3)]
-    sections.append(ReportSection(evidence=(), **{**base, "category": "Other"}))
-    sections.append(ReportSection(evidence=("a\nb", ""), **{**base, "rule": RuleId.R04}))
-    sections.append(ReportSection(evidence=("back to R11",), **base))
-    report = Report(apk_name="edge.apk", generated_at="t0", sections=tuple(sections), user_countermeasures=("u",))
+    # a run of one rule with empty evidence inside it, another rule's multi-line evidence, and a return
+    sections = [Finding(RuleId.R11, (f"line {i}",)) for i in range(3)]
+    sections.append(Finding(RuleId.R11, ()))
+    sections.append(Finding(RuleId.R04, ("a\nb", "")))
+    sections.append(Finding(RuleId.R11, ("back to R11",)))
+    report = Report(apk_name="edge.apk", generated_at="t0", sections=tuple(sections))
     assert serialize(report, "json") == (_dumps(_report_doc(report)) + "\n").encode()
 
 
@@ -446,21 +446,21 @@ def test_render_report_sections_match_per_finding_oracle():
         )
     )
     result = ScanResult("mixed.apk", findings, tuple(r in {f.rule for f in findings} for r in RuleId))
-    kb = load_knowledge_base()
+    rule_order = list(RuleId)
     rank = [-RULES[f.rule].severity.rank for f in findings]
-    order = sorted(range(len(findings)), key=lambda i: (rank[i], findings[i].rule.index, i))
-    expected = tuple(
-        ReportSection(
-            rule=f.rule,
-            title=RULES[f.rule].title,
-            evidence=f.evidence,
-            severity=RULES[f.rule].severity,
-            category=RULES[f.rule].category,
-            background=kb.rules[f.rule].background,
-            recommendation=kb.rules[f.rule].developer_countermeasure,
-        )
-        for f in (findings[i] for i in order)
-    )
+    order = sorted(range(len(findings)), key=lambda i: (rank[i], rule_order.index(findings[i].rule), i))
     report = render_report(result, generated_at="t0")
-    assert report.sections == expected
+    assert report.sections == tuple(findings[i] for i in order)
     assert [s.evidence[0] for s in report.sections] == ["e", "b", "d", "a", "c", "f"]
+
+
+def test_render_report_returns_the_results_own_findings():
+    # Equal findings built apart, so only identity tells which comes first:
+    # critical before notice, then rule order, then scan order.
+    first, second = Finding(RuleId.R11, ("same",)), Finding(RuleId.R11, ("same",))
+    r04, r02, r10 = Finding(RuleId.R04, ("b",)), Finding(RuleId.R02, ("c",)), Finding(RuleId.R10, ("d",))
+    findings = (first, r04, r10, second, r02)
+    result = ScanResult("own.apk", findings, tuple(r in {f.rule for f in findings} for r in RuleId))
+    sections = render_report(result, generated_at="t0").sections
+    assert type(sections) is tuple
+    assert [id(s) for s in sections] == [id(f) for f in (r02, r04, r10, first, second)]

@@ -967,8 +967,12 @@ def test_scan_input_requires_dexes():
 
 
 def test_severity_order_total():
-    assert Severity.CRITICAL > Severity.WARNING > Severity.NOTICE > Severity.INFO
-    assert sorted(Severity) == [Severity.INFO, Severity.NOTICE, Severity.WARNING, Severity.CRITICAL]
+    # The order is rank's alone: severities themselves do not compare.
+    assert Severity.CRITICAL.rank > Severity.WARNING.rank > Severity.NOTICE.rank > Severity.INFO.rank
+    by_rank = sorted(Severity, key=lambda s: s.rank)
+    assert by_rank == [Severity.INFO, Severity.NOTICE, Severity.WARNING, Severity.CRITICAL]
+    with pytest.raises(TypeError):
+        Severity.INFO < Severity.CRITICAL
 
 
 def test_severity_does_not_order_against_other_types():
