@@ -7,7 +7,7 @@ first local header still open fine. Only the ``stored`` and ``deflate``
 compression methods are accepted; anything else raises instead of being
 silently skipped.
 
-The archive object is immutable once built and safe to share between
+The archive is never changed once built and is safe to share between
 threads; every ``read_entry`` call decompresses independently.
 """
 
@@ -82,13 +82,13 @@ class ApkEntry(NamedTuple):
 
 class ApkArchive(NamedTuple):
     data: bytes
-    entries: tuple[ApkEntry, ...]
+    entries: dict[str, ApkEntry]  # by name, in central-directory order
 
     def entry(self, name: str) -> ApkEntry:
-        for e in self.entries:
-            if e.name == name:
-                return e
-        raise EntryNotFoundError(f"no entry named {name!r}")
+        found = self.entries.get(name)
+        if found is None:
+            raise EntryNotFoundError(f"no entry named {name!r}")
+        return found
 
 
 def _find_eocd(data: bytes) -> int:
@@ -119,8 +119,7 @@ def load_apk(data: bytes) -> ApkArchive:
         raise TruncatedArchiveError("central directory extends past its record")
     cd_offset += shift
 
-    entries: list[ApkEntry] = []
-    seen: set[str] = set()
+    entries: dict[str, ApkEntry] = {}
     make = tuple.__new__  # skips NamedTuple.__new__'s per-field argument binding
     pos = cd_offset
     for _ in range(entry_count):
@@ -145,18 +144,17 @@ def load_apk(data: bytes) -> ApkArchive:
         if name_end > eocd_pos:
             raise TruncatedArchiveError("central directory name truncated")
         name = data[pos + 46 : name_end].decode("utf-8", "replace")
-        if name in seen:
+        if name in entries:
             raise TruncatedArchiveError(f"duplicate entry name {name!r}")
-        seen.add(name)
-        entries.append(make(ApkEntry, (name, method, crc, csize, usize, local_off + shift, flags)))
+        entries[name] = make(ApkEntry, (name, method, crc, csize, usize, local_off + shift, flags))
         pos = name_end + extra_len + comment_len
 
-    if MANIFEST_NAME not in seen:
+    if MANIFEST_NAME not in entries:
         raise MissingManifestError("archive has no AndroidManifest.xml")
-    if not any(_DEX_NAME_RE.fullmatch(n) for n in seen):
+    if not any(_DEX_NAME_RE.fullmatch(n) for n in entries):
         raise NoDexEntriesError("archive has no classes.dex entries")
 
-    return ApkArchive(data=data, entries=tuple(entries))
+    return ApkArchive(data=data, entries=entries)
 
 
 def open_apk(path: str | Path) -> ApkArchive:
@@ -225,5 +223,5 @@ def dex_entry_names(archive: ApkArchive) -> list[str]:
         suffix = _DEX_NAME_RE.fullmatch(name).group(1)  # type: ignore[union-attr]
         return 1 if suffix == "" else int(suffix)
 
-    names = [e.name for e in archive.entries if _DEX_NAME_RE.fullmatch(e.name)]
+    names = [name for name in archive.entries if _DEX_NAME_RE.fullmatch(name)]
     return sorted(names, key=key)

@@ -11,8 +11,10 @@ as a percentage of 14 rounded half-up to two decimals.
 Three output encodings: ``text`` for humans, ``json`` for machines, and
 ``csv`` tables. The JSON report is written directly, one run of one rule's
 sections at a time, and its bytes equal ``json.dumps(doc, sort_keys=True,
-indent=2)`` of the report. All output is deterministic for a given input;
-report timestamps are injected by the caller or pinned by tests.
+indent=2)`` of the report. Only the two JSON writers import ``json``, and
+only the two CSV writers ``csv``, so a text scan loads neither. All output
+is deterministic for a given input; a report's timestamp is the caller's,
+or else ``_utc_now()``, which tests pin.
 
 Both structured formats write the constant ``SCHEMA_VERSION`` as their
 ``schema_version``.
@@ -20,9 +22,8 @@ Both structured formats write the constant ``SCHEMA_VERSION`` as their
 
 from __future__ import annotations
 
-import datetime as _dt
 import io
-import json
+import time
 from collections import Counter
 from itertools import groupby, repeat
 from operator import itemgetter
@@ -34,7 +35,6 @@ from .rules import RULE_COUNT, RULE_TITLES, RULES, Finding, RuleId, ScanResult
 SCHEMA_VERSION = 1
 
 FORMATS = ("text", "json", "csv")
-_enc = json.encoder.encode_basestring_ascii  # the str encoder of json.dumps
 _RULE = itemgetter(0)  # of a Finding
 _EVIDENCE = itemgetter(1)
 # A finding's place in a report: critical first, then rule order.
@@ -77,9 +77,18 @@ def format_percentage(count: int, out_of: int = RULE_COUNT) -> str:
 def render_report(result: ScanResult, generated_at: str | None = None) -> Report:
     """The result's own findings, critical first, then rule order, then scan order."""
     if generated_at is None:
-        generated_at = _dt.datetime.now(_dt.timezone.utc).isoformat(timespec="seconds")
+        generated_at = _utc_now()
     sections = sorted(result.findings, key=lambda finding: _REPORT_ORDER[finding.rule])  # stable: keeps scan order
     return Report(result.apk_name, generated_at, tuple(sections))
+
+
+def _utc_now() -> str:
+    """Now, as ``datetime.now(timezone.utc).isoformat(timespec="seconds")`` writes it for years 1000-9999.
+
+    ``time.time()`` reads the clock ``datetime.now`` reads. A bare ``time.gmtime()``
+    reads C ``time()``, which on Linux can lag it by a clock tick past a second's turn.
+    """
+    return time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime(time.time()))
 
 
 def duplicate_app_names(names) -> list[str]:
@@ -151,9 +160,11 @@ def _report_json_parts(report: Report) -> list[str]:
     A run of one rule's sections encodes the rule's fields once, and one
     ``str.join`` puts them between its evidence arrays.
     """
+    from json.encoder import encode_basestring_ascii as enc  # the str encoder of json.dumps
+
     kb = load_knowledge_base()
     parts = [
-        f'{{\n  "apk_name": {_enc(report.apk_name)},\n  "generated_at": {_enc(report.generated_at)},\n'
+        f'{{\n  "apk_name": {enc(report.apk_name)},\n  "generated_at": {enc(report.generated_at)},\n'
         f'  "kind": "report",\n  "schema_version": {SCHEMA_VERSION},\n  "sections": ['
     ]
     separator = "\n    "
@@ -161,19 +172,19 @@ def _report_json_parts(report: Report) -> list[str]:
         title, severity, category, _ = RULES[rule]
         known = kb.rules[rule]
         background, recommendation = known.background, known.developer_countermeasure
-        head = f'{{\n      "background": {_enc(background)},\n      "category": {_enc(category)},\n      "evidence": '
+        head = f'{{\n      "background": {enc(background)},\n      "category": {enc(category)},\n      "evidence": '
         tail = (
-            f',\n      "recommendation": {_enc(recommendation)},\n      "rule": {_enc(rule.value)},\n'
-            f'      "severity": {_enc(severity.value)},\n      "title": {_enc(title)}\n    }}'
+            f',\n      "recommendation": {enc(recommendation)},\n      "rule": {enc(rule.value)},\n'
+            f'      "severity": {enc(severity.value)},\n      "title": {enc(title)}\n    }}'
         )
-        inners = list(map(",\n        ".join, map(map, repeat(_enc), map(_EVIDENCE, run))))  # each array's inside
+        inners = list(map(",\n        ".join, map(map, repeat(enc), map(_EVIDENCE, run))))  # each array's inside
         between = f"\n      ]{tail},\n    {head}[\n        "  # ends an array and its section, starts the next
         text = f"[\n        {between.join(inners)}\n      ]"
         if "" in inners:  # an encoded string holds no raw newline, so only an empty array reads as below
             text = text.replace("[\n        \n      ]", "[]")
         parts += (separator, head, text, tail)
         separator = ",\n    "
-    users = _json_array(list(map(_enc, kb.user_countermeasures)), "  ")
+    users = _json_array(list(map(enc, kb.user_countermeasures)), "  ")
     parts += ("\n  ]" if report.sections else "]", ',\n  "user_countermeasures": ', users, "\n}")
     return parts
 
@@ -183,6 +194,8 @@ def _report_json(report: Report) -> bytes:
 
 
 def _matrix_json(matrix: FleetMatrix) -> bytes:
+    import json  # see _report_json_parts
+
     doc = {
         "schema_version": SCHEMA_VERSION,
         "kind": "fleet_matrix",

@@ -1,6 +1,7 @@
 from pathlib import Path
 
 import pytest
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from bankscan.fixtures import (
     FixtureProfile,
@@ -12,6 +13,11 @@ from bankscan.fixtures import (
 from bankscan.scanner import scan_bytes
 
 Built = tuple[FixtureProfile, bytes]
+
+# Hypothesis keeps its example database and caches under the working
+# directory by default. Keep them in the checkout's ignored .hypothesis/,
+# wherever the tests are run from.
+set_hypothesis_home_dir(Path(__file__).resolve().parents[1] / ".hypothesis")
 
 
 def pytest_addoption(parser):

@@ -3,6 +3,7 @@
 import hashlib
 import io
 import struct
+import time
 import tracemalloc
 import zipfile
 import zlib
@@ -54,9 +55,10 @@ def test_open_apk_lists_entries_matching_zipfile(tmp_path, clean_apk):
     with zipfile.ZipFile(io.BytesIO(data)) as zf:
         infos = {i.filename: i for i in zf.infolist()}
     assert len(archive.entries) == 2
-    assert {e.name for e in archive.entries} == set(infos)
-    for entry in archive.entries:
-        ref = infos[entry.name]
+    assert list(archive.entries) == list(infos)  # by name, in central-directory order
+    for name, entry in archive.entries.items():
+        assert entry.name == name and archive.entry(name) is entry
+        ref = infos[name]
         assert entry.crc32 == ref.CRC
         assert entry.compressed_size == ref.compress_size
         assert entry.uncompressed_size == ref.file_size
@@ -105,8 +107,30 @@ def test_read_entry_round_trip_stored_and_deflated(clean_apk):
 
 def test_read_entry_not_found():
     archive = load_apk(minimal_apk())
-    with pytest.raises(EntryNotFoundError):
+    with pytest.raises(EntryNotFoundError, match=r"^no entry named 'nope.txt'$"):
         read_entry(archive, "nope.txt")
+
+
+def _read_every_entry_s(entry_count: int) -> float:
+    """Best of three times to read every entry of an APK of ``entry_count`` one-byte stored entries."""
+    names = [f"res/{i}" for i in range(entry_count)]
+    entries = [("AndroidManifest.xml", MANIFEST_STUB), ("classes.dex", b"d"), *((name, b"x") for name in names)]
+    archive = load_apk(pack_apk(entries))
+    best = float("inf")
+    for _ in range(3):
+        started = time.perf_counter()
+        for name in names:
+            read_entry(archive, name)
+        best = min(best, time.perf_counter() - started)
+    return best
+
+
+def test_reading_every_entry_is_linear_in_the_entry_count():
+    # A lookup that scans the entry list makes this quadratic: reading every
+    # entry that way took 0.41 s at 4,000 entries and 1.7 s at 8,000.
+    small, large = _read_every_entry_s(8_000), _read_every_entry_s(16_000)
+    assert large < 3 * small
+    assert large < 0.5
 
 
 def test_corrupted_payload_byte_fails_crc():
@@ -248,7 +272,7 @@ def test_prepended_data_still_opens(clean_apk):
     _, data = clean_apk
     shifted = b"\xde\xad\xbe\xef" * 32 + data
     archive = load_apk(shifted)
-    assert {e.name for e in archive.entries} == {"AndroidManifest.xml", "classes.dex"}
+    assert set(archive.entries) == {"AndroidManifest.xml", "classes.dex"}
     manifest = read_entry(archive, "AndroidManifest.xml")
     assert struct.unpack_from("<H", manifest, 0)[0] == 0x0003
 

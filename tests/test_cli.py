@@ -1,4 +1,3 @@
-import datetime
 import hashlib
 import json
 import os
@@ -383,48 +382,70 @@ def test_module_entry_point_subprocess(fleet_dir):
     assert "Security report" in proc.stdout
 
 
-# Names the watched modules that a fresh interpreter first imports after the
-# probe starts importing bankscan.cli: one that the interpreter's own start-up
-# (its site hooks, say) already imported is none of the scan's doing.
+# After each CLI run in one fresh interpreter, prints its exit code and the
+# watched modules first imported since the probe started importing
+# bankscan.cli: one that the interpreter's own start-up (its site hooks, say)
+# already imported is none of the scan's doing.
 _IMPORT_PROBE = """
 import sys
 before = set(sys.modules)
 import bankscan.cli
-out, watched = sys.argv[2], sys.argv[3:]
-codes = [bankscan.cli.main(["-f", sys.argv[1], "--format", fmt, "-o", out]) for fmt in ("text", "json")]
-print(codes, sorted(m for m in watched if m in sys.modules and m not in before))
+watched = sys.argv[1].split(",")
+for run in sys.argv[2:]:
+    code = bankscan.cli.main(run.split("|"))
+    print(code, sorted(m for m in watched if m in sys.modules and m not in before))
 """
 
 
-def _fresh_scan_imports(apk_on_disk, tmp_path, *watched) -> str:
-    """The probe's output for a text and a json scan of a clean APK in a fresh interpreter."""
-    path = apk_on_disk("cleanapp", frozenset())
+def _fresh_imports(watched, *runs) -> list[str]:
+    """The probe's lines for the CLI runs, each an argument list, in one fresh interpreter."""
     proc = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE, path, str(tmp_path / "report.out"), *watched],
+        [sys.executable, "-c", _IMPORT_PROBE, ",".join(watched), *map("|".join, runs)],
         capture_output=True,
         text=True,
         env=_env_for_this_bankscan(),
     )
     assert proc.stderr == ""
+    return proc.stdout.splitlines()
+
+
+def _fresh_scan_imports(apk_on_disk, tmp_path, *watched) -> list[str]:
+    """The probe's lines for a text and then a json scan of a clean APK."""
+    path, out = apk_on_disk("cleanapp", frozenset()), str(tmp_path / "report.out")
+    lines = _fresh_imports(watched, *(["-f", path, "--format", fmt, "-o", out] for fmt in ("text", "json")))
     assert '"kind": "report"' in (tmp_path / "report.out").read_text()
-    return proc.stdout
+    return lines
 
 
 def test_fresh_scan_imports_neither_logging_nor_decimal(apk_on_disk, tmp_path):
     # A fresh interpreter: pytest itself has imported logging in this one.
-    assert _fresh_scan_imports(apk_on_disk, tmp_path, "decimal", "logging") == "[0, 0] []\n"
+    assert _fresh_scan_imports(apk_on_disk, tmp_path, "decimal", "logging") == ["0 []", "0 []"]
 
 
 def test_fresh_scan_imports_neither_dataclasses_nor_inspect_nor_csv(apk_on_disk, tmp_path):
     # The scan path's records are hand-written classes and named tuples, and
     # only the CSV writers import csv.
-    assert _fresh_scan_imports(apk_on_disk, tmp_path, "csv", "dataclasses", "inspect") == "[0, 0] []\n"
+    assert _fresh_scan_imports(apk_on_disk, tmp_path, "csv", "dataclasses", "inspect") == ["0 []", "0 []"]
 
 
-class _PinnedClock(datetime.datetime):
-    @classmethod
-    def now(cls, tz=None):
-        return datetime.datetime(2024, 1, 1, tzinfo=tz)
+def test_fresh_text_scan_and_csv_matrix_import_neither_json_nor_datetime(apk_on_disk, fleet_dir, tmp_path, monkeypatch):
+    # Only the JSON writers import json, and the default report clock is time's.
+    path = apk_on_disk("cleanapp", frozenset())
+    text, matrix, doc = (tmp_path / name for name in ("report.txt", "matrix.csv", "report.json"))
+    lines = _fresh_imports(
+        ("datetime", "json"),
+        ["-f", path, "-o", str(text)],
+        ["--dir", str(fleet_dir), "--matrix", "--format", "csv", "-o", str(matrix)],
+        ["-f", path, "--format", "json", "-o", str(doc)],
+    )
+    assert lines == ["0 []", "0 []", "0 ['json']"]
+    assert text.read_text().startswith("== Security report: cleanapp.apk ==\n")
+    assert matrix.read_text().count("\n") == 1 + len(list(fleet_dir.iterdir()))
+    # The JSON scan wrote the report that this process writes at the same clock.
+    written = doc.read_bytes()
+    monkeypatch.setattr(report_module, "_utc_now", lambda: json.loads(written)["generated_at"])
+    assert main(["-f", path, "--format", "json", "-o", str(tmp_path / "again.json")]) == 0
+    assert (tmp_path / "again.json").read_bytes() == written
 
 
 # Batch output of --dir over starling-like, atom-like and revolut-like with the
@@ -440,8 +461,7 @@ _BATCH_PINS = {
 
 @pytest.mark.parametrize("fmt", sorted(_BATCH_PINS))
 def test_batch_output_bytes_pinned(fleet_dir, tmp_path, monkeypatch, capsys, fmt):
-    pinned = types.SimpleNamespace(datetime=_PinnedClock, timezone=datetime.timezone)
-    monkeypatch.setattr(report_module, "_dt", pinned)
+    monkeypatch.setattr(report_module, "_utc_now", lambda: "2024-01-01T00:00:00+00:00")
     batch = tmp_path / "three"
     batch.mkdir()
     for name in ("starling-like.apk", "atom-like.apk", "revolut-like.apk"):

@@ -1,4 +1,4 @@
-import json
+import hashlib
 
 import pytest
 
@@ -9,21 +9,21 @@ from bankscan.rules import Finding, RuleId
 
 def test_what_is_fixed_per_rule_is_stored_once():
     # A finding carries only what varies; its rule's row in RULES and its one
-    # knowledge record, keyed as in the data file, hold the rest.
+    # knowledge record hold the rest.
     assert Finding._fields == ("rule", "evidence")
     assert KnowledgeBase._fields == ("rules", "user_countermeasures")
     assert RuleKnowledge._fields == ("threat_name", "threat_description", "developer_countermeasure", "background")
-    for record in _data_doc()["rules"]:
-        assert tuple(record) == ("rule_id", *RuleKnowledge._fields)
 
 
 def test_lookups_total_over_all_rules():
+    # Exactly one record per rule, keyed by the RuleId itself, in rule order,
+    # and every field a non-empty str.
     kb = load_knowledge_base()
-    for rule in RuleId:
-        assert kb.rules[rule].threat_name
-        assert kb.rules[rule].threat_description
-        assert kb.rules[rule].developer_countermeasure
-        assert kb.rules[rule].background
+    assert type(kb) is KnowledgeBase and type(kb.rules) is dict
+    assert list(kb.rules) == list(RuleId) and all(type(rule) is RuleId for rule in kb.rules)
+    for record in kb.rules.values():
+        assert type(record) is RuleKnowledge
+        assert all(type(text) is str and text for text in record)
 
 
 def test_threat_examples():
@@ -57,125 +57,93 @@ def test_shared_threat_names():
 
 def test_user_countermeasure_list():
     user = load_knowledge_base().user_countermeasures
-    assert len(user) == 6
+    assert type(user) is tuple and len(user) == 6
+    assert all(type(text) is str and text for text in user)
     first, last = user[0], user[-1]
     assert "rooted" in first and "jailbreak" in first
     assert "operating system" in last
 
 
-def test_loaded_content_matches_data_file():
-    doc = _data_doc()
+def test_knowledge_text_pinned():
+    # sha256 over every record's four fields in rule order, then the six user
+    # countermeasures, each text followed by a NUL. A deliberate wording change
+    # needs a new pin and new report byte pins.
     kb = load_knowledge_base()
-    assert len(doc["rules"]) == 14
-    for record in doc["rules"]:
-        rule = RuleId(record["rule_id"])
-        assert kb.rules[rule].threat_name == record["threat_name"]
-        assert kb.rules[rule].threat_description == record["threat_description"]
-        assert kb.rules[rule].developer_countermeasure == record["developer_countermeasure"]
-        assert kb.rules[rule].background == record["background"]
-    assert list(kb.user_countermeasures) == doc["user_countermeasures"]
+    texts = [text for rule in RuleId for text in kb.rules[rule]] + list(kb.user_countermeasures)
+    digest = hashlib.sha256("".join(text + "\0" for text in texts).encode("utf-8")).hexdigest()
+    assert (len(texts), digest) == (62, "8efee0adad97a691c3163bec12a657c734d53801a4568556a735cf1d09e37991")
 
 
-def _data_doc():
-    return json.loads(knowledge._DATA_PATH.read_text("utf-8"))
+def _put(items: tuple, index: int, item) -> tuple:
+    return items[:index] + (item,) + items[index + 1 :]
 
 
-def _edited(edit):
-    """The data file's text after ``edit`` changes its document."""
-    doc = _data_doc()
-    edit(doc)
-    return json.dumps(doc)
+def _field(rules: tuple, index: int, **change) -> tuple:
+    """``rules`` with record ``index``'s fields changed."""
+    rule, record = rules[index]
+    return _put(rules, index, (rule, record._replace(**change)))
 
 
-def _load_text(tmp_path, monkeypatch, text):
-    """Load the knowledge base from a data file holding ``text``."""
-    path = tmp_path / "knowledge.json"
-    path.write_text(text, "utf-8")
-    monkeypatch.setattr(knowledge, "_DATA_PATH", path)
-    load_knowledge_base.cache_clear()
-    try:
-        return load_knowledge_base()
-    finally:
-        load_knowledge_base.cache_clear()
+def _build_edited(edit) -> KnowledgeBase:
+    """The knowledge base built from the module's table after ``edit(rules, user)`` returns a changed copy."""
+    return knowledge._build(*edit(knowledge._RULES, knowledge._USER_COUNTERMEASURES))
+
+
+def test_an_unedited_copy_loads_as_the_packaged_file():
+    assert _build_edited(lambda rules, user: (rules, user)) == load_knowledge_base()
 
 
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (lambda record: record.update(rule_id="R99"), "knowledge record 3 is malformed: 'R99' is not a valid RuleId"),
-        (lambda record: record.pop("background"), "knowledge record 3 lacks field 'background'"),
+        (lambda pair: ("R99", pair[1]), "knowledge record 3 is keyed 'R99', not a RuleId"),
+        (lambda pair: (pair[0], pair[1]._replace(background="")), "knowledge record 3 field 'background' is empty"),
     ],
 )
-def test_malformed_record_raises_knowledge_base_error_naming_its_index(tmp_path, monkeypatch, edit, message):
+def test_malformed_record_raises_knowledge_base_error_naming_its_index(edit, message):
     with pytest.raises(KnowledgeBaseError) as info:
-        _load_text(tmp_path, monkeypatch, _edited(lambda doc: edit(doc["rules"][3])))
+        _build_edited(lambda rules, user: (_put(rules, 3, edit(rules[3])), user))
     assert str(info.value) == message
 
 
-def _set(doc, key, value):
-    doc[key] = value
-
-
-# (an edit of the data file's document, the message it raises)
+# (an edit of the table, the message it raises)
 _MALFORMED = {
-    "no-schema-version": (lambda doc: doc.pop("schema_version"), "knowledge data lacks key 'schema_version'"),
-    "schema-version-99": (lambda doc: _set(doc, "schema_version", 99), "knowledge schema_version is 99, not 1"),
-    "schema-version-true": (lambda doc: _set(doc, "schema_version", True), "knowledge schema_version is True, not 1"),
-    "unknown-key": (lambda doc: _set(doc, "extra", {}), "knowledge data has unknown keys ['extra']"),
-    "no-rules": (lambda doc: doc.pop("rules"), "knowledge data lacks key 'rules'"),
-    "no-user-countermeasures": (
-        lambda doc: doc.pop("user_countermeasures"), "knowledge data lacks key 'user_countermeasures'"
+    "rules-object": (lambda rules, user: (dict(rules), user), "knowledge rules is dict, not tuple"),
+    "record-list": (
+        lambda rules, user: (_put(rules, 2, (RuleId.R03, list(rules[2][1]))), user),
+        "knowledge record 2 is list, not RuleKnowledge",
     ),
-    "rules-object": (lambda doc: _set(doc, "rules", {}), "knowledge rules is dict, not list"),
-    "record-list": (lambda doc: _set(doc["rules"], 2, ["R03"]), "knowledge record 2 is list, not dict"),
-    "record-string": (lambda doc: _set(doc["rules"], 0, "R01"), "knowledge record 0 is str, not dict"),
+    "record-string": (
+        lambda rules, user: (_put(rules, 0, (RuleId.R01, "R01")), user), "knowledge record 0 is str, not RuleKnowledge"
+    ),
     "record-text-number": (
-        lambda doc: _set(doc["rules"][5], "threat_name", 5), "knowledge record 5 field 'threat_name' is int, not str"
+        lambda rules, user: (_field(rules, 5, threat_name=5), user),
+        "knowledge record 5 field 'threat_name' is int, not str",
     ),
     "record-text-null": (
-        lambda doc: _set(doc["rules"][13], "background", None),
+        lambda rules, user: (_field(rules, 13, background=None), user),
         "knowledge record 13 field 'background' is NoneType, not str",
     ),
-    "record-unknown-key": (
-        lambda doc: _set(doc["rules"][6], "threat_nmae", "typo"), "knowledge record 6 has unknown keys ['threat_nmae']"
-    ),
-    "duplicate-record": (lambda doc: _set(doc["rules"], 4, doc["rules"][1]), "duplicate knowledge record for R02"),
-    "missing-entries": (lambda doc: doc["rules"].pop(), "knowledge data lacks entries for ['R14']"),
+    "duplicate-record": (lambda rules, user: (_put(rules, 4, rules[1]), user), "duplicate knowledge record for R02"),
+    "missing-entries": (lambda rules, user: (rules[:-1], user), "knowledge data lacks entries for ['R14']"),
     "user-countermeasure-number": (
-        lambda doc: _set(doc["user_countermeasures"], 2, 5), "user countermeasure 2 is int, not str"
+        lambda rules, user: (rules, _put(user, 2, 5)), "user countermeasure 2 is int, not str"
     ),
+    "user-countermeasure-empty": (lambda rules, user: (rules, _put(user, 0, "")), "user countermeasure 0 is empty"),
     "user-countermeasures-string": (
-        lambda doc: _set(doc, "user_countermeasures", "sixchr"), "knowledge user_countermeasures is str, not list"
+        lambda rules, user: (rules, "sixchr"), "knowledge user_countermeasures is str, not tuple"
     ),
     "five-user-countermeasures": (
-        lambda doc: doc["user_countermeasures"].pop(), "expected 6 user countermeasures, found 5"
+        lambda rules, user: (rules, user[:-1]), "expected 6 user countermeasures, found 5"
     ),
     "seven-user-countermeasures": (
-        lambda doc: doc["user_countermeasures"].append("x"), "expected 6 user countermeasures, found 7"
+        lambda rules, user: (rules, user + ("x",)), "expected 6 user countermeasures, found 7"
     ),
 }
 
 
 @pytest.mark.parametrize("edit, message", _MALFORMED.values(), ids=_MALFORMED.keys())
-def test_malformed_document_raises_knowledge_base_error(tmp_path, monkeypatch, edit, message):
+def test_malformed_document_raises_knowledge_base_error(edit, message):
     with pytest.raises(KnowledgeBaseError) as info:
-        _load_text(tmp_path, monkeypatch, _edited(edit))
+        _build_edited(edit)
     assert str(info.value) == message
-
-
-@pytest.mark.parametrize(
-    "text, message",
-    [
-        (json.dumps([_data_doc()]), "knowledge data is list, not dict"),
-        ("{", "knowledge data is not JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
-    ],
-    ids=["document-list", "not-json"],
-)
-def test_a_data_file_that_is_no_json_object_raises_knowledge_base_error(tmp_path, monkeypatch, text, message):
-    with pytest.raises(KnowledgeBaseError) as info:
-        _load_text(tmp_path, monkeypatch, text)
-    assert str(info.value) == message
-
-
-def test_an_unedited_copy_loads_as_the_packaged_file(tmp_path, monkeypatch):
-    assert _load_text(tmp_path, monkeypatch, _edited(lambda doc: None)) == load_knowledge_base()

@@ -52,9 +52,9 @@ CASES = [
         "uncompressed_size=20, local_header_offset=0, flags=0)",
     ),
     (
-        ApkArchive, dict(data=b"PK", entries=(ApkEntry(**_ENTRY),)),
-        "ApkArchive(data=b'PK', entries=(ApkEntry(name='classes.dex', method=8, "
-        "crc32=4660, compressed_size=10, uncompressed_size=20, local_header_offset=0, flags=0),))",
+        ApkArchive, dict(data=b"PK", entries={"classes.dex": ApkEntry(**_ENTRY)}),
+        "ApkArchive(data=b'PK', entries={'classes.dex': ApkEntry(name='classes.dex', method=8, "
+        "crc32=4660, compressed_size=10, uncompressed_size=20, local_header_offset=0, flags=0)})",
     ),
     (ResourceRef, dict(resource_id=0x7F010001), "ResourceRef(resource_id=2130771969)"),
     (
@@ -145,10 +145,10 @@ CASES = [
     ),
 ]
 
-# Not hashable: a KnowledgeBase's lookup table is a dict, a DexImage's
-# invoke columns are lists, an AxmlElement (so an AxmlDocument's root) is
-# mutable and a ScanInput's DEX images are unhashable.
-_UNHASHABLE = (KnowledgeBase, DexImage, AxmlDocument, AxmlElement, ScanInput)
+# Not hashable: an ApkArchive's entries and a KnowledgeBase's lookup table
+# are dicts, a DexImage's invoke columns are lists, an AxmlElement (so an
+# AxmlDocument's root) is mutable and a ScanInput's DEX images are unhashable.
+_UNHASHABLE = (ApkArchive, KnowledgeBase, DexImage, AxmlDocument, AxmlElement, ScanInput)
 
 
 @pytest.mark.parametrize("cls, fields, expected", CASES, ids=[c[0].__name__ for c in CASES])

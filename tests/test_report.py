@@ -3,7 +3,6 @@
 import datetime
 import hashlib
 import json
-import types
 from decimal import ROUND_HALF_UP, Decimal
 
 import pytest
@@ -339,14 +338,19 @@ def test_report_json_edge_shapes():
     assert serialize(report, "json") == (_dumps(_report_doc(report)) + "\n").encode()
 
 
-class _PinnedClock(datetime.datetime):
-    @classmethod
-    def now(cls, tz=None):
-        return datetime.datetime(2024, 1, 1, tzinfo=tz)
+def test_default_timestamp_is_what_datetime_writes_for_now():
+    # time.strftime over time.gmtime writes datetime's isoformat for years 1000-9999.
+    before = datetime.datetime.now(datetime.timezone.utc)
+    stamp = render_report(make_result("a.apk", set())).generated_at
+    after = datetime.datetime.now(datetime.timezone.utc)
+    at = datetime.datetime.fromisoformat(stamp)
+    assert at.isoformat(timespec="seconds") == stamp
+    assert before.isoformat(timespec="seconds") <= stamp <= after.isoformat(timespec="seconds")
+    assert before - datetime.timedelta(seconds=1) < at <= after
 
 
 def _cli_json_report(path, monkeypatch, capsys) -> bytes:
-    monkeypatch.setattr(report_module, "_dt", types.SimpleNamespace(datetime=_PinnedClock, timezone=datetime.timezone))
+    monkeypatch.setattr(report_module, "_utc_now", lambda: "2024-01-01T00:00:00+00:00")
     assert main(["-f", str(path), "--format", "json"]) == 0
     return capsys.readouterr().out.encode("utf-8")
 
