@@ -25,6 +25,7 @@ from .rules import (
     ScanResult,
     Severity,
     evaluate_rule,
+    resolve_facts,
     run_all_rules,
 )
 from .scanner import scan_bytes
@@ -57,6 +58,7 @@ __all__ = [
     "parse_dex",
     "read_entry",
     "render_report",
+    "resolve_facts",
     "run_all_rules",
     "scan_bytes",
     "serialize",

@@ -17,7 +17,7 @@ functions of the scan input, so results are deterministic; findings are
 always merged in rule order.
 
 Every code rule reads one per-scan fact table, ``ScanInput.facts``, and
-``_resolve_facts`` alone builds it, in one pass over each DEX.
+``resolve_facts`` alone builds it, in one pass of ``_dex_facts`` over each DEX.
 ``CODE_TARGETS`` maps a method name to an owner, a shorty and a target key:
 one C-level pass over the method refs picks the ones named in the table, and
 each of those that matches and is invoked is kept. The same pass settles the
@@ -27,8 +27,8 @@ WebView type) and runs the one const back-scan: every call to R07's, R08's
 and R13's targets is kept with the literal that reaches it, and each calling
 body is stepped once however many sites it holds. Other rules read their
 sites through ``_sites``, as plain tuples from the invoke columns and method
-rows, and no rule builds a method body. The first code rule to ask, R01,
-pays for the table, so a per-rule trace shows it there.
+rows, and no rule builds a method body. The scan resolves the facts once,
+before any rule runs, so a per-rule trace charges no rule for them.
 
 Known, accepted imprecision: rules scan bundled third-party code exactly
 like first-party code, R01 matches on method-local co-occurrence rather
@@ -39,7 +39,6 @@ targets.
 from __future__ import annotations
 
 import enum
-import functools
 from itertools import compress, count
 from operator import itemgetter
 from typing import Any, Callable, NamedTuple
@@ -114,7 +113,7 @@ class Rule(NamedTuple):
 
 
 # The code rules' call targets: method name -> (owner, shorty, target key),
-# where None matches any owner or shorty. _resolve_facts resolves them once
+# where None matches any owner or shorty. _dex_facts resolves them once
 # per DEX; names sharing a key have their sites merged in body order.
 CODE_TARGETS: dict[str, tuple[str | None, str | None, str]] = {
     "<init>": ("Landroid/content/Intent;", "VL", "Intent(action)"),  # R01
@@ -136,7 +135,7 @@ CODE_TARGETS: dict[str, tuple[str | None, str | None, str]] = {
 _NAME = itemgetter(1)  # MethodRef.name
 _LITERAL_KEYS = ("WebSettings.setAllowFileAccess", "WebSettings.setJavaScriptEnabled", "Window flags")  # R07, R08, R13
 
-# The facts _resolve_facts adds to the call targets, by key, each with the
+# The facts _dex_facts adds to the call targets, by key, each with the
 # value that set it. "root marker": a ROOT_MARKER_EXACT string of the DEX,
 # else a ROOT_MARKER_SUBSTRINGS one inside one of its strings. "Signature type":
 # the type Landroid/content/pm/Signature;. "webkit type": the first
@@ -150,54 +149,35 @@ class Finding(NamedTuple):
     evidence: tuple[str, ...]
 
 
-class ScanInput:
-    """What the rules read: the manifest model and at least one parsed DEX.
+class ScanInput(NamedTuple):
+    """What the rules read: the manifest model, at least one parsed DEX and their fact table.
 
-    A frozen class, not a named tuple: it caches ``facts`` in its ``__dict__``
-    and refuses an empty ``dexes``. Its DEX images are unhashable, so it is too.
+    ``facts`` is ``resolve_facts(dexes)``; it has no default, so a hand-built
+    input cannot leave the code rules without facts. Its DEX images and its
+    fact table are unhashable, so it is too.
     """
 
-    __slots__ = ("manifest", "dexes", "apk_name", "__dict__")
-
-    def __init__(self, manifest: ManifestModel, dexes: tuple[DexImage, ...], apk_name: str) -> None:
-        if not dexes:
-            raise ValueError("scan input needs at least one DEX image")
-        put = object.__setattr__
-        put(self, "manifest", manifest)
-        put(self, "dexes", dexes)
-        put(self, "apk_name", apk_name)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __repr__(self) -> str:
-        return f"{type(self).__qualname__}(manifest={self.manifest!r}, dexes={self.dexes!r}, apk_name={self.apk_name!r})"
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.manifest, self.dexes, self.apk_name) == (other.manifest, other.dexes, other.apk_name)
-
-    def __reduce__(self):
-        return type(self), (self.manifest, self.dexes, self.apk_name)
-
-    @functools.cached_property
-    def facts(self) -> dict[str, list[tuple[DexImage, Any]]]:
-        """For each fact some DEX holds, ``(dex, value)`` per DEX that holds it, in DEX order.
-
-        A call target's value is its invoked method indices; see ``_resolve_facts``.
-        """
-        resolved: dict[str, list[tuple[DexImage, Any]]] = {}
-        for dex in self.dexes:
-            for key, value in _resolve_facts(dex).items():
-                resolved.setdefault(key, []).append((dex, value))
-        return resolved
+    manifest: ManifestModel
+    dexes: tuple[DexImage, ...]
+    apk_name: str
+    facts: dict[str, list[tuple[DexImage, Any]]]
 
 
-def _resolve_facts(dex: DexImage) -> dict[str, Any]:
+def resolve_facts(dexes: tuple[DexImage, ...]) -> dict[str, list[tuple[DexImage, Any]]]:
+    """For each fact some DEX holds, ``(dex, value)`` per DEX that holds it, in DEX order.
+
+    A call target's value is its invoked method indices; see ``_dex_facts``.
+    """
+    if not dexes:
+        raise ValueError("scan input needs at least one DEX image")
+    resolved: dict[str, list[tuple[DexImage, Any]]] = {}
+    for dex in dexes:
+        for key, value in _dex_facts(dex).items():
+            resolved.setdefault(key, []).append((dex, value))
+    return resolved
+
+
+def _dex_facts(dex: DexImage) -> dict[str, Any]:
     """The facts ``dex`` holds: each invoked target's method indices, ascending, then the DEX-level facts."""
     refs = dex.method_refs
     invoked = dex.invokes.methods  # one character per invoke: chr of the method index it names

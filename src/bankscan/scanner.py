@@ -6,7 +6,7 @@ from .apk import MANIFEST_NAME, dex_entry_names, load_apk, read_entry
 from .axml import decode_axml
 from .dex import parse_dex
 from .manifest import build_manifest_model
-from .rules import ScanInput, ScanResult, run_all_rules
+from .rules import ScanInput, ScanResult, resolve_facts, run_all_rules
 
 
 def scan_bytes(data: bytes, apk_name: str) -> ScanResult:
@@ -17,5 +17,5 @@ def scan_bytes(data: bytes, apk_name: str) -> ScanResult:
         parse_dex(read_entry(archive, name), source_name=name)
         for name in dex_entry_names(archive)
     )
-    return run_all_rules(ScanInput(manifest=manifest, dexes=dexes, apk_name=apk_name))
+    return run_all_rules(ScanInput(manifest, dexes, apk_name, resolve_facts(dexes)))
 

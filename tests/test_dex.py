@@ -63,7 +63,7 @@ OBJECT = "Ljava/lang/Object;"
 
 # --- call-site queries over the invoke columns ----------------------------------
 # The generic queries the scan no longer calls, kept as the tests' way in to
-# the invoke columns: the rules resolve their targets in rules._resolve_facts.
+# the invoke columns: the rules resolve their targets in rules._dex_facts.
 
 
 def _owner_matches(pattern: str, owner: str) -> bool:

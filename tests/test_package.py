@@ -28,6 +28,7 @@ PUBLIC_API = [
     "parse_dex",
     "read_entry",
     "render_report",
+    "resolve_facts",
     "run_all_rules",
     "scan_bytes",
     "serialize",

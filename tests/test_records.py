@@ -4,9 +4,9 @@ Each record prints as ``Name(field=value, ...)``, builds by keyword or by
 position with the same field order and defaults, compares equal to an
 instance with equal fields, and copies and pickles. The named tuples, pinned
 by ``CASES``, also compare equal to and hash like the tuple of their fields;
-the two records that are not tuples, by ``CLASS_CASES``. The three records
+the one record that is not a tuple, by ``CLASS_CASES``. The four records
 that were classes before they became named tuples (``AxmlDocument``,
-``CliConfig`` and ``DexImage``) also keep the class-record checks.
+``CliConfig``, ``DexImage`` and ``ScanInput``) also keep the class-record checks.
 """
 
 import copy
@@ -23,7 +23,7 @@ from bankscan.dex import DexImage, Instruction, MethodBody, MethodRef, _Invokes,
 from bankscan.knowledge import KnowledgeBase, RuleKnowledge
 from bankscan.manifest import ComponentDecl, ManifestModel, PermissionDecl
 from bankscan.report import SCHEMA_VERSION, FleetMatrix, Report
-from bankscan.rules import Finding, RuleId, ScanInput, ScanResult, Severity
+from bankscan.rules import Finding, RuleId, ScanInput, ScanResult, Severity, resolve_facts
 
 _ENTRY = dict(
     name="classes.dex", method=8, crc32=0x1234, compressed_size=10,
@@ -43,6 +43,7 @@ _KNOWLEDGE = dict(
 _CODE = b"\x6e\x10\x00\x00\x00\x00\x0e\x00"
 _ROWS = _Rows(b"\x00" * 4 + struct.pack("<I", len(_CODE) // 2) + _CODE, (0,), (8,), ("LMain;",), (1,))
 _PATHS = {name: Path(name) for name in ("a.apk", "d", "o.txt")}
+_MANIFEST = ManifestModel("com.example", None, None, (), ())
 
 # (record type, its fields in declaration order, repr of that instance)
 CASES = [
@@ -105,6 +106,14 @@ CASES = [
     (
         Finding, _FINDING,
         "Finding(rule=<RuleId.R04: 'R04'>, evidence=('classes.dex: LMain;->run +0x0002',))",
+    ),
+    (
+        ScanInput,
+        dict(manifest=_MANIFEST, dexes=(DexImage((0,), (), ()),), apk_name="a.apk", facts={}),
+        "ScanInput(manifest=ManifestModel(package_name='com.example', target_sdk=None, "
+        "allow_backup=None, components=(), "
+        "declared_permissions=()), dexes=(DexImage(string_ids=(0,), type_names=(), method_refs=(), "
+        "source_name='classes.dex'),), apk_name='a.apk', facts={})",
     ),
     (
         ScanResult, dict(apk_name="a.apk", findings=(Finding(**_FINDING),), rule_vector=(False, True)),
@@ -174,7 +183,7 @@ def test_record_behaviour(cls, fields, expected):
 
 
 def test_every_record_type_is_pinned():
-    assert len({cls for cls, _, _ in CASES}) == 17
+    assert len({cls for cls, _, _ in CASES}) == 18
 
 
 def test_defaults_are_unchanged():
@@ -195,9 +204,7 @@ def test_findings_in_a_set():
     assert other not in {first}
 
 
-# --- the two records that are classes, not tuples ----------------------------
-
-_MANIFEST = ManifestModel("com.example", None, None, (), ())
+# --- the one record that is a class, not a tuple ------------------------------
 
 # (record type, its fields in declaration order, repr of that instance, whether it is frozen)
 CLASS_CASES = [
@@ -212,19 +219,12 @@ CLASS_CASES = [
         "children=[AxmlElement(namespace=None, name='application', attributes=(), children=[])])",
         False,
     ),
-    (
-        ScanInput,
-        dict(manifest=_MANIFEST, dexes=(DexImage((0,), (), ()),), apk_name="a.apk"),
-        "ScanInput(manifest=ManifestModel(package_name='com.example', target_sdk=None, "
-        "allow_backup=None, components=(), "
-        "declared_permissions=()), dexes=(DexImage(string_ids=(0,), type_names=(), method_refs=(), "
-        "source_name='classes.dex'),), apk_name='a.apk')",
-        True,
-    ),
 ]
-# The class cases plus the named tuples that were classes, all three frozen.
+# The class case plus the named tuples that were classes, all four frozen.
 _CLASS_CHECKED = CLASS_CASES + [
-    (cls, fields, expected, True) for cls, fields, expected in CASES if cls in (AxmlDocument, CliConfig, DexImage)
+    (cls, fields, expected, True)
+    for cls, fields, expected in CASES
+    if cls in (AxmlDocument, CliConfig, DexImage, ScanInput)
 ]
 
 
@@ -275,7 +275,7 @@ def test_class_records_copy_and_pickle(cls, fields):
 
 
 def test_every_class_record_type_is_pinned():
-    assert len({cls for cls, *_ in CLASS_CASES}) == 2
+    assert len({cls for cls, *_ in CLASS_CASES}) == 1
 
 
 def test_class_record_defaults():
@@ -303,25 +303,13 @@ def test_a_dex_image_built_from_rows_gives_its_bodies_and_sites():
 
 def test_scan_input_needs_a_dex():
     with pytest.raises(ValueError, match=r"^scan input needs at least one DEX image$"):
-        ScanInput(_MANIFEST, (), "a.apk")
+        ScanInput(_MANIFEST, (), "a.apk", resolve_facts(()))
     with pytest.raises(ValueError, match=r"^scan input needs at least one DEX image$"):
-        ScanInput(manifest=_MANIFEST, dexes=(), apk_name="a.apk")
+        ScanInput(manifest=_MANIFEST, dexes=(), apk_name="a.apk", facts=resolve_facts(()))
 
 
-def test_scan_input_fields_cannot_be_deleted():
-    scan = ScanInput(_MANIFEST, (DexImage(("s",), (), ()),), "a.apk")
-    with pytest.raises(AttributeError) as info:
-        del scan.apk_name
-    assert type(info.value) is AttributeError
-    assert str(info.value) == "cannot delete field 'apk_name'"
-    assert scan.apk_name == "a.apk"
-
-
-def test_cached_properties_are_cached():
+def test_resolve_facts_pairs_each_fact_with_its_dex():
     su_only = _Rows(b"\x02su\x00", (), (), (), ())  # one string, "su", at offset 0
-    scan = ScanInput(_MANIFEST, (DexImage((0,), (), (), rows=su_only),), "a.apk")
-    facts = scan.facts
-    assert facts == {"root marker": [(scan.dexes[0], "su")]}
-    assert scan.facts is facts
-    assert scan.__dict__["facts"] is facts
-    assert scan == ScanInput(_MANIFEST, scan.dexes, "a.apk")
+    dexes = (DexImage((0,), (), (), rows=su_only), DexImage((), (), ()))
+    assert resolve_facts(dexes) == {"root marker": [(dexes[0], "su")]}
+    assert resolve_facts(dexes[1:]) == {}

@@ -10,8 +10,17 @@ from test_dex import _multidex_images, invocations_of, invocations_where, positi
 
 from bankscan import dex as dex_module
 from bankscan import rules as rules_module
+from bankscan import scanner as scanner_module
 from bankscan.dex import DexImage, parse_dex
-from bankscan.fixtures import MethodSketch, build_dex, emit_dex, fleet_profiles, rule_oracle_corpus
+from bankscan.fixtures import (
+    MethodSketch,
+    build_dex,
+    build_manifest_bytes,
+    emit_dex,
+    fleet_profiles,
+    pack_apk,
+    rule_oracle_corpus,
+)
 from bankscan.fixtures.dex_writer import _uleb
 from bankscan.fixtures.profiles import (
     CONTEXT,
@@ -35,8 +44,10 @@ from bankscan.rules import (
     ScanInput,
     Severity,
     evaluate_rule,
+    resolve_facts,
     run_all_rules,
 )
+from bankscan.scanner import scan_bytes
 
 ABSENCE_RULES = {RuleId.R09, RuleId.R12, RuleId.R13, RuleId.R14}
 
@@ -59,11 +70,8 @@ def make_manifest(
 def make_input(sketches=None, manifest=None, extra_dexes=()) -> ScanInput:
     sketches = sketches if sketches is not None else [MethodSketch("noop", [("return-void",)])]
     dex = parse_dex(emit_dex("Ltest/app/Code;", sketches).data)
-    return ScanInput(
-        manifest=manifest or make_manifest(),
-        dexes=(dex, *extra_dexes),
-        apk_name="test.apk",
-    )
+    dexes = (dex, *extra_dexes)
+    return ScanInput(manifest or make_manifest(), dexes, "test.apk", resolve_facts(dexes))
 
 
 def provider(exported=None, permission=None, filters=()):
@@ -432,7 +440,7 @@ def test_backscan_steps_each_body_once_per_call(monkeypatch):
     # const/4 1, and one with 2,000 Window.addFlags sites, the last after
     # FLAG_SECURE. Stepping each body from its start per site would take
     # 2,000 body starts; the back-scan resumes from the previous site, and it
-    # runs once, as the facts resolve, for R07, R08 and R13 together.
+    # runs once, as make_input resolves the facts, for R07, R08 and R13 together.
     js = ("invoke-virtual", [0, 1], (WEBSETTINGS, "setJavaScriptEnabled", ("V", ("Z",))))
     flags = ("invoke-virtual", [0, 1], (WINDOW, "addFlags", ("V", ("I",))))
     configure = [ins for k in range(2000) for ins in (("const4", 1, k % 2), js)]
@@ -448,7 +456,6 @@ def test_backscan_steps_each_body_once_per_call(monkeypatch):
     inp = make_input(
         [MethodSketch("configure", configure + [("return-void",)]), MethodSketch("lock", lock + [("return-void",)])]
     )
-    starts.clear()
     assert "FLAG_SECURE" in inp.facts
     # configure: const/4 and invoke, 8 bytes a pair; lock: const/16 and invoke, 10 bytes a pair.
     assert starts == [2000 * 8 + 2, 2000 * 10 + 2]
@@ -607,8 +614,9 @@ def _near_miss_input():
 def _resolution_inputs():
     images = [parse_dex(build_dex(p).data) for p in rule_oracle_corpus() + fleet_profiles()]
     assert len(images) == 34
-    single = [ScanInput(manifest=make_manifest(), dexes=(image,), apk_name="t.apk") for image in images]
-    multidex = ScanInput(manifest=make_manifest(), dexes=tuple(_multidex_images()), apk_name="m.apk")
+    single = [ScanInput(make_manifest(), (image,), "t.apk", resolve_facts((image,))) for image in images]
+    multidex_dexes = tuple(_multidex_images())
+    multidex = ScanInput(make_manifest(), multidex_dexes, "m.apk", resolve_facts(multidex_dexes))
     return [*single, multidex, _near_miss_input()]
 
 
@@ -651,33 +659,48 @@ def test_near_misses_resolve_as_before():
 
 
 def test_targets_resolve_once_per_dex_per_scan(monkeypatch):
+    # The scan resolves the facts, once per DEX and in DEX order, before any
+    # rule runs; run_all_rules and evaluate_rule only read them.
     resolved = []
-    original = rules_module._resolve_facts
+    original = rules_module._dex_facts
 
     def counting(dex):
         resolved.append(dex.source_name)
         return original(dex)
 
-    monkeypatch.setattr(rules_module, "_resolve_facts", counting)
+    inputs, during_rules = [], []
+
+    def run_rules(scan_input):
+        before = len(resolved)
+        result = run_all_rules(scan_input)
+        inputs.append(scan_input)
+        during_rules.append(len(resolved) - before)
+        return result
+
+    monkeypatch.setattr(rules_module, "_dex_facts", counting)
+    monkeypatch.setattr(scanner_module, "run_all_rules", run_rules)
     every_knob = CodeKnobs(
         implicit_start_service=True, add_javascript_interface=True, get_device_id=True,
         set_javascript_enabled=True, set_allow_file_access=False, root_check_strings=False,
         file_delete=True, signature_check=True, flag_secure=True, installer_check=True,
     )
-    second_dex = emit_dex("Ltest/app/Second;", method_sketches(every_knob)).data
-    second = parse_dex(second_dex, source_name="classes2.dex")
-
-    inp = make_input(method_sketches(every_knob), extra_dexes=(second,))
-    run_all_rules(inp)
-    run_all_rules(inp)
+    sketches = method_sketches(every_knob)
+    apk = pack_apk(
+        [
+            ("AndroidManifest.xml", build_manifest_bytes(fleet_profiles()[0])),
+            ("classes.dex", emit_dex("Ltest/app/Code;", sketches).data),
+            ("classes2.dex", emit_dex("Ltest/app/Second;", sketches).data),
+        ]
+    )
+    result = scan_bytes(apk, "every.apk")
     assert resolved == ["classes.dex", "classes2.dex"]
+    assert during_rules == [0]
 
     resolved.clear()
-    inp = make_input(method_sketches(every_knob), extra_dexes=(second,))
+    [inp] = inputs
     vector = [bool(evaluate_rule(rule, inp)) for rule in RuleId]
-    assert resolved == ["classes.dex", "classes2.dex"]
-    assert vector == list(run_all_rules(inp).rule_vector)
-    assert resolved == ["classes.dex", "classes2.dex"]
+    assert vector == list(run_all_rules(inp).rule_vector) == list(result.rule_vector)
+    assert any(vector) and resolved == []
 
 
 # --- R09 / R12 / R13 / R14 (absence rules) -----------------------------------
@@ -882,7 +905,7 @@ def test_root_marker_fact_agrees_with_loop(items, extra):
     # that would only match across two strings or that lie between string
     # items, and ids that start inside another string.
     image = _string_data_image(items, extra)
-    facts = rules_module._resolve_facts(image)
+    facts = rules_module._dex_facts(image)
     assert facts.get("root marker") == _root_marker_by_loop(string_pool(image))
 
 
@@ -893,7 +916,7 @@ def test_root_marker_search_is_linear_over_marker_hits_between_strings(last):
     # looks back over the run for its NUL took about a minute.
     image = _string_data_image(["a", b"superuser" * 450_000, "b" * 300, last])
     started = time.perf_counter()
-    facts = rules_module._resolve_facts(image)
+    facts = rules_module._dex_facts(image)
     elapsed = time.perf_counter() - started
     assert facts.get("root marker") == ("superuser" if "superuser" in last else None)
     assert elapsed < 0.25
@@ -903,8 +926,6 @@ def test_root_marker_search_is_linear_over_marker_hits_between_strings(last):
 
 
 def test_run_all_rules_vector_consistency(corpus):
-    from bankscan.scanner import scan_bytes
-
     for profile, data in corpus[:8]:
         result = scan_bytes(data, profile.name)
         rules_with_findings = {f.rule for f in result.findings}
@@ -914,7 +935,7 @@ def test_run_all_rules_vector_consistency(corpus):
 
 
 def _scan_input(data, apk_name):
-    """The ``ScanInput`` that ``scan_bytes`` hands to ``run_all_rules``."""
+    """The ``ScanInput`` that ``scan_bytes`` hands to ``run_all_rules``, built by hand."""
     from bankscan.apk import MANIFEST_NAME, dex_entry_names, load_apk, read_entry
     from bankscan.axml import decode_axml
     from bankscan.manifest import build_manifest_model
@@ -922,13 +943,16 @@ def _scan_input(data, apk_name):
     archive = load_apk(data)
     manifest = build_manifest_model(decode_axml(read_entry(archive, MANIFEST_NAME)))
     dexes = tuple(parse_dex(read_entry(archive, name), source_name=name) for name in dex_entry_names(archive))
-    return ScanInput(manifest=manifest, dexes=dexes, apk_name=apk_name)
+    return ScanInput(manifest, dexes, apk_name, resolve_facts(dexes))
 
 
 def test_run_all_rules_agrees_with_evaluate_rule_in_rule_order(corpus, fleet):
     assert tuple(RULES) == tuple(RuleId)
-    inputs = [_scan_input(data, profile.name) for profile, data in corpus + fleet]
+    apps = corpus + fleet
+    inputs = [_scan_input(data, profile.name) for profile, data in apps]
     assert len(inputs) == 34
+    # The hand-built pipeline is the scanner's own.
+    assert [run_all_rules(inp) for inp in inputs] == [scan_bytes(data, profile.name) for profile, data in apps]
     for inp in [*inputs, _lookup_rules_input(50)]:
         expected = tuple(finding for rule in RuleId for finding in evaluate_rule(rule, inp))
         assert run_all_rules(inp).findings == expected, inp.apk_name
@@ -962,8 +986,10 @@ def test_absence_findings_carry_exactly_one_absence_evidence():
 
 
 def test_scan_input_requires_dexes():
-    with pytest.raises(ValueError):
-        ScanInput(manifest=make_manifest(), dexes=(), apk_name="x")
+    with pytest.raises(ValueError) as info:
+        ScanInput(manifest=make_manifest(), dexes=(), apk_name="x", facts=resolve_facts(()))
+    assert type(info.value) is ValueError
+    assert str(info.value) == "scan input needs at least one DEX image"
 
 
 def test_severity_order_total():
