@@ -28,9 +28,10 @@ owner and last method. The rows and the invoke columns are all a
 ``DexImage`` holds; ``bodies()`` builds each ``MethodBody`` from them as it
 is read and keeps none, and a scan never calls it.
 
-An invoke costs two list appends: the code unit it starts at and its body's
-ordinal. After the last body, the method index of every invoke is read in
-one pass over a 16-bit view of the file and checked with one ``max``; if
+An invoke costs one list append, the code unit it starts at, and a method
+entry one more: the invoke row its body starts at, so a row's body is found
+by bisection. After the last body, the method index of every invoke is read
+in one pass over a 16-bit view of the file and checked with one ``max``; if
 another error stops the parse first, the invokes recorded so far are
 checked before it is raised, so the first invoke that names no method still
 wins. The indices are kept as a string, one character per invoke, so the
@@ -174,13 +175,11 @@ OPCODE_FORMATS: tuple[str, ...] = _build_format_table()
 # Width in code units per opcode byte, read once per instruction.
 _OP_UNITS: tuple[int, ...] = tuple(_FORMAT_UNITS[f] for f in OPCODE_FORMATS)
 
+# A nop (opcode 0x00) code unit starts a payload when its high byte is 1, 2 or
+# 3 (packed-switch, sparse-switch or fill-array-data), so the walks test it as
+# ``0 < high < 4``; ``_payload_units`` tells the three apart.
 _PACKED_SWITCH_IDENT = 0x0100
 _SPARSE_SWITCH_IDENT = 0x0200
-_FILL_ARRAY_IDENT = 0x0300
-# High byte of a nop (opcode 0x00) code unit that starts a payload.
-_PAYLOAD_HIGH_BYTES = (
-    _PACKED_SWITCH_IDENT >> 8, _SPARSE_SWITCH_IDENT >> 8, _FILL_ARRAY_IDENT >> 8
-)
 
 # The walk's table: one byte per opcode, its width in code units, or a marker
 # above every width for the two opcodes whose width alone does not settle the
@@ -231,12 +230,15 @@ class MethodBody(NamedTuple):
 class _Invokes(NamedTuple):
     """Every invoke of one DEX as columns, one row per invoke in body order, then stream order.
 
-    No position is kept: a site's byte offset is twice its unit less its body's ``code_starts`` byte.
+    ``methods`` and ``units`` hold one entry per invoke, ``firsts`` one per
+    body, so row r's body is ``bisect_right(firsts, r) - 1``. No position is
+    kept: a site's byte offset is twice its unit less its body's
+    ``code_starts`` byte.
     """
 
     methods: str        # character r is chr(the method index row r names), for str.find
-    places: list[int]   # its body's ordinal
-    units: list[int]    # the code unit it starts at: unit u is bytes 2u and 2u + 1 of the DEX
+    firsts: list[int]   # per body: the row its invokes start at, which the next body shares if it has none
+    units: list[int]    # per invoke: the code unit it starts at; unit u is bytes 2u and 2u + 1 of the DEX
 
 
 _NO_INVOKES = _Invokes("", [], [])
@@ -370,14 +372,16 @@ def parse_dex(data: bytes, source_name: str = "classes.dex") -> DexImage:
             name = text[off] = name if name.isascii() else data[start:end].decode("utf-8", "replace")
         type_names.append(name)
 
-    proto_shorties = _parse_protos(data, proto_ids_off, proto_ids_size, string_ids, text, chars, len(type_names))
-    _validate_fields(data, field_ids_off, field_ids_size, len(type_names), string_count)
+    type_count = len(type_names)
+    proto_shorties = _parse_protos(data, proto_ids_off, proto_ids_size, string_ids, text, chars, type_count)
+    _validate_fields(data, field_ids_off, field_ids_size, type_count, string_count)
 
     method_refs = []
     make = tuple.__new__  # skips NamedTuple.__new__'s per-field argument binding
     method_ids = data[method_ids_off : method_ids_off + 8 * method_ids_size]
+    proto_count = len(proto_shorties)
     for i, (class_idx, proto_idx, name_idx) in enumerate(struct.iter_unpack("<HHI", method_ids)):
-        if class_idx >= len(type_names) or proto_idx >= len(proto_shorties) or name_idx >= string_count:
+        if class_idx >= type_count or proto_idx >= proto_count or name_idx >= string_count:
             raise SectionOutOfBoundsError(f"method_id {i} has out-of-range indices")
         off = string_ids[name_idx]
         name = text.get(off)
@@ -396,7 +400,7 @@ def parse_dex(data: bytes, source_name: str = "classes.dex") -> DexImage:
         raise
 
     rows = make(_Rows, (data, tuple(walk.refs), tuple(walk.code_starts), tuple(walk.owners), tuple(walk.class_ends)))
-    invokes = make(_Invokes, (walk.methods(method_refs), walk.places, walk.units))
+    invokes = make(_Invokes, (walk.methods(method_refs), walk.firsts, walk.units))
     return make(DexImage, (string_ids, tuple(type_names), tuple(method_refs), source_name, rows, invokes))
 
 
@@ -520,17 +524,18 @@ class _Walk:
     in one loop, the only one that steps instructions. It builds no
     ``MethodBody``: a method is one row of ``refs`` and ``code_starts``, and
     a class one row of ``owners`` and ``class_ends``, which ``DexImage``
-    keeps as its rows. An invoke costs two appends, its unit and its body's
-    ordinal; no position is counted. ``methods`` then reads every invoke's
-    method index in one pass and checks them all at once.
+    keeps as its rows. An invoke costs one append, its unit, and a method
+    entry one more, to ``firsts``, the invoke row its body starts at; no
+    position is counted. ``methods`` then reads every invoke's method index
+    in one pass and checks them all at once.
     """
 
-    __slots__ = ("data", "units", "places", "refs", "code_starts", "owners", "class_ends")
+    __slots__ = ("data", "units", "firsts", "refs", "code_starts", "owners", "class_ends")
 
     def __init__(self, data: bytes):
         self.data = data
         self.units: list[int] = []
-        self.places: list[int] = []
+        self.firsts: list[int] = []
         self.refs: list[int] = []
         self.code_starts: list[int] = []
         self.owners: list[str] = []
@@ -553,10 +558,9 @@ class _Walk:
         n = len(data)
         steps = data[: n & ~1 : 2].translate(_WALK_WIDTHS)
         units = self.units
-        places = self.places
         refs = self.refs
         append_unit = units.append
-        append_place = places.append
+        append_first = self.firsts.append
         append_ref = refs.append
         append_code_start = self.code_starts.append
         class_ends = self.class_ends
@@ -627,10 +631,10 @@ class _Walk:
                             raise SectionOutOfBoundsError(f"instruction stream of {owner}->{name} overruns file")
                     else:
                         start = stop = 0  # no code
-                    ordinal = len(refs)
                     # recorded before the walk, so a failure can name an earlier invoke's body
                     append_ref(method_idx)
                     append_code_start(start)
+                    append_first(len(units))
                     end = stop >> 1
                     unit = start >> 1
                     while unit < end:
@@ -639,8 +643,7 @@ class _Walk:
                             if step == _INVOKE_MARK:
                                 step = 3  # formats 35c and 3rc alike
                                 append_unit(unit)
-                                append_place(ordinal)
-                            elif data[2 * unit + 1] in _PAYLOAD_HIGH_BYTES:
+                            elif 0 < data[2 * unit + 1] < 4:
                                 step = _payload_units(data, 2 * unit, stop, owner, method_refs[method_idx].name)
                             else:
                                 step = 1  # a plain nop
@@ -649,7 +652,6 @@ class _Walk:
                         unit -= step
                         if steps[unit] == _INVOKE_MARK:  # an overrunning invoke names nothing to check
                             units.pop()
-                            places.pop()
                         name = method_refs[method_idx].name
                         raise SectionOutOfBoundsError(
                             f"instruction 0x{data[2 * unit]:02x} at +{2 * unit - start:#x} overruns {owner}->{name}"
@@ -673,7 +675,7 @@ class _Walk:
         method_count = len(method_refs)
         if methods and max(methods) >= method_count:
             row = next(row for row, index in enumerate(methods) if index >= method_count)
-            place = self.places[row]
+            place = bisect_right(self.firsts, row) - 1
             owner = self.owners[bisect_right(self.class_ends, place)]
             raise SectionOutOfBoundsError(
                 f"invoke in {owner}->{method_refs[self.refs[place]].name} names method {methods[row]}, "
@@ -693,7 +695,7 @@ def _decode_instructions(code: bytes, owner: str, name: str) -> tuple[Instructio
     n = len(code)
     while pos < n:
         op = code[pos]
-        if op == 0x00 and code[pos + 1] in _PAYLOAD_HIGH_BYTES:
+        if op == 0x00 and 0 < code[pos + 1] < 4:
             units = _payload_units(code, pos, n, owner, name)
         else:
             units = _OP_UNITS[op]
@@ -721,7 +723,7 @@ def _sites_of(dex: DexImage, targets: list[int]) -> list[_Site]:
     is read from the method and class rows, and nothing is built for a site
     but its tuple.
     """
-    methods, places, units = dex.invokes
+    methods, firsts, units = dex.invokes
     refs = dex.method_refs
     _, body_refs, code_starts, owners, class_ends = dex.rows
     sites = []
@@ -730,7 +732,7 @@ def _sites_of(dex: DexImage, targets: list[int]) -> list[_Site]:
         char = chr(i)
         row = methods.find(char)
         while row >= 0:
-            place = places[row]
+            place = bisect_right(firsts, row) - 1
             owner, name = owners[bisect_right(class_ends, place)], refs[body_refs[place]].name
             sites.append((owner, name, callee, 2 * units[row] - code_starts[place], place))
             row = methods.find(char, row + 1)
@@ -846,7 +848,7 @@ def _literals_reaching(dex: DexImage, sites: Iterable[_Site], max_lookback: int 
                 if code[pos]:
                     last = index
                     last_pos = pos
-                elif code[pos + 1] in _PAYLOAD_HIGH_BYTES:
+                elif 0 < code[pos + 1] < 4:
                     step = 2 * _payload_units(code, pos, len(code), owner, name)
             pos += step
             index += 1

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bankscan import scanner
 from bankscan.apk import (
     CrcMismatchError,
     EntryNotFoundError,
@@ -28,6 +29,7 @@ from bankscan.apk import (
     read_entry,
 )
 from bankscan.cli import main
+from bankscan.dex import parse_dex
 from bankscan.fixtures import pack_apk
 
 MANIFEST_STUB = struct.pack("<HHI", 0x0003, 8, 8)  # just the AXML chunk tag
@@ -319,6 +321,33 @@ def test_dex_entry_names_numeric_order():
             key=lambda n: 1 if n == "classes.dex" else int(n[len("classes"):-4]),
         )
     assert dex_entry_names(archive) == reference
+
+
+def test_multidex_names_tied_on_number_scan_in_archive_order(clean_apk, monkeypatch):
+    # Today classes1.dex sorts as number 1 beside classes.dex, and
+    # classes02.dex as number 2 beside classes2.dex; the sort is stable, so
+    # within a tie the scan takes the entries in the archive's order.
+    _, apk = clean_apk
+    archive = load_apk(apk)
+    manifest, dex = read_entry(archive, "AndroidManifest.xml"), read_entry(archive, "classes.dex")
+    names = ["classes02.dex", "classes2.dex", "classes1.dex", "classes.dex"]
+    expected = {
+        tuple(names): ["classes1.dex", "classes.dex", "classes02.dex", "classes2.dex"],
+        tuple(names[::-1]): ["classes.dex", "classes1.dex", "classes2.dex", "classes02.dex"],
+    }
+    parsed = []
+
+    def recording_parse(data, source_name="classes.dex"):
+        parsed.append(source_name)
+        return parse_dex(data, source_name=source_name)
+
+    monkeypatch.setattr(scanner, "parse_dex", recording_parse)
+    for order, scan_order in expected.items():
+        data = pack_apk([("AndroidManifest.xml", manifest)] + [(name, dex) for name in order])
+        assert dex_entry_names(load_apk(data)) == scan_order
+        parsed.clear()
+        scanner.scan_bytes(data, "tied.apk")
+        assert parsed == scan_order
 
 
 def test_dex_name_with_a_trailing_newline_is_not_dex(tmp_path, capsys):

@@ -7,6 +7,7 @@ cross-check section counts.
 
 import copy
 import functools
+from bisect import bisect_right
 import gc
 import hashlib
 import json
@@ -117,6 +118,12 @@ def literal_reaching(image, site, max_lookback=dex_module.DEFAULT_LOOKBACK):
     return dex_module._literals_reaching(image, [site], max_lookback)[0]
 
 
+def row_places(image):
+    """The body ordinal of every invoke row, found in ``invokes.firsts`` by bisection."""
+    firsts = image.invokes.firsts
+    return [bisect_right(firsts, row) - 1 for row in range(len(image.invokes.units))]
+
+
 def call_sites(image):
     """Each invoked method index, in first-call order, with its sites in body order.
 
@@ -124,7 +131,7 @@ def call_sites(image):
     body.code): the ordinal is read from the invoke columns, and the position
     and offset are what ``_sites_of`` derives from them.
     """
-    methods, places = image.invokes.methods, image.invokes.places
+    methods, places = image.invokes.methods, row_places(image)
     sites = {}
     every = sites_of(image, sorted(set(map(ord, methods))))  # one site per row, in row order
     for char, ordinal, site in zip(methods, places, every, strict=True):
@@ -868,8 +875,8 @@ def test_bodies_of_every_class_are_built_from_their_rows(rows_artifact):
     targets = sorted(set(map(ord, image.invokes.methods)))
     sites = sites_of(image, targets)  # callers read from the rows
     assert [site.owner for site in sites] == [owner] * (len(sites) // 2) + [other] * (len(sites) // 2)
-    assert [site.place for site in sites] == image.invokes.places
-    assert [(site.owner, site.name) for site in sites] == [(bodies[p].owner, bodies[p].name) for p in image.invokes.places]
+    assert [site.place for site in sites] == row_places(image)
+    assert [(site.owner, site.name) for site in sites] == [(bodies[p].owner, bodies[p].name) for p in row_places(image)]
     assert list(image.bodies()) == bodies and sites_of(image, targets) == sites  # reading the bodies kept nothing
 
 
@@ -879,7 +886,7 @@ def test_a_method_gives_one_body_whichever_read_comes_first(rows_artifact, first
     # the bodies grouped by class, and bodies() itself. None stores anything
     # on the image, so the order of the reads changes nothing.
     image = parse_dex(bytes(_three_class_dex(rows_artifact)[2]))
-    methods, places = image.invokes.methods, image.invokes.places
+    methods, places = image.invokes.methods, row_places(image)
     begins = (0, *image.rows.class_ends)
     reads = {
         "sites": lambda: sites_of(image, sorted(set(map(ord, methods)))),
@@ -921,6 +928,59 @@ def test_undefined_invoke_names_its_owner_past_an_empty_class(rows_artifact):
     _dex_raises(
         data, SectionOutOfBoundsError, f"invoke in {owner}->m1 names method {method_count}, only {method_count} defined"
     )
+
+
+def test_invoke_columns_hold_a_row_per_invoke_and_a_first_row_per_body(rows_artifact):
+    # methods and units hold one entry per invoke and firsts one per body; the
+    # body that bisection finds for a row is the one whose decoded
+    # instructions hold that invoke, at that offset, naming that method.
+    dexes = [build_dex(p).data for p in rule_oracle_corpus() + fleet_profiles()]
+    dexes.append(emit_dex("Lfixture/bulk/Part;", _bulk_sketches(300)).data)
+    dexes.append(bytes(_three_class_dex(rows_artifact)[2]))  # an empty class and bodies with no invoke
+    for data in dexes:
+        image = parse_dex(data)
+        methods, firsts, units = image.invokes
+        bodies = list(image.bodies())
+        held = [
+            (place, ins.offset, ins.method_index)
+            for place, body in enumerate(bodies)
+            for ins in body.instructions
+            if ins.method_index is not None
+        ]
+        assert len(methods) == len(units) == len(held)
+        assert len(firsts) == len(bodies) == len(image.rows.refs)
+        assert firsts[:1] in ([], [0]) and all(a <= b for a, b in zip(firsts, firsts[1:]))
+        code_starts = image.rows.code_starts
+        found = [bisect_right(firsts, row) - 1 for row in range(len(units))]
+        assert [(p, 2 * u - code_starts[p], ord(c)) for p, u, c in zip(found, units, methods)] == held
+
+
+def test_big_endian_index_read_gives_the_same_images_and_errors(monkeypatch, rows_artifact):
+    # memoryview.cast reads native order, so a big-endian host reads the
+    # invoke indices through struct.unpack instead; x86 hosts never take it.
+    good = [build_dex(p).data for p in rule_oracle_corpus() + fleet_profiles()]
+    _, _, empty_class = _three_class_dex(rows_artifact)
+    first_invoke = parse_dex(bytes(empty_class)).invokes.units[0]
+    struct.pack_into("<H", empty_class, 2 * first_invoke + 2, _u32(empty_class, 0x58))
+    bad = [
+        bytes(empty_class),
+        _order_dex(_bad_invoke_in_a),
+        _order_dex(_bad_invoke_in_a, _overrun_in_a),  # one invoke recorded when the walk stops
+        _order_dex(_second_bad_invoke_in_b),
+    ]
+
+    def outcomes():
+        errors = []
+        for data in bad:
+            with pytest.raises(DexError) as info:
+                parse_dex(data)
+            errors.append((type(info.value), str(info.value)))
+        return [parse_dex(data) for data in good], errors
+
+    native = outcomes()
+    assert all(cls is SectionOutOfBoundsError and " names method " in message for cls, message in native[1])
+    monkeypatch.setattr(dex_module, "_LITTLE_ENDIAN", False)
+    assert outcomes() == native
 
 
 def _padded_invoke_sketch(pad_count: int, literal: int = 1):
