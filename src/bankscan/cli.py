@@ -35,8 +35,8 @@ USAGE = f"""usage: {PROG} [options] [apk ...]
 
 modes (choose one):
   -f, --file APK     scan a single APK and print its report
-      --dir PATH     scan every *.apk under PATH (batch); may combine with
-                     positional apk arguments
+      --dir PATH     scan every *.apk directly in PATH (batch); may combine
+                     with positional apk arguments
       --matrix       emit the apps-by-rules fleet matrix instead of reports
                      (inputs as for batch mode)
   -h, --help         show this help

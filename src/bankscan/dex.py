@@ -7,8 +7,11 @@ fields, methods) are each range-checked once against the file and then read
 in bulk, not one entry at a time. Every string id is checked, with a few
 C-level calls unless one fails, and kept as its string_data offset; a
 string is decoded only when a type id, a proto's shorty or a method's name
-names it, once per distinct offset. ``_string_marker`` searches the raw
-string data for ASCII needles without decoding a string. ``parse_dex`` then
+names it, once per distinct offset. Method ids build no record: each is a
+name in one column and its 8 raw bytes in another, and ``method_ref``
+builds a ``MethodRef`` only for the callee of a call site.
+``_string_marker`` searches the raw string data for ASCII needles without
+decoding a string. ``parse_dex`` then
 reads every class_data, method entry and instruction stream of the DEX in
 one loop, its locals bound once per DEX, so every instruction's width,
 every payload and every invoke target is checked at parse time, but it
@@ -24,9 +27,10 @@ off that boundary raises ``MisalignedCodeItemError``. Every body, with or
 without a payload, takes that one path.
 The walk builds no ``MethodBody``: each method is a row of per-DEX columns
 (its method index and where its stream starts) and each class a row of its
-owner and last method. The rows and the invoke columns are all a
-``DexImage`` holds; ``bodies()`` builds each ``MethodBody`` from them as it
-is read and keeps none, and a scan never calls it.
+owner and last method. The id tables, the method id columns, the rows and
+the invoke columns are all a ``DexImage`` holds; ``bodies()`` builds each
+``MethodBody`` from them as it is read and keeps none, and a scan never
+calls it.
 
 An invoke costs one list append, the code unit it starts at, and a method
 entry one more: the invoke row its body starts at, so a row's body is found
@@ -38,7 +42,8 @@ wins. The indices are kept as a string, one character per invoke, so the
 rules find the invokes of the method ids they want with ``str.find``.
 ``_sites_of`` reads a site as a plain tuple (caller owner and name, callee,
 byte offset, caller ordinal) from those columns and the method and class
-rows, counting no position and building no record or body.
+rows, counting no position and building no record or body but one
+``MethodRef`` per target.
 ``MethodBody.instructions`` decodes ``Instruction`` records from a body's
 validated bytes on each read; a scan never reads them. The const
 back-scan, ``_literals_reaching``, reads a calling body's code by its
@@ -262,16 +267,36 @@ def _code_at(data: bytes, start: int) -> bytes:
     return data[start : start + 2 * _U32.unpack_from(data, start - 4)[0]] if start else b""
 
 
-class DexImage(NamedTuple):
-    """One parsed DEX: its id tables, its method and class rows and its invoke columns.
+# A method id's class_idx and proto_idx, the first 4 of its 8 bytes.
+_CLASS_AND_PROTO = struct.Struct("<HH")
 
-    ``repr`` leaves out the rows and the invokes, so it prints no DEX bytes.
-    The invoke columns are lists, so an image is not hashable.
+
+class _Methods(NamedTuple):
+    """A parsed DEX's method ids as columns: no record is built per id.
+
+    ``repr`` leaves out ``ids``, so it prints no DEX bytes.
+    """
+
+    names: tuple[str, ...]     # per method id: its name
+    ids: bytes                 # the method_ids section, 8 bytes per id, every index checked
+    shorties: tuple[str, ...]  # per proto id: its shorty
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(names={self.names!r}, shorties={self.shorties!r})"
+
+
+class DexImage(NamedTuple):
+    """One parsed DEX: its id tables, its method id columns, its method and class rows and its invoke columns.
+
+    A ``MethodRef`` is not kept per method id; ``method_ref`` builds one on
+    demand. ``repr`` leaves out the method ids' bytes, the rows and the
+    invokes, so it prints no DEX bytes. The invoke columns are lists, so an
+    image is not hashable.
     """
 
     string_ids: tuple[int, ...]  # per string id: its string_data offset, checked
     type_names: tuple[str, ...]
-    method_refs: tuple[MethodRef, ...]
+    methods: _Methods
     source_name: str = "classes.dex"
     rows: _Rows = _NO_ROWS
     invokes: _Invokes = _NO_INVOKES
@@ -279,16 +304,24 @@ class DexImage(NamedTuple):
     def __repr__(self) -> str:
         return (
             f"{type(self).__qualname__}(string_ids={self.string_ids!r}, type_names={self.type_names!r}, "
-            f"method_refs={self.method_refs!r}, source_name={self.source_name!r})"
+            f"methods={self.methods!r}, source_name={self.source_name!r})"
         )
+
+    def method_ref(self, i: int) -> MethodRef:
+        """Method id ``i`` as a ``MethodRef``, built from the columns on each call."""
+        names, ids, shorties = self.methods
+        name = names[i]  # an IndexError past the last id, before its bytes are read
+        class_idx, proto_idx = _CLASS_AND_PROTO.unpack_from(ids, 8 * i)
+        return MethodRef(self.type_names[class_idx], name, shorties[proto_idx])
 
     def bodies(self) -> Iterator[MethodBody]:
         """Every method body, class by class, each built from the rows as it is read; none is kept."""
         data, refs, code_starts, owners, class_ends = self.rows
+        names = self.methods.names
         begin = 0
         for owner, end in zip(owners, class_ends):
             for place in range(begin, end):
-                yield MethodBody(owner, self.method_refs[refs[place]].name, _code_at(data, code_starts[place]))
+                yield MethodBody(owner, names[refs[place]], _code_at(data, code_starts[place]))
             begin = end
 
 
@@ -376,8 +409,7 @@ def parse_dex(data: bytes, source_name: str = "classes.dex") -> DexImage:
     proto_shorties = _parse_protos(data, proto_ids_off, proto_ids_size, string_ids, text, chars, type_count)
     _validate_fields(data, field_ids_off, field_ids_size, type_count, string_count)
 
-    method_refs = []
-    make = tuple.__new__  # skips NamedTuple.__new__'s per-field argument binding
+    names = []
     method_ids = data[method_ids_off : method_ids_off + 8 * method_ids_size]
     proto_count = len(proto_shorties)
     for i, (class_idx, proto_idx, name_idx) in enumerate(struct.iter_unpack("<HHI", method_ids)):
@@ -390,18 +422,20 @@ def parse_dex(data: bytes, source_name: str = "classes.dex") -> DexImage:
             end = data.find(0, start)
             name = chars[start:end]
             name = text[off] = name if name.isascii() else data[start:end].decode("utf-8", "replace")
-        method_refs.append(make(MethodRef, (type_names[class_idx], name, proto_shorties[proto_idx])))
+        names.append(name)
 
     walk = _Walk(data)
     try:
-        walk.classes(data[class_defs_off : class_defs_off + 32 * class_defs_size], type_names, method_refs)
+        walk.classes(data[class_defs_off : class_defs_off + 32 * class_defs_size], type_names, names)
     except DexError:
-        walk.methods(method_refs)  # an undefined invoke recorded before the failure comes first
+        walk.methods(names)  # an undefined invoke recorded before the failure comes first
         raise
 
+    make = tuple.__new__  # skips NamedTuple.__new__'s per-field argument binding
+    methods = make(_Methods, (tuple(names), method_ids, tuple(proto_shorties)))
     rows = make(_Rows, (data, tuple(walk.refs), tuple(walk.code_starts), tuple(walk.owners), tuple(walk.class_ends)))
-    invokes = make(_Invokes, (walk.methods(method_refs), walk.firsts, walk.units))
-    return make(DexImage, (string_ids, tuple(type_names), tuple(method_refs), source_name, rows, invokes))
+    invokes = make(_Invokes, (walk.methods(names), walk.firsts, walk.units))
+    return make(DexImage, (string_ids, tuple(type_names), methods, source_name, rows, invokes))
 
 
 def _parse_strings(data: bytes, off: int, count: int) -> tuple[int, ...]:
@@ -541,7 +575,7 @@ class _Walk:
         self.owners: list[str] = []
         self.class_ends: list[int] = []
 
-    def classes(self, class_defs: bytes, type_names: list[str], method_refs: list[MethodRef]) -> None:
+    def classes(self, class_defs: bytes, type_names: list[str], names: list[str]) -> None:
         """One class row per 32-byte class_def, and one method row per method entry, whose body is then walked.
 
         The usual method entry (one-byte ULEB128s and a code_off of up to
@@ -565,7 +599,7 @@ class _Walk:
         append_code_start = self.code_starts.append
         class_ends = self.class_ends
         u32 = _U32.unpack_from
-        ref_count = len(method_refs)
+        method_count = len(names)
         # class_idx and class_data_off of each 32-byte class_def
         for i, (class_idx, class_data_off) in enumerate(struct.iter_unpack("<I20xI4x", class_defs)):
             if class_idx >= len(type_names):
@@ -613,22 +647,21 @@ class _Walk:
                     except IndexError:  # a ULEB128 that starts past the end of the file
                         raise MalformedUleb128Error(f"uleb128 truncated at offset {pos:#x}") from None
                     method_idx += diff
-                    if method_idx >= ref_count:
+                    if method_idx >= method_count:
                         raise SectionOutOfBoundsError(f"class_data of {owner} references method {method_idx}")
                     if code_off:
                         if code_off + 16 > n:
-                            name = method_refs[method_idx].name
-                            raise SectionOutOfBoundsError(f"code_item of {owner}->{name} at {code_off:#x}")
+                            raise SectionOutOfBoundsError(f"code_item of {owner}->{names[method_idx]} at {code_off:#x}")
                         if code_off & 3:
-                            name = method_refs[method_idx].name
                             raise MisalignedCodeItemError(
-                                f"code_item of {owner}->{name} at {code_off:#x} is not 4-byte aligned"
+                                f"code_item of {owner}->{names[method_idx]} at {code_off:#x} is not 4-byte aligned"
                             )
                         start = code_off + 16
                         stop = start + 2 * u32(data, code_off + 12)[0]
                         if stop > n:
-                            name = method_refs[method_idx].name
-                            raise SectionOutOfBoundsError(f"instruction stream of {owner}->{name} overruns file")
+                            raise SectionOutOfBoundsError(
+                                f"instruction stream of {owner}->{names[method_idx]} overruns file"
+                            )
                     else:
                         start = stop = 0  # no code
                     # recorded before the walk, so a failure can name an earlier invoke's body
@@ -644,7 +677,7 @@ class _Walk:
                                 step = 3  # formats 35c and 3rc alike
                                 append_unit(unit)
                             elif 0 < data[2 * unit + 1] < 4:
-                                step = _payload_units(data, 2 * unit, stop, owner, method_refs[method_idx].name)
+                                step = _payload_units(data, 2 * unit, stop, owner, names[method_idx])
                             else:
                                 step = 1  # a plain nop
                         unit += step
@@ -652,16 +685,16 @@ class _Walk:
                         unit -= step
                         if steps[unit] == _INVOKE_MARK:  # an overrunning invoke names nothing to check
                             units.pop()
-                        name = method_refs[method_idx].name
                         raise SectionOutOfBoundsError(
-                            f"instruction 0x{data[2 * unit]:02x} at +{2 * unit - start:#x} overruns {owner}->{name}"
+                            f"instruction 0x{data[2 * unit]:02x} at +{2 * unit - start:#x} "
+                            f"overruns {owner}->{names[method_idx]}"
                         )
             class_ends.append(len(refs))
 
-    def methods(self, method_refs: list[MethodRef]) -> str:
+    def methods(self, names: list[str]) -> str:
         """``_Invokes.methods``: the method index each recorded invoke names, all checked at once.
 
-        The first invoke that names a method past ``method_refs`` raises,
+        The first invoke that names a method past ``names`` raises,
         with the owner and name of its body, read from the rows.
         """
         data = self.data
@@ -672,13 +705,13 @@ class _Walk:
         units = self.units
         # itemgetter gathers in one call, but returns a bare item for a single unit.
         methods = itemgetter(*units)(words) if len(units) > 1 else [words[u] for u in units]
-        method_count = len(method_refs)
+        method_count = len(names)
         if methods and max(methods) >= method_count:
             row = next(row for row, index in enumerate(methods) if index >= method_count)
             place = bisect_right(self.firsts, row) - 1
             owner = self.owners[bisect_right(self.class_ends, place)]
             raise SectionOutOfBoundsError(
-                f"invoke in {owner}->{method_refs[self.refs[place]].name} names method {methods[row]}, "
+                f"invoke in {owner}->{names[self.refs[place]]} names method {methods[row]}, "
                 f"only {method_count} defined"
             )
         if len(methods) < 16:  # a few chr calls cost less than packing
@@ -721,19 +754,19 @@ def _sites_of(dex: DexImage, targets: list[int]) -> list[_Site]:
     class and name, the method it calls, the invoke's byte offset in the
     caller's code and the caller's ordinal in ``bodies()`` order. The caller
     is read from the method and class rows, and nothing is built for a site
-    but its tuple.
+    but its tuple; the callee is one ``MethodRef`` per target.
     """
     methods, firsts, units = dex.invokes
-    refs = dex.method_refs
+    names = dex.methods.names
     _, body_refs, code_starts, owners, class_ends = dex.rows
     sites = []
     for i in targets:
-        callee = refs[i]
+        callee = dex.method_ref(i)
         char = chr(i)
         row = methods.find(char)
         while row >= 0:
             place = bisect_right(firsts, row) - 1
-            owner, name = owners[bisect_right(class_ends, place)], refs[body_refs[place]].name
+            owner, name = owners[bisect_right(class_ends, place)], names[body_refs[place]]
             sites.append((owner, name, callee, 2 * units[row] - code_starts[place], place))
             row = methods.find(char, row + 1)
     if len(targets) > 1:

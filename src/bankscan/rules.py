@@ -19,13 +19,15 @@ always merged in rule order.
 Every code rule reads one per-scan fact table, ``ScanInput.facts``, and
 ``resolve_facts`` alone builds it, in one pass of ``_dex_facts`` over each DEX.
 ``CODE_TARGETS`` maps a method name to an owner, a shorty and a target key:
-one C-level pass over the method refs picks the ones named in the table, and
-each of those that matches and is invoked is kept. The same pass settles the
-DEX-level facts (a root marker, which ``dex._string_marker`` finds in the raw
-string data without decoding it, the package Signature type, the first
-WebView type) and runs the one const back-scan: every call to R07's, R08's
-and R13's targets is kept with the literal that reaches it, and each calling
-body is stepped once however many sites it holds. Other rules read their
+one C-level pass over the method names picks the ids named in the table,
+and each of those whose owner and shorty match and that is invoked is kept.
+Only a picked id has its class and proto indices read, and the search
+builds no ``MethodRef``. The same pass settles the DEX-level facts (a root
+marker, which ``dex._string_marker`` finds in the raw string data without
+decoding it, the package Signature type, the first WebView type) and runs
+the one const back-scan: every call to R07's, R08's and R13's targets is
+kept with the literal that reaches it, and each calling body is stepped
+once however many sites it holds. Other rules read their
 sites through ``_sites``, as plain tuples from the invoke columns and method
 rows, and no rule builds a method body. The scan resolves the facts once,
 before any rule runs, so a per-rule trace charges no rule for them.
@@ -40,10 +42,9 @@ from __future__ import annotations
 
 import enum
 from itertools import compress, count
-from operator import itemgetter
 from typing import Any, Callable, NamedTuple
 
-from .dex import DexImage, _literals_reaching, _Site, _sites_of, _string_marker
+from .dex import _CLASS_AND_PROTO, DexImage, _literals_reaching, _Site, _sites_of, _string_marker
 from .manifest import ManifestModel, effective_exported
 
 FLAG_SECURE = 0x2000
@@ -132,7 +133,6 @@ CODE_TARGETS: dict[str, tuple[str | None, str | None, str]] = {
         "Landroid/content/pm/PackageManager;", None, "PackageManager.getInstallerPackageName"
     ),  # R14
 }
-_NAME = itemgetter(1)  # MethodRef.name
 _LITERAL_KEYS = ("WebSettings.setAllowFileAccess", "WebSettings.setJavaScriptEnabled", "Window flags")  # R07, R08, R13
 
 # The facts _dex_facts adds to the call targets, by key, each with the
@@ -179,19 +179,23 @@ def resolve_facts(dexes: tuple[DexImage, ...]) -> dict[str, list[tuple[DexImage,
 
 def _dex_facts(dex: DexImage) -> dict[str, Any]:
     """The facts ``dex`` holds: each invoked target's method indices, ascending, then the DEX-level facts."""
-    refs = dex.method_refs
+    names, ids, shorties = dex.methods
+    types = dex.type_names
     invoked = dex.invokes.methods  # one character per invoke: chr of the method index it names
     found: dict[str, Any] = {}
-    for i in compress(count(), map(CODE_TARGETS.__contains__, map(_NAME, refs))):
-        ref = refs[i]
-        owner, shorty, key = CODE_TARGETS[ref.name]
-        if (owner is None or owner == ref.owner) and (shorty is None or shorty == ref.shorty) and chr(i) in invoked:
+    for i in compress(count(), map(CODE_TARGETS.__contains__, names)):
+        owner, shorty, key = CODE_TARGETS[names[i]]
+        class_idx, proto_idx = _CLASS_AND_PROTO.unpack_from(ids, 8 * i)
+        if (
+            (owner is None or owner == types[class_idx])
+            and (shorty is None or shorty == shorties[proto_idx])
+            and chr(i) in invoked
+        ):
             found.setdefault(key, []).append(i)
 
     marker = _string_marker(dex, _ROOT_EXACT, _ROOT_CONTAINED)
     if marker is not None:
         found["root marker"] = marker.decode("ascii")
-    types = dex.type_names
     if "Landroid/content/pm/Signature;" in types:
         found["Signature type"] = "Landroid/content/pm/Signature;"
     webkit = next((t for t in types if t.startswith("Landroid/webkit/")), None)

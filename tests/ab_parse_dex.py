@@ -7,9 +7,11 @@ BASE and CHANGE are the roots of two bankscan checkouts. Each tree's
 standard library), so both parsers run in one interpreter, on one heap and
 through one stretch of the host's load. The DEX inputs are the workloads of
 ``perfbench.workloads`` in this checkout, built from the seed and read out of
-their APKs once, before any timing. Both sides must agree on every image's id
-tables and rows; the invoke columns are left out of that check, so their
-layout may differ between the trees.
+their APKs once, before any timing. Both sides must agree on a view of every
+image that does not depend on its layout: the string ids, the type names,
+each method id as an (owner, name, shorty) triple read through the API its
+tree has, and the rows. The invoke columns are left out of that check, so
+their layout may differ between the trees.
 
 Each round times one pass of each side over a workload's DEX files, the
 order of the two sides alternating from round to round. The script prints,
@@ -52,6 +54,15 @@ def dex_inputs(workloads, name: str, seed: int) -> list[bytes]:
     return dexes
 
 
+def layout_free(image) -> tuple:
+    """The fields of ``image`` that two trees must agree on, whatever records they keep them in."""
+    if hasattr(image, "method_ref"):  # method ids kept as columns
+        refs = tuple(map(image.method_ref, range(len(image.methods.names))))
+    else:  # one MethodRef per method id
+        refs = image.method_refs
+    return image.string_ids, image.type_names, refs, image.rows
+
+
 def one_pass(parse, dexes: list[bytes]) -> float:
     started = time.perf_counter()
     for data in dexes:
@@ -76,8 +87,8 @@ def main(argv=None) -> int:
     for name in args.workload or workloads.WORKLOADS:
         dexes = dex_inputs(workloads, name, args.seed)
         for data in dict.fromkeys(dexes):
-            base, change = (parse(data) for parse in sides)
-            if tuple(base)[:5] != tuple(change)[:5]:  # every field but the invoke columns
+            base, change = (layout_free(parse(data)) for parse in sides)
+            if base != change:
                 sys.exit(f"{name}: the two trees parse a DEX file differently")
         times = ([], [])
         for round_ in range(args.rounds):

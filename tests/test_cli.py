@@ -358,6 +358,21 @@ def test_dir_inputs_keep_path_sort_order(fleet_dir, tmp_path, capsys):
     assert [doc["apk_name"] for doc in json.loads(capsys.readouterr().out)] == expected
 
 
+def test_dir_scans_only_the_apks_directly_in_it(fleet_dir, tmp_path, capsys):
+    # --dir globs *.apk in PATH itself: an APK in a subdirectory is skipped, and nothing says so.
+    d = tmp_path / "top"
+    (d / "sub").mkdir(parents=True)
+    (d / "top.apk").write_bytes((fleet_dir / "starling-like.apk").read_bytes())
+    (d / "sub" / "nested.apk").write_bytes((fleet_dir / "atom-like.apk").read_bytes())
+    assert main(["--dir", str(d), "--format", "json"]) == 0
+    out, err = capsys.readouterr()
+    assert [doc["apk_name"] for doc in json.loads(out)] == ["top.apk"]
+    assert err == ""
+    (d / "top.apk").unlink()
+    assert main(["--dir", str(d)]) == 3  # as for an empty PATH
+    assert "nested" not in capsys.readouterr().err
+
+
 def test_batch_empty_dir_exit_three(tmp_path, capsys):
     empty = tmp_path / "empty"
     empty.mkdir()

@@ -89,7 +89,7 @@ def sites_of(dex, targets):
 
 def invocations_where(dex, matches):
     """Every invoke whose target satisfies ``matches``: body order, then position."""
-    return sites_of(dex, [i for i, ref in enumerate(dex.method_refs) if matches(ref)])
+    return sites_of(dex, [i for i, ref in enumerate(method_refs(dex)) if matches(ref)])
 
 
 def invocations_of(dex, owner_pattern, method_name):
@@ -135,9 +135,14 @@ def call_sites(image):
     sites = {}
     every = sites_of(image, sorted(set(map(ord, methods))))  # one site per row, in row order
     for char, ordinal, site in zip(methods, places, every, strict=True):
-        assert site.place == ordinal and site.callee == image.method_refs[ord(char)]
+        assert site.place == ordinal and site.callee == image.method_ref(ord(char))
         sites.setdefault(ord(char), []).append((ordinal, position(image, site), site.offset))
     return sites
+
+
+def method_refs(image):
+    """Every method id of ``image`` as a ``MethodRef``, each built by ``image.method_ref``."""
+    return tuple(map(image.method_ref, range(len(image.methods.names))))
 
 
 def string_pool(image):
@@ -165,7 +170,7 @@ def clean_artifact():
 
 def test_parse_exposes_method_refs(addjs_artifact):
     image = parse_dex(addjs_artifact.data)
-    triples = {(m.owner, m.name, m.shorty) for m in image.method_refs}
+    triples = {(m.owner, m.name, m.shorty) for m in method_refs(image)}
     assert (WEBVIEW, "addJavascriptInterface", "VLL") in triples
 
 
@@ -176,7 +181,7 @@ def test_invocation_targets_match_emitter_record(addjs_artifact, clean_artifact)
         for body in image.bodies():
             for ins in body.instructions:
                 if ins.method_index is not None:
-                    ref = image.method_refs[ins.method_index]
+                    ref = image.method_ref(ins.method_index)
                     seen.add((ref.owner, ref.name))
         assert seen == set(artifact.invocation_targets)
 
@@ -195,7 +200,7 @@ def test_header_counts_match_raw_struct(addjs_artifact):
     method_count = struct.unpack_from("<I", addjs_artifact.data, 0x58)[0]
     assert len(image.string_ids) == string_count
     assert len(image.type_names) == type_count
-    assert len(image.method_refs) == method_count
+    assert len(image.methods.names) == method_count
 
 
 def test_emitted_checksums_verify(addjs_artifact):
@@ -296,7 +301,7 @@ def _walked_sites(image, owner_pattern, method_name):
         for i, ins in enumerate(body.instructions):
             if ins.method_index is None:
                 continue
-            ref = image.method_refs[ins.method_index]
+            ref = image.method_ref(ins.method_index)
             owner_hit = (
                 ref.owner.startswith(owner_pattern[:-1])
                 if owner_pattern.endswith("*")
@@ -315,8 +320,8 @@ def _indexed_sites(image, owner_pattern, method_name):
 
 
 def _assert_index_matches_walk(image):
-    names = {ref.name for ref in image.method_refs}
-    queries = {(ref.owner, ref.name) for ref in image.method_refs}
+    names = set(image.methods.names)
+    queries = {(ref.owner, ref.name) for ref in method_refs(image)}
     queries |= {(pattern, name) for pattern in ("*", "Landroid/webkit/*") for name in names}
     for owner_pattern, name in sorted(queries):
         assert _indexed_sites(image, owner_pattern, name) == _walked_sites(image, owner_pattern, name), (
@@ -392,7 +397,7 @@ def test_invoke_naming_undefined_method_rejected():
         [MethodSketch("go", [("invoke-virtual", [0], delete), ("return-void",)])],
     )
     image = parse_dex(art.data)
-    index = next(i for i, ref in enumerate(image.method_refs) if (ref.owner, ref.name) == (JFILE, "delete"))
+    index = next(i for i, ref in enumerate(method_refs(image)) if (ref.owner, ref.name) == (JFILE, "delete"))
     invoke = struct.pack("<BBHBB", 0x6E, 1 << 4, index, 0, 0)
     assert art.data.count(invoke) == 1
     method_ids_size = struct.unpack_from("<I", art.data, 0x58)[0]
@@ -522,7 +527,7 @@ def _order_dex(*patches, misaligned=()):
 
 def test_first_bad_invoke_outranks_every_later_error():
     methods = _u32(_order_dex(), 0x58)
-    a_index = next(i for i, ref in enumerate(parse_dex(_order_dex()).method_refs) if ref.name == "a")
+    a_index = next(i for i, ref in enumerate(method_refs(parse_dex(_order_dex()))) if ref.name == "a")
     later = {
         _overrun_in_a: f"instruction 0x14 at +0x6 overruns {_ORDER_OWNER}->a",
         _truncated_payload_in_a: f"switch/array payload truncated in {_ORDER_OWNER}->a",
@@ -556,7 +561,7 @@ def _moved_code_items(data, names, rest):
     A new class_data pointing at the copies is appended too, and the
     class_def is pointed at it; nothing else changes.
     """
-    refs = parse_dex(data).method_refs
+    refs = method_refs(parse_dex(data))
     class_def = _u32(data, 0x64)
     pos = _u32(data, class_def + 24)
     counts = []
@@ -676,7 +681,7 @@ def test_invoke_columns_after_a_scan_match_the_oracle_walk(monkeypatch):
     for image in images:
         walked = defaultdict(list)
         for ordinal, body in enumerate(image.bodies()):
-            _oracle_walk_instructions(body.code, body.owner, body.name, len(image.method_refs), walked, ordinal)
+            _oracle_walk_instructions(body.code, body.owner, body.name, len(image.methods.names), walked, ordinal)
         assert list(call_sites(image).items()) == list(walked.items())
 
 
@@ -724,7 +729,7 @@ def test_scan_decodes_no_body(monkeypatch):
         result = scanner.scan_bytes(apk, name)
         for image in images:
             backscanned += any(
-                (ref.owner, ref.name) in {_JS_ENABLED[:2], _FILE_ACCESS[:2], _ADD_FLAGS[:2]} for ref in image.method_refs
+                (ref.owner, ref.name) in {_JS_ENABLED[:2], _FILE_ACCESS[:2], _ADD_FLAGS[:2]} for ref in method_refs(image)
             )
     assert backscanned >= 10
     assert sum(len(f.evidence) for f in result.findings if f.rule.value == "R08") == 20  # the webview app's
@@ -911,7 +916,7 @@ def test_a_parsed_image_copies_and_pickles_like_one_built_by_hand(rows_artifact,
     clone = clone(image)
     fields = parse_dex(data, source_name="classes2.dex")
     by_hand = type(fields)(
-        fields.string_ids, fields.type_names, fields.method_refs, fields.source_name, fields.rows, fields.invokes
+        fields.string_ids, fields.type_names, fields.methods, fields.source_name, fields.rows, fields.invokes
     )
     assert clone == image == by_hand
     assert repr(clone) == repr(image) == repr(by_hand)
@@ -1137,7 +1142,7 @@ def test_empty_id_sections_may_point_past_the_file(clean_artifact):
     data = bytearray(clean_artifact.data)
     struct.pack_into("<12I", data, 0x38, *(0, 0xFFFFFFF0) * 6)
     image = parse_dex(bytes(data))
-    assert (image.string_ids, image.type_names, image.method_refs) == ((), (), ())
+    assert (image.string_ids, image.type_names, image.methods) == ((), (), ((), b"", ()))
 
 
 def test_string_checks_name_the_first_id_whose_offset_fails(clean_artifact):
@@ -1222,7 +1227,7 @@ def test_protos_sharing_one_type_list_check_it_once(clean_artifact):
     started = time.perf_counter()
     image = parse_dex(data)
     assert time.perf_counter() - started < 0.25
-    assert [ref[:2] for ref in image.method_refs] == [ref[:2] for ref in parse_dex(clean_artifact.data).method_refs]
+    assert [ref[:2] for ref in method_refs(image)] == [ref[:2] for ref in method_refs(parse_dex(clean_artifact.data))]
     types = _u32(data, 0x40)
     bad = _shared_type_list_dex(clean_artifact, 3, [0, 0, types, types + 1])
     _dex_raises(bad, SectionOutOfBoundsError, f"proto_id 1 parameter 2 names type {types}")
@@ -1282,7 +1287,7 @@ def test_method_entry_and_code_item_messages(clean_artifact):
     data = clean_artifact.data
     n = len(data)
     class_defs = _u32(data, 0x64)
-    where = f"Lfixture/clean/Markers;->{parse_dex(data).method_refs[0].name}"
+    where = f"Lfixture/clean/Markers;->{parse_dex(data).methods.names[0]}"
     one_method = b"\x00\x00\x01\x00"
     uleb_cases = [
         (b"", f"uleb128 truncated at offset {n + 4:#x}"),  # no method_idx_diff
@@ -1342,7 +1347,7 @@ def test_instruction_stream_may_end_at_the_last_byte_of_the_file(clean_artifact)
     data = clean_artifact.data
     n = len(data)
     class_defs = _u32(data, 0x64)
-    where = f"Lfixture/clean/Markers;->{parse_dex(data).method_refs[0].name}"
+    where = f"Lfixture/clean/Markers;->{parse_dex(data).methods.names[0]}"
     class_data = b"\x00\x00\x01\x00" + b"\x00\x09"
     code_off = n + len(class_data) + 2
     assert len(_uleb(code_off)) == 2 and code_off % 4 == 0
@@ -1371,8 +1376,8 @@ def test_multibyte_uleb128_method_diff_and_string_length():
     class_data = _u32(art.data, _u32(art.data, 0x64) + 24)
     assert art.data[class_data + 4 : class_data + 6] == b"\x82\x01"  # diff 130
     image = parse_dex(art.data)
-    assert len(image.method_refs) == 131
-    assert image.method_refs[130] == dex_module.MethodRef("Lz/Z;", "go", "V")
+    assert len(image.methods.names) == 131
+    assert image.method_ref(130) == dex_module.MethodRef("Lz/Z;", "go", "V")
     pool = string_pool(image)
     assert {long_text, wide_text} <= set(pool)
     assert pool == tuple(sorted(pool))
@@ -1463,7 +1468,7 @@ def _stream_dex(owner, name, method_count, units):
     others = [MethodSketch(f"{name}{k:04d}", [("return-void",)]) for k in range(method_count - 1)]
     data = emit_dex(owner, [MethodSketch(name, [("nop",)] * units)] + others).data
     image = parse_dex(data)
-    assert len(image.method_refs) == method_count and next(image.bodies()).name == name
+    assert len(image.methods.names) == method_count and next(image.bodies()).name == name
     return data, image.rows.code_starts[0]
 
 
@@ -1640,9 +1645,9 @@ def test_site_positions_match_the_oracle_walk(streams):
     image = _streams_image(streams)
     walked = defaultdict(list)
     for ordinal, body in enumerate(image.bodies()):
-        _oracle_walk_instructions(body.code, body.owner, body.name, len(image.method_refs), walked, ordinal)
+        _oracle_walk_instructions(body.code, body.owner, body.name, len(image.methods.names), walked, ordinal)
     assert list(call_sites(image).items()) == list(walked.items())
-    for index in range(len(image.method_refs)):
+    for index in range(len(image.methods.names)):
         sites = [(site.name, position(image, site), site.offset) for site in sites_of(image, [index])]
         assert sites == [(names[ordinal], at, offset) for ordinal, at, offset in walked.get(index, [])]
 
@@ -1710,7 +1715,7 @@ _LOOKALIKES_THEN_RANGE_INVOKE = _units([0x7013, 0xFFFE, 0x0115, 1, 0x0218, 1, 2,
 @example([_CONST_PAYLOAD_INVOKE, _LOOKALIKES_THEN_RANGE_INVOKE])  # a payload and look-alikes in the window
 def test_backscan_matches_the_instruction_window_oracle(streams):
     image = _streams_image(streams)
-    sites = sites_of(image, list(range(len(image.method_refs))))
+    sites = sites_of(image, list(range(len(image.methods.names))))
     from_rows = [dex_module._literals_reaching(image, sites, max_lookback) for max_lookback in range(13)]
     for site in sites:
         assert body_at(image, site.place).instructions[position(image, site)].opcode in INVOKE_OPS
@@ -1784,6 +1789,88 @@ def test_repeated_string_ids_do_not_multiply_scan_memory(clean_artifact):
     assert peak < 2 * 1024 * 1024
 
 
+# --- method ids as columns -----------------------------------------------------
+# parse_dex keeps each method id as its name and its 8 raw bytes, and
+# method_ref builds a MethodRef from them. The reference decodes each id
+# from the file's own records and the full string pool.
+
+
+def _dex_files(apk: bytes) -> list[bytes]:
+    archive = load_apk(apk)
+    return [read_entry(archive, name) for name in dex_entry_names(archive)]
+
+
+def _method_ids_by_struct(image, data: bytes) -> tuple[tuple[str, str, str], ...]:
+    """Each method id of ``data`` as (owner, name, shorty), read with ``struct`` from its type, proto and method ids."""
+    pool = string_pool(image)
+    _, types_off, _, protos_off, _, _, method_count, methods_off = struct.unpack_from("<8I", data, 0x40)
+    triples = []
+    for i in range(method_count):
+        class_idx, proto_idx, name_idx = struct.unpack_from("<HHI", data, methods_off + 8 * i)
+        owner = pool[_u32(data, types_off + 4 * class_idx)]
+        shorty = pool[_u32(data, protos_off + 12 * proto_idx)]  # a proto_id starts with its shorty_idx
+        triples.append((owner, pool[name_idx], shorty))
+    return tuple(triples)
+
+
+_ACCENTED = "grüße"
+
+
+def _accented_name_dex() -> bytes:
+    """A DEX with a method whose name is not ASCII, invoked by another."""
+    owner = "Lfixture/names/Accents;"
+    call = ("invoke-static", [], (owner, _ACCENTED, ("V", ())))
+    return emit_dex(owner, [MethodSketch(_ACCENTED, [("return-void",)]), MethodSketch("caller", [call, ("return-void",)])]).data
+
+
+def _shared_name_dex() -> bytes:
+    """A DEX whose method ids 0 and 1 name two string ids that share one string_data offset, that of id 0's name."""
+    data = bytearray(emit_dex("Lfixture/names/Twin;", [MethodSketch(n, [("return-void",)]) for n in ("left", "right")]).data)
+    ids_off, methods_off = _u32(data, 0x3C), _u32(data, 0x5C)
+    first, second = (_u32(data, methods_off + 8 * i + 4) for i in (0, 1))
+    assert first != second
+    struct.pack_into("<I", data, ids_off + 4 * second, _u32(data, ids_off + 4 * first))
+    return bytes(data)
+
+
+def _bulk_dex() -> bytes:
+    return emit_dex("Lfixture/bulk/Part;", _bulk_sketches(120)).data
+
+
+def test_method_ref_matches_the_method_ids_read_with_struct(corpus, fleet):
+    dexes = [dex for _, apk in corpus + fleet for dex in _dex_files(apk)]
+    dexes += [_bulk_dex(), _accented_name_dex(), _shared_name_dex()]
+    for data in dexes:
+        image = parse_dex(data)
+        expected = _method_ids_by_struct(image, data)
+        assert method_refs(image) == expected
+        assert image.methods.names == tuple(name for _, name, _ in expected)
+    with pytest.raises(IndexError):
+        image.method_ref(len(expected))
+    accented, shared = map(parse_dex, dexes[-2:])
+    [site] = invocations_of(accented, "Lfixture/names/Accents;", _ACCENTED)
+    assert site.callee == ("Lfixture/names/Accents;", _ACCENTED, "V") and site.name == "caller"
+    names = shared.methods.names
+    assert names[0] == names[1] == "left" and names[0] is names[1]  # one str per shared offset
+
+
+def _method_refs_held(value) -> int:
+    """The ``MethodRef`` records in ``value``, counted through every tuple and list inside it."""
+    if isinstance(value, dex_module.MethodRef):
+        return 1
+    if isinstance(value, (tuple, list)):
+        return sum(map(_method_refs_held, value))
+    return 0
+
+
+def test_a_parsed_image_holds_no_method_ref(corpus):
+    for data in [_bulk_dex(), _accented_name_dex()] + [dex for _, apk in corpus for dex in _dex_files(apk)]:
+        image = parse_dex(data)
+        assert [_method_refs_held(field) for field in image] == [0] * len(image)
+        assert [_method_refs_held(field) for field in image.methods] == [0, 0, 0]
+    assert _method_refs_held([image, (image.method_ref(0),)]) == 1
+
+
 # --- record types --------------------------------------------------------------
 
 
@@ -1794,19 +1881,20 @@ def test_method_ref_and_invocation_site_records():
     images = _multidex_images()
     assert len(images) == 2
     for image in images:
-        raw = _sites_of(image, range(len(image.method_refs)))  # read from the rows: a plain 5-tuple per site
+        raw = _sites_of(image, range(len(image.methods.names)))  # read from the rows: a plain 5-tuple per site
         assert all(type(site) is tuple and len(site) == 5 for site in raw)
         sites = invocations_where(image, lambda ref: True)
         assert sites == raw
         assert len(sites) == sum(len(v) for v in call_sites(image).values())
-        names = sorted({ref.name for ref in image.method_refs})
+        refs = method_refs(image)
+        names = sorted({ref.name for ref in refs})
         for found in [sites] + [invocations_of(image, "*", name) for name in names]:
             keys = [(site.place, position(image, site)) for site in found]
             assert keys == sorted(set(keys)), image.source_name
         for site in sites:
             body = body_at(image, site.place)
             assert (site.owner, site.name) == (body.owner, body.name)
-            assert site.callee in image.method_refs
+            assert site.callee in refs
             assert body.instructions[position(image, site)].opcode in INVOKE_OPS
             assert repr(site.callee) == (
                 f"MethodRef(owner={site.callee.owner!r}, name={site.callee.name!r}, shorty={site.callee.shorty!r})"

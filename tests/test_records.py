@@ -19,7 +19,7 @@ import pytest
 from bankscan.apk import ApkArchive, ApkEntry
 from bankscan.axml import ANDROID_NS, AxmlAttribute, AxmlDocument, AxmlElement, ResourceRef
 from bankscan.cli import CliConfig
-from bankscan.dex import DexImage, Instruction, MethodBody, MethodRef, _Invokes, _Rows, _sites_of
+from bankscan.dex import DexImage, Instruction, MethodBody, MethodRef, _Invokes, _Methods, _Rows, _sites_of
 from bankscan.knowledge import KnowledgeBase, RuleKnowledge
 from bankscan.manifest import ComponentDecl, ManifestModel, PermissionDecl
 from bankscan.report import SCHEMA_VERSION, FleetMatrix, Report
@@ -42,6 +42,9 @@ _KNOWLEDGE = dict(
 # its stream at byte 8 (unit 4) after its insns_size.
 _CODE = b"\x6e\x10\x00\x00\x00\x00\x0e\x00"
 _ROWS = _Rows(b"\x00" * 4 + struct.pack("<I", len(_CODE) // 2) + _CODE, (0,), (8,), ("LMain;",), (1,))
+# One method id, "run" of type 0 with proto 0: its 8 bytes name class 0, proto 0 and string 0.
+_METHODS = _Methods(("run",), bytes(8), ("V",))
+_NO_METHODS = _Methods((), b"", ())
 _PATHS = {name: Path(name) for name in ("a.apk", "d", "o.txt")}
 _MANIFEST = ManifestModel("com.example", None, None, (), ())
 
@@ -72,11 +75,11 @@ CASES = [
     (
         DexImage,
         dict(
-            string_ids=(0,), type_names=("LMain;",), method_refs=(MethodRef("LMain;", "run", "V"),),
+            string_ids=(0,), type_names=("LMain;",), methods=_METHODS,
             source_name="classes2.dex", rows=_ROWS, invokes=_Invokes("\x00", [0], [4]),
         ),
-        "DexImage(string_ids=(0,), type_names=('LMain;',), method_refs=(MethodRef(owner='LMain;', "
-        "name='run', shorty='V'),), source_name='classes2.dex')",
+        "DexImage(string_ids=(0,), type_names=('LMain;',), methods=_Methods(names=('run',), "
+        "shorties=('V',)), source_name='classes2.dex')",
     ),
     (
         MethodBody, dict(owner="LMain;", name="run", code=b"\x0e\x00"),
@@ -109,10 +112,11 @@ CASES = [
     ),
     (
         ScanInput,
-        dict(manifest=_MANIFEST, dexes=(DexImage((0,), (), ()),), apk_name="a.apk", facts={}),
+        dict(manifest=_MANIFEST, dexes=(DexImage((0,), (), _NO_METHODS),), apk_name="a.apk", facts={}),
         "ScanInput(manifest=ManifestModel(package_name='com.example', target_sdk=None, "
         "allow_backup=None, components=(), "
-        "declared_permissions=()), dexes=(DexImage(string_ids=(0,), type_names=(), method_refs=(), "
+        "declared_permissions=()), dexes=(DexImage(string_ids=(0,), type_names=(), "
+        "methods=_Methods(names=(), shorties=()), "
         "source_name='classes.dex'),), apk_name='a.apk', facts={})",
     ),
     (
@@ -285,7 +289,7 @@ def test_class_record_defaults():
 
     assert CliConfig("help") == CliConfig(mode="help") == ("help", (), (), None, "text", None)
 
-    image = DexImage(("s",), (), ())
+    image = DexImage(("s",), (), _NO_METHODS)
     assert image.source_name == "classes.dex"
     assert image.rows == (b"", (), (), (), ()) and list(image.bodies()) == []
     assert image.invokes == ("", [], [])
@@ -293,12 +297,13 @@ def test_class_record_defaults():
 
 def test_a_dex_image_built_from_rows_gives_its_bodies_and_sites():
     ref = MethodRef("LMain;", "run", "V")
-    image = DexImage(("s",), ("LMain;",), (ref,), rows=_ROWS, invokes=_Invokes("\x00", [0], [4]))
+    image = DexImage(("s",), ("LMain;",), _METHODS, rows=_ROWS, invokes=_Invokes("\x00", [0], [4]))
+    assert image.method_ref(0) == ref
     [body] = image.bodies()
     assert body == MethodBody("LMain;", "run", _CODE)
     assert body.instructions == (Instruction(0x6E, 0, 3, method_index=0), Instruction(0x0E, 6, 1))
     assert _sites_of(image, [0]) == [("LMain;", "run", ref, 0, 0)]
-    assert image != DexImage(("s",), ("LMain;",), (ref,), rows=_ROWS._replace(data=_ROWS.data[:-2] + b"\x00\x00"))
+    assert image != DexImage(("s",), ("LMain;",), _METHODS, rows=_ROWS._replace(data=_ROWS.data[:-2] + b"\x00\x00"))
 
 
 def test_scan_input_needs_a_dex():
@@ -310,6 +315,6 @@ def test_scan_input_needs_a_dex():
 
 def test_resolve_facts_pairs_each_fact_with_its_dex():
     su_only = _Rows(b"\x02su\x00", (), (), (), ())  # one string, "su", at offset 0
-    dexes = (DexImage((0,), (), (), rows=su_only), DexImage((), (), ()))
+    dexes = (DexImage((0,), (), _NO_METHODS, rows=su_only), DexImage((), (), _NO_METHODS))
     assert resolve_facts(dexes) == {"root marker": [(dexes[0], "su")]}
     assert resolve_facts(dexes[1:]) == {}

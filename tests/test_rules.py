@@ -160,7 +160,7 @@ def _r01_by_walk(inp):
             for ins in body.instructions:
                 if ins.method_index is None:
                     continue
-                ref = dex.method_refs[ins.method_index]
+                ref = dex.method_ref(ins.method_index)
                 if (ref.owner, ref.name, ref.shorty) == (INTENT, "<init>", "VL"):
                     ctors.append(ins.offset)
                 elif ref.name in ("startService", "bindService"):
@@ -853,7 +853,7 @@ def _string_data_image(items, extra=()):
             data += item
     data = bytes(data)
     ids += [off % len(data) for off in extra if data and _is_string_id(data, off % len(data))]
-    return DexImage(tuple(ids), (), (), rows=dex_module._Rows(data, (), (), (), ()))
+    return DexImage(tuple(ids), (), dex_module._Methods((), b"", ()), rows=dex_module._Rows(data, (), (), (), ()))
 
 
 def _root_marker_by_loop(pool):
